@@ -5,20 +5,26 @@
 Configuration is a JSON object; `--set` overrides individual (dotted)
 keys and wins over file values.  Outputs are deterministic: identical
 configurations produce byte-identical CSV/JSON/OBJ files (floats printed
-with 17 significant digits, fixed row order).
+with 17 significant digits, fixed row order).  Tables and meshes are
+formatted and written one grid row at a time, one `%`-format per line;
+the bytes are those of formatting every cell with `format(x, ".17g")`.
+A file output is written to a temporary sibling and moved into place only
+when complete, so a failed run never leaves a truncated file.
 
 Exit codes: 0 success, 1 verification/tolerance failure, 2 configuration
-error, 3 empty or all-lightlike grid, 4 ODE branch violation.
+error (including an output path that cannot be written), 3 empty or
+all-lightlike grid, 4 ODE branch violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -52,10 +58,6 @@ EXIT_EMPTY_GRID = 3
 EXIT_BRANCH = 4
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _sanitize(obj):
     """Make a report JSON-safe: numpy scalars to python, non-finite to None."""
     if isinstance(obj, dict):
@@ -72,16 +74,39 @@ def _sanitize(obj):
     return obj
 
 
-def _write_text(path: Optional[str], text: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(path: Optional[str], chunks: Iterable[str]) -> None:
+    """Write text chunks to `path`, or to stdout when `path` is unset.
+
+    A file is written to a temporary sibling and moved over `path` with
+    `os.replace` once every chunk is written; on any error the temporary
+    is removed and `path` is left as it was.  An existing target that is
+    not a regular file (a device such as /dev/null, a FIFO) cannot be
+    replaced and is written in place.  A failure to write becomes
+    `ConfigError`.
+    """
+    if not path:
+        sys.stdout.writelines(chunks)
+        return
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else f"{path}.{os.urandom(4).hex()}.tmp"
+    created = False
+    try:
+        with open(target, "w" if in_place else "x", encoding="utf-8") as fh:
+            created = not in_place
+            fh.writelines(chunks)
+        if created:
+            os.replace(target, path)
+    except BaseException as exc:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(target)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def _json_report(path: Optional[str], report: dict) -> None:
-    _write_text(path, json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n")
+    _write(path, [json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"])
 
 
 def _parse_set(pairs: list[str]) -> dict:
@@ -139,14 +164,27 @@ def _build_surface(cfg: dict) -> tuple[str, FactorableSurface]:
         raise ConfigError(f"bad parameters for family {name!r}: {exc}") from exc
 
 
+def _number(value, key: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
 def _build_grid(cfg: dict, surface: FactorableSurface) -> GridSpec:
     section = cfg.get("grid") or {}
-    n1 = int(section.get("n1", 20))
-    n2 = int(section.get("n2", 20))
+    if not isinstance(section, dict):
+        raise ConfigError(f"grid must be an object, got {section!r}")
+    n1 = _number(section.get("n1", 20), "grid.n1", int)
+    n2 = _number(section.get("n2", 20), "grid.n2", int)
     base = default_grid(surface, n1=n1, n2=n2)
-    u1 = tuple(section.get("u1", base.u1))
-    u2 = tuple(section.get("u2", base.u2))
-    return GridSpec((float(u1[0]), float(u1[1])), (float(u2[0]), float(u2[1])), n1, n2)
+    ranges = []
+    for key, default in (("u1", base.u1), ("u2", base.u2)):
+        value = section.get(key, default)
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ConfigError(f"grid.{key} must be a [lo, hi] pair, got {value!r}")
+        ranges.append(tuple(_number(v, f"grid.{key}") for v in value))
+    return GridSpec(ranges[0], ranges[1], n1, n2)
 
 
 def _tolerances(cfg: dict) -> dict:
@@ -163,40 +201,52 @@ def _tolerances(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "u1,u2,x,y,z,K,H,epsilon,W,excluded"
+ROUTES = ("pipeline", "pipeline-fd", "specialized")
 
 
-def _sweep(surface: FactorableSurface, grid: GridSpec, route: str, fd_step: float) -> dict:
+def _sweep(cfg: dict, surface: FactorableSurface, grid: GridSpec) -> tuple[str, dict]:
+    """Validate `formulas` and `fd_step`, then sweep the grid on that route."""
+    route = cfg.get("formulas", "pipeline")
+    if route not in ROUTES:
+        raise ConfigError(f"formulas must be pipeline, pipeline-fd or specialized, got {route!r}")
+    fd_step = _number(cfg.get("fd_step", 1e-4), "fd_step")
+    if not (math.isfinite(fd_step) and fd_step > 0):
+        raise ConfigError(f"fd_step must be finite and positive, got {fd_step!r}")
     pipe = pipeline_grid(surface, grid, mode="fd" if route == "pipeline-fd" else "analytic",
                          fd_step=fd_step)
     if route == "specialized":
         closed = specialized_grid(surface, grid)
-        return {**pipe, "K": closed["K"], "H": closed["H"], "excluded": closed["excluded"]}
-    return pipe
+        pipe = {**pipe, "K": closed["K"], "H": closed["H"], "excluded": closed["excluded"]}
+    return route, pipe
+
+
+def _axis_strings(data: dict) -> tuple[list[str], list[str]]:
+    """The printed u1 of each grid row and u2 of each grid column: U1 and U2
+    are a meshgrid of the axes, so each value is formatted once."""
+    return (["%.17g" % v for v in data["U1"][:, 0].tolist()],
+            ["%.17g" % v for v in data["U2"][0].tolist()])
+
+
+def _csv_rows(data: dict) -> Iterator[str]:
+    """`curvature` CSV: the header, then one chunk of lines per grid row."""
+    yield CSV_HEADER + "\n"
+    s1, s2 = _axis_strings(data)
+    columns = [data[k] for k in ("x", "y", "z", "K", "H", "eps", "W", "excluded")]
+    for u1, *row in zip(s1, *columns):
+        inc = u1 + ",%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,0"
+        exc = u1 + ",%s,%.17g,%.17g,%.17g,,,,,1"
+        yield "\n".join([exc % (u2, x, y, z) if e else inc % (u2, x, y, z, k, h, ep, w)
+                         for u2, x, y, z, k, h, ep, w, e
+                         in zip(s2, *(c.tolist() for c in row))]) + "\n"
 
 
 def run_curvature(cfg: dict) -> int:
     _, surface = _build_surface(cfg)
     grid = _build_grid(cfg, surface)
-    route = cfg.get("formulas", "pipeline")
-    if route not in ("pipeline", "pipeline-fd", "specialized"):
-        raise ConfigError(f"formulas must be pipeline, pipeline-fd or specialized, got {route!r}")
-    fd_step = float(cfg.get("fd_step", 1e-4))
-    data = _sweep(surface, grid, route, fd_step)
+    route, data = _sweep(cfg, surface, grid)
     excluded = data["excluded"]
-
-    rows = [CSV_HEADER]
-    for i in range(grid.n1):
-        for j in range(grid.n2):
-            cells = [_fmt(data["U1"][i, j]), _fmt(data["U2"][i, j]),
-                     _fmt(data["x"][i, j]), _fmt(data["y"][i, j]), _fmt(data["z"][i, j])]
-            if excluded[i, j]:
-                cells += ["", "", "", "", "1"]
-            else:
-                cells += [_fmt(data["K"][i, j]), _fmt(data["H"][i, j]),
-                          _fmt(data["eps"][i, j]), _fmt(data["W"][i, j]), "0"]
-            rows.append(",".join(cells))
     out = cfg.get("output") or {}
-    _write_text(out.get("csv"), "\n".join(rows) + "\n")
+    _write(out.get("csv"), _csv_rows(data))
 
     included = ~excluded
     n_inc = int(np.count_nonzero(included))
@@ -412,43 +462,45 @@ def run_probe(cfg: dict) -> int:
 # mesh
 # ---------------------------------------------------------------------------
 
+def _obj_lines(data: dict, faces: np.ndarray) -> Iterator[str]:
+    """OBJ: a comment, the vertex lines, then the quad of each kept cell;
+    one chunk of lines per grid row."""
+    n1, n2 = data["x"].shape
+    yield f"# pg-surf mesh {n1}x{n2}\n"
+    for row in zip(data["x"], data["y"], data["z"]):
+        yield "\n".join(["v %.17g %.17g %.17g" % v for v in zip(*(c.tolist() for c in row))]) + "\n"
+    for i, keep in enumerate(faces):
+        first = (np.flatnonzero(keep) + (i * n2 + 1)).tolist()
+        if first:
+            yield "\n".join(["f %d %d %d %d" % (a, a + n2, a + n2 + 1, a + 1) for a in first]) + "\n"
+
+
+def _sidecar_rows(data: dict) -> Iterator[str]:
+    """Mesh sidecar CSV keyed by 1-based vertex index: the header, then one
+    chunk of lines per grid row."""
+    yield "vertex,u1,u2,K,H,excluded\n"
+    s1, s2 = _axis_strings(data)
+    n2 = len(s2)
+    for i, (u1, *row) in enumerate(zip(s1, data["K"], data["H"], data["excluded"])):
+        inc = "%d," + u1 + ",%s,%.17g,%.17g,0"
+        exc = "%d," + u1 + ",%s,,,1"
+        ids = range(i * n2 + 1, (i + 1) * n2 + 1)
+        yield "\n".join([exc % (idx, u2) if e else inc % (idx, u2, k, h)
+                         for idx, u2, k, h, e in zip(ids, s2, *(c.tolist() for c in row))]) + "\n"
+
+
 def run_mesh(cfg: dict) -> int:
     _, surface = _build_surface(cfg)
     grid = _build_grid(cfg, surface)
-    route = cfg.get("formulas", "pipeline")
-    data = _sweep(surface, grid, route, float(cfg.get("fd_step", 1e-4)))
-    excluded = data["excluded"]
-    n1, n2 = grid.n1, grid.n2
-
-    lines = [f"# pg-surf mesh {n1}x{n2}"]
-    for i in range(n1):
-        for j in range(n2):
-            lines.append(f"v {_fmt(data['x'][i, j])} {_fmt(data['y'][i, j])} {_fmt(data['z'][i, j])}")
-    faces = []
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            if any(excluded[a, b] for a, b in corners):
-                continue
-            ids = [a * n2 + b + 1 for a, b in corners]
-            faces.append("f " + " ".join(str(k) for k in ids))
-    lines.extend(faces)
-
-    out = cfg.get("output") or {}
-    if int(np.count_nonzero(~excluded)) == 0 or not faces:
+    _, data = _sweep(cfg, surface, grid)
+    ex = data["excluded"]
+    # a cell is kept when all four corners are admissible
+    faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
+    if not faces.any():
         return EXIT_EMPTY_GRID
-    _write_text(out.get("obj"), "\n".join(lines) + "\n")
-
-    side = ["vertex,u1,u2,K,H,excluded"]
-    for i in range(n1):
-        for j in range(n2):
-            idx = i * n2 + j + 1
-            if excluded[i, j]:
-                side.append(f"{idx},{_fmt(data['U1'][i, j])},{_fmt(data['U2'][i, j])},,,1")
-            else:
-                side.append(f"{idx},{_fmt(data['U1'][i, j])},{_fmt(data['U2'][i, j])},"
-                            f"{_fmt(data['K'][i, j])},{_fmt(data['H'][i, j])},0")
-    _write_text(out.get("sidecar"), "\n".join(side) + "\n")
+    out = cfg.get("output") or {}
+    _write(out.get("obj"), _obj_lines(data, faces))
+    _write(out.get("sidecar"), _sidecar_rows(data))
     return EXIT_OK
 
 

@@ -232,3 +232,104 @@ class TestMesh:
         first = (tmp_path / "md.obj").read_bytes()
         main(["mesh", "--config", cfg])
         assert (tmp_path / "md.obj").read_bytes() == first
+
+
+def _one_line_config_error(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("pg-surf: config error:") and err.count("\n") == 1, err
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("command", ["curvature", "mesh"])
+    @pytest.mark.parametrize("override", [
+        "formulas=bogus", "formulas=[1]",
+        "fd_step=-1", "fd_step=0", "fd_step=NaN", "fd_step=Infinity", "fd_step=abc", "fd_step=[]",
+    ])
+    def test_route_and_fd_step(self, tmp_path, capsys, command, override):
+        cfg = write_config(tmp_path, "r.json", {
+            "family": {"name": "thm31", "k0": 1.0}, "grid": {"n1": 4, "n2": 4},
+            "output": {key: str(tmp_path / f"out.{key}") for key in ("csv", "json", "obj", "sidecar")},
+        })
+        _one_line_config_error(capsys, [command, "--config", cfg, "--set", override])
+        assert list(tmp_path.iterdir()) == [tmp_path / "r.json"]
+
+    @pytest.mark.parametrize("command", ["curvature", "mesh", "verify"])
+    @pytest.mark.parametrize("override", [
+        "grid.n1=abc", "grid.n2=[3]", "grid.n1=Infinity", "grid.u1=[0]", "grid.u2=[0,1,2]",
+        "grid.u1=abc", "grid.u2=[0,\"x\"]", "grid.u1=[null,1]", "grid=7",
+    ])
+    def test_malformed_grid_keys(self, tmp_path, capsys, command, override):
+        cfg = write_config(tmp_path, "g.json", {"family": {"name": "thm31", "k0": 1.0}})
+        _one_line_config_error(capsys, [command, "--config", cfg, "--set", override])
+
+    def test_valid_fd_step_is_used(self, tmp_path):
+        out = {"csv": str(tmp_path / "a.csv"), "json": str(tmp_path / "a.json")}
+        cfg = write_config(tmp_path, "f.json", {
+            "family": {"name": "thm31", "k0": 1.0}, "grid": {"n1": 4, "n2": 4},
+            "formulas": "pipeline-fd", "output": out,
+        })
+        assert main(["curvature", "--config", cfg, "--set", "fd_step=1e-3"]) == 0
+        coarse = (tmp_path / "a.csv").read_bytes()
+        assert main(["curvature", "--config", cfg]) == 0
+        assert (tmp_path / "a.csv").read_bytes() != coarse
+
+
+class TestAtomicWrites:
+    def _cfg(self, tmp_path, out):
+        return write_config(tmp_path, "w.json", {
+            "family": {"name": "saddle"},
+            "grid": {"u1": [0.5, 1.5], "u2": [-0.5, 0.5], "n1": 21, "n2": 5},
+            "output": out,
+        })
+
+    def test_no_temporary_files_left(self, tmp_path):
+        out = {key: str(tmp_path / f"out.{key}") for key in ("csv", "json", "obj", "sidecar")}
+        cfg = self._cfg(tmp_path, out)
+        assert main(["curvature", "--config", cfg]) == 0
+        assert main(["mesh", "--config", cfg]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["w.json", "out.csv", "out.json", "out.obj", "out.sidecar"])
+
+    @pytest.mark.parametrize("command,key,writer", [
+        ("curvature", "csv", "_csv_rows"),
+        ("mesh", "obj", "_obj_lines"),
+        ("mesh", "sidecar", "_sidecar_rows"),
+    ])
+    def test_failure_mid_write_keeps_old_file(self, tmp_path, monkeypatch, command, key, writer):
+        import pgsurf.cli as cli
+
+        target = tmp_path / f"out.{key}"
+        target.write_text("previous\n")
+        cfg = self._cfg(tmp_path, {key: str(target)})
+        original = getattr(cli, writer)
+
+        def failing(*args):
+            rows = original(*args)
+            yield next(rows)
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(cli, writer, failing)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            main([command, "--config", cfg])
+        assert target.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out." + key, "w.json"]
+
+    @pytest.mark.parametrize("command,key", [
+        ("curvature", "csv"), ("curvature", "json"), ("mesh", "obj"), ("mesh", "sidecar"),
+    ])
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, command, key):
+        missing = tmp_path / "no" / "such" / f"out.{key}"
+        cfg = self._cfg(tmp_path, {key: str(missing)})
+        _one_line_config_error(capsys, [command, "--config", cfg])
+        assert not (tmp_path / "no").exists()
+
+    def test_output_to_a_device_is_written_in_place(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise AssertionError(f"would replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        cfg = self._cfg(tmp_path, {"csv": os.devnull, "json": os.devnull})
+        assert main(["curvature", "--config", cfg]) == 0
