@@ -171,16 +171,15 @@ def _number(value, key: str, kind=float):
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
-def _build_grid(cfg: dict, surface: FactorableSurface) -> GridSpec:
+def _build_grid(cfg: dict, default: GridSpec) -> GridSpec:
+    """The `grid` section; each key it leaves out is taken from `default`."""
     section = cfg.get("grid") or {}
     if not isinstance(section, dict):
         raise ConfigError(f"grid must be an object, got {section!r}")
-    n1 = _number(section.get("n1", 20), "grid.n1", int)
-    n2 = _number(section.get("n2", 20), "grid.n2", int)
-    base = default_grid(surface, n1=n1, n2=n2)
+    n1 = _number(section.get("n1", default.n1), "grid.n1", int)
+    n2 = _number(section.get("n2", default.n2), "grid.n2", int)
     ranges = []
-    for key, default in (("u1", base.u1), ("u2", base.u2)):
-        value = section.get(key, default)
+    for key, value in (("u1", section.get("u1", default.u1)), ("u2", section.get("u2", default.u2))):
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise ConfigError(f"grid.{key} must be a [lo, hi] pair, got {value!r}")
         ranges.append(tuple(_number(v, f"grid.{key}") for v in value))
@@ -242,7 +241,7 @@ def _csv_rows(data: dict) -> Iterator[str]:
 
 def run_curvature(cfg: dict) -> int:
     _, surface = _build_surface(cfg)
-    grid = _build_grid(cfg, surface)
+    grid = _build_grid(cfg, default_grid(surface))
     route, data = _sweep(cfg, surface, grid)
     excluded = data["excluded"]
     out = cfg.get("output") or {}
@@ -301,7 +300,7 @@ def run_verify(cfg: dict) -> int:
             surface = fam.perturb_exponent(surface, float(perturb["exponent_scale"]))
         except DomainError as exc:
             raise ConfigError(f"perturbation invalid for this family: {exc}") from exc
-    grid = _build_grid(cfg, surface)
+    grid = _build_grid(cfg, default_grid(surface))
     tol = _tolerances(cfg)
 
     suites: dict = {}
@@ -416,29 +415,22 @@ def run_reconstruct(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def run_probe(cfg: dict) -> int:
+    floor = cfg.get("floor")
+    if floor is not None:
+        floor = _number(floor, "floor")
     space = rec.FamilySpace(
-        degree_f=int(cfg.get("degree_f", 2)),
-        degree_g=int(cfg.get("degree_g", 2)),
+        degree_f=_number(cfg.get("degree_f", 2), "degree_f", int),
+        degree_g=_number(cfg.get("degree_g", 2), "degree_g", int),
         exponential=bool(cfg.get("exponential", True)),
     )
-    section = cfg.get("grid") or {}
-    grid = GridSpec(
-        tuple(section.get("u1", (-0.5, 0.5))),
-        tuple(section.get("u2", (-0.5, 0.5))),
-        int(section.get("n1", 9)),
-        int(section.get("n2", 9)),
-    )
-    workers = max(1, int(os.environ.get("PG_SURF_THREADS", "1")))
     report = rec.nonexistence_probe(
-        k0=float(cfg.get("k0", 1.0)),
+        k0=_number(cfg.get("k0", 1.0), "k0"),
         space=space,
-        budget=int(cfg.get("budget", 10_000)),
-        grid=grid,
-        seed=int(cfg.get("seed", 0)),
-        restarts=int(cfg.get("restarts", 6)),
-        workers=workers,
+        budget=_number(cfg.get("budget", 10_000), "budget", int),
+        grid=_build_grid(cfg, GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)),
+        seed=_number(cfg.get("seed", 0), "seed", int),
+        restarts=_number(cfg.get("restarts", 6), "restarts", int),
     )
-    floor = cfg.get("floor")
     payload = {
         "header": report.header,
         "k0": report.k0,
@@ -450,8 +442,8 @@ def run_probe(cfg: dict) -> int:
     }
     passed = True
     if floor is not None and report.k0 != 0.0:
-        passed = report.best_residual > float(floor)
-        payload["floor"] = float(floor)
+        passed = report.best_residual > floor
+        payload["floor"] = floor
         payload["floor_passed"] = passed
     out = cfg.get("output") or {}
     _json_report(out.get("json"), payload)
@@ -491,7 +483,7 @@ def _sidecar_rows(data: dict) -> Iterator[str]:
 
 def run_mesh(cfg: dict) -> int:
     _, surface = _build_surface(cfg)
-    grid = _build_grid(cfg, surface)
+    grid = _build_grid(cfg, default_grid(surface))
     _, data = _sweep(cfg, surface, grid)
     ex = data["excluded"]
     # a cell is kept when all four corners are admissible

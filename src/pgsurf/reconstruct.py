@@ -19,12 +19,10 @@ that sign explicitly (README, "Errata") and never switch branch silently.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     BlowUp,
@@ -36,7 +34,6 @@ from .errors import (
 from .factorable import (
     FactorableSurface,
     GridSpec,
-    KIND_SECOND,
     ScalarC2,
     specialized_grid,
 )
@@ -540,57 +537,59 @@ class FamilySpace:
         tail = "exp(a*y)*P, exp(b*z)*Q" if self.exponential else "P, Q (no exponential)"
         return f"f deg {self.degree_f}, g deg {self.degree_g}, {tail}"
 
-    def split(self, theta: np.ndarray):
+    def split(self, thetas: np.ndarray):
+        """P coefficients (m, degree_f+1), Q coefficients (m, degree_g+1)
+        and the rates a, b (m,) of candidate rows `thetas` (m, n_params);
+        the rates are zero when exponential=False."""
         nf, ng = self.degree_f + 1, self.degree_g + 1
-        pc = theta[:nf]
-        qc = theta[nf:nf + ng]
         if self.exponential:
-            return pc, qc, float(theta[nf + ng]), float(theta[nf + ng + 1])
-        return pc, qc, 0.0, 0.0
-
-    def build(self, theta) -> FactorableSurface:
-        pc, qc, a, b = self.split(np.asarray(theta, dtype=float))
-        return FactorableSurface(KIND_SECOND, _exp_poly(pc, a), _exp_poly(qc, b))
+            a, b = thetas[:, nf + ng], thetas[:, nf + ng + 1]
+        else:
+            a = b = np.zeros(len(thetas))
+        return thetas[:, :nf], thetas[:, nf:nf + ng], a, b
 
 
-def _exp_poly(coeffs: np.ndarray, rate: float) -> ScalarC2:
-    c = np.asarray(coeffs, dtype=float)
-    d1c = npoly.polyder(c) if c.size > 1 else np.zeros(1)
-    d2c = npoly.polyder(c, 2) if c.size > 2 else np.zeros(1)
+def _exp_poly_rows(c: np.ndarray, rate: np.ndarray, t: np.ndarray):
+    """Value, first and second derivative of exp(rate*t)*P(t) at the nodes
+    `t` (n,) for each coefficient row of `c` (m, d+1) and rate (m,), each
+    of shape (m, n).  Horner order and derivative coefficients follow
+    `npoly.polyval` and `npoly.polyder`, so each row is bit for bit the
+    single-candidate evaluation."""
 
-    def fn(t):
-        return np.exp(rate * t) * npoly.polyval(t, c)
+    def horner(coeffs):
+        v = coeffs[:, -1:] + t * 0
+        for i in range(2, coeffs.shape[1] + 1):
+            v = coeffs[:, -i, None] + v * t
+        return v
 
-    def d1(t):
-        return np.exp(rate * t) * (rate * npoly.polyval(t, c) + npoly.polyval(t, d1c))
-
-    def d2(t):
-        return np.exp(rate * t) * (rate * rate * npoly.polyval(t, c)
-                                   + 2.0 * rate * npoly.polyval(t, d1c)
-                                   + npoly.polyval(t, d2c))
-
-    return ScalarC2(fn=fn, d1=d1, d2=d2, name=f"exp({rate:g}t)*poly")
+    zero = np.zeros((len(c), 1))
+    d1c = np.arange(1, c.shape[1]) * c[:, 1:] if c.shape[1] > 1 else zero
+    d2c = np.arange(1, d1c.shape[1]) * d1c[:, 1:] if c.shape[1] > 2 else zero
+    r = rate[:, None]
+    e = np.exp(r * t)
+    p, p1, p2 = horner(c), horner(d1c), horner(d2c)
+    return e * p, e * (r * p + p1), e * (r * r * p + 2.0 * r * p1 + p2)
 
 
-def _probe_objective(space: FamilySpace, k0: float, U1, U2):
-    """max-grid |K - k0| for the candidate surface; inf for candidates with
-    lightlike or non-finite points on the grid."""
+# grid points evaluated per call of the probe objective; bounds its memory
+# on large grids while a 9x9 sweep of any family space stays one call
+_PROBE_POINTS_PER_CALL = 1 << 12
 
-    def objective(theta: np.ndarray) -> float:
-        pc, qc, a, b = space.split(theta)
-        ey = np.exp(a * U1)
-        ez = np.exp(b * U2)
-        fv = ey * npoly.polyval(U1, pc)
-        f1 = ey * (a * npoly.polyval(U1, pc) + npoly.polyval(U1, npoly.polyder(pc) if pc.size > 1 else [0.0]))
-        f2 = ey * (a * a * npoly.polyval(U1, pc)
-                   + 2.0 * a * npoly.polyval(U1, npoly.polyder(pc) if pc.size > 1 else [0.0])
-                   + npoly.polyval(U1, npoly.polyder(pc, 2) if pc.size > 2 else [0.0]))
-        gv = ez * npoly.polyval(U2, qc)
-        g1 = ez * (b * npoly.polyval(U2, qc) + npoly.polyval(U2, npoly.polyder(qc) if qc.size > 1 else [0.0]))
-        g2 = ez * (b * b * npoly.polyval(U2, qc)
-                   + 2.0 * b * npoly.polyval(U2, npoly.polyder(qc) if qc.size > 1 else [0.0])
-                   + npoly.polyval(U2, npoly.polyder(qc, 2) if qc.size > 2 else [0.0]))
 
+def _probe_objective(space: FamilySpace, k0: float, grid: GridSpec):
+    """values(thetas) -> (m,): max-grid |K - k0| of each candidate row of
+    `thetas` (m, n_params); inf for a candidate with a lightlike or
+    non-finite point on the grid.
+
+    f depends only on y and g only on z, so each profile is evaluated on
+    its own axis and the two are broadcast over the grid."""
+    y, z = grid.axes()
+    rows = max(1, _PROBE_POINTS_PER_CALL // (y.size * z.size))
+
+    def block(thetas: np.ndarray) -> np.ndarray:
+        pc, qc, a, b = space.split(thetas)
+        fv, f1, f2 = (v[:, :, None] for v in _exp_poly_rows(pc, a, y))
+        gv, g1, g2 = (v[:, None, :] for v in _exp_poly_rows(qc, b, z))
         num = fv * gv * f2 * g2 - (f1 * g1) ** 2
         qa = (fv * g1) ** 2
         qb = (f1 * gv) ** 2
@@ -599,38 +598,55 @@ def _probe_objective(space: FamilySpace, k0: float, U1, U2):
         num_scale = np.maximum(1.0, np.abs(fv * gv * f2 * g2) + (f1 * g1) ** 2)
         flat = (np.abs(den) <= 1e-12 * scale) & (np.abs(num) <= 1e-12 * num_scale)
         bad = (np.abs(den) <= 1e-12 * scale) & ~flat
-        if np.any(bad):
-            return float("inf")
         densafe = np.where(flat, 1.0, den)
         K = np.where(flat, 0.0, num / densafe ** 2)
-        if not np.all(np.isfinite(K)):
-            return float("inf")
-        return float(np.max(np.abs(K - k0)))
+        out = np.max(np.abs(K - k0), axis=(1, 2))
+        out[np.any(bad, axis=(1, 2)) | ~np.all(np.isfinite(K), axis=(1, 2))] = np.inf
+        return out
 
-    return objective
+    def values(thetas: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return np.concatenate([block(thetas[i:i + rows]) for i in range(0, len(thetas), rows)])
+
+    return values
 
 
-def _coordinate_search(objective, theta0: np.ndarray, budget: int,
+def _coordinate_search(values, theta0: np.ndarray, budget: int,
                        step0: float = 0.5, shrink: float = 0.5,
                        min_step: float = 1e-6) -> tuple[float, np.ndarray, int]:
+    """Pattern search after Hooke & Jeeves (J. ACM, 1961): try +step, then
+    -step, on each coordinate in turn, move to the first candidate that
+    improves by more than 1e-15, and shrink every step after a sweep with
+    no move; stop at `budget` evaluations or below `min_step`.
+
+    The candidates left in a sweep are built from the current point and
+    evaluated in one call.  Only the first improving one is taken and
+    counted, and the sweep resumes after its coordinate, so the path and
+    the count are those of trying the candidates one at a time."""
     theta = np.asarray(theta0, dtype=float).copy()
-    best = objective(theta)
+    best = values(theta[None])[0]
     evals = 1
-    steps = np.full(theta.size, step0)
+    n = theta.size
+    steps = np.full(n, step0)
     while evals < budget and float(steps.max()) > min_step:
         improved = False
-        for i in range(theta.size):
-            for delta in (steps[i], -steps[i]):
-                if evals >= budget:
-                    break
-                cand = theta.copy()
-                cand[i] += delta
-                value = objective(cand)
-                evals += 1
-                if value < best - 1e-15:
-                    best, theta = value, cand
-                    improved = True
-                    break
+        i = 0
+        while i < n and evals < budget:
+            left = budget - evals
+            coords = np.repeat(np.arange(i, n), 2)[:left]
+            deltas = np.stack([steps[i:], -steps[i:]], axis=1).ravel()[:left]
+            cands = np.repeat(theta[None], coords.size, axis=0)
+            cands[np.arange(coords.size), coords] += deltas
+            vals = values(cands)
+            hits = np.flatnonzero(vals < best - 1e-15)
+            if hits.size == 0:
+                evals += coords.size
+                break
+            k = hits[0]
+            evals += k + 1
+            best, theta = vals[k], cands[k]
+            improved = True
+            i = coords[k] + 1
         if not improved:
             steps *= shrink
     return best, theta, evals
@@ -653,23 +669,26 @@ class ProbeReport:
 
 def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
                        budget: int = 10_000, grid: Optional[GridSpec] = None,
-                       seed: int = 0, restarts: int = 6, workers: int = 1) -> ProbeReport:
+                       seed: int = 0, restarts: int = 6) -> ProbeReport:
     """Minimize max-grid |K - k0| over the declared family space by a
     coordinate search with restarts.
 
     The result is a bounded-search property, not a proof: a large best
     residual for k0 != 0 only says the search found no near-counterexample
-    within its scope.  Restarts run independently (optionally on a thread
-    pool) and aggregate through a min-reduction with the restart index as
-    tie-break, so the outcome is schedule-independent.
+    within its scope.  The restarts (a generic start, the flat seed when
+    the space has rates, then seeded uniform draws) share the budget
+    equally and run one after another; the best residual wins, the
+    earlier restart on a tie.  The outcome depends only on the arguments.
 
-    With budget <= 0 the initial guess of the first restart is evaluated
-    and returned untouched.
+    With budget >= 1, `restarts` may not exceed `budget` (InvalidParams),
+    so the evaluations never exceed the budget.  With budget <= 0 the
+    initial guess of the first restart is evaluated and returned untouched.
     """
+    if budget >= 1 and restarts > budget:
+        raise InvalidParams(f"restarts ({restarts}) must not exceed budget ({budget})")
     if grid is None:
         grid = GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)
-    U1, U2 = grid.mesh()
-    objective = _probe_objective(space, k0, U1, U2)
+    values = _probe_objective(space, k0, grid)
 
     rng = np.random.default_rng(seed)
     n = space.n_params
@@ -681,34 +700,24 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
     starts = starts[: max(1, restarts)]
 
     if budget <= 0:
-        value = objective(starts[0])
+        value = values(starts[0][None])[0]
         return _probe_report(k0, value, starts[0], 1, budget, len(starts), space, grid)
 
     per = max(1, budget // len(starts))
-
-    def run(idx_start):
-        idx, start = idx_start
-        best, theta, evals = _coordinate_search(objective, start, per)
-        return best, idx, theta, evals
-
-    tasks = list(enumerate(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
-    best, _, theta, _ = min(results, key=lambda r: (r[0], r[1]))
-    total_evals = sum(r[3] for r in results)
+    results = [_coordinate_search(values, start, per) for start in starts]
+    best, theta, _ = min(results, key=lambda r: r[0])
+    total_evals = sum(r[2] for r in results)
     return _probe_report(k0, best, theta, total_evals, budget, len(starts), space, grid)
 
 
 def _generic_start(space: FamilySpace) -> np.ndarray:
     theta = np.zeros(space.n_params)
     theta[0] = 1.0                      # f constant term
-    theta[1] = 0.3
+    if space.degree_f >= 1:
+        theta[1] = 0.3
     theta[space.degree_f + 1] = 1.0     # g constant term
-    theta[space.degree_f + 2] = -0.4
+    if space.degree_g >= 1:
+        theta[space.degree_f + 2] = -0.4
     if space.exponential:
         theta[-2] = 0.5
         theta[-1] = -0.5

@@ -172,21 +172,22 @@ class TestProbe:
         report = json.loads((tmp_path / "p.json.out").read_text())
         assert report["floor_passed"] and "not a proof" in report["header"]
 
-    def test_thread_cap_preserves_result(self, tmp_path):
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        cfg = write_config(tmp_path, "pt.json", {"k0": 0.5, "budget": 600})
-        env = os.environ.copy()
-        try:
-            os.environ["PG_SURF_THREADS"] = "1"
-            main(["probe", "--config", cfg, "--set", f"output.json={out_a}"])
-            os.environ["PG_SURF_THREADS"] = "3"
-            main(["probe", "--config", cfg, "--set", f"output.json={out_b}"])
-        finally:
-            os.environ.clear()
-            os.environ.update(env)
-        assert json.loads(out_a.read_text())["best_residual"] == \
-            json.loads(out_b.read_text())["best_residual"]
+    @pytest.mark.parametrize("override", [
+        "grid.n1=abc", "grid.n2=[3]", "grid.u1=[0]", "grid.u2=abc", "grid.u1=[null,1]", "grid=7",
+        "k0=abc", "restarts=abc", "floor=abc", "budget=abc", "seed=[1]", "degree_f=abc",
+        "restarts=20",
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, "pm.json", {"k0": 1.0, "budget": 10,
+                                                 "output": {"json": str(tmp_path / "out.json")}})
+        _one_line_config_error(capsys, ["probe", "--config", cfg, "--set", override])
+        assert not (tmp_path / "out.json").exists()
+
+    def test_constant_g_without_rates(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["probe", "--set", "degree_f=3", "--set", "degree_g=0", "--set", "exponential=false",
+                     "--set", "budget=60", "--set", f"output.json={out}"]) == 0
+        assert len(json.loads(out.read_text())["best_theta"]) == 5
 
 
 class TestMesh:
