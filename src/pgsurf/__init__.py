@@ -33,12 +33,10 @@ from .errors import (
 )
 from .factorable import (
     CrossCheckReport,
-    CurvatureReport,
     FactorableSurface,
     GridSpec,
     ScalarC2,
     cross_check,
-    curvature_report,
     default_grid,
     h_first,
     h_second,
@@ -48,7 +46,6 @@ from .factorable import (
     specialized_K,
 )
 from .families import (
-    FamilyParams,
     Fixture,
     family_surface,
     fixtures_flat_minimal,
@@ -80,17 +77,11 @@ from .surface import (
     FirstForm,
     FundamentalData,
     Jet2,
-    SurfaceFn,
-    admissible,
-    epsilon_and_normal,
     finite_difference_jet,
     first_form,
     fundamental_data,
     gaussian_curvature,
     mean_curvature,
-    second_form,
-    side_norm_W,
-    side_tangent,
     transform_jet,
 )
 

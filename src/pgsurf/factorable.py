@@ -9,9 +9,12 @@ x(y, z) = f(y)*g(z).  The closed curvature formulas are
              H = ((f*g')^2*f''*g - 2*f*g*(f'*g')^2 + (f'*g)^2*f*g'')
                  / (2*|(f*g')^2 - (f'*g)^2|^(3/2))
 
-The general pipeline of `surface` computes K with an extra factor -eps
-relative to these and H with factor +1; `cross_check` pins those factors
-empirically per causal character (see README, "Sign conventions").
+`closed_K` and `closed_H` are the one implementation of these, over
+arrays of profile values; the scalar and grid APIs call them.  The general
+pipeline of `surface` computes K with an extra factor -eps relative to
+these and H with factor +1 (proven in tests/test_sign_contract.py;
+`cross_check` measures the factors per causal character, see README,
+"Sign conventions").
 """
 
 from __future__ import annotations
@@ -22,17 +25,17 @@ from typing import Callable
 
 import numpy as np
 
-from . import surface as _surface
 from .core import Character
-from .errors import DomainError, GridRejected, InvalidParams, LightlikeLocus
-from .surface import FD_STEP, Jet2, SurfaceFn, curvature_arrays
+from .errors import GridRejected, InvalidParams, LightlikeLocus
+from .surface import FD_STEP, Jet2, curvature_arrays, fd_components, jet_from_components
 
 __all__ = [
     "ScalarC2",
     "FactorableSurface",
     "GridSpec",
-    "CurvatureReport",
     "CrossCheckReport",
+    "closed_K",
+    "closed_H",
     "k_first",
     "h_first",
     "k_second",
@@ -42,7 +45,6 @@ __all__ = [
     "jet_component_arrays",
     "pipeline_grid",
     "specialized_grid",
-    "curvature_report",
     "cross_check",
     "KIND_FIRST",
     "KIND_SECOND",
@@ -142,32 +144,12 @@ class FactorableSurface:
         return np.array([float(x), float(y), float(z)])
 
     def jet(self, u1: float, u2: float) -> Jet2:
-        fv, f1, f2 = (float(self.f(u1)), float(self.f.deriv(u1)), float(self.f.deriv2(u1)))
-        gv, g1, g2 = (float(self.g(u2)), float(self.g.deriv(u2)), float(self.g.deriv2(u2)))
-        if self.kind == KIND_FIRST:
-            return Jet2(
-                r=[u1, u2, fv * gv],
-                r1=[1.0, 0.0, f1 * gv],
-                r2=[0.0, 1.0, fv * g1],
-                r11=[0.0, 0.0, f2 * gv],
-                r12=[0.0, 0.0, f1 * g1],
-                r22=[0.0, 0.0, fv * g2],
-            )
-        return Jet2(
-            r=[fv * gv, u1, u2],
-            r1=[f1 * gv, 1.0, 0.0],
-            r2=[fv * g1, 0.0, 1.0],
-            r11=[f2 * gv, 0.0, 0.0],
-            r12=[f1 * g1, 0.0, 0.0],
-            r22=[fv * g2, 0.0, 0.0],
-        )
-
-    def surface_fn(self, mode: str = "analytic", fd_step: float = FD_STEP) -> SurfaceFn:
-        return SurfaceFn(value=self.position, jet_fn=self.jet, mode=mode, fd_step=fd_step)
+        """The jet at one point: a one-point call of `jet_component_arrays`."""
+        return jet_from_components(self.position(u1, u2), jet_component_arrays(self, [u1], [u2]))
 
 
 # ---------------------------------------------------------------------------
-# Specialized formulas
+# Closed formulas
 # ---------------------------------------------------------------------------
 
 def _parts(s: FactorableSurface, u1, u2):
@@ -177,101 +159,113 @@ def _parts(s: FactorableSurface, u1, u2):
             s.g(u2), s.g.deriv(u2), s.g.deriv2(u2))
 
 
-def _first_raw(fv, f1, f2, gv, g1, g2):
-    num = fv * gv * f2 * g2 - (f1 * g1) ** 2
-    q = (fv * g1) ** 2
-    den = 1.0 - q
-    scale = np.maximum(1.0, q)
-    rhs_h = fv * g2
-    return num, den, scale, rhs_h
+def _denominator(kind: str, fv, f1, gv, g1):
+    """The base D of both closed denominators, its vanishing mask and the
+    squares qa = (f g')^2, qb = (f' g)^2 (qb only for the second kind).
 
-
-def _second_raw(fv, f1, f2, gv, g1, g2):
-    num = fv * gv * f2 * g2 - (f1 * g1) ** 2
+    D = 1 - qa (first kind) or qa - qb (second kind); it counts as zero
+    below a deadband scaled by the larger of 1 and its terms.
+    """
     qa = (fv * g1) ** 2
-    qb = (f1 * gv) ** 2
-    den = qa - qb
-    scale = np.maximum(1.0, np.maximum(qa, qb))
-    rhs_h = qa * f2 * gv - 2.0 * fv * gv * (f1 * g1) ** 2 + qb * fv * g2
-    return num, den, scale, rhs_h
+    if kind == KIND_FIRST:
+        qb = None
+        den, scale = 1.0 - qa, np.maximum(1.0, qa)
+    else:
+        qb = (f1 * gv) ** 2
+        den, scale = qa - qb, np.maximum(1.0, np.maximum(qa, qb))
+    return den, np.abs(den) <= _DENOM_TOL * scale, qa, qb
 
 
-def _raw(s: FactorableSurface, u1, u2):
-    parts = _parts(s, u1, u2)
-    return _first_raw(*parts) if s.kind == KIND_FIRST else _second_raw(*parts)
+def _quotient(num, num_scale, den, den_zero, power):
+    """num / power(D) and its undefined mask.
+
+    Where D vanishes the value is undefined (NaN), except where the
+    numerator vanishes too, relative to `num_scale` (the sum of the
+    magnitudes of its terms): there it takes the flat limit 0.  With
+    `num_scale` None (the first kind) there is no flat limit.
+    """
+    value = num / power(np.where(den_zero, 1.0, den))
+    if num_scale is None:
+        return np.where(den_zero, np.nan, value), den_zero
+    flat = den_zero & (np.abs(num) <= _FLAT_TOL * np.maximum(1.0, num_scale))
+    undefined = den_zero & ~flat
+    return np.where(undefined, np.nan, np.where(flat, 0.0, value)), undefined
 
 
-def _require_regular(s: FactorableSurface, den: float, scale: float, where: str):
-    if abs(den) <= _DENOM_TOL * scale:
-        raise LightlikeLocus(f"{s.kind}-kind denominator vanishes at {where}")
+def closed_K(kind: str, fv, f1, f2, gv, g1, g2):
+    """Closed-formula Gaussian curvature over arrays of the profile values
+    f, f', f'', g, g', g'': (K, undefined), K NaN where undefined."""
+    lead, cross = fv * gv * f2 * g2, (f1 * g1) ** 2
+    num_scale = np.abs(lead) + cross if kind == KIND_SECOND else None
+    den, den_zero, _, _ = _denominator(kind, fv, f1, gv, g1)
+    return _quotient(lead - cross, num_scale, den, den_zero, lambda d: d ** 2)
+
+
+def closed_H(kind: str, fv, f1, f2, gv, g1, g2):
+    """Closed-formula mean curvature over arrays of the profile values:
+    (H, undefined), H NaN where undefined; |D|^(3/2) covers timelike
+    patches."""
+    den, den_zero, qa, qb = _denominator(kind, fv, f1, gv, g1)
+    if kind == KIND_FIRST:
+        num, num_scale = fv * g2, None
+    else:
+        t1, t2, t3 = qa * f2 * gv, 2.0 * fv * gv * (f1 * g1) ** 2, qb * fv * g2
+        num, num_scale = t1 - t2 + t3, np.abs(t1) + np.abs(t2) + np.abs(t3)
+    return _quotient(num, num_scale, den, den_zero, lambda d: 2.0 * np.abs(d) ** 1.5)
+
+
+def _at_point(kernel, s: FactorableSurface, u1: float, u2: float) -> float:
+    """`kernel` at one point, on one-element arrays like a grid row's (numpy
+    may round a power of a 0-d array differently); raises where undefined."""
+    value, undefined = kernel(s.kind, *_parts(s, [u1], [u2]))
+    if undefined[0]:
+        raise LightlikeLocus(f"{s.kind}-kind denominator vanishes at ({u1}, {u2})")
+    return float(value[0])
+
+
+def _require_kind(s: FactorableSurface, kind: str, name: str) -> None:
+    if s.kind != kind:
+        raise InvalidParams(f"{name} requires a {kind}-kind surface")
+
+
+def specialized_K(s: FactorableSurface, u1: float, u2: float) -> float:
+    """Closed-formula K at one point; raises LightlikeLocus where undefined."""
+    return _at_point(closed_K, s, u1, u2)
+
+
+def specialized_H(s: FactorableSurface, u1: float, u2: float) -> float:
+    """Closed-formula H at one point; raises LightlikeLocus where undefined."""
+    return _at_point(closed_H, s, u1, u2)
 
 
 def k_first(s: FactorableSurface, x: float, y: float) -> float:
     """Gaussian curvature of z = f(x)*g(y) from the closed formula."""
-    if s.kind != KIND_FIRST:
-        raise InvalidParams("k_first requires a first-kind surface")
-    num, den, scale, _ = _raw(s, x, y)
-    _require_regular(s, float(den), float(scale), f"(x={x}, y={y})")
-    return float(num / den ** 2)
+    _require_kind(s, KIND_FIRST, "k_first")
+    return specialized_K(s, x, y)
 
 
 def h_first(s: FactorableSurface, x: float, y: float) -> float:
     """Mean curvature of z = f(x)*g(y) from the closed formula."""
-    if s.kind != KIND_FIRST:
-        raise InvalidParams("h_first requires a first-kind surface")
-    _, den, scale, rhs = _raw(s, x, y)
-    _require_regular(s, float(den), float(scale), f"(x={x}, y={y})")
-    return float(rhs / (2.0 * abs(den) ** 1.5))
-
-
-def _flat_limit_ok(value: float, den: float, scale: float, value_scale: float) -> bool:
-    return abs(den) <= _DENOM_TOL * scale and abs(value) <= _FLAT_TOL * value_scale
+    _require_kind(s, KIND_FIRST, "h_first")
+    return specialized_H(s, x, y)
 
 
 def k_second(s: FactorableSurface, y: float, z: float) -> float:
     """Gaussian curvature of x = f(y)*g(z) from the closed formula.
 
-    At loci where numerator and denominator vanish together (the
+    Where the K numerator vanishes with the denominator (the
     exponential-times-exponential surfaces of equal rate) the flat limit 0
     is returned; a vanishing denominator alone raises LightlikeLocus.
     """
-    if s.kind != KIND_SECOND:
-        raise InvalidParams("k_second requires a second-kind surface")
-    fv, f1, f2, gv, g1, g2 = _parts(s, y, z)
-    num, den, scale, _ = _second_raw(fv, f1, f2, gv, g1, g2)
-    num, den, scale = float(num), float(den), float(scale)
-    num_scale = max(1.0, abs(float(fv * gv * f2 * g2)) + float((f1 * g1) ** 2))
-    if _flat_limit_ok(num, den, scale, num_scale):
-        return 0.0
-    _require_regular(s, den, scale, f"(y={y}, z={z})")
-    return num / den ** 2
+    _require_kind(s, KIND_SECOND, "k_second")
+    return specialized_K(s, y, z)
 
 
 def h_second(s: FactorableSurface, y: float, z: float) -> float:
-    """Mean curvature of x = f(y)*g(z); |den|^(3/2) covers timelike patches.
-
-    Shares the flat-limit convention of `k_second`.
-    """
-    if s.kind != KIND_SECOND:
-        raise InvalidParams("h_second requires a second-kind surface")
-    fv, f1, f2, gv, g1, g2 = _parts(s, y, z)
-    _, den, scale, rhs = _second_raw(fv, f1, f2, gv, g1, g2)
-    den, scale, rhs = float(den), float(scale), float(rhs)
-    rhs_scale = max(1.0, float((fv * g1) ** 2 * abs(f2 * gv))
-                    + 2.0 * abs(float(fv * gv)) * float((f1 * g1) ** 2)
-                    + float((f1 * gv) ** 2) * abs(float(fv * g2)))
-    if _flat_limit_ok(rhs, den, scale, rhs_scale):
-        return 0.0
-    _require_regular(s, den, scale, f"(y={y}, z={z})")
-    return rhs / (2.0 * abs(den) ** 1.5)
-
-
-def specialized_K(s: FactorableSurface, u1: float, u2: float) -> float:
-    return k_first(s, u1, u2) if s.kind == KIND_FIRST else k_second(s, u1, u2)
-
-
-def specialized_H(s: FactorableSurface, u1: float, u2: float) -> float:
-    return h_first(s, u1, u2) if s.kind == KIND_FIRST else h_second(s, u1, u2)
+    """Mean curvature of x = f(y)*g(z), with the flat-limit rule of
+    `k_second` applied to the H numerator."""
+    _require_kind(s, KIND_SECOND, "h_second")
+    return specialized_H(s, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -353,30 +347,7 @@ def jet_component_arrays(s: FactorableSurface, U1, U2,
     if mode != "fd":
         raise InvalidParams(f"mode must be 'analytic' or 'fd', got {mode!r}")
 
-    h1 = fd_step * np.maximum(1.0, np.abs(U1))
-    h2 = fd_step * np.maximum(1.0, np.abs(U2))
-
-    def val(a, b):
-        return s.value_arrays(a, b)
-
-    c = val(U1, U2)
-    p0 = val(U1 + h1, U2)
-    m0 = val(U1 - h1, U2)
-    zp = val(U1, U2 + h2)
-    zm = val(U1, U2 - h2)
-    pp = val(U1 + h1, U2 + h2)
-    pm = val(U1 + h1, U2 - h2)
-    mp = val(U1 - h1, U2 + h2)
-    mm = val(U1 - h1, U2 - h2)
-
-    out = {}
-    for i, axis in enumerate("xyz"):
-        out[f"{axis}1"] = (p0[i] - m0[i]) / (2.0 * h1)
-        out[f"{axis}2"] = (zp[i] - zm[i]) / (2.0 * h2)
-        out[f"{axis}11"] = (p0[i] - 2.0 * c[i] + m0[i]) / h1 ** 2
-        out[f"{axis}22"] = (zp[i] - 2.0 * c[i] + zm[i]) / h2 ** 2
-        out[f"{axis}12"] = (pp[i] - pm[i] - mp[i] + mm[i]) / (4.0 * h1 * h2)
-    return out
+    return fd_components(s.value_arrays, U1, U2, fd_step)[1]
 
 
 def pipeline_grid(s: FactorableSurface, grid: GridSpec,
@@ -395,86 +366,18 @@ def pipeline_grid(s: FactorableSurface, grid: GridSpec,
 
 
 def specialized_grid(s: FactorableSurface, grid: GridSpec) -> dict:
-    """Closed-formula sweep with the same mask/flat-limit semantics as the
-    pointwise ops."""
+    """Closed-formula sweep; a point is excluded where K or H is undefined.
+
+    f depends only on u1 and g only on u2, so each profile is evaluated on
+    its own axis and the kernels broadcast them over the grid."""
     U1, U2 = grid.mesh()
-    fv, f1, f2, gv, g1, g2 = _parts(s, U1, U2)
-    if s.kind == KIND_FIRST:
-        num, den, scale, rhs = _first_raw(fv, f1, f2, gv, g1, g2)
-        flat = np.zeros_like(den, dtype=bool)
-    else:
-        num, den, scale, rhs = _second_raw(fv, f1, f2, gv, g1, g2)
-        num_scale = np.maximum(1.0, np.abs(fv * gv * f2 * g2) + (f1 * g1) ** 2)
-        flat = (np.abs(den) <= _DENOM_TOL * scale) & (np.abs(num) <= _FLAT_TOL * num_scale)
-    lightlike = (np.abs(den) <= _DENOM_TOL * scale) & ~flat
-    densafe = np.where(np.abs(den) <= _DENOM_TOL * scale, 1.0, den)
-    K = np.where(flat, 0.0, num / densafe ** 2)
-    H = np.where(flat, 0.0, rhs / (2.0 * np.abs(densafe) ** 1.5))
-    K = np.where(lightlike, np.nan, K)
-    H = np.where(lightlike, np.nan, H)
+    a1, a2 = grid.axes()
+    parts = _parts(s, a1[:, None], a2[None, :])
+    K, k_undefined = closed_K(s.kind, *parts)
+    H, h_undefined = closed_H(s.kind, *parts)
     x, y, z = s.value_arrays(U1, U2)
     return {"U1": U1, "U2": U2, "x": x, "y": y, "z": z, "K": K, "H": H,
-            "den": den, "excluded": lightlike}
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Grid of (K, H, eps, W) samples with constancy statistics."""
-
-    U1: np.ndarray
-    U2: np.ndarray
-    K: np.ndarray
-    H: np.ndarray
-    eps: np.ndarray
-    W: np.ndarray
-    excluded: np.ndarray
-    route: str
-
-    @property
-    def n_points(self) -> int:
-        return int(self.K.size)
-
-    @property
-    def n_excluded(self) -> int:
-        return int(np.count_nonzero(self.excluded))
-
-    def stats(self, field: str) -> dict:
-        """mean / max |value - mean| / std over the included points.
-
-        field is 'K', 'H', 'absK' or 'absH'.
-        """
-        base = field[-1]
-        values = getattr(self, base)[~self.excluded]
-        if field.startswith("abs"):
-            values = np.abs(values)
-        if values.size == 0:
-            return {"mean": float("nan"), "max_deviation": float("nan"), "std": float("nan")}
-        mean = float(np.mean(values))
-        return {
-            "mean": mean,
-            "max_deviation": float(np.max(np.abs(values - mean))),
-            "std": float(np.std(values)),
-        }
-
-
-def curvature_report(s: FactorableSurface, grid: GridSpec, route: str = "specialized",
-                     fd_step: float = FD_STEP) -> CurvatureReport:
-    """Sweep a grid and bundle samples plus constancy statistics.
-
-    route: 'specialized' (closed formulas), 'pipeline' (analytic jets) or
-    'pipeline-fd' (finite-difference jets).
-    """
-    if route == "specialized":
-        data = specialized_grid(s, grid)
-        pipe = pipeline_grid(s, grid, mode="analytic")
-        return CurvatureReport(data["U1"], data["U2"], data["K"], data["H"],
-                               pipe["eps"], pipe["W"], data["excluded"], route)
-    if route in ("pipeline", "pipeline-fd"):
-        mode = "analytic" if route == "pipeline" else "fd"
-        data = pipeline_grid(s, grid, mode=mode, fd_step=fd_step)
-        return CurvatureReport(data["U1"], data["U2"], data["K"], data["H"],
-                               data["eps"], data["W"], data["excluded"], route)
-    raise InvalidParams(f"unknown route {route!r}")
+            "excluded": k_undefined | h_undefined}
 
 
 # ---------------------------------------------------------------------------

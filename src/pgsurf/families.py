@@ -32,7 +32,6 @@ from .errors import DomainError, InvalidParams
 from .factorable import FactorableSurface, ScalarC2, KIND_FIRST, KIND_SECOND
 
 __all__ = [
-    "FamilyParams",
     "thm31_family",
     "thm32_family",
     "thm42_family",
@@ -215,35 +214,6 @@ def fixtures_flat_minimal() -> list[Fixture]:
 
 
 FAMILY_NAMES = ("thm31", "thm32", "thm42", "linear", "saddle", "exp_exp")
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Validated parameter bundle for the named families and fixtures."""
-
-    family: str
-    k0: Optional[float] = None
-    h0: Optional[float] = None
-    lam1: float = 0.0
-    lam2: float = 0.0
-    lam3: float = 0.0
-    f0: float = 1.0
-    sign: int = 1
-    causal: str = "timelike"
-
-    def build(self) -> FactorableSurface:
-        return family_surface(self.family, self.as_kwargs())
-
-    def as_kwargs(self) -> dict:
-        if self.family == "thm31":
-            return {"k0": self.k0, "lam1": self.lam1, "lam2": self.lam2, "sign": self.sign}
-        if self.family == "thm32":
-            return {"h0": self.h0, "lam1": self.lam1, "lam2": self.lam2,
-                    "f0": self.f0, "causal": self.causal}
-        if self.family == "thm42":
-            return {"h0": self.h0, "lam1": self.lam1, "lam2": self.lam2,
-                    "lam3": self.lam3, "causal": self.causal}
-        return {}
 
 
 def family_surface(name: str, params: dict | None = None) -> FactorableSurface:

@@ -32,9 +32,12 @@ from .errors import (
     InvalidParams,
 )
 from .factorable import (
+    KIND_SECOND,
     FactorableSurface,
     GridSpec,
     ScalarC2,
+    closed_K,
+    default_grid,
     specialized_grid,
 )
 from . import families as _families
@@ -323,7 +326,7 @@ def thm32_ode_residual(h0: float, lam1: float = 0.0, lam2: float = 0.0,
     s = _families.thm32_family(h0, lam1, lam2, f0, causal)
     b = 1.0 if causal == "timelike" else -1.0
     if ys is None:
-        grid = _families_default_axis(s, 41)
+        grid = default_grid(s, 41, 41).axes()[1]
     else:
         grid = np.asarray(ys, dtype=float)
     u = f0 * s.g.deriv(grid)
@@ -340,7 +343,7 @@ def thm42_ode_residual(h0: float, lam1: float = 1.0, lam2: float = 1.0,
     s = _families.thm42_family(h0, lam1, lam2, lam3, causal)
     b = 1.0 if causal == "timelike" else -1.0
     if zs is None:
-        grid = _families_default_axis(s, 41, axis=1)
+        grid = default_grid(s, 41, 41).axes()[1]
     else:
         grid = np.asarray(zs, dtype=float)
     gv = s.g(grid)
@@ -349,13 +352,6 @@ def thm42_ode_residual(h0: float, lam1: float = 1.0, lam2: float = 1.0,
     lhs = lam2 * lam2 * dv / np.abs(v * v - lam2 * lam2) ** 1.5
     target = 2.0 * b * math.copysign(1.0, lam2) * h0
     return float(np.max(np.abs(lhs - target)))
-
-
-def _families_default_axis(s: FactorableSurface, n: int, axis: int = 1) -> np.ndarray:
-    from .factorable import default_grid
-
-    grid = default_grid(s, n1=n, n2=n)
-    return grid.axes()[axis]
 
 
 # ---------------------------------------------------------------------------
@@ -590,18 +586,9 @@ def _probe_objective(space: FamilySpace, k0: float, grid: GridSpec):
         pc, qc, a, b = space.split(thetas)
         fv, f1, f2 = (v[:, :, None] for v in _exp_poly_rows(pc, a, y))
         gv, g1, g2 = (v[:, None, :] for v in _exp_poly_rows(qc, b, z))
-        num = fv * gv * f2 * g2 - (f1 * g1) ** 2
-        qa = (fv * g1) ** 2
-        qb = (f1 * gv) ** 2
-        den = qa - qb
-        scale = np.maximum(1.0, np.maximum(qa, qb))
-        num_scale = np.maximum(1.0, np.abs(fv * gv * f2 * g2) + (f1 * g1) ** 2)
-        flat = (np.abs(den) <= 1e-12 * scale) & (np.abs(num) <= 1e-12 * num_scale)
-        bad = (np.abs(den) <= 1e-12 * scale) & ~flat
-        densafe = np.where(flat, 1.0, den)
-        K = np.where(flat, 0.0, num / densafe ** 2)
+        K, _ = closed_K(KIND_SECOND, fv, f1, f2, gv, g1, g2)
         out = np.max(np.abs(K - k0), axis=(1, 2))
-        out[np.any(bad, axis=(1, 2)) | ~np.all(np.isfinite(K), axis=(1, 2))] = np.inf
+        out[~np.all(np.isfinite(K), axis=(1, 2))] = np.inf
         return out
 
     def values(thetas: np.ndarray) -> np.ndarray:

@@ -7,16 +7,17 @@ fundamental form, and the Gaussian and mean curvatures
     K = -eps * (L11*L22 - L12^2) / W^2
     H = -eps * (g2^2*L11 - 2*g1*g2*L12 + g1^2*L22) / (2*W^2)
 
-The scalar API raises on lightlike or inadmissible points; the array
-kernel (`curvature_arrays`) returns masks instead so grid sweeps can
-exclude bad points.
+`curvature_arrays` is the one implementation: it works on arrays of jet
+components and returns masks for lightlike and inadmissible points.  The
+scalar API (`fundamental_data`, `gaussian_curvature`, `mean_curvature`)
+is a one-point call into it that raises at those points instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,17 +28,14 @@ __all__ = [
     "Jet2",
     "FundamentalData",
     "FirstForm",
-    "SurfaceFn",
-    "admissible",
     "first_form",
-    "side_tangent",
-    "side_norm_W",
-    "epsilon_and_normal",
-    "second_form",
     "fundamental_data",
     "gaussian_curvature",
     "mean_curvature",
     "transform_jet",
+    "jet_components",
+    "jet_from_components",
+    "fd_components",
     "finite_difference_jet",
     "curvature_arrays",
     "W_TOL",
@@ -76,19 +74,14 @@ class Jet2:
 
 @dataclass(frozen=True)
 class FirstForm:
-    """Coefficients of ds^2 = (g1 du1 + g2 du2)^2 + omega*(h11 du1^2 + ...)."""
+    """Coefficients of ds^2 = (g1 du1 + g2 du2)^2 on non-isotropic
+    directions; h11, h12, h22 are those of the transverse part."""
 
     g1: float
     g2: float
     h11: float
     h12: float
     h22: float
-    omega: int
-
-    def ds2(self, du1: float, du2: float) -> float:
-        galilean = (self.g1 * du1 + self.g2 * du2) ** 2
-        transverse = self.h11 * du1 ** 2 + 2.0 * self.h12 * du1 * du2 + self.h22 * du2 ** 2
-        return galilean + self.omega * transverse
 
 
 @dataclass(frozen=True)
@@ -108,24 +101,8 @@ class FundamentalData:
     L22: float
 
 
-def _side_products(j: Jet2) -> tuple[float, float]:
-    """Components (Y, Z) of the unnormalized side tangent (0, Y, Z)."""
-    Y = j.r1[0] * j.r2[1] - j.r2[0] * j.r1[1]
-    Z = j.r1[0] * j.r2[2] - j.r2[0] * j.r1[2]
-    return float(Y), float(Z)
-
-
-def admissible(j: Jet2, tol: float = ADMISSIBLE_TOL) -> bool:
-    """True iff some x-partial is nonzero (no pseudo-Euclidean tangent plane)."""
-    return max(abs(j.r1[0]), abs(j.r2[0])) > tol
-
-
-def first_form(j: Jet2, direction: str) -> FirstForm:
-    """First fundamental form coefficients; omega = 1 only for isotropic
-    directions (the caller decides, it is not inferred from the jet)."""
-    if direction not in ("isotropic", "non-isotropic"):
-        raise ValueError(f"direction must be 'isotropic' or 'non-isotropic', got {direction!r}")
-    omega = 1 if direction == "isotropic" else 0
+def first_form(j: Jet2) -> FirstForm:
+    """First fundamental form coefficients of a jet."""
     _, y1, z1 = j.r1
     _, y2, z2 = j.r2
     return FirstForm(
@@ -134,88 +111,52 @@ def first_form(j: Jet2, direction: str) -> FirstForm:
         h11=float(y1 * y1 + z1 * z1),
         h12=float(y1 * y2 + z1 * z2),
         h22=float(y2 * y2 + z2 * z2),
-        omega=omega,
     )
 
 
-def side_norm_W(j: Jet2, tol: float = W_TOL) -> float:
-    """Pseudo-Galilean norm of the side tangent; raises on lightlike patches."""
-    Y, Z = _side_products(j)
-    W = math.sqrt(abs(Y * Y - Z * Z))
-    if W < tol:
-        raise LightlikeSurface(f"W = {W:.3e} below tolerance {tol:.1e}; curvature undefined")
-    return W
+_SLOTS = ("1", "2", "11", "12", "22")
 
 
-def side_tangent(j: Jet2) -> IsoVector:
-    """Normalized side tangent S = (0, Y, Z)/W with S.S = epsilon."""
-    Y, Z = _side_products(j)
-    W = side_norm_W(j)
-    return IsoVector(Y / W, Z / W)
+def jet_components(jets: Sequence[Jet2]) -> dict:
+    """The component arrays x1..z22 of `curvature_arrays`, one entry per jet."""
+    d = np.array([(j.r1, j.r2, j.r11, j.r12, j.r22) for j in jets])
+    return {f"{axis}{slot}": d[:, i, a] for i, slot in enumerate(_SLOTS)
+            for a, axis in enumerate("xyz")}
 
 
-def epsilon_and_normal(j: Jet2) -> tuple[int, IsoVector]:
-    """Causal sign epsilon = sign(S.S) and the normal N = (0, Z, Y)/W.
-
-    N satisfies N.N = -epsilon under the (+, -) signature.
-    """
-    Y, Z = _side_products(j)
-    W = side_norm_W(j)
-    epsilon = 1 if Y * Y - Z * Z > 0.0 else -1
-    return epsilon, IsoVector(Z / W, Y / W)
+def jet_from_components(r, comp: dict) -> Jet2:
+    """The jet with value `r` and the one-point components x1..z22 of `comp`."""
+    return Jet2(r, *(np.ravel([comp[f"x{s}"], comp[f"y{s}"], comp[f"z{s}"]]) for s in _SLOTS))
 
 
-def _second_form_branch(j: Jet2, epsilon: int, N: IsoVector, branch: int) -> tuple[float, float, float]:
-    """Second-form coefficients using the g1 (branch=1) or g2 (branch=2) formula.
-
-    Exposed for branch-agreement diagnostics; `second_form` picks the branch.
-    """
-    if branch == 1:
-        gs, ys, zs = j.r1[0], j.r1[1], j.r1[2]
-    elif branch == 2:
-        gs, ys, zs = j.r2[0], j.r2[1], j.r2[2]
-    else:
-        raise ValueError("branch must be 1 or 2")
-    if abs(gs) <= ADMISSIBLE_TOL:
-        raise InadmissiblePatch(f"branch {branch} denominator g{branch} = {gs:.3e} is zero")
-
-    def coeff(rij: np.ndarray) -> float:
-        t = rij[0] / gs  # g_{i,j}/g_branch
-        vy = rij[1] - t * ys
-        vz = rij[2] - t * zs
-        return epsilon * (vy * N.y - vz * N.z)
-
-    return coeff(j.r11), coeff(j.r12), coeff(j.r22)
-
-
-def second_form(j: Jet2, epsilon: int, N: IsoVector) -> tuple[float, float, float]:
-    """(L11, L12, L22); uses the branch with the larger |x-partial|."""
-    g1, g2 = j.r1[0], j.r2[0]
-    if max(abs(g1), abs(g2)) <= ADMISSIBLE_TOL:
+def _at_point(j: Jet2) -> dict:
+    """`curvature_arrays` of one jet; raises where it would mask the point."""
+    out = curvature_arrays(jet_components([j]))
+    if out["inadmissible"][0]:
         raise InadmissiblePatch("both x-partials vanish; patch is pseudo-Euclidean")
-    return _second_form_branch(j, epsilon, N, 1 if abs(g1) >= abs(g2) else 2)
+    if out["lightlike"][0]:
+        raise LightlikeSurface(f"W = {out['W'][0]:.3e} below tolerance {W_TOL:.1e}; "
+                               "curvature undefined")
+    return out
 
 
 def fundamental_data(j: Jet2) -> FundamentalData:
-    ff = first_form(j, "non-isotropic")
-    W = side_norm_W(j)
-    epsilon, N = epsilon_and_normal(j)
-    L11, L12, L22 = second_form(j, epsilon, N)
+    ff = first_form(j)
+    out = _at_point(j)
     return FundamentalData(
         g1=ff.g1, g2=ff.g2, h11=ff.h11, h12=ff.h12, h22=ff.h22,
-        W=W, epsilon=epsilon, N=N, L11=L11, L12=L12, L22=L22,
+        W=float(out["W"][0]), epsilon=int(out["eps"][0]),
+        N=IsoVector(float(out["ny"][0]), float(out["nz"][0])),
+        L11=float(out["L11"][0]), L12=float(out["L12"][0]), L22=float(out["L22"][0]),
     )
 
 
 def gaussian_curvature(j: Jet2) -> float:
-    d = fundamental_data(j)
-    return -d.epsilon * (d.L11 * d.L22 - d.L12 ** 2) / d.W ** 2
+    return float(_at_point(j)["K"][0])
 
 
 def mean_curvature(j: Jet2) -> float:
-    d = fundamental_data(j)
-    num = d.g2 ** 2 * d.L11 - 2.0 * d.g1 * d.g2 * d.L12 + d.g1 ** 2 * d.L22
-    return -d.epsilon * num / (2.0 * d.W ** 2)
+    return float(_at_point(j)["H"][0])
 
 
 def transform_jet(m: Motion, j: Jet2) -> Jet2:
@@ -234,60 +175,41 @@ def transform_jet(m: Motion, j: Jet2) -> Jet2:
     return Jet2(moved, lin(j.r1), lin(j.r2), lin(j.r11), lin(j.r12), lin(j.r22))
 
 
-def finite_difference_jet(value: Callable[[float, float], np.ndarray],
-                          u1: float, u2: float,
-                          step: float = FD_STEP) -> Jet2:
-    """Jet from central differences of a value function.
+def fd_components(value: Callable, u1, u2, step: float = FD_STEP) -> tuple:
+    """Central differences of `value(u1, u2) -> (x, y, z)` at scalar or
+    array parameters: the value triple and the components x1..z22.
 
     Steps scale with the coordinate: h_i = step * max(1, |u_i|).  Second
     partials use the compact three-point / four-point cross stencils.
     """
-    h1 = step * max(1.0, abs(u1))
-    h2 = step * max(1.0, abs(u2))
-    f = lambda a, b: np.asarray(value(a, b), dtype=float)
-    c = f(u1, u2)
-    pp = f(u1 + h1, u2 + h2)
-    pm = f(u1 + h1, u2 - h2)
-    mp = f(u1 - h1, u2 + h2)
-    mm = f(u1 - h1, u2 - h2)
-    p0 = f(u1 + h1, u2)
-    m0 = f(u1 - h1, u2)
-    zp = f(u1, u2 + h2)
-    zm = f(u1, u2 - h2)
-    return Jet2(
-        r=c,
-        r1=(p0 - m0) / (2.0 * h1),
-        r2=(zp - zm) / (2.0 * h2),
-        r11=(p0 - 2.0 * c + m0) / h1 ** 2,
-        r22=(zp - 2.0 * c + zm) / h2 ** 2,
-        r12=(pp - pm - mp + mm) / (4.0 * h1 * h2),
-    )
+    h1 = step * np.maximum(1.0, np.abs(u1))
+    h2 = step * np.maximum(1.0, np.abs(u2))
+    c = value(u1, u2)
+    p0 = value(u1 + h1, u2)
+    m0 = value(u1 - h1, u2)
+    zp = value(u1, u2 + h2)
+    zm = value(u1, u2 - h2)
+    pp = value(u1 + h1, u2 + h2)
+    pm = value(u1 + h1, u2 - h2)
+    mp = value(u1 - h1, u2 + h2)
+    mm = value(u1 - h1, u2 - h2)
+
+    out = {}
+    for i, axis in enumerate("xyz"):
+        out[f"{axis}1"] = (p0[i] - m0[i]) / (2.0 * h1)
+        out[f"{axis}2"] = (zp[i] - zm[i]) / (2.0 * h2)
+        out[f"{axis}11"] = (p0[i] - 2.0 * c[i] + m0[i]) / h1 ** 2
+        out[f"{axis}22"] = (zp[i] - 2.0 * c[i] + zm[i]) / h2 ** 2
+        out[f"{axis}12"] = (pp[i] - pm[i] - mp[i] + mm[i]) / (4.0 * h1 * h2)
+    return c, out
 
 
-@dataclass(frozen=True)
-class SurfaceFn:
-    """Evaluator bundling a value function with a way to obtain jets.
-
-    mode 'analytic' requires `jet_fn`; mode 'fd' differentiates `value`
-    by central differences with the given step scale.  Evaluators must be
-    pure: the pipeline is stateless and safe for concurrent sweeps.
-    """
-
-    value: Callable[[float, float], np.ndarray]
-    jet_fn: Optional[Callable[[float, float], Jet2]] = None
-    mode: str = "analytic"
-    fd_step: float = FD_STEP
-
-    def __post_init__(self):
-        if self.mode not in ("analytic", "fd"):
-            raise ValueError(f"mode must be 'analytic' or 'fd', got {self.mode!r}")
-        if self.mode == "analytic" and self.jet_fn is None:
-            raise ValueError("analytic mode requires jet_fn")
-
-    def jet(self, u1: float, u2: float) -> Jet2:
-        if self.mode == "analytic":
-            return self.jet_fn(u1, u2)
-        return finite_difference_jet(self.value, u1, u2, self.fd_step)
+def finite_difference_jet(value: Callable[[float, float], np.ndarray],
+                          u1: float, u2: float,
+                          step: float = FD_STEP) -> Jet2:
+    """Jet from the central differences of `fd_components`."""
+    return jet_from_components(*fd_components(
+        lambda a, b: np.asarray(value(a, b), dtype=float), u1, u2, step))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +246,7 @@ def curvature_arrays(comp: dict) -> dict:
     ny = Z / Wsafe
     nz = Y / Wsafe
 
+    # the second form from the branch with the larger |x-partial|
     use1 = np.abs(x1) >= np.abs(x2)
     gs = np.where(use1, x1, x2)
     ys = np.where(use1, y1, y2)

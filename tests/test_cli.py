@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from pgsurf.cli import main
+from pgsurf.core import Motion
+from pgsurf.factorable import default_grid
+from pgsurf.families import family_surface
+from pgsurf.surface import gaussian_curvature, mean_curvature, transform_jet
 
 
 def write_config(tmp_path, name, payload):
@@ -123,6 +127,37 @@ class TestVerify:
         })
         assert main(["verify", "--config", cfg]) == 2
 
+    def test_batched_motions_equal_the_per_jet_loop(self, tmp_path):
+        out = tmp_path / "vm.json"
+        assert main(["verify", "--set", "family.name=thm42", "--set", "family.h0=0.5",
+                     "--set", "grid.n1=10", "--set", "grid.n2=10", "--set", "motions=7",
+                     "--set", "seed=3", "--set", f"output.json={out}"]) == 0
+        suite = json.loads(out.read_text())["suites"]["motion_invariance"]
+        surface = family_surface("thm42", {"h0": 0.5})
+        a1, a2 = default_grid(surface, 10, 10).axes()
+        rng = np.random.default_rng(3)
+        motions = [Motion(*(float(v) for v in rng.uniform(-1.0, 1.0, size=6))) for _ in range(7)]
+        worst = 0.0
+        for u1 in a1:  # n = 10: the suite samples every node
+            for u2 in a2:
+                jet = surface.jet(float(u1), float(u2))
+                for m in motions:
+                    moved = transform_jet(m, jet)
+                    worst = max(worst, abs(gaussian_curvature(moved) - gaussian_curvature(jet)),
+                                abs(mean_curvature(moved) - mean_curvature(jet)))
+        assert suite["motions"] == 7
+        assert suite["max_difference"] == worst
+
+    @pytest.mark.parametrize("override", [
+        "motions=-3", "motions=0", "motions=abc", "motions=[2]", "seed=abc", "seed=[1]",
+        "perturb.exponent_scale=abc",
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, "vb.json", {"family": {"name": "thm31", "k0": 1.0},
+                                                 "output": {"json": str(tmp_path / "out.json")}})
+        _one_line_config_error(capsys, ["verify", "--config", cfg, "--set", override])
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestReconstruct:
     def test_thm31_defaults(self, tmp_path):
@@ -161,6 +196,20 @@ class TestReconstruct:
         })
         assert main(["reconstruct", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("theorem,override", [
+        ("3.1", "h=abc"), ("3.1", "k0=abc"), ("3.1", "g0=[1]"), ("3.1", "lam1=abc"),
+        ("3.1", "sign=abc"), ("3.1", "span=[0]"), ("3.1", "span=abc"), ("3.1", "span=[0,\"x\"]"),
+        ("3.2", "h0=abc"), ("3.2", "f0=abc"), ("3.2", "lam=abc"), ("3.2", "y0=abc"),
+        ("3.2", "length=abc"), ("3.2", "u0=abc"),
+        ("4.2", "h0=abc"), ("4.2", "lam1=abc"), ("4.2", "lam2=[1]"), ("4.2", "z0=abc"),
+        ("4.2", "length=abc"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, theorem, override):
+        out = tmp_path / "out.json"
+        _one_line_config_error(capsys, ["reconstruct", "--set", f"theorem={theorem}",
+                                        "--set", override, "--set", f"output.json={out}"])
+        assert not out.exists()
+
 
 class TestProbe:
     def test_report_and_floor(self, tmp_path):
@@ -175,7 +224,7 @@ class TestProbe:
     @pytest.mark.parametrize("override", [
         "grid.n1=abc", "grid.n2=[3]", "grid.u1=[0]", "grid.u2=abc", "grid.u1=[null,1]", "grid=7",
         "k0=abc", "restarts=abc", "floor=abc", "budget=abc", "seed=[1]", "degree_f=abc",
-        "restarts=20",
+        "restarts=20", "exponential=nope", "exponential=1", "exponential=null",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "pm.json", {"k0": 1.0, "budget": 10,

@@ -1,25 +1,28 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgsurf.errors import GridRejected, InvalidParams, LightlikeLocus
+from pgsurf.errors import GridRejected, InvalidParams, LightlikeLocus, PGSurfError
 from pgsurf.factorable import (
     FactorableSurface,
     GridSpec,
     ScalarC2,
     cross_check,
-    curvature_report,
     default_grid,
     h_first,
     h_second,
     k_first,
     k_second,
     pipeline_grid,
+    specialized_H,
+    specialized_K,
     specialized_grid,
 )
 from pgsurf.families import thm31_family, thm32_family
-from pgsurf.surface import finite_difference_jet, gaussian_curvature
+from pgsurf.surface import finite_difference_jet, gaussian_curvature, mean_curvature
 
 SADDLE = FactorableSurface("first", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
 EXP = ScalarC2(np.exp, np.exp, np.exp, name="exp")
@@ -212,18 +215,92 @@ class TestGridsAndReports:
 
     def test_curvature_report_constancy(self):
         s = thm31_family(1.5)
-        rep = curvature_report(s, default_grid(s, 15, 15), route="specialized")
-        stats = rep.stats("K")
-        assert stats["mean"] == pytest.approx(-1.5, abs=1e-10)
-        assert stats["max_deviation"] < 1e-9
-        pipe = curvature_report(s, default_grid(s, 15, 15), route="pipeline")
-        assert pipe.stats("K")["mean"] == pytest.approx(1.5, abs=1e-10)
-        assert rep.n_excluded == 0
+        closed = specialized_grid(s, default_grid(s, 15, 15))
+        assert np.mean(closed["K"]) == pytest.approx(-1.5, abs=1e-10)
+        assert np.max(np.abs(closed["K"] - np.mean(closed["K"]))) < 1e-9
+        pipe = pipeline_grid(s, default_grid(s, 15, 15))
+        assert np.mean(pipe["K"]) == pytest.approx(1.5, abs=1e-10)
+        assert not np.any(closed["excluded"])
 
     def test_specialized_grid_marks_flat_limit_points(self):
         s = FactorableSurface("second", EXP, EXP)
         data = specialized_grid(s, GridSpec((-0.5, 0.5), (-0.5, 0.5), 5, 5))
         assert not np.any(data["excluded"])
-        assert np.all(data["K"] == 0.0)
+        assert np.all(data["K"] == 0.0) and np.all(data["H"] == 0.0)
         pipe = pipeline_grid(s, GridSpec((-0.5, 0.5), (-0.5, 0.5), 5, 5))
         assert np.all(pipe["excluded"])
+
+
+@pytest.mark.filterwarnings("error")
+class TestFlatLimitPerQuantity:
+    """Each second-kind quantity takes its flat limit 0 only where its own
+    numerator vanishes together with the denominator.  Neither kernel
+    warns on these degenerate surfaces."""
+
+    ORIGIN = GridSpec((-1.0, 1.0), (-1.0, 1.0), 3, 3)  # point (1, 1) is (0, 0)
+
+    def test_product_of_linears_is_minimal_but_not_flat(self):
+        s = FactorableSurface("second", ScalarC2.linear(1.0), ScalarC2.linear(1.0))  # x = y*z
+        with pytest.raises(LightlikeLocus):
+            k_second(s, 0.0, 0.0)
+        assert h_second(s, 0.0, 0.0) == 0.0
+        data = specialized_grid(s, self.ORIGIN)
+        assert data["excluded"][1, 1]
+        assert np.isnan(data["K"][1, 1])
+        assert data["H"][1, 1] == 0.0
+        assert pipeline_grid(s, self.ORIGIN)["excluded"][1, 1]  # inadmissible there
+
+    def test_quadratic_pair_is_flat_but_not_minimal(self):
+        f = ScalarC2(lambda t: 1.0 + t + t * t, lambda t: 1.0 + 2.0 * t, lambda t: 2.0 + 0.0 * t)
+        g = ScalarC2(lambda t: 1.0 + t + t * t / 4.0, lambda t: 1.0 + t / 2.0,
+                     lambda t: 0.5 + 0.0 * t)
+        s = FactorableSurface("second", f, g)
+        assert k_second(s, 0.0, 0.0) == 0.0
+        with pytest.raises(LightlikeLocus):
+            h_second(s, 0.0, 0.0)
+        data = specialized_grid(s, self.ORIGIN)
+        assert data["excluded"][1, 1]
+        assert data["K"][1, 1] == 0.0
+        assert np.isnan(data["H"][1, 1])
+        assert pipeline_grid(s, self.ORIGIN)["excluded"][1, 1]  # lightlike there
+
+
+# profile coefficients that put the lightlike loci, the flat points and
+# the inadmissible points of the two kinds onto grid nodes
+_COEF = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 0.25, -0.75])
+_AXIS = st.sampled_from([(-1.0, 1.0), (0.0, 2.0), (-2.0, 0.0), (-0.5, 1.5), (-1.0, 0.5)])
+
+
+def quadratic(c0, c1, c2):
+    return ScalarC2(lambda t: c0 + c1 * t + c2 * t * t, lambda t: c1 + 2.0 * c2 * t,
+                    lambda t: 2.0 * c2 + 0.0 * t)
+
+
+def same(scalar_view, grid_value):
+    """The scalar view's value equals the grid's bit for bit; where the
+    scalar view raises, the grid holds NaN."""
+    try:
+        value = scalar_view()
+    except PGSurfError:
+        return bool(np.isnan(grid_value))
+    return value.hex() == float(grid_value).hex()
+
+
+class TestScalarViewsEqualGrids:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["first", "second"]), fc=st.tuples(_COEF, _COEF, _COEF),
+           gc=st.tuples(_COEF, _COEF, _COEF), u1=_AXIS, u2=_AXIS,
+           n1=st.integers(2, 7), n2=st.integers(2, 7))
+    def test_every_point_of_both_kernels(self, kind, fc, gc, u1, u2, n1, n2):
+        s = FactorableSurface(kind, quadratic(*fc), quadratic(*gc))
+        grid = GridSpec(u1, u2, n1, n2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed, pipe = specialized_grid(s, grid), pipeline_grid(s, grid)
+        for (i, j), a in np.ndenumerate(closed["U1"]):
+            a, b = float(a), float(closed["U2"][i, j])
+            jet = s.jet(a, b)
+            assert same(lambda: specialized_K(s, a, b), closed["K"][i, j])
+            assert same(lambda: specialized_H(s, a, b), closed["H"][i, j])
+            assert same(lambda: gaussian_curvature(jet), pipe["K"][i, j])
+            assert same(lambda: mean_curvature(jet), pipe["H"][i, j])

@@ -5,7 +5,6 @@ from pgsurf.core import Motion
 from pgsurf.errors import DomainError, InvalidParams, LightlikeSurface
 from pgsurf.factorable import default_grid, specialized_grid
 from pgsurf.families import (
-    FamilyParams,
     family_surface,
     fixtures_flat_minimal,
     perturb_exponent,
@@ -15,13 +14,11 @@ from pgsurf.families import (
     thm42_family,
 )
 from pgsurf.factorable import h_first, h_second, k_first, k_second
-from pgsurf.surface import (
-    epsilon_and_normal,
-    gaussian_curvature,
-    mean_curvature,
-    side_norm_W,
-    transform_jet,
-)
+from pgsurf.surface import fundamental_data, gaussian_curvature, mean_curvature, transform_jet
+
+
+def epsilon(jet):
+    return fundamental_data(jet).epsilon
 
 
 def field_stats(surface, field="K", n=25):
@@ -78,9 +75,9 @@ class TestThm32:
         # character: the 'timelike'-named variant measures spacelike (+1)
         tl = thm32_family(0.5, causal="timelike")
         sp = thm32_family(0.5, causal="spacelike")
-        assert epsilon_and_normal(tl.jet(0.0, 0.3))[0] == 1
+        assert epsilon(tl.jet(0.0, 0.3)) == 1
         lo = sp.g.domain[0]
-        assert epsilon_and_normal(sp.jet(0.0, lo + 0.5))[0] == -1
+        assert epsilon(sp.jet(0.0, lo + 0.5)) == -1
 
     def test_lam2_translation_leaves_h(self):
         a = thm32_family(1.0, lam2=0.0, causal="timelike")
@@ -118,10 +115,10 @@ class TestThm42:
 
     def test_names_match_measured_epsilon(self):
         tl = thm42_family(0.5, causal="timelike")
-        assert epsilon_and_normal(tl.jet(0.0, 0.0))[0] == -1
+        assert epsilon(tl.jet(0.0, 0.0)) == -1
         sp = thm42_family(0.5, causal="spacelike")
         lo = sp.g.domain[0]
-        assert epsilon_and_normal(sp.jet(0.0, lo + 0.5))[0] == 1
+        assert epsilon(sp.jet(0.0, lo + 0.5)) == 1
 
     def test_lam1_scaling_leaves_h(self):
         a = thm42_family(0.5, lam1=1.0)
@@ -162,7 +159,7 @@ class TestFixtures:
         ee = fixtures["exp_exp"].surface
         assert k_second(ee, 0.2, -0.4) == 0.0
         with pytest.raises(LightlikeSurface):
-            side_norm_W(ee.jet(0.2, -0.4))
+            fundamental_data(ee.jet(0.2, -0.4))
 
     def test_fixture_expected_annotations(self):
         for fx in fixtures_flat_minimal():
@@ -191,12 +188,11 @@ class TestParameterSweep:
                 expected = abs(params["h0"])
             assert np.max(np.abs(values - expected)) < 1e-7
 
-    def test_family_params_carrier(self):
-        fp = FamilyParams("thm31", k0=2.0, lam1=0.1)
-        s = fp.build()
+    def test_family_surface_by_name(self):
+        s = family_surface("thm31", {"k0": 2.0, "lam1": 0.1})
         assert k_first(s, 0.0, 0.0) == pytest.approx(-2.0, abs=1e-12)
         with pytest.raises(InvalidParams):
-            FamilyParams("nope").build()
+            family_surface("nope")
         with pytest.raises(InvalidParams):
             family_surface("saddle", {"k0": 1.0})
 

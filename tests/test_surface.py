@@ -1,24 +1,19 @@
 import numpy as np
 import pytest
 
-from pgsurf.core import Motion, minkowski_dot
+from pgsurf.core import IsoVector, Motion, minkowski_dot
 from pgsurf.errors import InadmissiblePatch, LightlikeSurface
 from pgsurf.factorable import FactorableSurface, ScalarC2
 from pgsurf.families import thm31_family, thm32_family, thm42_family
 from pgsurf.surface import (
     Jet2,
-    SurfaceFn,
-    admissible,
-    epsilon_and_normal,
+    curvature_arrays,
     finite_difference_jet,
     first_form,
     fundamental_data,
     gaussian_curvature,
+    jet_components,
     mean_curvature,
-    second_form,
-    _second_form_branch,
-    side_norm_W,
-    side_tangent,
     transform_jet,
 )
 
@@ -33,8 +28,8 @@ def omega1(f=QUAD, g=CUBIC):
     return FactorableSurface("first", f, g)
 
 
-def omega2(f=QUAD, g=CUBIC):
-    return FactorableSurface("second", f, g)
+def admissible(jet):
+    return not curvature_arrays(jet_components([jet]))["inadmissible"][0]
 
 
 class TestAdmissible:
@@ -44,6 +39,8 @@ class TestAdmissible:
     def test_pseudo_euclidean_patch(self):
         jet = Jet2([1.0, 0.2, 0.5], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0])
         assert not admissible(jet)
+        with pytest.raises(InadmissiblePatch):
+            fundamental_data(jet)
 
     def test_second_kind_condition(self):
         # x = f(y) g(z) is admissible exactly where f'g or fg' is nonzero
@@ -56,7 +53,7 @@ class TestFirstForm:
     def test_omega1_coefficients(self):
         f, g = QUAD, CUBIC
         x, y = 0.7, -0.4
-        ff = first_form(omega1().jet(x, y), "non-isotropic")
+        ff = first_form(omega1().jet(x, y))
         fp_g = float(f.deriv(x) * g(y))
         f_gp = float(f(x) * g.deriv(y))
         assert ff.g1 == 1.0 and ff.g2 == 0.0
@@ -65,18 +62,8 @@ class TestFirstForm:
         assert ff.h22 == pytest.approx(1.0 + f_gp**2, rel=1e-14)
 
     def test_plane(self):
-        ff = first_form(PLANE_JET, "non-isotropic")
+        ff = first_form(PLANE_JET)
         assert (ff.g1, ff.g2, ff.h11, ff.h12, ff.h22) == (1.0, 0.0, 0.0, 0.0, 1.0)
-
-    def test_omega_flag(self):
-        jet = omega1().jet(0.2, 0.1)
-        iso = first_form(jet, "isotropic")
-        noniso = first_form(jet, "non-isotropic")
-        # isotropic direction du1 = 0: only the omega part contributes
-        assert iso.ds2(0.0, 1.0) == pytest.approx(iso.h22)
-        assert noniso.ds2(0.0, 1.0) == 0.0
-        with pytest.raises(ValueError):
-            first_form(jet, "sideways")
 
 
 class TestSideNorm:
@@ -84,16 +71,21 @@ class TestSideNorm:
         x, y = 0.25, 0.5
         f_gp = float(QUAD(x) * CUBIC.deriv(y))
         expected = np.sqrt(abs(1.0 - f_gp**2))
-        assert side_norm_W(omega1().jet(x, y)) == pytest.approx(expected, rel=1e-14)
+        assert fundamental_data(omega1().jet(x, y)).W == pytest.approx(expected, rel=1e-14)
 
     def test_saddle_origin(self):
-        assert side_norm_W(SADDLE.jet(0.0, 0.0)) == 1.0
+        assert fundamental_data(SADDLE.jet(0.0, 0.0)).W == 1.0
 
     def test_lightlike_raises(self):
         # z = y has f g' = 1 everywhere
         s = FactorableSurface("first", ScalarC2.constant(1.0), ScalarC2.linear(1.0))
         with pytest.raises(LightlikeSurface):
-            side_norm_W(s.jet(0.0, 0.0))
+            fundamental_data(s.jet(0.0, 0.0))
+
+
+def epsilon_and_normal(jet):
+    d = fundamental_data(jet)
+    return d.epsilon, d.N
 
 
 class TestEpsilonNormal:
@@ -116,9 +108,8 @@ class TestEpsilonNormal:
 
     @pytest.mark.parametrize("u1,u2", [(0.3, -0.2), (1.7, 0.4), (-0.8, 1.3)])
     def test_s_and_n_products(self, u1, u2):
-        jet = omega1().jet(u1, u2)
-        eps, n = epsilon_and_normal(jet)
-        s_vec = side_tangent(jet)
+        eps, n = epsilon_and_normal(omega1().jet(u1, u2))
+        s_vec = IsoVector(n.z, n.y)  # S = (0, Y, Z)/W mirrors N = (0, Z, Y)/W
         assert minkowski_dot(s_vec, s_vec) == pytest.approx(eps, abs=1e-9)
         assert minkowski_dot(n, n) == pytest.approx(-eps, abs=1e-9)
 
@@ -129,30 +120,20 @@ class TestSecondForm:
         # L_ij = -eps * z_ij / W
         f, g = QUAD, CUBIC
         x, y = 0.3, 0.9
-        jet = omega1().jet(x, y)
-        eps, n = epsilon_and_normal(jet)
-        W = side_norm_W(jet)
-        L11, L12, L22 = second_form(jet, eps, n)
+        d = fundamental_data(omega1().jet(x, y))
+        eps, W, L11, L12, L22 = d.epsilon, d.W, d.L11, d.L12, d.L22
         assert L11 == pytest.approx(-eps * float(f.deriv2(x) * g(y)) / W, rel=1e-12)
         assert L12 == pytest.approx(-eps * float(f.deriv(x) * g.deriv(y)) / W, rel=1e-12)
         assert L22 == pytest.approx(-eps * float(f(x) * g.deriv2(y)) / W, rel=1e-12)
 
     def test_plane_vanishes(self):
-        eps, n = epsilon_and_normal(PLANE_JET)
-        assert second_form(PLANE_JET, eps, n) == (0.0, 0.0, 0.0)
-
-    @pytest.mark.parametrize("u1,u2", [(0.8, 0.6), (1.2, -0.7), (-1.4, 1.1)])
-    def test_branch_agreement_on_omega2(self, u1, u2):
-        jet = omega2().jet(u1, u2)
-        eps, n = epsilon_and_normal(jet)
-        b1 = _second_form_branch(jet, eps, n, 1)
-        b2 = _second_form_branch(jet, eps, n, 2)
-        assert np.allclose(b1, b2, atol=1e-9)
+        d = fundamental_data(PLANE_JET)
+        assert (d.L11, d.L12, d.L22) == (0.0, 0.0, 0.0)
 
     def test_inadmissible_raises(self):
         jet = Jet2([1.0, 0.2, 0.5], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0])
         with pytest.raises(InadmissiblePatch):
-            second_form(jet, 1, type("N", (), {"y": 0.0, "z": 1.0})())
+            fundamental_data(jet)
 
 
 class TestCurvatures:
@@ -209,15 +190,6 @@ class TestFiniteDifferences:
         for name in ("r", "r1", "r2", "r11", "r12", "r22"):
             assert np.allclose(getattr(fd, name), getattr(an, name), atol=1e-6)
 
-    def test_surface_fn_modes(self):
-        s = omega1()
-        analytic = s.surface_fn()
-        fd = SurfaceFn(value=s.position, mode="fd")
-        j1, j2 = analytic.jet(0.3, 0.6), fd.jet(0.3, 0.6)
-        assert np.allclose(j1.r12, j2.r12, atol=1e-6)
-        with pytest.raises(ValueError):
-            SurfaceFn(value=s.position, mode="analytic")
-
 
 class TestMotionInvariance:
     def test_curvature_fields_invariant(self):
@@ -247,6 +219,6 @@ class TestMotionInvariance:
     def test_w_and_epsilon_invariant(self):
         jet = omega1().jet(0.9, -0.3)
         m = Motion(1.0, 2.0, -0.8, 0.5, 0.3, 1.1)
-        moved = transform_jet(m, jet)
-        assert side_norm_W(moved) == pytest.approx(side_norm_W(jet), rel=1e-12)
-        assert epsilon_and_normal(moved)[0] == epsilon_and_normal(jet)[0]
+        d, moved = fundamental_data(jet), fundamental_data(transform_jet(m, jet))
+        assert moved.W == pytest.approx(d.W, rel=1e-12)
+        assert moved.epsilon == d.epsilon
