@@ -12,20 +12,19 @@ x(y, z) = f(y)*g(z).  The closed curvature formulas are
 `closed_K` and `closed_H` are the one implementation of these, over
 arrays of profile values; the scalar and grid APIs call them.  The general
 pipeline of `surface` computes K with an extra factor -eps relative to
-these and H with factor +1 (proven in tests/test_sign_contract.py;
-`cross_check` measures the factors per causal character, see README,
-"Sign conventions").
+these and H with factor +1 (proven in tests/test_sign_contract.py, see
+README, "Sign conventions"); `cross_check` compares two sweeps under
+these factors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import Character
 from .errors import GridRejected, InvalidParams, LightlikeLocus
 from .surface import FD_STEP, Jet2, curvature_arrays, fd_components, jet_from_components
 
@@ -384,80 +383,24 @@ def specialized_grid(s: FactorableSurface, grid: GridSpec) -> dict:
 # Cross-check between specialized formulas and the general pipeline
 # ---------------------------------------------------------------------------
 
-_SIGN_FLOOR = 1e-9
-
-
 @dataclass(frozen=True)
 class CrossCheckReport:
-    """Empirical sign factors and residual discrepancy on one grid.
+    """Points compared and the largest gap from the proven sign contract."""
 
-    sigma maps (formula, character) to the constant factor with
-    pipeline = sigma * specialized; `consistent` is False when any bucket
-    saw both signs.
-    """
-
-    surface_kind: str
     n_points: int
-    sigma: dict = field(default_factory=dict)
-    max_discrepancy: float = 0.0
-    per_formula: dict = field(default_factory=dict)
-    consistent: bool = True
+    max_discrepancy: float
 
 
-def cross_check(s: FactorableSurface, grid: GridSpec) -> CrossCheckReport:
-    """Compare the closed formulas against the general pipeline on a grid.
+def cross_check(pipe: dict, closed: dict) -> CrossCheckReport:
+    """Compare a `pipeline_grid` sweep with the `specialized_grid` sweep of
+    the same grid under the proven contract K_pipeline = -eps*K_closed,
+    H_pipeline = H_closed: the largest of |K_pipe + eps*K_closed| and
+    |H_pipe - H_closed| over the grid.
 
-    The grid must avoid lightlike loci entirely, otherwise GridRejected is
-    raised.  Returns the per-(formula, causal-character) sign factor and
-    the maximum |pipeline - sigma*specialized| over the grid.
+    Raises GridRejected when either sweep excludes a point.
     """
-    pipe = pipeline_grid(s, grid, mode="analytic")
-    closed = specialized_grid(s, grid)
     if np.any(pipe["excluded"]) or np.any(closed["excluded"]):
         raise GridRejected("grid crosses a lightlike or inadmissible locus")
-
-    kind_tag = "first" if s.kind == KIND_FIRST else "second"
-    chars = np.where(pipe["eps"] > 0, Character.SPACELIKE.value, Character.TIMELIKE.value)
-
-    sigma: dict = {}
-    signs_seen: dict = {}
-    for formula, p_arr, s_arr in (
-        (f"K-{kind_tag}", pipe["K"], closed["K"]),
-        (f"H-{kind_tag}", pipe["H"], closed["H"]),
-    ):
-        floor = _SIGN_FLOOR * np.maximum(1.0, np.abs(p_arr))
-        usable = np.abs(s_arr) > floor
-        for char in (Character.SPACELIKE.value, Character.TIMELIKE.value):
-            mask = usable & (chars == char)
-            key = (formula, char)
-            if np.any(mask):
-                ratio_signs = np.sign(p_arr[mask] * s_arr[mask])
-                signs_seen[key] = set(int(v) for v in np.unique(ratio_signs))
-                sigma[key] = int(ratio_signs.flat[0])
-
-    consistent = all(len(v) == 1 for v in signs_seen.values())
-
-    per_formula: dict = {}
-    overall = 0.0
-    for formula, p_arr, s_arr in (
-        (f"K-{kind_tag}", pipe["K"], closed["K"]),
-        (f"H-{kind_tag}", pipe["H"], closed["H"]),
-    ):
-        worst = 0.0
-        for char in (Character.SPACELIKE.value, Character.TIMELIKE.value):
-            mask = chars == char
-            if not np.any(mask):
-                continue
-            factor = sigma.get((formula, char), 1)
-            worst = max(worst, float(np.max(np.abs(p_arr[mask] - factor * s_arr[mask]))))
-        per_formula[formula] = worst
-        overall = max(overall, worst)
-
-    return CrossCheckReport(
-        surface_kind=s.kind,
-        n_points=int(pipe["K"].size),
-        sigma={f"{f}/{c}": v for (f, c), v in sigma.items()},
-        max_discrepancy=overall,
-        per_formula=per_formula,
-        consistent=consistent,
-    )
+    k_gap = np.max(np.abs(pipe["K"] + pipe["eps"] * closed["K"]))
+    h_gap = np.max(np.abs(pipe["H"] - closed["H"]))
+    return CrossCheckReport(n_points=int(pipe["K"].size), max_discrepancy=float(max(k_gap, h_gap)))

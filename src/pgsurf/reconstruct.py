@@ -66,6 +66,8 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e12
+# Largest step count `integrate` accepts; checked before any allocation.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,10 @@ class ODEProblem:
             raise InvalidParams("integration corridor must be finite with t1 > t0")
         if not (self.h > 0.0):
             raise InvalidParams("step h must be positive")
+        # round(span/h) > MAX_STEPS, without round() overflowing on span/h = inf
+        if (self.t1 - self.t0) / self.h > MAX_STEPS + 0.5:
+            raise InvalidParams(f"corridor {self.t1 - self.t0:g} at step {self.h:g} "
+                                f"needs more than {MAX_STEPS} steps")
         object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
 
 

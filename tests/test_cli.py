@@ -107,7 +107,30 @@ class TestVerify:
         assert main(["verify", "--config", cfg]) == 0
         report = json.loads((tmp_path / "v.json.out").read_text())
         assert report["passed"] and report["failed"] == []
-        assert report["suites"]["cross_check"]["sigma_consistent"]
+        suite = report["suites"]["cross_check"]
+        assert suite["max_discrepancy"] < suite["tolerance"]
+        assert sorted(suite) == ["max_discrepancy", "passed", "tolerance"]
+
+    def test_one_closed_sweep_per_invocation(self, tmp_path, monkeypatch):
+        import pgsurf.cli as cli
+        import pgsurf.factorable as factorable
+
+        calls = []
+        original = factorable.specialized_grid
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # both names a caller can look it up by
+        monkeypatch.setattr(cli, "specialized_grid", counted)
+        monkeypatch.setattr(factorable, "specialized_grid", counted)
+        for name, param in (("thm31", "k0=1"), ("thm32", "h0=0.5"), ("thm42", "h0=0.5")):
+            calls.clear()
+            assert main(["verify", "--set", f"family.name={name}", "--set", f"family.{param}",
+                         "--set", "grid.n1=8", "--set", "grid.n2=8",
+                         "--set", f"output.json={tmp_path / 'v.json'}"]) == 0
+            assert len(calls) == 1, name
 
     def test_perturbed_family_fails_constancy(self, tmp_path):
         cfg = write_config(tmp_path, "vp.json", {
@@ -151,6 +174,10 @@ class TestVerify:
     @pytest.mark.parametrize("override", [
         "motions=-3", "motions=0", "motions=abc", "motions=[2]", "seed=abc", "seed=[1]",
         "perturb.exponent_scale=abc",
+        "tolerances=5", "tolerances=[]", "tolerances=null", "tolerances.constancy=true",
+        "tolerances.cross_check=false", "tolerances.bogus=1e-3", "tolerances.motion=-1",
+        "tolerances.motion=0", "tolerances.constancy=NaN", "tolerances.constancy=Infinity",
+        "tolerances.constancy=abc",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "vb.json", {"family": {"name": "thm31", "k0": 1.0},
@@ -203,6 +230,9 @@ class TestReconstruct:
         ("3.2", "length=abc"), ("3.2", "u0=abc"),
         ("4.2", "h0=abc"), ("4.2", "lam1=abc"), ("4.2", "lam2=[1]"), ("4.2", "z0=abc"),
         ("4.2", "length=abc"),
+        ("3.1", "tolerances=5"), ("3.1", "tolerances.ode=true"), ("3.1", "tolerances.od=1e-6"),
+        ("3.1", "span=[0,1e12]"), ("3.1", "h=1e-300"), ("3.2", "length=1e12"),
+        ("4.2", "length=1e12"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, theorem, override):
         out = tmp_path / "out.json"

@@ -170,32 +170,47 @@ class TestHSecond:
         assert h_second(s, 0.3, -0.8) == 0.0
 
 
+def _sweeps(s, grid):
+    return pipeline_grid(s, grid), specialized_grid(s, grid)
+
+
 class TestCrossCheck:
     def test_saddle_agreement(self):
-        report = cross_check(SADDLE, GridSpec((-0.5, 0.5), (-0.5, 0.5), 15, 15))
-        assert report.consistent
+        pipe, closed = _sweeps(SADDLE, GridSpec((-0.5, 0.5), (-0.5, 0.5), 15, 15))
+        report = cross_check(pipe, closed)
+        assert report.n_points == 225
         assert report.max_discrepancy < 1e-9
-        assert report.sigma["K-first/spacelike"] == -1
-        # H vanishes identically on the saddle; no sign information there
+        # spacelike everywhere, so K_pipeline = -K_closed with K_closed != 0;
+        # H vanishes identically on the saddle
+        assert np.all(pipe["eps"] == 1.0) and np.all(closed["K"] < -0.1)
+        assert np.max(np.abs(pipe["K"] - closed["K"])) > 0.2
 
     def test_thm31_agreement(self):
         s = thm31_family(2.0, lam1=0.4, lam2=-0.3)
-        report = cross_check(s, default_grid(s, 12, 12))
-        assert report.consistent and report.max_discrepancy < 1e-9
+        report = cross_check(*_sweeps(s, default_grid(s, 12, 12)))
+        assert report.n_points == 144 and report.max_discrepancy < 1e-9
 
-    def test_second_kind_sigma_is_plus_one_for_H(self):
+    def test_second_kind_H_factor_is_plus_one(self):
         s = poly_surface("second", 1.0, 0.2, 1.0, 0.5)
-        report = cross_check(s, GridSpec((0.8, 1.4), (0.9, 1.3), 10, 10))
-        assert report.consistent
-        for key, value in report.sigma.items():
-            if key.startswith("H-"):
-                assert value == 1
+        pipe, closed = _sweeps(s, GridSpec((0.8, 1.4), (0.9, 1.3), 10, 10))
+        assert cross_check(pipe, closed).max_discrepancy < 1e-9
+        usable = np.abs(closed["H"]) > 1e-9 * np.maximum(1.0, np.abs(pipe["H"]))
+        assert usable.any() and np.all(pipe["H"][usable] * closed["H"][usable] > 0)
 
     def test_lightlike_crossing_grid_rejected(self):
         # the saddle has f g' = x; a grid hitting x = 1 exactly is rejected
         grid = GridSpec((0.5, 1.5), (-0.5, 0.5), 21, 5)
         with pytest.raises(GridRejected):
-            cross_check(SADDLE, grid)
+            cross_check(*_sweeps(SADDLE, grid))
+
+    @pytest.mark.parametrize("sweep", [0, 1])
+    def test_one_excluded_point_in_either_sweep_rejected(self, sweep):
+        sweeps = list(_sweeps(SADDLE, GridSpec((-0.5, 0.5), (-0.5, 0.5), 4, 4)))
+        excluded = np.zeros((4, 4), dtype=bool)
+        excluded[2, 1] = True
+        sweeps[sweep] = {**sweeps[sweep], "excluded": excluded}
+        with pytest.raises(GridRejected):
+            cross_check(*sweeps)
 
 
 class TestGridsAndReports:

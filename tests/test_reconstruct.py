@@ -17,6 +17,7 @@ from pgsurf.errors import (
 from pgsurf.factorable import FactorableSurface, GridSpec, ScalarC2, default_grid
 from pgsurf.families import fixtures_flat_minimal, thm31_family
 from pgsurf.reconstruct import (
+    MAX_STEPS,
     FamilySpace,
     _flat_seed,
     _generic_start,
@@ -61,6 +62,18 @@ class TestIntegrate:
             ODEProblem(lambda t, y: y, 0.0, [1.0], 0.0, 1e-3)
         with pytest.raises(InvalidParams):
             ODEProblem(lambda t, y: y, 0.0, [1.0], 1.0, 0.0)
+
+    def test_step_count_capped_before_allocation(self):
+        rhs = lambda t, y: y  # noqa: E731
+        ODEProblem(rhs, 0.0, [1.0], 1.0, 1.0 / MAX_STEPS)
+        for t1, h in ((1.0, 1.0 / (MAX_STEPS + 1)), (1e12, 1e-3), (1.0, 5e-324)):
+            with pytest.raises(InvalidParams, match="steps"):
+                ODEProblem(rhs, 0.0, [1.0], t1, h)
+        for call in (lambda: reconstruct_thm31(1.0, span=(0.0, 1e12)),
+                     lambda: reconstruct_thm32(0.5, length=1e12),
+                     lambda: reconstruct_thm42(0.5, length=1e12)):
+            with pytest.raises(InvalidParams, match="steps"):
+                call()
 
 
 class TestThm31Reconstruction:

@@ -13,11 +13,10 @@ The numeric checks at the end tie the written-out formulas to the code.
 
 import numpy as np
 import pytest
+import sympy as sp
 
-sp = pytest.importorskip("sympy")
-
-from pgsurf.factorable import KIND_FIRST, KIND_SECOND, closed_H, closed_K  # noqa: E402
-from pgsurf.surface import curvature_arrays  # noqa: E402
+from pgsurf.factorable import KIND_FIRST, KIND_SECOND, closed_H, closed_K
+from pgsurf.surface import curvature_arrays
 
 fv, f1, f2, gv, g1, g2 = sp.symbols("fv f1 f2 gv g1 g2", real=True)
 W, eps = sp.symbols("W eps", real=True)
