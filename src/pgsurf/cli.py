@@ -63,6 +63,11 @@ EXIT_CONFIG = 2
 EXIT_EMPTY_GRID = 3
 EXIT_BRANCH = 4
 
+# Largest grid (n1 * n2 points) and `verify` motion count a configuration
+# may ask for; both are checked before anything is allocated.
+MAX_GRID_POINTS = 4_000_000
+MAX_MOTIONS = 10_000
+
 
 def _sanitize(obj):
     """Make a report JSON-safe: numpy scalars to python, non-finite to None."""
@@ -158,9 +163,17 @@ def _load_config(path: Optional[str], overrides: list[str]) -> dict:
     return _deep_update(cfg, _parse_set(overrides))
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """The object at `key`; an empty one when the key is absent."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object, got {section!r}")
+    return section
+
+
 def _build_surface(cfg: dict) -> tuple[str, FactorableSurface]:
-    section = cfg.get("family")
-    if not isinstance(section, dict) or "name" not in section:
+    section = _section(cfg, "family")
+    if "name" not in section:
         raise ConfigError("config needs family.name")
     name = section["name"]
     params = {k: v for k, v in section.items() if k != "name"}
@@ -185,13 +198,14 @@ def _flag(value, key: str) -> bool:
 
 def _build_grid(cfg: dict, default: GridSpec) -> GridSpec:
     """The `grid` section; each key it leaves out is taken from `default`."""
-    section = cfg.get("grid") or {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"grid must be an object, got {section!r}")
+    section = _section(cfg, "grid")
     n1 = _number(section.get("n1", default.n1), "grid.n1", int)
     n2 = _number(section.get("n2", default.n2), "grid.n2", int)
-    return GridSpec(_pair(section.get("u1", default.u1), "grid.u1"),
+    grid = GridSpec(_pair(section.get("u1", default.u1), "grid.u1"),
                     _pair(section.get("u2", default.u2), "grid.u2"), n1, n2)
+    if n1 * n2 > MAX_GRID_POINTS:
+        raise ConfigError(f"grid of {n1}x{n2} points exceeds {MAX_GRID_POINTS} points")
+    return grid
 
 
 def _pair(value, key: str) -> tuple[float, float]:
@@ -207,9 +221,7 @@ _TOLERANCES = {"constancy": 1e-7, "cross_check": 1e-8, "motion": 1e-8, "ode": 1e
 def _tolerances(cfg: dict) -> dict:
     """The `tolerances` section over the defaults: an object whose keys are
     known tolerances and whose values are finite positive numbers."""
-    section = cfg.get("tolerances", {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"tolerances must be an object, got {section!r}")
+    section = _section(cfg, "tolerances")
     unknown = sorted(section.keys() - _TOLERANCES.keys())
     if unknown:
         raise ConfigError(f"unknown tolerance {unknown[0]!r}; known: {', '.join(_TOLERANCES)}")
@@ -266,11 +278,11 @@ def _csv_rows(data: dict) -> Iterator[str]:
 
 
 def run_curvature(cfg: dict) -> int:
+    out = _section(cfg, "output")
     _, surface = _build_surface(cfg)
     grid = _build_grid(cfg, default_grid(surface))
     route, data = _sweep(cfg, surface, grid)
     excluded = data["excluded"]
-    out = cfg.get("output") or {}
     _write(out.get("csv"), _csv_rows(data))
 
     included = ~excluded
@@ -314,13 +326,14 @@ def _random_motions(rng: np.random.Generator, count: int) -> list[Motion]:
 
 
 def run_verify(cfg: dict) -> int:
-    section = cfg.get("family") or {}
+    out = _section(cfg, "output")
+    section = _section(cfg, "family")
     name = section.get("name")
     if name not in ("thm31", "thm32", "thm42"):
         raise ConfigError("verify needs family.name in {thm31, thm32, thm42}")
     params = {k: v for k, v in section.items() if k != "name"}
     _, surface = _build_surface(cfg)
-    perturb = cfg.get("perturb") or {}
+    perturb = _section(cfg, "perturb")
     if "exponent_scale" in perturb:
         try:
             surface = fam.perturb_exponent(
@@ -330,8 +343,8 @@ def run_verify(cfg: dict) -> int:
     grid = _build_grid(cfg, default_grid(surface))
     tol = _tolerances(cfg)
     count = _number(cfg.get("motions", 10), "motions", int)
-    if count < 1:
-        raise ConfigError(f"motions must be at least 1, got {count}")
+    if not 1 <= count <= MAX_MOTIONS:
+        raise ConfigError(f"motions must lie in 1..{MAX_MOTIONS}, got {count}")
     seed = _number(cfg.get("seed", 0), "seed", int)
 
     suites: dict = {}
@@ -385,7 +398,6 @@ def run_verify(cfg: dict) -> int:
 
     failed = [key for key, suite in suites.items() if not suite["passed"]]
     report = {"family": section, "passed": not failed, "failed": failed, "suites": suites}
-    out = cfg.get("output") or {}
     _json_report(out.get("json"), report)
     return EXIT_OK if not failed else EXIT_FAIL
 
@@ -395,6 +407,7 @@ def run_verify(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def run_reconstruct(cfg: dict) -> int:
+    out = _section(cfg, "output")
     theorem = str(cfg.get("theorem", ""))
 
     def num(key: str, default, kind=float):
@@ -435,7 +448,6 @@ def run_reconstruct(cfg: dict) -> int:
         "passed": passed,
         "meta": result.meta,
     }
-    out = cfg.get("output") or {}
     _json_report(out.get("json"), report)
     return EXIT_OK if passed else EXIT_FAIL
 
@@ -445,6 +457,10 @@ def run_reconstruct(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def run_probe(cfg: dict) -> int:
+    out = _section(cfg, "output")
+    budget = _number(cfg.get("budget", 10_000), "budget", int)
+    if budget < 1:
+        raise ConfigError(f"budget must be at least 1, got {budget}")
     floor = cfg.get("floor")
     if floor is not None:
         floor = _number(floor, "floor")
@@ -456,7 +472,7 @@ def run_probe(cfg: dict) -> int:
     report = rec.nonexistence_probe(
         k0=_number(cfg.get("k0", 1.0), "k0"),
         space=space,
-        budget=_number(cfg.get("budget", 10_000), "budget", int),
+        budget=budget,
         grid=_build_grid(cfg, GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)),
         seed=_number(cfg.get("seed", 0), "seed", int),
         restarts=_number(cfg.get("restarts", 6), "restarts", int),
@@ -475,7 +491,6 @@ def run_probe(cfg: dict) -> int:
         passed = report.best_residual > floor
         payload["floor"] = floor
         payload["floor_passed"] = passed
-    out = cfg.get("output") or {}
     _json_report(out.get("json"), payload)
     return EXIT_OK if passed else EXIT_FAIL
 
@@ -512,6 +527,7 @@ def _sidecar_rows(data: dict) -> Iterator[str]:
 
 
 def run_mesh(cfg: dict) -> int:
+    out = _section(cfg, "output")
     _, surface = _build_surface(cfg)
     grid = _build_grid(cfg, default_grid(surface))
     _, data = _sweep(cfg, surface, grid)
@@ -520,7 +536,6 @@ def run_mesh(cfg: dict) -> int:
     faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
     if not faces.any():
         return EXIT_EMPTY_GRID
-    out = cfg.get("output") or {}
     _write(out.get("obj"), _obj_lines(data, faces))
     _write(out.get("sidecar"), _sidecar_rows(data))
     return EXIT_OK

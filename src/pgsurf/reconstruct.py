@@ -19,8 +19,9 @@ that sign explicitly (README, "Errata") and never switch branch silently.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -72,9 +73,10 @@ MAX_STEPS = 10**6
 
 @dataclass(frozen=True)
 class ODEProblem:
-    """First-order system y' = rhs(t, y) on [t0, t1] with fixed step h."""
+    """First-order system y' = rhs(t, y) on [t0, t1] with fixed step h;
+    `integrate` states the contract of `rhs`."""
 
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[[float, Sequence[float]], Sequence[float]]
     t0: float
     y0: np.ndarray
     t1: float
@@ -93,33 +95,46 @@ class ODEProblem:
 
 
 def _rk4_step(rhs, t, y, h):
+    # per component, in the operation order of the ndarray expressions
+    # y + (0.5*h)*k and y + (h/6)*(k1 + 2*k2 + 2*k3 + k4)
+    half, sixth = 0.5 * h, h / 6.0
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
+    k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
+    k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def integrate(problem: ODEProblem) -> tuple[np.ndarray, np.ndarray]:
     """Classic RK4 with n = round(span/h) equal steps.
 
-    Returns (ts, ys) with ys[i] the state at ts[i]; deterministic for
-    fixed inputs.  Raises BlowUp when the state leaves [-1e12, 1e12] or
-    stops being finite mid-corridor.
+    Steps on Python floats: `problem.rhs(t, y)` gets the time as a float
+    and the state as a sequence of floats, and returns the derivative as a
+    sequence of floats of the same length.  Returns (ts, ys) as float64
+    arrays of shapes (n+1,) and (n+1, dim), with ys[i] the state at ts[i];
+    deterministic for fixed inputs.  Raises BlowUp when the state leaves
+    [-1e12, 1e12] or stops being finite mid-corridor, which includes an
+    rhs whose float arithmetic raises ArithmeticError.
     """
     span = problem.t1 - problem.t0
     n = max(1, int(round(span / problem.h)))
     h = span / n
     ts = problem.t0 + h * np.arange(n + 1)
-    ys = np.empty((n + 1, problem.y0.size))
-    y = problem.y0.copy()
-    ys[0] = y
-    for i in range(n):
-        y = _rk4_step(problem.rhs, ts[i], y, h)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_LIMIT:
-            raise BlowUp(f"state exceeded {BLOWUP_LIMIT:.0e} at t = {ts[i + 1]:.6g}")
-        ys[i + 1] = y
-    return ts, ys
+    y = problem.y0.tolist()
+    trajectory = array("d", y)
+    for i, t in enumerate(map(float, ts[:n])):
+        try:
+            y = _rk4_step(problem.rhs, t, y, h)
+        except ArithmeticError:
+            # float arithmetic raises (a power overflowing, a division by
+            # an underflowed zero) where ndarray arithmetic yields inf or nan
+            y = [math.nan]
+        for v in y:
+            if not abs(v) <= BLOWUP_LIMIT:
+                raise BlowUp(f"state exceeded {BLOWUP_LIMIT:.0e} at t = {ts[i + 1]:.6g}")
+        trajectory.extend(y)
+    return ts, np.frombuffer(trajectory).reshape(n + 1, len(y))
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,7 @@ def reconstruct_thm31(k0: float, g0: float = 1.0, lam1: float = 0.0, sign: int =
     rho = math.sqrt(abs(k0))
 
     def rhs(t, y):
-        return np.array([sign * rho * (1.0 - (g0 * y[0]) ** 2) / g0])
+        return (sign * rho * (1.0 - (g0 * y[0]) ** 2) / g0,)
 
     f_init = sign * math.tanh(rho * span[0] + lam1) / g0
     ts, ys = integrate(ODEProblem(rhs, span[0], np.array([f_init]), span[1], h))
@@ -233,7 +248,7 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
             if gap >= 0.0:
                 raise BranchViolation("integration crossed (f0 g')^2 = 1 (timelike branch)")
             du = 2.0 * h0 * (-gap) ** 1.5
-        return np.array([u / f0, du])
+        return (u / f0, du)
 
     ts, ys = integrate(ODEProblem(rhs, y0, np.array([g_init, u0]), y0 + length, h))
     closed = base(ts) / f0 + (g_init - float(base(y0)) / f0)
@@ -278,7 +293,7 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
         gap = v * v - lam1 * lam1
         if gap <= 0.0:
             raise BranchViolation("integration crossed (g'/g)^2 = lam1^2")
-        return np.array([s * 2.0 * h0 * gap ** 1.5 / (lam1 * lam1), v])
+        return (s * 2.0 * h0 * gap ** 1.5 / (lam1 * lam1), v)
 
     ts, ys = integrate(ODEProblem(rhs, z0, np.array([v0, L0]), z0 + length, h))
     numeric = np.exp(ys[:, 1])

@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from pgsurf.cli import main
+from pgsurf.cli import MAX_GRID_POINTS, _build_grid, main
 from pgsurf.core import Motion
-from pgsurf.factorable import default_grid
+from pgsurf.factorable import GridSpec, default_grid
 from pgsurf.families import family_surface
 from pgsurf.surface import gaussian_curvature, mean_curvature, transform_jet
 
@@ -178,6 +178,8 @@ class TestVerify:
         "tolerances.cross_check=false", "tolerances.bogus=1e-3", "tolerances.motion=-1",
         "tolerances.motion=0", "tolerances.constancy=NaN", "tolerances.constancy=Infinity",
         "tolerances.constancy=abc",
+        "perturb=5", "perturb=[]", "family=5", "output=5", "output=null",
+        "motions=10001", "motions=100000000",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "vb.json", {"family": {"name": "thm31", "k0": 1.0},
@@ -232,7 +234,7 @@ class TestReconstruct:
         ("4.2", "length=abc"),
         ("3.1", "tolerances=5"), ("3.1", "tolerances.ode=true"), ("3.1", "tolerances.od=1e-6"),
         ("3.1", "span=[0,1e12]"), ("3.1", "h=1e-300"), ("3.2", "length=1e12"),
-        ("4.2", "length=1e12"),
+        ("4.2", "length=1e12"), ("3.1", "output=5"), ("4.2", "output=[]"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, theorem, override):
         out = tmp_path / "out.json"
@@ -255,6 +257,7 @@ class TestProbe:
         "grid.n1=abc", "grid.n2=[3]", "grid.u1=[0]", "grid.u2=abc", "grid.u1=[null,1]", "grid=7",
         "k0=abc", "restarts=abc", "floor=abc", "budget=abc", "seed=[1]", "degree_f=abc",
         "restarts=20", "exponential=nope", "exponential=1", "exponential=null",
+        "output=5", "budget=0", "budget=-5", 'grid={"n1": 2000, "n2": 2001}',
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "pm.json", {"k0": 1.0, "budget": 10,
@@ -339,11 +342,24 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command", ["curvature", "mesh", "verify"])
     @pytest.mark.parametrize("override", [
         "grid.n1=abc", "grid.n2=[3]", "grid.n1=Infinity", "grid.u1=[0]", "grid.u2=[0,1,2]",
-        "grid.u1=abc", "grid.u2=[0,\"x\"]", "grid.u1=[null,1]", "grid=7",
+        "grid.u1=abc", "grid.u2=[0,\"x\"]", "grid.u1=[null,1]", "grid=7", "grid=null",
+        'grid={"n1": 100000, "n2": 100000}', 'grid={"n1": 2000, "n2": 2001}',
     ])
     def test_malformed_grid_keys(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path, "g.json", {"family": {"name": "thm31", "k0": 1.0}})
         _one_line_config_error(capsys, [command, "--config", cfg, "--set", override])
+
+    @pytest.mark.parametrize("command", ["curvature", "mesh"])
+    @pytest.mark.parametrize("override", ["output=5", "output=[]", "family=5", "family=null"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, command, override):
+        cfg = write_config(tmp_path, "c.json", {"family": {"name": "thm31", "k0": 1.0},
+                                                "grid": {"n1": 4, "n2": 4}})
+        _one_line_config_error(capsys, [command, "--config", cfg, "--set", override])
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+    def test_grid_cap_is_inclusive(self):
+        grid = _build_grid({"grid": {"n1": 2000, "n2": 2000}}, GridSpec((0, 1), (0, 1)))
+        assert grid.n1 * grid.n2 == MAX_GRID_POINTS
 
     def test_valid_fd_step_is_used(self, tmp_path):
         out = {"csv": str(tmp_path / "a.csv"), "json": str(tmp_path / "a.json")}

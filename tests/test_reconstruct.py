@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -50,12 +51,27 @@ class TestIntegrate:
         assert ts.size == 1001
 
     def test_zero_rhs_is_constant(self):
-        _, ys = integrate(ODEProblem(lambda t, y: 0.0 * y, 0.0, [2.5], 3.0, 0.1))
+        _, ys = integrate(ODEProblem(lambda t, y: [0.0 * v for v in y], 0.0, [2.5], 3.0, 0.1))
         assert np.all(ys == 2.5)
 
     def test_blowup_guard(self):
         with pytest.raises(BlowUp):
-            integrate(ODEProblem(lambda t, y: 1.0 + y**2, 0.0, [1.0], 2.0, 1e-3))
+            integrate(ODEProblem(lambda t, y: [1.0 + v**2 for v in y], 0.0, [1.0], 2.0, 1e-3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rhs_blows_up(self, bad):
+        # the second component goes bad at the first step whose stages reach t >= 0.5
+        rhs = lambda t, y: (1.0, bad if t >= 0.5 else 0.0)  # noqa: E731
+        with pytest.raises(BlowUp, match=r"at t = 0\.5$"):
+            integrate(ODEProblem(rhs, 0.0, [0.0, 0.0], 1.0, 0.25))
+
+    def test_raising_float_arithmetic_blows_up(self):
+        # 10.0 ** 400 raises OverflowError where an ndarray power gives inf
+        with pytest.raises(BlowUp, match=r"at t = 1$"):
+            integrate(ODEProblem(lambda t, y: (y[0] ** 400,), 0.0, [10.0], 2.0, 1.0))
+        # the ODE's own overflow: an unstable step of the 3.1 profile ODE
+        with pytest.raises(BlowUp, match=r"at t = 10$"):
+            reconstruct_thm31(1.7e308, span=(0.0, 10.0), h=10.0)
 
     def test_problem_validation(self):
         with pytest.raises(InvalidParams):
@@ -74,6 +90,88 @@ class TestIntegrate:
                      lambda: reconstruct_thm42(0.5, length=1e12)):
             with pytest.raises(InvalidParams, match="steps"):
                 call()
+
+
+# sha256 of ts.tobytes() and ys.tobytes() as `integrate` returns them inside
+# each reconstruction: the criterion-4 calls (h = 1e-3 and the h = 0.02 /
+# 0.01 pairs) and one h = 1e-4 call per theorem and branch, shaped like
+# the `solve` benchmark's.
+_TRAJECTORY_PINS = [
+    (reconstruct_thm31, dict(k0=1.0, h=1e-3),
+     "64713e0fe4c03cfa035c8f67cf78cb12fcccdd8f2046cde5b2cc5551e7dd1bc5",
+     "2fc24db40a80fb7931034b90b01981679bdd7426e720ef7d7d5867666e1451a3"),
+    (reconstruct_thm32, dict(h0=0.5, causal="spacelike", h=1e-3),
+     "be069d7d0c6719743ada6aed42916e2798ddc937afaa56bd63d766dcca764331",
+     "2207ef5a0c962e8d731aab61bd42731366e8916fab7cab4f7affb3bb0830303d"),
+    (reconstruct_thm32, dict(h0=0.5, causal="timelike", h=1e-3),
+     "be069d7d0c6719743ada6aed42916e2798ddc937afaa56bd63d766dcca764331",
+     "3ef51e2d854573a496a7f295180ffe8817b42aecbb466e01f9429ef2b159fb8b"),
+    (reconstruct_thm42, dict(h0=0.5, lam1=1.0, lam2=0.0, z0=1.2, length=1.0, h=1e-3),
+     "259abf215fbb9abd28b585cccab1bba2c616206aaf2d3e98a224d3b5eda900a2",
+     "19880cc02c79251b17965839f12b50d7ee927c2073f5bcd781988d82b0c8406d"),
+    (reconstruct_thm31, dict(k0=1.0, h=0.02),
+     "45a310e5517dd15c97912aadddef95b61a8cce44c8cf759919e712b03b775c0c",
+     "59d4145c8d612940dc346e65b0de40b6be7d1600a3cbff433b9f381feb3a45e4"),
+    (reconstruct_thm32, dict(h0=0.5, causal="spacelike", h=0.02),
+     "4a15535ba4f14f1fc73683cea5b7366fcee2984a2bf557f765bba1790779dffb",
+     "9a36a4d45a52b8b58e2106478cf11478eb766c9acfdd168996df1e9740e076d6"),
+    (reconstruct_thm32, dict(h0=0.5, causal="timelike", h=0.02),
+     "4a15535ba4f14f1fc73683cea5b7366fcee2984a2bf557f765bba1790779dffb",
+     "f490fbcd354041eeca1368f22849969a31e06ae60d9c6d644bcce22859dae540"),
+    (reconstruct_thm42, dict(h0=0.5, h=0.02),
+     "f07fed3831e45bacf1d345216e533dfe0c0d60c57df73ad459f2ccb86529b645",
+     "bea496bbe0afd72818c2ca2b9071cd785bbab9514407391ad0b471ffe3fe96cb"),
+    (reconstruct_thm31, dict(k0=1.0, h=0.01),
+     "13fb3b2065c2462ffcac49450fcdf346a4300eb66ec2d295feffe1a263f9035d",
+     "12bcd99df5f2d8864b9cd45bc7e71b6bd93c7462bb90ca1af5835be7fc2d3481"),
+    (reconstruct_thm32, dict(h0=0.5, causal="spacelike", h=0.01),
+     "2d97dd2c2d94ed0b5ce6c902c0dcf2a41753796593ae2859ab77b0ba0c647bc3",
+     "828498b1f221a01d8f8b7d327bdf68b3518c23eedfae713876c523e16a703001"),
+    (reconstruct_thm32, dict(h0=0.5, causal="timelike", h=0.01),
+     "2d97dd2c2d94ed0b5ce6c902c0dcf2a41753796593ae2859ab77b0ba0c647bc3",
+     "0e4b282cb0fb79e3c9fa339fb9970090ea197922950bab795667f638e9bbef2c"),
+    (reconstruct_thm42, dict(h0=0.5, h=0.01),
+     "4f5c11251842f78b9c0adbb71c0dee79ed36e78ddcad487ca27472453116fc77",
+     "f8e50762ea5340dd87be4fc1f0923ecd5654d4130b72167bb7a8521d72e87936"),
+    (reconstruct_thm31, dict(k0=-2.3, g0=1.4, lam1=0.3, sign=-1, span=(0.0, 2.0), h=1e-4),
+     "c3438ffac7ace05c91efd7024076fb2af88f68749014fd8f01ab2b546dda708c",
+     "6bb9d2075fbcac2dce1cd0461b81f8248d4c3458eb56a7364ca3c1d269f17a57"),
+    (reconstruct_thm32, dict(h0=-0.7, f0=1.3, lam=0.4, causal="spacelike", length=1.0, h=1e-4),
+     "832886dde26bb5f5e5314a66fc9193873faf2e2acf1c5e87666f5309214347c4",
+     "cad2a25bb0820a5fb5b7964bc20628acbee3e6f66941e1b23144c6109df7ebf9"),
+    (reconstruct_thm32, dict(h0=0.6, f0=-0.8, lam=1.5, causal="timelike", length=1.0, h=1e-4),
+     "832886dde26bb5f5e5314a66fc9193873faf2e2acf1c5e87666f5309214347c4",
+     "17bb90fc1fe170cf8e65f06399a8450b7d23331c19db7e83b03e10328fe40693"),
+    (reconstruct_thm42, dict(h0=-0.9, lam1=-1.3, lam2=0.0, z0=1.2, length=0.8, h=1e-4),
+     "0a1ffb4815f9603319ee77e0aa1b7f00e4d4a8a7726f8ec059038e607200dabe",
+     "871f747dcf66e6b7a4415b9e139a28bd116921261361ab06e192ce9c4a93f0e8"),
+]
+
+
+def test_integrate_trajectory_pins(monkeypatch):
+    """RK4 trajectories, the BlowUp point and a mid-corridor branch
+    violation, pinned bit for bit."""
+    import pgsurf.reconstruct as rec
+
+    original = rec.integrate
+    for call, kwargs, ts_pin, ys_pin in _TRAJECTORY_PINS:
+        results = []
+        monkeypatch.setattr(rec, "integrate", lambda p: results.append(original(p)) or results[-1])
+        call(**kwargs)
+        (ts, ys), = results
+        assert ts.dtype == ys.dtype == np.float64
+        assert ys.shape == (ts.size, 1 if call is reconstruct_thm31 else 2)
+        assert hashlib.sha256(ts.tobytes()).hexdigest() == ts_pin, (call.__name__, kwargs)
+        assert hashlib.sha256(ys.tobytes()).hexdigest() == ys_pin, (call.__name__, kwargs)
+    monkeypatch.undo()
+
+    # y = tan(t + pi/4) leaves [-1e12, 1e12] just after pi/4
+    with pytest.raises(BlowUp) as info:
+        integrate(ODEProblem(lambda t, y: (1.0 + y[0] ** 2,), 0.0, [1.0], 2.0, 1e-3))
+    assert str(info.value) == "state exceeded 1e+12 at t = 0.787"
+    # the fifth of ten coarse steps overshoots u = 1
+    with pytest.raises(BranchViolation, match="spacelike branch"):
+        reconstruct_thm32(5.0, causal="spacelike", lam=-3.5, h=0.1)
 
 
 class TestThm31Reconstruction:
