@@ -10,7 +10,9 @@ fundamental form, and the Gaussian and mean curvatures
 `curvature_arrays` is the one implementation: it works on arrays of jet
 components and returns masks for lightlike and inadmissible points.  The
 scalar API (`fundamental_data`, `gaussian_curvature`, `mean_curvature`)
-is a one-point call into it that raises at those points instead.
+is a one-point call into it that raises at those points instead
+(`require_unmasked`).  `transform_jet` moves jet component arrays by a
+batch of motions in one broadcast.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "gaussian_curvature",
     "mean_curvature",
     "transform_jet",
+    "require_unmasked",
     "jet_components",
     "jet_from_components",
     "fd_components",
@@ -129,14 +132,20 @@ def jet_from_components(r, comp: dict) -> Jet2:
     return Jet2(r, *(np.ravel([comp[f"x{s}"], comp[f"y{s}"], comp[f"z{s}"]]) for s in _SLOTS))
 
 
+def require_unmasked(out: dict, i) -> None:
+    """Raise the scalar API's error if the `curvature_arrays` output `out`
+    masks point `i`: `InadmissiblePatch` first, then `LightlikeSurface`."""
+    if out["inadmissible"][i]:
+        raise InadmissiblePatch("both x-partials vanish; patch is pseudo-Euclidean")
+    if out["lightlike"][i]:
+        raise LightlikeSurface(f"W = {out['W'][i]:.3e} below tolerance {W_TOL:.1e}; "
+                               "curvature undefined")
+
+
 def _at_point(j: Jet2) -> dict:
     """`curvature_arrays` of one jet; raises where it would mask the point."""
     out = curvature_arrays(jet_components([j]))
-    if out["inadmissible"][0]:
-        raise InadmissiblePatch("both x-partials vanish; patch is pseudo-Euclidean")
-    if out["lightlike"][0]:
-        raise LightlikeSurface(f"W = {out['W'][0]:.3e} below tolerance {W_TOL:.1e}; "
-                               "curvature undefined")
+    require_unmasked(out, 0)
     return out
 
 
@@ -159,20 +168,32 @@ def mean_curvature(j: Jet2) -> float:
     return float(_at_point(j)["H"][0])
 
 
-def transform_jet(m: Motion, j: Jet2) -> Jet2:
-    """Jet of the composed immersion (motion after surface) at the same
-    parameter point: translation on the value, linear part on derivatives."""
-    ch, sh = math.cosh(m.theta), math.sinh(m.theta)
+def transform_jet(motions: Sequence[Motion], comp: dict) -> dict:
+    """The jet components x1..z22 of `comp`, arrays of one shape S, moved
+    by each motion: arrays of shape (len(motions), *S).
 
-    def lin(v: np.ndarray) -> np.ndarray:
-        return np.array([
-            v[0],
-            m.a3 * v[0] + ch * v[1] + sh * v[2],
-            m.a5 * v[0] + sh * v[1] + ch * v[2],
-        ])
+    A motion acts on every derivative by its linear part (`core.Motion`):
+    x' = x, y' = a3*x + cosh(theta)*y + sinh(theta)*z and
+    z' = a5*x + sinh(theta)*y + cosh(theta)*z.  Its translation moves only
+    the value, which curvature does not read.  The moved x components are
+    read-only broadcast views of the input.
+    """
+    shape = (len(motions),) + np.shape(comp["x1"])
 
-    moved = lin(j.r) + np.array([m.a1, m.a2, m.a4])
-    return Jet2(moved, lin(j.r1), lin(j.r2), lin(j.r11), lin(j.r12), lin(j.r22))
+    def column(values):
+        return np.array(values, dtype=float).reshape((-1,) + (1,) * (len(shape) - 1))
+
+    ch = column([math.cosh(m.theta) for m in motions])
+    sh = column([math.sinh(m.theta) for m in motions])
+    a3 = column([m.a3 for m in motions])
+    a5 = column([m.a5 for m in motions])
+    out = {}
+    for s in _SLOTS:
+        x, y, z = (np.asarray(comp[f"{axis}{s}"], dtype=float) for axis in "xyz")
+        out[f"x{s}"] = np.broadcast_to(x, shape)
+        out[f"y{s}"] = a3 * x + ch * y + sh * z
+        out[f"z{s}"] = a5 * x + sh * y + ch * z
+    return out
 
 
 def fd_components(value: Callable, u1, u2, step: float = FD_STEP) -> tuple:

@@ -242,7 +242,13 @@ def test_criterion_05_closed_form_substitution():
 
 def test_criterion_06_motion_invariance():
     """K and H fields unchanged under 10 random motions to 1e-8."""
-    from pgsurf.surface import gaussian_curvature, mean_curvature, transform_jet
+    from pgsurf.surface import (
+        gaussian_curvature,
+        jet_components,
+        jet_from_components,
+        mean_curvature,
+        transform_jet,
+    )
 
     rng = np.random.default_rng(SEED + 4)
     motions = [Motion(*(float(v) for v in rng.uniform(-1, 1, size=6))) for _ in range(10)]
@@ -261,7 +267,7 @@ def test_criterion_06_motion_invariance():
             jet = surface.jet(float(u1), float(u2))
             k_ref, h_ref = gaussian_curvature(jet), mean_curvature(jet)
             for m in motions:
-                moved = transform_jet(m, jet)
+                moved = jet_from_components(jet.r, transform_jet([m], jet_components([jet])))
                 worst = max(worst, abs(gaussian_curvature(moved) - k_ref),
                             abs(mean_curvature(moved) - h_ref))
     assert worst < 1e-8

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ from pgsurf.cli import MAX_GRID_POINTS, _build_grid, main
 from pgsurf.core import Motion
 from pgsurf.factorable import GridSpec, default_grid
 from pgsurf.families import family_surface
-from pgsurf.surface import gaussian_curvature, mean_curvature, transform_jet
+from pgsurf.surface import Jet2, gaussian_curvature, mean_curvature
 
 
 def write_config(tmp_path, name, payload):
@@ -97,6 +98,19 @@ class TestCurvature:
         assert main(["curvature", "--config", str(broken)]) == 2
 
 
+def _moved_jet(m, jet):
+    """Reference for the batched suite: one motion on one jet, in the
+    per-jet `Jet2` arithmetic, translation included."""
+    ch, sh = math.cosh(m.theta), math.sinh(m.theta)
+
+    def lin(v):
+        return np.array([v[0], m.a3 * v[0] + ch * v[1] + sh * v[2],
+                         m.a5 * v[0] + sh * v[1] + ch * v[2]])
+
+    return Jet2(lin(jet.r) + np.array([m.a1, m.a2, m.a4]),
+                lin(jet.r1), lin(jet.r2), lin(jet.r11), lin(jet.r12), lin(jet.r22))
+
+
 class TestVerify:
     def test_thm42_defaults_pass(self, tmp_path):
         cfg = write_config(tmp_path, "v.json", {
@@ -150,26 +164,78 @@ class TestVerify:
         })
         assert main(["verify", "--config", cfg]) == 2
 
+    # (family, n for an n x n grid, motions, seed); n > 11 samples every
+    # (n // 6)-th node, so the stride is above 1 there
+    PER_JET_CASES = [
+        ({"name": "thm42", "h0": 0.5}, 10, 7, 3),
+        ({"name": "thm31", "k0": -2.0, "lam1": 0.3, "lam2": -0.4, "sign": -1}, 30, 200, 11),
+        ({"name": "thm31", "k0": 0.7, "lam1": -0.8, "lam2": 0.6, "sign": 1}, 59, 1, 12),
+        ({"name": "thm32", "h0": 0.8, "lam1": 0.2, "f0": 1.5, "causal": "timelike"}, 59, 15, 13),
+        ({"name": "thm32", "h0": -0.4, "lam1": -0.3, "lam2": 0.5, "causal": "spacelike"}, 30, 25, 14),
+        ({"name": "thm42", "h0": -0.75, "lam1": 1.2, "lam2": -0.6, "lam3": 0.2,
+          "causal": "timelike"}, 59, 30, 15),
+        ({"name": "thm42", "h0": 0.9, "lam1": -0.7, "lam2": 0.8, "causal": "spacelike"}, 30, 45, 16),
+    ]
+
     def test_batched_motions_equal_the_per_jet_loop(self, tmp_path):
         out = tmp_path / "vm.json"
-        assert main(["verify", "--set", "family.name=thm42", "--set", "family.h0=0.5",
-                     "--set", "grid.n1=10", "--set", "grid.n2=10", "--set", "motions=7",
-                     "--set", "seed=3", "--set", f"output.json={out}"]) == 0
-        suite = json.loads(out.read_text())["suites"]["motion_invariance"]
-        surface = family_surface("thm42", {"h0": 0.5})
-        a1, a2 = default_grid(surface, 10, 10).axes()
-        rng = np.random.default_rng(3)
-        motions = [Motion(*(float(v) for v in rng.uniform(-1.0, 1.0, size=6))) for _ in range(7)]
-        worst = 0.0
-        for u1 in a1:  # n = 10: the suite samples every node
-            for u2 in a2:
-                jet = surface.jet(float(u1), float(u2))
-                for m in motions:
-                    moved = transform_jet(m, jet)
-                    worst = max(worst, abs(gaussian_curvature(moved) - gaussian_curvature(jet)),
-                                abs(mean_curvature(moved) - mean_curvature(jet)))
-        assert suite["motions"] == 7
-        assert suite["max_difference"] == worst
+        for family, n, count, seed in self.PER_JET_CASES:
+            assert main(["verify", *(a for k, v in family.items() for a in ("--set", f"family.{k}={v}")),
+                         "--set", f"grid.n1={n}", "--set", f"grid.n2={n}", "--set", f"motions={count}",
+                         "--set", f"seed={seed}", "--set", f"output.json={out}"]) == 0
+            suite = json.loads(out.read_text())["suites"]["motion_invariance"]
+            surface = family_surface(family["name"], {k: v for k, v in family.items() if k != "name"})
+            a1, a2 = default_grid(surface, n, n).axes()
+            rng = np.random.default_rng(seed)
+            motions = [Motion(*(float(v) for v in rng.uniform(-1.0, 1.0, size=6)))
+                       for _ in range(count)]
+            worst = 0.0
+            for u1 in a1[:: max(1, n // 6)]:
+                for u2 in a2[:: max(1, n // 6)]:
+                    jet = surface.jet(float(u1), float(u2))
+                    k_ref, h_ref = gaussian_curvature(jet), mean_curvature(jet)
+                    for m in motions:
+                        moved = _moved_jet(m, jet)
+                        worst = max(worst, abs(gaussian_curvature(moved) - k_ref),
+                                    abs(mean_curvature(moved) - h_ref))
+            assert suite["motions"] == count
+            assert float(suite["max_difference"]).hex() == worst.hex(), (family, n, count, seed)
+
+    def test_one_transform_call_per_invocation(self, tmp_path, monkeypatch):
+        import pgsurf.cli as cli
+
+        calls = []
+        original = cli.transform_jet
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "transform_jet", counted)
+        for name, param in (("thm31", "k0=1"), ("thm32", "h0=0.5"), ("thm42", "h0=0.5")):
+            calls.clear()
+            assert main(["verify", "--set", f"family.name={name}", "--set", f"family.{param}",
+                         "--set", "grid.n1=30", "--set", "grid.n2=30", "--set", "motions=20",
+                         "--set", f"output.json={tmp_path / 'v.json'}"]) == 0
+            assert len(calls) == 1, name
+            assert len(calls[0][0]) == 20
+
+    @pytest.mark.parametrize("family,message", [
+        (["family.name=thm31", "family.k0=1", "grid.u1=[-1,21]"],
+         "W = 0.000e+00 below tolerance 1.0e-10; curvature undefined"),
+        (["family.name=thm42", "family.h0=0.5", "family.lam1=3e-4", "family.lam2=-0.3",
+          "grid.u2=[-40,40]"], "W = 2.159e-11 below tolerance 1.0e-10; curvature undefined"),
+        (["family.name=thm42", "family.h0=0.5", "family.lam2=-20"],
+         "both x-partials vanish; patch is pseudo-Euclidean"),
+    ])
+    def test_masked_sample_point_raises_the_scalar_error(self, tmp_path, capsys, family, message):
+        # the error of the scalar API at the first masked node in u1-major order
+        out = tmp_path / "v.json"
+        capsys.readouterr()
+        assert main(["verify", *(a for kv in family for a in ("--set", kv)),
+                     "--set", f"output.json={out}"]) == 1
+        assert capsys.readouterr().err == f"pg-surf: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", [
         "motions=-3", "motions=0", "motions=abc", "motions=[2]", "seed=abc", "seed=[1]",
@@ -180,6 +246,7 @@ class TestVerify:
         "tolerances.constancy=abc",
         "perturb=5", "perturb=[]", "family=5", "output=5", "output=null",
         "motions=10001", "motions=100000000",
+        "output.json=7", "output.json=[1]", "output.json=true", "output.json=null",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "vb.json", {"family": {"name": "thm31", "k0": 1.0},
@@ -235,11 +302,12 @@ class TestReconstruct:
         ("3.1", "tolerances=5"), ("3.1", "tolerances.ode=true"), ("3.1", "tolerances.od=1e-6"),
         ("3.1", "span=[0,1e12]"), ("3.1", "h=1e-300"), ("3.2", "length=1e12"),
         ("4.2", "length=1e12"), ("3.1", "output=5"), ("4.2", "output=[]"),
+        ("3.1", "output.json=7"), ("3.2", "output.json=[1]"), ("4.2", "output.json=true"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, theorem, override):
         out = tmp_path / "out.json"
         _one_line_config_error(capsys, ["reconstruct", "--set", f"theorem={theorem}",
-                                        "--set", override, "--set", f"output.json={out}"])
+                                        "--set", f"output.json={out}", "--set", override])
         assert not out.exists()
 
 
@@ -258,6 +326,7 @@ class TestProbe:
         "k0=abc", "restarts=abc", "floor=abc", "budget=abc", "seed=[1]", "degree_f=abc",
         "restarts=20", "exponential=nope", "exponential=1", "exponential=null",
         "output=5", "budget=0", "budget=-5", 'grid={"n1": 2000, "n2": 2001}',
+        "output.json=7", "output.json=[1]", "output.json=true",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "pm.json", {"k0": 1.0, "budget": 10,
@@ -350,7 +419,10 @@ class TestConfigValidation:
         _one_line_config_error(capsys, [command, "--config", cfg, "--set", override])
 
     @pytest.mark.parametrize("command", ["curvature", "mesh"])
-    @pytest.mark.parametrize("override", ["output=5", "output=[]", "family=5", "family=null"])
+    @pytest.mark.parametrize("override", [
+        "output=5", "output=[]", "family=5", "family=null",
+        "output.csv=7", "output.json=[1]", "output.obj=true", "output.sidecar=null",
+    ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path, "c.json", {"family": {"name": "thm31", "k0": 1.0},
                                                 "grid": {"n1": 4, "n2": 4}})

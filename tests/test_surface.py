@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from pgsurf.surface import (
     fundamental_data,
     gaussian_curvature,
     jet_components,
+    jet_from_components,
     mean_curvature,
     transform_jet,
 )
@@ -191,6 +194,12 @@ class TestFiniteDifferences:
             assert np.allclose(getattr(fd, name), getattr(an, name), atol=1e-6)
 
 
+def moved_jet(m, jet):
+    """`jet` moved by one motion through the batched `transform_jet`; the
+    value `r` is kept, since curvature does not read it."""
+    return jet_from_components(jet.r, transform_jet([m], jet_components([jet])))
+
+
 class TestMotionInvariance:
     def test_curvature_fields_invariant(self):
         rng = np.random.default_rng(7)
@@ -199,19 +208,21 @@ class TestMotionInvariance:
             m = Motion(*rng.uniform(-1, 1, size=6))
             for u1, u2 in [(0.3, 0.4), (-0.6, 1.0), (1.1, -0.9)]:
                 jet = s.jet(u1, u2)
-                moved = transform_jet(m, jet)
+                moved = moved_jet(m, jet)
                 assert gaussian_curvature(moved) == pytest.approx(gaussian_curvature(jet), abs=1e-8)
                 assert mean_curvature(moved) == pytest.approx(mean_curvature(jet), abs=1e-8)
 
     def test_transform_jet_matches_fd_of_moved_surface(self):
         s = omega1()
         m = Motion(0.3, -0.2, 0.5, 0.1, -0.7, 0.4)
+        ch, sh = math.cosh(m.theta), math.sinh(m.theta)
 
         def moved_value(u1, u2):
-            jet = transform_jet(m, s.jet(u1, u2))
-            return jet.r
+            x, y, z = s.position(u1, u2)
+            return np.array([m.a1 + x, m.a2 + m.a3 * x + ch * y + sh * z,
+                             m.a4 + m.a5 * x + sh * y + ch * z])
 
-        direct = transform_jet(m, s.jet(0.4, 0.7))
+        direct = moved_jet(m, s.jet(0.4, 0.7))
         fd = finite_difference_jet(moved_value, 0.4, 0.7)
         for name in ("r1", "r2", "r11", "r12", "r22"):
             assert np.allclose(getattr(fd, name), getattr(direct, name), atol=1e-6)
@@ -219,6 +230,28 @@ class TestMotionInvariance:
     def test_w_and_epsilon_invariant(self):
         jet = omega1().jet(0.9, -0.3)
         m = Motion(1.0, 2.0, -0.8, 0.5, 0.3, 1.1)
-        d, moved = fundamental_data(jet), fundamental_data(transform_jet(m, jet))
+        d, moved = fundamental_data(jet), fundamental_data(moved_jet(m, jet))
         assert moved.W == pytest.approx(d.W, rel=1e-12)
         assert moved.epsilon == d.epsilon
+
+
+SLOTS = ("1", "2", "11", "12", "22")
+
+
+class TestTransformJet:
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    def test_equals_the_per_point_float_arithmetic(self, shape):
+        rng = np.random.default_rng(len(shape))
+        comp = {f"{a}{s}": rng.normal(size=shape) for s in SLOTS for a in "xyz"}
+        motions = [Motion(*(float(v) for v in rng.uniform(-1.0, 1.0, size=6))) for _ in range(4)]
+        moved = transform_jet(motions, comp)
+        assert sorted(moved) == sorted(comp)
+        assert all(v.shape == (4, *shape) for v in moved.values())
+        for i, m in enumerate(motions):
+            ch, sh = math.cosh(m.theta), math.sinh(m.theta)
+            for idx in np.ndindex(*shape):
+                for s in SLOTS:
+                    x, y, z = (float(comp[f"{a}{s}"][idx]) for a in "xyz")
+                    expect = (x, m.a3 * x + ch * y + sh * z, m.a5 * x + sh * y + ch * z)
+                    got = tuple(float(moved[f"{a}{s}"][(i, *idx)]) for a in "xyz")
+                    assert [v.hex() for v in got] == [v.hex() for v in expect]
