@@ -191,26 +191,41 @@ def _quotient(num, num_scale, den, den_zero, power):
     return np.where(undefined, np.nan, np.where(flat, 0.0, value)), undefined
 
 
-def closed_K(kind: str, fv, f1, f2, gv, g1, g2):
-    """Closed-formula Gaussian curvature over arrays of the profile values
-    f, f', f'', g, g', g'': (K, undefined), K NaN where undefined."""
+def _closed_K(kind: str, parts, den):
+    """`closed_K` over the profile values `parts` and their `_denominator`."""
+    fv, f1, f2, gv, g1, g2 = parts
     lead, cross = fv * gv * f2 * g2, (f1 * g1) ** 2
     num_scale = np.abs(lead) + cross if kind == KIND_SECOND else None
-    den, den_zero, _, _ = _denominator(kind, fv, f1, gv, g1)
+    den, den_zero, _, _ = den
     return _quotient(lead - cross, num_scale, den, den_zero, lambda d: d ** 2)
 
 
-def closed_H(kind: str, fv, f1, f2, gv, g1, g2):
-    """Closed-formula mean curvature over arrays of the profile values:
-    (H, undefined), H NaN where undefined; |D|^(3/2) covers timelike
-    patches."""
-    den, den_zero, qa, qb = _denominator(kind, fv, f1, gv, g1)
+def _closed_H(kind: str, parts, den):
+    """`closed_H` over the profile values `parts` and their `_denominator`."""
+    fv, f1, f2, gv, g1, g2 = parts
+    den, den_zero, qa, qb = den
     if kind == KIND_FIRST:
         num, num_scale = fv * g2, None
     else:
         t1, t2, t3 = qa * f2 * gv, 2.0 * fv * gv * (f1 * g1) ** 2, qb * fv * g2
         num, num_scale = t1 - t2 + t3, np.abs(t1) + np.abs(t2) + np.abs(t3)
     return _quotient(num, num_scale, den, den_zero, lambda d: 2.0 * np.abs(d) ** 1.5)
+
+
+@np.errstate(all="ignore")
+def closed_K(kind: str, fv, f1, f2, gv, g1, g2):
+    """Closed-formula Gaussian curvature over arrays of the profile values
+    f, f', f'', g, g', g'': (K, undefined), K NaN where undefined.
+    Overflow ends as a non-finite K, silently."""
+    return _closed_K(kind, (fv, f1, f2, gv, g1, g2), _denominator(kind, fv, f1, gv, g1))
+
+
+@np.errstate(all="ignore")
+def closed_H(kind: str, fv, f1, f2, gv, g1, g2):
+    """Closed-formula mean curvature over arrays of the profile values:
+    (H, undefined), H NaN where undefined; |D|^(3/2) covers timelike
+    patches.  Overflow ends as a non-finite H, silently."""
+    return _closed_H(kind, (fv, f1, f2, gv, g1, g2), _denominator(kind, fv, f1, gv, g1))
 
 
 def _at_point(kernel, s: FactorableSurface, u1: float, u2: float) -> float:
@@ -321,13 +336,14 @@ def default_grid(s: FactorableSurface, n1: int = 20, n2: int = 20,
 
 def jet_component_arrays(s: FactorableSurface, U1, U2,
                          mode: str = "analytic", fd_step: float = FD_STEP) -> dict:
-    """Component arrays x1..z22 over parameter arrays, analytic or FD."""
+    """Component arrays x1..z22 over broadcast-compatible parameter arrays,
+    analytic or FD.  The analytic components that are 0 or 1 everywhere
+    are 0-d arrays; the others take the broadcast shape of U1 and U2."""
     U1 = np.asarray(U1, dtype=float)
     U2 = np.asarray(U2, dtype=float)
     if mode == "analytic":
         fv, f1, f2, gv, g1, g2 = _parts(s, U1, U2)
-        zero = np.zeros(np.broadcast(U1, U2).shape)
-        one = zero + 1.0
+        zero, one = np.zeros(()), np.ones(())
         if s.kind == KIND_FIRST:
             return {
                 "x1": one, "y1": zero, "z1": f1 * gv + zero,
@@ -349,16 +365,26 @@ def jet_component_arrays(s: FactorableSurface, U1, U2,
     return fd_components(s.value_arrays, U1, U2, fd_step)[1]
 
 
+def _axes(grid: GridSpec):
+    """The grid axes as a column (n1, 1) and a row (1, n2), and the U1, U2
+    entries of a sweep, read-only grid views of them.  f depends only on
+    u1 and g only on u2, so each profile is evaluated on its own axis and
+    the kernels broadcast it over the grid."""
+    a1, a2 = grid.axes()
+    u1, u2 = a1[:, None], a2[None, :]
+    shape = (a1.size, a2.size)
+    return u1, u2, {"U1": np.broadcast_to(u1, shape), "U2": np.broadcast_to(u2, shape)}
+
+
 def pipeline_grid(s: FactorableSurface, grid: GridSpec,
                   mode: str = "analytic", fd_step: float = FD_STEP) -> dict:
     """General-pipeline sweep: positions, K, H, eps, W and exclusion mask."""
-    U1, U2 = grid.mesh()
-    comp = jet_component_arrays(s, U1, U2, mode=mode, fd_step=fd_step)
-    out = curvature_arrays(comp)
-    x, y, z = s.value_arrays(U1, U2)
+    u1, u2, params = _axes(grid)
+    out = curvature_arrays(jet_component_arrays(s, u1, u2, mode=mode, fd_step=fd_step))
+    x, y, z = s.value_arrays(u1, u2)
     excluded = out["lightlike"] | out["inadmissible"] | ~np.isfinite(out["K"]) | ~np.isfinite(out["H"])
     return {
-        "U1": U1, "U2": U2, "x": x, "y": y, "z": z,
+        **params, "x": x, "y": y, "z": z,
         "K": out["K"], "H": out["H"], "eps": out["eps"], "W": out["W"],
         "excluded": excluded,
     }
@@ -366,16 +392,16 @@ def pipeline_grid(s: FactorableSurface, grid: GridSpec,
 
 def specialized_grid(s: FactorableSurface, grid: GridSpec) -> dict:
     """Closed-formula sweep; a point is excluded where K or H is undefined.
-
-    f depends only on u1 and g only on u2, so each profile is evaluated on
-    its own axis and the kernels broadcast them over the grid."""
-    U1, U2 = grid.mesh()
-    a1, a2 = grid.axes()
-    parts = _parts(s, a1[:, None], a2[None, :])
-    K, k_undefined = closed_K(s.kind, *parts)
-    H, h_undefined = closed_H(s.kind, *parts)
-    x, y, z = s.value_arrays(U1, U2)
-    return {"U1": U1, "U2": U2, "x": x, "y": y, "z": z, "K": K, "H": H,
+    K and H share one closed denominator."""
+    u1, u2, params = _axes(grid)
+    parts = _parts(s, u1, u2)
+    fv, f1, _, gv, g1, _ = parts
+    with np.errstate(all="ignore"):
+        den = _denominator(s.kind, fv, f1, gv, g1)
+        K, k_undefined = _closed_K(s.kind, parts, den)
+        H, h_undefined = _closed_H(s.kind, parts, den)
+    x, y, z = s.value_arrays(u1, u2)
+    return {**params, "x": x, "y": y, "z": z, "K": K, "H": H,
             "excluded": k_undefined | h_undefined}
 
 

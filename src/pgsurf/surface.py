@@ -118,6 +118,7 @@ def first_form(j: Jet2) -> FirstForm:
 
 
 _SLOTS = ("1", "2", "11", "12", "22")
+_COMPONENT_KEYS = tuple(f"{axis}{slot}" for slot in _SLOTS for axis in "xyz")
 
 
 def jet_components(jets: Sequence[Jet2]) -> dict:
@@ -128,8 +129,9 @@ def jet_components(jets: Sequence[Jet2]) -> dict:
 
 
 def jet_from_components(r, comp: dict) -> Jet2:
-    """The jet with value `r` and the one-point components x1..z22 of `comp`."""
-    return Jet2(r, *(np.ravel([comp[f"x{s}"], comp[f"y{s}"], comp[f"z{s}"]]) for s in _SLOTS))
+    """The jet with value `r` and the one-point components x1..z22 of `comp`,
+    each of one element in any shape."""
+    return Jet2(r, *(np.concatenate([np.ravel(comp[f"{a}{s}"]) for a in "xyz"]) for s in _SLOTS))
 
 
 def require_unmasked(out: dict, i) -> None:
@@ -169,16 +171,18 @@ def mean_curvature(j: Jet2) -> float:
 
 
 def transform_jet(motions: Sequence[Motion], comp: dict) -> dict:
-    """The jet components x1..z22 of `comp`, arrays of one shape S, moved
-    by each motion: arrays of shape (len(motions), *S).
+    """The jet components x1..z22 of `comp`, broadcast-compatible arrays
+    whose broadcast shape is S, moved by each motion: read-only arrays of
+    shape (len(motions), *S).
 
     A motion acts on every derivative by its linear part (`core.Motion`):
     x' = x, y' = a3*x + cosh(theta)*y + sinh(theta)*z and
     z' = a5*x + sinh(theta)*y + cosh(theta)*z.  Its translation moves only
     the value, which curvature does not read.  The moved x components are
-    read-only broadcast views of the input.
+    broadcast views of the input.
     """
-    shape = (len(motions),) + np.shape(comp["x1"])
+    comp = {k: np.asarray(comp[k], dtype=float) for k in _COMPONENT_KEYS}
+    shape = (len(motions),) + np.broadcast_shapes(*(v.shape for v in comp.values()))
 
     def column(values):
         return np.array(values, dtype=float).reshape((-1,) + (1,) * (len(shape) - 1))
@@ -189,10 +193,10 @@ def transform_jet(motions: Sequence[Motion], comp: dict) -> dict:
     a5 = column([m.a5 for m in motions])
     out = {}
     for s in _SLOTS:
-        x, y, z = (np.asarray(comp[f"{axis}{s}"], dtype=float) for axis in "xyz")
+        x, y, z = (comp[f"{axis}{s}"] for axis in "xyz")
         out[f"x{s}"] = np.broadcast_to(x, shape)
-        out[f"y{s}"] = a3 * x + ch * y + sh * z
-        out[f"z{s}"] = a5 * x + sh * y + ch * z
+        out[f"y{s}"] = np.broadcast_to(a3 * x + ch * y + sh * z, shape)
+        out[f"z{s}"] = np.broadcast_to(a5 * x + sh * y + ch * z, shape)
     return out
 
 
@@ -237,20 +241,20 @@ def finite_difference_jet(value: Callable[[float, float], np.ndarray],
 # Vectorized kernel
 # ---------------------------------------------------------------------------
 
-_COMPONENT_KEYS = (
-    "x1", "y1", "z1", "x2", "y2", "z2",
-    "x11", "y11", "z11", "x12", "y12", "z12", "x22", "y22", "z22",
-)
-
-
+@np.errstate(all="ignore")
 def curvature_arrays(comp: dict) -> dict:
     """Vectorized pipeline over arrays of jet components.
 
-    `comp` maps the keys x1..z22 to broadcast-compatible arrays.  Returns
-    g1, g2, W, eps, ny, nz, L11, L12, L22, K, H plus boolean masks
-    `lightlike` and `inadmissible`; K and H are NaN at masked points.
+    `comp` maps the keys x1..z22 to broadcast-compatible arrays, so a
+    component that is constant over the points may be a 0-d array and
+    costs no per-point work.  Returns g1, g2, W, eps, ny, nz, L11, L12,
+    L22, K, H plus boolean masks `lightlike` and `inadmissible`, each a
+    read-only array of the broadcast shape of the components; K and H are
+    NaN at masked points.  Floating-point warnings are silenced: overflow
+    and invalid values end as non-finite K or H, which callers mask.
     """
     c = {k: np.asarray(comp[k], dtype=float) for k in _COMPONENT_KEYS}
+    shape = np.broadcast_shapes(*(v.shape for v in c.values()))
     x1, y1, z1 = c["x1"], c["y1"], c["z1"]
     x2, y2, z2 = c["x2"], c["y2"], c["z2"]
 
@@ -288,8 +292,9 @@ def curvature_arrays(comp: dict) -> dict:
     K = np.where(bad, np.nan, K)
     H = np.where(bad, np.nan, H)
 
-    return {
+    out = {
         "g1": x1, "g2": x2, "W": W, "eps": eps, "ny": ny, "nz": nz,
         "L11": L11, "L12": L12, "L22": L22, "K": K, "H": H,
         "lightlike": lightlike, "inadmissible": inadmissible,
     }
+    return {k: np.broadcast_to(v, shape) for k, v in out.items()}

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,44 @@ class TestVerify:
                                     abs(mean_curvature(moved) - h_ref))
             assert suite["motions"] == count
             assert float(suite["max_difference"]).hex() == worst.hex(), (family, n, count, seed)
+
+    # the thm42 grid whose closed and pipeline sweeps overflow: every suite
+    # fails, the motion suite on NaN
+    OVERFLOW = ["family.name=thm42", "family.h0=0.5", "family.lam1=1e-13", "family.lam2=8",
+                "grid.u2=[-40,40]"]
+
+    @pytest.mark.parametrize("per_call", [1, 7])
+    @pytest.mark.parametrize("family,code", [
+        (["family.name=thm31", "family.k0=0.7", "family.lam1=-0.8", "grid.n1=30", "grid.n2=30",
+          "motions=20", "seed=4"], 0),
+        (OVERFLOW, 1),
+    ])
+    def test_motion_blocks_give_the_same_report(self, tmp_path, monkeypatch, per_call, family, code):
+        import pgsurf.cli as cli
+
+        argv = ["verify", *(a for kv in family for a in ("--set", kv)),
+                "--set", f"output.json={tmp_path / 'v.json'}"]
+        assert main(argv) == code
+        expect = (tmp_path / "v.json").read_bytes()
+        monkeypatch.setattr(cli, "_MOTIONS_PER_CALL", per_call)
+        assert main(argv) == code
+        assert (tmp_path / "v.json").read_bytes() == expect
+
+    def test_overflow_fails_without_floating_point_warnings(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", *(a for kv in self.OVERFLOW for a in ("--set", kv)),
+                         "--set", f"output.json={out}"]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["failed"] == ["constancy", "cross_check", "motion_invariance"]
+        suites = report["suites"]
+        assert suites["constancy"]["mean"] is None and suites["constancy"]["max_deviation"] is None
+        assert suites["cross_check"]["max_discrepancy"] == 4.922031686923022e+19
+        assert suites["motion_invariance"]["max_difference"] is None
 
     def test_one_transform_call_per_invocation(self, tmp_path, monkeypatch):
         import pgsurf.cli as cli

@@ -10,10 +10,13 @@ from pgsurf.factorable import (
     FactorableSurface,
     GridSpec,
     ScalarC2,
+    closed_H,
+    closed_K,
     cross_check,
     default_grid,
     h_first,
     h_second,
+    jet_component_arrays,
     k_first,
     k_second,
     pipeline_grid,
@@ -21,8 +24,8 @@ from pgsurf.factorable import (
     specialized_K,
     specialized_grid,
 )
-from pgsurf.families import thm31_family, thm32_family
-from pgsurf.surface import finite_difference_jet, gaussian_curvature, mean_curvature
+from pgsurf.families import family_surface, thm31_family, thm32_family
+from pgsurf.surface import curvature_arrays, finite_difference_jet, gaussian_curvature, mean_curvature
 
 SADDLE = FactorableSurface("first", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
 EXP = ScalarC2(np.exp, np.exp, np.exp, name="exp")
@@ -319,3 +322,63 @@ class TestScalarViewsEqualGrids:
             assert same(lambda: specialized_H(s, a, b), closed["H"][i, j])
             assert same(lambda: gaussian_curvature(jet), pipe["K"][i, j])
             assert same(lambda: mean_curvature(jet), pipe["H"][i, j])
+
+
+def _mesh_pipeline(s, grid, mode):
+    """`pipeline_grid` rebuilt on the full mesh: every jet component and
+    position materialised per grid point."""
+    U1, U2 = grid.mesh()
+    comp = jet_component_arrays(s, U1, U2, mode=mode)
+    out = curvature_arrays({k: np.broadcast_to(v, U1.shape).copy() for k, v in comp.items()})
+    x, y, z = s.value_arrays(U1, U2)
+    excluded = out["lightlike"] | out["inadmissible"] | ~np.isfinite(out["K"]) | ~np.isfinite(out["H"])
+    return {"U1": U1, "U2": U2, "x": x, "y": y, "z": z, "K": out["K"], "H": out["H"],
+            "eps": out["eps"], "W": out["W"], "excluded": excluded}
+
+
+def _mesh_closed(s, grid):
+    """`specialized_grid` rebuilt on the full mesh through the public
+    `closed_K` and `closed_H`."""
+    U1, U2 = grid.mesh()
+    parts = (s.f(U1), s.f.deriv(U1), s.f.deriv2(U1), s.g(U2), s.g.deriv(U2), s.g.deriv2(U2))
+    K, k_undefined = closed_K(s.kind, *parts)
+    H, h_undefined = closed_H(s.kind, *parts)
+    x, y, z = s.value_arrays(U1, U2)
+    return {"U1": U1, "U2": U2, "x": x, "y": y, "z": z, "K": K, "H": H,
+            "excluded": k_undefined | h_undefined}
+
+
+def _bitwise(got, ref):
+    assert sorted(got) == sorted(ref)
+    for key, value in ref.items():
+        assert got[key].shape == value.shape and got[key].dtype == value.dtype, key
+        assert got[key].tobytes() == value.tobytes(), key
+
+
+class TestSeparableSweepsEqualTheMesh:
+    """The sweeps evaluate each profile on its own axis and keep constant
+    jet components 0-d; every output equals the full-mesh evaluation bit
+    for bit."""
+
+    CASES = [
+        ("thm31", {"k0": 1.3, "lam1": 0.4, "lam2": -0.3, "sign": -1}, None),
+        ("thm32", {"h0": 0.7, "lam1": 0.2, "f0": 1.5, "causal": "timelike"}, None),
+        ("thm32", {"h0": -0.4, "lam1": -0.3, "lam2": 0.5, "causal": "spacelike"}, None),
+        ("thm42", {"h0": -0.75, "lam1": 1.2, "lam2": -0.6, "lam3": 0.2, "causal": "timelike"}, None),
+        ("thm42", {"h0": 0.9, "lam1": -0.7, "lam2": 0.8, "causal": "spacelike"}, None),
+        # a grid column on the saddle's lightlike line x = 1
+        ("saddle", {}, GridSpec((0.5, 1.5), (-0.3, 0.7), 21, 9)),
+        ("linear", {}, None),
+        ("exp_exp", {}, None),
+        # the closed formulas' deadband finding of bench/README.md
+        ("thm42", {"h0": -0.152, "lam1": 0.285, "lam2": 1.313, "lam3": -1.917,
+                   "causal": "timelike"}, None),
+    ]
+
+    @pytest.mark.parametrize("name,params,grid", CASES)
+    def test_pipeline_and_closed_sweeps(self, name, params, grid):
+        s = family_surface(name, params)
+        grid = grid or default_grid(s, 40, 40)
+        for mode in ("analytic", "fd"):
+            _bitwise(pipeline_grid(s, grid, mode=mode), _mesh_pipeline(s, grid, mode))
+        _bitwise(specialized_grid(s, grid), _mesh_closed(s, grid))

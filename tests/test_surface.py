@@ -17,6 +17,7 @@ from pgsurf.surface import (
     jet_components,
     jet_from_components,
     mean_curvature,
+    require_unmasked,
     transform_jet,
 )
 
@@ -255,3 +256,52 @@ class TestTransformJet:
                     expect = (x, m.a3 * x + ch * y + sh * z, m.a5 * x + sh * y + ch * z)
                     got = tuple(float(moved[f"{a}{s}"][(i, *idx)]) for a in "xyz")
                     assert [v.hex() for v in got] == [v.hex() for v in expect]
+
+
+def _mixed(z1, z2, x1=1.0, x2=0.0):
+    """First-kind-like components: x and y parts 0-d, z parts (n, 1) and (1, m)."""
+    comp = {f"{a}{slot}": np.array(0.0) for slot in SLOTS for a in "xyz"}
+    comp.update(x1=np.array(x1), x2=np.array(x2), y2=np.array(1.0), z1=z1, z2=z2,
+                z11=z1 * z1, z12=z1 * z2, z22=z2 + 0.5)
+    return comp
+
+
+def _materialised(comp):
+    shape = np.broadcast_shapes(*(np.shape(v) for v in comp.values()))
+    return {k: np.broadcast_to(v, shape).copy() for k, v in comp.items()}
+
+
+class TestBroadcastComponents:
+    """`curvature_arrays` and `transform_jet` take components of any
+    broadcast-compatible shapes, 0-d ones included."""
+
+    Z1 = np.array([[-0.4], [0.0], [0.3], [1.7]])
+    Z2 = np.array([[0.25, -1.0, 2.0]])
+
+    def test_kernel_outputs_take_the_broadcast_shape(self):
+        comp = _mixed(self.Z1, self.Z2)
+        out, ref = curvature_arrays(comp), curvature_arrays(_materialised(comp))
+        assert sorted(out) == sorted(ref)
+        for key, value in ref.items():
+            assert out[key].shape == (4, 3) and out[key].dtype == value.dtype, key
+            assert out[key].tobytes() == value.tobytes(), key
+
+    def test_require_unmasked_raises_the_scalar_errors(self):
+        # Y = 1 and Z = z2 here, so the column with z2 = -1 is lightlike
+        out = curvature_arrays(_mixed(self.Z1, self.Z2))
+        assert out["lightlike"][:, 1].all() and not out["lightlike"][:, [0, 2]].any()
+        require_unmasked(out, (2, 0))
+        with pytest.raises(LightlikeSurface):
+            require_unmasked(out, (2, 1))
+        out = curvature_arrays(_mixed(self.Z1, self.Z2, x1=0.0))
+        assert out["inadmissible"].shape == (4, 3) and out["inadmissible"].all()
+        with pytest.raises(InadmissiblePatch):
+            require_unmasked(out, (3, 2))
+
+    def test_transform_jet_takes_the_broadcast_shape(self):
+        comp = _mixed(self.Z1, self.Z2)
+        motions = [Motion(0.1, -0.2, 0.3, 0.4, -0.5, 0.6), Motion(0.0, 0.0, -0.7, 0.0, 0.2, -0.3)]
+        moved, ref = transform_jet(motions, comp), transform_jet(motions, _materialised(comp))
+        for key, value in ref.items():
+            assert moved[key].shape == (2, 4, 3), key
+            assert moved[key].tobytes() == value.tobytes(), key
