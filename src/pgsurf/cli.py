@@ -6,8 +6,13 @@ Configuration is a JSON object; `--set` overrides individual (dotted)
 keys and wins over file values.  Outputs are deterministic: identical
 configurations produce byte-identical CSV/JSON/OBJ files (floats printed
 with 17 significant digits, fixed row order).  Tables and meshes are
-formatted and written one grid row at a time, one `%`-format per line;
-the bytes are those of formatting every cell with `format(x, ".17g")`.
+formatted and written one grid row at a time.  Every float column goes
+through one rule: a column whose bits are constant along a grid axis is
+formatted once per value of the other axis (the axes U1 and U2, the
+positions equal to them, epsilon), any other column cell by cell; each
+line is then one `%s`-only format of those strings.  Equal bits print
+equal strings, so the bytes are those of formatting every cell with
+`format(x, ".17g")`.
 A file output is written to a temporary sibling and moved into place only
 when complete, so a failed run never leaves a truncated file.
 
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -268,24 +274,37 @@ def _sweep(cfg: dict, surface: FactorableSurface, grid: GridSpec) -> tuple[str, 
     return route, pipe
 
 
-def _axis_strings(data: dict) -> tuple[list[str], list[str]]:
-    """The printed u1 of each grid row and u2 of each grid column: U1 and U2
-    are a meshgrid of the axes, so each value is formatted once."""
-    return (["%.17g" % v for v in data["U1"][:, 0].tolist()],
-            ["%.17g" % v for v in data["U2"][0].tolist()])
+# the one float formatter of the text outputs: equal to format(x, ".17g")
+_format = "%.17g".__mod__
+
+
+def _cell_rows(column: np.ndarray) -> Iterator[list[str]]:
+    """The printed cells of a float grid column, one list per grid row.
+
+    A column whose bits are constant along axis 0 is formatted once (its
+    first row) and that list is reused on every row; one constant along
+    axis 1 is formatted once per row; any other column cell by cell.
+    Equal bits print equal strings, so the text is that of formatting
+    every cell.  -0.0 and 0.0, or NaNs with different payloads, are
+    different bits."""
+    bits = column.view(np.int64)
+    if (bits == bits[:1]).all():
+        return itertools.repeat(list(map(_format, column[0].tolist())), len(column))
+    if (bits == bits[:, :1]).all():
+        n2 = column.shape[1]
+        return ([s] * n2 for s in map(_format, column[:, 0].tolist()))
+    return (list(map(_format, row.tolist())) for row in column)
 
 
 def _csv_rows(data: dict) -> Iterator[str]:
     """`curvature` CSV: the header, then one chunk of lines per grid row."""
     yield CSV_HEADER + "\n"
-    s1, s2 = _axis_strings(data)
-    columns = [data[k] for k in ("x", "y", "z", "K", "H", "eps", "W", "excluded")]
-    for u1, *row in zip(s1, *columns):
-        inc = u1 + ",%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,0"
-        exc = u1 + ",%s,%.17g,%.17g,%.17g,,,,,1"
-        yield "\n".join([exc % (u2, x, y, z) if e else inc % (u2, x, y, z, k, h, ep, w)
-                         for u2, x, y, z, k, h, ep, w, e
-                         in zip(s2, *(c.tolist() for c in row))]) + "\n"
+    inc = "%s,%s,%s,%s,%s,%s,%s,%s,%s,0"
+    exc = "%s,%s,%s,%s,%s,,,,,1"
+    columns = [_cell_rows(data[k]) for k in ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")]
+    for excluded, *cells in zip(data["excluded"], *columns):
+        yield "\n".join([exc % c[:5] if e else inc % c
+                         for c, e in zip(zip(*cells), excluded.tolist())]) + "\n"
 
 
 def run_curvature(cfg: dict) -> int:
@@ -524,8 +543,8 @@ def _obj_lines(data: dict, faces: np.ndarray) -> Iterator[str]:
     one chunk of lines per grid row."""
     n1, n2 = data["x"].shape
     yield f"# pg-surf mesh {n1}x{n2}\n"
-    for row in zip(data["x"], data["y"], data["z"]):
-        yield "\n".join(["v %.17g %.17g %.17g" % v for v in zip(*(c.tolist() for c in row))]) + "\n"
+    for cells in zip(*(_cell_rows(data[k]) for k in ("x", "y", "z"))):
+        yield "\n".join(["v %s %s %s" % v for v in zip(*cells)]) + "\n"
     for i, keep in enumerate(faces):
         first = (np.flatnonzero(keep) + (i * n2 + 1)).tolist()
         if first:
@@ -536,14 +555,14 @@ def _sidecar_rows(data: dict) -> Iterator[str]:
     """Mesh sidecar CSV keyed by 1-based vertex index: the header, then one
     chunk of lines per grid row."""
     yield "vertex,u1,u2,K,H,excluded\n"
-    s1, s2 = _axis_strings(data)
-    n2 = len(s2)
-    for i, (u1, *row) in enumerate(zip(s1, data["K"], data["H"], data["excluded"])):
-        inc = "%d," + u1 + ",%s,%.17g,%.17g,0"
-        exc = "%d," + u1 + ",%s,,,1"
+    n2 = data["excluded"].shape[1]
+    inc = "%s,%s,%s,%s,%s,0"
+    exc = "%s,%s,%s,,,1"
+    columns = [_cell_rows(data[k]) for k in ("U1", "U2", "K", "H")]
+    for i, (excluded, *cells) in enumerate(zip(data["excluded"], *columns)):
         ids = range(i * n2 + 1, (i + 1) * n2 + 1)
-        yield "\n".join([exc % (idx, u2) if e else inc % (idx, u2, k, h)
-                         for idx, u2, k, h, e in zip(ids, s2, *(c.tolist() for c in row))]) + "\n"
+        yield "\n".join([exc % c[:3] if e else inc % c
+                         for c, e in zip(zip(ids, *cells), excluded.tolist())]) + "\n"
 
 
 def run_mesh(cfg: dict) -> int:

@@ -391,8 +391,9 @@ def pipeline_grid(s: FactorableSurface, grid: GridSpec,
 
 
 def specialized_grid(s: FactorableSurface, grid: GridSpec) -> dict:
-    """Closed-formula sweep; a point is excluded where K or H is undefined.
-    K and H share one closed denominator."""
+    """Closed-formula sweep: U1, U2, K, H and the exclusion mask (no
+    positions; `pipeline_grid` has them).  A point is excluded where K or
+    H is undefined.  K and H share one closed denominator."""
     u1, u2, params = _axes(grid)
     parts = _parts(s, u1, u2)
     fv, f1, _, gv, g1, _ = parts
@@ -400,9 +401,7 @@ def specialized_grid(s: FactorableSurface, grid: GridSpec) -> dict:
         den = _denominator(s.kind, fv, f1, gv, g1)
         K, k_undefined = _closed_K(s.kind, parts, den)
         H, h_undefined = _closed_H(s.kind, parts, den)
-    x, y, z = s.value_arrays(u1, u2)
-    return {**params, "x": x, "y": y, "z": z, "K": K, "H": H,
-            "excluded": k_undefined | h_undefined}
+    return {**params, "K": K, "H": H, "excluded": k_undefined | h_undefined}
 
 
 # ---------------------------------------------------------------------------

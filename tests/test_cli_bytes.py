@@ -7,21 +7,37 @@ shows up here.  Output with no `output.*` key goes to stdout and must be
 the concatenation of the same bytes.  The digests depend on numpy's
 floating-point results for the family evaluators; they were recorded with
 numpy 2.4 on x86-64.
+
+The serializers format a float column once per axis value where its bits
+allow; a property test compares them with a per-cell reference on
+synthetic sweeps, and a call count pins that the axis columns are not
+formatted cell by cell.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pgsurf import cli
 from pgsurf.cli import main
 
 CASES = {
     "thm31": {"family": {"name": "thm31", "k0": 1.0}, "grid": {"n1": 13, "n2": 9}},
     "thm42_timelike": {"family": {"name": "thm42", "h0": 0.5, "causal": "timelike"},
                        "grid": {"n1": 11, "n2": 8}},
+    "thm32_timelike": {"family": {"name": "thm32", "h0": 0.7, "lam1": 0.2, "f0": 1.5,
+                                  "causal": "timelike"},
+                       "grid": {"n1": 10, "n2": 9}},
+    "thm32_spacelike": {"family": {"name": "thm32", "h0": -0.4, "lam1": -0.3, "lam2": 0.5,
+                                   "causal": "spacelike"},
+                        "grid": {"n1": 9, "n2": 12}},
+    "thm42_spacelike": {"family": {"name": "thm42", "h0": 0.9, "lam1": -0.7, "lam2": 0.8,
+                                   "causal": "spacelike"},
+                        "grid": {"n1": 12, "n2": 7}},
     # lightlike on x = 1: excluded rows and skipped faces
     "saddle": {"family": {"name": "saddle"},
                "grid": {"u1": [0.5, 1.5], "u2": [-0.5, 0.5], "n1": 21, "n2": 7}},
@@ -77,6 +93,78 @@ DIGESTS = {
     ('thm31', 'specialized', 'mesh'): {
         'obj': 'ff6e98f270e6b873a5823cc1a0a690e1413584581f646cab3d2e94a571eb6d80',
         'sidecar': '5cac4b4ddaf2a2412300dd7934a4e4954ec633d69ecb4184a0e20ad2b2ded1ae',
+    },
+    ('thm32_spacelike', 'pipeline', 'curvature'): {
+        'csv': '9aa8aca3cb64ad9a24aca4b2e1ac1e16baf682f8fe8f20cbd35e5e274bf05afe',
+        'json': '1e972271b6c3f65ee52b84327a9a5e9575aac458b8ad44ec8e36ffb56ed843e1',
+    },
+    ('thm32_spacelike', 'pipeline', 'mesh'): {
+        'obj': 'ba1a2a5d216323ab321cd9a1d643ecc9933fca6afcff6994e3d50055202d2bb8',
+        'sidecar': 'e03a09534a8898e0f5f413b89fd61d0dcc1bdfcd591c078393dc54e172a8a873',
+    },
+    ('thm32_spacelike', 'pipeline-fd', 'curvature'): {
+        'csv': '1f4e5bfc912df8a458e09a7362ea850784f343983813528d9943b0017f070e60',
+        'json': '118391dd33f56547872c5799f7bdc4c2dee3ec080147532138ea408c0382f03c',
+    },
+    ('thm32_spacelike', 'pipeline-fd', 'mesh'): {
+        'obj': 'ba1a2a5d216323ab321cd9a1d643ecc9933fca6afcff6994e3d50055202d2bb8',
+        'sidecar': '6439c4b407cc8f75d791519c1a99e103d213871f43bde5f455addcd5cbceb901',
+    },
+    ('thm32_spacelike', 'specialized', 'curvature'): {
+        'csv': 'c51b61bc8609edb69c7bd147c1ec738dd2589818fea304de9c6d1a66962479ec',
+        'json': '0391d930621cd37a933ddfad7c952736d329549a6eb525b0860978e8bc4c41f4',
+    },
+    ('thm32_spacelike', 'specialized', 'mesh'): {
+        'obj': 'ba1a2a5d216323ab321cd9a1d643ecc9933fca6afcff6994e3d50055202d2bb8',
+        'sidecar': '7f5fdbbaedfc044a72b92d11a9a15017c59d4f27ab06ec4a1f3643289bf8d11b',
+    },
+    ('thm32_timelike', 'pipeline', 'curvature'): {
+        'csv': 'b47bbd067af6ff2687c4ad7727184d19209607cc4ec635977b7df48557075535',
+        'json': '33f7daf4cb5d3378635b95372c443ec4b9a935d24be0c53a956bca4aba0360b0',
+    },
+    ('thm32_timelike', 'pipeline', 'mesh'): {
+        'obj': '3fd9246e40a070a5ef5d64ee99cac1f1d5b58a128653ab8ba5ce426a00ac8b9e',
+        'sidecar': '35b1b00b6d7491955ff0d485756cbc2805c0c8d94029f0fbe75541d8c31ba56c',
+    },
+    ('thm32_timelike', 'pipeline-fd', 'curvature'): {
+        'csv': 'bf3818693d2148daf9acf61f354d961ff12e6066436d130cf2b09d65543e4c92',
+        'json': '73f07ca3ee46c0a30bdd38253a9326a150281691ab07184af3e2095f5557f583',
+    },
+    ('thm32_timelike', 'pipeline-fd', 'mesh'): {
+        'obj': '3fd9246e40a070a5ef5d64ee99cac1f1d5b58a128653ab8ba5ce426a00ac8b9e',
+        'sidecar': '36af15d3ef45ebd300d04c1d4871aac041e4fa900ddacf1e8f5f8e333b031515',
+    },
+    ('thm32_timelike', 'specialized', 'curvature'): {
+        'csv': '4d838a8b98cf325869e9cd0cf01f7789b9d5797180bc9965db37262df1c861ba',
+        'json': 'a9293f9ebcd189fc39885439c503c91dafbf60e2c0376c99b8e0cd4a736e34b2',
+    },
+    ('thm32_timelike', 'specialized', 'mesh'): {
+        'obj': '3fd9246e40a070a5ef5d64ee99cac1f1d5b58a128653ab8ba5ce426a00ac8b9e',
+        'sidecar': 'e5cb01712c76ea5e316cdb3877d9680c429b69662c57fb01f7c38b3ed730ca81',
+    },
+    ('thm42_spacelike', 'pipeline', 'curvature'): {
+        'csv': 'ea56b49f0a037978348b7f05dbfd23e85a3d6be65ce0aff3f1b55fe896511a30',
+        'json': 'fe06646f0d4a418f7875fd82d2783abc26d28ee036d8fbf7c2aac9d7c7d5fa94',
+    },
+    ('thm42_spacelike', 'pipeline', 'mesh'): {
+        'obj': 'abb872771192859832dae0cfdb61bdb13f097c3bf1864867c5cf2619d8dc07f2',
+        'sidecar': '09cad73e8c7de45ecc15fd8205d458987e7d978f0ecd4f59599ef6f278f1ca60',
+    },
+    ('thm42_spacelike', 'pipeline-fd', 'curvature'): {
+        'csv': '88b4804595c9bfb51c4651c17862dcd43dcea1bc9dc267d97aad1757905bdb4d',
+        'json': '2faef423b805c8f9912e7f8a7cfc89f50dfab6ceeb983b8aec1aaeb7b2e4a1c4',
+    },
+    ('thm42_spacelike', 'pipeline-fd', 'mesh'): {
+        'obj': 'abb872771192859832dae0cfdb61bdb13f097c3bf1864867c5cf2619d8dc07f2',
+        'sidecar': '40c9c7d213d1fa2b6368b71a4a0608f59d04e704ba8e61541e1c0b8d1b6cee8d',
+    },
+    ('thm42_spacelike', 'specialized', 'curvature'): {
+        'csv': 'e78373d4ef0324e4b4711e374ea8db3f38369ed967afba8bec4c783ff774f414',
+        'json': '90fd87d1e00ac8ca25cef84350c1b45c1e09b46eb2498f6948705ac6083cac36',
+    },
+    ('thm42_spacelike', 'specialized', 'mesh'): {
+        'obj': 'abb872771192859832dae0cfdb61bdb13f097c3bf1864867c5cf2619d8dc07f2',
+        'sidecar': 'b992ae69da11138651d4fd63791ed5bcad27ec1c1459c0a4ff7f649817a2e4bc',
     },
     ('thm42_timelike', 'pipeline', 'curvature'): {
         'csv': 'c10f0f23580a5dfe146b0ae517fada68838589e90ac4164c46897f1401649aa2',
@@ -146,3 +234,161 @@ def test_stdout_matches_files(tmp_path, capsys, case, route, command):
 @example(1.7976931348623157e308)
 def test_percent_format_matches_format(value):
     assert "%.17g" % value == format(value, ".17g")
+
+
+# ---------------------------------------------------------------------------
+# the column rule: each float column is formatted once per axis value where
+# its bits allow, and the text equals formatting every cell
+# ---------------------------------------------------------------------------
+
+FLOAT_COLUMNS = ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")
+
+
+def _cell(data, key, i, j):
+    return format(float(data[key][i, j]), ".17g")
+
+
+def _reference_csv(data):
+    n1, n2 = data["excluded"].shape
+    lines = [cli.CSV_HEADER]
+    for i in range(n1):
+        for j in range(n2):
+            cells = [_cell(data, k, i, j) for k in FLOAT_COLUMNS[:5]]
+            if data["excluded"][i, j]:
+                lines.append(",".join(cells) + ",,,,,1")
+            else:
+                lines.append(",".join(cells + [_cell(data, k, i, j) for k in FLOAT_COLUMNS[5:]]) + ",0")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_obj(data, faces):
+    n1, n2 = data["excluded"].shape
+    lines = [f"# pg-surf mesh {n1}x{n2}"]
+    lines += ["v " + " ".join(_cell(data, k, i, j) for k in "xyz")
+              for i in range(n1) for j in range(n2)]
+    for i in range(n1 - 1):
+        for j in range(n2 - 1):
+            if faces[i, j]:
+                a = i * n2 + j + 1
+                lines.append(f"f {a} {a + n2} {a + n2 + 1} {a + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_sidecar(data):
+    n1, n2 = data["excluded"].shape
+    lines = ["vertex,u1,u2,K,H,excluded"]
+    for i in range(n1):
+        for j in range(n2):
+            cells = [str(i * n2 + j + 1), _cell(data, "U1", i, j), _cell(data, "U2", i, j)]
+            if data["excluded"][i, j]:
+                lines.append(",".join(cells) + ",,,1")
+            else:
+                lines.append(",".join(cells + [_cell(data, "K", i, j), _cell(data, "H", i, j)]) + ",0")
+    return "\n".join(lines) + "\n"
+
+
+def _sweep_dict(n1, n2, columns=None, excluded=None):
+    """A sweep as `curvature`/`mesh` print it: every float column is a grid
+    column of the first kind (x = u1, y = u2) unless `columns` gives it."""
+    u1 = np.broadcast_to(np.linspace(-1.0, 1.0, n1)[:, None], (n1, n2))
+    u2 = np.broadcast_to(np.linspace(0.5, 2.0, n2)[None, :], (n1, n2))
+    data = {"U1": u1, "U2": u2, "x": u1.copy(), "y": u2.copy(), "z": u1 * u2,
+            "K": np.full((n1, n2), -1.0), "H": np.sin(u1 + u2), "eps": np.ones((n1, n2)),
+            "W": np.cos(u2) + 0.0 * u1}
+    data.update({k: np.array(v, dtype=float) for k, v in (columns or {}).items()})
+    data["excluded"] = (np.zeros((n1, n2), dtype=bool) if excluded is None
+                        else np.array(excluded, dtype=bool))
+    return data
+
+
+def _except_one_cell():
+    data = _sweep_dict(4, 5)
+    x = data["x"].copy()
+    x[2, 3] = 7.5
+    return {**data, "x": x}
+
+
+def _signed_zeros():
+    u2 = np.array([[-0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, 1.0]])
+    return _sweep_dict(3, 3, {"U2": u2, "y": u2})
+
+
+def _excluded_row():
+    excluded = np.zeros((3, 4), dtype=bool)
+    excluded[1] = True
+    return _sweep_dict(3, 4, {"K": np.full((3, 4), np.nan)}, excluded)
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def sweeps(draw):
+    """Sweep dicts on 2x2 to 6x7 grids; each float column is constant,
+    constant along axis 0, constant along axis 1 or free, and a column
+    constant along an axis is a broadcast view or a materialised grid."""
+    n1, n2 = draw(st.integers(2, 6)), draw(st.integers(2, 7))
+    columns = {}
+    for key in FLOAT_COLUMNS:
+        shape = draw(st.sampled_from([(1, 1), (1, n2), (n1, 1), (n1, n2)]))
+        values = np.array(draw(st.lists(FLOATS, min_size=shape[0] * shape[1],
+                                        max_size=shape[0] * shape[1])), dtype=float)
+        grid = np.broadcast_to(values.reshape(shape), (n1, n2))
+        columns[key] = grid if draw(st.booleans()) else grid.copy()
+    excluded = draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2))
+    return {**columns, "excluded": np.array(excluded).reshape(n1, n2)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(sweeps())
+@example(_except_one_cell())
+@example(_signed_zeros())
+@example(_excluded_row())
+def test_column_rule_matches_per_cell_format(data):
+    ex = data["excluded"]
+    faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
+    assert "".join(cli._csv_rows(data)) == _reference_csv(data)
+    assert "".join(cli._obj_lines(data, faces)) == _reference_obj(data, faces)
+    assert "".join(cli._sidecar_rows(data)) == _reference_sidecar(data)
+
+
+class TestColumnRuleFormatsOncePerAxisValue:
+    """A thm32 `curvature` run at 40x30 on the default route: the axis
+    columns, the axis position columns and eps are formatted once per axis
+    value, not once per cell."""
+
+    N1, N2 = 40, 30
+    CFG = {"family": {"name": "thm32", "h0": 0.7, "lam1": 0.2, "f0": 1.5, "causal": "timelike"},
+           "grid": {"n1": N1, "n2": N2}}
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        original = cli._format
+
+        def counted(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(cli, "_format", counted)
+        return calls
+
+    def test_run_count(self, tmp_path, monkeypatch):
+        calls = self._counting(monkeypatch)
+        out = {"csv": str(tmp_path / "out.csv"), "json": str(tmp_path / "out.json")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.CFG, "output": out}))
+        assert main(["curvature", "--config", str(path)]) == 0
+        # U1 and x once per row value, the seven others once per column value
+        assert len(calls) == 2 * self.N1 + 7 * self.N2
+
+    def test_axis_columns(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        surface = cli._build_surface(self.CFG)[1]
+        grid = cli._build_grid(self.CFG, cli.default_grid(surface))
+        _, data = cli._sweep({}, surface, grid)
+        for key in ("U1", "U2", "x", "y", "eps"):
+            calls.clear()
+            for _ in cli._cell_rows(data[key]):
+                pass
+            assert len(calls) in (self.N1, self.N2), key

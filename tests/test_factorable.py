@@ -343,9 +343,7 @@ def _mesh_closed(s, grid):
     parts = (s.f(U1), s.f.deriv(U1), s.f.deriv2(U1), s.g(U2), s.g.deriv(U2), s.g.deriv2(U2))
     K, k_undefined = closed_K(s.kind, *parts)
     H, h_undefined = closed_H(s.kind, *parts)
-    x, y, z = s.value_arrays(U1, U2)
-    return {"U1": U1, "U2": U2, "x": x, "y": y, "z": z, "K": K, "H": H,
-            "excluded": k_undefined | h_undefined}
+    return {"U1": U1, "U2": U2, "K": K, "H": H, "excluded": k_undefined | h_undefined}
 
 
 def _bitwise(got, ref):
