@@ -207,6 +207,21 @@ def _number(value, key: str, kind=float):
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
+def _finite(value, key: str) -> float:
+    number = _number(value, key)
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _seed(cfg: dict) -> int:
+    """The `seed` key (default 0): an integer >= 0, as numpy's generators need."""
+    seed = _number(cfg.get("seed", 0), "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed}")
+    return seed
+
+
 def _flag(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
@@ -380,7 +395,7 @@ def run_verify(cfg: dict) -> int:
     count = _number(cfg.get("motions", 10), "motions", int)
     if not 1 <= count <= MAX_MOTIONS:
         raise ConfigError(f"motions must lie in 1..{MAX_MOTIONS}, got {count}")
-    seed = _number(cfg.get("seed", 0), "seed", int)
+    seed = _seed(cfg)
 
     suites: dict = {}
 
@@ -502,18 +517,18 @@ def run_probe(cfg: dict) -> int:
         raise ConfigError(f"budget must be at least 1, got {budget}")
     floor = cfg.get("floor")
     if floor is not None:
-        floor = _number(floor, "floor")
+        floor = _finite(floor, "floor")
     space = rec.FamilySpace(
         degree_f=_number(cfg.get("degree_f", 2), "degree_f", int),
         degree_g=_number(cfg.get("degree_g", 2), "degree_g", int),
         exponential=_flag(cfg.get("exponential", True), "exponential"),
     )
     report = rec.nonexistence_probe(
-        k0=_number(cfg.get("k0", 1.0), "k0"),
+        k0=_finite(cfg.get("k0", 1.0), "k0"),
         space=space,
         budget=budget,
         grid=_build_grid(cfg, GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)),
-        seed=_number(cfg.get("seed", 0), "seed", int),
+        seed=_seed(cfg),
         restarts=_number(cfg.get("restarts", 6), "restarts", int),
     )
     payload = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -69,6 +69,9 @@ __all__ = [
 BLOWUP_LIMIT = 1e12
 # Largest step count `integrate` accepts; checked before any allocation.
 MAX_STEPS = 10**6
+# Largest restart count `nonexistence_probe` accepts; checked before any
+# start is built.
+MAX_RESTARTS = 10**4
 
 
 @dataclass(frozen=True)
@@ -619,20 +622,23 @@ def _probe_objective(space: FamilySpace, k0: float, grid: GridSpec):
     return values
 
 
-def _coordinate_search(values, theta0: np.ndarray, budget: int,
+def _coordinate_search(theta0: np.ndarray, budget: int,
                        step0: float = 0.5, shrink: float = 0.5,
-                       min_step: float = 1e-6) -> tuple[float, np.ndarray, int]:
+                       min_step: float = 1e-6
+                       ) -> Generator[np.ndarray, np.ndarray, tuple[float, np.ndarray, int]]:
     """Pattern search after Hooke & Jeeves (J. ACM, 1961): try +step, then
     -step, on each coordinate in turn, move to the first candidate that
     improves by more than 1e-15, and shrink every step after a sweep with
     no move; stop at `budget` evaluations or below `min_step`.
 
-    The candidates left in a sweep are built from the current point and
-    evaluated in one call.  Only the first improving one is taken and
-    counted, and the sweep resumes after its coordinate, so the path and
-    the count are those of trying the candidates one at a time."""
+    A generator: it yields candidate rows (m, n_params), is sent their
+    objective values (m,), and returns (best, theta, evals).  The
+    candidates left in a sweep are built from the current point and
+    yielded at once.  Only the first improving one is taken and counted,
+    and the sweep resumes after its coordinate, so the path and the count
+    are those of trying the candidates one at a time."""
     theta = np.asarray(theta0, dtype=float).copy()
-    best = values(theta[None])[0]
+    best = (yield theta[None])[0]
     evals = 1
     n = theta.size
     steps = np.full(n, step0)
@@ -645,7 +651,7 @@ def _coordinate_search(values, theta0: np.ndarray, budget: int,
             deltas = np.stack([steps[i:], -steps[i:]], axis=1).ravel()[:left]
             cands = np.repeat(theta[None], coords.size, axis=0)
             cands[np.arange(coords.size), coords] += deltas
-            vals = values(cands)
+            vals = yield cands
             hits = np.flatnonzero(vals < best - 1e-15)
             if hits.size == 0:
                 evals += coords.size
@@ -658,6 +664,27 @@ def _coordinate_search(values, theta0: np.ndarray, budget: int,
         if not improved:
             steps *= shrink
     return best, theta, evals
+
+
+def _lockstep(values, searches: list) -> list:
+    """Run the generator `searches` together and return their results in
+    order.  Each round makes one `values` call on the candidates that every
+    running search yielded, in search order, and sends each its slice;
+    rows are evaluated independently, so each search sees the values it
+    would see alone."""
+    results = [None] * len(searches)
+    running = [(i, s, next(s)) for i, s in enumerate(searches)]
+    while running:
+        vals = values(np.concatenate([cands for _, _, cands in running]))
+        ends = np.cumsum([len(cands) for _, _, cands in running])[:-1]
+        still = []
+        for (i, s, _), v in zip(running, np.split(vals, ends)):
+            try:
+                still.append((i, s, s.send(v)))
+            except StopIteration as stop:
+                results[i] = stop.value
+        running = still
+    return results
 
 
 @dataclass(frozen=True)
@@ -685,13 +712,19 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
     residual for k0 != 0 only says the search found no near-counterexample
     within its scope.  The restarts (a generic start, the flat seed when
     the space has rates, then seeded uniform draws) share the budget
-    equally and run one after another; the best residual wins, the
-    earlier restart on a tie.  The outcome depends only on the arguments.
+    equally and run in lockstep: each round evaluates the pending
+    candidates of every running restart in one objective call, and the
+    results are those of running the restarts one after another.  The
+    best residual wins, the earlier restart on a tie.  The outcome depends
+    only on the arguments.
 
     With budget >= 1, `restarts` may not exceed `budget` (InvalidParams),
     so the evaluations never exceed the budget.  With budget <= 0 the
     initial guess of the first restart is evaluated and returned untouched.
+    `restarts` may not exceed MAX_RESTARTS (InvalidParams).
     """
+    if restarts > MAX_RESTARTS:
+        raise InvalidParams(f"restarts ({restarts}) must not exceed {MAX_RESTARTS}")
     if budget >= 1 and restarts > budget:
         raise InvalidParams(f"restarts ({restarts}) must not exceed budget ({budget})")
     if grid is None:
@@ -712,7 +745,7 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
         return _probe_report(k0, value, starts[0], 1, budget, len(starts), space, grid)
 
     per = max(1, budget // len(starts))
-    results = [_coordinate_search(values, start, per) for start in starts]
+    results = _lockstep(values, [_coordinate_search(start, per) for start in starts])
     best, theta, _ = min(results, key=lambda r: r[0])
     total_evals = sum(r[2] for r in results)
     return _probe_report(k0, best, theta, total_evals, budget, len(starts), space, grid)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -284,7 +285,7 @@ class TestVerify:
         "tolerances.motion=0", "tolerances.constancy=NaN", "tolerances.constancy=Infinity",
         "tolerances.constancy=abc",
         "perturb=5", "perturb=[]", "family=5", "output=5", "output=null",
-        "motions=10001", "motions=100000000",
+        "motions=10001", "motions=100000000", "seed=-1",
         "output.json=7", "output.json=[1]", "output.json=true", "output.json=null",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
@@ -365,13 +366,21 @@ class TestProbe:
         "k0=abc", "restarts=abc", "floor=abc", "budget=abc", "seed=[1]", "degree_f=abc",
         "restarts=20", "exponential=nope", "exponential=1", "exponential=null",
         "output=5", "budget=0", "budget=-5", 'grid={"n1": 2000, "n2": 2001}',
-        "output.json=7", "output.json=[1]", "output.json=true",
+        "output.json=7", "output.json=[1]", "output.json=true", "seed=-1",
+        "k0=nan", "k0=NaN", "k0=inf", "k0=-Infinity", "k0=1e400",
+        "floor=nan", "floor=NaN", "floor=Infinity", "floor=-inf",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "pm.json", {"k0": 1.0, "budget": 10,
                                                  "output": {"json": str(tmp_path / "out.json")}})
         _one_line_config_error(capsys, ["probe", "--config", cfg, "--set", override])
         assert not (tmp_path / "out.json").exists()
+
+    def test_restarts_above_bound_exit_2_before_allocating(self, capsys):
+        start = time.perf_counter()
+        _one_line_config_error(capsys, ["probe", "--set", "budget=1000000000",
+                                        "--set", "restarts=1000000000"])
+        assert time.perf_counter() - start < 5.0
 
     def test_constant_g_without_rates(self, tmp_path):
         out = tmp_path / "c.json"

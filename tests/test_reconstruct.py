@@ -17,12 +17,16 @@ from pgsurf.errors import (
 )
 from pgsurf.factorable import FactorableSurface, GridSpec, ScalarC2, default_grid
 from pgsurf.families import fixtures_flat_minimal, thm31_family
+from pgsurf import reconstruct
 from pgsurf.reconstruct import (
+    MAX_RESTARTS,
     MAX_STEPS,
     FamilySpace,
+    _coordinate_search,
     _flat_seed,
     _generic_start,
     _probe_objective,
+    _probe_report,
     ODEProblem,
     check_quartic_slope_identity,
     check_linear_factor_identity,
@@ -349,7 +353,9 @@ class TestCaseContradictions:
 # evaluation count and the best theta.  The first five are acceptance
 # criterion 7's calls; then a call shaped like the benchmark's (budget 3000,
 # six restarts, a nonzero seed) and one non-default space on a 7x13 grid.
-# Recorded with numpy 2.4 on x86-64 from the one-candidate-at-a-time search.
+# Recorded with numpy 2.4 on x86-64 from the one-candidate-at-a-time search;
+# the last, shaped like the benchmark's budget-10000 calls (20 restarts),
+# from the search that ran its restarts one after another.
 PROBE_PINS = [
     (dict(k0=1.0, budget=10_000, seed=0),
      '0x1.55a913d88c270p-1', 4045,
@@ -380,6 +386,10 @@ PROBE_PINS = [
      '0x1.9999999da2951p-1', 1998,
      ['0x1.1099c85d91f29p+4', '0x1.c3a5c3a5de2c0p-4', '0x1.74a51ff02f6ecp-3',
       '0x1.1afb44996a223p+4', '0x1.dd89b48a6dc40p-4', '0x1.0e38a214eb5e2p+0']),
+    (dict(k0=1.73, budget=10_000, restarts=20, seed=987654321),
+     '0x1.8a01180f173edp-1', 10000,
+     ['0x1.1ab45ae0d4f84p-1', '0x1.8b7e32611d000p-5', '0x1.f2dcc40279d50p-4', '0x1.1c3e54378f6ccp+1',
+      '0x1.5ff1248a087f4p-1', '0x1.07f6a7dfec240p-4', '-0x1.8af97dfc37940p-6', '0x1.c2b44cf45a300p-4']),
 ]
 
 
@@ -436,6 +446,12 @@ class TestNonexistenceProbe:
         with pytest.raises(InvalidParams):
             nonexistence_probe(1.0, budget=budget, restarts=restarts)
 
+    @pytest.mark.parametrize("budget,restarts", [(0, MAX_RESTARTS + 1), (10**9, 10**9),
+                                                 (MAX_RESTARTS + 1, MAX_RESTARTS + 1)])
+    def test_restarts_above_bound_rejected(self, budget, restarts):
+        with pytest.raises(InvalidParams, match=str(MAX_RESTARTS)):
+            nonexistence_probe(1.0, budget=budget, restarts=restarts)
+
     @pytest.mark.parametrize("budget,restarts", [(10, 10), (10, 3), (7, 1), (1, 1)])
     def test_evaluations_within_budget(self, budget, restarts):
         report = nonexistence_probe(1.0, budget=budget, restarts=restarts, seed=3)
@@ -453,6 +469,80 @@ class TestNonexistenceProbe:
     def test_space_validation(self):
         with pytest.raises(InvalidParams):
             FamilySpace(degree_f=5)
+
+
+def _solo(values, search):
+    """Drive one search alone, one objective call per yield: its result and
+    the number of calls."""
+    calls = 0
+    try:
+        cands = next(search)
+        while True:
+            calls += 1
+            cands = search.send(values(cands))
+    except StopIteration as stop:
+        return stop.value, calls
+
+
+def _sequential_probe(k0, space=FamilySpace(), budget=10_000, grid=None, seed=0, restarts=6):
+    """`nonexistence_probe` (budget >= 1) with its restarts run one after
+    another: the report and the largest number of calls of one restart."""
+    grid = grid or GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)
+    values = _probe_objective(space, k0, grid)
+    rng = np.random.default_rng(seed)
+    starts = [_generic_start(space)] + ([_flat_seed(space)] if space.exponential else [])
+    while len(starts) < restarts:
+        starts.append(rng.uniform(-1.5, 1.5, size=space.n_params))
+    starts = starts[:restarts]
+    per = max(1, budget // len(starts))
+    runs = [_solo(values, _coordinate_search(start, per)) for start in starts]
+    results = [result for result, _ in runs]
+    best, theta, _ = min(results, key=lambda r: r[0])
+    report = _probe_report(k0, best, theta, sum(r[2] for r in results), budget,
+                           len(starts), space, grid)
+    return report, max(calls for _, calls in runs)
+
+
+class TestLockstep:
+    @settings(max_examples=60, deadline=None)
+    @given(df=st.integers(0, 4), dg=st.integers(0, 4), exponential=st.booleans(),
+           n1=st.integers(2, 8), n2=st.integers(2, 8),
+           lo1=st.floats(-1.5, 0.5), w1=st.floats(0.2, 2.0),
+           lo2=st.floats(-1.5, 0.5), w2=st.floats(0.2, 2.0),
+           k0=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32), data=st.data())
+    def test_equals_sequential_restarts(self, df, dg, exponential, n1, n2,
+                                        lo1, w1, lo2, w2, k0, seed, data):
+        space = FamilySpace(df, dg, exponential=exponential)
+        grid = GridSpec((lo1, lo1 + w1), (lo2, lo2 + w2), n1, n2)
+        budget = data.draw(st.integers(1, 400))
+        restarts = data.draw(st.integers(1, min(budget, 25)))
+        kwargs = dict(space=space, budget=budget, grid=grid, seed=seed, restarts=restarts)
+        got = nonexistence_probe(k0, **kwargs)
+        want, _ = _sequential_probe(k0, **kwargs)
+        assert float.hex(got.best_residual) == float.hex(want.best_residual)
+        assert [float.hex(v) for v in got.best_theta] == [float.hex(v) for v in want.best_theta]
+        assert got.evaluations == want.evaluations
+        assert got == want
+
+    def test_one_objective_call_per_round(self, monkeypatch):
+        # the restarts share each call, so a probe makes as many calls as
+        # its longest restart yields (1488 calls with sequential restarts)
+        kwargs = dict(k0=0.9, budget=10_000, restarts=20, seed=123)
+        _, longest = _sequential_probe(**kwargs)
+        calls = 0
+
+        def counting(*args):
+            values = _probe_objective(*args)
+
+            def counted(thetas):
+                nonlocal calls
+                calls += 1
+                return values(thetas)
+            return counted
+
+        monkeypatch.setattr(reconstruct, "_probe_objective", counting)
+        nonexistence_probe(**kwargs)
+        assert calls == longest == 145
 
 
 def _reference_objective(space, k0, grid, theta):
