@@ -1,24 +1,15 @@
 """Curvature of surfaces immersed in the pseudo-Galilean 3-space.
 
-Modules: `core` (points, isotropic vectors, motions), `surface` (jet to
-curvature pipeline), `factorable` (product-graph surfaces and closed
-curvature formulas), `families` (classified constant-curvature families),
-`reconstruct` (ODE re-derivations, residual fields, case checks, the
-nonexistence probe) and `cli` (the pg-surf command).
+Modules: `core` (motions and the transverse scalar product), `surface`
+(the array kernel from jet components to curvature), `factorable`
+(product-graph surfaces, their jet component arrays, the closed curvature
+formulas and grid sweeps), `families` (classified constant-curvature
+families), `reconstruct` (ODE re-derivations, residual fields, case
+checks, the nonexistence probe) and `cli` (the pg-surf command).  A jet
+is a dict of component arrays x1..z22; there is no scalar jet type.
 """
 
-from .core import (
-    Character,
-    IsoVector,
-    Motion,
-    PGPoint,
-    apply_motion,
-    apply_motion_vector,
-    causal_character,
-    compose,
-    minkowski_dot,
-    pg_distance,
-)
+from .core import IsoVector, Motion, minkowski_dot
 from .errors import (
     BlowUp,
     BranchViolation,
@@ -27,7 +18,6 @@ from .errors import (
     GridRejected,
     InadmissiblePatch,
     InvalidParams,
-    LightlikeLocus,
     LightlikeSurface,
     PGSurfError,
 )
@@ -38,12 +28,6 @@ from .factorable import (
     ScalarC2,
     cross_check,
     default_grid,
-    h_first,
-    h_second,
-    k_first,
-    k_second,
-    specialized_H,
-    specialized_K,
 )
 from .families import (
     Fixture,
@@ -73,16 +57,6 @@ from .reconstruct import (
     residual_field,
     solve_quintic_coefficient_system,
 )
-from .surface import (
-    FirstForm,
-    FundamentalData,
-    Jet2,
-    finite_difference_jet,
-    first_form,
-    fundamental_data,
-    gaussian_curvature,
-    mean_curvature,
-    transform_jet,
-)
+from .surface import gaussian_curvature, mean_curvature, transform_jet
 
 __version__ = "0.1.0"

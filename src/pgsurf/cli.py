@@ -207,6 +207,20 @@ def _number(value, key: str, kind=float):
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
+def _integer(value, key: str, minimum: Optional[int] = None) -> int:
+    """An integer key: an int, a float without fraction or an integer
+    string, at least `minimum` when given.  A boolean or a fraction is a
+    config error, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    number = _number(value, key, int)
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {number}")
+    return number
+
+
 def _finite(value, key: str) -> float:
     number = _number(value, key)
     if not math.isfinite(number):
@@ -216,10 +230,7 @@ def _finite(value, key: str) -> float:
 
 def _seed(cfg: dict) -> int:
     """The `seed` key (default 0): an integer >= 0, as numpy's generators need."""
-    seed = _number(cfg.get("seed", 0), "seed", int)
-    if seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed}")
-    return seed
+    return _integer(cfg.get("seed", 0), "seed", 0)
 
 
 def _flag(value, key: str) -> bool:
@@ -231,8 +242,8 @@ def _flag(value, key: str) -> bool:
 def _build_grid(cfg: dict, default: GridSpec) -> GridSpec:
     """The `grid` section; each key it leaves out is taken from `default`."""
     section = _section(cfg, "grid")
-    n1 = _number(section.get("n1", default.n1), "grid.n1", int)
-    n2 = _number(section.get("n2", default.n2), "grid.n2", int)
+    n1 = _integer(section.get("n1", default.n1), "grid.n1", 0)
+    n2 = _integer(section.get("n2", default.n2), "grid.n2", 0)
     grid = GridSpec(_pair(section.get("u1", default.u1), "grid.u1"),
                     _pair(section.get("u2", default.u2), "grid.u2"), n1, n2)
     if n1 * n2 > MAX_GRID_POINTS:
@@ -392,7 +403,7 @@ def run_verify(cfg: dict) -> int:
             raise ConfigError(f"perturbation invalid for this family: {exc}") from exc
     grid = _build_grid(cfg, default_grid(surface))
     tol = _tolerances(cfg)
-    count = _number(cfg.get("motions", 10), "motions", int)
+    count = _integer(cfg.get("motions", 10), "motions")
     if not 1 <= count <= MAX_MOTIONS:
         raise ConfigError(f"motions must lie in 1..{MAX_MOTIONS}, got {count}")
     seed = _seed(cfg)
@@ -464,15 +475,16 @@ def run_reconstruct(cfg: dict) -> int:
     out = _output(cfg)
     theorem = str(cfg.get("theorem", ""))
 
-    def num(key: str, default, kind=float):
-        return _number(cfg.get(key, default), key, kind)
+    def num(key: str, default):
+        return _number(cfg.get(key, default), key)
 
     h = num("h", 1e-3)
     tol = _tolerances(cfg)["ode"]
     if theorem == "3.1":
         result = rec.reconstruct_thm31(
             k0=num("k0", 1.0), g0=num("g0", 1.0), lam1=num("lam1", 0.0),
-            sign=num("sign", 1, int), span=_pair(cfg.get("span", (0.0, 2.0)), "span"), h=h)
+            sign=_integer(cfg.get("sign", 1), "sign"),
+            span=_pair(cfg.get("span", (0.0, 2.0)), "span"), h=h)
         error = result.max_error
     elif theorem == "3.2":
         result = rec.reconstruct_thm32(
@@ -512,15 +524,13 @@ def run_reconstruct(cfg: dict) -> int:
 
 def run_probe(cfg: dict) -> int:
     out = _output(cfg)
-    budget = _number(cfg.get("budget", 10_000), "budget", int)
-    if budget < 1:
-        raise ConfigError(f"budget must be at least 1, got {budget}")
+    budget = _integer(cfg.get("budget", 10_000), "budget", 1)
     floor = cfg.get("floor")
     if floor is not None:
         floor = _finite(floor, "floor")
     space = rec.FamilySpace(
-        degree_f=_number(cfg.get("degree_f", 2), "degree_f", int),
-        degree_g=_number(cfg.get("degree_g", 2), "degree_g", int),
+        degree_f=_integer(cfg.get("degree_f", 2), "degree_f", 0),
+        degree_g=_integer(cfg.get("degree_g", 2), "degree_g", 0),
         exponential=_flag(cfg.get("exponential", True), "exponential"),
     )
     report = rec.nonexistence_probe(
@@ -529,7 +539,7 @@ def run_probe(cfg: dict) -> int:
         budget=budget,
         grid=_build_grid(cfg, GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)),
         seed=_seed(cfg),
-        restarts=_number(cfg.get("restarts", 6), "restarts", int),
+        restarts=_integer(cfg.get("restarts", 6), "restarts", 0),
     )
     payload = {
         "header": report.header,

@@ -1,60 +1,22 @@
-"""Affine model of the pseudo-Galilean 3-space.
+"""Motions and the transverse scalar product of the pseudo-Galilean 3-space.
 
 Points carry an absolute coordinate x; the transverse plane x = 0 carries
 a Minkowskian scalar product with signature (+, -) on (y, z).  The
 six-parameter motion group combines translations, two shears along the
-absolute direction and a hyperbolic rotation of the (y, z) plane.
+absolute direction and a hyperbolic rotation of the (y, z) plane;
+`surface.transform_jet` applies it to jet components.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 __all__ = [
-    "Character",
-    "PGPoint",
     "IsoVector",
     "Motion",
     "minkowski_dot",
-    "causal_character",
-    "pg_distance",
-    "apply_motion",
-    "apply_motion_vector",
-    "compose",
-    "LIGHTLIKE_BAND",
 ]
-
-# Scale-aware deadband: |u.u| <= band * max(1, y^2 + z^2) counts as lightlike.
-LIGHTLIKE_BAND = 1e-10
-
-
-class Character(Enum):
-    SPACELIKE = "spacelike"
-    TIMELIKE = "timelike"
-    LIGHTLIKE = "lightlike"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-def _require_finite(obj, **coords):
-    for name, value in coords.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class PGPoint:
-    """Point in affine coordinates; x is the absolute coordinate."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        _require_finite(self, x=self.x, y=self.y, z=self.z)
 
 
 @dataclass(frozen=True)
@@ -65,11 +27,10 @@ class IsoVector:
     z: float
 
     def __post_init__(self):
-        _require_finite(self, y=self.y, z=self.z)
-
-    @property
-    def character(self) -> Character:
-        return causal_character(self)
+        for name in ("y", "z"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"IsoVector.{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,52 +55,3 @@ class Motion:
 def minkowski_dot(u: IsoVector, v: IsoVector) -> float:
     """Scalar product on the plane x = 0, signature (+, -) on (y, z)."""
     return u.y * v.y - u.z * v.z
-
-
-def causal_character(u: IsoVector, band: float = LIGHTLIKE_BAND) -> Character:
-    """Classify an isotropic vector as spacelike, timelike or lightlike."""
-    q = minkowski_dot(u, u)
-    scale = max(1.0, u.y * u.y + u.z * u.z)
-    if abs(q) <= band * scale:
-        return Character.LIGHTLIKE
-    return Character.SPACELIKE if q > 0.0 else Character.TIMELIKE
-
-
-def pg_distance(a: PGPoint, b: PGPoint) -> float:
-    """Distance: |dx| when the absolute coordinates differ, otherwise the
-    Minkowskian length sqrt(|dy^2 - dz^2|) of the transverse gap."""
-    if a.x != b.x:
-        return abs(b.x - a.x)
-    return math.sqrt(abs((b.y - a.y) ** 2 - (b.z - a.z) ** 2))
-
-
-def apply_motion(m: Motion, p: PGPoint) -> PGPoint:
-    ch, sh = math.cosh(m.theta), math.sinh(m.theta)
-    return PGPoint(
-        m.a1 + p.x,
-        m.a2 + m.a3 * p.x + ch * p.y + sh * p.z,
-        m.a4 + m.a5 * p.x + sh * p.y + ch * p.z,
-    )
-
-
-def apply_motion_vector(m: Motion, u: IsoVector) -> IsoVector:
-    """Linear part of the motion restricted to the plane x = 0.
-
-    The shears a3, a5 only see the x component, which is zero for an
-    isotropic vector, so this is a pure hyperbolic rotation.
-    """
-    ch, sh = math.cosh(m.theta), math.sinh(m.theta)
-    return IsoVector(ch * u.y + sh * u.z, sh * u.y + ch * u.z)
-
-
-def compose(outer: Motion, inner: Motion) -> Motion:
-    """Motion equal to applying ``inner`` first, then ``outer``."""
-    ch, sh = math.cosh(outer.theta), math.sinh(outer.theta)
-    return Motion(
-        a1=outer.a1 + inner.a1,
-        a2=outer.a2 + outer.a3 * inner.a1 + ch * inner.a2 + sh * inner.a4,
-        a3=outer.a3 + ch * inner.a3 + sh * inner.a5,
-        a4=outer.a4 + outer.a5 * inner.a1 + sh * inner.a2 + ch * inner.a4,
-        a5=outer.a5 + sh * inner.a3 + ch * inner.a5,
-        theta=outer.theta + inner.theta,
-    )

@@ -9,10 +9,6 @@ class LightlikeSurface(PGSurfError):
     """Side tangent norm W is (numerically) zero; curvature is undefined."""
 
 
-class LightlikeLocus(PGSurfError):
-    """A specialized curvature formula hit a vanishing denominator."""
-
-
 class InadmissiblePatch(PGSurfError):
     """Both x-partials vanish; the tangent plane is pseudo-Euclidean."""
 

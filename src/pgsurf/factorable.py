@@ -10,7 +10,7 @@ x(y, z) = f(y)*g(z).  The closed curvature formulas are
                  / (2*|(f*g')^2 - (f'*g)^2|^(3/2))
 
 `closed_K` and `closed_H` are the one implementation of these, over
-arrays of profile values; the scalar and grid APIs call them.  The general
+arrays of profile values; `specialized_grid` sweeps them.  The general
 pipeline of `surface` computes K with an extra factor -eps relative to
 these and H with factor +1 (proven in tests/test_sign_contract.py, see
 README, "Sign conventions"); `cross_check` compares two sweeps under
@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridRejected, InvalidParams, LightlikeLocus
-from .surface import FD_STEP, Jet2, curvature_arrays, fd_components, jet_from_components
+from .errors import GridRejected, InvalidParams
+from .surface import FD_STEP, curvature_arrays, fd_components
 
 __all__ = [
     "ScalarC2",
@@ -35,12 +35,6 @@ __all__ = [
     "CrossCheckReport",
     "closed_K",
     "closed_H",
-    "k_first",
-    "h_first",
-    "k_second",
-    "h_second",
-    "specialized_K",
-    "specialized_H",
     "jet_component_arrays",
     "pipeline_grid",
     "specialized_grid",
@@ -114,7 +108,8 @@ class FactorableSurface:
 
     First kind is parametrized by (x, y), second kind by (y, z); both
     parametrizations keep the two graph coordinates as parameters, so the
-    jets below are exact once f and g carry analytic derivatives.
+    analytic jets of `jet_component_arrays` are exact once f and g carry
+    analytic derivatives.
     """
 
     kind: str
@@ -137,14 +132,6 @@ class FactorableSurface:
         if self.kind == KIND_FIRST:
             return u1 + 0.0 * prod, u2 + 0.0 * prod, prod
         return prod, u1 + 0.0 * prod, u2 + 0.0 * prod
-
-    def position(self, u1: float, u2: float) -> np.ndarray:
-        x, y, z = self.value_arrays(u1, u2)
-        return np.array([float(x), float(y), float(z)])
-
-    def jet(self, u1: float, u2: float) -> Jet2:
-        """The jet at one point: a one-point call of `jet_component_arrays`."""
-        return jet_from_components(self.position(u1, u2), jet_component_arrays(self, [u1], [u2]))
 
 
 # ---------------------------------------------------------------------------
@@ -226,60 +213,6 @@ def closed_H(kind: str, fv, f1, f2, gv, g1, g2):
     (H, undefined), H NaN where undefined; |D|^(3/2) covers timelike
     patches.  Overflow ends as a non-finite H, silently."""
     return _closed_H(kind, (fv, f1, f2, gv, g1, g2), _denominator(kind, fv, f1, gv, g1))
-
-
-def _at_point(kernel, s: FactorableSurface, u1: float, u2: float) -> float:
-    """`kernel` at one point, on one-element arrays like a grid row's (numpy
-    may round a power of a 0-d array differently); raises where undefined."""
-    value, undefined = kernel(s.kind, *_parts(s, [u1], [u2]))
-    if undefined[0]:
-        raise LightlikeLocus(f"{s.kind}-kind denominator vanishes at ({u1}, {u2})")
-    return float(value[0])
-
-
-def _require_kind(s: FactorableSurface, kind: str, name: str) -> None:
-    if s.kind != kind:
-        raise InvalidParams(f"{name} requires a {kind}-kind surface")
-
-
-def specialized_K(s: FactorableSurface, u1: float, u2: float) -> float:
-    """Closed-formula K at one point; raises LightlikeLocus where undefined."""
-    return _at_point(closed_K, s, u1, u2)
-
-
-def specialized_H(s: FactorableSurface, u1: float, u2: float) -> float:
-    """Closed-formula H at one point; raises LightlikeLocus where undefined."""
-    return _at_point(closed_H, s, u1, u2)
-
-
-def k_first(s: FactorableSurface, x: float, y: float) -> float:
-    """Gaussian curvature of z = f(x)*g(y) from the closed formula."""
-    _require_kind(s, KIND_FIRST, "k_first")
-    return specialized_K(s, x, y)
-
-
-def h_first(s: FactorableSurface, x: float, y: float) -> float:
-    """Mean curvature of z = f(x)*g(y) from the closed formula."""
-    _require_kind(s, KIND_FIRST, "h_first")
-    return specialized_H(s, x, y)
-
-
-def k_second(s: FactorableSurface, y: float, z: float) -> float:
-    """Gaussian curvature of x = f(y)*g(z) from the closed formula.
-
-    Where the K numerator vanishes with the denominator (the
-    exponential-times-exponential surfaces of equal rate) the flat limit 0
-    is returned; a vanishing denominator alone raises LightlikeLocus.
-    """
-    _require_kind(s, KIND_SECOND, "k_second")
-    return specialized_K(s, y, z)
-
-
-def h_second(s: FactorableSurface, y: float, z: float) -> float:
-    """Mean curvature of x = f(y)*g(z), with the flat-limit rule of
-    `k_second` applied to the H numerator."""
-    _require_kind(s, KIND_SECOND, "h_second")
-    return specialized_H(s, y, z)
 
 
 # ---------------------------------------------------------------------------

@@ -721,8 +721,11 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
     With budget >= 1, `restarts` may not exceed `budget` (InvalidParams),
     so the evaluations never exceed the budget.  With budget <= 0 the
     initial guess of the first restart is evaluated and returned untouched.
-    `restarts` may not exceed MAX_RESTARTS (InvalidParams).
+    `restarts` may not exceed MAX_RESTARTS, and `k0` must be finite
+    (InvalidParams).
     """
+    if not math.isfinite(k0):
+        raise InvalidParams(f"k0 must be finite, got {k0!r}")
     if restarts > MAX_RESTARTS:
         raise InvalidParams(f"restarts ({restarts}) must not exceed {MAX_RESTARTS}")
     if budget >= 1 and restarts > budget:

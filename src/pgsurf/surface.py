@@ -7,39 +7,32 @@ fundamental form, and the Gaussian and mean curvatures
     K = -eps * (L11*L22 - L12^2) / W^2
     H = -eps * (g2^2*L11 - 2*g1*g2*L12 + g1^2*L22) / (2*W^2)
 
-`curvature_arrays` is the one implementation: it works on arrays of jet
-components and returns masks for lightlike and inadmissible points.  The
-scalar API (`fundamental_data`, `gaussian_curvature`, `mean_curvature`)
-is a one-point call into it that raises at those points instead
-(`require_unmasked`).  `transform_jet` moves jet component arrays by a
-batch of motions in one broadcast.
+A jet is a dict of component arrays: the keys x1..z22 hold the first and
+second partials of (x, y, z), as `factorable.jet_component_arrays` and
+`fd_components` return them.  `curvature_arrays` is the one implementation:
+it works on those arrays and returns masks for lightlike and inadmissible
+points.  `gaussian_curvature` and `mean_curvature` are one-point views of
+it that raise at those points instead (`require_unmasked`).
+`transform_jet` moves jet component arrays by a batch of motions in one
+broadcast.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import IsoVector, Motion
+from .core import Motion
 from .errors import InadmissiblePatch, LightlikeSurface
 
 __all__ = [
-    "Jet2",
-    "FundamentalData",
-    "FirstForm",
-    "first_form",
-    "fundamental_data",
     "gaussian_curvature",
     "mean_curvature",
     "transform_jet",
     "require_unmasked",
-    "jet_components",
-    "jet_from_components",
     "fd_components",
-    "finite_difference_jet",
     "curvature_arrays",
     "W_TOL",
     "ADMISSIBLE_TOL",
@@ -50,93 +43,14 @@ W_TOL = 1e-10          # W below this counts as lightlike; curvature calls fail 
 ADMISSIBLE_TOL = 1e-12  # |x_,i| threshold for admissibility
 FD_STEP = 1e-4          # default finite-difference step scale
 
-
-@dataclass(frozen=True)
-class Jet2:
-    """Value and first/second partials of an immersion at one point.
-
-    The single ``r12`` slot serves both mixed partials.
-    """
-
-    r: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    r11: np.ndarray
-    r12: np.ndarray
-    r22: np.ndarray
-
-    def __post_init__(self):
-        for name in ("r", "r1", "r2", "r11", "r12", "r22"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (3,):
-                raise ValueError(f"Jet2.{name} must have shape (3,), got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"Jet2.{name} must be finite, got {arr}")
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class FirstForm:
-    """Coefficients of ds^2 = (g1 du1 + g2 du2)^2 on non-isotropic
-    directions; h11, h12, h22 are those of the transverse part."""
-
-    g1: float
-    g2: float
-    h11: float
-    h12: float
-    h22: float
-
-
-@dataclass(frozen=True)
-class FundamentalData:
-    """Per-point bundle: first/second form coefficients, W, epsilon, N."""
-
-    g1: float
-    g2: float
-    h11: float
-    h12: float
-    h22: float
-    W: float
-    epsilon: int
-    N: IsoVector
-    L11: float
-    L12: float
-    L22: float
-
-
-def first_form(j: Jet2) -> FirstForm:
-    """First fundamental form coefficients of a jet."""
-    _, y1, z1 = j.r1
-    _, y2, z2 = j.r2
-    return FirstForm(
-        g1=float(j.r1[0]),
-        g2=float(j.r2[0]),
-        h11=float(y1 * y1 + z1 * z1),
-        h12=float(y1 * y2 + z1 * z2),
-        h22=float(y2 * y2 + z2 * z2),
-    )
-
-
 _SLOTS = ("1", "2", "11", "12", "22")
 _COMPONENT_KEYS = tuple(f"{axis}{slot}" for slot in _SLOTS for axis in "xyz")
 
 
-def jet_components(jets: Sequence[Jet2]) -> dict:
-    """The component arrays x1..z22 of `curvature_arrays`, one entry per jet."""
-    d = np.array([(j.r1, j.r2, j.r11, j.r12, j.r22) for j in jets])
-    return {f"{axis}{slot}": d[:, i, a] for i, slot in enumerate(_SLOTS)
-            for a, axis in enumerate("xyz")}
-
-
-def jet_from_components(r, comp: dict) -> Jet2:
-    """The jet with value `r` and the one-point components x1..z22 of `comp`,
-    each of one element in any shape."""
-    return Jet2(r, *(np.concatenate([np.ravel(comp[f"{a}{s}"]) for a in "xyz"]) for s in _SLOTS))
-
-
 def require_unmasked(out: dict, i) -> None:
-    """Raise the scalar API's error if the `curvature_arrays` output `out`
-    masks point `i`: `InadmissiblePatch` first, then `LightlikeSurface`."""
+    """Raise the error of the one-point views if the `curvature_arrays`
+    output `out` masks point `i`: `InadmissiblePatch` first, then
+    `LightlikeSurface`."""
     if out["inadmissible"][i]:
         raise InadmissiblePatch("both x-partials vanish; patch is pseudo-Euclidean")
     if out["lightlike"][i]:
@@ -144,30 +58,19 @@ def require_unmasked(out: dict, i) -> None:
                                "curvature undefined")
 
 
-def _at_point(j: Jet2) -> dict:
-    """`curvature_arrays` of one jet; raises where it would mask the point."""
-    out = curvature_arrays(jet_components([j]))
+def gaussian_curvature(comp: dict) -> float:
+    """K of the one-point jet `comp`, components whose broadcast shape is
+    (1,); raises where `curvature_arrays` masks the point."""
+    out = curvature_arrays(comp)
     require_unmasked(out, 0)
-    return out
+    return float(out["K"][0])
 
 
-def fundamental_data(j: Jet2) -> FundamentalData:
-    ff = first_form(j)
-    out = _at_point(j)
-    return FundamentalData(
-        g1=ff.g1, g2=ff.g2, h11=ff.h11, h12=ff.h12, h22=ff.h22,
-        W=float(out["W"][0]), epsilon=int(out["eps"][0]),
-        N=IsoVector(float(out["ny"][0]), float(out["nz"][0])),
-        L11=float(out["L11"][0]), L12=float(out["L12"][0]), L22=float(out["L22"][0]),
-    )
-
-
-def gaussian_curvature(j: Jet2) -> float:
-    return float(_at_point(j)["K"][0])
-
-
-def mean_curvature(j: Jet2) -> float:
-    return float(_at_point(j)["H"][0])
+def mean_curvature(comp: dict) -> float:
+    """H of the one-point jet `comp`; raises like `gaussian_curvature`."""
+    out = curvature_arrays(comp)
+    require_unmasked(out, 0)
+    return float(out["H"][0])
 
 
 def transform_jet(motions: Sequence[Motion], comp: dict) -> dict:
@@ -227,14 +130,6 @@ def fd_components(value: Callable, u1, u2, step: float = FD_STEP) -> tuple:
         out[f"{axis}22"] = (zp[i] - 2.0 * c[i] + zm[i]) / h2 ** 2
         out[f"{axis}12"] = (pp[i] - pm[i] - mp[i] + mm[i]) / (4.0 * h1 * h2)
     return c, out
-
-
-def finite_difference_jet(value: Callable[[float, float], np.ndarray],
-                          u1: float, u2: float,
-                          step: float = FD_STEP) -> Jet2:
-    """Jet from the central differences of `fd_components`."""
-    return jet_from_components(*fd_components(
-        lambda a, b: np.asarray(value(a, b), dtype=float), u1, u2, step))
 
 
 # ---------------------------------------------------------------------------

@@ -242,13 +242,9 @@ def test_criterion_05_closed_form_substitution():
 
 def test_criterion_06_motion_invariance():
     """K and H fields unchanged under 10 random motions to 1e-8."""
-    from pgsurf.surface import (
-        gaussian_curvature,
-        jet_components,
-        jet_from_components,
-        mean_curvature,
-        transform_jet,
-    )
+    from pgsurf.surface import gaussian_curvature, mean_curvature
+
+    from one_point import jet, moved
 
     rng = np.random.default_rng(SEED + 4)
     motions = [Motion(*(float(v) for v in rng.uniform(-1, 1, size=6))) for _ in range(10)]
@@ -264,12 +260,12 @@ def test_criterion_06_motion_invariance():
         grid = default_grid(surface, 5, 5)
         U1, U2 = grid.mesh()
         for u1, u2 in zip(U1.ravel()[::3], U2.ravel()[::3]):
-            jet = surface.jet(float(u1), float(u2))
-            k_ref, h_ref = gaussian_curvature(jet), mean_curvature(jet)
+            comp = jet(surface, float(u1), float(u2))
+            k_ref, h_ref = gaussian_curvature(comp), mean_curvature(comp)
             for m in motions:
-                moved = jet_from_components(jet.r, transform_jet([m], jet_components([jet])))
-                worst = max(worst, abs(gaussian_curvature(moved) - k_ref),
-                            abs(mean_curvature(moved) - h_ref))
+                comp_m = moved(m, comp)
+                worst = max(worst, abs(gaussian_curvature(comp_m) - k_ref),
+                            abs(mean_curvature(comp_m) - h_ref))
     assert worst < 1e-8
     _report(f"criterion 6: curvature fields motion-invariant (worst gap {worst:.2e})")
 

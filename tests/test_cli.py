@@ -11,7 +11,9 @@ from pgsurf.cli import MAX_GRID_POINTS, _build_grid, main
 from pgsurf.core import Motion
 from pgsurf.factorable import GridSpec, default_grid
 from pgsurf.families import family_surface
-from pgsurf.surface import Jet2, gaussian_curvature, mean_curvature
+from pgsurf.surface import gaussian_curvature, mean_curvature
+
+from one_point import jet
 
 
 def write_config(tmp_path, name, payload):
@@ -100,17 +102,21 @@ class TestCurvature:
         assert main(["curvature", "--config", str(broken)]) == 2
 
 
-def _moved_jet(m, jet):
-    """Reference for the batched suite: one motion on one jet, in the
-    per-jet `Jet2` arithmetic, translation included."""
+def _moved_jet(m, value, comp):
+    """Reference for the batched suite: one motion on the position `value`
+    (x, y, z) and the one-point jet `comp`, slot by slot in per-point
+    arithmetic, translation included: the moved value and components."""
     ch, sh = math.cosh(m.theta), math.sinh(m.theta)
 
-    def lin(v):
-        return np.array([v[0], m.a3 * v[0] + ch * v[1] + sh * v[2],
-                         m.a5 * v[0] + sh * v[1] + ch * v[2]])
+    def lin(x, y, z):
+        return x, m.a3 * x + ch * y + sh * z, m.a5 * x + sh * y + ch * z
 
-    return Jet2(lin(jet.r) + np.array([m.a1, m.a2, m.a4]),
-                lin(jet.r1), lin(jet.r2), lin(jet.r11), lin(jet.r12), lin(jet.r22))
+    x, y, z = lin(*value)
+    moved = {}
+    for slot in ("1", "2", "11", "12", "22"):
+        moved.update(zip((f"x{slot}", f"y{slot}", f"z{slot}"),
+                         lin(*(comp[f"{a}{slot}"] for a in "xyz"))))
+    return (m.a1 + x, m.a2 + y, m.a4 + z), moved
 
 
 class TestVerify:
@@ -194,10 +200,11 @@ class TestVerify:
             worst = 0.0
             for u1 in a1[:: max(1, n // 6)]:
                 for u2 in a2[:: max(1, n // 6)]:
-                    jet = surface.jet(float(u1), float(u2))
-                    k_ref, h_ref = gaussian_curvature(jet), mean_curvature(jet)
+                    value = surface.value_arrays([float(u1)], [float(u2)])
+                    comp = jet(surface, float(u1), float(u2))
+                    k_ref, h_ref = gaussian_curvature(comp), mean_curvature(comp)
                     for m in motions:
-                        moved = _moved_jet(m, jet)
+                        _, moved = _moved_jet(m, value, comp)
                         worst = max(worst, abs(gaussian_curvature(moved) - k_ref),
                                     abs(mean_curvature(moved) - h_ref))
             assert suite["motions"] == count
@@ -269,7 +276,7 @@ class TestVerify:
          "both x-partials vanish; patch is pseudo-Euclidean"),
     ])
     def test_masked_sample_point_raises_the_scalar_error(self, tmp_path, capsys, family, message):
-        # the error of the scalar API at the first masked node in u1-major order
+        # the error of `gaussian_curvature` at the first masked node in u1-major order
         out = tmp_path / "v.json"
         capsys.readouterr()
         assert main(["verify", *(a for kv in family for a in ("--set", kv)),
@@ -287,6 +294,7 @@ class TestVerify:
         "perturb=5", "perturb=[]", "family=5", "output=5", "output=null",
         "motions=10001", "motions=100000000", "seed=-1",
         "output.json=7", "output.json=[1]", "output.json=true", "output.json=null",
+        "motions=2.5", "motions=true", "seed=0.5", "seed=false",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "vb.json", {"family": {"name": "thm31", "k0": 1.0},
@@ -343,6 +351,7 @@ class TestReconstruct:
         ("3.1", "span=[0,1e12]"), ("3.1", "h=1e-300"), ("3.2", "length=1e12"),
         ("4.2", "length=1e12"), ("3.1", "output=5"), ("4.2", "output=[]"),
         ("3.1", "output.json=7"), ("3.2", "output.json=[1]"), ("4.2", "output.json=true"),
+        ("3.1", "sign=0.5"), ("3.1", "sign=-1.5"), ("3.1", "sign=true"), ("3.1", "sign=[1]"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, theorem, override):
         out = tmp_path / "out.json"
@@ -369,6 +378,9 @@ class TestProbe:
         "output.json=7", "output.json=[1]", "output.json=true", "seed=-1",
         "k0=nan", "k0=NaN", "k0=inf", "k0=-Infinity", "k0=1e400",
         "floor=nan", "floor=NaN", "floor=Infinity", "floor=-inf",
+        "budget=60.9", "budget=true", "restarts=-5", "restarts=1.5", "restarts=true",
+        "seed=1.5", "seed=true", "degree_f=1.5", "degree_f=-1", "degree_g=true",
+        "grid.n1=9.5", "grid.n2=false", "grid.n1=-9",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "pm.json", {"k0": 1.0, "budget": 10,
@@ -461,6 +473,7 @@ class TestConfigValidation:
         "grid.n1=abc", "grid.n2=[3]", "grid.n1=Infinity", "grid.u1=[0]", "grid.u2=[0,1,2]",
         "grid.u1=abc", "grid.u2=[0,\"x\"]", "grid.u1=[null,1]", "grid=7", "grid=null",
         'grid={"n1": 100000, "n2": 100000}', 'grid={"n1": 2000, "n2": 2001}',
+        "grid.n1=4.5", "grid.n2=true",
     ])
     def test_malformed_grid_keys(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path, "g.json", {"family": {"name": "thm31", "k0": 1.0}})

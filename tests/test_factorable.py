@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgsurf.errors import GridRejected, InvalidParams, LightlikeLocus, PGSurfError
+from pgsurf.errors import GridRejected, InvalidParams, PGSurfError
 from pgsurf.factorable import (
     FactorableSurface,
     GridSpec,
@@ -14,18 +15,14 @@ from pgsurf.factorable import (
     closed_K,
     cross_check,
     default_grid,
-    h_first,
-    h_second,
     jet_component_arrays,
-    k_first,
-    k_second,
     pipeline_grid,
-    specialized_H,
-    specialized_K,
     specialized_grid,
 )
 from pgsurf.families import family_surface, thm31_family, thm32_family
-from pgsurf.surface import curvature_arrays, finite_difference_jet, gaussian_curvature, mean_curvature
+from pgsurf.surface import curvature_arrays, gaussian_curvature, mean_curvature
+
+from one_point import closed, closed_value, jet
 
 SADDLE = FactorableSurface("first", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
 EXP = ScalarC2(np.exp, np.exp, np.exp, name="exp")
@@ -60,18 +57,18 @@ class TestScalarC2:
 
 class TestKFirst:
     def test_saddle_origin(self):
-        assert k_first(SADDLE, 0.0, 0.0) == -1.0
+        assert closed_value(closed_K, SADDLE, 0.0, 0.0) == -1.0
 
     @settings(max_examples=40, deadline=None)
     @given(small, small, small)
     def test_constant_factor_flattens(self, c, x, y):
         s = FactorableSurface("first", QUAD, ScalarC2.constant(c))
-        assert k_first(s, x, y) == 0.0
+        assert closed_value(closed_K, s, x, y) == 0.0
 
     def test_tanh_times_linear_is_minus_one(self):
         s = thm31_family(1.0)
         for x, y in [(-1.2, 0.3), (0.0, -0.7), (0.9, 2.0)]:
-            assert k_first(s, x, y) == pytest.approx(-1.0, abs=1e-12)
+            assert closed_value(closed_K, s, x, y) == pytest.approx(-1.0, abs=1e-12)
 
     def test_tanh_against_fd_pipeline_oracle(self):
         # independent route: finite differences of the parametrization, then
@@ -79,18 +76,13 @@ class TestKFirst:
         # eps = +1 on this spacelike family
         s = thm31_family(1.0)
         for x, y in [(0.25, -0.4), (-0.6, 1.1)]:
-            fd = finite_difference_jet(s.position, x, y)
-            assert -gaussian_curvature(fd) == pytest.approx(k_first(s, x, y), abs=1e-5)
+            fd = jet(s, x, y, mode="fd")
+            assert -gaussian_curvature(fd) == pytest.approx(closed_value(closed_K, s, x, y), abs=1e-5)
 
     def test_lightlike_locus_raises(self):
         s = FactorableSurface("first", ScalarC2.constant(1.0), ScalarC2.linear(1.0))
-        with pytest.raises(LightlikeLocus):
-            k_first(s, 0.2, 0.4)
-
-    def test_wrong_kind_rejected(self):
-        s = FactorableSurface("second", QUAD, QUAD)
-        with pytest.raises(InvalidParams):
-            k_first(s, 0.1, 0.1)
+        K, undefined = closed(closed_K, s, 0.2, 0.4)
+        assert undefined and math.isnan(K)
 
 
 class TestHFirst:
@@ -101,26 +93,26 @@ class TestHFirst:
         # skip the lightlike locus (f g')^2 = 1
         if abs(1.0 - (float(QUAD(x)) * 0.5) ** 2) < 1e-6:
             return
-        assert h_first(s, x, y) == 0.0
+        assert closed_value(closed_H, s, x, y) == 0.0
 
     def test_sqrt_profile_unit_mean_curvature(self):
         s = thm32_family(1.0, causal="spacelike")
         lo = s.g.domain[0]
         for y in (lo + 0.2, lo + 0.6, lo + 1.4):
-            assert abs(h_first(s, 0.0, y)) == pytest.approx(1.0, abs=1e-10)
+            assert abs(closed_value(closed_H, s, 0.0, y)) == pytest.approx(1.0, abs=1e-10)
 
     def test_plugin_arithmetic_example(self):
         # f = 2, g = y^2/4: at y = 0, H = f g''/2 = 2*(1/2)/2 = 1/2
         g = ScalarC2(lambda t: t**2 / 4.0, lambda t: t / 2.0, lambda t: 0.5 + 0.0 * t)
         s = FactorableSurface("first", ScalarC2.constant(2.0), g)
-        assert h_first(s, 0.0, 0.0) == pytest.approx(0.5, abs=1e-14)
+        assert closed_value(closed_H, s, 0.0, 0.0) == pytest.approx(0.5, abs=1e-14)
 
 
 class TestKSecond:
     def test_equal_rate_exponentials_flat_limit(self):
         s = FactorableSurface("second", EXP, EXP)
         for y, z in [(0.0, 0.0), (0.5, -0.3), (-1.0, 1.0)]:
-            assert k_second(s, y, z) == 0.0
+            assert closed_value(closed_K, s, y, z) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(small, small, small)
@@ -128,26 +120,24 @@ class TestKSecond:
         s = FactorableSurface("second", ScalarC2.constant(c), QUAD)
         if abs(c) < 1e-3 or abs(z) < 1e-3:
             return  # keep the denominator (c*2z)^4 well away from zero
-        assert k_second(s, y, z) == 0.0
+        assert closed_value(closed_K, s, y, z) == 0.0
 
     def test_plugin_arithmetic_example(self):
         s = poly_surface("second", 1.0, 0.0, 1.0, 0.0)  # f = y, g = z^2
-        assert k_second(s, 1.0, 1.0) == pytest.approx(-4.0 / 9.0, rel=1e-14)
+        assert closed_value(closed_K, s, 1.0, 1.0) == pytest.approx(-4.0 / 9.0, rel=1e-14)
 
     def test_lightlike_without_flat_numerator_raises(self):
         s = FactorableSurface("second", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
-        with pytest.raises(LightlikeLocus):
-            k_second(s, 1.0, 1.0)  # (fg')^2 == (f'g)^2 with nonzero numerator
+        K, undefined = closed(closed_K, s, 1.0, 1.0)  # (fg')^2 == (f'g)^2 with nonzero numerator
+        assert undefined and math.isnan(K)
 
     @settings(max_examples=30, deadline=None)
     @given(small, small)
     def test_role_symmetry(self, y, z):
         a = FactorableSurface("second", QUAD, CUBIC_LOCAL)
         b = FactorableSurface("second", CUBIC_LOCAL, QUAD)
-        try:
-            ka = k_second(a, y, z)
-            kb = k_second(b, z, y)
-        except LightlikeLocus:
+        (ka, a_undefined), (kb, b_undefined) = closed(closed_K, a, y, z), closed(closed_K, b, z, y)
+        if a_undefined or b_undefined:
             return
         if abs(ka) > 1e6:
             return  # near-singular denominators are numerically meaningless
@@ -160,17 +150,17 @@ CUBIC_LOCAL = ScalarC2(lambda t: t**3 + 1.5, lambda t: 3.0 * t**2, lambda t: 6.0
 class TestHSecond:
     def test_linear_pair_lightlike_on_diagonal(self):
         s = FactorableSurface("second", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
-        with pytest.raises(LightlikeLocus):
-            h_second(s, 1.0, 1.0)
+        H, undefined = closed(closed_H, s, 1.0, 1.0)
+        assert undefined and math.isnan(H)
 
     def test_plugin_arithmetic_example(self):
         # f = y, g = z at (1, 2): timelike, H = -4 / (2*3^(3/2))
         s = FactorableSurface("second", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
-        assert h_second(s, 1.0, 2.0) == pytest.approx(-2.0 / 3.0**1.5, rel=1e-14)
+        assert closed_value(closed_H, s, 1.0, 2.0) == pytest.approx(-2.0 / 3.0**1.5, rel=1e-14)
 
     def test_equal_rate_exponentials_minimal(self):
         s = FactorableSurface("second", EXP, EXP)
-        assert h_second(s, 0.3, -0.8) == 0.0
+        assert closed_value(closed_H, s, 0.3, -0.8) == 0.0
 
 
 def _sweeps(s, grid):
@@ -259,9 +249,9 @@ class TestFlatLimitPerQuantity:
 
     def test_product_of_linears_is_minimal_but_not_flat(self):
         s = FactorableSurface("second", ScalarC2.linear(1.0), ScalarC2.linear(1.0))  # x = y*z
-        with pytest.raises(LightlikeLocus):
-            k_second(s, 0.0, 0.0)
-        assert h_second(s, 0.0, 0.0) == 0.0
+        K, undefined = closed(closed_K, s, 0.0, 0.0)
+        assert undefined and math.isnan(K)
+        assert closed_value(closed_H, s, 0.0, 0.0) == 0.0
         data = specialized_grid(s, self.ORIGIN)
         assert data["excluded"][1, 1]
         assert np.isnan(data["K"][1, 1])
@@ -273,9 +263,9 @@ class TestFlatLimitPerQuantity:
         g = ScalarC2(lambda t: 1.0 + t + t * t / 4.0, lambda t: 1.0 + t / 2.0,
                      lambda t: 0.5 + 0.0 * t)
         s = FactorableSurface("second", f, g)
-        assert k_second(s, 0.0, 0.0) == 0.0
-        with pytest.raises(LightlikeLocus):
-            h_second(s, 0.0, 0.0)
+        assert closed_value(closed_K, s, 0.0, 0.0) == 0.0
+        H, undefined = closed(closed_H, s, 0.0, 0.0)
+        assert undefined and math.isnan(H)
         data = specialized_grid(s, self.ORIGIN)
         assert data["excluded"][1, 1]
         assert data["K"][1, 1] == 0.0
@@ -294,12 +284,15 @@ def quadratic(c0, c1, c2):
                     lambda t: 2.0 * c2 + 0.0 * t)
 
 
-def same(scalar_view, grid_value):
-    """The scalar view's value equals the grid's bit for bit; where the
-    scalar view raises, the grid holds NaN."""
+def same(one_point, grid_value):
+    """The one-point value equals the grid's bit for bit; where the
+    one-point call raises, or flags the point undefined, the grid holds
+    NaN."""
     try:
-        value = scalar_view()
+        value, undefined = one_point()
     except PGSurfError:
+        undefined = True
+    if undefined:
         return bool(np.isnan(grid_value))
     return value.hex() == float(grid_value).hex()
 
@@ -314,14 +307,14 @@ class TestScalarViewsEqualGrids:
         grid = GridSpec(u1, u2, n1, n2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            closed, pipe = specialized_grid(s, grid), pipeline_grid(s, grid)
-        for (i, j), a in np.ndenumerate(closed["U1"]):
-            a, b = float(a), float(closed["U2"][i, j])
-            jet = s.jet(a, b)
-            assert same(lambda: specialized_K(s, a, b), closed["K"][i, j])
-            assert same(lambda: specialized_H(s, a, b), closed["H"][i, j])
-            assert same(lambda: gaussian_curvature(jet), pipe["K"][i, j])
-            assert same(lambda: mean_curvature(jet), pipe["H"][i, j])
+            sweep, pipe = specialized_grid(s, grid), pipeline_grid(s, grid)
+        for (i, j), a in np.ndenumerate(sweep["U1"]):
+            a, b = float(a), float(sweep["U2"][i, j])
+            comp = jet(s, a, b)
+            assert same(lambda: closed(closed_K, s, a, b), sweep["K"][i, j])
+            assert same(lambda: closed(closed_H, s, a, b), sweep["H"][i, j])
+            assert same(lambda: (gaussian_curvature(comp), False), pipe["K"][i, j])
+            assert same(lambda: (mean_curvature(comp), False), pipe["H"][i, j])
 
 
 def _mesh_pipeline(s, grid, mode):

@@ -3,7 +3,7 @@ import pytest
 
 from pgsurf.core import Motion
 from pgsurf.errors import DomainError, InvalidParams, LightlikeSurface
-from pgsurf.factorable import default_grid, specialized_grid
+from pgsurf.factorable import closed_H, closed_K, default_grid, specialized_grid
 from pgsurf.families import (
     family_surface,
     fixtures_flat_minimal,
@@ -13,19 +13,21 @@ from pgsurf.families import (
     thm32_family,
     thm42_family,
 )
-from pgsurf.factorable import h_first, h_second, k_first, k_second
-from pgsurf.surface import (
-    fundamental_data,
-    gaussian_curvature,
-    jet_components,
-    jet_from_components,
-    mean_curvature,
-    transform_jet,
-)
+from pgsurf.surface import gaussian_curvature, mean_curvature
+
+from one_point import closed_value, jet, moved, point_data
 
 
-def epsilon(jet):
-    return fundamental_data(jet).epsilon
+def k_closed(s, u1, u2):
+    return closed_value(closed_K, s, u1, u2)
+
+
+def h_closed(s, u1, u2):
+    return closed_value(closed_H, s, u1, u2)
+
+
+def epsilon(comp):
+    return point_data(comp)["eps"]
 
 
 def field_stats(surface, field="K", n=25):
@@ -48,13 +50,13 @@ class TestThm31:
         plain = thm31_family(k0, lam1=0.0)
         rho = np.sqrt(k0)
         for x, y in [(0.1, 0.5), (-0.7, 1.0)]:
-            assert k_first(shifted, x, y) == pytest.approx(
-                k_first(plain, x + lam1 / rho, y), abs=1e-12)
+            assert k_closed(shifted, x, y) == pytest.approx(
+                k_closed(plain, x + lam1 / rho, y), abs=1e-12)
 
     def test_mirror_sign_leaves_k(self):
         a, b = thm31_family(1.3, sign=1), thm31_family(1.3, sign=-1)
         for x, y in [(0.2, 0.3), (-1.0, 0.9)]:
-            assert k_first(a, x, y) == pytest.approx(k_first(b, x, y), abs=1e-12)
+            assert k_closed(a, x, y) == pytest.approx(k_closed(b, x, y), abs=1e-12)
 
     def test_invalid_k0(self):
         with pytest.raises(InvalidParams):
@@ -68,29 +70,29 @@ class TestThm32:
         # plus radicand: defined for all y, pipeline H equals +h0
         s = thm32_family(0.5, causal="timelike")
         for y in (-2.0, 0.0, 1.5):
-            assert h_first(s, 0.0, y) == pytest.approx(0.5, abs=1e-12)
+            assert h_closed(s, 0.0, y) == pytest.approx(0.5, abs=1e-12)
 
     def test_spacelike_variant_mean_curvature(self):
         # minus radicand: needs (2 h0 y + lam1)^2 > 1, carries H = -h0
         s = thm32_family(0.5, causal="spacelike")
         lo = s.g.domain[0]
         for y in (lo + 0.3, lo + 1.0):
-            assert h_first(s, 0.0, y) == pytest.approx(-0.5, abs=1e-12)
+            assert h_closed(s, 0.0, y) == pytest.approx(-0.5, abs=1e-12)
 
     def test_variant_names_vs_measured_epsilon(self):
         # the statement's labels are swapped relative to the measured causal
         # character: the 'timelike'-named variant measures spacelike (+1)
         tl = thm32_family(0.5, causal="timelike")
         sp = thm32_family(0.5, causal="spacelike")
-        assert epsilon(tl.jet(0.0, 0.3)) == 1
+        assert epsilon(jet(tl, 0.0, 0.3)) == 1
         lo = sp.g.domain[0]
-        assert epsilon(sp.jet(0.0, lo + 0.5)) == -1
+        assert epsilon(jet(sp, 0.0, lo + 0.5)) == -1
 
     def test_lam2_translation_leaves_h(self):
         a = thm32_family(1.0, lam2=0.0, causal="timelike")
         b = thm32_family(1.0, lam2=5.0, causal="timelike")
         for y in (-0.5, 0.7):
-            assert h_first(a, 0.0, y) == h_first(b, 0.0, y)
+            assert h_closed(a, 0.0, y) == h_closed(b, 0.0, y)
 
     def test_domain_guard(self):
         s = thm32_family(0.5, causal="spacelike")
@@ -112,32 +114,32 @@ class TestThm42:
         zs = np.array([0.4])
         assert np.allclose(s.f(ys) * s.g(zs), np.exp(ys + np.sqrt(zs**2 + 1.0)), atol=1e-12)
         for y, z in [(0.0, 0.0), (0.5, -1.0), (-0.3, 0.8)]:
-            assert abs(h_second(s, y, z)) == pytest.approx(0.5, abs=1e-12)
+            assert abs(h_closed(s, y, z)) == pytest.approx(0.5, abs=1e-12)
 
     def test_spacelike_variant(self):
         s = thm42_family(0.5, causal="spacelike")
         lo = s.g.domain[0]
         for z in (lo + 0.3, lo + 1.2):
-            assert abs(h_second(s, 0.2, z)) == pytest.approx(0.5, abs=1e-11)
+            assert abs(h_closed(s, 0.2, z)) == pytest.approx(0.5, abs=1e-11)
 
     def test_names_match_measured_epsilon(self):
         tl = thm42_family(0.5, causal="timelike")
-        assert epsilon(tl.jet(0.0, 0.0)) == -1
+        assert epsilon(jet(tl, 0.0, 0.0)) == -1
         sp = thm42_family(0.5, causal="spacelike")
         lo = sp.g.domain[0]
-        assert epsilon(sp.jet(0.0, lo + 0.5)) == 1
+        assert epsilon(jet(sp, 0.0, lo + 0.5)) == 1
 
     def test_lam1_scaling_leaves_h(self):
         a = thm42_family(0.5, lam1=1.0)
         b = thm42_family(0.5, lam1=3.0)
         for y, z in [(0.1, 0.2), (-0.4, 0.9)]:
-            assert h_second(a, y, z) == pytest.approx(h_second(b, y, z), rel=1e-12)
+            assert h_closed(a, y, z) == pytest.approx(h_closed(b, y, z), rel=1e-12)
 
     def test_rate_sign_flip_keeps_magnitude(self):
         a = thm42_family(0.5, lam2=1.0)
         b = thm42_family(0.5, lam2=-1.0)
         for y, z in [(0.0, 0.0), (0.3, -0.6)]:
-            assert abs(h_second(a, y, z)) == pytest.approx(abs(h_second(b, y, z)), rel=1e-12)
+            assert abs(h_closed(a, y, z)) == pytest.approx(abs(h_closed(b, y, z)), rel=1e-12)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
@@ -155,23 +157,23 @@ class TestFixtures:
 
         lin = fixtures["linear"].surface
         for y in (-1.0, 0.0, 2.0):
-            assert k_first(lin, 0.0, y) == 0.0
-            assert h_first(lin, 0.0, y) == 0.0
+            assert k_closed(lin, 0.0, y) == 0.0
+            assert h_closed(lin, 0.0, y) == 0.0
 
         saddle = fixtures["saddle"].surface
-        assert k_first(saddle, 0.0, 0.0) == -1.0
+        assert k_closed(saddle, 0.0, 0.0) == -1.0
         for x, y in [(0.3, -0.2), (0.5, 0.5)]:
-            assert h_first(saddle, x, y) == 0.0
+            assert h_closed(saddle, x, y) == 0.0
 
         ee = fixtures["exp_exp"].surface
-        assert k_second(ee, 0.2, -0.4) == 0.0
+        assert k_closed(ee, 0.2, -0.4) == 0.0
         with pytest.raises(LightlikeSurface):
-            fundamental_data(ee.jet(0.2, -0.4))
+            point_data(jet(ee, 0.2, -0.4))
 
     def test_fixture_expected_annotations(self):
         for fx in fixtures_flat_minimal():
             if fx.expected_K is not None and fx.label != "exp_exp":
-                assert k_first(fx.surface, 0.1, 0.2) == pytest.approx(fx.expected_K, abs=1e-12)
+                assert k_closed(fx.surface, 0.1, 0.2) == pytest.approx(fx.expected_K, abs=1e-12)
 
 
 class TestParameterSweep:
@@ -197,7 +199,7 @@ class TestParameterSweep:
 
     def test_family_surface_by_name(self):
         s = family_surface("thm31", {"k0": 2.0, "lam1": 0.1})
-        assert k_first(s, 0.0, 0.0) == pytest.approx(-2.0, abs=1e-12)
+        assert k_closed(s, 0.0, 0.0) == pytest.approx(-2.0, abs=1e-12)
         with pytest.raises(InvalidParams):
             family_surface("nope")
         with pytest.raises(InvalidParams):
@@ -212,21 +214,21 @@ class TestMotionInvariance:
         U1, U2 = grid.mesh()
         m = Motion(*rng.uniform(-1, 1, size=6))
         for u1, u2 in zip(U1.ravel()[::5], U2.ravel()[::5]):
-            jet = s.jet(float(u1), float(u2))
-            moved = jet_from_components(jet.r, transform_jet([m], jet_components([jet])))
-            assert gaussian_curvature(moved) == pytest.approx(gaussian_curvature(jet), abs=1e-8)
-            assert mean_curvature(moved) == pytest.approx(mean_curvature(jet), abs=1e-8)
+            comp = jet(s, float(u1), float(u2))
+            comp_m = moved(m, comp)
+            assert gaussian_curvature(comp_m) == pytest.approx(gaussian_curvature(comp), abs=1e-8)
+            assert mean_curvature(comp_m) == pytest.approx(mean_curvature(comp), abs=1e-8)
 
 
 class TestPerturbation:
     def test_identity_scale_keeps_constancy(self):
         s = perturb_exponent(thm42_family(0.5), 1.0)
         for y, z in [(0.0, 0.0), (0.3, 0.5)]:
-            assert abs(h_second(s, y, z)) == pytest.approx(0.5, abs=1e-12)
+            assert abs(h_closed(s, y, z)) == pytest.approx(0.5, abs=1e-12)
 
     def test_scaled_exponent_breaks_constancy(self):
         s = perturb_exponent(thm42_family(0.5), 1.01)
-        values = [abs(h_second(s, y, z)) for y in (0.0, 0.4) for z in (-0.8, 0.0, 0.9)]
+        values = [abs(h_closed(s, y, z)) for y in (0.0, 0.4) for z in (-0.8, 0.0, 0.9)]
         assert np.max(np.abs(np.array(values) - 0.5)) > 1e-3
 
     def test_requires_positive_g(self):

@@ -452,6 +452,11 @@ class TestNonexistenceProbe:
         with pytest.raises(InvalidParams, match=str(MAX_RESTARTS)):
             nonexistence_probe(1.0, budget=budget, restarts=restarts)
 
+    @pytest.mark.parametrize("k0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k0_rejected(self, k0):
+        with pytest.raises(InvalidParams, match="k0 must be finite"):
+            nonexistence_probe(k0, budget=10)
+
     @pytest.mark.parametrize("budget,restarts", [(10, 10), (10, 3), (7, 1), (1, 1)])
     def test_evaluations_within_budget(self, budget, restarts):
         report = nonexistence_probe(1.0, budget=budget, restarts=restarts, seed=3)

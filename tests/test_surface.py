@@ -8,66 +8,77 @@ from pgsurf.errors import InadmissiblePatch, LightlikeSurface
 from pgsurf.factorable import FactorableSurface, ScalarC2
 from pgsurf.families import thm31_family, thm32_family, thm42_family
 from pgsurf.surface import (
-    Jet2,
     curvature_arrays,
-    finite_difference_jet,
-    first_form,
-    fundamental_data,
+    fd_components,
     gaussian_curvature,
-    jet_components,
-    jet_from_components,
     mean_curvature,
     require_unmasked,
     transform_jet,
 )
 
+from one_point import jet, moved, point_data
+
+SLOTS = ("1", "2", "11", "12", "22")
+
 # generic smooth factor functions with analytic derivatives
 QUAD = ScalarC2(lambda t: t**2 + 1.0, lambda t: 2.0 * t, lambda t: 2.0 + 0.0 * t)
 CUBIC = ScalarC2(lambda t: t**3 - 2.0 * t, lambda t: 3.0 * t**2 - 2.0, lambda t: 6.0 * t)
 SADDLE = FactorableSurface("first", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
-PLANE_JET = Jet2([0.3, 0.7, 0.0], [1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0])
+
+
+def components(r1, r2, r11, r12, r22):
+    """The one-point jet with these partials, each an (x, y, z) triple."""
+    return {f"{a}{slot}": np.array([float(v[i])])
+            for slot, v in zip(SLOTS, (r1, r2, r11, r12, r22)) for i, a in enumerate("xyz")}
+
+
+PLANE_JET = components([1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0])
+PSEUDO_EUCLIDEAN_JET = components([0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0])
 
 
 def omega1(f=QUAD, g=CUBIC):
     return FactorableSurface("first", f, g)
 
 
-def admissible(jet):
-    return not curvature_arrays(jet_components([jet]))["inadmissible"][0]
+def admissible(comp):
+    return not curvature_arrays(comp)["inadmissible"][0]
 
 
 class TestAdmissible:
     def test_first_kind_graph_always_admissible(self):
-        assert admissible(omega1().jet(0.4, -1.1))
+        assert admissible(jet(omega1(), 0.4, -1.1))
 
     def test_pseudo_euclidean_patch(self):
-        jet = Jet2([1.0, 0.2, 0.5], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0])
-        assert not admissible(jet)
+        assert not admissible(PSEUDO_EUCLIDEAN_JET)
         with pytest.raises(InadmissiblePatch):
-            fundamental_data(jet)
+            point_data(PSEUDO_EUCLIDEAN_JET)
 
     def test_second_kind_condition(self):
         # x = f(y) g(z) is admissible exactly where f'g or fg' is nonzero
         s = FactorableSurface("second", QUAD, QUAD)
-        assert not admissible(s.jet(0.0, 0.0))  # f' = 0 and g' = 0 there
-        assert admissible(s.jet(1.0, 1.0))
+        assert not admissible(jet(s, 0.0, 0.0))  # f' = 0 and g' = 0 there
+        assert admissible(jet(s, 1.0, 1.0))
 
 
 class TestFirstForm:
     def test_omega1_coefficients(self):
+        # g1, g2 from the kernel; the transverse coefficients h11, h12, h22
+        # from the jet components
         f, g = QUAD, CUBIC
         x, y = 0.7, -0.4
-        ff = first_form(omega1().jet(x, y))
+        comp = jet(omega1(), x, y)
+        d = point_data(comp)
+        y1, z1, y2, z2 = (float(np.ravel(comp[k])[0]) for k in ("y1", "z1", "y2", "z2"))
         fp_g = float(f.deriv(x) * g(y))
         f_gp = float(f(x) * g.deriv(y))
-        assert ff.g1 == 1.0 and ff.g2 == 0.0
-        assert ff.h11 == pytest.approx(fp_g**2, rel=1e-14)
-        assert ff.h12 == pytest.approx(fp_g * f_gp, rel=1e-14)
-        assert ff.h22 == pytest.approx(1.0 + f_gp**2, rel=1e-14)
+        assert d["g1"] == 1.0 and d["g2"] == 0.0
+        assert y1 * y1 + z1 * z1 == pytest.approx(fp_g**2, rel=1e-14)
+        assert y1 * y2 + z1 * z2 == pytest.approx(fp_g * f_gp, rel=1e-14)
+        assert y2 * y2 + z2 * z2 == pytest.approx(1.0 + f_gp**2, rel=1e-14)
 
     def test_plane(self):
-        ff = first_form(PLANE_JET)
-        assert (ff.g1, ff.g2, ff.h11, ff.h12, ff.h22) == (1.0, 0.0, 0.0, 0.0, 1.0)
+        d = point_data(PLANE_JET)
+        assert (d["g1"], d["g2"], d["W"]) == (1.0, 0.0, 1.0)
 
 
 class TestSideNorm:
@@ -75,32 +86,32 @@ class TestSideNorm:
         x, y = 0.25, 0.5
         f_gp = float(QUAD(x) * CUBIC.deriv(y))
         expected = np.sqrt(abs(1.0 - f_gp**2))
-        assert fundamental_data(omega1().jet(x, y)).W == pytest.approx(expected, rel=1e-14)
+        assert point_data(jet(omega1(), x, y))["W"] == pytest.approx(expected, rel=1e-14)
 
     def test_saddle_origin(self):
-        assert fundamental_data(SADDLE.jet(0.0, 0.0)).W == 1.0
+        assert point_data(jet(SADDLE, 0.0, 0.0))["W"] == 1.0
 
     def test_lightlike_raises(self):
         # z = y has f g' = 1 everywhere
         s = FactorableSurface("first", ScalarC2.constant(1.0), ScalarC2.linear(1.0))
         with pytest.raises(LightlikeSurface):
-            fundamental_data(s.jet(0.0, 0.0))
+            point_data(jet(s, 0.0, 0.0))
 
 
-def epsilon_and_normal(jet):
-    d = fundamental_data(jet)
-    return d.epsilon, d.N
+def epsilon_and_normal(comp):
+    d = point_data(comp)
+    return d["eps"], IsoVector(d["ny"], d["nz"])
 
 
 class TestEpsilonNormal:
     def test_spacelike_patch(self):
         s = SADDLE  # f g' = x, spacelike for |x| < 1
-        eps, n = epsilon_and_normal(s.jet(0.2, 5.0))
+        eps, n = epsilon_and_normal(jet(s, 0.2, 5.0))
         assert eps == 1
         assert minkowski_dot(n, n) == pytest.approx(-1.0, abs=1e-12)
 
     def test_timelike_patch(self):
-        eps, n = epsilon_and_normal(SADDLE.jet(2.0, 5.0))
+        eps, n = epsilon_and_normal(jet(SADDLE, 2.0, 5.0))
         assert eps == -1
         assert minkowski_dot(n, n) == pytest.approx(1.0, abs=1e-12)
 
@@ -112,7 +123,7 @@ class TestEpsilonNormal:
 
     @pytest.mark.parametrize("u1,u2", [(0.3, -0.2), (1.7, 0.4), (-0.8, 1.3)])
     def test_s_and_n_products(self, u1, u2):
-        eps, n = epsilon_and_normal(omega1().jet(u1, u2))
+        eps, n = epsilon_and_normal(jet(omega1(), u1, u2))
         s_vec = IsoVector(n.z, n.y)  # S = (0, Y, Z)/W mirrors N = (0, Z, Y)/W
         assert minkowski_dot(s_vec, s_vec) == pytest.approx(eps, abs=1e-9)
         assert minkowski_dot(n, n) == pytest.approx(-eps, abs=1e-9)
@@ -124,20 +135,21 @@ class TestSecondForm:
         # L_ij = -eps * z_ij / W
         f, g = QUAD, CUBIC
         x, y = 0.3, 0.9
-        d = fundamental_data(omega1().jet(x, y))
-        eps, W, L11, L12, L22 = d.epsilon, d.W, d.L11, d.L12, d.L22
+        d = point_data(jet(omega1(), x, y))
+        eps, W, L11, L12, L22 = d["eps"], d["W"], d["L11"], d["L12"], d["L22"]
         assert L11 == pytest.approx(-eps * float(f.deriv2(x) * g(y)) / W, rel=1e-12)
         assert L12 == pytest.approx(-eps * float(f.deriv(x) * g.deriv(y)) / W, rel=1e-12)
         assert L22 == pytest.approx(-eps * float(f(x) * g.deriv2(y)) / W, rel=1e-12)
 
     def test_plane_vanishes(self):
-        d = fundamental_data(PLANE_JET)
-        assert (d.L11, d.L12, d.L22) == (0.0, 0.0, 0.0)
+        d = point_data(PLANE_JET)
+        assert (d["L11"], d["L12"], d["L22"]) == (0.0, 0.0, 0.0)
 
     def test_inadmissible_raises(self):
-        jet = Jet2([1.0, 0.2, 0.5], [0, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0])
         with pytest.raises(InadmissiblePatch):
-            fundamental_data(jet)
+            gaussian_curvature(PSEUDO_EUCLIDEAN_JET)
+        with pytest.raises(InadmissiblePatch):
+            mean_curvature(PSEUDO_EUCLIDEAN_JET)
 
 
 class TestCurvatures:
@@ -148,27 +160,30 @@ class TestCurvatures:
     def test_saddle_origin(self):
         # the pipeline K carries the factor -eps relative to the closed
         # first-kind formula, whose value here is -1 (see README)
-        assert gaussian_curvature(SADDLE.jet(0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
+        assert gaussian_curvature(jet(SADDLE, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("u1,u2", [(0.1, 0.4), (0.5, -2.0), (3.0, 1.0)])
     def test_saddle_minimal_everywhere(self, u1, u2):
-        assert mean_curvature(SADDLE.jet(u1, u2)) == pytest.approx(0.0, abs=1e-12)
+        assert mean_curvature(jet(SADDLE, u1, u2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_tanh_family_constant_magnitude(self):
         s = thm31_family(1.0)
-        values = [gaussian_curvature(s.jet(x, y))
+        values = [gaussian_curvature(jet(s, x, y))
                   for x in (-1.0, 0.0, 0.7) for y in (-0.5, 1.2)]
         assert np.allclose(values, 1.0, atol=1e-10)
 
     def test_lightlike_raises(self):
         s = FactorableSurface("first", ScalarC2.constant(1.0), ScalarC2.linear(1.0))
         with pytest.raises(LightlikeSurface):
-            gaussian_curvature(s.jet(0.0, 0.0))
+            gaussian_curvature(jet(s, 0.0, 0.0))
+        with pytest.raises(LightlikeSurface):
+            mean_curvature(jet(s, 0.0, 0.0))
 
     def test_fundamental_data_bundle(self):
-        d = fundamental_data(omega1().jet(0.2, 0.3))
-        assert d.W > 0 and d.epsilon in (-1, 1)
-        assert minkowski_dot(d.N, d.N) == pytest.approx(-d.epsilon, abs=1e-9)
+        d = point_data(jet(omega1(), 0.2, 0.3))
+        assert d["W"] > 0 and d["eps"] in (-1, 1)
+        n = IsoVector(d["ny"], d["nz"])
+        assert minkowski_dot(n, n) == pytest.approx(-d["eps"], abs=1e-9)
 
 
 class TestFiniteDifferences:
@@ -182,23 +197,17 @@ class TestFiniteDifferences:
         ],
     )
     def test_fd_matches_analytic_curvatures(self, surface, u1, u2):
-        analytic = surface.jet(u1, u2)
-        fd = finite_difference_jet(surface.position, u1, u2)
+        analytic = jet(surface, u1, u2)
+        fd = jet(surface, u1, u2, mode="fd")
         assert gaussian_curvature(fd) == pytest.approx(gaussian_curvature(analytic), rel=1e-5, abs=1e-7)
         assert mean_curvature(fd) == pytest.approx(mean_curvature(analytic), rel=1e-5, abs=1e-7)
 
     def test_fd_jet_close_to_analytic(self):
         s = omega1()
-        fd = finite_difference_jet(s.position, 0.5, 0.25)
-        an = s.jet(0.5, 0.25)
-        for name in ("r", "r1", "r2", "r11", "r12", "r22"):
-            assert np.allclose(getattr(fd, name), getattr(an, name), atol=1e-6)
-
-
-def moved_jet(m, jet):
-    """`jet` moved by one motion through the batched `transform_jet`; the
-    value `r` is kept, since curvature does not read it."""
-    return jet_from_components(jet.r, transform_jet([m], jet_components([jet])))
+        fd, an = jet(s, 0.5, 0.25, mode="fd"), jet(s, 0.5, 0.25)
+        assert sorted(fd) == sorted(an) and len(an) == 15
+        for key, value in an.items():
+            assert np.allclose(fd[key], value, atol=1e-6), key
 
 
 class TestMotionInvariance:
@@ -208,10 +217,10 @@ class TestMotionInvariance:
         for _ in range(8):
             m = Motion(*rng.uniform(-1, 1, size=6))
             for u1, u2 in [(0.3, 0.4), (-0.6, 1.0), (1.1, -0.9)]:
-                jet = s.jet(u1, u2)
-                moved = moved_jet(m, jet)
-                assert gaussian_curvature(moved) == pytest.approx(gaussian_curvature(jet), abs=1e-8)
-                assert mean_curvature(moved) == pytest.approx(mean_curvature(jet), abs=1e-8)
+                comp = jet(s, u1, u2)
+                comp_m = moved(m, comp)
+                assert gaussian_curvature(comp_m) == pytest.approx(gaussian_curvature(comp), abs=1e-8)
+                assert mean_curvature(comp_m) == pytest.approx(mean_curvature(comp), abs=1e-8)
 
     def test_transform_jet_matches_fd_of_moved_surface(self):
         s = omega1()
@@ -219,24 +228,22 @@ class TestMotionInvariance:
         ch, sh = math.cosh(m.theta), math.sinh(m.theta)
 
         def moved_value(u1, u2):
-            x, y, z = s.position(u1, u2)
-            return np.array([m.a1 + x, m.a2 + m.a3 * x + ch * y + sh * z,
-                             m.a4 + m.a5 * x + sh * y + ch * z])
+            x, y, z = s.value_arrays(u1, u2)
+            return (m.a1 + x, m.a2 + m.a3 * x + ch * y + sh * z,
+                    m.a4 + m.a5 * x + sh * y + ch * z)
 
-        direct = moved_jet(m, s.jet(0.4, 0.7))
-        fd = finite_difference_jet(moved_value, 0.4, 0.7)
-        for name in ("r1", "r2", "r11", "r12", "r22"):
-            assert np.allclose(getattr(fd, name), getattr(direct, name), atol=1e-6)
+        direct = moved(m, jet(s, 0.4, 0.7))
+        _, fd = fd_components(moved_value, np.array([0.4]), np.array([0.7]))
+        assert sorted(fd) == sorted(direct)
+        for key, value in direct.items():
+            assert np.allclose(fd[key], value, atol=1e-6), key
 
     def test_w_and_epsilon_invariant(self):
-        jet = omega1().jet(0.9, -0.3)
+        comp = jet(omega1(), 0.9, -0.3)
         m = Motion(1.0, 2.0, -0.8, 0.5, 0.3, 1.1)
-        d, moved = fundamental_data(jet), fundamental_data(moved_jet(m, jet))
-        assert moved.W == pytest.approx(d.W, rel=1e-12)
-        assert moved.epsilon == d.epsilon
-
-
-SLOTS = ("1", "2", "11", "12", "22")
+        d, d_m = point_data(comp), point_data(moved(m, comp))
+        assert d_m["W"] == pytest.approx(d["W"], rel=1e-12)
+        assert d_m["eps"] == d["eps"]
 
 
 class TestTransformJet:
