@@ -1,15 +1,15 @@
 """Curvature of surfaces immersed in the pseudo-Galilean 3-space.
 
-Modules: `core` (motions and the transverse scalar product), `surface`
-(the array kernel from jet components to curvature), `factorable`
-(product-graph surfaces, their jet component arrays, the closed curvature
-formulas and grid sweeps), `families` (classified constant-curvature
-families), `reconstruct` (ODE re-derivations, residual fields, case
-checks, the nonexistence probe) and `cli` (the pg-surf command).  A jet
-is a dict of component arrays x1..z22; there is no scalar jet type.
+Modules: `core` (the motion group), `surface` (the array kernel from jet
+components to curvature), `factorable` (product-graph surfaces, their jet
+component arrays, the closed curvature formulas and grid sweeps),
+`families` (classified constant-curvature families), `reconstruct` (RK4
+re-derivations of the families and the nonexistence probe) and `cli` (the
+pg-surf command).  A jet is a dict of component arrays x1..z22; there is
+no scalar jet type.
 """
 
-from .core import IsoVector, Motion, minkowski_dot
+from .core import Motion
 from .errors import (
     BlowUp,
     BranchViolation,
@@ -44,18 +44,11 @@ from .reconstruct import (
     ODEProblem,
     ProbeReport,
     Reconstruction,
-    ResidualReport,
-    check_quartic_slope_identity,
-    check_linear_factor_identity,
-    quartic_slope_coefficients,
-    log_derivative_profile_residual,
     integrate,
     nonexistence_probe,
     reconstruct_thm31,
     reconstruct_thm32,
     reconstruct_thm42,
-    residual_field,
-    solve_quintic_coefficient_system,
 )
 from .surface import gaussian_curvature, mean_curvature, transform_jet
 

@@ -194,6 +194,9 @@ def _build_surface(cfg: dict) -> tuple[str, FactorableSurface]:
         raise ConfigError("config needs family.name")
     name = section["name"]
     params = {k: v for k, v in section.items() if k != "name"}
+    for key, value in params.items():
+        if key != "causal":
+            _finite(value, f"family.{key}")
     try:
         return name, fam.family_surface(name, params)
     except TypeError as exc:
@@ -398,7 +401,7 @@ def run_verify(cfg: dict) -> int:
     if "exponent_scale" in perturb:
         try:
             surface = fam.perturb_exponent(
-                surface, _number(perturb["exponent_scale"], "perturb.exponent_scale"))
+                surface, _finite(perturb["exponent_scale"], "perturb.exponent_scale"))
         except DomainError as exc:
             raise ConfigError(f"perturbation invalid for this family: {exc}") from exc
     grid = _build_grid(cfg, default_grid(surface))
@@ -476,7 +479,7 @@ def run_reconstruct(cfg: dict) -> int:
     theorem = str(cfg.get("theorem", ""))
 
     def num(key: str, default):
-        return _number(cfg.get(key, default), key)
+        return _finite(cfg.get(key, default), key)
 
     h = num("h", 1e-3)
     tol = _tolerances(cfg)["ode"]

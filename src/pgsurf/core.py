@@ -1,36 +1,18 @@
-"""Motions and the transverse scalar product of the pseudo-Galilean 3-space.
+"""Motions of the pseudo-Galilean 3-space.
 
 Points carry an absolute coordinate x; the transverse plane x = 0 carries
-a Minkowskian scalar product with signature (+, -) on (y, z).  The
-six-parameter motion group combines translations, two shears along the
-absolute direction and a hyperbolic rotation of the (y, z) plane;
-`surface.transform_jet` applies it to jet components.
+a Minkowskian scalar product with signature (+, -) on (y, z), which
+`surface.curvature_arrays` evaluates inline.  The six-parameter motion
+group combines translations, two shears along the absolute direction and
+a hyperbolic rotation of the (y, z) plane; `surface.transform_jet`
+applies it to jet components.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-__all__ = [
-    "IsoVector",
-    "Motion",
-    "minkowski_dot",
-]
-
-
-@dataclass(frozen=True)
-class IsoVector:
-    """Isotropic vector: lies in the plane x = 0, classified by y^2 - z^2."""
-
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("y", "z"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"IsoVector.{name} must be finite, got {value!r}")
+__all__ = ["Motion"]
 
 
 @dataclass(frozen=True)
@@ -50,8 +32,3 @@ class Motion:
     a4: float = 0.0
     a5: float = 0.0
     theta: float = 0.0
-
-
-def minkowski_dot(u: IsoVector, v: IsoVector) -> float:
-    """Scalar product on the plane x = 0, signature (+, -) on (y, z)."""
-    return u.y * v.y - u.z * v.z

@@ -77,11 +77,6 @@ class ScalarC2:
     def deriv2(self, t):
         return self.d2(np.asarray(t, dtype=float))
 
-    def derivative_gap(self, t: float, h: float = 1e-6) -> float:
-        """|d1 - central difference of fn| at t; O(h^2) for consistent pairs."""
-        fd = (self(t + h) - self(t - h)) / (2.0 * h)
-        return float(abs(self.deriv(t) - fd))
-
     @staticmethod
     def constant(c: float, name: str = "") -> "ScalarC2":
         return ScalarC2(

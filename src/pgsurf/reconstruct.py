@@ -1,15 +1,18 @@
-"""Independent verification paths for the classified families.
+"""Independent verification paths for the classified families: what the
+`reconstruct` and `probe` commands run.
 
 Contents:
 
   * a fixed-step RK4 integrator (deterministic, no adaptivity);
   * ODE re-derivations of the three families, each compared against the
     closed-form solution with matched initial conditions;
-  * prescribed-curvature residual fields over grids;
-  * numerical checks of the polynomial case-contradiction arguments;
   * a bounded derivative-free probe of the second-kind nonexistence claim
     for K != 0 (a property check over a declared family space, not a
     proof).
+
+The exact claims behind these checks (each family solves its ODE, the
+polynomial case contradictions) are proven with sympy in
+tests/test_exact_claims.py.
 
 Branch bookkeeping: the prescribed mean curvature ODEs hold with an
 orientation sign attached to the closed forms; the helpers below carry
@@ -25,23 +28,8 @@ from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BlowUp,
-    BranchViolation,
-    DomainError,
-    GridRejected,
-    InvalidParams,
-)
-from .factorable import (
-    KIND_SECOND,
-    FactorableSurface,
-    GridSpec,
-    ScalarC2,
-    closed_K,
-    default_grid,
-    specialized_grid,
-)
-from . import families as _families
+from .errors import BlowUp, BranchViolation, DomainError, InvalidParams
+from .factorable import KIND_SECOND, GridSpec, closed_K
 
 __all__ = [
     "ODEProblem",
@@ -50,17 +38,6 @@ __all__ = [
     "reconstruct_thm31",
     "reconstruct_thm32",
     "reconstruct_thm42",
-    "log_derivative_profile_residual",
-    "thm31_ode_residual",
-    "thm32_ode_residual",
-    "thm42_ode_residual",
-    "ResidualReport",
-    "residual_field",
-    "CaseCoefficients",
-    "quartic_slope_coefficients",
-    "check_quartic_slope_identity",
-    "check_linear_factor_identity",
-    "solve_quintic_coefficient_system",
     "FamilySpace",
     "ProbeReport",
     "nonexistence_probe",
@@ -306,229 +283,6 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
     return Reconstruction(ts, numeric, closed, float(err.max()), float(rel.max()), h,
                           meta={"theorem": "4.2", "h0": h0, "lam1": lam1, "lam2": lam2,
                                 "branch_sign": s})
-
-
-def log_derivative_profile_residual(h0: float, lam1: float, lam2: float, zs) -> float:
-    """Max pointwise residual of the closed log-derivative profile inside
-    its source ODE (with the branch sign s = -sign(lam1) made explicit)."""
-    if h0 == 0.0 or lam1 == 0.0:
-        raise InvalidParams("h0 and lam1 must be nonzero")
-    zs = np.asarray(zs, dtype=float)
-    w = 2.0 * h0 * zs + lam2
-    if np.any(w * w <= 1.0):
-        raise DomainError("samples must satisfy (2 h0 z + lam2)^2 > 1")
-    v = lam1 * w / np.sqrt(w * w - 1.0)
-    dv = -2.0 * h0 * lam1 / (w * w - 1.0) ** 1.5
-    s = -1.0 if lam1 > 0 else 1.0
-    lhs = lam1 * lam1 * dv / np.abs(v * v - lam1 * lam1) ** 1.5
-    return float(np.max(np.abs(lhs - s * 2.0 * h0)))
-
-
-# ---------------------------------------------------------------------------
-# Closed-form substitution residuals for the built families
-# ---------------------------------------------------------------------------
-
-def thm31_ode_residual(k0: float, lam1: float = 0.0, lam2: float = 0.0,
-                       sign: int = 1, xs=None) -> float:
-    """Residual of the tanh family inside g0*f'/(1 - (g0 f)^2) = sign*sqrt(|k0|)."""
-    s = _families.thm31_family(k0, lam1, lam2, sign)
-    xs = np.linspace(-1.5, 1.5, 41) if xs is None else np.asarray(xs, dtype=float)
-    g0 = 1.0  # the family's g is y + lam2, slope one
-    lhs = g0 * s.f.deriv(xs) / (1.0 - (g0 * s.f(xs)) ** 2)
-    return float(np.max(np.abs(lhs - sign * math.sqrt(abs(k0)))))
-
-
-def thm32_ode_residual(h0: float, lam1: float = 0.0, lam2: float = 0.0,
-                       f0: float = 1.0, causal: str = "timelike", ys=None) -> float:
-    """Residual of the sqrt family inside its profile ODE.
-
-    The plus-radicand ('timelike'-named) variant solves the spacelike-slope
-    form f0 g''/(1-(f0 g')^2)^(3/2) = 2*h0; the minus-radicand variant
-    solves the timelike-slope form with orientation sign -1, i.e. target
-    2*b*h0 with b the radicand sign.
-    """
-    s = _families.thm32_family(h0, lam1, lam2, f0, causal)
-    b = 1.0 if causal == "timelike" else -1.0
-    if ys is None:
-        grid = default_grid(s, 41, 41).axes()[1]
-    else:
-        grid = np.asarray(ys, dtype=float)
-    u = f0 * s.g.deriv(grid)
-    num = f0 * s.g.deriv2(grid)
-    gap = 1.0 - u * u
-    lhs = num / np.abs(gap) ** 1.5
-    return float(np.max(np.abs(lhs - 2.0 * b * h0)))
-
-
-def thm42_ode_residual(h0: float, lam1: float = 1.0, lam2: float = 1.0,
-                       lam3: float = 0.0, causal: str = "timelike", zs=None) -> float:
-    """Residual of the exponential family's g inside the log-derivative ODE;
-    target 2*b*sign(lam2)*h0 with b the radicand sign."""
-    s = _families.thm42_family(h0, lam1, lam2, lam3, causal)
-    b = 1.0 if causal == "timelike" else -1.0
-    if zs is None:
-        grid = default_grid(s, 41, 41).axes()[1]
-    else:
-        grid = np.asarray(zs, dtype=float)
-    gv = s.g(grid)
-    v = s.g.deriv(grid) / gv
-    dv = s.g.deriv2(grid) / gv - v * v
-    lhs = lam2 * lam2 * dv / np.abs(v * v - lam2 * lam2) ** 1.5
-    target = 2.0 * b * math.copysign(1.0, lam2) * h0
-    return float(np.max(np.abs(lhs - target)))
-
-
-# ---------------------------------------------------------------------------
-# Residual fields
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Pointwise |measured - target| statistics over a grid."""
-
-    shape: tuple[int, int]
-    target_kind: str
-    target_value: float
-    max_abs: float
-    mean_abs: float
-    argmax: tuple[float, float]
-
-    def __post_init__(self):
-        if self.max_abs < self.mean_abs:
-            raise InvalidParams("max residual cannot be below the mean residual")
-
-
-def residual_field(s: FactorableSurface, target: tuple[str, float], grid: GridSpec) -> ResidualReport:
-    """Residual of a specialized curvature field against a constant target.
-
-    The grid must be admissible and avoid lightlike loci, otherwise
-    GridRejected is raised.
-    """
-    kind, value = target
-    if kind not in ("K", "H"):
-        raise InvalidParams(f"target kind must be 'K' or 'H', got {kind!r}")
-    data = specialized_grid(s, grid)
-    if np.any(data["excluded"]):
-        raise GridRejected("grid crosses a lightlike locus")
-    fieldv = data[kind]
-    if not np.all(np.isfinite(fieldv)):
-        raise GridRejected("curvature field is not finite on the grid")
-    resid = np.abs(fieldv - value)
-    idx = np.unravel_index(int(np.argmax(resid)), resid.shape)
-    return ResidualReport(
-        shape=resid.shape,
-        target_kind=kind,
-        target_value=float(value),
-        max_abs=float(resid.max()),
-        mean_abs=float(resid.mean()),
-        argmax=(float(data["U1"][idx]), float(data["U2"][idx])),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Polynomial case-contradiction checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CaseCoefficients:
-    """Named coefficient evaluators of a polynomial identity."""
-
-    names: tuple[str, ...]
-    evaluators: dict
-
-    def evaluate(self, name: str, t):
-        return self.evaluators[name](np.asarray(t, dtype=float))
-
-
-def quartic_slope_coefficients(f: ScalarC2, h: float = 1e-5) -> CaseCoefficients:
-    """Coefficients of the quartic-slope identity c0 + c4*(g')^4 = 0:
-
-        c0 = -(1/(f f''))',   c4 = (f^3/f'')'
-
-    computed by central differences of the composite expressions (only f
-    and f'' are needed at shifted points)."""
-
-    def c0(t):
-        q = lambda u: 1.0 / (f(u) * f.deriv2(u))
-        return -(q(t + h) - q(t - h)) / (2.0 * h)
-
-    def c4(t):
-        q = lambda u: f(u) ** 3 / f.deriv2(u)
-        return (q(t + h) - q(t - h)) / (2.0 * h)
-
-    return CaseCoefficients(("c0", "c4"), {"c0": c0, "c4": c4})
-
-
-def check_quartic_slope_identity(f: ScalarC2, samples, tol: float = 1e-8) -> dict:
-    """Check whether both coefficients of the quartic-slope identity vanish
-    on the samples; for non-constant f they cannot, which is the claimed
-    contradiction.  When they do vanish, f must have been constant, which
-    the report confirms via max |f'|."""
-    coeffs = quartic_slope_coefficients(f)
-    samples = np.asarray(samples, dtype=float)
-    c0_max = float(np.max(np.abs(coeffs.evaluate("c0", samples))))
-    c4_max = float(np.max(np.abs(coeffs.evaluate("c4", samples))))
-    vanish = c0_max < tol and c4_max < tol
-    fprime_max = float(np.max(np.abs(f.deriv(samples))))
-    return {
-        "c0_max": c0_max,
-        "c4_max": c4_max,
-        "coefficients_vanish": vanish,
-        "f_prime_max": fprime_max,
-        "consistent": vanish and fprime_max < tol,
-        "conclusion": ("coefficients vanish only with f' = 0" if vanish
-                       else "no contradiction-free solution: a coefficient is nonzero"),
-    }
-
-
-def check_linear_factor_identity(k0: float, f0: float, g: ScalarC2, samples, tol: float = 1e-10) -> dict:
-    """Coefficients of the quartic identity in f for a linear f (slope f0):
-
-        A4 = k0*(g')^4,  A2 = -2*k0*(f0 g g')^2,  A0 = (f0 g)^4 + (f0 g')^2.
-
-    All must vanish for the identity to hold; the leading one already
-    cannot unless k0 = 0."""
-    samples = np.asarray(samples, dtype=float)
-    gp = g.deriv(samples)
-    gv = g(samples)
-    a4 = k0 * gp ** 4
-    a2 = -2.0 * k0 * (f0 * gv * gp) ** 2
-    a0 = (f0 * gv) ** 4 + (f0 * gp) ** 2
-    a4_max = float(np.max(np.abs(a4)))
-    return {
-        "a4_max": a4_max,
-        "a2_max": float(np.max(np.abs(a2))),
-        "a0_max": float(np.max(np.abs(a0))),
-        "consistent": a4_max < tol and float(np.max(np.abs(a2))) < tol
-                      and float(np.max(np.abs(a0))) < tol,
-        "leading_nonzero": a4_max >= tol,
-        "conclusion": ("inconsistent: leading coefficient k0*(g')^4 is nonzero"
-                       if a4_max >= tol else "leading coefficient vanishes"),
-    }
-
-
-def solve_quintic_coefficient_system(lam1: float) -> dict:
-    """Exactly solve the quintic-coefficient system
-
-        lam4 - lam1*lam4^2 = 0,  2*(lam5 - lam1*lam4*lam5) = 0,  lam1*lam5^2 = 0
-
-    under the side condition (lam4, lam5) != (0, 0).  For lam1 != 0 the
-    forced relations are lam1*lam4 = 1 and lam5 = 0."""
-    if lam1 == 0.0:
-        raise InvalidParams("lam1 must be nonzero")
-    lam5 = 0.0                      # third coefficient with lam1 != 0
-    lam4 = 1.0 / lam1               # first coefficient, lam4 = 0 excluded by side condition
-    residuals = (
-        lam4 - lam1 * lam4 ** 2,
-        2.0 * (lam5 - lam1 * lam4 * lam5),
-        lam1 * lam5 ** 2,
-    )
-    return {
-        "lambda4": lam4,
-        "lambda5": lam5,
-        "relations": {"lambda1*lambda4": lam1 * lam4, "lambda5": lam5},
-        "residual": max(abs(r) for r in residuals),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from pgsurf.cli import main as cli_main
 from pgsurf.core import Motion
@@ -32,17 +33,27 @@ from pgsurf.families import (
     thm42_family,
 )
 from pgsurf.reconstruct import (
-    check_quartic_slope_identity,
-    check_linear_factor_identity,
-    log_derivative_profile_residual,
     nonexistence_probe,
     reconstruct_thm31,
     reconstruct_thm32,
     reconstruct_thm42,
-    solve_quintic_coefficient_system,
-    thm31_ode_residual,
-    thm32_ode_residual,
-    thm42_ode_residual,
+)
+
+from test_exact_claims import (
+    K0,
+    g1,
+    gv,
+    lam,
+    linear_factor_coefficients,
+    log_derivative_residual,
+    profile_gap,
+    quartic_slope_coefficients,
+    quintic_solutions,
+    thm31_residual,
+    thm32_residual,
+    thm42_residual,
+    y,
+    z,
 )
 
 SEED = 20260809
@@ -207,7 +218,8 @@ def test_criterion_04_ode_reconstruction():
     assert r32s.max_error < 1e-6 and r32t.max_error < 1e-6
     r42 = reconstruct_thm42(0.5, lam1=1.0, lam2=0.0, z0=1.2, length=1.0, h=1e-3)
     assert r42.max_rel_error < 1e-6
-    assert log_derivative_profile_residual(0.5, 1.0, 0.0, np.linspace(1.2, 2.2, 50)) < 1e-8
+    assert all(log_derivative_residual(rate_sign, side) == 0
+               for rate_sign in (1, -1) for side in (1, -1))
 
     ratios = []
     ratios.append(reconstruct_thm31(1.0, h=0.02).max_error
@@ -224,20 +236,27 @@ def test_criterion_04_ode_reconstruction():
 
 
 def test_criterion_05_closed_form_substitution():
-    """Each family substituted into its source ODE: residual < 1e-8."""
+    """Each family's closed form solves its source ODE exactly (sympy, on
+    every sign and radicand branch), and the constructors' own evaluators
+    are that closed form to 1e-8 on 25 sampled parameter sets."""
+    residuals = [thm31_residual(sign) for sign in (1, -1)]
+    for b in (1, -1):
+        for side in (1, -1):
+            residuals.append(thm32_residual(b, side))
+            residuals += [thm42_residual(b, rate_sign, side) for rate_sign in (1, -1)]
+    assert all(r == 0 for r in residuals)
+
     rng = np.random.default_rng(SEED + 3)
     worst = 0.0
     for _ in range(5):
-        p = sample_params("thm31", rng)
-        worst = max(worst, thm31_ode_residual(**p))
+        worst = max(worst, profile_gap("thm31", sample_params("thm31", rng)))
     for causal in ("spacelike", "timelike"):
         for _ in range(5):
-            p = sample_params("thm32", rng, causal=causal)
-            worst = max(worst, thm32_ode_residual(**p))
-            p = sample_params("thm42", rng, causal=causal)
-            worst = max(worst, thm42_ode_residual(**p))
+            worst = max(worst, profile_gap("thm32", sample_params("thm32", rng, causal=causal)))
+            worst = max(worst, profile_gap("thm42", sample_params("thm42", rng, causal=causal)))
     assert worst < 1e-8
-    _report(f"criterion 5: closed-form substitution residuals < 1e-8 (worst {worst:.2e})")
+    _report(f"criterion 5: closed forms solve their ODEs exactly; evaluators match them "
+            f"(worst gap {worst:.2e})")
 
 
 def test_criterion_06_motion_invariance():
@@ -290,22 +309,25 @@ def test_criterion_07_nonexistence_probe():
 
 
 def test_criterion_08_case_contradictions():
-    """Coefficient solvers reproduce the forced relations and contradictions."""
-    for lam1 in (1.0, -2.0, 0.7):
-        sol = solve_quintic_coefficient_system(lam1)
-        assert sol["relations"]["lambda1*lambda4"] == pytest.approx(1.0, abs=1e-15)
-        assert sol["relations"]["lambda5"] == 0.0
+    """Exact: the quintic system forces lambda1*lambda4 = 1 and lambda5 = 0;
+    the linear-factor identity with g = exp has a nonzero leading
+    coefficient for K0 != 0 and no consistent K0 at all; the tanh witness
+    of the quartic-slope identity has c4 = -sinh(2y)/2, not 0."""
+    assert quintic_solutions() == {(0, 0), (1 / lam, 0)}
+    for lam1 in (1, -2, sp.Rational(7, 10)):
+        ((lam4, lam5),) = quintic_solutions(lam1) - {(0, 0)}
+        assert (lam1 * lam4, lam5) == (1, 0)
 
-    exp = ScalarC2(np.exp, np.exp, np.exp)
-    for k0 in (1.0, -0.5):
-        report = check_linear_factor_identity(k0, 1.0, exp, [0.0, 0.4, 0.9])
-        assert report["leading_nonzero"] and not report["consistent"]
+    coefficients = linear_factor_coefficients()
+    exp = {gv: sp.exp(z), g1: sp.exp(z)}
+    for k0 in (1, -sp.Rational(1, 2)):
+        assert coefficients[0].subs(exp).subs(K0, k0).is_zero is False
+    assert sp.solve([c.subs(exp) for c in coefficients], K0) == []
 
-    tanh = ScalarC2(np.tanh, lambda t: 1.0 / np.cosh(t) ** 2,
-                    lambda t: -2.0 * np.tanh(t) / np.cosh(t) ** 2)
-    report = check_quartic_slope_identity(tanh, [0.5, 1.0])
-    assert not report["coefficients_vanish"]
-    _report("criterion 8: quintic system relations exact; quartic-identity witnesses inconsistent")
+    c4 = quartic_slope_coefficients(sp.tanh(y), y)[1]
+    assert sp.simplify((c4 + sp.sinh(2 * y) / 2).rewrite(sp.exp)) == 0
+    _report("criterion 8: quintic system solved exactly; linear-factor and quartic-slope "
+            "identities inconsistent")
 
 
 def test_criterion_09_flat_minimal_fixtures():

@@ -295,6 +295,7 @@ class TestVerify:
         "motions=10001", "motions=100000000", "seed=-1",
         "output.json=7", "output.json=[1]", "output.json=true", "output.json=null",
         "motions=2.5", "motions=true", "seed=0.5", "seed=false",
+        "perturb.exponent_scale=NaN", "perturb.exponent_scale=Infinity", "family.k0=NaN",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "vb.json", {"family": {"name": "thm31", "k0": 1.0},
@@ -352,6 +353,8 @@ class TestReconstruct:
         ("4.2", "length=1e12"), ("3.1", "output=5"), ("4.2", "output=[]"),
         ("3.1", "output.json=7"), ("3.2", "output.json=[1]"), ("4.2", "output.json=true"),
         ("3.1", "sign=0.5"), ("3.1", "sign=-1.5"), ("3.1", "sign=true"), ("3.1", "sign=[1]"),
+        ("3.1", "k0=NaN"), ("3.1", "h=Infinity"), ("3.2", "h0=NaN"), ("3.2", "u0=-Infinity"),
+        ("4.2", "lam1=NaN"), ("4.2", "z0=Infinity"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, theorem, override):
         out = tmp_path / "out.json"
@@ -483,6 +486,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("override", [
         "output=5", "output=[]", "family=5", "family=null",
         "output.csv=7", "output.json=[1]", "output.obj=true", "output.sidecar=null",
+        'family.lam1="abc"', "family.lam1=NaN", "family.k0=Infinity", "family.lam2=[1]",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path, "c.json", {"family": {"name": "thm31", "k0": 1.0},

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
@@ -12,10 +13,9 @@ from pgsurf.errors import (
     BlowUp,
     BranchViolation,
     DomainError,
-    GridRejected,
     InvalidParams,
 )
-from pgsurf.factorable import FactorableSurface, GridSpec, ScalarC2, default_grid
+from pgsurf.factorable import FactorableSurface, GridSpec, ScalarC2, default_grid, specialized_grid
 from pgsurf.families import fixtures_flat_minimal, thm31_family
 from pgsurf import reconstruct
 from pgsurf.reconstruct import (
@@ -28,25 +28,25 @@ from pgsurf.reconstruct import (
     _probe_objective,
     _probe_report,
     ODEProblem,
-    check_quartic_slope_identity,
-    check_linear_factor_identity,
-    quartic_slope_coefficients,
-    log_derivative_profile_residual,
     integrate,
     nonexistence_probe,
     reconstruct_thm31,
     reconstruct_thm32,
     reconstruct_thm42,
-    residual_field,
-    solve_quintic_coefficient_system,
-    thm31_ode_residual,
-    thm32_ode_residual,
-    thm42_ode_residual,
 )
 
-TANH = ScalarC2(np.tanh, lambda t: 1.0 / np.cosh(t) ** 2,
-                lambda t: -2.0 * np.tanh(t) / np.cosh(t) ** 2, name="tanh")
-
+from test_exact_claims import (
+    K0,
+    g1,
+    gv,
+    linear_factor_coefficients,
+    log_derivative_closed,
+    profile_gap,
+    quartic_slope_coefficients,
+    quintic_solutions,
+    y,
+    z,
+)
 
 class TestIntegrate:
     def test_exponential_growth(self):
@@ -240,9 +240,12 @@ class TestThm42Reconstruction:
         assert result.max_rel_error < 1e-6
 
     def test_log_derivative_closed_form_in_ode(self):
-        zs = np.linspace(1.2, 2.0, 40)
-        assert log_derivative_profile_residual(0.5, 1.0, 0.0, zs) < 1e-8
-        assert log_derivative_profile_residual(0.5, -2.0, 0.3, zs + 0.5) < 1e-8
+        # the closed column is the profile tests/test_exact_claims.py
+        # proves to solve the integrated ODE, s = -sign(lam1) included
+        for lam1, lam2, z0 in ((1.0, 0.0, 1.2), (-2.0, 0.3, 1.7)):
+            result = reconstruct_thm42(0.5, lam1=lam1, lam2=lam2, z0=z0)
+            exact = log_derivative_closed(0.5, lam1, lam2, result.ts)
+            np.testing.assert_allclose(result.closed, exact, rtol=1e-13, atol=0.0)
 
     def test_negative_rate_branch(self):
         result = reconstruct_thm42(0.5, lam1=-1.0, lam2=0.0)
@@ -260,93 +263,97 @@ class TestThm42Reconstruction:
 
 
 class TestSubstitutionResiduals:
+    """The constructors evaluate the closed forms that
+    tests/test_exact_claims.py substitutes into their ODEs exactly."""
+
     def test_thm31_family_solves_its_ode(self):
-        assert thm31_ode_residual(1.7, lam1=0.3, lam2=-0.5, sign=1) < 1e-8
-        assert thm31_ode_residual(0.4, sign=-1) < 1e-8
+        assert profile_gap("thm31", dict(k0=1.7, lam1=0.3, lam2=-0.5, sign=1)) < 1e-8
+        assert profile_gap("thm31", dict(k0=0.4, lam1=0.0, lam2=0.0, sign=-1)) < 1e-8
 
     @pytest.mark.parametrize("causal", ["spacelike", "timelike"])
     def test_thm32_family_solves_its_ode(self, causal):
-        assert thm32_ode_residual(0.5, lam1=0.2, lam2=0.7, causal=causal) < 1e-8
+        params = dict(h0=0.5, lam1=0.2, lam2=0.7, f0=1.0, causal=causal)
+        assert profile_gap("thm32", params) < 1e-8
 
     @pytest.mark.parametrize("causal", ["spacelike", "timelike"])
     def test_thm42_family_solves_its_ode(self, causal):
-        assert thm42_ode_residual(0.5, lam1=1.0, lam2=1.0, causal=causal) < 1e-8
-        assert thm42_ode_residual(0.8, lam1=1.0, lam2=-1.3, causal=causal) < 1e-8
+        for h0, lam2 in ((0.5, 1.0), (0.8, -1.3)):
+            params = dict(h0=h0, lam1=1.0, lam2=lam2, lam3=0.0, causal=causal)
+            assert profile_gap("thm42", params) < 1e-8
 
 
 class TestResidualField:
+    """`specialized_grid` against constant and closed-form targets."""
+
     def test_thm31_against_its_constant(self):
         s = thm31_family(2.0, lam1=0.1)
-        report = residual_field(s, ("K", -2.0), default_grid(s, 20, 20))
-        assert report.max_abs < 1e-7
+        data = specialized_grid(s, default_grid(s, 20, 20))
+        assert not np.any(data["excluded"])
+        assert np.max(np.abs(data["K"] + 2.0)) < 1e-7
 
     def test_saddle_residual_grows_off_origin(self):
         saddle = FactorableSurface("first", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
-        grid = GridSpec((-0.5, 0.5), (-0.5, 0.5), 21, 21)
-        report = residual_field(saddle, ("K", -1.0), grid)
-        # independent oracle: K = -1/(1 - x^2)^2, worst at |x| = 0.5
-        assert report.max_abs == pytest.approx(1.0 / (1.0 - 0.25) ** 2 - 1.0, rel=1e-12)
-        assert abs(report.argmax[0]) == pytest.approx(0.5)
-        assert report.mean_abs <= report.max_abs
+        data = specialized_grid(saddle, GridSpec((-0.5, 0.5), (-0.5, 0.5), 21, 21))
+        # independent oracle: K = -1/(1 - x^2)^2, farthest from -1 at |x| = 0.5
+        np.testing.assert_allclose(data["K"], -1.0 / (1.0 - data["U1"] ** 2) ** 2,
+                                   rtol=1e-12, atol=0.0)
+        resid = np.abs(data["K"] + 1.0)
+        assert resid.max() == pytest.approx(1.0 / (1.0 - 0.25) ** 2 - 1.0, rel=1e-12)
+        assert abs(data["U1"].flat[np.argmax(resid)]) == pytest.approx(0.5)
 
     def test_fixtures_against_zero(self):
         for fx in fixtures_flat_minimal():
-            grid = default_grid(fx.surface, 10, 10)
+            data = specialized_grid(fx.surface, default_grid(fx.surface, 10, 10))
+            assert not np.any(data["excluded"])
             if fx.expected_H is not None:
-                assert residual_field(fx.surface, ("H", 0.0), grid).max_abs < 1e-9
+                assert np.max(np.abs(data["H"])) < 1e-9
             if fx.expected_K is not None:
-                assert residual_field(fx.surface, ("K", 0.0), grid).max_abs < 1e-9
+                assert np.max(np.abs(data["K"])) < 1e-9
 
     def test_lightlike_grid_rejected(self):
+        # the saddle is lightlike at x = 1, which this grid crosses
         saddle = FactorableSurface("first", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
-        with pytest.raises(GridRejected):
-            residual_field(saddle, ("K", -1.0), GridSpec((0.5, 1.5), (-0.5, 0.5), 21, 5))
+        data = specialized_grid(saddle, GridSpec((0.5, 1.5), (-0.5, 0.5), 21, 5))
+        assert np.array_equal(np.flatnonzero(data["excluded"].any(axis=1)), [10])
+        assert np.all(np.isnan(data["K"][10]))
 
-    def test_target_validation(self):
-        saddle = FactorableSurface("first", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
-        with pytest.raises(InvalidParams):
-            residual_field(saddle, ("Q", 0.0), GridSpec((-0.5, 0.5), (-0.5, 0.5), 5, 5))
+
+def c4_values(f, ts):
+    """The exact c4 of the quartic-slope identity for the profile f(y) at
+    the nodes ts."""
+    return sp.lambdify(y, quartic_slope_coefficients(f, y)[1])(np.asarray(ts, dtype=float))
 
 
 class TestCaseContradictions:
+    """Instances of the exact case contradictions of
+    tests/test_exact_claims.py, where the former numerical checks sampled
+    them."""
+
     def test_quartic_slope_tanh_witness(self):
-        report = check_quartic_slope_identity(TANH, [0.5, 1.0])
-        assert not report["coefficients_vanish"]
-        assert report["c4_max"] > 0.1
-        assert "no contradiction-free solution" in report["conclusion"]
+        assert np.max(np.abs(c4_values(sp.tanh(y), [0.5, 1.0]))) > 0.1
 
     def test_quartic_slope_quadratic_witness(self):
-        quad = ScalarC2(lambda t: 1.0 + t**2, lambda t: 2.0 * t, lambda t: 2.0 + 0.0 * t)
-        report = check_quartic_slope_identity(quad, [0.4, 0.9, 1.3])
-        assert not report["coefficients_vanish"]
+        assert np.all(c4_values(1 + y ** 2, [0.4, 0.9, 1.3]) != 0.0)
 
     def test_quartic_slope_coefficient_evaluators(self):
-        coeffs = quartic_slope_coefficients(TANH)
         # c4 = (f^3/f'')' for tanh: f'' = -2 f (1 - f^2), so f^3/f'' =
         # -f^2 / (2 (1 - f^2)); differentiate at t and compare
         t = 0.7
         f = math.tanh(t)
         fp = 1.0 / math.cosh(t) ** 2
         expected = -(2 * f * fp * (1 - f**2) + f**2 * 2 * f * fp) / (2 * (1 - f**2) ** 2)
-        assert float(coeffs.evaluate("c4", t)) == pytest.approx(expected, rel=1e-6)
+        assert c4_values(sp.tanh(y), [t])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_linear_factor_exponential_witness(self):
-        exp = ScalarC2(np.exp, np.exp, np.exp)
-        report = check_linear_factor_identity(1.0, 1.0, exp, [0.0, 0.5, 1.0])
-        assert report["leading_nonzero"]
-        assert not report["consistent"]
-        zero_case = check_linear_factor_identity(0.0, 1.0, exp, [0.0, 0.5])
-        assert not zero_case["leading_nonzero"]
+        a4, _, _, _, a0 = linear_factor_coefficients()
+        exp = {gv: sp.exp(z), g1: sp.exp(z)}
+        assert a4.subs(exp).subs(K0, 1).is_zero is False
+        # K0 = 0 clears the leading coefficient but not the constant one
+        assert a4.subs(K0, 0) == 0 and a0.subs(exp).subs(K0, 0).is_zero is False
 
     def test_quintic_system_forced_relations(self):
-        for lam1 in (1.0, 2.0, -0.5):
-            sol = solve_quintic_coefficient_system(lam1)
-            assert sol["relations"]["lambda1*lambda4"] == pytest.approx(1.0, abs=1e-15)
-            assert sol["relations"]["lambda5"] == 0.0
-            assert sol["lambda4"] == pytest.approx(1.0 / lam1)
-            assert sol["residual"] < 1e-15
-        with pytest.raises(InvalidParams):
-            solve_quintic_coefficient_system(0.0)
+        for lam1 in (1, 2, -sp.Rational(1, 2)):
+            assert quintic_solutions(lam1) == {(0, 0), (1 / sp.S(lam1), 0)}
 
 
 # Bit-level pins of whole probe runs: float.hex of the best residual, the
