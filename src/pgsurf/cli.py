@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -170,113 +171,163 @@ def _load_config(path: Optional[str], overrides: list[str]) -> dict:
     return _deep_update(cfg, _parse_set(overrides))
 
 
-def _section(cfg: dict, key: str) -> dict:
-    """The object at `key`; an empty one when the key is absent."""
-    section = cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be an object, got {section!r}")
-    return section
+# ---------------------------------------------------------------------------
+# configuration schema
+# ---------------------------------------------------------------------------
+
+class Row(NamedTuple):
+    """A config key: its kind, its default (`...`: the key is required) and
+    the kind's bound.  A kind returns the typed value of a JSON value or
+    raises ValueError naming what it takes."""
+
+    kind: Callable
+    default: object = None
+    bound: object = None
 
 
-def _output(cfg: dict) -> dict:
-    """The `output` section, whose every value must be a path string
-    (an empty one writes to stdout)."""
-    out = _section(cfg, "output")
-    for key, path in out.items():
-        if not isinstance(path, str):
-            raise ConfigError(f"output.{key} must be a path string, got {path!r}")
-    return out
+def _real(value, positive=False) -> float:
+    """A JSON int or float, not a boolean: finite, and > 0 when `positive`."""
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if finite and (value > 0 or not positive):
+        return float(value)
+    raise ValueError("a finite real > 0" if positive else "a finite real")
 
 
-def _build_surface(cfg: dict) -> tuple[str, FactorableSurface]:
-    section = _section(cfg, "family")
-    if "name" not in section:
-        raise ConfigError("config needs family.name")
-    name = section["name"]
-    params = {k: v for k, v in section.items() if k != "name"}
-    for key, value in params.items():
-        if key != "causal":
-            _finite(value, f"family.{key}")
-    try:
-        return name, fam.family_surface(name, params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for family {name!r}: {exc}") from exc
-
-
-def _number(value, key: str, kind=float):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
-
-
-def _integer(value, key: str, minimum: Optional[int] = None) -> int:
-    """An integer key: an int, a float without fraction or an integer
-    string, at least `minimum` when given.  A boolean or a fraction is a
-    config error, not truncated."""
-    if isinstance(value, float) and value.is_integer():
+def _integer(value, bounds=None) -> int:
+    """A JSON int or a float without fraction, not a boolean, in `bounds`
+    (lo, hi), where hi may be None."""
+    lo, hi = bounds or (None, None)
+    if type(value) is float and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    number = _number(value, key, int)
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"{key} must be an integer >= {minimum}, got {number}")
-    return number
+    if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
+        return value
+    raise ValueError("an integer" if lo is None else f"an integer >= {lo}" if hi is None
+                     else f"an integer in {lo}..{hi}")
 
 
-def _finite(value, key: str) -> float:
-    number = _number(value, key)
-    if not math.isfinite(number):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return number
+def _pair(value, _=None) -> tuple[float, float]:
+    if isinstance(value, list) and len(value) == 2:
+        with contextlib.suppress(ValueError):
+            return (_real(value[0]), _real(value[1]))
+    raise ValueError("a [lo, hi] pair of finite reals")
 
 
-def _seed(cfg: dict) -> int:
-    """The `seed` key (default 0): an integer >= 0, as numpy's generators need."""
-    return _integer(cfg.get("seed", 0), "seed", 0)
+def _choice(value, choices) -> str:
+    """One of the string `choices`; a float stands for its decimal text,
+    since `--set theorem=3.1` parses as a number."""
+    if type(value) is float:
+        value = str(value)
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ValueError("one of " + ", ".join(choices))
 
 
-def _flag(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+def _exactly(cls: type, what: str) -> Callable:
+    def kind(value, _=None):
+        if type(value) is cls:
+            return value
+        raise ValueError(what)
+    return kind
 
 
-def _build_grid(cfg: dict, default: GridSpec) -> GridSpec:
-    """The `grid` section; each key it leaves out is taken from `default`."""
-    section = _section(cfg, "grid")
-    n1 = _integer(section.get("n1", default.n1), "grid.n1", 0)
-    n2 = _integer(section.get("n2", default.n2), "grid.n2", 0)
-    grid = GridSpec(_pair(section.get("u1", default.u1), "grid.u1"),
-                    _pair(section.get("u2", default.u2), "grid.u2"), n1, n2)
-    if n1 * n2 > MAX_GRID_POINTS:
-        raise ConfigError(f"grid of {n1}x{n2} points exceeds {MAX_GRID_POINTS} points")
-    return grid
+_flag, _path = _exactly(bool, "true or false"), _exactly(str, "a path string")
+_CAUSAL = ("timelike", "spacelike")
+# one table per `family.name`; the defaults are the constructors'
+FAMILIES = {
+    "thm31": {"k0": Row(_real, ...), "lam1": Row(_real, 0.0), "lam2": Row(_real, 0.0),
+              "sign": Row(_integer, 1)},
+    "thm32": {"h0": Row(_real, ...), "lam1": Row(_real, 0.0), "lam2": Row(_real, 0.0),
+              "f0": Row(_real, 1.0), "causal": Row(_choice, "timelike", _CAUSAL)},
+    "thm42": {"h0": Row(_real, ...), "lam1": Row(_real, 1.0), "lam2": Row(_real, 1.0),
+              "lam3": Row(_real, 0.0), "causal": Row(_choice, "timelike", _CAUSAL)},
+    "linear": {}, "saddle": {}, "exp_exp": {},
+}
+# one table per `reconstruct` theorem; the defaults are the integrators',
+# but for k0 and h0
+THEOREMS = {
+    "3.1": {"k0": Row(_real, 1.0), "g0": Row(_real, 1.0), "lam1": Row(_real, 0.0),
+            "sign": Row(_integer, 1), "span": Row(_pair, (0.0, 2.0)), "h": Row(_real, 1e-3)},
+    "3.2": {"h0": Row(_real, 0.5), "f0": Row(_real, 1.0), "lam": Row(_real),
+            "causal": Row(_choice, "spacelike", _CAUSAL), "y0": Row(_real, 0.0),
+            "length": Row(_real, 1.0), "h": Row(_real, 1e-3), "u0": Row(_real)},
+    "4.2": {"h0": Row(_real, 0.5), "lam1": Row(_real, 1.0), "lam2": Row(_real, 0.0),
+            "z0": Row(_real, 1.2), "length": Row(_real, 0.8), "h": Row(_real, 1e-3)},
+}
+# a grid key left out comes from the command's default grid
+GRID = {"u1": Row(_pair), "u2": Row(_pair), "n1": Row(_integer), "n2": Row(_integer)}
+OUTPUT = {key: Row(_path, "") for key in ("csv", "json", "obj", "sidecar")}
+TOLERANCES = {"constancy": Row(_real, 1e-7, True), "cross_check": Row(_real, 1e-8, True),
+              "motion": Row(_real, 1e-8, True), "ode": Row(_real, 1e-6, True)}
+ROUTES = ("pipeline", "pipeline-fd", "specialized")
+# the families `verify` checks, by the field that is constant on them
+_EXPECTED_FIELD = {"thm31": "K", "thm32": "absH", "thm42": "absH"}
+_SWEEP = {"family": {"name": Row(_choice, ..., FAMILIES)}, "grid": GRID, "output": OUTPUT,
+          "formulas": Row(_choice, "pipeline", ROUTES), "fd_step": Row(_real, 1e-4, True)}
+SCHEMA = {
+    "curvature": _SWEEP,
+    "mesh": _SWEEP,
+    "verify": {"family": {"name": Row(_choice, ..., {k: FAMILIES[k] for k in _EXPECTED_FIELD})},
+               "grid": GRID, "perturb": {"exponent_scale": Row(_real)}, "tolerances": TOLERANCES,
+               "motions": Row(_integer, 10, (1, MAX_MOTIONS)),
+               "seed": Row(_integer, 0, (0, None)), "output": OUTPUT},
+    "reconstruct": {"theorem": Row(_choice, ..., THEOREMS), "tolerances": TOLERANCES,
+                    "output": OUTPUT},
+    "probe": {"k0": Row(_real, 1.0), "budget": Row(_integer, 10_000, (1, None)),
+              "restarts": Row(_integer, 6, (0, None)), "seed": Row(_integer, 0, (0, None)),
+              "degree_f": Row(_integer, 2, (0, None)), "degree_g": Row(_integer, 2, (0, None)),
+              "exponential": Row(_flag, True), "floor": Row(_real), "grid": GRID,
+              "output": OUTPUT},
+}
 
 
-def _pair(value, key: str) -> tuple[float, float]:
-    """A `[lo, hi]` pair of numbers."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{key} must be a [lo, hi] pair, got {value!r}")
-    return (_number(value[0], key), _number(value[1], key))
+def _read(obj, table: dict, where: str = "") -> dict:
+    """The typed values of the config object `obj` by `table`.
 
-
-_TOLERANCES = {"constancy": 1e-7, "cross_check": 1e-8, "motion": 1e-8, "ode": 1e-6}
-
-
-def _tolerances(cfg: dict) -> dict:
-    """The `tolerances` section over the defaults: an object whose keys are
-    known tolerances and whose values are finite positive numbers."""
-    section = _section(cfg, "tolerances")
-    unknown = sorted(section.keys() - _TOLERANCES.keys())
+    A table maps a key to a `Row` or, for a section, to the section's
+    table.  A left-out key takes its row's default (None stands for "not
+    given"); a required one is an error.  A choice whose choices are a
+    dict of tables also reads the chosen table.  Inside a section an
+    unknown key is an error; at the top level it is ignored, since one
+    config file serves every command.  Every failure is one `ConfigError`.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where[:-1]} must be an object, got {obj!r}")
+    values: dict = {}
+    rows = list(table.items())
+    for key, row in rows:  # a chosen table's rows are appended while reading
+        name = where + key
+        if isinstance(row, dict):
+            values[key] = _read(obj.get(key, {}), row, name + ".")
+        elif key not in obj:
+            if row.default is ...:
+                raise ConfigError(f"config needs {name}")
+            values[key] = row.default
+        else:
+            try:
+                values[key] = row.kind(obj[key], row.bound)
+            except ValueError as exc:
+                raise ConfigError(f"{name} must be {exc}, got {obj[key]!r}") from None
+            if isinstance(row.bound, dict):
+                rows += row.bound[values[key]].items()
+    unknown = sorted(obj.keys() - dict(rows).keys()) if where else []
     if unknown:
-        raise ConfigError(f"unknown tolerance {unknown[0]!r}; known: {', '.join(_TOLERANCES)}")
-    tol = {**_TOLERANCES, **section}
-    for key, value in tol.items():
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (numeric and 0 < value < math.inf):
-            raise ConfigError(f"tolerance {key} must be a finite positive number, got {value!r}")
-    return tol
+        raise ConfigError(f"unknown key {where}{unknown[0]}; known: {', '.join(dict(rows))}")
+    return values
+
+
+def _surface(family: dict) -> FactorableSurface:
+    """The surface of the read `family` section."""
+    params = dict(family)
+    return fam.family_surface(params.pop("name"), params)
+
+
+def _grid(values: dict, default: GridSpec) -> GridSpec:
+    """`default` with the read `grid` keys that were given, at most
+    MAX_GRID_POINTS points."""
+    grid = dataclasses.replace(default, **{k: v for k, v in values.items() if v is not None})
+    if grid.n1 * grid.n2 > MAX_GRID_POINTS:
+        raise ConfigError(f"grid of {grid.n1}x{grid.n2} points exceeds {MAX_GRID_POINTS} points")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +335,20 @@ def _tolerances(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "u1,u2,x,y,z,K,H,epsilon,W,excluded"
-ROUTES = ("pipeline", "pipeline-fd", "specialized")
 
 
-def _sweep(cfg: dict, surface: FactorableSurface, grid: GridSpec) -> tuple[str, dict]:
-    """Validate `formulas` and `fd_step`, then sweep the grid on that route."""
-    route = cfg.get("formulas", "pipeline")
-    if route not in ROUTES:
-        raise ConfigError(f"formulas must be pipeline, pipeline-fd or specialized, got {route!r}")
-    fd_step = _number(cfg.get("fd_step", 1e-4), "fd_step")
-    if not (math.isfinite(fd_step) and fd_step > 0):
-        raise ConfigError(f"fd_step must be finite and positive, got {fd_step!r}")
+def _sweep(v: dict) -> tuple[GridSpec, dict]:
+    """The grid of the read `curvature`/`mesh` values and its sweep on the
+    `formulas` route."""
+    surface = _surface(v["family"])
+    grid = _grid(v["grid"], default_grid(surface))
+    route = v["formulas"]
     pipe = pipeline_grid(surface, grid, mode="fd" if route == "pipeline-fd" else "analytic",
-                         fd_step=fd_step)
+                         fd_step=v["fd_step"])
     if route == "specialized":
         closed = specialized_grid(surface, grid)
         pipe = {**pipe, "K": closed["K"], "H": closed["H"], "excluded": closed["excluded"]}
-    return route, pipe
+    return grid, pipe
 
 
 # the one float formatter of the text outputs: equal to format(x, ".17g")
@@ -337,19 +385,17 @@ def _csv_rows(data: dict) -> Iterator[str]:
 
 
 def run_curvature(cfg: dict) -> int:
-    out = _output(cfg)
-    _, surface = _build_surface(cfg)
-    grid = _build_grid(cfg, default_grid(surface))
-    route, data = _sweep(cfg, surface, grid)
+    v = _read(cfg, SCHEMA["curvature"])
+    grid, data = _sweep(v)
     excluded = data["excluded"]
-    _write(out.get("csv"), _csv_rows(data))
+    _write(v["output"]["csv"], _csv_rows(data))
 
     included = ~excluded
     n_inc = int(np.count_nonzero(included))
     summary = {
-        "family": cfg.get("family"),
+        "family": cfg["family"],
         "grid": {"u1": list(grid.u1), "u2": list(grid.u2), "n1": grid.n1, "n2": grid.n2},
-        "formulas": route,
+        "formulas": v["formulas"],
         "rows": int(excluded.size),
         "included": n_inc,
         "excluded": int(excluded.size) - n_inc,
@@ -361,7 +407,7 @@ def run_curvature(cfg: dict) -> int:
             summary[name] = {"mean": mean,
                              "max_deviation": float(np.max(np.abs(values - mean))),
                              "std": float(np.std(values))}
-    _json_report(out.get("json"), summary)
+    _json_report(v["output"]["json"], summary)
     if n_inc == 0:
         return EXIT_EMPTY_GRID
     return EXIT_OK
@@ -370,15 +416,6 @@ def run_curvature(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-_EXPECTED_FIELD = {"thm31": "K", "thm32": "absH", "thm42": "absH"}
-
-
-def _expected_constant(name: str, params: dict) -> float:
-    if name == "thm31":
-        return -abs(float(params["k0"]))
-    return abs(float(params["h0"]))
-
 
 # motions moved per kernel call of the motion-invariance suite; at
 # MAX_MOTIONS a call holds at most 256 x 121 sample points, not 10^4 x 121
@@ -390,34 +427,20 @@ def _random_motions(rng: np.random.Generator, count: int) -> list[Motion]:
 
 
 def run_verify(cfg: dict) -> int:
-    out = _output(cfg)
-    section = _section(cfg, "family")
-    name = section.get("name")
-    if name not in ("thm31", "thm32", "thm42"):
-        raise ConfigError("verify needs family.name in {thm31, thm32, thm42}")
-    params = {k: v for k, v in section.items() if k != "name"}
-    _, surface = _build_surface(cfg)
-    perturb = _section(cfg, "perturb")
-    if "exponent_scale" in perturb:
-        try:
-            surface = fam.perturb_exponent(
-                surface, _finite(perturb["exponent_scale"], "perturb.exponent_scale"))
-        except DomainError as exc:
-            raise ConfigError(f"perturbation invalid for this family: {exc}") from exc
-    grid = _build_grid(cfg, default_grid(surface))
-    tol = _tolerances(cfg)
-    count = _integer(cfg.get("motions", 10), "motions")
-    if not 1 <= count <= MAX_MOTIONS:
-        raise ConfigError(f"motions must lie in 1..{MAX_MOTIONS}, got {count}")
-    seed = _seed(cfg)
+    v = _read(cfg, SCHEMA["verify"])
+    family, tol = v["family"], v["tolerances"]
+    surface = _surface(family)
+    if v["perturb"]["exponent_scale"] is not None:
+        surface = fam.perturb_exponent(surface, v["perturb"]["exponent_scale"])
+    grid = _grid(v["grid"], default_grid(surface))
 
     suites: dict = {}
 
     closed = specialized_grid(surface, grid)
-    field = _EXPECTED_FIELD[name]
+    field = _EXPECTED_FIELD[family["name"]]
     values = np.abs(closed["H"]) if field == "absH" else closed["K"]
     values = values[~closed["excluded"]]
-    expected = _expected_constant(name, params)
+    expected = -abs(family["k0"]) if field == "K" else abs(family["h0"])
     if values.size == 0:
         raise GridRejected("no admissible points for the constancy suite")
     mean = float(np.mean(values))
@@ -441,7 +464,7 @@ def run_verify(cfg: dict) -> int:
     except GridRejected as exc:
         suites["cross_check"] = {"passed": False, "error": str(exc)}
 
-    motions = _random_motions(np.random.default_rng(seed), count)
+    motions = _random_motions(np.random.default_rng(v["seed"]), v["motions"])
     a1, a2 = grid.axes()
     U1, U2 = np.meshgrid(a1[:: max(1, grid.n1 // 6)], a2[:: max(1, grid.n2 // 6)], indexing="ij")
     comp = jet_component_arrays(surface, U1.ravel(), U2.ravel())
@@ -465,8 +488,8 @@ def run_verify(cfg: dict) -> int:
     }
 
     failed = [key for key, suite in suites.items() if not suite["passed"]]
-    report = {"family": section, "passed": not failed, "failed": failed, "suites": suites}
-    _json_report(out.get("json"), report)
+    report = {"family": cfg["family"], "passed": not failed, "failed": failed, "suites": suites}
+    _json_report(v["output"]["json"], report)
     return EXIT_OK if not failed else EXIT_FAIL
 
 
@@ -474,37 +497,16 @@ def run_verify(cfg: dict) -> int:
 # reconstruct
 # ---------------------------------------------------------------------------
 
+_RECONSTRUCT = {"3.1": rec.reconstruct_thm31, "3.2": rec.reconstruct_thm32,
+                "4.2": rec.reconstruct_thm42}
+
+
 def run_reconstruct(cfg: dict) -> int:
-    out = _output(cfg)
-    theorem = str(cfg.get("theorem", ""))
-
-    def num(key: str, default):
-        return _finite(cfg.get(key, default), key)
-
-    h = num("h", 1e-3)
-    tol = _tolerances(cfg)["ode"]
-    if theorem == "3.1":
-        result = rec.reconstruct_thm31(
-            k0=num("k0", 1.0), g0=num("g0", 1.0), lam1=num("lam1", 0.0),
-            sign=_integer(cfg.get("sign", 1), "sign"),
-            span=_pair(cfg.get("span", (0.0, 2.0)), "span"), h=h)
-        error = result.max_error
-    elif theorem == "3.2":
-        result = rec.reconstruct_thm32(
-            h0=num("h0", 0.5), f0=num("f0", 1.0),
-            lam=None if cfg.get("lam") is None else num("lam", None),
-            causal=str(cfg.get("causal", "spacelike")),
-            y0=num("y0", 0.0), length=num("length", 1.0),
-            h=h, u0=None if cfg.get("u0") is None else num("u0", None))
-        error = result.max_error
-    elif theorem == "4.2":
-        result = rec.reconstruct_thm42(
-            h0=num("h0", 0.5), lam1=num("lam1", 1.0), lam2=num("lam2", 0.0),
-            z0=num("z0", 1.2), length=num("length", 0.8), h=h)
-        error = result.max_rel_error
-    else:
-        raise ConfigError("reconstruct needs theorem in {3.1, 3.2, 4.2}")
-
+    v = _read(cfg, SCHEMA["reconstruct"])
+    theorem, tol = v["theorem"], v["tolerances"]["ode"]
+    result = _RECONSTRUCT[theorem](**{key: v[key] for key in THEOREMS[theorem]})
+    # the 4.2 profile g = exp(...) is compared relative, the others absolute
+    error = result.max_rel_error if theorem == "4.2" else result.max_error
     passed = error < tol
     report = {
         "theorem": theorem,
@@ -517,7 +519,7 @@ def run_reconstruct(cfg: dict) -> int:
         "passed": passed,
         "meta": result.meta,
     }
-    _json_report(out.get("json"), report)
+    _json_report(v["output"]["json"], report)
     return EXIT_OK if passed else EXIT_FAIL
 
 
@@ -526,23 +528,14 @@ def run_reconstruct(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def run_probe(cfg: dict) -> int:
-    out = _output(cfg)
-    budget = _integer(cfg.get("budget", 10_000), "budget", 1)
-    floor = cfg.get("floor")
-    if floor is not None:
-        floor = _finite(floor, "floor")
-    space = rec.FamilySpace(
-        degree_f=_integer(cfg.get("degree_f", 2), "degree_f", 0),
-        degree_g=_integer(cfg.get("degree_g", 2), "degree_g", 0),
-        exponential=_flag(cfg.get("exponential", True), "exponential"),
-    )
+    v = _read(cfg, SCHEMA["probe"])
     report = rec.nonexistence_probe(
-        k0=_finite(cfg.get("k0", 1.0), "k0"),
-        space=space,
-        budget=budget,
-        grid=_build_grid(cfg, GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)),
-        seed=_seed(cfg),
-        restarts=_integer(cfg.get("restarts", 6), "restarts", 0),
+        k0=v["k0"],
+        space=rec.FamilySpace(v["degree_f"], v["degree_g"], v["exponential"]),
+        budget=v["budget"],
+        grid=_grid(v["grid"], GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)),
+        seed=v["seed"],
+        restarts=v["restarts"],
     )
     payload = {
         "header": report.header,
@@ -553,12 +546,12 @@ def run_probe(cfg: dict) -> int:
         "budget": report.budget,
         "restarts": report.restarts,
     }
-    passed = True
+    passed, floor = True, v["floor"]
     if floor is not None and report.k0 != 0.0:
         passed = report.best_residual > floor
         payload["floor"] = floor
         payload["floor_passed"] = passed
-    _json_report(out.get("json"), payload)
+    _json_report(v["output"]["json"], payload)
     return EXIT_OK if passed else EXIT_FAIL
 
 
@@ -594,17 +587,15 @@ def _sidecar_rows(data: dict) -> Iterator[str]:
 
 
 def run_mesh(cfg: dict) -> int:
-    out = _output(cfg)
-    _, surface = _build_surface(cfg)
-    grid = _build_grid(cfg, default_grid(surface))
-    _, data = _sweep(cfg, surface, grid)
+    v = _read(cfg, SCHEMA["mesh"])
+    _, data = _sweep(v)
     ex = data["excluded"]
     # a cell is kept when all four corners are admissible
     faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
     if not faces.any():
         return EXIT_EMPTY_GRID
-    _write(out.get("obj"), _obj_lines(data, faces))
-    _write(out.get("sidecar"), _sidecar_rows(data))
+    _write(v["output"]["obj"], _obj_lines(data, faces))
+    _write(v["output"]["sidecar"], _sidecar_rows(data))
     return EXIT_OK
 
 

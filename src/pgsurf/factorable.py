@@ -225,7 +225,8 @@ class GridSpec:
 
     def __post_init__(self):
         for lo, hi in (self.u1, self.u2):
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+            # a finite width keeps every linspace node finite
+            if not (math.isfinite(hi - lo) and lo < hi):
                 raise InvalidParams(f"grid range must be finite and increasing, got ({lo}, {hi})")
         if self.n1 < 2 or self.n2 < 2:
             raise InvalidParams("grid resolution must be >= 2 per axis")
@@ -262,11 +263,13 @@ def default_grid(s: FactorableSurface, n1: int = 20, n2: int = 20,
     return GridSpec(_clip_axis(d1, span, margin), _clip_axis(d2, span, margin), n1, n2)
 
 
+@np.errstate(all="ignore")
 def jet_component_arrays(s: FactorableSurface, U1, U2,
                          mode: str = "analytic", fd_step: float = FD_STEP) -> dict:
     """Component arrays x1..z22 over broadcast-compatible parameter arrays,
     analytic or FD.  The analytic components that are 0 or 1 everywhere
-    are 0-d arrays; the others take the broadcast shape of U1 and U2."""
+    are 0-d arrays; the others take the broadcast shape of U1 and U2.  A
+    profile value that overflows ends as a non-finite component, silently."""
     U1 = np.asarray(U1, dtype=float)
     U2 = np.asarray(U2, dtype=float)
     if mode == "analytic":
@@ -304,9 +307,11 @@ def _axes(grid: GridSpec):
     return u1, u2, {"U1": np.broadcast_to(u1, shape), "U2": np.broadcast_to(u2, shape)}
 
 
+@np.errstate(all="ignore")
 def pipeline_grid(s: FactorableSurface, grid: GridSpec,
                   mode: str = "analytic", fd_step: float = FD_STEP) -> dict:
-    """General-pipeline sweep: positions, K, H, eps, W and exclusion mask."""
+    """General-pipeline sweep: positions, K, H, eps, W and exclusion mask;
+    a point whose K or H is not finite is excluded."""
     u1, u2, params = _axes(grid)
     out = curvature_arrays(jet_component_arrays(s, u1, u2, mode=mode, fd_step=fd_step))
     x, y, z = s.value_arrays(u1, u2)
@@ -318,6 +323,7 @@ def pipeline_grid(s: FactorableSurface, grid: GridSpec,
     }
 
 
+@np.errstate(all="ignore")
 def specialized_grid(s: FactorableSurface, grid: GridSpec) -> dict:
     """Closed-formula sweep: U1, U2, K, H and the exclusion mask (no
     positions; `pipeline_grid` has them).  A point is excluded where K or
@@ -325,10 +331,9 @@ def specialized_grid(s: FactorableSurface, grid: GridSpec) -> dict:
     u1, u2, params = _axes(grid)
     parts = _parts(s, u1, u2)
     fv, f1, _, gv, g1, _ = parts
-    with np.errstate(all="ignore"):
-        den = _denominator(s.kind, fv, f1, gv, g1)
-        K, k_undefined = _closed_K(s.kind, parts, den)
-        H, h_undefined = _closed_H(s.kind, parts, den)
+    den = _denominator(s.kind, fv, f1, gv, g1)
+    K, k_undefined = _closed_K(s.kind, parts, den)
+    H, h_undefined = _closed_H(s.kind, parts, den)
     return {**params, "K": K, "H": H, "excluded": k_undefined | h_undefined}
 
 

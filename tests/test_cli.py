@@ -1,13 +1,18 @@
+import inspect
 import json
 import math
 import os
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pgsurf.cli import MAX_GRID_POINTS, _build_grid, main
+from pgsurf import cli
+from pgsurf import families as fam
+from pgsurf import reconstruct as rec
+from pgsurf.cli import MAX_GRID_POINTS, _grid, main
 from pgsurf.core import Motion
 from pgsurf.factorable import GridSpec, default_grid
 from pgsurf.families import family_surface
@@ -296,6 +301,9 @@ class TestVerify:
         "output.json=7", "output.json=[1]", "output.json=true", "output.json=null",
         "motions=2.5", "motions=true", "seed=0.5", "seed=false",
         "perturb.exponent_scale=NaN", "perturb.exponent_scale=Infinity", "family.k0=NaN",
+        "perturb.exponent_scale=true", "family.k0=true", "family.sign=true",
+        "family.lam2=true", 'family.lam1="0.5"', "grid.u1=[true,2]", 'grid.u1=["0","1"]',
+        "grid.n3=5", "perturb.exponent=1.01", "output.jsn=x",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "vb.json", {"family": {"name": "thm31", "k0": 1.0},
@@ -355,6 +363,9 @@ class TestReconstruct:
         ("3.1", "sign=0.5"), ("3.1", "sign=-1.5"), ("3.1", "sign=true"), ("3.1", "sign=[1]"),
         ("3.1", "k0=NaN"), ("3.1", "h=Infinity"), ("3.2", "h0=NaN"), ("3.2", "u0=-Infinity"),
         ("4.2", "lam1=NaN"), ("4.2", "z0=Infinity"),
+        ("3.1", "g0=true"), ("3.1", "span=[true,2]"), ("3.1", 'k0="1"'), ("3.1", "k0=true"),
+        ("3.1", "h=true"), ("3.2", "lam=true"), ("3.2", 'f0="2"'), ("4.2", "lam1=true"),
+        ("4.2", 'z0="1.2"'), ("3.1", "output.jsn=x"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, theorem, override):
         out = tmp_path / "out.json"
@@ -384,6 +395,8 @@ class TestProbe:
         "budget=60.9", "budget=true", "restarts=-5", "restarts=1.5", "restarts=true",
         "seed=1.5", "seed=true", "degree_f=1.5", "degree_f=-1", "degree_g=true",
         "grid.n1=9.5", "grid.n2=false", "grid.n1=-9",
+        "k0=true", 'k0="1"', "floor=true", 'floor="0.05"', "grid.u1=[true,2]",
+        'grid.u1=["0","1"]', "grid.n3=5", "output.jsn=x",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "pm.json", {"k0": 1.0, "budget": 10,
@@ -487,6 +500,9 @@ class TestConfigValidation:
         "output=5", "output=[]", "family=5", "family=null",
         "output.csv=7", "output.json=[1]", "output.obj=true", "output.sidecar=null",
         'family.lam1="abc"', "family.lam1=NaN", "family.k0=Infinity", "family.lam2=[1]",
+        "family.sign=true", "family.lam2=true", 'family.lam1="0.5"', "family.k0=true",
+        "fd_step=true", "grid.u1=[true,2]", 'grid.u1=["0","1"]',
+        "grid.n3=5", "output.jsn=x",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path, "c.json", {"family": {"name": "thm31", "k0": 1.0},
@@ -494,8 +510,18 @@ class TestConfigValidation:
         _one_line_config_error(capsys, [command, "--config", cfg, "--set", override])
         assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
+    @pytest.mark.parametrize("command", ["curvature", "mesh", "verify", "probe"])
+    def test_overflowing_grid_width_exits_2(self, tmp_path, capsys, command):
+        # both ends are finite but hi - lo is not: linspace would overflow
+        out = {key: str(tmp_path / key) for key in ("csv", "json", "obj", "sidecar")}
+        cfg = write_config(tmp_path, "w.json", {"family": {"name": "thm31", "k0": 1.0},
+                                                "grid": {"u1": [-1e308, 1e308], "n1": 4, "n2": 4},
+                                                "budget": 10, "output": out})
+        _one_line_config_error(capsys, [command, "--config", cfg])
+        assert list(tmp_path.iterdir()) == [tmp_path / "w.json"]
+
     def test_grid_cap_is_inclusive(self):
-        grid = _build_grid({"grid": {"n1": 2000, "n2": 2000}}, GridSpec((0, 1), (0, 1)))
+        grid = _grid({"n1": 2000, "n2": 2000}, GridSpec((0, 1), (0, 1)))
         assert grid.n1 * grid.n2 == MAX_GRID_POINTS
 
     def test_valid_fd_step_is_used(self, tmp_path):
@@ -508,6 +534,66 @@ class TestConfigValidation:
         coarse = (tmp_path / "a.csv").read_bytes()
         assert main(["curvature", "--config", cfg]) == 0
         assert (tmp_path / "a.csv").read_bytes() != coarse
+
+
+def _schema_keys(table, where=""):
+    """Every key of a schema table as the config names it (`grid.n1`),
+    the keys of each table a choice picks included."""
+    for key, row in table.items():
+        if isinstance(row, dict):
+            yield from _schema_keys(row, f"{where}{key}.")
+        else:
+            yield where + key
+            for chosen in (row.bound.values() if isinstance(row.bound, dict) else ()):
+                yield from _schema_keys(chosen, where)
+
+
+class TestSchema:
+    def test_every_key_is_in_the_readme(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        keys = {key for table in cli.SCHEMA.values() for key in _schema_keys(table)}
+        assert len(keys) > 40
+        assert [key for key in sorted(keys) if f"`{key}`" not in section] == []
+
+    def test_a_table_per_family(self):
+        assert sorted(cli.FAMILIES) == sorted(fam.FAMILY_NAMES)
+
+    @pytest.mark.parametrize("table,function", [
+        (cli.FAMILIES["thm31"], fam.thm31_family), (cli.FAMILIES["thm32"], fam.thm32_family),
+        (cli.FAMILIES["thm42"], fam.thm42_family), (cli.THEOREMS["3.1"], rec.reconstruct_thm31),
+        (cli.THEOREMS["3.2"], rec.reconstruct_thm32), (cli.THEOREMS["4.2"], rec.reconstruct_thm42),
+    ])
+    def test_defaults_are_the_library_defaults(self, table, function):
+        # k0 and h0 have no library default; the CLI requires them or sets its own
+        params = inspect.signature(function).parameters
+        assert sorted(table) == sorted(params)
+        for key, row in table.items():
+            if params[key].default is not inspect.Parameter.empty:
+                assert row.default == params[key].default, key
+
+    @pytest.mark.parametrize("value,kind,bound,typed", [
+        (1, "_real", False, 1.0), (-2.5, "_real", False, -2.5), (1e-300, "_real", True, 1e-300),
+        (60.0, "_integer", None, 60), (-3, "_integer", None, -3), (3, "_integer", (1, 3), 3),
+        ([0, 1.5], "_pair", None, (0.0, 1.5)), (3.1, "_choice", ("3.1",), "3.1"),
+        ("", "_path", None, ""), (False, "_flag", None, False),
+    ])
+    def test_kinds_type_their_values(self, value, kind, bound, typed):
+        result = getattr(cli, kind)(value, bound)
+        assert result == typed and type(result) is type(typed)
+
+    @pytest.mark.parametrize("value,kind,bound", [
+        (True, "_real", False), ("1", "_real", False), (10**400, "_real", False),
+        (0.0, "_real", True), (math.nan, "_real", False), (True, "_integer", None),
+        ("1", "_integer", None), (1.5, "_integer", None), (0, "_integer", (1, 3)),
+        (4, "_integer", (1, 3)), (math.inf, "_integer", None), ([0], "_pair", None),
+        ((0, 1), "_pair", None), ([0, "1"], "_pair", None), (3, "_choice", ("3",)),
+        (["3.1"], "_choice", ("3.1",)), (7, "_path", None), (None, "_path", None),
+        (1, "_flag", None), ("true", "_flag", None),
+    ])
+    def test_kinds_reject_other_values(self, value, kind, bound):
+        with pytest.raises(ValueError):
+            getattr(cli, kind)(value, bound)
 
 
 class TestAtomicWrites:

@@ -384,9 +384,7 @@ class TestColumnRuleFormatsOncePerAxisValue:
 
     def test_axis_columns(self, monkeypatch):
         calls = self._counting(monkeypatch)
-        surface = cli._build_surface(self.CFG)[1]
-        grid = cli._build_grid(self.CFG, cli.default_grid(surface))
-        _, data = cli._sweep({}, surface, grid)
+        _, data = cli._sweep(cli._read(self.CFG, cli.SCHEMA["curvature"]))
         for key in ("U1", "U2", "x", "y", "eps"):
             calls.clear()
             for _ in cli._cell_rows(data[key]):
