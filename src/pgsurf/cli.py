@@ -533,7 +533,7 @@ def run_probe(cfg: dict) -> int:
         k0=v["k0"],
         space=rec.FamilySpace(v["degree_f"], v["degree_g"], v["exponential"]),
         budget=v["budget"],
-        grid=_grid(v["grid"], GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)),
+        grid=_grid(v["grid"], rec.PROBE_GRID),
         seed=v["seed"],
         restarts=v["restarts"],
     )

@@ -56,45 +56,34 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class ScalarC2:
-    """Twice-differentiable scalar function with analytic derivatives.
+    """Twice-differentiable scalar function given by its 2-jet.
 
-    Evaluators must accept numpy arrays.  `domain` is the open interval on
-    which the evaluators are valid; infinite ends are allowed.
+    `jet(t)` returns the tuple (f, f', f'') at t and must accept numpy
+    arrays.  `domain` is the open interval on which `jet` is valid;
+    infinite ends are allowed.  Calling the profile, `deriv` and `deriv2`
+    are one-component views of `jet`.
     """
 
-    fn: Callable
-    d1: Callable
-    d2: Callable
+    jet: Callable
     domain: tuple[float, float] = (-_INF, _INF)
-    name: str = ""
 
     def __call__(self, t):
-        return self.fn(np.asarray(t, dtype=float))
+        return self.jet(np.asarray(t, dtype=float))[0]
 
     def deriv(self, t):
-        return self.d1(np.asarray(t, dtype=float))
+        return self.jet(np.asarray(t, dtype=float))[1]
 
     def deriv2(self, t):
-        return self.d2(np.asarray(t, dtype=float))
+        return self.jet(np.asarray(t, dtype=float))[2]
 
     @staticmethod
-    def constant(c: float, name: str = "") -> "ScalarC2":
-        return ScalarC2(
-            fn=lambda t: c + 0.0 * t,
-            d1=lambda t: 0.0 * t,
-            d2=lambda t: 0.0 * t,
-            name=name or f"const({c})",
-        )
+    def constant(c: float) -> "ScalarC2":
+        return ScalarC2(lambda t: (c + 0.0 * t, 0.0 * t, 0.0 * t))
 
     @staticmethod
-    def linear(a: float, b: float = 0.0, name: str = "") -> "ScalarC2":
+    def linear(a: float, b: float = 0.0) -> "ScalarC2":
         """t -> a*t + b."""
-        return ScalarC2(
-            fn=lambda t: a * t + b,
-            d1=lambda t: a + 0.0 * t,
-            d2=lambda t: 0.0 * t,
-            name=name or f"linear({a},{b})",
-        )
+        return ScalarC2(lambda t: (a * t + b, a + 0.0 * t, 0.0 * t))
 
 
 @dataclass(frozen=True)
@@ -120,13 +109,16 @@ class FactorableSurface:
         return self.f.domain, self.g.domain
 
     def value_arrays(self, u1, u2):
-        """Position components (x, y, z) for array parameters."""
+        """Position components (x, y, z) for array parameters; the two
+        parameter components are read-only views of u1 and u2 broadcast
+        to the shape of the product."""
         u1 = np.asarray(u1, dtype=float)
         u2 = np.asarray(u2, dtype=float)
         prod = self.f(u1) * self.g(u2)
+        u1, u2 = np.broadcast_to(u1, prod.shape), np.broadcast_to(u2, prod.shape)
         if self.kind == KIND_FIRST:
-            return u1 + 0.0 * prod, u2 + 0.0 * prod, prod
-        return prod, u1 + 0.0 * prod, u2 + 0.0 * prod
+            return u1, u2, prod
+        return prod, u1, u2
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +128,7 @@ class FactorableSurface:
 def _parts(s: FactorableSurface, u1, u2):
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
-    return (s.f(u1), s.f.deriv(u1), s.f.deriv2(u1),
-            s.g(u2), s.g.deriv(u2), s.g.deriv2(u2))
+    return s.f.jet(u1) + s.g.jet(u2)
 
 
 def _denominator(kind: str, fv, f1, gv, g1):
@@ -327,14 +318,15 @@ def pipeline_grid(s: FactorableSurface, grid: GridSpec,
 def specialized_grid(s: FactorableSurface, grid: GridSpec) -> dict:
     """Closed-formula sweep: U1, U2, K, H and the exclusion mask (no
     positions; `pipeline_grid` has them).  A point is excluded where K or
-    H is undefined.  K and H share one closed denominator."""
+    H is not finite, which covers the undefined points (NaN there).  K
+    and H share one closed denominator."""
     u1, u2, params = _axes(grid)
     parts = _parts(s, u1, u2)
     fv, f1, _, gv, g1, _ = parts
     den = _denominator(s.kind, fv, f1, gv, g1)
-    K, k_undefined = _closed_K(s.kind, parts, den)
-    H, h_undefined = _closed_H(s.kind, parts, den)
-    return {**params, "K": K, "H": H, "excluded": k_undefined | h_undefined}
+    K, _ = _closed_K(s.kind, parts, den)
+    H, _ = _closed_H(s.kind, parts, den)
+    return {**params, "K": K, "H": H, "excluded": ~np.isfinite(K) | ~np.isfinite(H)}
 
 
 # ---------------------------------------------------------------------------

@@ -66,28 +66,33 @@ def thm31_family(k0: float, lam1: float = 0.0, lam2: float = 0.0, sign: int = 1)
         raise InvalidParams(f"sign must be +1 or -1, got {sign!r}")
     rho = math.sqrt(abs(k0))
 
-    def w(x):
-        return rho * x + lam1
+    def f(x):
+        w = rho * x + lam1
+        th, c2 = np.tanh(w), np.cosh(w) ** 2
+        return sign * th, sign * rho / c2, -2.0 * sign * rho * rho * th / c2
 
-    f = ScalarC2(
-        fn=lambda x: sign * np.tanh(w(x)),
-        d1=lambda x: sign * rho / np.cosh(w(x)) ** 2,
-        d2=lambda x: -2.0 * sign * rho * rho * np.tanh(w(x)) / np.cosh(w(x)) ** 2,
-        name=f"{'+' if sign > 0 else '-'}tanh({rho:g}x{lam1:+g})",
-    )
-    g = ScalarC2.linear(1.0, lam2, name=f"y{lam2:+g}")
-    return FactorableSurface(KIND_FIRST, f, g)
+    return FactorableSurface(KIND_FIRST, ScalarC2(f), ScalarC2.linear(1.0, lam2))
 
 
-def _radicand_domain(h0: float, shift: float, branch: int) -> tuple[float, float]:
-    """Domain in the grid coordinate where (2*h0*t + shift)^2 + branch > 0.
+def _radicand(h0: float, shift: float, b: int, w_text: str):
+    """The radicand r = w^2 + b of w = 2*h0*t + shift: its domain in the
+    grid coordinate t, all reals for b = +1 and the component with w > 1
+    for b = -1, and the map t -> (w, r), which raises DomainError where
+    r is not positive.  `w_text` names w in that message."""
+    if b > 0:
+        dom = (-_INF, _INF)
+    else:
+        t_star = (1.0 - shift) / (2.0 * h0)
+        dom = (t_star, _INF) if h0 > 0 else (-_INF, t_star)
 
-    Plus branch: all reals.  Minus branch: the component with w > 1.
-    """
-    if branch > 0:
-        return (-_INF, _INF)
-    t_star = (1.0 - shift) / (2.0 * h0)
-    return (t_star, _INF) if h0 > 0 else (-_INF, t_star)
+    def radicand(t):
+        w = 2.0 * h0 * t + shift
+        r = w ** 2 + b
+        if np.any(r <= 0.0):
+            raise DomainError(f"radicand ({w_text})^2 - 1 not positive on the requested points")
+        return w, r
+
+    return dom, radicand
 
 
 def thm32_family(h0: float, lam1: float = 0.0, lam2: float = 0.0,
@@ -104,35 +109,14 @@ def thm32_family(h0: float, lam1: float = 0.0, lam2: float = 0.0,
     if f0 == 0.0 or not math.isfinite(f0):
         raise InvalidParams("f0 must be a nonzero finite real")
     b = _branch_sign(causal)
-    dom = _radicand_domain(h0, lam1, b)
+    dom, radicand = _radicand(h0, lam1, b, "2 h0 y + lam1")
 
-    def w(y):
-        return 2.0 * h0 * y + lam1
+    def g(y):
+        w, r = radicand(y)
+        root = np.sqrt(r)
+        return (root / (2.0 * h0) + lam2) / f0, w / root / f0, 2.0 * h0 * b / r ** 1.5 / f0
 
-    def rad(y):
-        r = w(y) ** 2 + b
-        if np.any(r <= 0.0):
-            raise DomainError("radicand (2 h0 y + lam1)^2 - 1 not positive on the requested points")
-        return r
-
-    def zeta(y):
-        return np.sqrt(rad(y)) / (2.0 * h0) + lam2
-
-    def zeta1(y):
-        return w(y) / np.sqrt(rad(y))
-
-    def zeta2(y):
-        return 2.0 * h0 * b / rad(y) ** 1.5
-
-    f = ScalarC2.constant(f0, name=f"const({f0:g})")
-    g = ScalarC2(
-        fn=lambda y: zeta(y) / f0,
-        d1=lambda y: zeta1(y) / f0,
-        d2=lambda y: zeta2(y) / f0,
-        domain=dom,
-        name=f"sqrt-profile({causal})",
-    )
-    return FactorableSurface(KIND_FIRST, f, g)
+    return FactorableSurface(KIND_FIRST, ScalarC2.constant(f0), ScalarC2(g, dom))
 
 
 def thm42_family(h0: float, lam1: float = 1.0, lam2: float = 1.0,
@@ -147,41 +131,21 @@ def thm42_family(h0: float, lam1: float = 1.0, lam2: float = 1.0,
     if lam1 == 0.0 or lam2 == 0.0:
         raise InvalidParams("lam1 and lam2 must be nonzero")
     b = _branch_sign(causal)
-    dom = _radicand_domain(h0, lam3, b)
+    dom, radicand = _radicand(h0, lam3, b, "2 h0 z + lam3")
 
-    f = ScalarC2(
-        fn=lambda y: lam1 * np.exp(lam2 * y),
-        d1=lambda y: lam1 * lam2 * np.exp(lam2 * y),
-        d2=lambda y: lam1 * lam2 * lam2 * np.exp(lam2 * y),
-        name=f"{lam1:g}*exp({lam2:g}y)",
-    )
+    def f(y):
+        e = np.exp(lam2 * y)
+        return lam1 * e, lam1 * lam2 * e, lam1 * lam2 * lam2 * e
 
-    def w(z):
-        return 2.0 * h0 * z + lam3
+    def g(z):
+        # g = exp(phi), phi = (lam2/(2 h0)) sqrt(r)
+        w, r = radicand(z)
+        root = np.sqrt(r)
+        e = np.exp(lam2 / (2.0 * h0) * root)
+        phi1, phi2 = lam2 * w / root, 2.0 * h0 * lam2 * b / r ** 1.5
+        return e, phi1 * e, (phi2 + phi1 ** 2) * e
 
-    def rad(z):
-        r = w(z) ** 2 + b
-        if np.any(r <= 0.0):
-            raise DomainError("radicand (2 h0 z + lam3)^2 - 1 not positive on the requested points")
-        return r
-
-    def phi(z):
-        return lam2 / (2.0 * h0) * np.sqrt(rad(z))
-
-    def phi1(z):
-        return lam2 * w(z) / np.sqrt(rad(z))
-
-    def phi2(z):
-        return 2.0 * h0 * lam2 * b / rad(z) ** 1.5
-
-    g = ScalarC2(
-        fn=lambda z: np.exp(phi(z)),
-        d1=lambda z: phi1(z) * np.exp(phi(z)),
-        d2=lambda z: (phi2(z) + phi1(z) ** 2) * np.exp(phi(z)),
-        domain=dom,
-        name=f"exp-profile({causal})",
-    )
-    return FactorableSurface(KIND_SECOND, f, g)
+    return FactorableSurface(KIND_SECOND, ScalarC2(f), ScalarC2(g, dom))
 
 
 @dataclass(frozen=True)
@@ -201,7 +165,7 @@ def fixtures_flat_minimal() -> list[Fixture]:
     its K = 0 comes from the documented flat-limit convention)."""
     linear = FactorableSurface(KIND_FIRST, ScalarC2.constant(2.0), ScalarC2.linear(1.0, 3.0))
     saddle = FactorableSurface(KIND_FIRST, ScalarC2.linear(1.0, 0.0), ScalarC2.linear(1.0, 0.0))
-    exp1 = ScalarC2(fn=np.exp, d1=np.exp, d2=np.exp, name="exp")
+    exp1 = ScalarC2(lambda t: (np.exp(t),) * 3)
     exp_exp = FactorableSurface(KIND_SECOND, exp1, exp1)
     return [
         Fixture("linear", linear, expected_K=0.0, expected_H=0.0,
@@ -279,30 +243,21 @@ def sample_params(family: str, rng: np.random.Generator, causal: str = "timelike
 
 
 def perturb_exponent(s: FactorableSurface, scale: float) -> FactorableSurface:
-    """Replace g by g**scale (g must stay positive on its domain).
+    """Replace g by g**scale; g must be positive wherever it is evaluated,
+    else the evaluation raises InvalidParams (the surface cannot take the
+    perturbation there).
 
     Used to break the constant-curvature property deliberately; scale 1.0
     returns an equivalent surface.
     """
-    base = s.g
+    base = s.g.jet
 
-    def check(gv):
+    def g(t):
+        gv, gp, gpp = base(t)
         if np.any(gv <= 0.0):
-            raise DomainError("exponent perturbation requires g > 0")
-        return gv
+            raise InvalidParams("exponent perturbation requires g > 0")
+        return (gv ** scale, scale * gv ** (scale - 1.0) * gp,
+                scale * (scale - 1.0) * gv ** (scale - 2.0) * gp ** 2
+                + scale * gv ** (scale - 1.0) * gpp)
 
-    def fn(t):
-        return check(base(t)) ** scale
-
-    def d1(t):
-        gv = check(base(t))
-        return scale * gv ** (scale - 1.0) * base.deriv(t)
-
-    def d2(t):
-        gv = check(base(t))
-        gp = base.deriv(t)
-        return (scale * (scale - 1.0) * gv ** (scale - 2.0) * gp ** 2
-                + scale * gv ** (scale - 1.0) * base.deriv2(t))
-
-    g = ScalarC2(fn=fn, d1=d1, d2=d2, domain=base.domain, name=f"({base.name})^{scale:g}")
-    return FactorableSurface(s.kind, s.f, g)
+    return FactorableSurface(s.kind, s.f, ScalarC2(g, s.g.domain))

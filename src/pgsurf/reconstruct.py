@@ -49,6 +49,8 @@ MAX_STEPS = 10**6
 # Largest restart count `nonexistence_probe` accepts; checked before any
 # start is built.
 MAX_RESTARTS = 10**4
+# The grid `nonexistence_probe` and the `probe` command search on by default.
+PROBE_GRID = GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,14 @@ class ODEProblem:
                                 f"needs more than {MAX_STEPS} steps")
         object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
 
+    def steps(self) -> tuple[int, float]:
+        """The step count n = round(span/h), at least 1, and the step
+        span/n that `integrate` takes; it differs from `h` where h does not
+        divide the corridor."""
+        span = self.t1 - self.t0
+        n = max(1, int(round(span / self.h)))
+        return n, span / n
+
 
 def _rk4_step(rhs, t, y, h):
     # per component, in the operation order of the ndarray expressions
@@ -87,7 +97,7 @@ def _rk4_step(rhs, t, y, h):
 
 
 def integrate(problem: ODEProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Classic RK4 with n = round(span/h) equal steps.
+    """Classic RK4 with the n equal steps of `problem.steps()`.
 
     Steps on Python floats: `problem.rhs(t, y)` gets the time as a float
     and the state as a sequence of floats, and returns the derivative as a
@@ -97,9 +107,7 @@ def integrate(problem: ODEProblem) -> tuple[np.ndarray, np.ndarray]:
     [-1e12, 1e12] or stops being finite mid-corridor, which includes an
     rhs whose float arithmetic raises ArithmeticError.
     """
-    span = problem.t1 - problem.t0
-    n = max(1, int(round(span / problem.h)))
-    h = span / n
+    n, h = problem.steps()
     ts = problem.t0 + h * np.arange(n + 1)
     y = problem.y0.tolist()
     trajectory = array("d", y)
@@ -119,7 +127,8 @@ def integrate(problem: ODEProblem) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """RK4 samples next to the closed form, with the max gap."""
+    """RK4 samples next to the closed form, with the max gap; `h` is the
+    step the integration took."""
 
     ts: np.ndarray
     numeric: np.ndarray
@@ -146,11 +155,13 @@ def reconstruct_thm31(k0: float, g0: float = 1.0, lam1: float = 0.0, sign: int =
         return (sign * rho * (1.0 - (g0 * y[0]) ** 2) / g0,)
 
     f_init = sign * math.tanh(rho * span[0] + lam1) / g0
-    ts, ys = integrate(ODEProblem(rhs, span[0], np.array([f_init]), span[1], h))
+    problem = ODEProblem(rhs, span[0], np.array([f_init]), span[1], h)
+    ts, ys = integrate(problem)
     closed = sign * np.tanh(rho * ts + lam1) / g0
     err = np.abs(ys[:, 0] - closed)
     rel = err / np.maximum(1e-300, np.abs(closed))
-    return Reconstruction(ts, ys[:, 0], closed, float(err.max()), float(rel.max()), h,
+    return Reconstruction(ts, ys[:, 0], closed, float(err.max()), float(rel.max()),
+                          problem.steps()[1],
                           meta={"theorem": "3.1", "k0": k0, "g0": g0, "lam1": lam1, "sign": sign})
 
 
@@ -230,11 +241,13 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
             du = 2.0 * h0 * (-gap) ** 1.5
         return (u / f0, du)
 
-    ts, ys = integrate(ODEProblem(rhs, y0, np.array([g_init, u0]), y0 + length, h))
+    problem = ODEProblem(rhs, y0, np.array([g_init, u0]), y0 + length, h)
+    ts, ys = integrate(problem)
     closed = base(ts) / f0 + (g_init - float(base(y0)) / f0)
     err = np.abs(ys[:, 0] - closed)
     rel = err / np.maximum(1e-300, np.abs(closed))
-    return Reconstruction(ts, ys[:, 0], closed, float(err.max()), float(rel.max()), h,
+    return Reconstruction(ts, ys[:, 0], closed, float(err.max()), float(rel.max()),
+                          problem.steps()[1],
                           meta={"theorem": "3.2", "h0": h0, "f0": f0, "lam": lam,
                                 "causal": causal, "u0": u0})
 
@@ -275,12 +288,14 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
             raise BranchViolation("integration crossed (g'/g)^2 = lam1^2")
         return (s * 2.0 * h0 * gap ** 1.5 / (lam1 * lam1), v)
 
-    ts, ys = integrate(ODEProblem(rhs, z0, np.array([v0, L0]), z0 + length, h))
+    problem = ODEProblem(rhs, z0, np.array([v0, L0]), z0 + length, h)
+    ts, ys = integrate(problem)
     numeric = np.exp(ys[:, 1])
     closed = closed_g(ts)
     err = np.abs(numeric - closed)
     rel = err / np.abs(closed)
-    return Reconstruction(ts, numeric, closed, float(err.max()), float(rel.max()), h,
+    return Reconstruction(ts, numeric, closed, float(err.max()), float(rel.max()),
+                          problem.steps()[1],
                           meta={"theorem": "4.2", "h0": h0, "lam1": lam1, "lam2": lam2,
                                 "branch_sign": s})
 
@@ -376,14 +391,17 @@ def _probe_objective(space: FamilySpace, k0: float, grid: GridSpec):
     return values
 
 
-def _coordinate_search(theta0: np.ndarray, budget: int,
-                       step0: float = 0.5, shrink: float = 0.5,
-                       min_step: float = 1e-6
+# the pattern search's initial step, its shrink factor after a sweep with
+# no move, and the step below which it stops
+_STEP0, _SHRINK, _MIN_STEP = 0.5, 0.5, 1e-6
+
+
+def _coordinate_search(theta0: np.ndarray, budget: int
                        ) -> Generator[np.ndarray, np.ndarray, tuple[float, np.ndarray, int]]:
     """Pattern search after Hooke & Jeeves (J. ACM, 1961): try +step, then
     -step, on each coordinate in turn, move to the first candidate that
     improves by more than 1e-15, and shrink every step after a sweep with
-    no move; stop at `budget` evaluations or below `min_step`.
+    no move; stop at `budget` evaluations or below `_MIN_STEP`.
 
     A generator: it yields candidate rows (m, n_params), is sent their
     objective values (m,), and returns (best, theta, evals).  The
@@ -395,8 +413,8 @@ def _coordinate_search(theta0: np.ndarray, budget: int,
     best = (yield theta[None])[0]
     evals = 1
     n = theta.size
-    steps = np.full(n, step0)
-    while evals < budget and float(steps.max()) > min_step:
+    steps = np.full(n, _STEP0)
+    while evals < budget and float(steps.max()) > _MIN_STEP:
         improved = False
         i = 0
         while i < n and evals < budget:
@@ -416,7 +434,7 @@ def _coordinate_search(theta0: np.ndarray, budget: int,
             improved = True
             i = coords[k] + 1
         if not improved:
-            steps *= shrink
+            steps *= _SHRINK
     return best, theta, evals
 
 
@@ -451,13 +469,11 @@ class ProbeReport:
     evaluations: int
     budget: int
     restarts: int
-    space: FamilySpace
-    grid: GridSpec
     header: str
 
 
 def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
-                       budget: int = 10_000, grid: Optional[GridSpec] = None,
+                       budget: int = 10_000, grid: GridSpec = PROBE_GRID,
                        seed: int = 0, restarts: int = 6) -> ProbeReport:
     """Minimize max-grid |K - k0| over the declared family space by a
     coordinate search with restarts.
@@ -484,8 +500,6 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
         raise InvalidParams(f"restarts ({restarts}) must not exceed {MAX_RESTARTS}")
     if budget >= 1 and restarts > budget:
         raise InvalidParams(f"restarts ({restarts}) must not exceed budget ({budget})")
-    if grid is None:
-        grid = GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)
     values = _probe_objective(space, k0, grid)
 
     rng = np.random.default_rng(seed)
@@ -546,7 +560,5 @@ def _probe_report(k0, best, theta, evals, budget, restarts, space, grid) -> Prob
         evaluations=int(evals),
         budget=int(budget),
         restarts=int(restarts),
-        space=space,
-        grid=grid,
         header=header,
     )

@@ -33,8 +33,7 @@ def closed(kernel, s, u1, u2):
     """`closed_K` or `closed_H` of `s` at (u1, u2): the value and the
     undefined flag, as a float and a bool."""
     a1, a2 = np.array([float(u1)]), np.array([float(u2)])
-    value, undefined = kernel(s.kind, s.f(a1), s.f.deriv(a1), s.f.deriv2(a1),
-                              s.g(a2), s.g.deriv(a2), s.g.deriv2(a2))
+    value, undefined = kernel(s.kind, *s.f.jet(a1), *s.g.jet(a2))
     return float(value[0]), bool(undefined[0])
 
 

@@ -130,7 +130,7 @@ def _sigma_corpus():
     corpus.append((saddle, GridSpec((-0.5, 0.5), (-0.5, 0.5), 12, 12)))
 
     # first kind, timelike patch with K != 0 and H != 0
-    quad = ScalarC2(lambda t: t**2, lambda t: 2.0 * t, lambda t: 2.0 + 0.0 * t)
+    quad = ScalarC2(lambda t: (t**2, 2.0 * t, 2.0 + 0.0 * t))
     tl1 = FactorableSurface("first", ScalarC2.linear(1.0, 2.0), quad)
     corpus.append((tl1, GridSpec((-0.4, 0.4), (0.5, 1.2), 12, 12)))
 

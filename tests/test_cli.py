@@ -85,6 +85,27 @@ class TestCurvature:
         })
         assert main(["curvature", "--config", cfg]) == 3
 
+    # thm42 whose g overflows on every grid point: K and H are NaN there
+    OVERFLOW_ALL = ["family.name=thm42", "family.h0=0.5", "family.lam2=800", "grid.n1=5", "grid.n2=3"]
+
+    @pytest.mark.parametrize("formulas", ["pipeline", "pipeline-fd", "specialized"])
+    def test_non_finite_points_are_excluded_on_every_route(self, tmp_path, formulas):
+        csv, out = tmp_path / "o.csv", tmp_path / "o.json"
+        argv = ["curvature", *(a for kv in self.OVERFLOW_ALL for a in ("--set", kv)),
+                "--set", f"formulas={formulas}", "--set", f"output.csv={csv}", "--set", f"output.json={out}"]
+        assert main(argv) == 3
+        assert json.loads(out.read_text())["excluded"] == 15
+        _, rows = read_csv_rows(csv)
+        assert all(r["excluded"] == "1" and r["K"] == "" for r in rows)
+
+    def test_parameter_columns_stay_finite_where_the_product_is_not(self, tmp_path):
+        csv = tmp_path / "o.csv"
+        main(["curvature", *(a for kv in self.OVERFLOW_ALL for a in ("--set", kv)),
+              "--set", f"output.csv={csv}", "--set", f"output.json={tmp_path / 'o.json'}"])
+        _, rows = read_csv_rows(csv)
+        # second kind: x = f*g, y = u1, z = u2
+        assert all(r["x"] in ("inf", "nan") and (r["y"], r["z"]) == (r["u1"], r["u2"]) for r in rows)
+
     def test_determinism(self, tmp_path, thm31_cfg):
         main(["curvature", "--config", thm31_cfg])
         first = (tmp_path / "out.csv").read_bytes(), (tmp_path / "out.json").read_bytes()
@@ -170,6 +191,11 @@ class TestVerify:
         report = json.loads((tmp_path / "vp.json.out").read_text())
         assert "constancy" in report["failed"]
 
+    def test_perturbation_of_a_non_positive_g_is_a_config_error(self, capsys):
+        # thm31's g = y + lam2 is negative on half the default grid
+        _one_line_config_error(capsys, ["verify", "--set", "family.name=thm31", "--set", "family.k0=1",
+                                        "--set", "perturb.exponent_scale=1.01"])
+
     def test_zero_k0_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "vz.json", {
             "family": {"name": "thm31", "k0": 0.0},
@@ -216,7 +242,8 @@ class TestVerify:
             assert float(suite["max_difference"]).hex() == worst.hex(), (family, n, count, seed)
 
     # the thm42 grid whose closed and pipeline sweeps overflow: every suite
-    # fails, the motion suite on NaN
+    # fails, the constancy suite on the finite closed points, the cross-check
+    # on the excluded non-finite ones and the motion suite on NaN
     OVERFLOW = ["family.name=thm42", "family.h0=0.5", "family.lam1=1e-13", "family.lam2=8",
                 "grid.u2=[-40,40]"]
 
@@ -249,8 +276,10 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["failed"] == ["constancy", "cross_check", "motion_invariance"]
         suites = report["suites"]
-        assert suites["constancy"]["mean"] is None and suites["constancy"]["max_deviation"] is None
-        assert suites["cross_check"]["max_discrepancy"] == 4.922031686923022e+19
+        assert math.isfinite(suites["constancy"]["mean"])
+        assert suites["constancy"]["max_deviation"] > suites["constancy"]["tolerance"]
+        assert suites["cross_check"] == {"passed": False,
+                                         "error": "grid crosses a lightlike or inadmissible locus"}
         assert suites["motion_invariance"]["max_difference"] is None
 
     def test_one_transform_call_per_invocation(self, tmp_path, monkeypatch):
@@ -330,6 +359,13 @@ class TestReconstruct:
         assert main(["reconstruct", "--config", cfg]) == 1
         report = json.loads((tmp_path / "rc.json.out").read_text())
         assert report["max_error"] > 1e-6
+
+    def test_reports_the_step_it_took(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["reconstruct", "--set", "theorem=3.1", "--set", "h=0.7",
+                     "--set", f"output.json={out}"]) == 1
+        report = json.loads(out.read_text())
+        assert report["steps"] == 3 and report["h"] == 2.0 / 3.0
 
     def test_branch_violation_exits_4(self, tmp_path):
         cfg = write_config(tmp_path, "rb.json", {

@@ -181,7 +181,7 @@ def profile_gap(name, params, n=41):
     _, _, symbols, key = FAMILIES[name]
     values = [params[str(sym)] for sym in symbols]
     u1, u2 = default_grid(s, n, n).axes()
-    code = [s.f(u1), s.f.deriv(u1), s.f.deriv2(u1), s.g(u2), s.g.deriv(u2), s.g.deriv2(u2)]
+    code = s.f.jet(u1) + s.g.jet(u2)
     axes = [u1] * 3 + [u2] * 3
     gap = 0.0
     for got, u, exact in zip(code, axes, _closed_evaluators(name, params[key])):

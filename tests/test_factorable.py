@@ -25,15 +25,15 @@ from pgsurf.surface import curvature_arrays, gaussian_curvature, mean_curvature
 from one_point import closed, closed_value, jet
 
 SADDLE = FactorableSurface("first", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
-EXP = ScalarC2(np.exp, np.exp, np.exp, name="exp")
-QUAD = ScalarC2(lambda t: t**2, lambda t: 2.0 * t, lambda t: 2.0 + 0.0 * t, name="t^2")
+EXP = ScalarC2(lambda t: (np.exp(t),) * 3)
+QUAD = ScalarC2(lambda t: (t**2, 2.0 * t, 2.0 + 0.0 * t))
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
 def poly_surface(kind, a, b, c, d):
-    f = ScalarC2(lambda t: a * t + b, lambda t: a + 0.0 * t, lambda t: 0.0 * t)
-    g = ScalarC2(lambda t: c * t**2 + d, lambda t: 2.0 * c * t, lambda t: 2.0 * c + 0.0 * t)
+    f = ScalarC2(lambda t: (a * t + b, a + 0.0 * t, 0.0 * t))
+    g = ScalarC2(lambda t: (c * t**2 + d, 2.0 * c * t, 2.0 * c + 0.0 * t))
     return FactorableSurface(kind, f, g)
 
 
@@ -104,7 +104,7 @@ class TestHFirst:
 
     def test_plugin_arithmetic_example(self):
         # f = 2, g = y^2/4: at y = 0, H = f g''/2 = 2*(1/2)/2 = 1/2
-        g = ScalarC2(lambda t: t**2 / 4.0, lambda t: t / 2.0, lambda t: 0.5 + 0.0 * t)
+        g = ScalarC2(lambda t: (t**2 / 4.0, t / 2.0, 0.5 + 0.0 * t))
         s = FactorableSurface("first", ScalarC2.constant(2.0), g)
         assert closed_value(closed_H, s, 0.0, 0.0) == pytest.approx(0.5, abs=1e-14)
 
@@ -145,7 +145,7 @@ class TestKSecond:
         assert kb == pytest.approx(ka, rel=1e-8, abs=1e-9)
 
 
-CUBIC_LOCAL = ScalarC2(lambda t: t**3 + 1.5, lambda t: 3.0 * t**2, lambda t: 6.0 * t)
+CUBIC_LOCAL = ScalarC2(lambda t: (t**3 + 1.5, 3.0 * t**2, 6.0 * t))
 
 
 class TestHSecond:
@@ -260,9 +260,8 @@ class TestFlatLimitPerQuantity:
         assert pipeline_grid(s, self.ORIGIN)["excluded"][1, 1]  # inadmissible there
 
     def test_quadratic_pair_is_flat_but_not_minimal(self):
-        f = ScalarC2(lambda t: 1.0 + t + t * t, lambda t: 1.0 + 2.0 * t, lambda t: 2.0 + 0.0 * t)
-        g = ScalarC2(lambda t: 1.0 + t + t * t / 4.0, lambda t: 1.0 + t / 2.0,
-                     lambda t: 0.5 + 0.0 * t)
+        f = ScalarC2(lambda t: (1.0 + t + t * t, 1.0 + 2.0 * t, 2.0 + 0.0 * t))
+        g = ScalarC2(lambda t: (1.0 + t + t * t / 4.0, 1.0 + t / 2.0, 0.5 + 0.0 * t))
         s = FactorableSurface("second", f, g)
         assert closed_value(closed_K, s, 0.0, 0.0) == 0.0
         H, undefined = closed(closed_H, s, 0.0, 0.0)
@@ -281,8 +280,7 @@ _AXIS = st.sampled_from([(-1.0, 1.0), (0.0, 2.0), (-2.0, 0.0), (-0.5, 1.5), (-1.
 
 
 def quadratic(c0, c1, c2):
-    return ScalarC2(lambda t: c0 + c1 * t + c2 * t * t, lambda t: c1 + 2.0 * c2 * t,
-                    lambda t: 2.0 * c2 + 0.0 * t)
+    return ScalarC2(lambda t: (c0 + c1 * t + c2 * t * t, c1 + 2.0 * c2 * t, 2.0 * c2 + 0.0 * t))
 
 
 def same(one_point, grid_value):
@@ -334,7 +332,7 @@ def _mesh_closed(s, grid):
     """`specialized_grid` rebuilt on the full mesh through the public
     `closed_K` and `closed_H`."""
     U1, U2 = grid.mesh()
-    parts = (s.f(U1), s.f.deriv(U1), s.f.deriv2(U1), s.g(U2), s.g.deriv(U2), s.g.deriv2(U2))
+    parts = s.f.jet(U1) + s.g.jet(U2)
     K, k_undefined = closed_K(s.kind, *parts)
     H, h_undefined = closed_H(s.kind, *parts)
     return {"U1": U1, "U2": U2, "K": K, "H": H, "excluded": k_undefined | h_undefined}

@@ -233,5 +233,5 @@ class TestPerturbation:
 
     def test_requires_positive_g(self):
         s = perturb_exponent(thm31_family(1.0, lam2=-5.0), 1.01)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParams, match="requires g > 0"):
             s.g(0.0)  # g = y - 5 is negative there

@@ -83,6 +83,16 @@ class TestIntegrate:
         with pytest.raises(InvalidParams):
             ODEProblem(lambda t, y: y, 0.0, [1.0], 1.0, 0.0)
 
+    @pytest.mark.parametrize("span, h, n, step", [
+        ((0.0, 2.0), 0.7, 3, 2.0 / 3.0), ((0.0, 2.0), 1e30, 1, 2.0), ((0.0, 2.0), 1e-4, 20000, 1e-4),
+        ((0.0, 1.0), 1e-4, 10000, 1e-4), ((1.2, 2.0), 1e-4, 8000, 1e-4),
+    ])
+    def test_steps_are_the_ones_integrate_takes(self, span, h, n, step):
+        problem = ODEProblem(lambda t, y: y, span[0], [1.0], span[1], h)
+        ts, _ = integrate(problem)
+        assert problem.steps() == (n, step) and ts.size == n + 1
+        assert reconstruct_thm31(1.0, span=span, h=h).h == step
+
     def test_step_count_capped_before_allocation(self):
         rhs = lambda t, y: y  # noqa: E731
         ODEProblem(rhs, 0.0, [1.0], 1.0, 1.0 / MAX_STEPS)

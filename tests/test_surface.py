@@ -21,8 +21,8 @@ from one_point import jet, moved, point_data
 SLOTS = ("1", "2", "11", "12", "22")
 
 # generic smooth factor functions with analytic derivatives
-QUAD = ScalarC2(lambda t: t**2 + 1.0, lambda t: 2.0 * t, lambda t: 2.0 + 0.0 * t)
-CUBIC = ScalarC2(lambda t: t**3 - 2.0 * t, lambda t: 3.0 * t**2 - 2.0, lambda t: 6.0 * t)
+QUAD = ScalarC2(lambda t: (t**2 + 1.0, 2.0 * t, 2.0 + 0.0 * t))
+CUBIC = ScalarC2(lambda t: (t**3 - 2.0 * t, 3.0 * t**2 - 2.0, 6.0 * t))
 SADDLE = FactorableSurface("first", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
 
 
