@@ -223,6 +223,61 @@ def test_stdout_matches_files(tmp_path, capsys, case, route, command):
     assert capsys.readouterr().out.encode("utf-8") == files
 
 
+# `verify` reports: exit code, sha256 of the JSON report (None when the run
+# writes none) and of standard error
+VERIFY_CASES = {
+    "thm31": {"family": {"name": "thm31", "k0": 1.3, "lam1": 0.4, "lam2": -0.3},
+              "grid": {"n1": 30, "n2": 30}},
+    "thm32": {"family": {"name": "thm32", "h0": 0.7, "lam1": 0.2, "f0": 1.5,
+                         "causal": "timelike"},
+              "grid": {"n1": 30, "n2": 30}},
+    "thm42": {"family": {"name": "thm42", "h0": 0.5}, "grid": {"n1": 30, "n2": 30}},
+    # several row blocks
+    "thm42_blocks": {"family": {"name": "thm42", "h0": 0.9, "lam1": -0.7, "lam2": 0.8,
+                                "causal": "spacelike"},
+                     "grid": {"n1": 301, "n2": 304}},
+    # the motion suite fails by conditioning
+    "motion_conditioning": {"family": {"name": "thm42", "h0": -0.75, "lam1": 1.0, "lam2": 1.0,
+                                       "lam3": 0.0, "causal": "spacelike"},
+                            "grid": {"n1": 30, "n2": 30}, "motions": 100, "seed": 0},
+    # K and H overflow, so the cross-check is rejected
+    "overflow": {"family": {"name": "thm42", "h0": 0.5, "lam1": 1e-13, "lam2": 8.0},
+                 "grid": {"u2": [-40.0, 40.0]}},
+    # the radicand is not positive on the grid: exit 4, no report
+    "branch": {"family": {"name": "thm32", "h0": 1.0, "causal": "spacelike"},
+               "grid": {"u2": [-0.4, 0.4]}},
+}
+
+VERIFY_DIGESTS = {
+    'branch': (4, None,
+        'ba68b6736b857d6e1a962b2bac91d5366ef9c7e59fe6003fbfc51063e901c09d'),
+    'motion_conditioning': (1, 'bb9828f7448b91960988a30be730baefaa4b4f2911ca062b7973d2ee82ea2779',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'overflow': (1, 'da1226a3ceef32d7d666c2e83d42adf51ccaeefb32373bedc9d2d224c897967d',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm31': (0, 'd5b04d3ce954ad580c27dec34368a282e110fdbf1dd0937237e7abe10d69333b',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm32': (0, 'f89d64c772963340920086970ff691e4723a83f20e9dee9e4b55f868f06cbdf6',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm42': (0, '7e87efcb125b6057ecf629520c71c868d0f04d4a757bd1e126c6554cb6392501',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm42_blocks': (0, '14127a3b734f6d5150d0834354a3c0c3bc1298a538a773d63293d75616d9e50f',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_verify_digests(tmp_path, capsys, case):
+    out = tmp_path / "v.json"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**VERIFY_CASES[case], "output": {"json": str(out)}}))
+    capsys.readouterr()
+    code = main(["verify", "--config", str(path)])
+    report = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    err = hashlib.sha256(capsys.readouterr().err.encode("utf-8")).hexdigest()
+    assert (code, report, err) == VERIFY_DIGESTS[case]
+
+
 @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
 @example(0.0)
 @example(-0.0)
