@@ -10,7 +10,10 @@ x(y, z) = f(y)*g(z).  The closed curvature formulas are
                  / (2*|(f*g')^2 - (f'*g)^2|^(3/2))
 
 `closed_K` and `closed_H` are the one implementation of these, over
-arrays of profile values; `specialized_grid` sweeps them.  The general
+arrays of profile values; `specialized_grid` sweeps them.
+`row_blocks` cuts a grid's profile values into blocks of rows, and
+`closed_block` and `pipeline_block` sweep one block; the whole-grid
+sweeps are the same kernels over one block.  The general
 pipeline of `surface` computes K with an extra factor -eps relative to
 these and H with factor +1 (proven in tests/test_sign_contract.py, see
 README, "Sign conventions"); `cross_check` compares two sweeps under
@@ -36,6 +39,9 @@ __all__ = [
     "closed_K",
     "closed_H",
     "jet_component_arrays",
+    "row_blocks",
+    "closed_block",
+    "pipeline_block",
     "pipeline_grid",
     "specialized_grid",
     "cross_check",
@@ -254,6 +260,28 @@ def default_grid(s: FactorableSurface, n1: int = 20, n2: int = 20,
     return GridSpec(_clip_axis(d1, span, margin), _clip_axis(d2, span, margin), n1, n2)
 
 
+def _analytic_components(kind: str, parts) -> dict:
+    """The analytic jet components x1..z22 from the profile values `parts`
+    (f, f', f'', g, g', g''); see `jet_component_arrays`."""
+    fv, f1, f2, gv, g1, g2 = parts
+    zero, one = np.zeros(()), np.ones(())
+    if kind == KIND_FIRST:
+        return {
+            "x1": one, "y1": zero, "z1": f1 * gv + zero,
+            "x2": zero, "y2": one, "z2": fv * g1 + zero,
+            "x11": zero, "y11": zero, "z11": f2 * gv + zero,
+            "x12": zero, "y12": zero, "z12": f1 * g1 + zero,
+            "x22": zero, "y22": zero, "z22": fv * g2 + zero,
+        }
+    return {
+        "x1": f1 * gv + zero, "y1": one, "z1": zero,
+        "x2": fv * g1 + zero, "y2": zero, "z2": one,
+        "x11": f2 * gv + zero, "y11": zero, "z11": zero,
+        "x12": f1 * g1 + zero, "y12": zero, "z12": zero,
+        "x22": fv * g2 + zero, "y22": zero, "z22": zero,
+    }
+
+
 @np.errstate(all="ignore")
 def jet_component_arrays(s: FactorableSurface, U1, U2,
                          mode: str = "analytic", fd_step: float = FD_STEP) -> dict:
@@ -264,27 +292,16 @@ def jet_component_arrays(s: FactorableSurface, U1, U2,
     U1 = np.asarray(U1, dtype=float)
     U2 = np.asarray(U2, dtype=float)
     if mode == "analytic":
-        fv, f1, f2, gv, g1, g2 = _parts(s, U1, U2)
-        zero, one = np.zeros(()), np.ones(())
-        if s.kind == KIND_FIRST:
-            return {
-                "x1": one, "y1": zero, "z1": f1 * gv + zero,
-                "x2": zero, "y2": one, "z2": fv * g1 + zero,
-                "x11": zero, "y11": zero, "z11": f2 * gv + zero,
-                "x12": zero, "y12": zero, "z12": f1 * g1 + zero,
-                "x22": zero, "y22": zero, "z22": fv * g2 + zero,
-            }
-        return {
-            "x1": f1 * gv + zero, "y1": one, "z1": zero,
-            "x2": fv * g1 + zero, "y2": zero, "z2": one,
-            "x11": f2 * gv + zero, "y11": zero, "z11": zero,
-            "x12": f1 * g1 + zero, "y12": zero, "z12": zero,
-            "x22": fv * g2 + zero, "y22": zero, "z22": zero,
-        }
+        return _analytic_components(s.kind, _parts(s, U1, U2))
     if mode != "fd":
         raise InvalidParams(f"mode must be 'analytic' or 'fd', got {mode!r}")
 
     return fd_components(s.value_arrays, U1, U2, fd_step)[1]
+
+
+# Grid points per block of `row_blocks` (whole rows, at least one): a
+# block's kernel temporaries stay small enough to be reused from cache.
+_BLOCK_POINTS = 2 ** 15
 
 
 def _axes(grid: GridSpec):
@@ -298,35 +315,69 @@ def _axes(grid: GridSpec):
     return u1, u2, {"U1": np.broadcast_to(u1, shape), "U2": np.broadcast_to(u2, shape)}
 
 
+def row_blocks(s: FactorableSurface, grid: GridSpec):
+    """The profile values of the grid in blocks of whole rows, about
+    `_BLOCK_POINTS` points each, first row first: per block the tuple
+    (f, f', f'', g, g', g'') with f's values on the block's rows as
+    columns and g's on the whole u2 axis as a row.  Each profile is
+    evaluated once on its axis and sliced, so a block kernel gives the
+    rows of its whole-grid sweep bit for bit.  Overflow is silent."""
+    u1, u2, _ = _axes(grid)
+    with np.errstate(all="ignore"):
+        parts = _parts(s, u1, u2)
+    step = max(1, _BLOCK_POINTS // grid.n2)
+    for start in range(0, grid.n1, step):
+        yield tuple(v[start:start + step] for v in parts[:3]) + parts[3:]
+
+
+@np.errstate(all="ignore")
+def closed_block(kind: str, parts) -> dict:
+    """Closed-formula K, H and exclusion mask over the profile values
+    `parts`.  A point is excluded where K or H is not finite, which
+    covers the undefined points (NaN there).  K and H share one closed
+    denominator."""
+    fv, f1, _, gv, g1, _ = parts
+    den = _denominator(kind, fv, f1, gv, g1)
+    K, _ = _closed_K(kind, parts, den)
+    H, _ = _closed_H(kind, parts, den)
+    return {"K": K, "H": H, "excluded": ~np.isfinite(K) | ~np.isfinite(H)}
+
+
+def _pipeline(comp: dict) -> dict:
+    """K, H, eps and W of `curvature_arrays` over the jet `comp`, the mask
+    of its lightlike and inadmissible points, and the exclusion mask:
+    a masked point or one whose K or H is not finite."""
+    out = curvature_arrays(comp)
+    masked = out["lightlike"] | out["inadmissible"]
+    return {"K": out["K"], "H": out["H"], "eps": out["eps"], "W": out["W"], "masked": masked,
+            "excluded": masked | ~np.isfinite(out["K"]) | ~np.isfinite(out["H"])}
+
+
+@np.errstate(all="ignore")
+def pipeline_block(kind: str, parts) -> dict:
+    """General-pipeline sweep of the analytic jets of the profile values
+    `parts`: K, H, eps, W, masked and excluded (see `pipeline_grid`)."""
+    return _pipeline(_analytic_components(kind, parts))
+
+
 @np.errstate(all="ignore")
 def pipeline_grid(s: FactorableSurface, grid: GridSpec,
                   mode: str = "analytic", fd_step: float = FD_STEP) -> dict:
-    """General-pipeline sweep: positions, K, H, eps, W and exclusion mask;
-    a point whose K or H is not finite is excluded."""
+    """General-pipeline sweep: positions, K, H, eps, W, the mask of the
+    lightlike and inadmissible points and the exclusion mask; a point is
+    excluded where it is masked or its K or H is not finite."""
     u1, u2, params = _axes(grid)
-    out = curvature_arrays(jet_component_arrays(s, u1, u2, mode=mode, fd_step=fd_step))
+    sweep = _pipeline(jet_component_arrays(s, u1, u2, mode=mode, fd_step=fd_step))
     x, y, z = s.value_arrays(u1, u2)
-    excluded = out["lightlike"] | out["inadmissible"] | ~np.isfinite(out["K"]) | ~np.isfinite(out["H"])
-    return {
-        **params, "x": x, "y": y, "z": z,
-        "K": out["K"], "H": out["H"], "eps": out["eps"], "W": out["W"],
-        "excluded": excluded,
-    }
+    return {**params, "x": x, "y": y, "z": z, **sweep}
 
 
 @np.errstate(all="ignore")
 def specialized_grid(s: FactorableSurface, grid: GridSpec) -> dict:
-    """Closed-formula sweep: U1, U2, K, H and the exclusion mask (no
-    positions; `pipeline_grid` has them).  A point is excluded where K or
-    H is not finite, which covers the undefined points (NaN there).  K
-    and H share one closed denominator."""
+    """Closed-formula sweep: U1, U2 and the `closed_block` of the whole
+    grid (no positions; `pipeline_grid` has them)."""
     u1, u2, params = _axes(grid)
-    parts = _parts(s, u1, u2)
-    fv, f1, _, gv, g1, _ = parts
-    den = _denominator(s.kind, fv, f1, gv, g1)
-    K, _ = _closed_K(s.kind, parts, den)
-    H, _ = _closed_H(s.kind, parts, den)
-    return {**params, "K": K, "H": H, "excluded": ~np.isfinite(K) | ~np.isfinite(H)}
+    return {**params, **closed_block(s.kind, _parts(s, u1, u2))}
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +398,15 @@ def cross_check(pipe: dict, closed: dict) -> CrossCheckReport:
     H_pipeline = H_closed: the largest of |K_pipe + eps*K_closed| and
     |H_pipe - H_closed| over the grid.
 
-    Raises GridRejected when either sweep excludes a point.
+    Raises GridRejected when either sweep excludes a point.  The reason
+    is that of the first such point in row-major order: the pipeline's
+    lightlike or inadmissible mask, else a K or H that is not finite.
     """
     if np.any(pipe["excluded"]) or np.any(closed["excluded"]):
-        raise GridRejected("grid crosses a lightlike or inadmissible locus")
+        first = np.argmax(pipe["excluded"] | closed["excluded"])
+        if pipe["masked"].flat[first]:
+            raise GridRejected("grid crosses a lightlike or inadmissible locus")
+        raise GridRejected("grid has a point where K or H is not finite")
     k_gap = np.max(np.abs(pipe["K"] + pipe["eps"] * closed["K"]))
     h_gap = np.max(np.abs(pipe["H"] - closed["H"]))
     return CrossCheckReport(n_points=int(pipe["K"].size), max_discrepancy=float(max(k_gap, h_gap)))

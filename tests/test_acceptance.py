@@ -21,6 +21,7 @@ from pgsurf.factorable import (
     ScalarC2,
     cross_check,
     default_grid,
+    pipeline_block,
     pipeline_grid,
     specialized_grid,
 )
@@ -196,8 +197,8 @@ def test_criterion_03_cross_check_sign_factor(tmp_path, monkeypatch):
     for key in ("eps", "K"):
         off = cross_check(_off_contract_at_one_point(pipe, key), closed)
         assert off.max_discrepancy > 1e-8
-    monkeypatch.setattr("pgsurf.cli.pipeline_grid",
-                        lambda *a, **k: _off_contract_at_one_point(pipeline_grid(*a, **k), "K"))
+    monkeypatch.setattr("pgsurf.cli.pipeline_block",
+                        lambda *a: _off_contract_at_one_point(pipeline_block(*a), "K"))
     out = tmp_path / "v.json"
     assert cli_main(["verify", "--set", "family.name=thm42", "--set", "family.h0=0.5",
                      "--set", "grid.n1=10", "--set", "grid.n2=10",

@@ -253,7 +253,7 @@ VERIFY_DIGESTS = {
         'ba68b6736b857d6e1a962b2bac91d5366ef9c7e59fe6003fbfc51063e901c09d'),
     'motion_conditioning': (1, 'bb9828f7448b91960988a30be730baefaa4b4f2911ca062b7973d2ee82ea2779',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'overflow': (1, 'da1226a3ceef32d7d666c2e83d42adf51ccaeefb32373bedc9d2d224c897967d',
+    'overflow': (1, 'c7af08295a50e59aec1fe05b5f5b141db2d7027da67e44e90d46b1c017eb1da6',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'thm31': (0, 'd5b04d3ce954ad580c27dec34368a282e110fdbf1dd0937237e7abe10d69333b',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

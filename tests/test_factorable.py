@@ -6,17 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgsurf import factorable
 from pgsurf.errors import GridRejected, InvalidParams, PGSurfError
 from pgsurf.factorable import (
     FactorableSurface,
     GridSpec,
     ScalarC2,
+    closed_block,
     closed_H,
     closed_K,
     cross_check,
     default_grid,
     jet_component_arrays,
+    pipeline_block,
     pipeline_grid,
+    row_blocks,
     specialized_grid,
 )
 from pgsurf.families import family_surface, thm31_family, thm32_family
@@ -323,9 +327,10 @@ def _mesh_pipeline(s, grid, mode):
     comp = jet_component_arrays(s, U1, U2, mode=mode)
     out = curvature_arrays({k: np.broadcast_to(v, U1.shape).copy() for k, v in comp.items()})
     x, y, z = s.value_arrays(U1, U2)
-    excluded = out["lightlike"] | out["inadmissible"] | ~np.isfinite(out["K"]) | ~np.isfinite(out["H"])
+    masked = out["lightlike"] | out["inadmissible"]
+    excluded = masked | ~np.isfinite(out["K"]) | ~np.isfinite(out["H"])
     return {"U1": U1, "U2": U2, "x": x, "y": y, "z": z, "K": out["K"], "H": out["H"],
-            "eps": out["eps"], "W": out["W"], "excluded": excluded}
+            "eps": out["eps"], "W": out["W"], "masked": masked, "excluded": excluded}
 
 
 def _mesh_closed(s, grid):
@@ -372,3 +377,35 @@ class TestSeparableSweepsEqualTheMesh:
         for mode in ("analytic", "fd"):
             _bitwise(pipeline_grid(s, grid, mode=mode), _mesh_pipeline(s, grid, mode))
         _bitwise(specialized_grid(s, grid), _mesh_closed(s, grid))
+
+    @staticmethod
+    def _cross_check(pairs):
+        """`cross_check` folded over (pipe, closed) sweep pairs as `verify`
+        folds its row blocks: the hex of the largest gap, or the reason of
+        the first rejection."""
+        gap = 0.0
+        for pipe, closed in pairs:
+            try:
+                gap = max(gap, cross_check(pipe, closed).max_discrepancy)
+            except GridRejected as exc:
+                return str(exc)
+        return gap.hex()
+
+    # f overflows from row 12 on: the first excluded point is not finite
+    OVERFLOW = ("thm42", {"h0": 400.0, "lam2": 800.0}, GridSpec((0.0, 1.0), (-1e-3, 1e-3), 40, 40))
+
+    @pytest.mark.parametrize("rows", [1, 7, 11])
+    @pytest.mark.parametrize("name,params,grid", CASES + [OVERFLOW])
+    def test_row_blocks_give_the_whole_sweeps(self, monkeypatch, name, params, grid, rows):
+        s = family_surface(name, params)
+        grid = grid or default_grid(s, 40, 40)
+        monkeypatch.setattr(factorable, "_BLOCK_POINTS", rows * grid.n2)
+        blocks = [(pipeline_block(s.kind, parts), closed_block(s.kind, parts))
+                  for parts in row_blocks(s, grid)]
+        assert len(blocks) == -(-grid.n1 // rows)
+        pipe, closed = pipeline_grid(s, grid), specialized_grid(s, grid)
+        for i, whole in enumerate((pipe, closed)):
+            keys = blocks[0][i].keys()
+            _bitwise({k: np.concatenate([b[i][k] for b in blocks]) for k in keys},
+                     {k: whole[k] for k in keys})
+        assert self._cross_check(blocks) == self._cross_check([(pipe, closed)])
