@@ -9,9 +9,11 @@ floating-point results for the family evaluators; they were recorded with
 numpy 2.4 on x86-64.
 
 The serializers format a float column once per axis value where its bits
-allow; a property test compares them with a per-cell reference on
-synthetic sweeps, and a call count pins that the axis columns are not
-formatted cell by cell.
+allow and write every other column through `%.17g` fields, one `%` per
+grid row with no excluded point; a property test compares them with a
+per-cell reference on synthetic sweeps, and call counts pin that the axis
+columns are formatted once per axis value and the per-cell columns never
+one cell at a time.
 """
 
 import hashlib
@@ -374,6 +376,35 @@ def _excluded_row():
     return _sweep_dict(3, 4, {"K": np.full((3, 4), np.nan)}, excluded)
 
 
+def _included_specials():
+    """No point excluded; the free K column holds NaNs with several payloads
+    and signs, -0.0 and both infinities."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0x7FF8DEADBEEF0001], dtype=np.uint64).view(np.float64)
+    k = np.concatenate([nans, [-0.0, np.inf, -np.inf, 0.0, 1.5, -2.5, 1e-310, 3.0]]).reshape(3, 4)
+    return _sweep_dict(3, 4, {"K": k})
+
+
+def _row_ends_excluded():
+    excluded = np.zeros((3, 5), dtype=bool)
+    excluded[1, [0, -1]] = True
+    return _sweep_dict(3, 5, excluded=excluded)
+
+
+def _two_columns():
+    excluded = np.zeros((4, 2), dtype=bool)
+    excluded[2, 1] = True
+    return _sweep_dict(4, 2, {"K": np.arange(8.0).reshape(4, 2)}, excluded)
+
+
+def _face_row_without_faces():
+    """Row 2 is excluded at every other point, so face rows 1 and 2 keep no
+    face while rows 0 and 3 keep all of theirs."""
+    excluded = np.zeros((5, 4), dtype=bool)
+    excluded[2, [0, 2]] = True
+    return _sweep_dict(5, 4, excluded=excluded)
+
+
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
 
@@ -381,7 +412,9 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 def sweeps(draw):
     """Sweep dicts on 2x2 to 6x7 grids; each float column is constant,
     constant along axis 0, constant along axis 1 or free, and a column
-    constant along an axis is a broadcast view or a materialised grid."""
+    constant along an axis is a broadcast view or a materialised grid.
+    Each grid row excludes no point, every point or a drawn subset, so
+    both the one-`%` row and the line-by-line row are drawn."""
     n1, n2 = draw(st.integers(2, 6)), draw(st.integers(2, 7))
     columns = {}
     for key in FLOAT_COLUMNS:
@@ -390,8 +423,12 @@ def sweeps(draw):
                                         max_size=shape[0] * shape[1])), dtype=float)
         grid = np.broadcast_to(values.reshape(shape), (n1, n2))
         columns[key] = grid if draw(st.booleans()) else grid.copy()
-    excluded = draw(st.lists(st.booleans(), min_size=n1 * n2, max_size=n1 * n2))
-    return {**columns, "excluded": np.array(excluded).reshape(n1, n2)}
+    excluded = []
+    for kind in draw(st.lists(st.sampled_from(["none", "all", "random"]),
+                              min_size=n1, max_size=n1)):
+        excluded.append([False] * n2 if kind == "none" else [True] * n2 if kind == "all"
+                        else draw(st.lists(st.booleans(), min_size=n2, max_size=n2)))
+    return {**columns, "excluded": np.array(excluded, dtype=bool)}
 
 
 @settings(max_examples=80, deadline=None)
@@ -399,6 +436,10 @@ def sweeps(draw):
 @example(_except_one_cell())
 @example(_signed_zeros())
 @example(_excluded_row())
+@example(_included_specials())
+@example(_row_ends_excluded())
+@example(_two_columns())
+@example(_face_row_without_faces())
 def test_column_rule_matches_per_cell_format(data):
     ex = data["excluded"]
     faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
@@ -442,6 +483,47 @@ class TestColumnRuleFormatsOncePerAxisValue:
         _, data = cli._sweep(cli._read(self.CFG, cli.SCHEMA["curvature"]))
         for key in ("U1", "U2", "x", "y", "eps"):
             calls.clear()
-            for _ in cli._cell_rows(data[key]):
+            field, rows = cli._column(data[key])
+            for _ in rows:
                 pass
+            assert field == "%s", key
             assert len(calls) in (self.N1, self.N2), key
+
+
+class TestPerCellColumnsAreNotFormattedOneByOne:
+    """A thm42 run at 40x30 on the `pipeline` route, where x, K, H and W
+    vary in both axes: `_format` sees each axis value of an axis-constant
+    column exactly once and no cell of a per-cell column, whose floats go
+    to a `%.17g` field of the row's one format."""
+
+    CFG = {"family": {"name": "thm42", "h0": 0.5}, "grid": {"n1": 40, "n2": 30},
+           "formulas": "pipeline"}
+    KEYS = {"curvature": ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W"),
+            "mesh": ("x", "y", "z", "U1", "U2", "K", "H")}
+
+    @staticmethod
+    def _axis_values(column):
+        """The values the column rule formats, read from the column's bits:
+        the first row of a column constant along axis 0, the first column of
+        one constant along axis 1, none of any other."""
+        bits = column.view(np.int64)
+        if (bits == bits[:1]).all():
+            return column[0].tolist()
+        if (bits == bits[:, :1]).all():
+            return column[:, 0].tolist()
+        return []
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_format_calls(self, tmp_path, monkeypatch, command):
+        _, data = cli._sweep(cli._read(self.CFG, cli.SCHEMA[command]))
+        values = {key: self._axis_values(data[key]) for key in self.KEYS[command]}
+        assert [key for key, v in values.items() if not v] == [
+            key for key in self.KEYS[command] if key in ("x", "K", "H", "W")]
+        calls = TestColumnRuleFormatsOncePerAxisValue._counting(monkeypatch)
+        out = {key: str(tmp_path / f"out.{key}") for key in COMMANDS[command]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.CFG, "output": out}))
+        assert main([command, "--config", str(path)]) == 0
+        expected = [x for v in values.values() for x in v]
+        assert len(calls) == len(expected)
+        assert sorted(map(float.hex, calls)) == sorted(map(float.hex, expected))
