@@ -55,7 +55,8 @@ PROBE_GRID = GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)
 
 @dataclass(frozen=True)
 class ODEProblem:
-    """First-order system y' = rhs(t, y) on [t0, t1] with fixed step h;
+    """First-order system y' = rhs(t, y) on [t0, t1] with fixed step h and
+    a state y0 of 1 or 2 components (any other size raises InvalidParams);
     `integrate` states the contract of `rhs`."""
 
     rhs: Callable[[float, Sequence[float]], Sequence[float]]
@@ -73,7 +74,10 @@ class ODEProblem:
         if (self.t1 - self.t0) / self.h > MAX_STEPS + 0.5:
             raise InvalidParams(f"corridor {self.t1 - self.t0:g} at step {self.h:g} "
                                 f"needs more than {MAX_STEPS} steps")
-        object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
+        y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
+        if y0.shape not in ((1,), (2,)):
+            raise InvalidParams(f"state must have 1 or 2 components, got shape {y0.shape}")
+        object.__setattr__(self, "y0", y0)
 
     def steps(self) -> tuple[int, float]:
         """The step count n = round(span/h), at least 1, and the step
@@ -84,45 +88,72 @@ class ODEProblem:
         return n, span / n
 
 
-def _rk4_step(rhs, t, y, h):
-    # per component, in the operation order of the ndarray expressions
-    # y + (0.5*h)*k and y + (h/6)*(k1 + 2*k2 + 2*k3 + k4)
-    half, sixth = 0.5 * h, h / 6.0
-    k1 = rhs(t, y)
-    k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
-    k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
-    k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-
-
 def integrate(problem: ODEProblem) -> tuple[np.ndarray, np.ndarray]:
     """Classic RK4 with the n equal steps of `problem.steps()`.
 
     Steps on Python floats: `problem.rhs(t, y)` gets the time as a float
-    and the state as a sequence of floats, and returns the derivative as a
-    sequence of floats of the same length.  Returns (ts, ys) as float64
-    arrays of shapes (n+1,) and (n+1, dim), with ys[i] the state at ts[i];
-    deterministic for fixed inputs.  Raises BlowUp when the state leaves
-    [-1e12, 1e12] or stops being finite mid-corridor, which includes an
-    rhs whose float arithmetic raises ArithmeticError.
+    and the state as a tuple of 1 or 2 floats (`ODEProblem` admits no
+    other size), and returns the derivative as a sequence of floats of the
+    same length; a result of another length raises InvalidParams.  There
+    is one loop per state size, its stages written out component by
+    component in the operation order of the ndarray expressions
+    y + (0.5*h)*k, y + h*k and y + (h/6)*(k1 + 2*k2 + 2*k3 + k4), so the
+    trajectories pinned in tests/test_reconstruct.py hold bit for bit.
+    Returns (ts, ys) as float64 arrays of shapes (n+1,) and (n+1, dim),
+    with ys[i] the state at ts[i]; deterministic for fixed inputs.  Raises
+    BlowUp when the state leaves [-1e12, 1e12] or stops being finite
+    mid-corridor, which includes an rhs whose float arithmetic raises
+    ArithmeticError.
     """
     n, h = problem.steps()
     ts = problem.t0 + h * np.arange(n + 1)
-    y = problem.y0.tolist()
-    trajectory = array("d", y)
-    for i, t in enumerate(map(float, ts[:n])):
-        try:
-            y = _rk4_step(problem.rhs, t, y, h)
-        except ArithmeticError:
-            # float arithmetic raises (a power overflowing, a division by
-            # an underflowed zero) where ndarray arithmetic yields inf or nan
-            y = [math.nan]
-        for v in y:
-            if not abs(v) <= BLOWUP_LIMIT:
-                raise BlowUp(f"state exceeded {BLOWUP_LIMIT:.0e} at t = {ts[i + 1]:.6g}")
-        trajectory.extend(y)
-    return ts, np.frombuffer(trajectory).reshape(n + 1, len(y))
+    rhs, half, sixth = problem.rhs, 0.5 * h, h / 6.0
+    trajectory = array("d", problem.y0.tolist())
+    dim = len(trajectory)
+    # float arithmetic raises ArithmeticError (a power overflowing, a
+    # division by an underflowed zero) where ndarray arithmetic yields inf
+    # or nan; either ends the run as a BlowUp
+    try:
+        if dim == 1:
+            a, = trajectory
+            for t in map(float, ts[:n]):
+                try:
+                    p1, = rhs(t, (a,))
+                    p2, = rhs(t + half, (a + half * p1,))
+                    p3, = rhs(t + half, (a + half * p2,))
+                    p4, = rhs(t + h, (a + h * p3,))
+                    a = a + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+                except ArithmeticError:
+                    a = math.nan
+                if not abs(a) <= BLOWUP_LIMIT:
+                    raise BlowUp(f"state exceeded {BLOWUP_LIMIT:.0e} "
+                                 f"at t = {ts[len(trajectory)]:.6g}")
+                trajectory.append(a)
+        else:
+            a, b = trajectory
+            for t in map(float, ts[:n]):
+                try:
+                    p1, q1 = rhs(t, (a, b))
+                    p2, q2 = rhs(t + half, (a + half * p1, b + half * q1))
+                    p3, q3 = rhs(t + half, (a + half * p2, b + half * q2))
+                    p4, q4 = rhs(t + h, (a + h * p3, b + h * q3))
+                    a = a + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+                    b = b + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+                except ArithmeticError:
+                    a = b = math.nan
+                if not (abs(a) <= BLOWUP_LIMIT and abs(b) <= BLOWUP_LIMIT):
+                    raise BlowUp(f"state exceeded {BLOWUP_LIMIT:.0e} "
+                                 f"at t = {ts[len(trajectory) // 2]:.6g}")
+                trajectory.append(a)
+                trajectory.append(b)
+    except ValueError as exc:
+        # only an unpacking above raises in this frame; a ValueError from
+        # inside rhs carries rhs's frame and propagates as it is
+        if exc.__traceback__.tb_next is not None:
+            raise
+        raise InvalidParams(f"rhs returned a derivative of the wrong length; "
+                            f"the state has length {dim}") from exc
+    return ts, np.frombuffer(trajectory).reshape(n + 1, dim)
 
 
 @dataclass(frozen=True)

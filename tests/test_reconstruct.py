@@ -83,6 +83,29 @@ class TestIntegrate:
         with pytest.raises(InvalidParams):
             ODEProblem(lambda t, y: y, 0.0, [1.0], 1.0, 0.0)
 
+    @pytest.mark.parametrize("y0", [[], [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+    def test_state_has_one_or_two_components(self, y0):
+        calls = []
+        with pytest.raises(InvalidParams, match="1 or 2 components"):
+            ODEProblem(lambda t, y: calls.append(y) or y, 0.0, y0, 1.0, 0.25)
+        assert calls == []
+
+    @pytest.mark.parametrize("y0, result", [
+        ([0.0], (1.0, 2.0)), ([0.0], ()), ([0.0, 0.0], (1.0,)), ([0.0, 0.0], (1.0, 2.0, 3.0)),
+    ])
+    def test_wrong_length_rhs_result(self, y0, result):
+        with pytest.raises(InvalidParams, match=f"the state has length {len(y0)}$"):
+            integrate(ODEProblem(lambda t, y: result, 0.0, y0, 1.0, 0.25))
+
+    @pytest.mark.parametrize("rhs, y0", [
+        (lambda t, y: (math.sqrt(y[0] - 1.0),), [0.0]),
+        (lambda t, y: (1.0, math.sqrt(y[0] - 1.0)), [0.0, 0.0]),
+    ])
+    def test_value_error_inside_rhs_propagates(self, rhs, y0):
+        with pytest.raises(ValueError, match="^math domain error$") as info:
+            integrate(ODEProblem(rhs, 0.0, y0, 1.0, 0.25))
+        assert not isinstance(info.value, InvalidParams)
+
     @pytest.mark.parametrize("span, h, n, step", [
         ((0.0, 2.0), 0.7, 3, 2.0 / 3.0), ((0.0, 2.0), 1e30, 1, 2.0), ((0.0, 2.0), 1e-4, 20000, 1e-4),
         ((0.0, 1.0), 1e-4, 10000, 1e-4), ((1.2, 2.0), 1e-4, 8000, 1e-4),
