@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -56,8 +56,9 @@ PROBE_GRID = GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)
 @dataclass(frozen=True)
 class ODEProblem:
     """First-order system y' = rhs(t, y) on [t0, t1] with fixed step h and
-    a state y0 of 1 or 2 components (any other size raises InvalidParams);
-    `integrate` states the contract of `rhs`."""
+    a finite state y0 of 1 or 2 components (any other size, or a component
+    that is not finite, raises InvalidParams); `integrate` states the
+    contract of `rhs`."""
 
     rhs: Callable[[float, Sequence[float]], Sequence[float]]
     t0: float
@@ -77,6 +78,8 @@ class ODEProblem:
         y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
         if y0.shape not in ((1,), (2,)):
             raise InvalidParams(f"state must have 1 or 2 components, got shape {y0.shape}")
+        if not np.all(np.isfinite(y0)):
+            raise InvalidParams(f"initial state y0 must be finite, got {y0.tolist()}")
         object.__setattr__(self, "y0", y0)
 
     def steps(self) -> tuple[int, float]:
@@ -292,6 +295,11 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
     recover g by one more quadrature (L = log g integrated alongside), and
     compare with g(z) = exp((lam1/(2 h0)) sqrt((2 h0 z + lam2)^2 - 1)).
     The corridor must keep |2 h0 z + lam2| > 1.
+
+    The comparison is made in log space, so no error overflows where g
+    exceeds the float range: `max_error` is the largest |L - L_closed| and
+    `max_rel_error` the largest relative error of g, |expm1(L - L_closed)|.
+    `numeric` and `closed` hold g itself, inf where it exceeds the range.
     """
     if h0 == 0.0:
         raise InvalidParams("h0 must be nonzero")
@@ -306,11 +314,11 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
     if min(abs(w0), abs(w1)) <= 1.0 or (w0 > 0) != (w1 > 0):
         raise DomainError("corridor leaves the region |2 h0 z + lam2| > 1")
 
-    def closed_g(z):
-        return np.exp(lam1 / (2.0 * h0) * np.sqrt(w(z) ** 2 - 1.0))
+    def closed_L(z):
+        return lam1 / (2.0 * h0) * np.sqrt(w(z) ** 2 - 1.0)
 
     v0 = lam1 * w0 / math.sqrt(w0 * w0 - 1.0)
-    L0 = math.log(float(closed_g(z0)))
+    L0 = float(closed_L(z0))
 
     def rhs(t, y):
         v = y[0]
@@ -321,10 +329,11 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
 
     problem = ODEProblem(rhs, z0, np.array([v0, L0]), z0 + length, h)
     ts, ys = integrate(problem)
-    numeric = np.exp(ys[:, 1])
-    closed = closed_g(ts)
-    err = np.abs(numeric - closed)
-    rel = err / np.abs(closed)
+    L, L_closed = ys[:, 1], closed_L(ts)
+    with np.errstate(over="ignore"):
+        numeric, closed = np.exp(L), np.exp(L_closed)
+    err = np.abs(L - L_closed)
+    rel = np.abs(np.expm1(L - L_closed))
     return Reconstruction(ts, numeric, closed, float(err.max()), float(rel.max()),
                           problem.steps()[1],
                           meta={"theorem": "4.2", "h0": h0, "lam1": lam1, "lam2": lam2,
@@ -396,28 +405,43 @@ def _exp_poly_rows(c: np.ndarray, rate: np.ndarray, t: np.ndarray):
 _PROBE_POINTS_PER_CALL = 1 << 12
 
 
+def _spans(m: int, most: int) -> list[tuple[int, int]]:
+    """The [lo, hi) spans that split range(m) into the fewest parts of at
+    most `most` rows, balanced to within one row."""
+    parts = -(-m // most)
+    return [(-(-m * j // parts), -(-m * (j + 1) // parts)) for j in range(parts)]
+
+
 def _probe_objective(space: FamilySpace, k0: float, grid: GridSpec):
     """values(thetas) -> (m,): max-grid |K - k0| of each candidate row of
     `thetas` (m, n_params); inf for a candidate with a lightlike or
     non-finite point on the grid.
 
     f depends only on y and g only on z, so each profile is evaluated on
-    its own axis and the two are broadcast over the grid."""
+    its own axis, once per chunk of candidate rows, and the two are
+    broadcast over the grid one block of rows at a time.  Chunks and blocks
+    are balanced, and `_PROBE_POINTS_PER_CALL` bounds the elements of each
+    profile array (rows x axis nodes) and of each grid block (rows x grid
+    points).  Rows are evaluated independently, so a row's value does not
+    depend on the rows beside it."""
     y, z = grid.axes()
-    rows = max(1, _PROBE_POINTS_PER_CALL // (y.size * z.size))
-
-    def block(thetas: np.ndarray) -> np.ndarray:
-        pc, qc, a, b = space.split(thetas)
-        fv, f1, f2 = (v[:, :, None] for v in _exp_poly_rows(pc, a, y))
-        gv, g1, g2 = (v[:, None, :] for v in _exp_poly_rows(qc, b, z))
-        K, _ = closed_K(KIND_SECOND, fv, f1, f2, gv, g1, g2)
-        out = np.max(np.abs(K - k0), axis=(1, 2))
-        out[~np.all(np.isfinite(K), axis=(1, 2))] = np.inf
-        return out
+    chunk = max(1, _PROBE_POINTS_PER_CALL // (y.size + z.size))
+    block = max(1, _PROBE_POINTS_PER_CALL // (y.size * z.size))
 
     def values(thetas: np.ndarray) -> np.ndarray:
+        out = np.empty(len(thetas))
         with np.errstate(all="ignore"):
-            return np.concatenate([block(thetas[i:i + rows]) for i in range(0, len(thetas), rows)])
+            for lo, hi in _spans(len(thetas), chunk):
+                pc, qc, a, b = space.split(thetas[lo:hi])
+                f = _exp_poly_rows(pc, a, y)
+                g = _exp_poly_rows(qc, b, z)
+                for r0, r1 in _spans(hi - lo, block):
+                    K, _ = closed_K(KIND_SECOND, *(v[r0:r1, :, None] for v in f),
+                                    *(v[r0:r1, None, :] for v in g))
+                    res = np.max(np.abs(K - k0), axis=(1, 2))
+                    res[~np.all(np.isfinite(K), axis=(1, 2))] = np.inf
+                    out[lo + r0:lo + r1] = res
+        return out
 
     return values
 
@@ -427,67 +451,60 @@ def _probe_objective(space: FamilySpace, k0: float, grid: GridSpec):
 _STEP0, _SHRINK, _MIN_STEP = 0.5, 0.5, 1e-6
 
 
-def _coordinate_search(theta0: np.ndarray, budget: int
-                       ) -> Generator[np.ndarray, np.ndarray, tuple[float, np.ndarray, int]]:
-    """Pattern search after Hooke & Jeeves (J. ACM, 1961): try +step, then
-    -step, on each coordinate in turn, move to the first candidate that
-    improves by more than 1e-15, and shrink every step after a sweep with
-    no move; stop at `budget` evaluations or below `_MIN_STEP`.
+def _pattern_search(values, starts: np.ndarray, budget: int):
+    """Pattern search after Hooke & Jeeves (J. ACM, 1961) from every row of
+    `starts` (R, n) at once, each restart with `budget` evaluations; returns
+    each restart's best value (R,), point (R, n) and evaluation count (R,).
 
-    A generator: it yields candidate rows (m, n_params), is sent their
-    objective values (m,), and returns (best, theta, evals).  The
-    candidates left in a sweep are built from the current point and
-    yielded at once.  Only the first improving one is taken and counted,
-    and the sweep resumes after its coordinate, so the path and the count
-    are those of trying the candidates one at a time."""
-    theta = np.asarray(theta0, dtype=float).copy()
-    best = (yield theta[None])[0]
-    evals = 1
-    n = theta.size
-    steps = np.full(n, _STEP0)
-    while evals < budget and float(steps.max()) > _MIN_STEP:
-        improved = False
-        i = 0
-        while i < n and evals < budget:
-            left = budget - evals
-            coords = np.repeat(np.arange(i, n), 2)[:left]
-            deltas = np.stack([steps[i:], -steps[i:]], axis=1).ravel()[:left]
-            cands = np.repeat(theta[None], coords.size, axis=0)
-            cands[np.arange(coords.size), coords] += deltas
-            vals = yield cands
-            hits = np.flatnonzero(vals < best - 1e-15)
-            if hits.size == 0:
-                evals += coords.size
-                break
-            k = hits[0]
-            evals += k + 1
-            best, theta = vals[k], cands[k]
-            improved = True
-            i = coords[k] + 1
-        if not improved:
-            steps *= _SHRINK
+    A restart tries +step, then -step, on each coordinate in turn, moves to
+    the first candidate that improves by more than 1e-15, and resumes the
+    sweep after that coordinate; it shrinks its step after a sweep with no
+    move, and stops at `budget` evaluations or below `_MIN_STEP`.
+
+    The restarts' states are arrays.  Each round builds the candidates left
+    in the current sweep of every running restart from its current point,
+    in restart order, and makes one `values` call on them.  Only a
+    restart's first improving candidate is taken and counted, so each
+    restart's path and count are those of trying its candidates one at a
+    time, alone."""
+    theta = np.array(starts, dtype=float)
+    R, n = theta.shape
+    best = values(theta)
+    evals = np.ones(R, dtype=np.int64)
+    step = np.full(R, _STEP0)
+    i = np.zeros(R, dtype=np.int64)          # the sweep's next coordinate
+    improved = np.zeros(R, dtype=bool)       # the sweep has moved
+    running = (evals < budget) & (step > _MIN_STEP)
+    while running.any():
+        live = np.flatnonzero(running)
+        count = np.minimum(2 * (n - i[live]), budget - evals[live])
+        # candidate j of a restart adds +step (j even) or -step (j odd) to
+        # coordinate i + j // 2
+        who = np.repeat(np.arange(live.size), count)
+        first = np.cumsum(count) - count
+        j = np.arange(who.size) - first[who]
+        owner = live[who]
+        cands = theta[owner]
+        s = step[owner]
+        cands[np.arange(who.size), i[owner] + j // 2] += np.where(j % 2 == 0, s, -s)
+        vals = np.full((live.size, 2 * n), np.nan)
+        vals[who, j] = values(cands)
+        hits = vals < best[live, None] - 1e-15
+        hit, k = hits.any(1), hits.argmax(1)
+        moved, k = live[hit], k[hit]
+        theta[moved] = cands[first[hit] + k]
+        best[moved] = vals[hit, k]
+        evals[moved] += k + 1
+        evals[live[~hit]] += count[~hit]
+        i[moved] += k // 2 + 1
+        improved[moved] = True
+        # a sweep ends at a round with no move, or after a move past the
+        # last coordinate or at the budget
+        done = live[~hit | (i[live] >= n) | (evals[live] >= budget)]
+        step[done[~improved[done]]] *= _SHRINK
+        i[done], improved[done] = 0, False
+        running[done] = (evals[done] < budget) & (step[done] > _MIN_STEP)
     return best, theta, evals
-
-
-def _lockstep(values, searches: list) -> list:
-    """Run the generator `searches` together and return their results in
-    order.  Each round makes one `values` call on the candidates that every
-    running search yielded, in search order, and sends each its slice;
-    rows are evaluated independently, so each search sees the values it
-    would see alone."""
-    results = [None] * len(searches)
-    running = [(i, s, next(s)) for i, s in enumerate(searches)]
-    while running:
-        vals = values(np.concatenate([cands for _, _, cands in running]))
-        ends = np.cumsum([len(cands) for _, _, cands in running])[:-1]
-        still = []
-        for (i, s, _), v in zip(running, np.split(vals, ends)):
-            try:
-                still.append((i, s, s.send(v)))
-            except StopIteration as stop:
-                results[i] = stop.value
-        running = still
-    return results
 
 
 @dataclass(frozen=True)
@@ -513,11 +530,12 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
     residual for k0 != 0 only says the search found no near-counterexample
     within its scope.  The restarts (a generic start, the flat seed when
     the space has rates, then seeded uniform draws) share the budget
-    equally and run in lockstep: each round evaluates the pending
-    candidates of every running restart in one objective call, and the
-    results are those of running the restarts one after another.  The
-    best residual wins, the earlier restart on a tie.  The outcome depends
-    only on the arguments.
+    equally and are searched together by `_pattern_search`, which keeps
+    their points, steps and sweep positions as arrays and evaluates the
+    pending candidates of every running restart in one objective call per
+    round; the results are those of running the restarts one after
+    another.  The best residual wins, the earlier restart on a tie.  The
+    outcome depends only on the arguments.
 
     With budget >= 1, `restarts` may not exceed `budget` (InvalidParams),
     so the evaluations never exceed the budget.  With budget <= 0 the
@@ -546,11 +564,10 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
         value = values(starts[0][None])[0]
         return _probe_report(k0, value, starts[0], 1, budget, len(starts), space, grid)
 
-    per = max(1, budget // len(starts))
-    results = _lockstep(values, [_coordinate_search(start, per) for start in starts])
-    best, theta, _ = min(results, key=lambda r: r[0])
-    total_evals = sum(r[2] for r in results)
-    return _probe_report(k0, best, theta, total_evals, budget, len(starts), space, grid)
+    best, theta, evals = _pattern_search(values, starts, max(1, budget // len(starts)))
+    # argmin takes the first of equal residuals: the earlier restart
+    w = int(np.argmin(best))
+    return _probe_report(k0, best[w], theta[w], int(evals.sum()), budget, len(starts), space, grid)
 
 
 def _generic_start(space: FamilySpace) -> np.ndarray:

@@ -403,6 +403,22 @@ class TestReconstruct:
         })
         assert main(["reconstruct", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("ode, code", [(1e-6, 0), (1e-12, 1)])
+    def test_thm42_profile_beyond_the_float_range(self, tmp_path, capsys, ode, code):
+        # g = exp(L) reaches about 1e752 on the corridor; L stays near 1732
+        out = tmp_path / "r42.json"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["reconstruct", "--set", "theorem=4.2", "--set", "h0=0.5",
+                         "--set", "lam1=1000", "--set", f"tolerances.ode={ode}",
+                         "--set", f"output.json={out}"]) == code
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert 0.0 < report["max_rel_error"] < 1e-6 and math.isfinite(report["max_error"])
+        assert report["passed"] is (code == 0)
+
     @pytest.mark.parametrize("theorem,override", [
         ("3.1", "h=abc"), ("3.1", "k0=abc"), ("3.1", "g0=[1]"), ("3.1", "lam1=abc"),
         ("3.1", "sign=abc"), ("3.1", "span=[0]"), ("3.1", "span=abc"), ("3.1", "span=[0,\"x\"]"),
