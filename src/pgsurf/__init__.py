@@ -1,6 +1,6 @@
 """Curvature of surfaces immersed in the pseudo-Galilean 3-space.
 
-Modules: `core` (the motion group), `surface` (the array kernel from jet
+Modules: `surface` (the motion group and the array kernel from jet
 components to curvature), `factorable` (product-graph surfaces, their jet
 component arrays, the closed curvature formulas and grid sweeps),
 `families` (classified constant-curvature families), `reconstruct` (RK4
@@ -9,7 +9,6 @@ pg-surf command).  A jet is a dict of component arrays x1..z22; there is
 no scalar jet type.
 """
 
-from .core import Motion
 from .errors import (
     BlowUp,
     BranchViolation,
@@ -50,6 +49,6 @@ from .reconstruct import (
     reconstruct_thm32,
     reconstruct_thm42,
 )
-from .surface import gaussian_curvature, mean_curvature, transform_jet
+from .surface import Motion, gaussian_curvature, mean_curvature, transform_jet
 
 __version__ = "0.1.0"

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import families as fam
 from . import reconstruct as rec
-from .core import Motion
 from .errors import (
     BranchViolation,
     ConfigError,
@@ -61,6 +60,7 @@ from .factorable import (
     specialized_grid,
 )
 from .surface import (
+    Motion,
     curvature_arrays,
     gaussian_curvature,  # noqa: F401  (bench/tracing.py wraps it here)
     mean_curvature,  # noqa: F401  (bench/tracing.py wraps it here)
@@ -278,7 +278,7 @@ SCHEMA = {
     "reconstruct": {"theorem": Row(_choice, ..., THEOREMS), "tolerances": TOLERANCES,
                     "output": OUTPUT},
     "probe": {"k0": Row(_real, 1.0), "budget": Row(_integer, 10_000, (1, None)),
-              "restarts": Row(_integer, 6, (0, None)), "seed": Row(_integer, 0, (0, None)),
+              "restarts": Row(_integer, 6, (1, None)), "seed": Row(_integer, 0, (0, None)),
               "degree_f": Row(_integer, 2, (0, None)), "degree_g": Row(_integer, 2, (0, None)),
               "exponential": Row(_flag, True), "floor": Row(_real), "grid": GRID,
               "output": OUTPUT},

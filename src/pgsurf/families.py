@@ -74,7 +74,7 @@ def thm31_family(k0: float, lam1: float = 0.0, lam2: float = 0.0, sign: int = 1)
     return FactorableSurface(KIND_FIRST, ScalarC2(f), ScalarC2.linear(1.0, lam2))
 
 
-def _radicand(h0: float, shift: float, b: int, w_text: str):
+def radicand(h0: float, shift: float, b: int, w_text: str):
     """The radicand r = w^2 + b of w = 2*h0*t + shift: its domain in the
     grid coordinate t, all reals for b = +1 and the component with w > 1
     for b = -1, and the map t -> (w, r), which raises DomainError where
@@ -85,14 +85,14 @@ def _radicand(h0: float, shift: float, b: int, w_text: str):
         t_star = (1.0 - shift) / (2.0 * h0)
         dom = (t_star, _INF) if h0 > 0 else (-_INF, t_star)
 
-    def radicand(t):
+    def at(t):
         w = 2.0 * h0 * t + shift
         r = w ** 2 + b
         if np.any(r <= 0.0):
             raise DomainError(f"radicand ({w_text})^2 - 1 not positive on the requested points")
         return w, r
 
-    return dom, radicand
+    return dom, at
 
 
 def thm32_family(h0: float, lam1: float = 0.0, lam2: float = 0.0,
@@ -109,10 +109,10 @@ def thm32_family(h0: float, lam1: float = 0.0, lam2: float = 0.0,
     if f0 == 0.0 or not math.isfinite(f0):
         raise InvalidParams("f0 must be a nonzero finite real")
     b = _branch_sign(causal)
-    dom, radicand = _radicand(h0, lam1, b, "2 h0 y + lam1")
+    dom, at = radicand(h0, lam1, b, "2 h0 y + lam1")
 
     def g(y):
-        w, r = radicand(y)
+        w, r = at(y)
         root = np.sqrt(r)
         return (root / (2.0 * h0) + lam2) / f0, w / root / f0, 2.0 * h0 * b / r ** 1.5 / f0
 
@@ -131,7 +131,7 @@ def thm42_family(h0: float, lam1: float = 1.0, lam2: float = 1.0,
     if lam1 == 0.0 or lam2 == 0.0:
         raise InvalidParams("lam1 and lam2 must be nonzero")
     b = _branch_sign(causal)
-    dom, radicand = _radicand(h0, lam3, b, "2 h0 z + lam3")
+    dom, at = radicand(h0, lam3, b, "2 h0 z + lam3")
 
     def f(y):
         e = np.exp(lam2 * y)
@@ -139,7 +139,7 @@ def thm42_family(h0: float, lam1: float = 1.0, lam2: float = 1.0,
 
     def g(z):
         # g = exp(phi), phi = (lam2/(2 h0)) sqrt(r)
-        w, r = radicand(z)
+        w, r = at(z)
         root = np.sqrt(r)
         e = np.exp(lam2 / (2.0 * h0) * root)
         phi1, phi2 = lam2 * w / root, 2.0 * h0 * lam2 * b / r ** 1.5

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import BlowUp, BranchViolation, DomainError, InvalidParams
 from .factorable import KIND_SECOND, GridSpec, closed_K
+from .families import radicand
 
 __all__ = [
     "ODEProblem",
@@ -190,13 +191,27 @@ def reconstruct_thm31(k0: float, g0: float = 1.0, lam1: float = 0.0, sign: int =
 
     f_init = sign * math.tanh(rho * span[0] + lam1) / g0
     problem = ODEProblem(rhs, span[0], np.array([f_init]), span[1], h)
+    return _compare(problem, lambda ts: sign * np.tanh(rho * ts + lam1) / g0,
+                    {"theorem": "3.1", "k0": k0, "g0": g0, "lam1": lam1, "sign": sign})
+
+
+def _compare(problem: ODEProblem, closed_form, meta: dict) -> Reconstruction:
+    """Integrate `problem` and compare the first state component with
+    `closed_form(ts)`, absolutely and relative to the closed value."""
     ts, ys = integrate(problem)
-    closed = sign * np.tanh(rho * ts + lam1) / g0
+    closed = closed_form(ts)
     err = np.abs(ys[:, 0] - closed)
     rel = err / np.maximum(1e-300, np.abs(closed))
     return Reconstruction(ts, ys[:, 0], closed, float(err.max()), float(rel.max()),
-                          problem.steps()[1],
-                          meta={"theorem": "3.1", "k0": k0, "g0": g0, "lam1": lam1, "sign": sign})
+                          problem.steps()[1], meta=meta)
+
+
+def _corridor(w0: float, w1: float, w_text: str) -> None:
+    """Raise DomainError unless |w| > 1 at both ends w0, w1 of the
+    corridor, with one sign; w is affine in the coordinate, so the radicand
+    w^2 - 1 is then positive on the whole corridor.  `w_text` names w."""
+    if min(abs(w0), abs(w1)) <= 1.0 or (w0 > 0) != (w1 > 0):
+        raise DomainError(f"corridor leaves the region |{w_text}| > 1")
 
 
 _BOUNDARY_TOL = 1e-12
@@ -206,14 +221,15 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
                       causal: str = "spacelike", y0: float = 0.0, length: float = 1.0,
                       h: float = 1e-3, u0: Optional[float] = None) -> Reconstruction:
     """Integrate the prescribed-mean-curvature profile ODE as a first-order
-    system in (g, u), u = f0*g', and compare g with the closed form.
+    system in (g, u), u = f0*g', and compare g with the closed form
+    g = b*sqrt(w^2 + b)/(2*h0*f0), w = 2*h0*y + lam.
 
-    `causal` names the ODE branch by the initial slope: 'spacelike' means
-    u^2 < 1 and the ODE u' = 2*h0*(1 - u^2)^(3/2); 'timelike' means
-    u^2 > 1 and u' = 2*h0*(u^2 - 1)^(3/2).  Either pass `lam` to position
+    `causal` names the ODE branch by the initial slope, and with it the
+    sign b: 'spacelike' means u^2 < 1 and b = +1, 'timelike' means u^2 > 1
+    and b = -1; the ODE is u' = 2*h0*(b*(1 - u^2))^(3/2).  Either pass `lam` to position
     the corridor (initial conditions are then read off the closed form) or
-    pass the initial slope `u0` directly; a slope on the wrong side of
-    u^2 = 1, or on it, raises BranchViolation.
+    pass the initial slope `u0` directly, not both (InvalidParams); a slope
+    on the wrong side of u^2 = 1, or on it, raises BranchViolation.
     """
     if h0 == 0.0:
         raise InvalidParams("h0 must be nonzero")
@@ -221,69 +237,46 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
         raise InvalidParams("f0 must be nonzero")
     if causal not in ("spacelike", "timelike"):
         raise InvalidParams(f"causal must be 'spacelike' or 'timelike', got {causal!r}")
-    spacelike = causal == "spacelike"
+    if u0 is not None and lam is not None:
+        raise InvalidParams("pass lam or u0, not both")
+    b = 1.0 if causal == "spacelike" else -1.0
 
     if u0 is not None:
         if abs(u0 * u0 - 1.0) <= _BOUNDARY_TOL:
             raise BranchViolation("initial slope sits on the lightlike boundary (f0 g')^2 = 1")
-        if spacelike and u0 * u0 > 1.0:
-            raise BranchViolation("timelike initial slope passed to the spacelike branch")
-        if not spacelike and u0 * u0 < 1.0:
-            raise BranchViolation("spacelike initial slope passed to the timelike branch")
+        gap0 = b * (1.0 - u0 * u0)
+        if gap0 < 0.0:
+            other = "timelike" if b > 0 else "spacelike"
+            raise BranchViolation(f"{other} initial slope passed to the {causal} branch")
         # Position the closed form so that it matches the given slope at y0.
-        if spacelike:
-            w0 = u0 / math.sqrt(1.0 - u0 * u0)
-        else:
-            w0 = -u0 / math.sqrt(u0 * u0 - 1.0)
+        w0 = b * u0 / math.sqrt(gap0)
         lam = w0 - 2.0 * h0 * y0
     else:
         if lam is None:
-            lam = 0.0 if spacelike else 1.3
+            lam = 0.0 if b > 0 else 1.3
         w0 = 2.0 * h0 * y0 + lam
-        if spacelike:
-            u0 = w0 / math.sqrt(w0 * w0 + 1.0)
-        else:
-            if w0 * w0 <= 1.0:
-                raise DomainError("timelike branch needs (2 h0 y0 + lam)^2 > 1")
-            u0 = -w0 / math.sqrt(w0 * w0 - 1.0)
+        r0 = w0 * w0 + b
+        if r0 <= 0.0:
+            raise DomainError("timelike branch needs (2 h0 y0 + lam)^2 > 1")
+        u0 = b * w0 / math.sqrt(r0)
+    if b < 0:
+        _corridor(w0, 2.0 * h0 * (y0 + length) + lam, "2 h0 y + lam")
+    _, at = radicand(h0, lam, b, "2 h0 y + lam")
 
-    def w(y):
-        return 2.0 * h0 * y + lam
-
-    if not spacelike:
-        w_end = w(y0 + length)
-        if min(abs(w0), abs(w_end)) <= 1.0 or (w0 > 0) != (w_end > 0):
-            raise DomainError("corridor leaves the region |2 h0 y + lam| > 1")
-
-    def base(y):
-        if spacelike:
-            return np.sqrt(w(y) ** 2 + 1.0) / (2.0 * h0)
-        return -np.sqrt(w(y) ** 2 - 1.0) / (2.0 * h0)
-
-    g_init = float(base(y0)) / f0
+    def closed_g(y):
+        return b * np.sqrt(at(y)[1]) / (2.0 * h0) / f0
 
     def rhs(t, y):
         u = y[1]
-        gap = 1.0 - u * u
-        if spacelike:
-            if gap <= 0.0:
-                raise BranchViolation("integration crossed (f0 g')^2 = 1 (spacelike branch)")
-            du = 2.0 * h0 * gap ** 1.5
-        else:
-            if gap >= 0.0:
-                raise BranchViolation("integration crossed (f0 g')^2 = 1 (timelike branch)")
-            du = 2.0 * h0 * (-gap) ** 1.5
-        return (u / f0, du)
+        gap = b * (1.0 - u * u)
+        if gap <= 0.0:
+            raise BranchViolation(f"integration crossed (f0 g')^2 = 1 ({causal} branch)")
+        return (u / f0, 2.0 * h0 * gap ** 1.5)
 
-    problem = ODEProblem(rhs, y0, np.array([g_init, u0]), y0 + length, h)
-    ts, ys = integrate(problem)
-    closed = base(ts) / f0 + (g_init - float(base(y0)) / f0)
-    err = np.abs(ys[:, 0] - closed)
-    rel = err / np.maximum(1e-300, np.abs(closed))
-    return Reconstruction(ts, ys[:, 0], closed, float(err.max()), float(rel.max()),
-                          problem.steps()[1],
-                          meta={"theorem": "3.2", "h0": h0, "f0": f0, "lam": lam,
-                                "causal": causal, "u0": u0})
+    problem = ODEProblem(rhs, y0, np.array([float(closed_g(y0)), u0]), y0 + length, h)
+    return _compare(problem, closed_g,
+                    {"theorem": "3.2", "h0": h0, "f0": f0, "lam": lam, "causal": causal,
+                     "u0": u0})
 
 
 def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
@@ -306,16 +299,12 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
     if lam1 == 0.0:
         raise InvalidParams("lam1 must be nonzero")
     s = -1.0 if lam1 > 0 else 1.0
-
-    def w(z):
-        return 2.0 * h0 * z + lam2
-
-    w0, w1 = w(z0), w(z0 + length)
-    if min(abs(w0), abs(w1)) <= 1.0 or (w0 > 0) != (w1 > 0):
-        raise DomainError("corridor leaves the region |2 h0 z + lam2| > 1")
+    w0 = 2.0 * h0 * z0 + lam2
+    _corridor(w0, 2.0 * h0 * (z0 + length) + lam2, "2 h0 z + lam2")
+    _, at = radicand(h0, lam2, -1, "2 h0 z + lam2")
 
     def closed_L(z):
-        return lam1 / (2.0 * h0) * np.sqrt(w(z) ** 2 - 1.0)
+        return lam1 / (2.0 * h0) * np.sqrt(at(z)[1])
 
     v0 = lam1 * w0 / math.sqrt(w0 * w0 - 1.0)
     L0 = float(closed_L(z0))
@@ -537,37 +526,38 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
     another.  The best residual wins, the earlier restart on a tie.  The
     outcome depends only on the arguments.
 
-    With budget >= 1, `restarts` may not exceed `budget` (InvalidParams),
-    so the evaluations never exceed the budget.  With budget <= 0 the
-    initial guess of the first restart is evaluated and returned untouched.
-    `restarts` may not exceed MAX_RESTARTS, and `k0` must be finite
-    (InvalidParams).
+    `k0` must be finite, `restarts` may not exceed MAX_RESTARTS, and
+    1 <= restarts <= budget must hold (InvalidParams), so every restart
+    gets at least one evaluation and the evaluations never exceed the
+    budget.
     """
     if not math.isfinite(k0):
         raise InvalidParams(f"k0 must be finite, got {k0!r}")
     if restarts > MAX_RESTARTS:
         raise InvalidParams(f"restarts ({restarts}) must not exceed {MAX_RESTARTS}")
-    if budget >= 1 and restarts > budget:
-        raise InvalidParams(f"restarts ({restarts}) must not exceed budget ({budget})")
-    values = _probe_objective(space, k0, grid)
+    if not 1 <= restarts <= budget:
+        raise InvalidParams(f"restarts ({restarts}) must lie between 1 and budget ({budget})")
 
     rng = np.random.default_rng(seed)
-    n = space.n_params
     starts = [_generic_start(space)]
     if space.exponential:
         starts.append(_flat_seed(space))
-    while len(starts) < max(1, restarts):
-        starts.append(rng.uniform(-1.5, 1.5, size=n))
-    starts = starts[: max(1, restarts)]
-
-    if budget <= 0:
-        value = values(starts[0][None])[0]
-        return _probe_report(k0, value, starts[0], 1, budget, len(starts), space, grid)
-
-    best, theta, evals = _pattern_search(values, starts, max(1, budget // len(starts)))
+    while len(starts) < restarts:
+        starts.append(rng.uniform(-1.5, 1.5, size=space.n_params))
+    best, theta, evals = _pattern_search(_probe_objective(space, k0, grid), starts[:restarts],
+                                         budget // restarts)
     # argmin takes the first of equal residuals: the earlier restart
     w = int(np.argmin(best))
-    return _probe_report(k0, best[w], theta[w], int(evals.sum()), budget, len(starts), space, grid)
+    header = (
+        f"bounded coordinate search, property check only (not a proof); "
+        f"family space: {space.describe()}; "
+        f"grid [{grid.u1[0]:g}, {grid.u1[1]:g}] x [{grid.u2[0]:g}, {grid.u2[1]:g}] "
+        f"({grid.n1}x{grid.n2}); budget {budget}; restarts {restarts}; target K0 = {k0:g}"
+    )
+    return ProbeReport(k0=float(k0), best_residual=float(best[w]),
+                       best_theta=tuple(float(v) for v in theta[w]),
+                       evaluations=int(evals.sum()), budget=int(budget),
+                       restarts=int(restarts), header=header)
 
 
 def _generic_start(space: FamilySpace) -> np.ndarray:
@@ -592,21 +582,3 @@ def _flat_seed(space: FamilySpace) -> np.ndarray:
     theta[-2] = 1.0
     theta[-1] = 2.0
     return theta
-
-
-def _probe_report(k0, best, theta, evals, budget, restarts, space, grid) -> ProbeReport:
-    header = (
-        f"bounded coordinate search, property check only (not a proof); "
-        f"family space: {space.describe()}; "
-        f"grid [{grid.u1[0]:g}, {grid.u1[1]:g}] x [{grid.u2[0]:g}, {grid.u2[1]:g}] "
-        f"({grid.n1}x{grid.n2}); budget {budget}; restarts {restarts}; target K0 = {k0:g}"
-    )
-    return ProbeReport(
-        k0=float(k0),
-        best_residual=float(best),
-        best_theta=tuple(float(v) for v in np.asarray(theta).ravel()),
-        evaluations=int(evals),
-        budget=int(budget),
-        restarts=int(restarts),
-        header=header,
-    )

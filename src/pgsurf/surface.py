@@ -13,21 +13,24 @@ second partials of (x, y, z), as `factorable.jet_component_arrays` and
 it works on those arrays and returns masks for lightlike and inadmissible
 points.  `gaussian_curvature` and `mean_curvature` are one-point views of
 it that raise at those points instead (`require_unmasked`).
-`transform_jet` moves jet component arrays by a batch of motions in one
-broadcast.
+`transform_jet` moves jet component arrays by a batch of motions of the
+six-parameter group (`Motion`) in one broadcast.  The transverse plane
+x = 0 carries the Minkowskian scalar product with signature (+, -) on
+(y, z) that `curvature_arrays` evaluates inline.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Motion
 from .errors import InadmissiblePatch, LightlikeSurface
 
 __all__ = [
+    "Motion",
     "gaussian_curvature",
     "mean_curvature",
     "transform_jet",
@@ -73,12 +76,33 @@ def mean_curvature(comp: dict) -> float:
     return float(out["H"][0])
 
 
+@dataclass(frozen=True)
+class Motion:
+    """Motion of the pseudo-Galilean 3-space with parameters a1..a5 and
+    hyperbolic angle theta: translations, two shears along the absolute
+    direction x and a hyperbolic rotation of the (y, z) plane.
+
+    x' = a1 + x
+    y' = a2 + a3*x + cosh(theta)*y + sinh(theta)*z
+    z' = a4 + a5*x + sinh(theta)*y + cosh(theta)*z
+
+    The default is the identity.
+    """
+
+    a1: float = 0.0
+    a2: float = 0.0
+    a3: float = 0.0
+    a4: float = 0.0
+    a5: float = 0.0
+    theta: float = 0.0
+
+
 def transform_jet(motions: Sequence[Motion], comp: dict) -> dict:
     """The jet components x1..z22 of `comp`, broadcast-compatible arrays
     whose broadcast shape is S, moved by each motion: read-only arrays of
     shape (len(motions), *S).
 
-    A motion acts on every derivative by its linear part (`core.Motion`):
+    A motion acts on every derivative by its linear part (`Motion`):
     x' = x, y' = a3*x + cosh(theta)*y + sinh(theta)*z and
     z' = a5*x + sinh(theta)*y + cosh(theta)*z.  Its translation moves only
     the value, which curvature does not read.  The moved x components are

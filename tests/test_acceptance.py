@@ -13,7 +13,6 @@ import pytest
 import sympy as sp
 
 from pgsurf.cli import main as cli_main
-from pgsurf.core import Motion
 from pgsurf.errors import GridRejected
 from pgsurf.factorable import (
     FactorableSurface,
@@ -39,6 +38,7 @@ from pgsurf.reconstruct import (
     reconstruct_thm32,
     reconstruct_thm42,
 )
+from pgsurf.surface import Motion
 
 from test_exact_claims import (
     K0,

@@ -14,10 +14,9 @@ from pgsurf import cli
 from pgsurf import families as fam
 from pgsurf import reconstruct as rec
 from pgsurf.cli import MAX_GRID_POINTS, _grid, main
-from pgsurf.core import Motion
 from pgsurf.factorable import GridSpec, default_grid
 from pgsurf.families import family_surface
-from pgsurf.surface import gaussian_curvature, mean_curvature
+from pgsurf.surface import Motion, gaussian_curvature, mean_curvature
 
 from one_point import jet
 
@@ -392,6 +391,12 @@ class TestReconstruct:
         })
         assert main(["reconstruct", "--config", cfg]) == 4
 
+    def test_slope_and_lam_together_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        _one_line_config_error(capsys, ["reconstruct", "--set", "theorem=3.2", "--set", "u0=0.5",
+                                        "--set", "lam=0.7", "--set", f"output.json={out}"])
+        assert not out.exists()
+
     def test_unknown_theorem(self, tmp_path):
         cfg = write_config(tmp_path, "ru.json", {"theorem": "5.1"})
         assert main(["reconstruct", "--config", cfg]) == 2
@@ -462,7 +467,7 @@ class TestProbe:
         "output.json=7", "output.json=[1]", "output.json=true", "seed=-1",
         "k0=nan", "k0=NaN", "k0=inf", "k0=-Infinity", "k0=1e400",
         "floor=nan", "floor=NaN", "floor=Infinity", "floor=-inf",
-        "budget=60.9", "budget=true", "restarts=-5", "restarts=1.5", "restarts=true",
+        "budget=60.9", "budget=true", "restarts=0", "restarts=-5", "restarts=1.5", "restarts=true",
         "seed=1.5", "seed=true", "degree_f=1.5", "degree_f=-1", "degree_g=true",
         "grid.n1=9.5", "grid.n2=false", "grid.n1=-9",
         "k0=true", 'k0="1"', "floor=true", 'floor="0.05"', "grid.u1=[true,2]",

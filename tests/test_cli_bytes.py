@@ -280,6 +280,72 @@ def test_verify_digests(tmp_path, capsys, case):
     assert (code, report, err) == VERIFY_DIGESTS[case]
 
 
+# `reconstruct` reports, pinned the same way: exit code, sha256 of the JSON
+# report (None when the run writes none) and of standard error
+RECONSTRUCT_CASES = {
+    "thm31_plus": {"theorem": "3.1", "k0": 1.3, "g0": 0.8, "lam1": 0.2, "sign": 1},
+    "thm31_minus": {"theorem": "3.1", "k0": -0.7, "lam1": -0.4, "sign": -1},
+    "thm32_spacelike_lam": {"theorem": "3.2", "h0": 0.6, "f0": 1.4, "lam": 0.3,
+                            "causal": "spacelike"},
+    "thm32_timelike_lam": {"theorem": "3.2", "h0": -0.4, "f0": 0.9, "lam": -1.5,
+                           "causal": "timelike", "y0": 0.2},
+    "thm32_spacelike_u0": {"theorem": "3.2", "causal": "spacelike", "u0": 0.5},
+    "thm32_timelike_u0": {"theorem": "3.2", "causal": "timelike", "u0": -1.2},
+    # exit 4: the four ways the 3.2 branch bookkeeping rejects a run
+    "slope_on_boundary": {"theorem": "3.2", "causal": "timelike", "u0": 1.0},
+    "slope_on_wrong_side": {"theorem": "3.2", "causal": "timelike", "u0": 0.5},
+    "timelike_start_inside": {"theorem": "3.2", "causal": "timelike", "lam": 0.5},
+    "crossing_mid_corridor": {"theorem": "3.2", "causal": "spacelike", "h0": 5.0,
+                              "lam": -3.5, "h": 0.1},
+    # exit 4: the corridor leaves |w| > 1
+    "thm32_corridor": {"theorem": "3.2", "causal": "timelike", "lam": -1.5},
+    "thm42_corridor": {"theorem": "4.2", "z0": 0.2},
+    # g exceeds the float range; compared in log space
+    "thm42_overflow": {"theorem": "4.2", "lam1": 1000.0},
+}
+
+RECONSTRUCT_DIGESTS = {
+    'crossing_mid_corridor': (4, None,
+        '9a4237dc0c34dc53b7868c034572055ac31ac193be2da46d2f0613932eae4519'),
+    'slope_on_boundary': (4, None,
+        'fb9ff838296bbc67d44f612804ea9fa5a97ad7d3ae968966142088a6774deaeb'),
+    'slope_on_wrong_side': (4, None,
+        'be8b949b44c4c47bd320c83f99f37b076bd641d3c7b35db91291e7b984700cbd'),
+    'thm31_minus': (0, '3a0117775767608a9da4f011eb89a7bc9c1d600396819c49fc9a8c54ad77ae58',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm31_plus': (0, '55e609db6dfaf14493d90ea7e6d1e48ae361105285732b1784bffdefd39d5655',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm32_corridor': (4, None,
+        'a9881ebaa86c450e624851092bc98fd4ad3279aea21870195eeeaa7fec908529'),
+    'thm32_spacelike_lam': (0, 'd4975d729aba865335d7254f41521aa37eb664cfb31b8aa629d3601eb95f02e4',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm32_spacelike_u0': (0, 'f7fe248861af00ffc98feb852cca4b4e824595feb5ee63cca2af6da734e04c02',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm32_timelike_lam': (0, '54f4981b86ffa3b3c2ca2ae183d8debe61d95f1d5efbf35c3fba0618592b39d0',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm32_timelike_u0': (0, '95106ab13f9e7f5d2562a1d8690f879a945b82dccb1f5d1e061e0dd029fecbf5',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'thm42_corridor': (4, None,
+        'c76bb50b1ee7f54d2c7cc5eedc6c89c7b71fdb274f7a6933cf0c310d468c73ea'),
+    'thm42_overflow': (0, '5efcc1f73b2875156e73409d44846cca7e12d861437da9b4e2fa100d91da4a89',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'timelike_start_inside': (4, None,
+        '40105b037cf6c349f8a7327d343a8c711043073e42be95b4d80d7497d48d1942'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECONSTRUCT_CASES))
+def test_reconstruct_digests(tmp_path, capsys, case):
+    out = tmp_path / "r.json"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**RECONSTRUCT_CASES[case], "output": {"json": str(out)}}))
+    capsys.readouterr()
+    code = main(["reconstruct", "--config", str(path)])
+    report = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    err = hashlib.sha256(capsys.readouterr().err.encode("utf-8")).hexdigest()
+    assert (code, report, err) == RECONSTRUCT_DIGESTS[case]
+
+
 @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
 @example(0.0)
 @example(-0.0)

@@ -27,7 +27,7 @@ JUNK = [None, True, "abc", "1", [], {}, [1], math.nan, math.inf, -math.inf, -1, 
 # moderate valid values by key name; other keys draw from their kind below
 VALID = {
     "n1": [2, 9, 30], "n2": [2, 9, 30], "motions": [1, 10, 50], "budget": [1, 60, 300],
-    "restarts": [0, 1, 6], "seed": [0, 5], "degree_f": [0, 2, 4], "degree_g": [0, 2, 4],
+    "restarts": [1, 2, 6], "seed": [0, 5], "degree_f": [0, 2, 4], "degree_g": [0, 2, 4],
     "sign": [1, -1], "h": [1e-3, 0.05], "length": [0.3, 1.0], "span": [[0.0, 1.0], [0.0, 2.0]],
     "fd_step": [1e-4, 1e-3], "exponent_scale": [1.0, 1.01], "u0": [0.5, 1.5],
     "floor": [0.05, 10.0], "k0": [1.0, -0.5, 0.0], "h0": [0.5, -0.75], "theorem": ["3.1", 3.1],

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgsurf.core import Motion
-from pgsurf.surface import curvature_arrays
+from pgsurf.surface import Motion, curvature_arrays
 
 from one_point import moved
 

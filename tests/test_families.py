@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pgsurf.core import Motion
 from pgsurf.errors import DomainError, InvalidParams, LightlikeSurface
 from pgsurf.factorable import closed_H, closed_K, default_grid, specialized_grid
 from pgsurf.families import (
@@ -13,7 +12,7 @@ from pgsurf.families import (
     thm32_family,
     thm42_family,
 )
-from pgsurf.surface import gaussian_curvature, mean_curvature
+from pgsurf.surface import Motion, gaussian_curvature, mean_curvature
 
 from one_point import closed_value, jet, moved, point_data
 

@@ -29,7 +29,6 @@ from pgsurf.reconstruct import (
     _flat_seed,
     _generic_start,
     _probe_objective,
-    _probe_report,
     ODEProblem,
     integrate,
     nonexistence_probe,
@@ -271,6 +270,11 @@ class TestThm32Reconstruction:
         result = reconstruct_thm32(0.5, causal="timelike", u0=-1.5)
         assert result.max_error < 1e-6
 
+    @pytest.mark.parametrize("causal,u0", [("spacelike", 0.5), ("timelike", -1.2)])
+    def test_slope_and_lam_together_rejected(self, causal, u0):
+        with pytest.raises(InvalidParams, match="lam or u0"):
+            reconstruct_thm32(0.5, causal=causal, u0=u0, lam=0.7)
+
     def test_rk4_order(self):
         coarse = reconstruct_thm32(0.5, causal="spacelike", h=0.02).max_error
         fine = reconstruct_thm32(0.5, causal="spacelike", h=0.01).max_error
@@ -456,10 +460,10 @@ class TestNonexistenceProbe:
         report = nonexistence_probe(0.0, budget=2000, seed=0)
         assert report.best_residual < 1e-6
 
-    def test_empty_budget_returns_initial_guess(self):
-        report = nonexistence_probe(1.0, budget=0, seed=0)
-        assert report.evaluations == 1
-        assert report.best_residual > 1.0
+    @pytest.mark.parametrize("restarts", [1, 6])
+    def test_empty_budget_rejected(self, restarts):
+        with pytest.raises(InvalidParams, match="between 1 and budget"):
+            nonexistence_probe(1.0, budget=0, restarts=restarts)
 
     def test_deterministic_for_fixed_seed(self):
         a = nonexistence_probe(1.0, budget=1500, seed=0)
@@ -520,9 +524,10 @@ class TestNonexistenceProbe:
         report = nonexistence_probe(1.0, budget=budget, restarts=restarts, seed=3)
         assert report.evaluations <= budget
 
-    def test_empty_budget_ignores_restarts(self):
-        report = nonexistence_probe(1.0, budget=0, restarts=20)
-        assert report.evaluations == 1 and report.restarts == 20
+    @pytest.mark.parametrize("budget,restarts", [(100, 0), (100, -3), (0, 0)])
+    def test_restarts_below_one_rejected(self, budget, restarts):
+        with pytest.raises(InvalidParams, match="between 1 and budget"):
+            nonexistence_probe(1.0, budget=budget, restarts=restarts)
 
     def test_header_states_scope(self):
         report = nonexistence_probe(1.0, budget=100, seed=0)
@@ -585,8 +590,9 @@ def _solo(values, search):
 
 
 def _sequential_probe(k0, space=FamilySpace(), budget=10_000, grid=None, seed=0, restarts=6):
-    """`nonexistence_probe` (budget >= 1) with its restarts run one after
-    another: the report and the largest number of calls of one restart."""
+    """`nonexistence_probe` with its restarts run one after another: the
+    best residual, its point and the evaluation count, and the largest
+    number of calls of one restart."""
     grid = grid or GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)
     values = _probe_objective(space, k0, grid)
     rng = np.random.default_rng(seed)
@@ -594,13 +600,11 @@ def _sequential_probe(k0, space=FamilySpace(), budget=10_000, grid=None, seed=0,
     while len(starts) < restarts:
         starts.append(rng.uniform(-1.5, 1.5, size=space.n_params))
     starts = starts[:restarts]
-    per = max(1, budget // len(starts))
+    per = budget // len(starts)
     runs = [_solo(values, _coordinate_search(start, per)) for start in starts]
     results = [result for result, _ in runs]
     best, theta, _ = min(results, key=lambda r: r[0])
-    report = _probe_report(k0, best, theta, sum(r[2] for r in results), budget,
-                           len(starts), space, grid)
-    return report, max(calls for _, calls in runs)
+    return (best, theta, sum(r[2] for r in results)), max(calls for _, calls in runs)
 
 
 class TestLockstep:
@@ -618,11 +622,11 @@ class TestLockstep:
         restarts = data.draw(st.integers(1, min(budget, 25)))
         kwargs = dict(space=space, budget=budget, grid=grid, seed=seed, restarts=restarts)
         got = nonexistence_probe(k0, **kwargs)
-        want, _ = _sequential_probe(k0, **kwargs)
-        assert float.hex(got.best_residual) == float.hex(want.best_residual)
-        assert [float.hex(v) for v in got.best_theta] == [float.hex(v) for v in want.best_theta]
-        assert got.evaluations == want.evaluations
-        assert got == want
+        (best, theta, evaluations), _ = _sequential_probe(k0, **kwargs)
+        assert float.hex(got.best_residual) == float.hex(best)
+        assert [float.hex(v) for v in got.best_theta] == [float.hex(v) for v in theta]
+        assert got.evaluations == evaluations
+        assert (got.k0, got.budget, got.restarts) == (k0, budget, restarts)
 
     def test_one_objective_call_per_round(self, monkeypatch):
         # the restarts share each call, so a probe makes as many calls as

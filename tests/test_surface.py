@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pgsurf.core import Motion
 from pgsurf.errors import InadmissiblePatch, LightlikeSurface
 from pgsurf.factorable import FactorableSurface, ScalarC2
 from pgsurf.families import thm31_family, thm32_family, thm42_family
 from pgsurf.surface import (
+    Motion,
     curvature_arrays,
     fd_components,
     gaussian_curvature,
