@@ -5,8 +5,10 @@
 Configuration is a JSON object; `--set` overrides individual (dotted)
 keys and wins over file values.  Outputs are deterministic: identical
 configurations produce byte-identical CSV/JSON/OBJ files (floats printed
-with 17 significant digits, fixed row order).  Tables and meshes are
-formatted and written one grid row at a time.  Every float column goes
+with 17 significant digits, fixed row order).  `curvature`, `mesh` and
+`verify` sweep each grid point once, in the row blocks of
+`factorable.row_spans`; tables and meshes are formatted and written one
+grid row at a time.  Every float column goes
 through one rule: a column whose bits are constant along a grid axis is
 formatted once per value of the other axis (the axes U1 and U2, the
 positions equal to them, epsilon) and printed by a `%s` field, any other
@@ -50,13 +52,11 @@ from .errors import (
 from .factorable import (
     FactorableSurface,
     GridSpec,
-    closed_block,
     cross_check,
     default_grid,
     jet_component_arrays,
-    pipeline_block,
     pipeline_grid,
-    row_blocks,
+    row_spans,
     specialized_grid,
 )
 from .surface import (
@@ -342,18 +342,26 @@ def _grid(values: dict, default: GridSpec) -> GridSpec:
 CSV_HEADER = "u1,u2,x,y,z,K,H,epsilon,W,excluded"
 
 
-def _sweep(v: dict) -> tuple[GridSpec, dict]:
+def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
     """The grid of the read `curvature`/`mesh` values and its sweep on the
-    `formulas` route."""
+    `formulas` route, one sweep per row block of `row_spans`.  The first
+    block is swept before this returns, so that a profile which cannot be
+    evaluated on the grid fails before any output is written: each block
+    evaluates g on the whole u2 axis."""
     surface = _surface(v["family"])
     grid = _grid(v["grid"], default_grid(surface))
     route = v["formulas"]
-    pipe = pipeline_grid(surface, grid, mode="fd" if route == "pipeline-fd" else "analytic",
-                         fd_step=v["fd_step"])
-    if route == "specialized":
-        closed = specialized_grid(surface, grid)
-        pipe = {**pipe, "K": closed["K"], "H": closed["H"], "excluded": closed["excluded"]}
-    return grid, pipe
+
+    def sweep(rows: slice) -> dict:
+        pipe = pipeline_grid(surface, grid, mode="fd" if route == "pipeline-fd" else "analytic",
+                             fd_step=v["fd_step"], rows=rows)
+        if route == "specialized":
+            closed = specialized_grid(surface, grid, rows)
+            pipe = {**pipe, "K": closed["K"], "H": closed["H"], "excluded": closed["excluded"]}
+        return pipe
+
+    blocks = map(sweep, row_spans(grid))
+    return grid, itertools.chain([next(blocks)], blocks)
 
 
 # the one float formatter of the text outputs: equal to format(x, ".17g")
@@ -403,32 +411,44 @@ def _lines(columns: Iterable[Iterator], inc: str, exc: str, excluded: np.ndarray
             yield row % tuple(args)
 
 
-def _csv_rows(data: dict) -> Iterator[str]:
-    """`curvature` CSV: the header, then one chunk of lines per grid row."""
+def _csv_rows(blocks: Iterable[dict]) -> Iterator[str]:
+    """`curvature` CSV: the header, then one chunk of lines per grid row
+    of each sweep block."""
     yield CSV_HEADER + "\n"
-    fields, columns = zip(*(_column(data[k]) for k in ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")))
-    yield from _lines(columns, ",".join(fields) + ",0\n", ",".join(fields[:5]) + ",,,,,1\n",
-                      data["excluded"])
+    for data in blocks:
+        fields, columns = zip(*(_column(data[k])
+                                for k in ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")))
+        yield from _lines(columns, ",".join(fields) + ",0\n", ",".join(fields[:5]) + ",,,,,1\n",
+                          data["excluded"])
 
 
 def run_curvature(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["curvature"])
-    grid, data = _sweep(v)
-    excluded = data["excluded"]
-    _write(v["output"]["csv"], _csv_rows(data))
+    grid, blocks = _sweep(v)
+    # the included K and H of each block, kept while the CSV is written:
+    # concatenated, they are the included points of the grid in C order
+    kept: dict = {"K": [], "H": []}
 
-    included = ~excluded
-    n_inc = int(np.count_nonzero(included))
+    def keeping(blocks):
+        for data in blocks:
+            for name, values in kept.items():
+                values.append(data[name][~data["excluded"]])
+            yield data
+
+    _write(v["output"]["csv"], _csv_rows(keeping(blocks)))
+
+    n_points = grid.n1 * grid.n2
+    n_inc = sum(block.size for block in kept["K"])
     summary = {
         "family": cfg["family"],
         "grid": {"u1": list(grid.u1), "u2": list(grid.u2), "n1": grid.n1, "n2": grid.n2},
         "formulas": v["formulas"],
-        "rows": int(excluded.size),
+        "rows": n_points,
         "included": n_inc,
-        "excluded": int(excluded.size) - n_inc,
+        "excluded": n_points - n_inc,
     }
-    for name in ("K", "H"):
-        values = data[name][included]
+    for name, included in kept.items():
+        values = np.concatenate(included)
         if values.size:
             mean = float(np.mean(values))
             summary[name] = {"mean": mean,
@@ -466,14 +486,14 @@ def run_verify(cfg: dict) -> int:
     # with the block's pipeline sweep
     field = _EXPECTED_FIELD[family["name"]]
     values, gap, rejected = [], 0.0, None
-    for parts in row_blocks(surface, grid):
+    for rows in row_spans(grid):
         with np.errstate(all="ignore"):
-            closed = closed_block(surface.kind, parts)
+            closed = specialized_grid(surface, grid, rows)
             block = np.abs(closed["H"]) if field == "absH" else closed["K"]
             values.append(block[~closed["excluded"]])
             if rejected is None:
                 try:
-                    gap = max(gap, cross_check(pipeline_block(surface.kind, parts),
+                    gap = max(gap, cross_check(pipeline_grid(surface, grid, rows=rows),
                                                closed).max_discrepancy)
                 except GridRejected as exc:
                     rejected = exc
@@ -576,15 +596,7 @@ def run_probe(cfg: dict) -> int:
         seed=v["seed"],
         restarts=v["restarts"],
     )
-    payload = {
-        "header": report.header,
-        "k0": report.k0,
-        "best_residual": report.best_residual,
-        "best_theta": list(report.best_theta),
-        "evaluations": report.evaluations,
-        "budget": report.budget,
-        "restarts": report.restarts,
-    }
+    payload = dataclasses.asdict(report)
     passed, floor = True, v["floor"]
     if floor is not None and report.k0 != 0.0:
         passed = report.best_residual > floor
@@ -598,14 +610,15 @@ def run_probe(cfg: dict) -> int:
 # mesh
 # ---------------------------------------------------------------------------
 
-def _obj_lines(data: dict, faces: np.ndarray) -> Iterator[str]:
-    """OBJ: a comment, the vertex lines, then the quad of each kept cell;
-    one chunk of lines per grid row."""
-    n1, n2 = data["x"].shape
+def _obj_lines(blocks: list, faces: np.ndarray) -> Iterator[str]:
+    """OBJ: a comment, the vertex lines of each sweep block, then the quad
+    of each kept cell of the grid; one chunk of lines per grid row."""
+    n1, n2 = faces.shape[0] + 1, faces.shape[1] + 1
     yield f"# pg-surf mesh {n1}x{n2}\n"
-    fields, columns = zip(*(_column(data[k]) for k in ("x", "y", "z")))
-    vertex = "v %s %s %s\n" % fields
-    yield from _lines(columns, vertex, vertex, np.zeros((n1, n2), dtype=bool))
+    for data in blocks:
+        fields, columns = zip(*(_column(data[k]) for k in ("x", "y", "z")))
+        vertex = "v %s %s %s\n" % fields
+        yield from _lines(columns, vertex, vertex, np.zeros(data["x"].shape, dtype=bool))
     for i, keep in enumerate(faces):
         first = np.flatnonzero(keep) + (i * n2 + 1)
         if first.size:
@@ -613,27 +626,34 @@ def _obj_lines(data: dict, faces: np.ndarray) -> Iterator[str]:
             yield ("f %d %d %d %d\n" * first.size) % tuple(quads.ravel().tolist())
 
 
-def _sidecar_rows(data: dict) -> Iterator[str]:
+def _sidecar_rows(blocks: list) -> Iterator[str]:
     """Mesh sidecar CSV keyed by 1-based vertex index: the header, then one
-    chunk of lines per grid row."""
+    chunk of lines per grid row of each sweep block."""
     yield "vertex,u1,u2,K,H,excluded\n"
-    n1, n2 = data["excluded"].shape
-    fields, columns = zip(*(_column(data[k]) for k in ("U1", "U2", "K", "H")))
-    ids = (range(i * n2 + 1, (i + 1) * n2 + 1) for i in range(n1))
-    yield from _lines((ids, *columns), "%d," + ",".join(fields) + ",0\n",
-                      "%d," + ",".join(fields[:2]) + ",,,1\n", data["excluded"])
+    n2 = blocks[0]["excluded"].shape[1]
+    # the vertex indices of each grid row, one iterator for all blocks:
+    # `_lines` takes the next one for each of its rows, and no more
+    ids = (range(first, first + n2) for first in itertools.count(1, n2))
+    for data in blocks:
+        fields, columns = zip(*(_column(data[k]) for k in ("U1", "U2", "K", "H")))
+        yield from _lines((ids, *columns), "%d," + ",".join(fields) + ",0\n",
+                          "%d," + ",".join(fields[:2]) + ",,,1\n", data["excluded"])
 
 
 def run_mesh(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["mesh"])
-    _, data = _sweep(v)
-    ex = data["excluded"]
+    _, blocks = _sweep(v)
+    # faces need the whole exclusion mask before a line is written, so each
+    # block keeps what the outputs print and drops the rest of its sweep
+    blocks = [{key: data[key] for key in ("U1", "U2", "x", "y", "z", "K", "H", "excluded")}
+              for data in blocks]
+    ex = np.concatenate([data["excluded"] for data in blocks])
     # a cell is kept when all four corners are admissible
     faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
     if not faces.any():
         return EXIT_EMPTY_GRID
-    _write(v["output"]["obj"], _obj_lines(data, faces))
-    _write(v["output"]["sidecar"], _sidecar_rows(data))
+    _write(v["output"]["obj"], _obj_lines(blocks, faces))
+    _write(v["output"]["sidecar"], _sidecar_rows(blocks))
     return EXIT_OK
 
 

@@ -10,10 +10,10 @@ x(y, z) = f(y)*g(z).  The closed curvature formulas are
                  / (2*|(f*g')^2 - (f'*g)^2|^(3/2))
 
 `closed_K` and `closed_H` are the one implementation of these, over
-arrays of profile values; `specialized_grid` sweeps them.
-`row_blocks` cuts a grid's profile values into blocks of rows, and
-`closed_block` and `pipeline_block` sweep one block; the whole-grid
-sweeps are the same kernels over one block.  The general
+arrays of profile values; `specialized_grid` sweeps them.  It and
+`pipeline_grid` sweep a slice of grid rows, the whole grid by default;
+`row_spans` cuts a grid into such slices, so a command streams a large
+grid block by block.  The general
 pipeline of `surface` computes K with an extra factor -eps relative to
 these and H with factor +1 (proven in tests/test_sign_contract.py, see
 README, "Sign conventions"); `cross_check` compares two sweeps under
@@ -39,9 +39,7 @@ __all__ = [
     "closed_K",
     "closed_H",
     "jet_component_arrays",
-    "row_blocks",
-    "closed_block",
-    "pipeline_block",
+    "row_spans",
     "pipeline_grid",
     "specialized_grid",
     "cross_check",
@@ -232,10 +230,6 @@ class GridSpec:
         return (np.linspace(self.u1[0], self.u1[1], self.n1),
                 np.linspace(self.u2[0], self.u2[1], self.n2))
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        a1, a2 = self.axes()
-        return np.meshgrid(a1, a2, indexing="ij")
-
 
 def _clip_axis(dom: tuple[float, float], span: float, margin: float) -> tuple[float, float]:
     lo, hi = dom
@@ -299,85 +293,61 @@ def jet_component_arrays(s: FactorableSurface, U1, U2,
     return fd_components(s.value_arrays, U1, U2, fd_step)[1]
 
 
-# Grid points per block of `row_blocks` (whole rows, at least one): a
+# Grid points per block of `row_spans` (whole rows, at least one): a
 # block's kernel temporaries stay small enough to be reused from cache.
 _BLOCK_POINTS = 2 ** 15
 
 
-def _axes(grid: GridSpec):
-    """The grid axes as a column (n1, 1) and a row (1, n2), and the U1, U2
-    entries of a sweep, read-only grid views of them.  f depends only on
-    u1 and g only on u2, so each profile is evaluated on its own axis and
-    the kernels broadcast it over the grid."""
+def row_spans(grid: GridSpec):
+    """The grid rows in blocks of about `_BLOCK_POINTS` points, first row
+    first: one `slice` of the u1 axis per block, for the `rows` of
+    `pipeline_grid` and `specialized_grid`."""
+    step = max(1, _BLOCK_POINTS // grid.n2)
+    for start in range(0, grid.n1, step):
+        yield slice(start, start + step)
+
+
+def _axes(grid: GridSpec, rows: slice):
+    """The `rows` of the u1 axis as a column and the u2 axis as a row, and
+    the U1, U2 entries of a sweep, read-only views of them broadcast over
+    those rows.  f depends only on u1 and g only on u2, so each profile is
+    evaluated on its own axis; the kernels broadcast it point by point, so
+    a sweep of some rows is those rows of the whole sweep bit for bit."""
     a1, a2 = grid.axes()
-    u1, u2 = a1[:, None], a2[None, :]
-    shape = (a1.size, a2.size)
+    u1, u2 = a1[rows, None], a2[None, :]
+    shape = (u1.size, a2.size)
     return u1, u2, {"U1": np.broadcast_to(u1, shape), "U2": np.broadcast_to(u2, shape)}
 
 
-def row_blocks(s: FactorableSurface, grid: GridSpec):
-    """The profile values of the grid in blocks of whole rows, about
-    `_BLOCK_POINTS` points each, first row first: per block the tuple
-    (f, f', f'', g, g', g'') with f's values on the block's rows as
-    columns and g's on the whole u2 axis as a row.  Each profile is
-    evaluated once on its axis and sliced, so a block kernel gives the
-    rows of its whole-grid sweep bit for bit.  Overflow is silent."""
-    u1, u2, _ = _axes(grid)
-    with np.errstate(all="ignore"):
-        parts = _parts(s, u1, u2)
-    step = max(1, _BLOCK_POINTS // grid.n2)
-    for start in range(0, grid.n1, step):
-        yield tuple(v[start:start + step] for v in parts[:3]) + parts[3:]
-
-
 @np.errstate(all="ignore")
-def closed_block(kind: str, parts) -> dict:
-    """Closed-formula K, H and exclusion mask over the profile values
-    `parts`.  A point is excluded where K or H is not finite, which
-    covers the undefined points (NaN there).  K and H share one closed
-    denominator."""
-    fv, f1, _, gv, g1, _ = parts
-    den = _denominator(kind, fv, f1, gv, g1)
-    K, _ = _closed_K(kind, parts, den)
-    H, _ = _closed_H(kind, parts, den)
-    return {"K": K, "H": H, "excluded": ~np.isfinite(K) | ~np.isfinite(H)}
-
-
-def _pipeline(comp: dict) -> dict:
-    """K, H, eps and W of `curvature_arrays` over the jet `comp`, the mask
-    of its lightlike and inadmissible points, and the exclusion mask:
-    a masked point or one whose K or H is not finite."""
-    out = curvature_arrays(comp)
+def pipeline_grid(s: FactorableSurface, grid: GridSpec, mode: str = "analytic",
+                  fd_step: float = FD_STEP, rows: slice = slice(None)) -> dict:
+    """General-pipeline sweep of the grid `rows`: U1, U2, positions, K, H,
+    eps, W, the mask of the lightlike and inadmissible points and the
+    exclusion mask; a point is excluded where it is masked or its K or H
+    is not finite."""
+    u1, u2, params = _axes(grid, rows)
+    out = curvature_arrays(jet_component_arrays(s, u1, u2, mode=mode, fd_step=fd_step))
+    K, H = out["K"], out["H"]
     masked = out["lightlike"] | out["inadmissible"]
-    return {"K": out["K"], "H": out["H"], "eps": out["eps"], "W": out["W"], "masked": masked,
-            "excluded": masked | ~np.isfinite(out["K"]) | ~np.isfinite(out["H"])}
-
-
-@np.errstate(all="ignore")
-def pipeline_block(kind: str, parts) -> dict:
-    """General-pipeline sweep of the analytic jets of the profile values
-    `parts`: K, H, eps, W, masked and excluded (see `pipeline_grid`)."""
-    return _pipeline(_analytic_components(kind, parts))
-
-
-@np.errstate(all="ignore")
-def pipeline_grid(s: FactorableSurface, grid: GridSpec,
-                  mode: str = "analytic", fd_step: float = FD_STEP) -> dict:
-    """General-pipeline sweep: positions, K, H, eps, W, the mask of the
-    lightlike and inadmissible points and the exclusion mask; a point is
-    excluded where it is masked or its K or H is not finite."""
-    u1, u2, params = _axes(grid)
-    sweep = _pipeline(jet_component_arrays(s, u1, u2, mode=mode, fd_step=fd_step))
     x, y, z = s.value_arrays(u1, u2)
-    return {**params, "x": x, "y": y, "z": z, **sweep}
+    return {**params, "x": x, "y": y, "z": z, "K": K, "H": H, "eps": out["eps"], "W": out["W"],
+            "masked": masked, "excluded": masked | ~np.isfinite(K) | ~np.isfinite(H)}
 
 
 @np.errstate(all="ignore")
-def specialized_grid(s: FactorableSurface, grid: GridSpec) -> dict:
-    """Closed-formula sweep: U1, U2 and the `closed_block` of the whole
-    grid (no positions; `pipeline_grid` has them)."""
-    u1, u2, params = _axes(grid)
-    return {**params, **closed_block(s.kind, _parts(s, u1, u2))}
+def specialized_grid(s: FactorableSurface, grid: GridSpec, rows: slice = slice(None)) -> dict:
+    """Closed-formula sweep of the grid `rows`: U1, U2, K, H and the
+    exclusion mask (no positions; `pipeline_grid` has them).  A point is
+    excluded where K or H is not finite, which covers the undefined
+    points (NaN there).  K and H share one closed denominator."""
+    u1, u2, params = _axes(grid, rows)
+    parts = _parts(s, u1, u2)
+    fv, f1, _, gv, g1, _ = parts
+    den = _denominator(s.kind, fv, f1, gv, g1)
+    K, _ = _closed_K(s.kind, parts, den)
+    H, _ = _closed_H(s.kind, parts, den)
+    return {**params, "K": K, "H": H, "excluded": ~np.isfinite(K) | ~np.isfinite(H)}
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,9 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
             raise BranchViolation(f"integration crossed (f0 g')^2 = 1 ({causal} branch)")
         return (u / f0, 2.0 * h0 * gap ** 1.5)
 
-    problem = ODEProblem(rhs, y0, np.array([float(closed_g(y0)), u0]), y0 + length, h)
+    # the seed is the closed column's first entry: the same array
+    # arithmetic, whereas a Python float would square through libm pow
+    problem = ODEProblem(rhs, y0, np.array([closed_g(np.array([y0]))[0], u0]), y0 + length, h)
     return _compare(problem, closed_g,
                     {"theorem": "3.2", "h0": h0, "f0": f0, "lam": lam, "causal": causal,
                      "u0": u0})
@@ -307,7 +309,7 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
         return lam1 / (2.0 * h0) * np.sqrt(at(z)[1])
 
     v0 = lam1 * w0 / math.sqrt(w0 * w0 - 1.0)
-    L0 = float(closed_L(z0))
+    L0 = float(closed_L(np.array([z0]))[0])  # as the closed column, see reconstruct_thm32
 
     def rhs(t, y):
         v = y[0]

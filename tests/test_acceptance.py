@@ -20,7 +20,6 @@ from pgsurf.factorable import (
     ScalarC2,
     cross_check,
     default_grid,
-    pipeline_block,
     pipeline_grid,
     specialized_grid,
 )
@@ -197,8 +196,8 @@ def test_criterion_03_cross_check_sign_factor(tmp_path, monkeypatch):
     for key in ("eps", "K"):
         off = cross_check(_off_contract_at_one_point(pipe, key), closed)
         assert off.max_discrepancy > 1e-8
-    monkeypatch.setattr("pgsurf.cli.pipeline_block",
-                        lambda *a: _off_contract_at_one_point(pipeline_block(*a), "K"))
+    monkeypatch.setattr("pgsurf.cli.pipeline_grid",
+                        lambda *a, **k: _off_contract_at_one_point(pipeline_grid(*a, **k), "K"))
     out = tmp_path / "v.json"
     assert cli_main(["verify", "--set", "family.name=thm42", "--set", "family.h0=0.5",
                      "--set", "grid.n1=10", "--set", "grid.n2=10",
@@ -278,7 +277,7 @@ def test_criterion_06_motion_invariance():
     worst = 0.0
     for surface in surfaces:
         grid = default_grid(surface, 5, 5)
-        U1, U2 = grid.mesh()
+        U1, U2 = np.meshgrid(*grid.axes(), indexing="ij")
         for u1, u2 in zip(U1.ravel()[::3], U2.ravel()[::3]):
             comp = jet(surface, float(u1), float(u2))
             k_ref, h_ref = gaussian_curvature(comp), mean_curvature(comp)

@@ -4,7 +4,9 @@ Each case runs `curvature` and `mesh` over every `formulas` route and
 compares the sha256 of every output file (CSV, JSON, OBJ, sidecar) with a
 frozen digest, so any change to how floats, rows or faces are printed
 shows up here.  Output with no `output.*` key goes to stdout and must be
-the concatenation of the same bytes.  The digests depend on numpy's
+the concatenation of the same bytes.  The commands sweep the grid in row
+blocks: the same digests hold with blocks of 1 and 3 rows, and two grids
+above 2**15 points pin the default blocks.  The digests depend on numpy's
 floating-point results for the family evaluators; they were recorded with
 numpy 2.4 on x86-64.
 
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgsurf import cli
+from pgsurf import cli, factorable
 from pgsurf.cli import main
 
 CASES = {
@@ -195,8 +197,70 @@ DIGESTS = {
 }
 
 
+# grids above 2**15 points, so that the default row blocks cut them; the
+# saddle's lightlike row x = 1 falls inside its second block
+BLOCK_CASES = {
+    "thm42_blocks": {"family": {"name": "thm42", "h0": 0.9, "lam1": -0.7, "lam2": 0.8,
+                                "causal": "spacelike"},
+                     "grid": {"n1": 301, "n2": 304}},
+    "saddle_blocks": {"family": {"name": "saddle"},
+                      "grid": {"u1": [0.5, 1.5], "u2": [-0.5, 0.5], "n1": 251, "n2": 200}},
+}
+
+BLOCK_DIGESTS = {
+    ('saddle_blocks', 'pipeline', 'curvature'): {
+        'csv': '09de7a86d8364f667a95d7cd14403295bb991ade5b71e75fa87d9fa9dca3c3bd',
+        'json': '29998347192dbf7f82d3c0242d4694e4096c55267c870f1417954d9b78bb3a54',
+    },
+    ('saddle_blocks', 'pipeline', 'mesh'): {
+        'obj': '9f1126838ae7e7dad39a2933267444d3fd251215b55760c43915e4c3a46e9aa4',
+        'sidecar': '2fa6b2e84810f4ae59f595a0f30300cc2a455eb9e4740ffc72e06635fa622de1',
+    },
+    ('saddle_blocks', 'pipeline-fd', 'curvature'): {
+        'csv': '33437f41ca0817b523fe8c6cc8c623aa4776d25e1e566af45af93c2dab627ae3',
+        'json': 'c5c94f9ee47218b29def69dbc71773fd4eb8aa4da0ded291ba5dcf25e82ea742',
+    },
+    ('saddle_blocks', 'pipeline-fd', 'mesh'): {
+        'obj': '9f1126838ae7e7dad39a2933267444d3fd251215b55760c43915e4c3a46e9aa4',
+        'sidecar': '3e112e2e23df951f1ddcd42301dc0502fc677663a652d323354ccc75cc2cb090',
+    },
+    ('saddle_blocks', 'specialized', 'curvature'): {
+        'csv': 'ac8caa4628998f93b04c9f128e2b9e72f202d2ea0ca5d7761b8fbcc96d23d424',
+        'json': 'a69479baae69046edece35b6d0fd4cd91503bcf8f3685bacdc0f8b5bfe5fc6e5',
+    },
+    ('saddle_blocks', 'specialized', 'mesh'): {
+        'obj': '9f1126838ae7e7dad39a2933267444d3fd251215b55760c43915e4c3a46e9aa4',
+        'sidecar': '29a1ac17a5b3d120078ff7b67bcd10807125cd2fb40dec423e545240221050ff',
+    },
+    ('thm42_blocks', 'pipeline', 'curvature'): {
+        'csv': 'd3662b2467e532d8944c98add07a7e923d1bc1e7e763517139d0a32a07c8619b',
+        'json': 'ea99478cc5ca27973727727bd2459e41c6b9b112e9bcaeaebe5ca67f2c496da3',
+    },
+    ('thm42_blocks', 'pipeline', 'mesh'): {
+        'obj': 'b6a837bd723e3a2e2ec39924569574bb3fb28f20796fffd86b6409933d4e829d',
+        'sidecar': '0579591e463793a3e09b343a0fa7ae68eb7f41bfaf18fdeca0559e21eb014741',
+    },
+    ('thm42_blocks', 'pipeline-fd', 'curvature'): {
+        'csv': '54ccc71161a20b87ad460045e3b5a4e7ddeeffaed55ca1128e6fe963e0ba734d',
+        'json': '58f46dfee0bb83719f61929695f4e014022a66efc27b727ad85a13c6449a03e0',
+    },
+    ('thm42_blocks', 'pipeline-fd', 'mesh'): {
+        'obj': 'b6a837bd723e3a2e2ec39924569574bb3fb28f20796fffd86b6409933d4e829d',
+        'sidecar': '6db7da85f2ace09d78df2ed62ae4b5cef28f02737d0dc506f5f3f7f2b3b4ace9',
+    },
+    ('thm42_blocks', 'specialized', 'curvature'): {
+        'csv': '83e434aba46f5e634586a856fc84a599ba884cf385283a37911125ee300c8c3c',
+        'json': 'b668af9fe51d91a53bdd0836027b946f6fcad7b33baa75607bf32b6227923cfc',
+    },
+    ('thm42_blocks', 'specialized', 'mesh'): {
+        'obj': 'b6a837bd723e3a2e2ec39924569574bb3fb28f20796fffd86b6409933d4e829d',
+        'sidecar': '4baf04f5d418aece90f42bddeb6de1463a3908950a4c39247e714539e16645e5',
+    },
+}
+
+
 def _run(tmp_path, case, route, command, to_files=True):
-    cfg = {**CASES[case], "formulas": route}
+    cfg = {**CASES, **BLOCK_CASES}[case] | {"formulas": route}
     if to_files:
         cfg["output"] = {key: str(tmp_path / f"out.{key}") for key in COMMANDS[command]}
     path = tmp_path / "cfg.json"
@@ -208,10 +272,30 @@ def _run(tmp_path, case, route, command, to_files=True):
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_digests(tmp_path, case, route, command):
+    assert _digests(tmp_path, case, route, command) == DIGESTS[case, route, command]
+
+
+def _digests(tmp_path, case, route, command):
     _run(tmp_path, case, route, command)
-    got = {key: hashlib.sha256((tmp_path / f"out.{key}").read_bytes()).hexdigest()
-           for key in COMMANDS[command]}
-    assert got == DIGESTS[case, route, command]
+    return {key: hashlib.sha256((tmp_path / f"out.{key}").read_bytes()).hexdigest()
+            for key in COMMANDS[command]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("rows", (1, 3))
+def test_output_digests_in_row_blocks(tmp_path, monkeypatch, rows, case, route, command):
+    """The bytes do not depend on how many grid rows a sweep block holds."""
+    monkeypatch.setattr(factorable, "_BLOCK_POINTS", rows * CASES[case]["grid"]["n2"])
+    assert _digests(tmp_path, case, route, command) == DIGESTS[case, route, command]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_output_digests_of_grids_of_several_blocks(tmp_path, case, route, command):
+    assert _digests(tmp_path, case, route, command) == BLOCK_DIGESTS[case, route, command]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -509,9 +593,12 @@ def sweeps(draw):
 def test_column_rule_matches_per_cell_format(data):
     ex = data["excluded"]
     faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
-    assert "".join(cli._csv_rows(data)) == _reference_csv(data)
-    assert "".join(cli._obj_lines(data, faces)) == _reference_obj(data, faces)
-    assert "".join(cli._sidecar_rows(data)) == _reference_sidecar(data)
+    # the sweep as one block, and as blocks of one and of two grid rows
+    for rows in (len(ex), 1, 2):
+        blocks = [{k: v[i:i + rows] for k, v in data.items()} for i in range(0, len(ex), rows)]
+        assert "".join(cli._csv_rows(blocks)) == _reference_csv(data)
+        assert "".join(cli._obj_lines(blocks, faces)) == _reference_obj(data, faces)
+        assert "".join(cli._sidecar_rows(blocks)) == _reference_sidecar(data)
 
 
 class TestColumnRuleFormatsOncePerAxisValue:
@@ -546,7 +633,7 @@ class TestColumnRuleFormatsOncePerAxisValue:
 
     def test_axis_columns(self, monkeypatch):
         calls = self._counting(monkeypatch)
-        _, data = cli._sweep(cli._read(self.CFG, cli.SCHEMA["curvature"]))
+        _, (data,) = cli._sweep(cli._read(self.CFG, cli.SCHEMA["curvature"]))
         for key in ("U1", "U2", "x", "y", "eps"):
             calls.clear()
             field, rows = cli._column(data[key])
@@ -581,7 +668,7 @@ class TestPerCellColumnsAreNotFormattedOneByOne:
 
     @pytest.mark.parametrize("command", sorted(KEYS))
     def test_format_calls(self, tmp_path, monkeypatch, command):
-        _, data = cli._sweep(cli._read(self.CFG, cli.SCHEMA[command]))
+        _, (data,) = cli._sweep(cli._read(self.CFG, cli.SCHEMA[command]))
         values = {key: self._axis_values(data[key]) for key in self.KEYS[command]}
         assert [key for key, v in values.items() if not v] == [
             key for key in self.KEYS[command] if key in ("x", "K", "H", "W")]

@@ -12,15 +12,13 @@ from pgsurf.factorable import (
     FactorableSurface,
     GridSpec,
     ScalarC2,
-    closed_block,
     closed_H,
     closed_K,
     cross_check,
     default_grid,
     jet_component_arrays,
-    pipeline_block,
     pipeline_grid,
-    row_blocks,
+    row_spans,
     specialized_grid,
 )
 from pgsurf.families import family_surface, thm31_family, thm32_family
@@ -323,7 +321,7 @@ class TestScalarViewsEqualGrids:
 def _mesh_pipeline(s, grid, mode):
     """`pipeline_grid` rebuilt on the full mesh: every jet component and
     position materialised per grid point."""
-    U1, U2 = grid.mesh()
+    U1, U2 = np.meshgrid(*grid.axes(), indexing="ij")
     comp = jet_component_arrays(s, U1, U2, mode=mode)
     out = curvature_arrays({k: np.broadcast_to(v, U1.shape).copy() for k, v in comp.items()})
     x, y, z = s.value_arrays(U1, U2)
@@ -336,7 +334,7 @@ def _mesh_pipeline(s, grid, mode):
 def _mesh_closed(s, grid):
     """`specialized_grid` rebuilt on the full mesh through the public
     `closed_K` and `closed_H`."""
-    U1, U2 = grid.mesh()
+    U1, U2 = np.meshgrid(*grid.axes(), indexing="ij")
     parts = s.f.jet(U1) + s.g.jet(U2)
     K, k_undefined = closed_K(s.kind, *parts)
     H, h_undefined = closed_H(s.kind, *parts)
@@ -396,16 +394,21 @@ class TestSeparableSweepsEqualTheMesh:
 
     @pytest.mark.parametrize("rows", [1, 7, 11])
     @pytest.mark.parametrize("name,params,grid", CASES + [OVERFLOW])
-    def test_row_blocks_give_the_whole_sweeps(self, monkeypatch, name, params, grid, rows):
+    def test_row_spans_give_the_whole_sweeps(self, monkeypatch, name, params, grid, rows):
+        """Sweeps of the `row_spans` of a grid, stacked, are the whole
+        sweeps bit for bit, every entry (positions included) on both jet
+        modes, and fold to the same cross-check."""
         s = family_surface(name, params)
         grid = grid or default_grid(s, 40, 40)
         monkeypatch.setattr(factorable, "_BLOCK_POINTS", rows * grid.n2)
-        blocks = [(pipeline_block(s.kind, parts), closed_block(s.kind, parts))
-                  for parts in row_blocks(s, grid)]
-        assert len(blocks) == -(-grid.n1 // rows)
-        pipe, closed = pipeline_grid(s, grid), specialized_grid(s, grid)
-        for i, whole in enumerate((pipe, closed)):
-            keys = blocks[0][i].keys()
-            _bitwise({k: np.concatenate([b[i][k] for b in blocks]) for k in keys},
-                     {k: whole[k] for k in keys})
-        assert self._cross_check(blocks) == self._cross_check([(pipe, closed)])
+        spans = list(row_spans(grid))
+        assert len(spans) == -(-grid.n1 // rows)
+        closed = specialized_grid(s, grid)
+        closed_blocks = [specialized_grid(s, grid, r) for r in spans]
+        _bitwise({k: np.concatenate([b[k] for b in closed_blocks]) for k in closed}, closed)
+        for mode in ("analytic", "fd"):
+            pipe = pipeline_grid(s, grid, mode=mode)
+            pipe_blocks = [pipeline_grid(s, grid, mode=mode, rows=r) for r in spans]
+            _bitwise({k: np.concatenate([b[k] for b in pipe_blocks]) for k in pipe}, pipe)
+            assert (self._cross_check(zip(pipe_blocks, closed_blocks))
+                    == self._cross_check([(pipe, closed)]))

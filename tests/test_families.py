@@ -210,7 +210,7 @@ class TestMotionInvariance:
         rng = np.random.default_rng(3)
         s = thm42_family(0.5, causal="timelike")
         grid = default_grid(s, 6, 6)
-        U1, U2 = grid.mesh()
+        U1, U2 = np.meshgrid(*grid.axes(), indexing="ij")
         m = Motion(*rng.uniform(-1, 1, size=6))
         for u1, u2 in zip(U1.ravel()[::5], U2.ravel()[::5]):
             comp = jet(s, float(u1), float(u2))
