@@ -344,8 +344,11 @@ CSV_HEADER = "u1,u2,x,y,z,K,H,epsilon,W,excluded"
 
 def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
     """The grid of the read `curvature`/`mesh` values and its sweep on the
-    `formulas` route, one sweep per row block of `row_spans`.  The first
-    block is swept before this returns, so that a profile which cannot be
+    `formulas` route, one sweep per row block of `row_spans`: the closed
+    formulas on `specialized`, the general pipeline on the others.  Each
+    block also holds its positions x, y, z, from `value_arrays` on the
+    block's axes, for the outputs that print them.  The first block is
+    swept before this returns, so that a profile which cannot be
     evaluated on the grid fails before any output is written: each block
     evaluates g on the whole u2 axis."""
     surface = _surface(v["family"])
@@ -353,12 +356,14 @@ def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
     route = v["formulas"]
 
     def sweep(rows: slice) -> dict:
-        pipe = pipeline_grid(surface, grid, mode="fd" if route == "pipeline-fd" else "analytic",
-                             fd_step=v["fd_step"], rows=rows)
         if route == "specialized":
-            closed = specialized_grid(surface, grid, rows)
-            pipe = {**pipe, "K": closed["K"], "H": closed["H"], "excluded": closed["excluded"]}
-        return pipe
+            data = specialized_grid(surface, grid, rows)
+        else:
+            data = pipeline_grid(surface, grid, mode="fd" if route == "pipeline-fd" else "analytic",
+                                 fd_step=v["fd_step"], rows=rows)
+        with np.errstate(all="ignore"):
+            x, y, z = surface.value_arrays(data["U1"][:, :1], data["U2"][:1])
+        return {**data, "x": x, "y": y, "z": z}
 
     blocks = map(sweep, row_spans(grid))
     return grid, itertools.chain([next(blocks)], blocks)

@@ -10,14 +10,15 @@ x(y, z) = f(y)*g(z).  The closed curvature formulas are
                  / (2*|(f*g')^2 - (f'*g)^2|^(3/2))
 
 `closed_K` and `closed_H` are the one implementation of these, over
-arrays of profile values; `specialized_grid` sweeps them.  It and
-`pipeline_grid` sweep a slice of grid rows, the whole grid by default;
-`row_spans` cuts a grid into such slices, so a command streams a large
-grid block by block.  The general
-pipeline of `surface` computes K with an extra factor -eps relative to
-these and H with factor +1 (proven in tests/test_sign_contract.py, see
-README, "Sign conventions"); `cross_check` compares two sweeps under
-these factors.
+arrays of profile values; `specialized_grid` sweeps them, and takes
+eps and W from the same denominator, so it shares no kernel with
+`pipeline_grid`, the sweep of the general pipeline of `surface`.  Both
+sweep a slice of grid rows, the whole grid by default; `row_spans` cuts
+a grid into such slices, so a command streams a large grid block by
+block.  Neither computes positions.  The general pipeline computes K
+with an extra factor -eps relative to these and H with factor +1
+(proven in tests/test_sign_contract.py, see README, "Sign
+conventions"); `cross_check` compares two sweeps under these factors.
 """
 
 from __future__ import annotations
@@ -322,32 +323,35 @@ def _axes(grid: GridSpec, rows: slice):
 @np.errstate(all="ignore")
 def pipeline_grid(s: FactorableSurface, grid: GridSpec, mode: str = "analytic",
                   fd_step: float = FD_STEP, rows: slice = slice(None)) -> dict:
-    """General-pipeline sweep of the grid `rows`: U1, U2, positions, K, H,
-    eps, W, the mask of the lightlike and inadmissible points and the
-    exclusion mask; a point is excluded where it is masked or its K or H
-    is not finite."""
+    """General-pipeline sweep of the grid `rows`: U1, U2, K, H, eps, W,
+    the mask of the lightlike and inadmissible points and the exclusion
+    mask; a point is excluded where it is masked or its K or H is not
+    finite.  No positions: `FactorableSurface.value_arrays` gives them."""
     u1, u2, params = _axes(grid, rows)
     out = curvature_arrays(jet_component_arrays(s, u1, u2, mode=mode, fd_step=fd_step))
     K, H = out["K"], out["H"]
     masked = out["lightlike"] | out["inadmissible"]
-    x, y, z = s.value_arrays(u1, u2)
-    return {**params, "x": x, "y": y, "z": z, "K": K, "H": H, "eps": out["eps"], "W": out["W"],
+    return {**params, "K": K, "H": H, "eps": out["eps"], "W": out["W"],
             "masked": masked, "excluded": masked | ~np.isfinite(K) | ~np.isfinite(H)}
 
 
 @np.errstate(all="ignore")
 def specialized_grid(s: FactorableSurface, grid: GridSpec, rows: slice = slice(None)) -> dict:
-    """Closed-formula sweep of the grid `rows`: U1, U2, K, H and the
-    exclusion mask (no positions; `pipeline_grid` has them).  A point is
-    excluded where K or H is not finite, which covers the undefined
-    points (NaN there).  K and H share one closed denominator."""
+    """Closed-formula sweep of the grid `rows`: U1, U2, K, H, eps, W and
+    the exclusion mask, no positions.  K and H share one closed
+    denominator D, which is the pipeline's q = Y^2 - Z^2 (proven in
+    tests/test_sign_contract.py), so eps = sign of D (-1 where D <= 0)
+    and W = sqrt(|D|) are the pipeline's.  A point is excluded where K
+    or H is not finite, which covers the undefined points (NaN there)."""
     u1, u2, params = _axes(grid, rows)
     parts = _parts(s, u1, u2)
     fv, f1, _, gv, g1, _ = parts
     den = _denominator(s.kind, fv, f1, gv, g1)
     K, _ = _closed_K(s.kind, parts, den)
     H, _ = _closed_H(s.kind, parts, den)
-    return {**params, "K": K, "H": H, "excluded": ~np.isfinite(K) | ~np.isfinite(H)}
+    D = den[0]
+    return {**params, "K": K, "H": H, "eps": np.where(D > 0.0, 1.0, -1.0), "W": np.sqrt(np.abs(D)),
+            "excluded": ~np.isfinite(K) | ~np.isfinite(H)}
 
 
 # ---------------------------------------------------------------------------

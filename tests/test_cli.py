@@ -212,6 +212,17 @@ class TestVerify:
                              "--set", f"output.json={tmp_path / 'v.json'}"]) == 0
                 assert rows == {"pipeline_grid": expect, "specialized_grid": expect}, name
 
+    def test_no_positions(self, tmp_path, monkeypatch):
+        # the suites read K, H, eps and the masks: no sweep evaluates x, y, z
+        calls = []
+        value_arrays = factorable.FactorableSurface.value_arrays
+        monkeypatch.setattr(factorable.FactorableSurface, "value_arrays",
+                            lambda *args: calls.append(args) or value_arrays(*args))
+        assert main(["verify", "--set", "family.name=thm42", "--set", "family.h0=0.5",
+                     "--set", "grid.n1=8", "--set", "grid.n2=8",
+                     "--set", f"output.json={tmp_path / 'v.json'}"]) == 0
+        assert calls == []
+
     def test_perturbed_family_fails_constancy(self, tmp_path):
         cfg = write_config(tmp_path, "vp.json", {
             "family": {"name": "thm42", "h0": 0.5},
@@ -565,27 +576,33 @@ def _one_line_config_error(capsys, argv):
 @pytest.mark.parametrize("route", ["pipeline", "pipeline-fd", "specialized"])
 @pytest.mark.parametrize("command", ["curvature", "mesh"])
 def test_each_grid_point_is_swept_once(tmp_path, monkeypatch, command, route):
-    """`curvature` and `mesh` sweep an 8x8 grid in blocks of 3 rows: one
-    pipeline sweep per block, and one closed sweep per block on the
-    `specialized` route."""
+    """`curvature` and `mesh` sweep an 8x8 grid in blocks of 3 rows, one
+    sweep per block: the closed one on the `specialized` route, which runs
+    no pipeline kernel, and the pipeline one on the other routes."""
     rows = _count_swept_rows(monkeypatch)
+    kernel_calls = []
+    kernel = factorable.curvature_arrays
+    monkeypatch.setattr(factorable, "curvature_arrays",
+                        lambda comp: kernel_calls.append(comp) or kernel(comp))
     monkeypatch.setattr(factorable, "_BLOCK_POINTS", 8 * 3)
     keys = ("csv", "json") if command == "curvature" else ("obj", "sidecar")
     assert main([command, "--set", "family.name=thm42", "--set", "family.h0=0.5",
                  "--set", "grid.n1=8", "--set", "grid.n2=8", "--set", f"formulas={route}"]
                 + [arg for key in keys for arg in ("--set", f"output.{key}={tmp_path / key}")]) == 0
-    closed = [3, 3, 2] if route == "specialized" else []
-    assert rows == {"pipeline_grid": [3, 3, 2], "specialized_grid": closed}
+    closed = route == "specialized"
+    assert rows == {"pipeline_grid": [] if closed else [3, 3, 2],
+                    "specialized_grid": [3, 3, 2] if closed else []}
+    assert len(kernel_calls) == (0 if closed else 3)
 
 
 class TestPeakMemoryOfLargeSweeps:
     """`curvature` and `mesh` on a thm42 1000x1000 grid peak below 80 MB of
-    traced allocations (numpy buffers included), on the analytic and the
-    FD route.  They sweep the grid in row blocks and keep only what their
-    outputs still need; sweeping the whole grid at once peaked at 195 MB
-    (analytic) and 271 MB (FD) with numpy 2.4 on x86-64."""
+    traced allocations (numpy buffers included), on every route.  They
+    sweep the grid in row blocks and keep only what their outputs still
+    need; sweeping the whole grid at once peaked at 195 MB (analytic and
+    `specialized`) and 271 MB (FD) with numpy 2.4 on x86-64."""
 
-    @pytest.mark.parametrize("route", ["pipeline", "pipeline-fd"])
+    @pytest.mark.parametrize("route", ["pipeline", "pipeline-fd", "specialized"])
     @pytest.mark.parametrize("command", ["curvature", "mesh"])
     def test_peak_memory(self, tmp_path, command, route):
         keys = ("csv", "json") if command == "curvature" else ("obj", "sidecar")

@@ -309,6 +309,31 @@ def test_stdout_matches_files(tmp_path, capsys, case, route, command):
     assert capsys.readouterr().out.encode("utf-8") == files
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_routes_agree_under_the_sign_contract(tmp_path, case):
+    """`curvature` on `pipeline` and on `specialized` print the same u1, u2,
+    x, y, z and excluded flag on every row.  On an included row they print
+    the same epsilon and W, and K_pipeline = -epsilon*K_closed and
+    H_pipeline = H_closed within 1e-8."""
+    tables = {}
+    for route in ("pipeline", "specialized"):
+        (tmp_path / route).mkdir()
+        _run(tmp_path / route, case, route, "curvature")
+        lines = (tmp_path / route / "out.csv").read_text().splitlines()[1:]
+        tables[route] = [line.split(",") for line in lines]
+    pipe, closed = tables["pipeline"], tables["specialized"]
+    assert len(pipe) == len(closed) == CASES[case]["grid"]["n1"] * CASES[case]["grid"]["n2"]
+    included = 0
+    for p, c in zip(pipe, closed):
+        assert p[:5] == c[:5] and p[9] == c[9]
+        if p[9] == "0":
+            included += 1
+            assert p[7:9] == c[7:9]
+            assert abs(float(p[5]) + float(p[7]) * float(c[5])) < 1e-8
+            assert abs(float(p[6]) - float(c[6])) < 1e-8
+    assert included
+
+
 # `verify` reports: exit code, sha256 of the JSON report (None when the run
 # writes none) and of standard error
 VERIFY_CASES = {

@@ -316,29 +316,34 @@ class TestScalarViewsEqualGrids:
             assert same(lambda: closed(closed_H, s, a, b), sweep["H"][i, j])
             assert same(lambda: (gaussian_curvature(comp), False), pipe["K"][i, j])
             assert same(lambda: (mean_curvature(comp), False), pipe["H"][i, j])
+        for key in ("eps", "W"):
+            assert sweep[key].tobytes() == pipe[key].tobytes(), key
 
 
 def _mesh_pipeline(s, grid, mode):
-    """`pipeline_grid` rebuilt on the full mesh: every jet component and
-    position materialised per grid point."""
+    """`pipeline_grid` rebuilt on the full mesh: every jet component
+    materialised per grid point."""
     U1, U2 = np.meshgrid(*grid.axes(), indexing="ij")
     comp = jet_component_arrays(s, U1, U2, mode=mode)
     out = curvature_arrays({k: np.broadcast_to(v, U1.shape).copy() for k, v in comp.items()})
-    x, y, z = s.value_arrays(U1, U2)
     masked = out["lightlike"] | out["inadmissible"]
     excluded = masked | ~np.isfinite(out["K"]) | ~np.isfinite(out["H"])
-    return {"U1": U1, "U2": U2, "x": x, "y": y, "z": z, "K": out["K"], "H": out["H"],
+    return {"U1": U1, "U2": U2, "K": out["K"], "H": out["H"],
             "eps": out["eps"], "W": out["W"], "masked": masked, "excluded": excluded}
 
 
 def _mesh_closed(s, grid):
     """`specialized_grid` rebuilt on the full mesh through the public
-    `closed_K` and `closed_H`."""
+    `closed_K` and `closed_H`, with the eps and W of the analytic pipeline:
+    the closed denominator is the pipeline's q, so the two routes agree on
+    them bit for bit."""
     U1, U2 = np.meshgrid(*grid.axes(), indexing="ij")
     parts = s.f.jet(U1) + s.g.jet(U2)
     K, k_undefined = closed_K(s.kind, *parts)
     H, h_undefined = closed_H(s.kind, *parts)
-    return {"U1": U1, "U2": U2, "K": K, "H": H, "excluded": k_undefined | h_undefined}
+    pipe = _mesh_pipeline(s, grid, "analytic")
+    return {"U1": U1, "U2": U2, "K": K, "H": H, "eps": pipe["eps"], "W": pipe["W"],
+            "excluded": k_undefined | h_undefined}
 
 
 def _bitwise(got, ref):
@@ -351,7 +356,8 @@ def _bitwise(got, ref):
 class TestSeparableSweepsEqualTheMesh:
     """The sweeps evaluate each profile on its own axis and keep constant
     jet components 0-d; every output equals the full-mesh evaluation bit
-    for bit."""
+    for bit, and the closed sweep's eps and W equal the analytic
+    pipeline's."""
 
     CASES = [
         ("thm31", {"k0": 1.3, "lam1": 0.4, "lam2": -0.3, "sign": -1}, None),
@@ -396,8 +402,8 @@ class TestSeparableSweepsEqualTheMesh:
     @pytest.mark.parametrize("name,params,grid", CASES + [OVERFLOW])
     def test_row_spans_give_the_whole_sweeps(self, monkeypatch, name, params, grid, rows):
         """Sweeps of the `row_spans` of a grid, stacked, are the whole
-        sweeps bit for bit, every entry (positions included) on both jet
-        modes, and fold to the same cross-check."""
+        sweeps bit for bit, every entry on both jet modes, and fold to the
+        same cross-check."""
         s = family_surface(name, params)
         grid = grid or default_grid(s, 40, 40)
         monkeypatch.setattr(factorable, "_BLOCK_POINTS", rows * grid.n2)
