@@ -370,7 +370,8 @@ def cross_check(pipe: dict, closed: dict) -> CrossCheckReport:
     """Compare a `pipeline_grid` sweep with the `specialized_grid` sweep of
     the same grid under the proven contract K_pipeline = -eps*K_closed,
     H_pipeline = H_closed: the largest of |K_pipe + eps*K_closed| and
-    |H_pipe - H_closed| over the grid.
+    |H_pipe - H_closed| over the grid, eps the closed sweep's (the two
+    sweeps' eps are equal, proven in tests/test_sign_contract.py).
 
     Raises GridRejected when either sweep excludes a point.  The reason
     is that of the first such point in row-major order: the pipeline's
@@ -381,6 +382,6 @@ def cross_check(pipe: dict, closed: dict) -> CrossCheckReport:
         if pipe["masked"].flat[first]:
             raise GridRejected("grid crosses a lightlike or inadmissible locus")
         raise GridRejected("grid has a point where K or H is not finite")
-    k_gap = np.max(np.abs(pipe["K"] + pipe["eps"] * closed["K"]))
+    k_gap = np.max(np.abs(pipe["K"] + closed["eps"] * closed["K"]))
     h_gap = np.max(np.abs(pipe["H"] - closed["H"]))
     return CrossCheckReport(n_points=int(pipe["K"].size), max_discrepancy=float(max(k_gap, h_gap)))

@@ -18,6 +18,10 @@ derivatives, domains already restricted to the valid branch:
         x = lam1 * exp(lam2 y + (lam2/(2 H0)) sqrt((2 H0 z + lam3)^2 +/- 1))
     plus radicand for 'timelike', minus for 'spacelike'; here the names do
     agree with the measured eps.  Measured |H| == |H0|.
+
+The sqrt and exp families share `radicand` (and its h0 check) and build
+on `sqrt_profile` and `log_profile` (phi = log g); `reconstruct`
+integrates against these profiles, so each family is stated only here.
 """
 
 from __future__ import annotations
@@ -78,7 +82,10 @@ def radicand(h0: float, shift: float, b: int, w_text: str):
     """The radicand r = w^2 + b of w = 2*h0*t + shift: its domain in the
     grid coordinate t, all reals for b = +1 and the component with w > 1
     for b = -1, and the map t -> (w, r), which raises DomainError where
-    r is not positive.  `w_text` names w in that message."""
+    r is not positive.  `w_text` names w in that message.  h0 must be a
+    nonzero finite real (InvalidParams)."""
+    if h0 == 0.0 or not math.isfinite(h0):
+        raise InvalidParams("h0 must be a nonzero finite real")
     if b > 0:
         dom = (-_INF, _INF)
     else:
@@ -95,6 +102,34 @@ def radicand(h0: float, shift: float, b: int, w_text: str):
     return dom, at
 
 
+def sqrt_profile(h0: float, shift: float, b: int, w_text: str) -> ScalarC2:
+    """p = sqrt(w^2 + b)/(2 h0), w = 2*h0*t + shift, on the domain of
+    `radicand`: the square-root family's graph before its shift and split,
+    with slope p' = w/sqrt(w^2 + b)."""
+    dom, at = radicand(h0, shift, b, w_text)
+
+    def jet(t):
+        w, r = at(t)
+        root = np.sqrt(r)
+        return root / (2.0 * h0), w / root, 2.0 * h0 * b / r ** 1.5
+
+    return ScalarC2(jet, dom)
+
+
+def log_profile(h0: float, rate: float, shift: float, b: int, w_text: str) -> ScalarC2:
+    """phi = (rate/(2 h0)) sqrt(w^2 + b), w = 2*h0*t + shift, on the domain
+    of `radicand`: the exponent of the exponential family's g = exp(phi),
+    with phi' = rate*w/sqrt(w^2 + b)."""
+    dom, at = radicand(h0, shift, b, w_text)
+
+    def jet(t):
+        w, r = at(t)
+        root = np.sqrt(r)
+        return rate / (2.0 * h0) * root, rate * w / root, 2.0 * h0 * rate * b / r ** 1.5
+
+    return ScalarC2(jet, dom)
+
+
 def thm32_family(h0: float, lam1: float = 0.0, lam2: float = 0.0,
                  f0: float = 1.0, causal: str = "timelike") -> FactorableSurface:
     """Sqrt family with constant |H| == |h0| (first kind).
@@ -104,19 +139,15 @@ def thm32_family(h0: float, lam1: float = 0.0, lam2: float = 0.0,
     the 'timelike'-named variant and -1 for the 'spacelike'-named one.
     The signed mean curvature the pipeline measures is b*h0.
     """
-    if h0 == 0.0 or not math.isfinite(h0):
-        raise InvalidParams("h0 must be a nonzero finite real")
     if f0 == 0.0 or not math.isfinite(f0):
         raise InvalidParams("f0 must be a nonzero finite real")
-    b = _branch_sign(causal)
-    dom, at = radicand(h0, lam1, b, "2 h0 y + lam1")
+    p = sqrt_profile(h0, lam1, _branch_sign(causal), "2 h0 y + lam1")
 
     def g(y):
-        w, r = at(y)
-        root = np.sqrt(r)
-        return (root / (2.0 * h0) + lam2) / f0, w / root / f0, 2.0 * h0 * b / r ** 1.5 / f0
+        v, v1, v2 = p.jet(y)
+        return (v + lam2) / f0, v1 / f0, v2 / f0
 
-    return FactorableSurface(KIND_FIRST, ScalarC2.constant(f0), ScalarC2(g, dom))
+    return FactorableSurface(KIND_FIRST, ScalarC2.constant(f0), ScalarC2(g, p.domain))
 
 
 def thm42_family(h0: float, lam1: float = 1.0, lam2: float = 1.0,
@@ -126,26 +157,20 @@ def thm42_family(h0: float, lam1: float = 1.0, lam2: float = 1.0,
     f(y) = lam1*exp(lam2 y) and g(z) = exp((lam2/(2 h0)) sqrt(w^2 + b)),
     w = 2 h0 z + lam3, b = +1 ('timelike') or -1 ('spacelike').
     """
-    if h0 == 0.0 or not math.isfinite(h0):
-        raise InvalidParams("h0 must be a nonzero finite real")
     if lam1 == 0.0 or lam2 == 0.0:
         raise InvalidParams("lam1 and lam2 must be nonzero")
-    b = _branch_sign(causal)
-    dom, at = radicand(h0, lam3, b, "2 h0 z + lam3")
+    phi = log_profile(h0, lam2, lam3, _branch_sign(causal), "2 h0 z + lam3")
 
     def f(y):
         e = np.exp(lam2 * y)
         return lam1 * e, lam1 * lam2 * e, lam1 * lam2 * lam2 * e
 
     def g(z):
-        # g = exp(phi), phi = (lam2/(2 h0)) sqrt(r)
-        w, r = at(z)
-        root = np.sqrt(r)
-        e = np.exp(lam2 / (2.0 * h0) * root)
-        phi1, phi2 = lam2 * w / root, 2.0 * h0 * lam2 * b / r ** 1.5
-        return e, phi1 * e, (phi2 + phi1 ** 2) * e
+        v, v1, v2 = phi.jet(z)
+        e = np.exp(v)
+        return e, v1 * e, (v2 + v1 ** 2) * e
 
-    return FactorableSurface(KIND_SECOND, ScalarC2(f), ScalarC2(g, dom))
+    return FactorableSurface(KIND_SECOND, ScalarC2(f), ScalarC2(g, phi.domain))
 
 
 @dataclass(frozen=True)

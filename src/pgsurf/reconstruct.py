@@ -5,7 +5,12 @@ Contents:
 
   * a fixed-step RK4 integrator (deterministic, no adaptivity);
   * ODE re-derivations of the three families, each compared against the
-    closed-form solution with matched initial conditions;
+    closed-form solution with matched initial conditions: the closed
+    column is the profile `families` builds (3.1: `thm31_family`'s f;
+    3.2: `thm32_family`'s g; 4.2: `log_profile`, phi = log g), and the
+    integration starts from its first entry bit for bit.  This module
+    writes no family profile, and leaves the checks of the family
+    parameters to the family constructors;
   * a bounded derivative-free probe of the second-kind nonexistence claim
     for K != 0 (a property check over a declared family space, not a
     proof).
@@ -30,7 +35,7 @@ import numpy as np
 
 from .errors import BlowUp, BranchViolation, DomainError, InvalidParams
 from .factorable import KIND_SECOND, GridSpec, closed_K
-from .families import radicand
+from .families import log_profile, sqrt_profile, thm31_family, thm32_family
 
 __all__ = [
     "ODEProblem",
@@ -177,29 +182,42 @@ class Reconstruction:
 def reconstruct_thm31(k0: float, g0: float = 1.0, lam1: float = 0.0, sign: int = 1,
                       span: tuple[float, float] = (0.0, 2.0), h: float = 1e-3) -> Reconstruction:
     """Integrate f' = sign*sqrt(|k0|)*(1 - (g0 f)^2)/g0 and compare with
-    the closed form f = sign*tanh(sqrt(|k0|) x + lam1)/g0."""
-    if k0 == 0.0:
-        raise InvalidParams("k0 must be nonzero")
+    the closed form f/g0, f the profile of `thm31_family(k0, lam1,
+    sign=sign)`."""
+    f = thm31_family(k0, lam1, sign=sign).f
     if g0 == 0.0:
         raise InvalidParams("g0 must be nonzero")
-    if sign not in (1, -1):
-        raise InvalidParams("sign must be +1 or -1")
     rho = math.sqrt(abs(k0))
 
     def rhs(t, y):
         return (sign * rho * (1.0 - (g0 * y[0]) ** 2) / g0,)
 
-    f_init = sign * math.tanh(rho * span[0] + lam1) / g0
-    problem = ODEProblem(rhs, span[0], np.array([f_init]), span[1], h)
-    return _compare(problem, lambda ts: sign * np.tanh(rho * ts + lam1) / g0,
+    def closed_f(x):
+        return f(x) / g0
+
+    problem = ODEProblem(rhs, span[0], [_seed(closed_f, span[0])], span[1], h)
+    return _compare(problem, closed_f,
                     {"theorem": "3.1", "k0": k0, "g0": g0, "lam1": lam1, "sign": sign})
+
+
+@np.errstate(all="ignore")
+def _column(closed_form, t):
+    """`closed_form` on the array `t`, its float overflow silent (a
+    profile's derivative parts overflow where its value does not)."""
+    return closed_form(np.atleast_1d(np.asarray(t, dtype=float)))
+
+
+def _seed(closed_form, t0: float) -> float:
+    """The closed column's first entry, bit for bit: `closed_form` at the
+    first node of `integrate`, t0 + 0*h, which is +0.0 where t0 is -0.0."""
+    return float(_column(closed_form, t0 + 0.0)[0])
 
 
 def _compare(problem: ODEProblem, closed_form, meta: dict) -> Reconstruction:
     """Integrate `problem` and compare the first state component with
     `closed_form(ts)`, absolutely and relative to the closed value."""
     ts, ys = integrate(problem)
-    closed = closed_form(ts)
+    closed = _column(closed_form, ts)
     err = np.abs(ys[:, 0] - closed)
     rel = err / np.maximum(1e-300, np.abs(closed))
     return Reconstruction(ts, ys[:, 0], closed, float(err.max()), float(rel.max()),
@@ -222,7 +240,8 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
                       h: float = 1e-3, u0: Optional[float] = None) -> Reconstruction:
     """Integrate the prescribed-mean-curvature profile ODE as a first-order
     system in (g, u), u = f0*g', and compare g with the closed form
-    g = b*sqrt(w^2 + b)/(2*h0*f0), w = 2*h0*y + lam.
+    b*g, g the profile of `thm32_family(h0, lam, f0=f0)` with the radicand
+    w^2 + b, w = 2*h0*y + lam.
 
     `causal` names the ODE branch by the initial slope, and with it the
     sign b: 'spacelike' means u^2 < 1 and b = +1, 'timelike' means u^2 > 1
@@ -231,10 +250,6 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
     pass the initial slope `u0` directly, not both (InvalidParams); a slope
     on the wrong side of u^2 = 1, or on it, raises BranchViolation.
     """
-    if h0 == 0.0:
-        raise InvalidParams("h0 must be nonzero")
-    if f0 == 0.0:
-        raise InvalidParams("f0 must be nonzero")
     if causal not in ("spacelike", "timelike"):
         raise InvalidParams(f"causal must be 'spacelike' or 'timelike', got {causal!r}")
     if u0 is not None and lam is not None:
@@ -251,20 +266,21 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
         # Position the closed form so that it matches the given slope at y0.
         w0 = b * u0 / math.sqrt(gap0)
         lam = w0 - 2.0 * h0 * y0
-    else:
-        if lam is None:
-            lam = 0.0 if b > 0 else 1.3
+    elif lam is None:
+        lam = 0.0 if b > 0 else 1.3
+    # the README erratum: the spacelike slope (b = +1) is the sqrt
+    # family's plus radicand, which the family names 'timelike'
+    g = thm32_family(h0, lam, f0=f0, causal="timelike" if b > 0 else "spacelike").g
+    if u0 is None:
         w0 = 2.0 * h0 * y0 + lam
-        r0 = w0 * w0 + b
-        if r0 <= 0.0:
+        if b < 0 and abs(w0) <= 1.0:
             raise DomainError("timelike branch needs (2 h0 y0 + lam)^2 > 1")
-        u0 = b * w0 / math.sqrt(r0)
+        u0 = b * float(_column(sqrt_profile(h0, lam, b, "2 h0 y + lam").deriv, y0)[0])
     if b < 0:
         _corridor(w0, 2.0 * h0 * (y0 + length) + lam, "2 h0 y + lam")
-    _, at = radicand(h0, lam, b, "2 h0 y + lam")
 
     def closed_g(y):
-        return b * np.sqrt(at(y)[1]) / (2.0 * h0) / f0
+        return b * g(y)
 
     def rhs(t, y):
         u = y[1]
@@ -273,9 +289,7 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
             raise BranchViolation(f"integration crossed (f0 g')^2 = 1 ({causal} branch)")
         return (u / f0, 2.0 * h0 * gap ** 1.5)
 
-    # the seed is the closed column's first entry: the same array
-    # arithmetic, whereas a Python float would square through libm pow
-    problem = ODEProblem(rhs, y0, np.array([closed_g(np.array([y0]))[0], u0]), y0 + length, h)
+    problem = ODEProblem(rhs, y0, [_seed(closed_g, y0), u0], y0 + length, h)
     return _compare(problem, closed_g,
                     {"theorem": "3.2", "h0": h0, "f0": f0, "lam": lam, "causal": causal,
                      "u0": u0})
@@ -287,29 +301,23 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
 
         v' = s * 2*h0 * (v^2 - lam1^2)^(3/2) / lam1^2,   s = -sign(lam1),
 
-    recover g by one more quadrature (L = log g integrated alongside), and
-    compare with g(z) = exp((lam1/(2 h0)) sqrt((2 h0 z + lam2)^2 - 1)).
-    The corridor must keep |2 h0 z + lam2| > 1.
+    recover L = log g by one more quadrature, and compare it with
+    phi = (lam1/(2 h0)) sqrt((2 h0 z + lam2)^2 - 1), the exponent of the
+    exponential family's g = exp(phi) (`families.log_profile`); the
+    integration starts from phi and v = phi' at z0.  The corridor must
+    keep |2 h0 z + lam2| > 1.
 
     The comparison is made in log space, so no error overflows where g
     exceeds the float range: `max_error` is the largest |L - L_closed| and
     `max_rel_error` the largest relative error of g, |expm1(L - L_closed)|.
     `numeric` and `closed` hold g itself, inf where it exceeds the range.
     """
-    if h0 == 0.0:
-        raise InvalidParams("h0 must be nonzero")
+    phi = log_profile(h0, lam1, lam2, -1, "2 h0 z + lam2")
     if lam1 == 0.0:
         raise InvalidParams("lam1 must be nonzero")
     s = -1.0 if lam1 > 0 else 1.0
-    w0 = 2.0 * h0 * z0 + lam2
-    _corridor(w0, 2.0 * h0 * (z0 + length) + lam2, "2 h0 z + lam2")
-    _, at = radicand(h0, lam2, -1, "2 h0 z + lam2")
-
-    def closed_L(z):
-        return lam1 / (2.0 * h0) * np.sqrt(at(z)[1])
-
-    v0 = lam1 * w0 / math.sqrt(w0 * w0 - 1.0)
-    L0 = float(closed_L(np.array([z0]))[0])  # as the closed column, see reconstruct_thm32
+    _corridor(2.0 * h0 * z0 + lam2, 2.0 * h0 * (z0 + length) + lam2, "2 h0 z + lam2")
+    v0 = float(_column(phi.deriv, z0)[0])
 
     def rhs(t, y):
         v = y[0]
@@ -318,9 +326,9 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
             raise BranchViolation("integration crossed (g'/g)^2 = lam1^2")
         return (s * 2.0 * h0 * gap ** 1.5 / (lam1 * lam1), v)
 
-    problem = ODEProblem(rhs, z0, np.array([v0, L0]), z0 + length, h)
+    problem = ODEProblem(rhs, z0, [v0, _seed(phi, z0)], z0 + length, h)
     ts, ys = integrate(problem)
-    L, L_closed = ys[:, 1], closed_L(ts)
+    L, L_closed = ys[:, 1], _column(phi, ts)
     with np.errstate(over="ignore"):
         numeric, closed = np.exp(L), np.exp(L_closed)
     err = np.abs(L - L_closed)

@@ -154,11 +154,11 @@ def _sigma_corpus():
     return corpus
 
 
-def _off_contract_at_one_point(pipe, key):
-    """`pipe` with `key` ("eps" or "K") negated where |K| is largest."""
-    value = pipe[key].copy()
-    value.flat[np.argmax(np.abs(pipe["K"]))] *= -1.0
-    return {**pipe, key: value}
+def _off_contract_at_one_point(sweep, key):
+    """`sweep` with `key` ("eps" or "K") negated where |K| is largest."""
+    value = sweep[key].copy()
+    value.flat[np.argmax(np.abs(sweep["K"]))] *= -1.0
+    return {**sweep, key: value}
 
 
 def test_criterion_03_cross_check_sign_factor(tmp_path, monkeypatch):
@@ -192,10 +192,14 @@ def test_criterion_03_cross_check_sign_factor(tmp_path, monkeypatch):
     assert set(nonzero) == buckets
     assert all(nonzero[key] > 0 for key in buckets), nonzero
 
-    # negative control: eps flipped or K negated at one point
-    for key in ("eps", "K"):
-        off = cross_check(_off_contract_at_one_point(pipe, key), closed)
-        assert off.max_discrepancy > 1e-8
+    # negative control: the closed sweep's eps flipped, or the pipeline's
+    # K negated, at one point; cross_check reads eps from the closed sweep
+    # only (the two sweeps' eps are equal, tests/test_sign_contract.py)
+    for pipe_off, closed_off in ((pipe, _off_contract_at_one_point(closed, "eps")),
+                                 (_off_contract_at_one_point(pipe, "K"), closed)):
+        assert cross_check(pipe_off, closed_off).max_discrepancy > 1e-8
+    assert (cross_check(_off_contract_at_one_point(pipe, "eps"), closed)
+            == cross_check(pipe, closed))
     monkeypatch.setattr("pgsurf.cli.pipeline_grid",
                         lambda *a, **k: _off_contract_at_one_point(pipeline_grid(*a, **k), "K"))
     out = tmp_path / "v.json"

@@ -2,6 +2,8 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -595,27 +597,41 @@ def test_each_grid_point_is_swept_once(tmp_path, monkeypatch, command, route):
     assert len(kernel_calls) == (0 if closed else 3)
 
 
+# A child process that runs `main` on its arguments and prints its own
+# peak resident set size in bytes (Linux reports ru_maxrss in KiB, macOS
+# in bytes).
+_PEAK_RSS_CHILD = (
+    "import resource, sys\n"
+    "from pgsurf.cli import main\n"
+    "assert main(sys.argv[1:]) == 0\n"
+    "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "print(peak if sys.platform == 'darwin' else peak * 1024)\n"
+)
+
+
 class TestPeakMemoryOfLargeSweeps:
-    """`curvature` and `mesh` on a thm42 1000x1000 grid peak below 80 MB of
-    traced allocations (numpy buffers included), on every route.  They
-    sweep the grid in row blocks and keep only what their outputs still
-    need; sweeping the whole grid at once peaked at 195 MB (analytic and
-    `specialized`) and 271 MB (FD) with numpy 2.4 on x86-64."""
+    """`curvature` and `mesh` on a thm42 1000x1000 grid peak below 150 MiB
+    resident, on every route, each run alone in a fresh interpreter whose
+    own ru_maxrss is read.  They sweep the grid in row blocks and keep only
+    what their outputs still need: 62-77 MiB with numpy 2.4 on x86-64
+    Linux, where sweeping the whole grid at once reached 229 MiB (analytic
+    and `specialized`) and 305 MiB (FD).  The outputs go to the null
+    device, so the run's time is not that of the disk."""
 
     @pytest.mark.parametrize("route", ["pipeline", "pipeline-fd", "specialized"])
     @pytest.mark.parametrize("command", ["curvature", "mesh"])
-    def test_peak_memory(self, tmp_path, command, route):
+    def test_peak_memory(self, command, route):
         keys = ("csv", "json") if command == "curvature" else ("obj", "sidecar")
         argv = [command, "--set", "family.name=thm42", "--set", "family.h0=0.5",
                 "--set", "grid.n1=1000", "--set", "grid.n2=1000", "--set", f"formulas={route}"]
-        argv += [arg for key in keys for arg in ("--set", f"output.{key}={tmp_path / key}")]
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 80 * 2**20, peak
+        argv += [arg for key in keys for arg in ("--set", f"output.{key}={os.devnull}")]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv], env=env,
+                               capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        peak = int(child.stdout)
+        assert peak < 150 * 2**20, peak
 
 
 class TestConfigValidation:

@@ -17,7 +17,7 @@ from pgsurf.errors import (
     InvalidParams,
 )
 from pgsurf.factorable import FactorableSurface, GridSpec, ScalarC2, default_grid, specialized_grid
-from pgsurf.families import fixtures_flat_minimal, thm31_family
+from pgsurf.families import fixtures_flat_minimal, thm31_family, thm32_family, thm42_family
 from pgsurf import reconstruct
 from pgsurf.reconstruct import (
     MAX_RESTARTS,
@@ -325,9 +325,18 @@ _START = st.floats(-2.0, 2.0)
 
 
 class TestSeedIsTheClosedColumn:
-    """The integration of 3.2 and 4.2 starts from the closed column's first
-    entry bit for bit; the examples differed in the last bit when the seed
-    was evaluated on a Python float."""
+    """Each integration starts from the closed column's first entry bit for
+    bit; the examples differed in the last bit when the seed was evaluated
+    on a Python float (`math.tanh` for 3.1), or in the sign of zero when
+    it was evaluated at t0 = -0.0, where the first node is +0.0."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(k0=1.0, lam1=0.7, g0=1.0, t0=0.0, sign=1)
+    @example(k0=1.0, lam1=-0.0, g0=1.0, t0=-0.0, sign=1)
+    @given(k0=_RATES, lam1=_START, g0=_RATES, t0=_START, sign=st.sampled_from([1, -1]))
+    def test_thm31(self, k0, lam1, g0, t0, sign):
+        r = reconstruct_thm31(k0, g0=g0, lam1=lam1, sign=sign, span=(t0, t0 + 0.1), h=0.1)
+        assert float(r.numeric[0]).hex() == float(r.closed[0]).hex()
 
     @settings(max_examples=200, deadline=None)
     @example(h0=-1.0932071996835577, w0=4.462611562788099, y0=1.3675703294710035,
@@ -347,6 +356,37 @@ class TestSeedIsTheClosedColumn:
         assume(abs(w0) > 1.01)
         r = reconstruct_thm42(h0, lam1=lam1, lam2=w0 - 2.0 * h0 * z0, z0=z0, length=1e-3, h=1e-3)
         assert float(r.numeric[0]).hex() == float(r.closed[0]).hex()
+
+
+class TestClosedIsTheFamilyProfile:
+    """Each reconstruction's closed column is the profile its family
+    constructor builds, bit for bit: f/g0 of `thm31_family`, b*g of
+    `thm32_family` with the radicand w^2 + b (the family names b = +1
+    'timelike', see README, "Errata") and g = exp(phi) of `thm42_family`
+    with the rate lam1 and the minus radicand."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rate=_RATES, shift=_START, scale=_RATES, t0=_START,
+           sign=st.sampled_from([1, -1]), causal=st.sampled_from(["spacelike", "timelike"]))
+    def test_every_theorem(self, rate, shift, scale, t0, sign, causal):
+        r = reconstruct_thm31(rate, g0=scale, lam1=shift, sign=sign, span=(t0, t0 + 0.05), h=0.01)
+        want = thm31_family(rate, shift, sign=sign).f(r.ts) / scale
+        assert r.closed.tobytes() == want.tobytes()
+
+        b = 1.0 if causal == "spacelike" else -1.0
+        assume(b > 0 or abs(shift) > 1.01)
+        r = reconstruct_thm32(rate, f0=scale, lam=shift - 2.0 * rate * t0, causal=causal, y0=t0,
+                              length=1e-3, h=1e-3)
+        fam = thm32_family(rate, r.meta["lam"], f0=scale,
+                           causal="timelike" if b > 0 else "spacelike")
+        assert r.closed.tobytes() == (b * fam.g(r.ts)).tobytes()
+
+        assume(abs(shift) > 1.01)
+        r = reconstruct_thm42(rate, lam1=scale, lam2=shift - 2.0 * rate * t0, z0=t0,
+                              length=1e-3, h=1e-3)
+        with np.errstate(all="ignore"):
+            want = thm42_family(rate, lam2=scale, lam3=r.meta["lam2"], causal="spacelike").g(r.ts)
+        assert r.closed.tobytes() == want.tobytes()
 
 
 class TestSubstitutionResiduals:
