@@ -20,9 +20,14 @@ formatting every cell with `format(x, ".17g")`.
 A file output is written to a temporary sibling and moved into place only
 when complete, so a failed run never leaves a truncated file.
 
+A grid point with no finite K or H (lightlike, inadmissible, overflowing,
+or where a family's radicand is not positive) is excluded, never raised;
+a grid command with nothing to report ends as `GridRejected`.
+
 Exit codes: 0 success, 1 verification/tolerance failure, 2 configuration
-error (including an output path that cannot be written), 3 empty or
-all-lightlike grid, 4 ODE branch violation.
+error (including an output that cannot be written), 3 a grid command
+with nothing to report, 4 ODE branch violation or a `reconstruct`
+corridor outside its radicand.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ from .surface import (
     curvature_arrays,
     gaussian_curvature,  # noqa: F401  (bench/tracing.py wraps it here)
     mean_curvature,  # noqa: F401  (bench/tracing.py wraps it here)
-    require_unmasked,
     transform_jet,
 )
 
@@ -105,11 +109,19 @@ def _write(path: Optional[str], chunks: Iterable[str]) -> None:
     `os.replace` once every chunk is written; on any error the temporary
     is removed and `path` is left as it was.  An existing target that is
     not a regular file (a device such as /dev/null, a FIFO) cannot be
-    replaced and is written in place.  A failure to write becomes
-    `ConfigError`.
+    replaced and is written in place.  A failure to write, to a file or
+    to stdout (such as a closed pipe), becomes `ConfigError`.
     """
     if not path:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:
+            # a closed pipe: the interpreter's last flush of stdout then
+            # goes to the null device and raises no second error
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise ConfigError(f"cannot write output to stdout: {exc.strerror or exc}") from exc
         return
     in_place = os.path.exists(path) and not os.path.isfile(path)
     target = path if in_place else f"{path}.{os.urandom(4).hex()}.tmp"
@@ -347,10 +359,8 @@ def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
     `formulas` route, one sweep per row block of `row_spans`: the closed
     formulas on `specialized`, the general pipeline on the others.  Each
     block also holds its positions x, y, z, from `value_arrays` on the
-    block's axes, for the outputs that print them.  The first block is
-    swept before this returns, so that a profile which cannot be
-    evaluated on the grid fails before any output is written: each block
-    evaluates g on the whole u2 axis."""
+    block's axes, for the outputs that print them (NaN where a profile
+    is)."""
     surface = _surface(v["family"])
     grid = _grid(v["grid"], default_grid(surface))
     route = v["formulas"]
@@ -365,8 +375,7 @@ def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
             x, y, z = surface.value_arrays(data["U1"][:, :1], data["U2"][:1])
         return {**data, "x": x, "y": y, "z": z}
 
-    blocks = map(sweep, row_spans(grid))
-    return grid, itertools.chain([next(blocks)], blocks)
+    return grid, map(sweep, row_spans(grid))
 
 
 # the one float formatter of the text outputs: equal to format(x, ".17g")
@@ -439,6 +448,9 @@ def run_curvature(cfg: dict) -> int:
             for name, values in kept.items():
                 values.append(data[name][~data["excluded"]])
             yield data
+        # before the CSV is complete, so `_write` discards its file
+        if not any(block.size for block in kept["K"]):
+            raise GridRejected("every grid point is excluded")
 
     _write(v["output"]["csv"], _csv_rows(keeping(blocks)))
 
@@ -454,14 +466,11 @@ def run_curvature(cfg: dict) -> int:
     }
     for name, included in kept.items():
         values = np.concatenate(included)
-        if values.size:
-            mean = float(np.mean(values))
-            summary[name] = {"mean": mean,
-                             "max_deviation": float(np.max(np.abs(values - mean))),
-                             "std": float(np.std(values))}
+        mean = float(np.mean(values))
+        summary[name] = {"mean": mean,
+                         "max_deviation": float(np.max(np.abs(values - mean))),
+                         "std": float(np.std(values))}
     _json_report(v["output"]["json"], summary)
-    if n_inc == 0:
-        return EXIT_EMPTY_GRID
     return EXIT_OK
 
 
@@ -533,15 +542,14 @@ def run_verify(cfg: dict) -> int:
     U1, U2 = np.meshgrid(a1[:: max(1, grid.n1 // 6)], a2[:: max(1, grid.n2 // 6)], indexing="ij")
     comp = jet_component_arrays(surface, U1.ravel(), U2.ravel())
     ref = curvature_arrays(comp)
-    masked = np.flatnonzero(ref["lightlike"] | ref["inadmissible"])
-    if masked.size:
-        require_unmasked(ref, masked[0])
 
     def block_difference(block: list[Motion]):
         moved = curvature_arrays(transform_jet(block, comp))
         return np.max(np.maximum(np.abs(moved["K"] - ref["K"]), np.abs(moved["H"] - ref["H"])))
 
-    # a moved jet masked by the kernel gives NaN here, which fails the suite
+    # a sample point with no finite K or H, at rest or moved, gives NaN
+    # here, which fails the suite; the samples are grid points, so the
+    # cross-check has failed too and names a cause
     worst = float(np.max([block_difference(motions[i:i + _MOTIONS_PER_CALL])
                           for i in range(0, len(motions), _MOTIONS_PER_CALL)]))
     suites["motion_invariance"] = {
@@ -656,7 +664,7 @@ def run_mesh(cfg: dict) -> int:
     # a cell is kept when all four corners are admissible
     faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
     if not faces.any():
-        return EXIT_EMPTY_GRID
+        raise GridRejected("no mesh cell has four included corners")
     _write(v["output"]["obj"], _obj_lines(blocks, faces))
     _write(v["output"]["sidecar"], _sidecar_rows(blocks))
     return EXIT_OK

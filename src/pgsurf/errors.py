@@ -18,7 +18,8 @@ class InvalidParams(PGSurfError, ValueError):
 
 
 class DomainError(PGSurfError):
-    """Evaluation requested outside the valid domain (e.g. negative radicand)."""
+    """An ODE corridor or start of `reconstruct` leaves the region where its
+    radicand is positive.  A profile evaluated there is NaN instead."""
 
 
 class BranchViolation(PGSurfError):

@@ -325,14 +325,15 @@ def pipeline_grid(s: FactorableSurface, grid: GridSpec, mode: str = "analytic",
                   fd_step: float = FD_STEP, rows: slice = slice(None)) -> dict:
     """General-pipeline sweep of the grid `rows`: U1, U2, K, H, eps, W,
     the mask of the lightlike and inadmissible points and the exclusion
-    mask; a point is excluded where it is masked or its K or H is not
-    finite.  No positions: `FactorableSurface.value_arrays` gives them."""
+    mask; a point is excluded where its K or H is not finite, as in
+    `specialized_grid`, which covers the masked points (NaN there).  No
+    positions: `FactorableSurface.value_arrays` gives them."""
     u1, u2, params = _axes(grid, rows)
     out = curvature_arrays(jet_component_arrays(s, u1, u2, mode=mode, fd_step=fd_step))
     K, H = out["K"], out["H"]
-    masked = out["lightlike"] | out["inadmissible"]
     return {**params, "K": K, "H": H, "eps": out["eps"], "W": out["W"],
-            "masked": masked, "excluded": masked | ~np.isfinite(K) | ~np.isfinite(H)}
+            "masked": out["lightlike"] | out["inadmissible"],
+            "excluded": ~np.isfinite(K) | ~np.isfinite(H)}
 
 
 @np.errstate(all="ignore")

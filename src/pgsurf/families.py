@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidParams
+from .errors import InvalidParams
 from .factorable import FactorableSurface, ScalarC2, KIND_FIRST, KIND_SECOND
 
 __all__ = [
@@ -78,12 +78,14 @@ def thm31_family(k0: float, lam1: float = 0.0, lam2: float = 0.0, sign: int = 1)
     return FactorableSurface(KIND_FIRST, ScalarC2(f), ScalarC2.linear(1.0, lam2))
 
 
-def radicand(h0: float, shift: float, b: int, w_text: str):
+def radicand(h0: float, shift: float, b: int):
     """The radicand r = w^2 + b of w = 2*h0*t + shift: its domain in the
     grid coordinate t, all reals for b = +1 and the component with w > 1
-    for b = -1, and the map t -> (w, r), which raises DomainError where
-    r is not positive.  `w_text` names w in that message.  h0 must be a
-    nonzero finite real (InvalidParams)."""
+    for b = -1, and the map t -> (w, r), r NaN where w^2 + b is not
+    positive.  The profiles built on it are NaN there, with no
+    floating-point warning, so a grid sweep excludes such a point as it
+    excludes any other non-finite K or H.  h0 must be a nonzero finite
+    real (InvalidParams)."""
     if h0 == 0.0 or not math.isfinite(h0):
         raise InvalidParams("h0 must be a nonzero finite real")
     if b > 0:
@@ -95,18 +97,16 @@ def radicand(h0: float, shift: float, b: int, w_text: str):
     def at(t):
         w = 2.0 * h0 * t + shift
         r = w ** 2 + b
-        if np.any(r <= 0.0):
-            raise DomainError(f"radicand ({w_text})^2 - 1 not positive on the requested points")
-        return w, r
+        return w, np.where(r > 0.0, r, np.nan)
 
     return dom, at
 
 
-def sqrt_profile(h0: float, shift: float, b: int, w_text: str) -> ScalarC2:
+def sqrt_profile(h0: float, shift: float, b: int) -> ScalarC2:
     """p = sqrt(w^2 + b)/(2 h0), w = 2*h0*t + shift, on the domain of
     `radicand`: the square-root family's graph before its shift and split,
     with slope p' = w/sqrt(w^2 + b)."""
-    dom, at = radicand(h0, shift, b, w_text)
+    dom, at = radicand(h0, shift, b)
 
     def jet(t):
         w, r = at(t)
@@ -116,11 +116,11 @@ def sqrt_profile(h0: float, shift: float, b: int, w_text: str) -> ScalarC2:
     return ScalarC2(jet, dom)
 
 
-def log_profile(h0: float, rate: float, shift: float, b: int, w_text: str) -> ScalarC2:
+def log_profile(h0: float, rate: float, shift: float, b: int) -> ScalarC2:
     """phi = (rate/(2 h0)) sqrt(w^2 + b), w = 2*h0*t + shift, on the domain
     of `radicand`: the exponent of the exponential family's g = exp(phi),
     with phi' = rate*w/sqrt(w^2 + b)."""
-    dom, at = radicand(h0, shift, b, w_text)
+    dom, at = radicand(h0, shift, b)
 
     def jet(t):
         w, r = at(t)
@@ -141,7 +141,7 @@ def thm32_family(h0: float, lam1: float = 0.0, lam2: float = 0.0,
     """
     if f0 == 0.0 or not math.isfinite(f0):
         raise InvalidParams("f0 must be a nonzero finite real")
-    p = sqrt_profile(h0, lam1, _branch_sign(causal), "2 h0 y + lam1")
+    p = sqrt_profile(h0, lam1, _branch_sign(causal))
 
     def g(y):
         v, v1, v2 = p.jet(y)
@@ -159,7 +159,7 @@ def thm42_family(h0: float, lam1: float = 1.0, lam2: float = 1.0,
     """
     if lam1 == 0.0 or lam2 == 0.0:
         raise InvalidParams("lam1 and lam2 must be nonzero")
-    phi = log_profile(h0, lam2, lam3, _branch_sign(causal), "2 h0 z + lam3")
+    phi = log_profile(h0, lam2, lam3, _branch_sign(causal))
 
     def f(y):
         e = np.exp(lam2 * y)

@@ -275,7 +275,7 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
         w0 = 2.0 * h0 * y0 + lam
         if b < 0 and abs(w0) <= 1.0:
             raise DomainError("timelike branch needs (2 h0 y0 + lam)^2 > 1")
-        u0 = b * float(_column(sqrt_profile(h0, lam, b, "2 h0 y + lam").deriv, y0)[0])
+        u0 = b * float(_column(sqrt_profile(h0, lam, b).deriv, y0)[0])
     if b < 0:
         _corridor(w0, 2.0 * h0 * (y0 + length) + lam, "2 h0 y + lam")
 
@@ -312,7 +312,7 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
     `max_rel_error` the largest relative error of g, |expm1(L - L_closed)|.
     `numeric` and `closed` hold g itself, inf where it exceeds the range.
     """
-    phi = log_profile(h0, lam1, lam2, -1, "2 h0 z + lam2")
+    phi = log_profile(h0, lam1, lam2, -1)
     if lam1 == 0.0:
         raise InvalidParams("lam1 must be nonzero")
     s = -1.0 if lam1 > 0 else 1.0

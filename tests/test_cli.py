@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgsurf import cli, factorable
 from pgsurf import families as fam
@@ -100,36 +104,63 @@ class TestCurvature:
         })
         assert main(["curvature", "--config", cfg]) == 3
 
-    def test_profile_failure_writes_nothing(self, monkeypatch, capsys):
-        # the thm32 radicand is not positive on the grid: the first of 3
-        # row blocks fails before the CSV header reaches stdout
-        monkeypatch.setattr(factorable, "_BLOCK_POINTS", 3 * 8)
+    def test_radicand_points_are_excluded(self, capsys):
+        # thm32 spacelike h0=1: the radicand w^2 - 1, w = 2*u2, is not
+        # positive for |u2| <= 0.5; those points are excluded with empty
+        # curvature cells and a nan position, the others are kept
         capsys.readouterr()
         assert main(["curvature", "--set", "family.name=thm32", "--set", "family.h0=1",
-                     "--set", "family.causal=spacelike", "--set", "grid.u2=[-0.4,0.4]",
-                     "--set", "grid.n1=8", "--set", "grid.n2=8"]) == 4
-        assert capsys.readouterr().out == ""
+                     "--set", "family.causal=spacelike", "--set", "grid.u2=[-1,1]",
+                     "--set", "grid.n1=3", "--set", "grid.n2=9", "--set", f"output.json={os.devnull}"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 27
+        for r in rows:
+            outside = (2.0 * float(r["u2"])) ** 2 - 1.0 <= 0.0
+            assert r["excluded"] == ("1" if outside else "0")
+            assert (r["K"] == "" and r["z"] == "nan") if outside else math.isfinite(float(r["K"]))
+        assert {r["excluded"] for r in rows} == {"0", "1"}
 
     # thm42 whose g overflows on every grid point: K and H are NaN there
     OVERFLOW_ALL = ["family.name=thm42", "family.h0=0.5", "family.lam2=800", "grid.n1=5", "grid.n2=3"]
+    # the same family with h0=400 on a grid that overflows on part of its
+    # rows only (the `OVERFLOW` grid of tests/test_factorable.py, 40x5)
+    OVERFLOW_PART = ["family.name=thm42", "family.h0=400", "family.lam2=800", "grid.u1=[0,1]",
+                     "grid.u2=[-1e-3,1e-3]", "grid.n1=40", "grid.n2=5"]
+
+    @staticmethod
+    def _curvature(tmp_path, settings, formulas="pipeline", name="o"):
+        csv, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        code = main(["curvature", *(a for kv in settings for a in ("--set", kv)),
+                     "--set", f"formulas={formulas}", "--set", f"output.csv={csv}",
+                     "--set", f"output.json={out}"])
+        return code, csv, out
 
     @pytest.mark.parametrize("formulas", ["pipeline", "pipeline-fd", "specialized"])
-    def test_non_finite_points_are_excluded_on_every_route(self, tmp_path, formulas):
-        csv, out = tmp_path / "o.csv", tmp_path / "o.json"
-        argv = ["curvature", *(a for kv in self.OVERFLOW_ALL for a in ("--set", kv)),
-                "--set", f"formulas={formulas}", "--set", f"output.csv={csv}", "--set", f"output.json={out}"]
-        assert main(argv) == 3
-        assert json.loads(out.read_text())["excluded"] == 15
+    def test_non_finite_points_are_excluded_on_every_route(self, tmp_path, capsys, formulas):
+        code, csv, out = self._curvature(tmp_path, self.OVERFLOW_PART, formulas)
+        assert code == 0
         _, rows = read_csv_rows(csv)
-        assert all(r["excluded"] == "1" and r["K"] == "" for r in rows)
+        excluded = [r for r in rows if r["excluded"] == "1"]
+        assert 0 < len(excluded) < len(rows) == 200
+        assert json.loads(out.read_text())["excluded"] == len(excluded)
+        assert all(r["K"] == "" for r in excluded)
+        assert all(math.isfinite(float(r["K"])) and math.isfinite(float(r["H"]))
+                   for r in rows if r["excluded"] == "0")
+        # a grid where every point overflows has nothing to report
+        capsys.readouterr()
+        code, csv, out = self._curvature(tmp_path, self.OVERFLOW_ALL, formulas, "all")
+        assert code == 3
+        assert not csv.exists() and not out.exists()
+        assert capsys.readouterr().err == "pg-surf: grid rejected: every grid point is excluded\n"
 
     def test_parameter_columns_stay_finite_where_the_product_is_not(self, tmp_path):
-        csv = tmp_path / "o.csv"
-        main(["curvature", *(a for kv in self.OVERFLOW_ALL for a in ("--set", kv)),
-              "--set", f"output.csv={csv}", "--set", f"output.json={tmp_path / 'o.json'}"])
+        _, csv, _ = self._curvature(tmp_path, self.OVERFLOW_PART)
         _, rows = read_csv_rows(csv)
         # second kind: x = f*g, y = u1, z = u2
-        assert all(r["x"] in ("inf", "nan") and (r["y"], r["z"]) == (r["u1"], r["u2"]) for r in rows)
+        assert all((r["y"], r["z"]) == (r["u1"], r["u2"]) for r in rows)
+        assert any(r["x"] in ("inf", "nan") for r in rows)
 
     def test_determinism(self, tmp_path, thm31_cfg):
         main(["curvature", "--config", thm31_cfg])
@@ -346,22 +377,29 @@ class TestVerify:
             assert len(calls) == 1, name
             assert len(calls[0][0]) == 20
 
-    @pytest.mark.parametrize("family,message", [
+    @pytest.mark.parametrize("family,cause", [
         (["family.name=thm31", "family.k0=1", "grid.u1=[-1,21]"],
-         "W = 0.000e+00 below tolerance 1.0e-10; curvature undefined"),
+         "grid has a point where K or H is not finite"),
         (["family.name=thm42", "family.h0=0.5", "family.lam1=3e-4", "family.lam2=-0.3",
-          "grid.u2=[-40,40]"], "W = 2.159e-11 below tolerance 1.0e-10; curvature undefined"),
+          "grid.u2=[-40,40]"], "grid crosses a lightlike or inadmissible locus"),
         (["family.name=thm42", "family.h0=0.5", "family.lam2=-20"],
-         "both x-partials vanish; patch is pseudo-Euclidean"),
+         "grid has a point where K or H is not finite"),
     ])
-    def test_masked_sample_point_raises_the_scalar_error(self, tmp_path, capsys, family, message):
-        # the error of `gaussian_curvature` at the first masked node in u1-major order
+    def test_masked_sample_point_fails_the_motion_suite(self, tmp_path, capsys, family, cause):
+        # a lightlike or inadmissible sample node fails the motion suite as
+        # a non-finite one does; the report is written and its cross-check
+        # names what excludes the first excluded grid point in row-major
+        # order (on the first and third grids the closed formulas exclude
+        # points before the pipeline masks one)
         out = tmp_path / "v.json"
         capsys.readouterr()
         assert main(["verify", *(a for kv in family for a in ("--set", kv)),
                      "--set", f"output.json={out}"]) == 1
-        assert capsys.readouterr().err == f"pg-surf: {message}\n"
-        assert not out.exists()
+        assert capsys.readouterr().err == ""
+        suites = json.loads(out.read_text())["suites"]
+        assert suites["cross_check"] == {"passed": False, "error": cause}
+        assert suites["motion_invariance"]["passed"] is False
+        assert suites["motion_invariance"]["max_difference"] is None
 
     @pytest.mark.parametrize("override", [
         "motions=-3", "motions=0", "motions=abc", "motions=[2]", "seed=abc", "seed=[1]",
@@ -597,6 +635,50 @@ def test_each_grid_point_is_swept_once(tmp_path, monkeypatch, command, route):
     assert len(kernel_calls) == (0 if closed else 3)
 
 
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from([("thm32", "lam1"), ("thm42", "lam3")]),
+       h0=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1), shift=st.floats(-2.0, 2.0),
+       inside=st.floats(-0.99, 0.99), outside=st.floats(1.01, 4.0),
+       side=st.sampled_from([-1.0, 1.0]), n1=st.integers(2, 4), n2=st.integers(3, 9))
+def test_grids_straddling_the_radicand(family, h0, shift, inside, outside, side, n1, n2):
+    """thm32 and thm42 'spacelike' grids whose u2 range runs from inside
+    the band w^2 - 1 <= 0, w = 2*h0*u2 + shift, to beyond w = +1 or -1:
+    on every route each point of the band is excluded, `curvature` and
+    `mesh` exit 0 or 3 and `verify` 1 or 3, never 4.  The routes need
+    not exclude the same points."""
+    name, key = family
+    u2 = sorted((w - shift) / (2.0 * h0) for w in (inside, side * outside))
+    base = [f"family.name={name}", f"family.h0={h0!r}", f"family.{key}={shift!r}",
+            "family.causal=spacelike", f"grid.u2={json.dumps(u2)}", f"grid.n1={n1}", f"grid.n2={n2}",
+            f"output.json={os.devnull}", f"output.obj={os.devnull}"]
+    argv = [a for kv in base for a in ("--set", kv)]
+
+    def in_band(row):
+        w = 2.0 * h0 * float(row["u2"]) + shift
+        return w * w - 1.0 <= 0.0
+
+    # the CSV of `curvature` and the sidecar of `mesh` go to stdout
+    for route in ("pipeline", "pipeline-fd", "specialized"):
+        for command in ("curvature", "mesh"):
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, *argv, "--set", f"formulas={route}"])
+            assert code in (0, 3), (command, route, code)
+            if code == 0:
+                header, *lines = out.getvalue().splitlines()
+                rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+                assert all(r["excluded"] == "1" for r in rows if in_band(r)), (command, route)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", *argv]) in (1, 3)
+
+
+def _child_env() -> dict:
+    """This process's environment with the package's source directory
+    first on PYTHONPATH, for a child interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 # A child process that runs `main` on its arguments and prints its own
 # peak resident set size in bytes (Linux reports ru_maxrss in KiB, macOS
 # in bytes).
@@ -625,9 +707,7 @@ class TestPeakMemoryOfLargeSweeps:
         argv = [command, "--set", "family.name=thm42", "--set", "family.h0=0.5",
                 "--set", "grid.n1=1000", "--set", "grid.n2=1000", "--set", f"formulas={route}"]
         argv += [arg for key in keys for arg in ("--set", f"output.{key}={os.devnull}")]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        child = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv], env=env,
+        child = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv], env=_child_env(),
                                capture_output=True, text=True)
         assert child.returncode == 0, child.stderr
         peak = int(child.stdout)
@@ -816,3 +896,17 @@ class TestAtomicWrites:
         monkeypatch.setattr(os, "replace", refuse)
         cfg = self._cfg(tmp_path, {"csv": os.devnull, "json": os.devnull})
         assert main(["curvature", "--config", cfg]) == 0
+
+    def test_closed_stdout_pipe_exits_2(self):
+        # the reader of stdout leaves after the CSV header: one config-error
+        # line, exit 2, and no traceback from the interpreter's last flush
+        child = subprocess.Popen([sys.executable, "-m", "pgsurf.cli", "curvature",
+                                  "--set", "family.name=thm31", "--set", "family.k0=1",
+                                  "--set", "grid.n1=400", "--set", "grid.n2=400"],
+                                 env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert child.stdout.readline() == cli.CSV_HEADER + "\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait() == 2
+        assert err.startswith("pg-surf: config error: cannot write output to stdout") and err.count("\n") == 1, err

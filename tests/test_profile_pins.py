@@ -3,15 +3,14 @@
 Each constructor is evaluated at five points of its domain and compared bit
 for bit with the values recorded before profiles became single 2-jet
 functions, so a rewrite of the evaluators that reorders an operation fails
-here.  The radicand check of the spacelike branches is pinned too.
+here.  Outside the radicand of the spacelike branches the views are NaN.
 """
 
-import re
+import warnings
 
 import numpy as np
 import pytest
 
-from pgsurf.errors import DomainError
 from pgsurf.families import (fixtures_flat_minimal, perturb_exponent, thm31_family,
                              thm32_family, thm42_family)
 
@@ -125,12 +124,12 @@ def test_profile_values_keep_their_bits(label):
     assert got == PINS[label]
 
 
-@pytest.mark.parametrize("label, t, message", [
-    ("thm32 spacelike", 0.5, "radicand (2 h0 y + lam1)^2 - 1 not positive on the requested points"),
-    ("thm42 spacelike", 0.0, "radicand (2 h0 z + lam3)^2 - 1 not positive on the requested points"),
-])
-def test_radicand_check_raises_outside_the_branch(label, t, message):
+@pytest.mark.parametrize("label, t", [("thm32 spacelike", 0.5), ("thm42 spacelike", 0.0)])
+def test_profiles_are_nan_outside_the_radicand(label, t):
+    """Where w^2 - 1 <= 0 every view of g is NaN, with no error and no
+    floating-point warning."""
     g = CASES[label][0].g
-    for view in (g, g.deriv, g.deriv2):
-        with pytest.raises(DomainError, match=re.escape(message)):
-            view(np.array([t]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for view in (g, g.deriv, g.deriv2):
+            assert np.isnan(view(np.array([t]))).all()
