@@ -65,7 +65,6 @@ from .factorable import (
     specialized_grid,
 )
 from .surface import (
-    Motion,
     curvature_arrays,
     gaussian_curvature,  # noqa: F401  (bench/tracing.py wraps it here)
     mean_curvature,  # noqa: F401  (bench/tracing.py wraps it here)
@@ -483,8 +482,9 @@ def run_curvature(cfg: dict) -> int:
 _MOTIONS_PER_CALL = 256
 
 
-def _random_motions(rng: np.random.Generator, count: int) -> list[Motion]:
-    return [Motion(*(float(v) for v in rng.uniform(-1.0, 1.0, size=6))) for _ in range(count)]
+def _random_motions(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` motions, one row a1..a5, theta each (`Motion`'s field order)."""
+    return rng.uniform(-1.0, 1.0, size=(count, 6))
 
 
 def run_verify(cfg: dict) -> int:
@@ -543,7 +543,7 @@ def run_verify(cfg: dict) -> int:
     comp = jet_component_arrays(surface, U1.ravel(), U2.ravel())
     ref = curvature_arrays(comp)
 
-    def block_difference(block: list[Motion]):
+    def block_difference(block: np.ndarray):
         moved = curvature_arrays(transform_jet(block, comp))
         return np.max(np.maximum(np.abs(moved["K"] - ref["K"]), np.abs(moved["H"] - ref["H"])))
 

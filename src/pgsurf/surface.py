@@ -13,21 +13,20 @@ second partials of (x, y, z), as `factorable.jet_component_arrays` and
 it works on those arrays and returns masks for lightlike and inadmissible
 points.  `gaussian_curvature` and `mean_curvature` are one-point views of
 it that raise at those points instead (`require_unmasked`).
-`transform_jet` moves jet component arrays by a batch of motions of the
-six-parameter group (`Motion`) in one broadcast.  The transverse plane
-x = 0 carries the Minkowskian scalar product with signature (+, -) on
-(y, z) that `curvature_arrays` evaluates inline.
+`transform_jet` moves jet component arrays by an (m, 6) array of motions
+of the six-parameter group, one `Motion` per row, in one broadcast.  The
+transverse plane x = 0 carries the Minkowskian scalar product with
+signature (+, -) on (y, z) that `curvature_arrays` evaluates inline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InadmissiblePatch, LightlikeSurface
+from .errors import InadmissiblePatch, InvalidParams, LightlikeSurface
 
 __all__ = [
     "Motion",
@@ -76,8 +75,7 @@ def mean_curvature(comp: dict) -> float:
     return float(out["H"][0])
 
 
-@dataclass(frozen=True)
-class Motion:
+class Motion(NamedTuple):
     """Motion of the pseudo-Galilean 3-space with parameters a1..a5 and
     hyperbolic angle theta: translations, two shears along the absolute
     direction x and a hyperbolic rotation of the (y, z) plane.
@@ -86,7 +84,8 @@ class Motion:
     y' = a2 + a3*x + cosh(theta)*y + sinh(theta)*z
     z' = a4 + a5*x + sinh(theta)*y + cosh(theta)*z
 
-    The default is the identity.
+    The default is the identity.  A motion is one row of the (m, 6)
+    arrays `transform_jet` takes, so a list of motions is such an array.
     """
 
     a1: float = 0.0
@@ -97,27 +96,35 @@ class Motion:
     theta: float = 0.0
 
 
-def transform_jet(motions: Sequence[Motion], comp: dict) -> dict:
+def transform_jet(motions: np.ndarray | Sequence[Motion], comp: dict) -> dict:
     """The jet components x1..z22 of `comp`, broadcast-compatible arrays
-    whose broadcast shape is S, moved by each motion: read-only arrays of
-    shape (len(motions), *S).
+    whose broadcast shape is S, moved by each of m motions: read-only
+    arrays of shape (m, *S).
 
-    A motion acts on every derivative by its linear part (`Motion`):
-    x' = x, y' = a3*x + cosh(theta)*y + sinh(theta)*z and
-    z' = a5*x + sinh(theta)*y + cosh(theta)*z.  Its translation moves only
-    the value, which curvature does not read.  The moved x components are
-    broadcast views of the input.
+    `motions` is an (m, 6) array whose rows are motions in `Motion`'s
+    field order a1..a5, theta, or a sequence of m `Motion`s; any other
+    shape raises `InvalidParams`.  A motion acts on every derivative by
+    its linear part (`Motion`): x' = x, y' = a3*x + cosh(theta)*y +
+    sinh(theta)*z and z' = a5*x + sinh(theta)*y + cosh(theta)*z.  Its
+    translation moves only the value, which curvature does not read.  The
+    moved x components are broadcast views of the input.
     """
+    motions = np.asarray(motions, dtype=float)
+    if motions.shape == (0,):  # an empty sequence of motions
+        motions = motions.reshape(0, 6)
+    if motions.ndim != 2 or motions.shape[1] != 6:
+        raise InvalidParams(f"motions must be an (m, 6) array, got shape {motions.shape}")
     comp = {k: np.asarray(comp[k], dtype=float) for k in _COMPONENT_KEYS}
     shape = (len(motions),) + np.broadcast_shapes(*(v.shape for v in comp.values()))
+    column = (-1,) + (1,) * (len(shape) - 1)
 
-    def column(values):
-        return np.array(values, dtype=float).reshape((-1,) + (1,) * (len(shape) - 1))
-
-    ch = column([math.cosh(m.theta) for m in motions])
-    sh = column([math.sinh(m.theta) for m in motions])
-    a3 = column([m.a3 for m in motions])
-    a5 = column([m.a5 for m in motions])
+    # math.cosh and math.sinh, not numpy's, whose SIMD loops may differ
+    # in the last bit
+    theta = motions[:, 5].tolist()
+    ch = np.array(list(map(math.cosh, theta))).reshape(column)
+    sh = np.array(list(map(math.sinh, theta))).reshape(column)
+    a3 = motions[:, 2].reshape(column)
+    a5 = motions[:, 4].reshape(column)
     out = {}
     for s in _SLOTS:
         x, y, z = (comp[f"{axis}{s}"] for axis in "xyz")

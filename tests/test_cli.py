@@ -317,6 +317,16 @@ class TestVerify:
             assert suite["motions"] == count
             assert float(suite["max_difference"]).hex() == worst.hex(), (family, n, count, seed)
 
+    # 0 is the seed of every VERIFY_DIGESTS case
+    @pytest.mark.parametrize("seed", [0, 4, 7, 123456789])
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 10_000])
+    def test_motion_draw_equals_the_per_motion_draws(self, seed, count):
+        rng = np.random.default_rng(seed)
+        per_motion = np.array([rng.uniform(-1.0, 1.0, size=6) for _ in range(count)])
+        drawn = cli._random_motions(np.random.default_rng(seed), count)
+        assert drawn.shape == (count, 6)
+        assert drawn.tobytes() == per_motion.tobytes()
+
     # the thm42 grid whose closed and pipeline sweeps overflow: every suite
     # fails, the constancy suite on the finite closed points, the cross-check
     # on the excluded non-finite ones and the motion suite on NaN

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pgsurf.errors import InadmissiblePatch, LightlikeSurface
+from pgsurf.errors import InadmissiblePatch, InvalidParams, LightlikeSurface
 from pgsurf.factorable import FactorableSurface, ScalarC2
 from pgsurf.families import thm31_family, thm32_family, thm42_family
 from pgsurf.surface import (
@@ -263,6 +263,24 @@ class TestTransformJet:
                     expect = (x, m.a3 * x + ch * y + sh * z, m.a5 * x + sh * y + ch * z)
                     got = tuple(float(moved[f"{a}{s}"][(i, *idx)]) for a in "xyz")
                     assert [v.hex() for v in got] == [v.hex() for v in expect]
+
+    def test_takes_an_array_or_a_list_of_motions(self):
+        rng = np.random.default_rng(9)
+        comp = {f"{a}{s}": rng.normal(size=(2, 3)) for s in SLOTS for a in "xyz"}
+        rows = rng.uniform(-1.0, 1.0, size=(5, 6))
+        from_rows = transform_jet(rows, comp)
+        from_motions = transform_jet([Motion(*row) for row in rows], comp)
+        for key, value in from_rows.items():
+            assert value.shape == (5, 2, 3), key
+            assert value.tobytes() == from_motions[key].tobytes(), key
+        for none in (np.empty((0, 6)), []):
+            assert all(v.shape == (0, 2, 3) for v in transform_jet(none, comp).values())
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 5), (0, 5), (4, 6, 1), (1, 1, 6)])
+    def test_rejects_any_other_shape(self, shape):
+        comp = {f"{a}{s}": np.ones(3) for s in SLOTS for a in "xyz"}
+        with pytest.raises(InvalidParams, match=r"\(m, 6\)"):
+            transform_jet(np.zeros(shape), comp)
 
 
 def _mixed(z1, z2, x1=1.0, x2=0.0):
