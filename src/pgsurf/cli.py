@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -683,7 +684,12 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first `main` call of a
+    process and reused by later ones; not at import, which stays cheap.
+    Parsing leaves it unchanged: `append` copies the `--set` default
+    before it appends."""
     parser = argparse.ArgumentParser(
         prog="pg-surf",
         description="Curvature data and verification runs for surfaces in the pseudo-Galilean 3-space.",
@@ -694,7 +700,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a (dotted) config key; wins over file values")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; may be called any number of times in a process."""
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _load_config(args.config, args.set)

@@ -49,6 +49,18 @@ _SLOTS = ("1", "2", "11", "12", "22")
 _COMPONENT_KEYS = tuple(f"{axis}{slot}" for slot in _SLOTS for axis in "xyz")
 
 
+def _read_only(v, shape: tuple) -> np.ndarray:
+    """`v` as a read-only array of `shape`: a broadcast view where its
+    shape differs, else a read-only view.  The flag of `v` itself, which
+    may be a caller's input, is never cleared."""
+    v = np.asarray(v)
+    if v.shape != shape:
+        return np.broadcast_to(v, shape)
+    v = v.view()
+    v.flags.writeable = False
+    return v
+
+
 def require_unmasked(out: dict, i) -> None:
     """Raise the error of the one-point views if the `curvature_arrays`
     output `out` masks point `i`: `InadmissiblePatch` first, then
@@ -107,7 +119,8 @@ def transform_jet(motions: np.ndarray | Sequence[Motion], comp: dict) -> dict:
     its linear part (`Motion`): x' = x, y' = a3*x + cosh(theta)*y +
     sinh(theta)*z and z' = a5*x + sinh(theta)*y + cosh(theta)*z.  Its
     translation moves only the value, which curvature does not read.  The
-    moved x components are broadcast views of the input.
+    moved x components are broadcast views of the input; a moved y or z
+    component is broadcast only where it lacks the shape (m, *S).
     """
     motions = np.asarray(motions, dtype=float)
     if motions.shape == (0,):  # an empty sequence of motions
@@ -129,8 +142,8 @@ def transform_jet(motions: np.ndarray | Sequence[Motion], comp: dict) -> dict:
     for s in _SLOTS:
         x, y, z = (comp[f"{axis}{s}"] for axis in "xyz")
         out[f"x{s}"] = np.broadcast_to(x, shape)
-        out[f"y{s}"] = np.broadcast_to(a3 * x + ch * y + sh * z, shape)
-        out[f"z{s}"] = np.broadcast_to(a5 * x + sh * y + ch * z, shape)
+        out[f"y{s}"] = _read_only(a3 * x + ch * y + sh * z, shape)
+        out[f"z{s}"] = _read_only(a5 * x + sh * y + ch * z, shape)
     return out
 
 
@@ -175,9 +188,12 @@ def curvature_arrays(comp: dict) -> dict:
     component that is constant over the points may be a 0-d array and
     costs no per-point work.  Returns g1, g2, W, eps, ny, nz, L11, L12,
     L22, K, H plus boolean masks `lightlike` and `inadmissible`, each a
-    read-only array of the broadcast shape of the components; K and H are
-    NaN at masked points.  Floating-point warnings are silenced: overflow
-    and invalid values end as non-finite K or H, which callers mask.
+    read-only array of the broadcast shape of the components: a broadcast
+    view where the output's own shape differs, else a read-only view (g1
+    and g2 view the caller's x1 and x2, whose flags are left alone).  K
+    and H are NaN at masked points.  Floating-point warnings are
+    silenced: overflow and invalid values end as non-finite K or H,
+    which callers mask.
     """
     c = {k: np.asarray(comp[k], dtype=float) for k in _COMPONENT_KEYS}
     shape = np.broadcast_shapes(*(v.shape for v in c.values()))
@@ -223,4 +239,4 @@ def curvature_arrays(comp: dict) -> dict:
         "L11": L11, "L12": L12, "L22": L22, "K": K, "H": H,
         "lightlike": lightlike, "inadmissible": inadmissible,
     }
-    return {k: np.broadcast_to(v, shape) for k, v in out.items()}
+    return {k: _read_only(v, shape) for k, v in out.items()}

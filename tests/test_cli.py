@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import inspect
 import io
@@ -920,3 +921,47 @@ class TestAtomicWrites:
         child.stderr.close()
         assert child.wait() == 2
         assert err.startswith("pg-surf: config error: cannot write output to stdout") and err.count("\n") == 1, err
+
+
+class TestCommandLine:
+    """`main` builds its parser once per process; no call leaves state
+    for the next, and argparse's own exits read the same on every call."""
+
+    SMALL = ["verify", "--set", "family.name=thm31", "--set", "family.k0=1",
+             "--set", "grid.n1=3", "--set", "grid.n2=3"]
+
+    def test_one_parser_per_process(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._parser.cache_clear()
+        assert main(self.SMALL) == 0
+        first = len(built)
+        assert main(self.SMALL) == 0
+        assert main(self.SMALL) == 0
+        assert built.count("pg-surf") == 1 and len(built) == first == 1 + len(cli._COMMANDS)
+
+    def test_set_default_is_never_mutated(self, capsys):
+        assert main(self.SMALL + ["--set", "motions=3"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(self.SMALL) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert first["suites"]["motion_invariance"]["motions"] == 3
+        assert second["suites"]["motion_invariance"]["motions"] == 10
+
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0), ([], 2), (["verify", "--set"], 2)])
+    def test_argparse_exits_read_the_same_on_every_call(self, capsys, argv, code):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == code
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1]
+        shown, silent = (texts[0].out, texts[0].err) if code == 0 else (texts[0].err, texts[0].out)
+        assert shown.startswith("usage: pg-surf") and silent == ""

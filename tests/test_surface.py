@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pgsurf.errors import InadmissiblePatch, InvalidParams, LightlikeSurface
-from pgsurf.factorable import FactorableSurface, ScalarC2
+from pgsurf.factorable import FactorableSurface, ScalarC2, jet_component_arrays
 from pgsurf.families import thm31_family, thm32_family, thm42_family
 from pgsurf.surface import (
     Motion,
@@ -322,6 +322,26 @@ class TestBroadcastComponents:
         assert out["inadmissible"].shape == (4, 3) and out["inadmissible"].all()
         with pytest.raises(InadmissiblePatch):
             require_unmasked(out, (3, 2))
+
+    @pytest.mark.parametrize("inputs", ["mixed", "analytic", "materialised", "one point"])
+    def test_outputs_are_read_only_and_inputs_untouched(self, inputs):
+        comp = _mixed(self.Z1, self.Z2)
+        if inputs == "analytic":
+            comp = jet_component_arrays(thm42_family(0.5), self.Z1, self.Z2 - 2.0)
+        elif inputs == "materialised":
+            comp = _materialised(comp)
+        elif inputs == "one point":
+            comp = {k: np.array(v[(0,) * v.ndim]) for k, v in comp.items()}
+        shape = np.broadcast_shapes(*(v.shape for v in comp.values()))
+        before = {k: v.copy() for k, v in comp.items()}
+        motions = np.array([[0.1, -0.2, 0.3, 0.4, -0.5, 0.6], [0.0, 0.0, -0.7, 0.0, 0.2, -0.3]])
+        outputs = [(curvature_arrays(comp), shape), (transform_jet(motions, comp), (2, *shape))]
+        for out, out_shape in outputs:
+            for key, value in out.items():
+                assert isinstance(value, np.ndarray) and value.shape == out_shape, key
+                assert not value.flags.writeable, key
+        for key, value in comp.items():
+            assert value.flags.writeable and value.tobytes() == before[key].tobytes(), key
 
     def test_transform_jet_takes_the_broadcast_shape(self):
         comp = _mixed(self.Z1, self.Z2)
