@@ -378,30 +378,32 @@ class FamilySpace:
 
 
 def _exp_poly_rows(c: np.ndarray, rate: np.ndarray, t: np.ndarray):
-    """Value, first and second derivative of exp(rate*t)*P(t) at the nodes
-    `t` (n,) for each coefficient row of `c` (m, d+1) and rate (m,), each
-    of shape (m, n).  Horner order and derivative coefficients follow
-    `npoly.polyval` and `npoly.polyder`, so each row is bit for bit the
+    """Value, first and second derivative of exp(rate*t)*P(t) for the
+    coefficients `c` (d+1, *rows), lowest degree first, and the rates
+    `rate` (rows), at the nodes `t`, which broadcast against the rows; each
+    result has the broadcast shape.  P, P' and P'' share one Horner
+    recurrence.  Horner order and derivative coefficients follow
+    `npoly.polyval` and `npoly.polyder`, and a leading zero coefficient
+    leaves every Horner step bit-identical at finite nodes, so rows of
+    lower degree may be zero-padded: each row is bit for bit the
     single-candidate evaluation."""
-
-    def horner(coeffs):
-        v = coeffs[:, -1:] + t * 0
-        for i in range(2, coeffs.shape[1] + 1):
-            v = coeffs[:, -i, None] + v * t
-        return v
-
-    zero = np.zeros((len(c), 1))
-    d1c = np.arange(1, c.shape[1]) * c[:, 1:] if c.shape[1] > 1 else zero
-    d2c = np.arange(1, d1c.shape[1]) * d1c[:, 1:] if c.shape[1] > 2 else zero
-    r = rate[:, None]
-    e = np.exp(r * t)
-    p, p1, p2 = horner(c), horner(d1c), horner(d2c)
-    return e * p, e * (r * p + p1), e * (r * r * p + 2.0 * r * p1 + p2)
+    d = len(c) - 1
+    degrees = np.arange(1.0, d + 1.0).reshape((-1,) + (1,) * (c.ndim - 1))
+    coeffs = np.zeros((3,) + c.shape)
+    coeffs[0] = c
+    coeffs[1, :d] = degrees * c[1:]
+    coeffs[2, :max(d - 1, 0)] = degrees[:d - 1] * coeffs[1, 1:d]
+    v = coeffs[:, d] + t * 0
+    for k in range(d - 1, -1, -1):
+        v = coeffs[:, k] + v * t
+    p, p1, p2 = v
+    e = np.exp(rate * t)
+    return e * p, e * (rate * p + p1), e * (rate * rate * p + 2.0 * rate * p1 + p2)
 
 
 # grid points evaluated per call of the probe objective; bounds its memory
-# on large grids while a 9x9 sweep of any family space stays one call
-_PROBE_POINTS_PER_CALL = 1 << 12
+# on large grids while one round of a default 9x9 probe stays one call
+_PROBE_POINTS_PER_CALL = 1 << 13
 
 
 def _spans(m: int, most: int) -> list[tuple[int, int]]:
@@ -417,14 +419,20 @@ def _probe_objective(space: FamilySpace, k0: float, grid: GridSpec):
     non-finite point on the grid.
 
     f depends only on y and g only on z, so each profile is evaluated on
-    its own axis, once per chunk of candidate rows, and the two are
-    broadcast over the grid one block of rows at a time.  Chunks and blocks
-    are balanced, and `_PROBE_POINTS_PER_CALL` bounds the elements of each
-    profile array (rows x axis nodes) and of each grid block (rows x grid
+    its own axis, both in one `_exp_poly_rows` call per chunk of candidate
+    rows: the f and g coefficients are zero-padded to the larger degree
+    and the shorter axis to the longer one.  The profiles are broadcast
+    over the grid one block of rows at a time, candidates last, so K is
+    (n1, n2, rows).  Chunks and blocks are balanced, and
+    `_PROBE_POINTS_PER_CALL` bounds the elements of each profile array
+    (rows x 2 x the longer axis) and of each grid block (rows x grid
     points).  Rows are evaluated independently, so a row's value does not
     depend on the rows beside it."""
     y, z = grid.axes()
-    chunk = max(1, _PROBE_POINTS_PER_CALL // (y.size + z.size))
+    nodes = np.zeros((2, max(y.size, z.size), 1))
+    nodes[0, :y.size, 0], nodes[1, :z.size, 0] = y, z
+    nf, ng = space.degree_f + 1, space.degree_g + 1
+    chunk = max(1, _PROBE_POINTS_PER_CALL // nodes.size)
     block = max(1, _PROBE_POINTS_PER_CALL // (y.size * z.size))
 
     def values(thetas: np.ndarray) -> np.ndarray:
@@ -432,13 +440,16 @@ def _probe_objective(space: FamilySpace, k0: float, grid: GridSpec):
         with np.errstate(all="ignore"):
             for lo, hi in _spans(len(thetas), chunk):
                 pc, qc, a, b = space.split(thetas[lo:hi])
-                f = _exp_poly_rows(pc, a, y)
-                g = _exp_poly_rows(qc, b, z)
+                c = np.zeros((max(nf, ng), 2, 1, hi - lo))
+                c[:nf, 0, 0], c[:ng, 1, 0] = pc.T, qc.T
+                jet = _exp_poly_rows(c, np.stack([a, b])[:, None], nodes)
+                f = [v[0, :y.size, None] for v in jet]
+                g = [v[1, None, :z.size] for v in jet]
                 for r0, r1 in _spans(hi - lo, block):
-                    K, _ = closed_K(KIND_SECOND, *(v[r0:r1, :, None] for v in f),
-                                    *(v[r0:r1, None, :] for v in g))
-                    res = np.max(np.abs(K - k0), axis=(1, 2))
-                    res[~np.all(np.isfinite(K), axis=(1, 2))] = np.inf
+                    K, _ = closed_K(KIND_SECOND, *(v[..., r0:r1] for v in f),
+                                    *(v[..., r0:r1] for v in g))
+                    res = np.max(np.abs(K - k0), axis=(0, 1))
+                    res[np.isnan(res)] = np.inf
                     out[lo + r0:lo + r1] = res
         return out
 
@@ -460,32 +471,37 @@ def _pattern_search(values, starts: np.ndarray, budget: int):
     sweep after that coordinate; it shrinks its step after a sweep with no
     move, and stops at `budget` evaluations or below `_MIN_STEP`.
 
-    The restarts' states are arrays.  Each round builds the candidates left
-    in the current sweep of every running restart from its current point,
-    in restart order, and makes one `values` call on them.  Only a
-    restart's first improving candidate is taken and counted, so each
-    restart's path and count are those of trying its candidates one at a
-    time, alone."""
+    The restarts' states are arrays, and each round makes one `values` call
+    on one cycle of every running restart, in restart order: 2n candidates
+    (fewer at the budget) from its current point and step, candidate j
+    moving coordinate (i + j // 2) % n by +step (j even) or -step (j odd),
+    i the sweep's next coordinate.  That is the rest of the sweep, then
+    the next sweep's coordinates before i: a sweep that moved and then
+    finds nothing goes on from the same point and step, so its successor
+    tries the same candidates there.  Only a restart's first improving
+    candidate, at slot k, is taken; it counts k + 1 evaluations and the
+    sweep resumes at (i + k // 2 + 1) % n.  A cycle with no move counts
+    the rest, the next sweep's first i coordinates and its repeat of the
+    rest (the whole of one sweep where i = 0), capped at the budget, then
+    shrinks the step and restarts the sweep at 0.  So each restart's path
+    and count are those of trying its candidates one at a time, alone."""
     theta = np.array(starts, dtype=float)
     R, n = theta.shape
     best = values(theta)
     evals = np.ones(R, dtype=np.int64)
     step = np.full(R, _STEP0)
-    i = np.zeros(R, dtype=np.int64)          # the sweep's next coordinate
-    improved = np.zeros(R, dtype=bool)       # the sweep has moved
+    i = np.zeros(R, dtype=np.int64)          # the sweep's next coordinate; > 0 once it moved
     running = (evals < budget) & (step > _MIN_STEP)
     while running.any():
         live = np.flatnonzero(running)
-        count = np.minimum(2 * (n - i[live]), budget - evals[live])
-        # candidate j of a restart adds +step (j even) or -step (j odd) to
-        # coordinate i + j // 2
+        count = np.minimum(2 * n, budget - evals[live])
         who = np.repeat(np.arange(live.size), count)
         first = np.cumsum(count) - count
         j = np.arange(who.size) - first[who]
         owner = live[who]
         cands = theta[owner]
         s = step[owner]
-        cands[np.arange(who.size), i[owner] + j // 2] += np.where(j % 2 == 0, s, -s)
+        cands[np.arange(who.size), (i[owner] + j // 2) % n] += np.where(j % 2 == 0, s, -s)
         vals = np.full((live.size, 2 * n), np.nan)
         vals[who, j] = values(cands)
         hits = vals < best[live, None] - 1e-15
@@ -494,15 +510,13 @@ def _pattern_search(values, starts: np.ndarray, budget: int):
         theta[moved] = cands[first[hit] + k]
         best[moved] = vals[hit, k]
         evals[moved] += k + 1
-        evals[live[~hit]] += count[~hit]
-        i[moved] += k // 2 + 1
-        improved[moved] = True
-        # a sweep ends at a round with no move, or after a move past the
-        # last coordinate or at the budget
-        done = live[~hit | (i[live] >= n) | (evals[live] >= budget)]
-        step[done[~improved[done]]] *= _SHRINK
-        i[done], improved[done] = 0, False
-        running[done] = (evals[done] < budget) & (step[done] > _MIN_STEP)
+        i[moved] = (i[moved] + k // 2 + 1) % n
+        stuck = live[~hit]
+        rest = np.where(i[stuck] > 0, 2 * (n - i[stuck]), 0)
+        evals[stuck] = np.minimum(evals[stuck] + 2 * n + rest, budget)
+        step[stuck] *= _SHRINK
+        i[stuck] = 0
+        running[live] = (evals[live] < budget) & (step[live] > _MIN_STEP)
     return best, theta, evals
 
 
@@ -530,11 +544,11 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
     within its scope.  The restarts (a generic start, the flat seed when
     the space has rates, then seeded uniform draws) share the budget
     equally and are searched together by `_pattern_search`, which keeps
-    their points, steps and sweep positions as arrays and evaluates the
-    pending candidates of every running restart in one objective call per
-    round; the results are those of running the restarts one after
-    another.  The best residual wins, the earlier restart on a tie.  The
-    outcome depends only on the arguments.
+    their points, steps and sweep positions as arrays and evaluates one
+    cycle of 2 * n_params candidates of every running restart in one
+    objective call per round; the results are those of running the
+    restarts one after another.  The best residual wins, the earlier
+    restart on a tie.  The outcome depends only on the arguments.
 
     `k0` must be finite, `restarts` may not exceed MAX_RESTARTS, and
     1 <= restarts <= budget must hold (InvalidParams), so every restart

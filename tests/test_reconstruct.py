@@ -322,6 +322,8 @@ class TestThm42Reconstruction:
 _RATES = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
 _W0 = st.floats(-5.0, 5.0)
 _START = st.floats(-2.0, 2.0)
+# a corridor shift with |shift| > 1.01, as the 3.2 timelike and 4.2 radicands need
+_FAR = st.floats(1.01, 2.0) | st.floats(-2.0, -1.01)
 
 
 class TestSeedIsTheClosedColumn:
@@ -366,23 +368,22 @@ class TestClosedIsTheFamilyProfile:
     with the rate lam1 and the minus radicand."""
 
     @settings(max_examples=100, deadline=None)
-    @given(rate=_RATES, shift=_START, scale=_RATES, t0=_START,
+    @given(rate=_RATES, shift=_START, far=_FAR, scale=_RATES, t0=_START,
            sign=st.sampled_from([1, -1]), causal=st.sampled_from(["spacelike", "timelike"]))
-    def test_every_theorem(self, rate, shift, scale, t0, sign, causal):
+    def test_every_theorem(self, rate, shift, far, scale, t0, sign, causal):
         r = reconstruct_thm31(rate, g0=scale, lam1=shift, sign=sign, span=(t0, t0 + 0.05), h=0.01)
         want = thm31_family(rate, shift, sign=sign).f(r.ts) / scale
         assert r.closed.tobytes() == want.tobytes()
 
         b = 1.0 if causal == "spacelike" else -1.0
-        assume(b > 0 or abs(shift) > 1.01)
-        r = reconstruct_thm32(rate, f0=scale, lam=shift - 2.0 * rate * t0, causal=causal, y0=t0,
+        w0 = shift if b > 0 else far
+        r = reconstruct_thm32(rate, f0=scale, lam=w0 - 2.0 * rate * t0, causal=causal, y0=t0,
                               length=1e-3, h=1e-3)
         fam = thm32_family(rate, r.meta["lam"], f0=scale,
                            causal="timelike" if b > 0 else "spacelike")
         assert r.closed.tobytes() == (b * fam.g(r.ts)).tobytes()
 
-        assume(abs(shift) > 1.01)
-        r = reconstruct_thm42(rate, lam1=scale, lam2=shift - 2.0 * rate * t0, z0=t0,
+        r = reconstruct_thm42(rate, lam1=scale, lam2=far - 2.0 * rate * t0, z0=t0,
                               length=1e-3, h=1e-3)
         with np.errstate(all="ignore"):
             want = thm42_family(rate, lam2=scale, lam3=r.meta["lam2"], causal="spacelike").g(r.ts)
@@ -488,8 +489,11 @@ class TestCaseContradictions:
 # criterion 7's calls; then a call shaped like the benchmark's (budget 3000,
 # six restarts, a nonzero seed) and one non-default space on a 7x13 grid.
 # Recorded with numpy 2.4 on x86-64 from the one-candidate-at-a-time search;
-# the last, shaped like the benchmark's budget-10000 calls (20 restarts),
-# from the search that ran its restarts one after another.
+# the next, shaped like the benchmark's budget-10000 calls (20 restarts),
+# from the search that ran its restarts one after another; the last, an
+# exponential space of unequal degrees (g's coefficients zero-padded to f's
+# degree in the objective), from the search that evaluated the rest of a
+# sweep per round.
 PROBE_PINS = [
     (dict(k0=1.0, budget=10_000, seed=0),
      '0x1.55a913d88c270p-1', 4045,
@@ -524,6 +528,12 @@ PROBE_PINS = [
      '0x1.8a01180f173edp-1', 10000,
      ['0x1.1ab45ae0d4f84p-1', '0x1.8b7e32611d000p-5', '0x1.f2dcc40279d50p-4', '0x1.1c3e54378f6ccp+1',
       '0x1.5ff1248a087f4p-1', '0x1.07f6a7dfec240p-4', '-0x1.8af97dfc37940p-6', '0x1.c2b44cf45a300p-4']),
+    (dict(k0=0.6, space=FamilySpace(4, 1), budget=2500, restarts=5, seed=31,
+          grid=GridSpec((-0.6, 0.5), (-0.4, 0.7), 11, 6)),
+     '0x1.914f250e2021ep-2', 2498,
+     ['0x1.8000000000000p+0', '-0x1.6e66666666668p-5', '0x1.fee8000000000p-2', '0x0.0p+0',
+      '0x1.8c00000000000p-9', '0x1.7adc000000000p-1', '-0x1.999999999999ap-2', '0x1.ff30000000000p-2',
+      '-0x1.fec8000000000p-2']),
 ]
 
 
@@ -679,6 +689,17 @@ def _sequential_probe(k0, space=FamilySpace(), budget=10_000, grid=None, seed=0,
     return (best, theta, sum(r[2] for r in results)), max(calls for _, calls in runs)
 
 
+class _Drawn:
+    """Stands in for `st.data()` in an explicit example: `draw` returns the
+    given values in order."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def draw(self, strategy):
+        return next(self._values)
+
+
 class TestLockstep:
     @settings(max_examples=60, deadline=None)
     @given(df=st.integers(0, 4), dg=st.integers(0, 4), exponential=st.booleans(),
@@ -686,6 +707,15 @@ class TestLockstep:
            lo1=st.floats(-1.5, 0.5), w1=st.floats(0.2, 2.0),
            lo2=st.floats(-1.5, 0.5), w2=st.floats(0.2, 2.0),
            k0=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32), data=st.data())
+    # the budget ends inside the next sweep's coordinates before i, after a hit there
+    @example(df=1, dg=2, exponential=False, n1=5, n2=3, lo1=-0.95, w1=1.86, lo2=-0.52, w2=0.56,
+             k0=0.93, seed=453, data=_Drawn(94, 3))
+    # a first hit among the next sweep's coordinates before i
+    @example(df=2, dg=2, exponential=True, n1=2, n2=6, lo1=-0.61, w1=0.43, lo2=0.46, w2=1.5,
+             k0=1.1, seed=357, data=_Drawn(377, 4))
+    # one restart
+    @example(df=1, dg=2, exponential=True, n1=3, n2=5, lo1=0.0, w1=1.07, lo2=-0.94, w2=1.97,
+             k0=1.85, seed=262, data=_Drawn(37, 1))
     def test_equals_sequential_restarts(self, df, dg, exponential, n1, n2,
                                         lo1, w1, lo2, w2, k0, seed, data):
         space = FamilySpace(df, dg, exponential=exponential)
@@ -701,8 +731,10 @@ class TestLockstep:
         assert (got.k0, got.budget, got.restarts) == (k0, budget, restarts)
 
     def test_one_objective_call_per_round(self, monkeypatch):
-        # the restarts share each call, so a probe makes as many calls as
-        # its longest restart yields (1488 calls with sequential restarts)
+        # the restarts share each call, and a round takes a whole cycle of
+        # 2n candidates, so a probe makes fewer calls than its longest
+        # restart yields one sweep remainder at a time (145; 1488 calls with
+        # sequential restarts)
         kwargs = dict(k0=0.9, budget=10_000, restarts=20, seed=123)
         _, longest = _sequential_probe(**kwargs)
         calls = 0
@@ -718,7 +750,8 @@ class TestLockstep:
 
         monkeypatch.setattr(reconstruct, "_probe_objective", counting)
         nonexistence_probe(**kwargs)
-        assert calls == longest == 145
+        assert calls == 114
+        assert calls < longest == 145
 
 
 def _reference_objective(space, k0, grid, theta):
@@ -799,20 +832,25 @@ class TestProbeObjective:
     def test_profiles_once_per_chunk_and_balanced_row_blocks(self, monkeypatch):
         jets, blocks = [], []
         exp_poly_rows, closed_K = reconstruct._exp_poly_rows, reconstruct.closed_K
+        # candidates are the last axis of both the profiles and K
         monkeypatch.setattr(reconstruct, "_exp_poly_rows",
-                            lambda c, rate, t: jets.append(len(c)) or exp_poly_rows(c, rate, t))
+                            lambda c, rate, t: jets.append(c.shape[-1]) or exp_poly_rows(c, rate, t))
         monkeypatch.setattr(reconstruct, "closed_K",
-                            lambda kind, *parts: blocks.append(len(parts[0])) or closed_K(kind, *parts))
+                            lambda kind, *parts: blocks.append(parts[0].shape[-1])
+                            or closed_K(kind, *parts))
         space = FamilySpace()
         values = _probe_objective(space, 1.0, GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9))
         thetas = np.random.default_rng(5).uniform(-1.5, 1.5, size=(500, space.n_params))
-        # 4096 // (9 + 9) = 227 candidates per profile chunk, 4096 // 81 = 50 per row block
-        values(thetas[:63])
-        assert jets == [63, 63] and blocks == [32, 31]
+        # 8192 // (2 * 9) = 455 candidates per profile chunk, 8192 // 81 = 101 per row block
+        values(thetas[:96])
+        assert jets == [96] and blocks == [96]
+        jets.clear(), blocks.clear()
+        values(thetas[:150])
+        assert jets == [150] and blocks == [75, 75]
         jets.clear(), blocks.clear()
         got = values(thetas)
-        assert jets == [167, 167, 167, 167, 166, 166]
-        assert blocks == [42, 42, 42, 41, 42, 42, 42, 41, 42, 41, 42, 41]
+        assert jets == [250, 250]
+        assert blocks == [84, 83, 83, 84, 83, 83]
         # a row's value does not depend on the rows evaluated beside it
         assert [v.hex() for v in got.tolist()] == [values(t[None])[0].hex() for t in thetas]
 
