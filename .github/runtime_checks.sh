@@ -1,0 +1,83 @@
+#!/usr/bin/env bash
+# Runtime checks of an installed pg-surf without the test extra: the
+# `pg-surf` command, its exit codes and its outputs.  Every output goes to
+# a fresh temporary directory (under $RUNNER_TEMP when set), never into
+# the checkout, and the directory is removed on exit.
+#
+#   python -m pip install -e . && bash .github/runtime_checks.sh
+set -euo pipefail
+
+work=$(mktemp -d "${RUNNER_TEMP:-${TMPDIR:-/tmp}}/pg-surf-checks.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+# expect_exit CODE COMMAND...: COMMAND must exit with CODE
+expect_exit() {
+  local want=$1 code=0
+  shift
+  "$@" || code=$?
+  if [ "$code" -ne "$want" ]; then
+    echo "expected exit $want, got $code: $*" >&2
+    exit 1
+  fi
+}
+
+# the CLI imports no test dependency
+python -c "import sys, pgsurf.cli; assert 'sympy' not in sys.modules"
+pg-surf curvature --set family.name=thm31 --set family.k0=1 --set grid.n1=3 --set grid.n2=3
+pg-surf --help
+expect_exit 2 pg-surf
+
+# repeated `main` calls in one process write what a fresh process writes
+python -c "from pgsurf.cli import main; a = ['verify', '--set', 'family.name=thm42', '--set', 'family.h0=0.5', '--set', 'grid.n1=9', '--set', 'grid.n2=9']; assert main(a + ['--set', 'motions=3', '--set', 'output.json=main1.json']) == 0; assert main(a + ['--set', 'output.json=main2.json']) == 0"
+pg-surf verify --set family.name=thm42 --set family.h0=0.5 --set grid.n1=9 --set grid.n2=9 --set output.json=fresh.json
+cmp main2.json fresh.json
+
+# the probe rejects a zero budget and is deterministic
+expect_exit 2 pg-surf probe --set budget=0
+pg-surf probe --set k0=1 --set budget=3000 --set output.json=probe1.json
+pg-surf probe --set k0=1 --set budget=3000 --set output.json=probe2.json
+test -s probe1.json; cmp probe1.json probe2.json
+
+# verify on small and large grids, with many motions, and a bad perturbation
+pg-surf verify --set family.name=thm42 --set family.h0=0.5 --set grid.n1=9 --set grid.n2=9
+pg-surf verify --set family.name=thm42 --set family.h0=0.5 --set grid.n1=400 --set grid.n2=400
+pg-surf verify --set family.name=thm42 --set family.h0=0.5 --set grid.n1=11 --set grid.n2=11 --set motions=10000
+expect_exit 2 pg-surf verify --set family.name=thm31 --set family.k0=1 --set perturb.exponent_scale=1.01
+
+# exports on every route, in one block and in several
+pg-surf mesh --set family.name=saddle --set 'grid.u1=[0.5,1.5]' --set grid.n1=21 --set grid.n2=7 --set output.obj=saddle.obj --set output.sidecar=saddle.csv
+test -s saddle.obj; test -s saddle.csv
+pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set formulas=pipeline-fd --set output.csv=fd.csv --set output.json=fd.json
+test -s fd.csv; test -s fd.json
+pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set formulas=pipeline-fd --set grid.n1=400 --set grid.n2=400 --set output.csv=fd400.csv --set output.json=fd400.json
+test -s fd400.csv; test -s fd400.json
+pg-surf mesh --set family.name=thm42 --set family.h0=0.5 --set formulas=specialized --set grid.n1=400 --set grid.n2=400 --set output.obj=sp400.obj --set output.sidecar=sp400.csv
+test -s sp400.obj; test -s sp400.csv
+
+# the pipeline and closed routes print the same K and H text
+pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set grid.n1=400 --set grid.n2=400 --set output.csv=pipe400.csv --set output.json=pipe400.json
+pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set formulas=specialized --set grid.n1=400 --set grid.n2=400 --set output.csv=closed400.csv --set output.json=closed400.json
+cmp <(cut -d, -f1-5,8-10 pipe400.csv) <(cut -d, -f1-5,8-10 closed400.csv)
+
+# an all-excluded grid exits 3 and writes nothing; a straddling one keeps its excluded rows
+expect_exit 3 pg-surf mesh --set family.name=exp_exp --set grid.n1=4 --set grid.n2=4 --set output.obj=empty.obj
+test ! -e empty.obj
+expect_exit 3 pg-surf curvature --set family.name=thm32 --set family.h0=1 --set family.causal=spacelike --set 'grid.u2=[-0.4,0.4]' --set output.csv=band.csv
+test ! -e band.csv
+pg-surf curvature --set family.name=thm32 --set family.h0=1 --set family.causal=spacelike --set 'grid.u2=[0,1]' --set output.csv=straddle.csv
+grep -q ',1$' straddle.csv
+
+# reconstruct each theorem; bad starts exit 4 (domain) and 2 (parameters)
+pg-surf reconstruct --set theorem=3.1 --set h=1e-4 --set output.json=rec31.json
+pg-surf reconstruct --set theorem=3.1 --set lam1=0.7 --set output.json=rec31lam.json
+python -c "from pgsurf.reconstruct import reconstruct_thm31 as r31; r = r31(1.0, lam1=0.7, h=0.1); assert r.numeric[0] == r.closed[0], (r.numeric[0].hex(), r.closed[0].hex())"
+pg-surf reconstruct --set theorem=3.2 --set causal=spacelike --set h=1e-4 --set output.json=rec32s.json
+pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set lam=1.5 --set h=1e-4 --set output.json=rec32t.json
+pg-surf reconstruct --set theorem=4.2 --set h=1e-4 --set output.json=rec42.json
+pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set u0=-1.2 --set h=1e-4 --set output.json=rec32u.json
+expect_exit 4 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set u0=0.5
+expect_exit 2 pg-surf reconstruct --set theorem=3.2 --set u0=0.5 --set lam=0.7
+test -s rec31.json; test -s rec31lam.json; test -s rec32s.json; test -s rec32t.json; test -s rec32u.json; test -s rec42.json
+
+echo "runtime checks passed"

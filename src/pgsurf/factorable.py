@@ -153,17 +153,22 @@ def _denominator(kind: str, fv, f1, gv, g1):
     return den, np.abs(den) <= _DENOM_TOL * scale, qa, qb
 
 
-def _quotient(num, num_scale, den, den_zero, power):
+def _quotient(num, terms, den, den_zero, power):
     """num / power(D) and its undefined mask.
 
     Where D vanishes the value is undefined (NaN), except where the
-    numerator vanishes too, relative to `num_scale` (the sum of the
-    magnitudes of its terms): there it takes the flat limit 0.  With
-    `num_scale` None (the first kind) there is no flat limit.
+    numerator vanishes too, relative to the sum of the magnitudes of its
+    `terms`: there it takes the flat limit 0.  With `terms` None (the
+    first kind) there is no flat limit.  A block where D vanishes nowhere
+    returns num / power(D) directly: each substitution is the identity
+    there, so the bits are those of the masked path.
     """
+    if not den_zero.any():
+        return num / power(den), den_zero
     value = num / power(np.where(den_zero, 1.0, den))
-    if num_scale is None:
+    if terms is None:
         return np.where(den_zero, np.nan, value), den_zero
+    num_scale = sum(np.abs(t) for t in terms)
     flat = den_zero & (np.abs(num) <= _FLAT_TOL * np.maximum(1.0, num_scale))
     undefined = den_zero & ~flat
     return np.where(undefined, np.nan, np.where(flat, 0.0, value)), undefined
@@ -173,9 +178,9 @@ def _closed_K(kind: str, parts, den):
     """`closed_K` over the profile values `parts` and their `_denominator`."""
     fv, f1, f2, gv, g1, g2 = parts
     lead, cross = fv * gv * f2 * g2, (f1 * g1) ** 2
-    num_scale = np.abs(lead) + cross if kind == KIND_SECOND else None
     den, den_zero, _, _ = den
-    return _quotient(lead - cross, num_scale, den, den_zero, lambda d: d ** 2)
+    terms = (lead, cross) if kind == KIND_SECOND else None
+    return _quotient(lead - cross, terms, den, den_zero, np.square)
 
 
 def _closed_H(kind: str, parts, den):
@@ -183,17 +188,18 @@ def _closed_H(kind: str, parts, den):
     fv, f1, f2, gv, g1, g2 = parts
     den, den_zero, qa, qb = den
     if kind == KIND_FIRST:
-        num, num_scale = fv * g2, None
+        num, terms = fv * g2, None
     else:
-        t1, t2, t3 = qa * f2 * gv, 2.0 * fv * gv * (f1 * g1) ** 2, qb * fv * g2
-        num, num_scale = t1 - t2 + t3, np.abs(t1) + np.abs(t2) + np.abs(t3)
-    return _quotient(num, num_scale, den, den_zero, lambda d: 2.0 * np.abs(d) ** 1.5)
+        terms = t1, t2, t3 = qa * f2 * gv, 2.0 * fv * gv * (f1 * g1) ** 2, qb * fv * g2
+        num = t1 - t2 + t3
+    return _quotient(num, terms, den, den_zero, lambda d: 2.0 * np.abs(d) ** 1.5)
 
 
 @np.errstate(all="ignore")
 def closed_K(kind: str, fv, f1, f2, gv, g1, g2):
     """Closed-formula Gaussian curvature over arrays of the profile values
-    f, f', f'', g, g', g'': (K, undefined), K NaN where undefined.
+    f, f', f'', g, g', g'': (K, undefined), K NaN where undefined.  Only
+    a block where D vanishes somewhere pays for the masking (`_quotient`).
     Overflow ends as a non-finite K, silently."""
     return _closed_K(kind, (fv, f1, f2, gv, g1, g2), _denominator(kind, fv, f1, gv, g1))
 
@@ -202,7 +208,8 @@ def closed_K(kind: str, fv, f1, f2, gv, g1, g2):
 def closed_H(kind: str, fv, f1, f2, gv, g1, g2):
     """Closed-formula mean curvature over arrays of the profile values:
     (H, undefined), H NaN where undefined; |D|^(3/2) covers timelike
-    patches.  Overflow ends as a non-finite H, silently."""
+    patches.  Only a block where D vanishes somewhere pays for the
+    masking, as in `closed_K`.  Overflow ends as a non-finite H, silently."""
     return _closed_H(kind, (fv, f1, f2, gv, g1, g2), _denominator(kind, fv, f1, gv, g1))
 
 
@@ -333,7 +340,7 @@ def pipeline_grid(s: FactorableSurface, grid: GridSpec, mode: str = "analytic",
     K, H = out["K"], out["H"]
     return {**params, "K": K, "H": H, "eps": out["eps"], "W": out["W"],
             "masked": out["lightlike"] | out["inadmissible"],
-            "excluded": ~np.isfinite(K) | ~np.isfinite(H)}
+            "excluded": ~(np.isfinite(K) & np.isfinite(H))}
 
 
 @np.errstate(all="ignore")
@@ -352,7 +359,7 @@ def specialized_grid(s: FactorableSurface, grid: GridSpec, rows: slice = slice(N
     H, _ = _closed_H(s.kind, parts, den)
     D = den[0]
     return {**params, "K": K, "H": H, "eps": np.where(D > 0.0, 1.0, -1.0), "W": np.sqrt(np.abs(D)),
-            "excluded": ~np.isfinite(K) | ~np.isfinite(H)}
+            "excluded": ~(np.isfinite(K) & np.isfinite(H))}
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,11 @@ def curvature_arrays(comp: dict) -> dict:
     read-only array of the broadcast shape of the components: a broadcast
     view where the output's own shape differs, else a read-only view (g1
     and g2 view the caller's x1 and x2, whose flags are left alone).  K
-    and H are NaN at masked points.  Floating-point warnings are
+    and H are NaN at masked points.  The safe divisors and the NaNs are
+    substituted only in a block that needs them, so a block with no
+    masked point pays for its arithmetic alone; each substitution is the
+    identity at an unmasked point, so the bits do not depend on the
+    block.  Floating-point warnings are
     silenced: overflow and invalid values end as non-finite K or H,
     which callers mask.
     """
@@ -205,20 +209,23 @@ def curvature_arrays(comp: dict) -> dict:
     q = Y * Y - Z * Z
     W = np.sqrt(np.abs(q))
     lightlike = W < W_TOL
-    inadmissible = np.maximum(np.abs(x1), np.abs(x2)) <= ADMISSIBLE_TOL
+    a1, a2 = np.abs(x1), np.abs(x2)
+    inadmissible = np.maximum(a1, a2) <= ADMISSIBLE_TOL
     bad = lightlike | inadmissible
+    masked = bad.any()
 
     eps = np.where(q > 0.0, 1.0, -1.0)
-    Wsafe = np.where(bad, 1.0, W)
+    Wsafe = np.where(bad, 1.0, W) if masked else W
     ny = Z / Wsafe
     nz = Y / Wsafe
 
     # the second form from the branch with the larger |x-partial|
-    use1 = np.abs(x1) >= np.abs(x2)
+    use1 = a1 >= a2
     gs = np.where(use1, x1, x2)
     ys = np.where(use1, y1, y2)
     zs = np.where(use1, z1, z2)
-    gsafe = np.where(np.abs(gs) <= ADMISSIBLE_TOL, 1.0, gs)
+    small = np.abs(gs) <= ADMISSIBLE_TOL
+    gsafe = np.where(small, 1.0, gs) if small.any() else gs
 
     def coeff(xij, yij, zij):
         t = xij / gsafe
@@ -231,8 +238,9 @@ def curvature_arrays(comp: dict) -> dict:
     W2 = Wsafe * Wsafe
     K = -eps * (L11 * L22 - L12 * L12) / W2
     H = -eps * (x2 * x2 * L11 - 2.0 * x1 * x2 * L12 + x1 * x1 * L22) / (2.0 * W2)
-    K = np.where(bad, np.nan, K)
-    H = np.where(bad, np.nan, H)
+    if masked:
+        K = np.where(bad, np.nan, K)
+        H = np.where(bad, np.nan, H)
 
     out = {
         "g1": x1, "g2": x2, "W": W, "eps": eps, "ny": ny, "nz": nz,

@@ -166,6 +166,59 @@ class TestHSecond:
         assert closed_value(closed_H, s, 0.3, -0.8) == 0.0
 
 
+_MAG = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+_FREE = st.floats(-2.0, 2.0)
+# |D| / (its larger term) stays above 0.35: the ratio of the two terms of
+# the second kind's D, and f*g' of the first kind's D = 1 - (f*g')^2
+_RATIO = st.floats(0.1, 0.8) | st.floats(1.25, 3.0)
+_OFF_ONE = st.floats(-0.8, 0.8) | st.floats(1.25, 3.0) | st.floats(-3.0, -1.25)
+# the forced point's profile values f, f', f'', g, g', g'': D = 0 with a
+# numerator of order 1 (undefined), and D = 0 with both numerators
+# nonzero but inside the flat deadband (flat)
+_FORCED = {("first", "undefined"): (1.0, 0.5, 2.0, 1.5, 1.0, 2.0),
+           ("second", "undefined"): (1.0, 1.0, 2.0, 1.0, 1.0, 2.0),
+           ("second", "flat"): (1.0, 1e-13, 0.0, 1.0, 1e-13, 2.0)}
+
+
+def _clean_point(kind, fv, gv, slope, f2, g2, ratio):
+    """Profile values (f, f', f'', g, g', g'') at which the closed
+    denominator D is far from 0: f*g' is `ratio` (first kind), or f'*g is
+    `ratio` times f*g' (second kind), up to rounding."""
+    if kind == "first":
+        return fv, slope, f2, gv, ratio / fv, g2
+    return fv, slope * fv / gv * ratio, f2, gv, slope, g2
+
+
+class TestMaskingKeepsTheOtherBits:
+    """A block where D vanishes nowhere takes `_quotient`'s direct path;
+    forcing one point to D = 0 sends the block down the masked path, and
+    every other point keeps its bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.sampled_from(sorted(_FORCED)), pick=st.integers(0, 11), data=st.data())
+    def test_one_masked_point(self, case, pick, data):
+        kind, forced = case
+        ratio = _OFF_ONE if kind == "first" else _RATIO
+        points = data.draw(st.lists(st.tuples(_MAG, _MAG, _MAG, _FREE, _FREE, ratio),
+                                    min_size=1, max_size=12))
+        parts = [np.array(v) for v in zip(*(_clean_point(kind, *p) for p in points))]
+        i = pick % len(points)
+        masked = [v.copy() for v in parts]
+        for v, value in zip(masked, _FORCED[case]):
+            v[i] = value
+        keep = np.arange(len(points)) != i
+        for kernel in (closed_K, closed_H):
+            clean, clean_undefined = kernel(kind, *parts)
+            assert not clean_undefined.any()
+            value, undefined = kernel(kind, *masked)
+            assert value[keep].view(np.int64).tolist() == clean[keep].view(np.int64).tolist()
+            assert not undefined[keep].any()
+            if forced == "undefined":
+                assert undefined[i] and np.isnan(value[i])
+            else:
+                assert not undefined[i] and float(value[i]).hex() == "0x0.0p+0"
+
+
 def _sweeps(s, grid):
     return pipeline_grid(s, grid), specialized_grid(s, grid)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgsurf.errors import InadmissiblePatch, InvalidParams, LightlikeSurface
 from pgsurf.factorable import FactorableSurface, ScalarC2, jet_component_arrays
@@ -350,3 +352,49 @@ class TestBroadcastComponents:
         for key, value in ref.items():
             assert moved[key].shape == (2, 4, 3), key
             assert moved[key].tobytes() == value.tobytes(), key
+
+
+_COMPONENT_KEYS = tuple(f"{a}{slot}" for slot in SLOTS for a in "xyz")
+_MAG = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+_FREE = st.floats(-2.0, 2.0)
+# |Z / Y|, so that q = Y^2 - Z^2 stays above 0.35 of its larger term
+_RATIO = st.floats(0.0, 0.8) | st.floats(1.25, 3.0)
+# the forced point's first partials (x1, y1, z1, x2, y2, z2): Y = Z = 1
+# (W = 0, lightlike), and both x-partials 0 (inadmissible and lightlike)
+_FORCED = {"lightlike": (1.0, 0.0, 0.0, 0.0, 1.0, 1.0),
+           "inadmissible": (0.0, 0.5, -1.0, 0.0, 1.5, 2.0)}
+
+
+def _clean_point(x1, x2, y1, z1, Y, ratio, *second):
+    """Jet components x1..z22 of one point where Y = x1*y2 - x2*y1 and
+    Z = x1*z2 - x2*z1 are `Y` and `ratio*Y` up to rounding, so W is far
+    from 0; `second` holds the nine second partials."""
+    first = (x1, y1, z1, x2, (Y + x2 * y1) / x1, (ratio * Y + x2 * z1) / x1)
+    return dict(zip(_COMPONENT_KEYS, first + second))
+
+
+class TestMaskingKeepsTheOtherBits:
+    """A block with no masked point skips `curvature_arrays`' masking
+    work; forcing one point lightlike or inadmissible sends the block down
+    the masked path, and every other point keeps its bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(forced=st.sampled_from(sorted(_FORCED)), pick=st.integers(0, 11),
+           points=st.lists(st.tuples(_MAG, _MAG, _FREE, _FREE, _MAG, _RATIO, *[_FREE] * 9),
+                           min_size=1, max_size=12))
+    def test_one_masked_point(self, forced, pick, points):
+        rows = [_clean_point(*p) for p in points]
+        comp = {k: np.array([r[k] for r in rows]) for k in _COMPONENT_KEYS}
+        i = pick % len(points)
+        masked = {k: v.copy() for k, v in comp.items()}
+        for k, value in zip(_COMPONENT_KEYS, _FORCED[forced]):
+            masked[k][i] = value
+        clean, out = curvature_arrays(comp), curvature_arrays(masked)
+        assert not (clean["lightlike"].any() or clean["inadmissible"].any())
+        keep = np.arange(len(points)) != i
+        for key, value in clean.items():
+            assert out[key][keep].tobytes() == value[keep].tobytes(), key
+        assert np.isnan(out["K"][i]) and np.isnan(out["H"][i])
+        assert out["lightlike"][i] and out["inadmissible"][i] == (forced == "inadmissible")
+        # W and the x-partial divide only where they are safe
+        assert all(np.isfinite(out[key][i]) for key in ("ny", "nz", "L11", "L12", "L22"))
