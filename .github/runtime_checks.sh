@@ -27,6 +27,8 @@ python -c "import sys, pgsurf.cli; assert 'sympy' not in sys.modules"
 pg-surf curvature --set family.name=thm31 --set family.k0=1 --set grid.n1=3 --set grid.n2=3
 pg-surf --help
 expect_exit 2 pg-surf
+# the family keys are read off the constructors' signatures: a fixture takes none
+expect_exit 2 pg-surf curvature --set family.name=linear --set family.k0=1
 
 # repeated `main` calls in one process write what a fresh process writes
 python -c "from pgsurf.cli import main; a = ['verify', '--set', 'family.name=thm42', '--set', 'family.h0=0.5', '--set', 'grid.n1=9', '--set', 'grid.n2=9']; assert main(a + ['--set', 'motions=3', '--set', 'output.json=main1.json']) == 0; assert main(a + ['--set', 'output.json=main2.json']) == 0"
@@ -78,6 +80,7 @@ pg-surf reconstruct --set theorem=4.2 --set h=1e-4 --set output.json=rec42.json
 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set u0=-1.2 --set h=1e-4 --set output.json=rec32u.json
 expect_exit 4 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set u0=0.5
 expect_exit 2 pg-surf reconstruct --set theorem=3.2 --set u0=0.5 --set lam=0.7
+expect_exit 2 pg-surf reconstruct --set theorem=3.2 --set causal=null
 test -s rec31.json; test -s rec31lam.json; test -s rec32s.json; test -s rec32t.json; test -s rec32u.json; test -s rec42.json
 
 echo "runtime checks passed"

@@ -36,12 +36,13 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import math
 import os
 import sys
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, get_args, get_origin
 
 import numpy as np
 
@@ -248,42 +249,41 @@ def _exactly(cls: type, what: str) -> Callable:
 
 
 _flag, _path = _exactly(bool, "true or false"), _exactly(str, "a path string")
-_CAUSAL = ("timelike", "spacelike")
-# one table per `family.name`; the defaults are the constructors'
-FAMILIES = {
-    "thm31": {"k0": Row(_real, ...), "lam1": Row(_real, 0.0), "lam2": Row(_real, 0.0),
-              "sign": Row(_integer, 1)},
-    "thm32": {"h0": Row(_real, ...), "lam1": Row(_real, 0.0), "lam2": Row(_real, 0.0),
-              "f0": Row(_real, 1.0), "causal": Row(_choice, "timelike", _CAUSAL)},
-    "thm42": {"h0": Row(_real, ...), "lam1": Row(_real, 1.0), "lam2": Row(_real, 1.0),
-              "lam3": Row(_real, 0.0), "causal": Row(_choice, "timelike", _CAUSAL)},
-    "linear": {}, "saddle": {}, "exp_exp": {},
-}
-# one table per `reconstruct` theorem; the defaults are the integrators',
-# but for k0 and h0
-THEOREMS = {
-    "3.1": {"k0": Row(_real, 1.0), "g0": Row(_real, 1.0), "lam1": Row(_real, 0.0),
-            "sign": Row(_integer, 1), "span": Row(_pair, (0.0, 2.0)), "h": Row(_real, 1e-3)},
-    "3.2": {"h0": Row(_real, 0.5), "f0": Row(_real, 1.0), "lam": Row(_real),
-            "causal": Row(_choice, "spacelike", _CAUSAL), "y0": Row(_real, 0.0),
-            "length": Row(_real, 1.0), "h": Row(_real, 1e-3), "u0": Row(_real)},
-    "4.2": {"h0": Row(_real, 0.5), "lam1": Row(_real, 1.0), "lam2": Row(_real, 0.0),
-            "z0": Row(_real, 1.2), "length": Row(_real, 0.8), "h": Row(_real, 1e-3)},
-}
+_KINDS = {float: _real, Optional[float]: _real, int: _integer, tuple[float, float]: _pair}
+
+
+def _rows(function: Callable, defaults: Optional[dict] = None) -> dict:
+    """The rows of `function`'s parameters, in signature order: the kind of
+    the annotation in `_KINDS` (a `Literal`: a choice of its values), the
+    default of the signature, else of `defaults`, else none (required)."""
+    rows = {}
+    for key, param in inspect.signature(function, eval_str=True).parameters.items():
+        default = (defaults or {}).get(key, ...) if param.default is param.empty else param.default
+        if get_origin(param.annotation) is Literal:
+            rows[key] = Row(_choice, default, get_args(param.annotation))
+        else:
+            rows[key] = Row(_KINDS[param.annotation], default)
+    return rows
+
+
+# one table per `family.name` and per `reconstruct` theorem (k0, h0: CLI defaults)
+FAMILIES = {name: _rows(row.build) for name, row in fam.FAMILIES.items()}
+_RECONSTRUCT = {"3.1": rec.reconstruct_thm31, "3.2": rec.reconstruct_thm32,
+                "4.2": rec.reconstruct_thm42}
+THEOREMS = {key: _rows(function, {"k0": 1.0, "h0": 0.5}) for key, function in _RECONSTRUCT.items()}
 # a grid key left out comes from the command's default grid
 GRID = {"u1": Row(_pair), "u2": Row(_pair), "n1": Row(_integer), "n2": Row(_integer)}
 OUTPUT = {key: Row(_path, "") for key in ("csv", "json", "obj", "sidecar")}
 TOLERANCES = {"constancy": Row(_real, 1e-7, True), "cross_check": Row(_real, 1e-8, True),
               "motion": Row(_real, 1e-8, True), "ode": Row(_real, 1e-6, True)}
 ROUTES = ("pipeline", "pipeline-fd", "specialized")
-# the families `verify` checks, by the field that is constant on them
-_EXPECTED_FIELD = {"thm31": "K", "thm32": "absH", "thm42": "absH"}
 _SWEEP = {"family": {"name": Row(_choice, ..., FAMILIES)}, "grid": GRID, "output": OUTPUT,
           "formulas": Row(_choice, "pipeline", ROUTES), "fd_step": Row(_real, 1e-4, True)}
 SCHEMA = {
     "curvature": _SWEEP,
     "mesh": _SWEEP,
-    "verify": {"family": {"name": Row(_choice, ..., {k: FAMILIES[k] for k in _EXPECTED_FIELD})},
+    "verify": {"family": {"name": Row(_choice, ..., {name: FAMILIES[name] for name, row
+                                                      in fam.FAMILIES.items() if row.field})},
                "grid": GRID, "perturb": {"exponent_scale": Row(_real)}, "tolerances": TOLERANCES,
                "motions": Row(_integer, 10, (1, MAX_MOTIONS)),
                "seed": Row(_integer, 0, (0, None)), "output": OUTPUT},
@@ -499,7 +499,7 @@ def run_verify(cfg: dict) -> int:
     # one pass over the grid in row blocks: a block's closed sweep serves
     # the constancy suite and, until a point is excluded, the cross-check
     # with the block's pipeline sweep
-    field = _EXPECTED_FIELD[family["name"]]
+    field = fam.FAMILIES[family["name"]].field
     values, gap, rejected = [], 0.0, None
     for rows in row_spans(grid):
         with np.errstate(all="ignore"):
@@ -569,10 +569,6 @@ def run_verify(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # reconstruct
 # ---------------------------------------------------------------------------
-
-_RECONSTRUCT = {"3.1": rec.reconstruct_thm31, "3.2": rec.reconstruct_thm32,
-                "4.2": rec.reconstruct_thm42}
-
 
 def run_reconstruct(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["reconstruct"])

@@ -22,13 +22,17 @@ derivatives, domains already restricted to the valid branch:
 The sqrt and exp families share `radicand` (and its h0 check) and build
 on `sqrt_profile` and `log_profile` (phi = log g); `reconstruct`
 integrates against these profiles, so each family is stated only here.
+
+`FAMILIES` has a row per family and fixture: its constructor, the field `verify`
+checks and its sampler; `family_surface`, `sample_params` and the CLI read it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Literal, Optional
 
 import numpy as np
 
@@ -44,13 +48,15 @@ __all__ = [
     "family_surface",
     "sample_params",
     "perturb_exponent",
-    "FAMILY_NAMES",
+    "FAMILIES",
+    "Causal",
 ]
 
 _INF = float("inf")
+Causal = Literal["timelike", "spacelike"]
 
 
-def _branch_sign(causal: str) -> int:
+def _branch_sign(causal: Causal) -> int:
     if causal == "timelike":
         return 1
     if causal == "spacelike":
@@ -131,7 +137,7 @@ def log_profile(h0: float, rate: float, shift: float, b: int) -> ScalarC2:
 
 
 def thm32_family(h0: float, lam1: float = 0.0, lam2: float = 0.0,
-                 f0: float = 1.0, causal: str = "timelike") -> FactorableSurface:
+                 f0: float = 1.0, causal: Causal = "timelike") -> FactorableSurface:
     """Sqrt family with constant |H| == |h0| (first kind).
 
     z = f0*g(y) with f0 constant; the split is internal, the graph is
@@ -151,7 +157,7 @@ def thm32_family(h0: float, lam1: float = 0.0, lam2: float = 0.0,
 
 
 def thm42_family(h0: float, lam1: float = 1.0, lam2: float = 1.0,
-                 lam3: float = 0.0, causal: str = "timelike") -> FactorableSurface:
+                 lam3: float = 0.0, causal: Causal = "timelike") -> FactorableSurface:
     """Exponential family with constant |H| == |h0| (second kind).
 
     f(y) = lam1*exp(lam2 y) and g(z) = exp((lam2/(2 h0)) sqrt(w^2 + b)),
@@ -202,26 +208,6 @@ def fixtures_flat_minimal() -> list[Fixture]:
     ]
 
 
-FAMILY_NAMES = ("thm31", "thm32", "thm42", "linear", "saddle", "exp_exp")
-
-
-def family_surface(name: str, params: dict | None = None) -> FactorableSurface:
-    """Build a family or fixture surface by name."""
-    params = dict(params or {})
-    if name == "thm31":
-        return thm31_family(**params)
-    if name == "thm32":
-        return thm32_family(**params)
-    if name == "thm42":
-        return thm42_family(**params)
-    fixtures = {fx.label: fx.surface for fx in fixtures_flat_minimal()}
-    if name in fixtures:
-        if params:
-            raise InvalidParams(f"fixture {name!r} takes no parameters")
-        return fixtures[name]
-    raise InvalidParams(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
-
-
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
@@ -238,33 +224,53 @@ def _bounded_away(rng: np.random.Generator, bound: float = 2.0, floor: float = 0
             return v
 
 
-def sample_params(family: str, rng: np.random.Generator, causal: str = "timelike") -> dict:
+def _fixture(label: str) -> Callable[[], FactorableSurface]:
+    """The constructor of the fixture `label`, which takes no parameters."""
+    return lambda: next(fx.surface for fx in fixtures_flat_minimal() if fx.label == label)
+
+
+# a row of `FAMILIES`; a fixture has no field (`K` or `absH`) and no sampler
+Family = namedtuple("Family", "build field sample", defaults=(None, None))
+FAMILIES = {
+    "thm31": Family(thm31_family, "K", lambda rng, causal: {
+        "k0": _signed_magnitude(rng),
+        "lam1": float(rng.uniform(-2, 2)),
+        "lam2": float(rng.uniform(-2, 2)),
+        "sign": 1 if rng.random() < 0.5 else -1,
+    }),
+    "thm32": Family(thm32_family, "absH", lambda rng, causal: {
+        "h0": _signed_magnitude(rng),
+        "lam1": float(rng.uniform(-2, 2)),
+        "lam2": float(rng.uniform(-2, 2)),
+        "f0": _signed_magnitude(rng, 0.5, 2.0),
+        "causal": causal,
+    }),
+    "thm42": Family(thm42_family, "absH", lambda rng, causal: {
+        "h0": _signed_magnitude(rng),
+        "lam1": _bounded_away(rng),
+        "lam2": _bounded_away(rng),
+        "lam3": float(rng.uniform(-2, 2)),
+        "causal": causal,
+    }),
+    **{fx.label: Family(_fixture(fx.label)) for fx in fixtures_flat_minimal()},
+}
+
+
+def family_surface(name: str, params: dict | None = None) -> FactorableSurface:
+    """Build a family or fixture surface by name."""
+    if name not in FAMILIES:
+        raise InvalidParams(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
+    if params and FAMILIES[name].field is None:
+        raise InvalidParams(f"fixture {name!r} takes no parameters")
+    return FAMILIES[name].build(**(params or {}))
+
+
+def sample_params(family: str, rng: np.random.Generator, causal: Causal = "timelike") -> dict:
     """Random constructor kwargs: log-uniform magnitudes in [0.1, 10] for
     k0/h0, shifts in [-2, 2]; rate-like parameters stay away from zero."""
-    if family == "thm31":
-        return {
-            "k0": _signed_magnitude(rng),
-            "lam1": float(rng.uniform(-2, 2)),
-            "lam2": float(rng.uniform(-2, 2)),
-            "sign": 1 if rng.random() < 0.5 else -1,
-        }
-    if family == "thm32":
-        return {
-            "h0": _signed_magnitude(rng),
-            "lam1": float(rng.uniform(-2, 2)),
-            "lam2": float(rng.uniform(-2, 2)),
-            "f0": (1.0 if rng.random() < 0.5 else -1.0) * _log_uniform(rng, 0.5, 2.0),
-            "causal": causal,
-        }
-    if family == "thm42":
-        return {
-            "h0": _signed_magnitude(rng),
-            "lam1": _bounded_away(rng),
-            "lam2": _bounded_away(rng),
-            "lam3": float(rng.uniform(-2, 2)),
-            "causal": causal,
-        }
-    raise InvalidParams(f"no parameter sampler for {family!r}")
+    if family not in FAMILIES or FAMILIES[family].sample is None:
+        raise InvalidParams(f"no parameter sampler for {family!r}")
+    return FAMILIES[family].sample(rng, causal)
 
 
 def perturb_exponent(s: FactorableSurface, scale: float) -> FactorableSurface:

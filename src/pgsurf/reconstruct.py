@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BlowUp, BranchViolation, DomainError, InvalidParams
 from .factorable import KIND_SECOND, GridSpec, closed_K
-from .families import log_profile, sqrt_profile, thm31_family, thm32_family
+from .families import Causal, _branch_sign, log_profile, sqrt_profile, thm31_family, thm32_family
 
 __all__ = [
     "ODEProblem",
@@ -236,7 +236,7 @@ _BOUNDARY_TOL = 1e-12
 
 
 def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
-                      causal: str = "spacelike", y0: float = 0.0, length: float = 1.0,
+                      causal: Causal = "spacelike", y0: float = 0.0, length: float = 1.0,
                       h: float = 1e-3, u0: Optional[float] = None) -> Reconstruction:
     """Integrate the prescribed-mean-curvature profile ODE as a first-order
     system in (g, u), u = f0*g', and compare g with the closed form
@@ -250,11 +250,9 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
     pass the initial slope `u0` directly, not both (InvalidParams); a slope
     on the wrong side of u^2 = 1, or on it, raises BranchViolation.
     """
-    if causal not in ("spacelike", "timelike"):
-        raise InvalidParams(f"causal must be 'spacelike' or 'timelike', got {causal!r}")
+    b = -_branch_sign(causal)
     if u0 is not None and lam is not None:
         raise InvalidParams("pass lam or u0, not both")
-    b = 1.0 if causal == "spacelike" else -1.0
 
     if u0 is not None:
         if abs(u0 * u0 - 1.0) <= _BOUNDARY_TOL:

@@ -15,9 +15,12 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(pgsurf.__path__))
 # the scalar jet layer and the test-only geometry (once in a `core`
 # module, whose `Motion` now lives in `surface`), deleted in favour of the
 # array kernels, and the numerical stand-ins for the exact claims, deleted
-# in favour of the sympy proofs of tests/test_exact_claims.py; none may
-# come back as an export
+# in favour of the sympy proofs of tests/test_exact_claims.py, and the
+# hand-written family lists, now the one table `families.FAMILIES`; none
+# may come back as an export
 DELETED = {
+    "families": ["FAMILY_NAMES"],
+    "cli": ["_EXPECTED_FIELD", "_CAUSAL"],
     "reconstruct": ["log_derivative_profile_residual", "thm31_ode_residual", "thm32_ode_residual",
                     "thm42_ode_residual", "residual_field", "ResidualReport", "CaseCoefficients",
                     "quartic_slope_coefficients", "check_quartic_slope_identity",

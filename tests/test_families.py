@@ -1,4 +1,6 @@
+import inspect
 import warnings
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from pgsurf.errors import InvalidParams, LightlikeSurface
 from pgsurf.factorable import (GridSpec, closed_H, closed_K, default_grid, pipeline_grid,
                                specialized_grid)
 from pgsurf.families import (
+    FAMILIES,
+    Causal,
     family_surface,
     fixtures_flat_minimal,
     perturb_exponent,
@@ -181,25 +185,30 @@ class TestFixtures:
                 assert k_closed(fx.surface, 0.1, 0.2) == pytest.approx(fx.expected_K, abs=1e-12)
 
 
+# each sampled family with each causal variant its constructor takes
+SAMPLED = [(name, causal) for name, row in FAMILIES.items() if row.sample
+           for causal in (get_args(Causal) if "causal" in inspect.signature(row.build).parameters
+                          else ("timelike",))]
+
+
 class TestParameterSweep:
-    @pytest.mark.parametrize("family,causal", [
-        ("thm31", "timelike"),
-        ("thm32", "spacelike"), ("thm32", "timelike"),
-        ("thm42", "spacelike"), ("thm42", "timelike"),
-    ])
+    def test_every_family_is_sampled(self):
+        assert [name for name, _ in SAMPLED] == ["thm31", "thm32", "thm32", "thm42", "thm42"]
+
+    @pytest.mark.parametrize("family,causal", SAMPLED)
     def test_constancy_under_random_draws(self, family, causal):
         rng = np.random.default_rng(42)
+        field = FAMILIES[family].field
         for _ in range(20):
             params = sample_params(family, rng, causal=causal)
             surface = family_surface(family, params)
             data = specialized_grid(surface, default_grid(surface, 12, 12))
             assert not np.any(data["excluded"])
-            if family == "thm31":
-                values = data["K"]
-                expected = -abs(params["k0"])
+            # the field the row names, as `verify` reads it
+            if field == "K":
+                values, expected = data["K"], -abs(params["k0"])
             else:
-                values = np.abs(data["H"])
-                expected = abs(params["h0"])
+                values, expected = np.abs(data["H"]), abs(params["h0"])
             assert np.max(np.abs(values - expected)) < 1e-7
 
     @pytest.mark.parametrize("family,shift", [("thm32", "lam1"), ("thm42", "lam3")])
@@ -226,10 +235,20 @@ class TestParameterSweep:
     def test_family_surface_by_name(self):
         s = family_surface("thm31", {"k0": 2.0, "lam1": 0.1})
         assert k_closed(s, 0.0, 0.0) == pytest.approx(-2.0, abs=1e-12)
+        # each fixture name builds its own fixture, not the last one listed
+        for fx in fixtures_flat_minimal():
+            s = family_surface(fx.label)
+            assert (s.kind, s.f(0.5), s.g(0.5)) == (fx.surface.kind, fx.surface.f(0.5),
+                                                     fx.surface.g(0.5)), fx.label
         with pytest.raises(InvalidParams):
             family_surface("nope")
         with pytest.raises(InvalidParams):
             family_surface("saddle", {"k0": 1.0})
+
+    def test_fixtures_have_no_sampler(self):
+        for name in ("linear", "saddle", "exp_exp", "nope"):
+            with pytest.raises(InvalidParams, match="no parameter sampler"):
+                sample_params(name, np.random.default_rng(0))
 
 
 class TestMotionInvariance:

@@ -270,6 +270,10 @@ class TestThm32Reconstruction:
         result = reconstruct_thm32(0.5, causal="timelike", u0=-1.5)
         assert result.max_error < 1e-6
 
+    def test_unknown_causal_rejected(self):
+        with pytest.raises(InvalidParams, match="causal must be"):
+            reconstruct_thm32(0.5, causal="null")
+
     @pytest.mark.parametrize("causal,u0", [("spacelike", 0.5), ("timelike", -1.2)])
     def test_slope_and_lam_together_rejected(self, causal, u0):
         with pytest.raises(InvalidParams, match="lam or u0"):
