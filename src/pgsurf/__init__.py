@@ -21,7 +21,6 @@ from .errors import (
     PGSurfError,
 )
 from .factorable import (
-    CrossCheckReport,
     FactorableSurface,
     GridSpec,
     ScalarC2,
@@ -29,9 +28,7 @@ from .factorable import (
     default_grid,
 )
 from .families import (
-    Fixture,
     family_surface,
-    fixtures_flat_minimal,
     perturb_exponent,
     sample_params,
     thm31_family,
@@ -49,6 +46,6 @@ from .reconstruct import (
     reconstruct_thm32,
     reconstruct_thm42,
 )
-from .surface import Motion, gaussian_curvature, mean_curvature, transform_jet
+from .surface import gaussian_curvature, mean_curvature, transform_jet
 
 __version__ = "0.1.0"

@@ -67,6 +67,7 @@ from .factorable import (
     specialized_grid,
 )
 from .surface import (
+    FD_STEP,
     curvature_arrays,
     gaussian_curvature,  # noqa: F401  (bench/tracing.py wraps it here)
     mean_curvature,  # noqa: F401  (bench/tracing.py wraps it here)
@@ -278,7 +279,7 @@ TOLERANCES = {"constancy": Row(_real, 1e-7, True), "cross_check": Row(_real, 1e-
               "motion": Row(_real, 1e-8, True), "ode": Row(_real, 1e-6, True)}
 ROUTES = ("pipeline", "pipeline-fd", "specialized")
 _SWEEP = {"family": {"name": Row(_choice, ..., FAMILIES)}, "grid": GRID, "output": OUTPUT,
-          "formulas": Row(_choice, "pipeline", ROUTES), "fd_step": Row(_real, 1e-4, True)}
+          "formulas": Row(_choice, "pipeline", ROUTES), "fd_step": Row(_real, FD_STEP, True)}
 SCHEMA = {
     "curvature": _SWEEP,
     "mesh": _SWEEP,
@@ -483,11 +484,6 @@ def run_curvature(cfg: dict) -> int:
 _MOTIONS_PER_CALL = 256
 
 
-def _random_motions(rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` motions, one row a1..a5, theta each (`Motion`'s field order)."""
-    return rng.uniform(-1.0, 1.0, size=(count, 6))
-
-
 def run_verify(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["verify"])
     family, tol = v["family"], v["tolerances"]
@@ -508,8 +504,7 @@ def run_verify(cfg: dict) -> int:
             values.append(block[~closed["excluded"]])
             if rejected is None:
                 try:
-                    gap = max(gap, cross_check(pipeline_grid(surface, grid, rows=rows),
-                                               closed).max_discrepancy)
+                    gap = max(gap, cross_check(pipeline_grid(surface, grid, rows=rows), closed))
                 except GridRejected as exc:
                     rejected = exc
 
@@ -538,7 +533,7 @@ def run_verify(cfg: dict) -> int:
     else:
         suites["cross_check"] = {"passed": False, "error": str(rejected)}
 
-    motions = _random_motions(np.random.default_rng(v["seed"]), v["motions"])
+    motions = np.random.default_rng(v["seed"]).uniform(-1.0, 1.0, size=(v["motions"], 6))
     a1, a2 = grid.axes()
     U1, U2 = np.meshgrid(a1[:: max(1, grid.n1 // 6)], a2[:: max(1, grid.n2 // 6)], indexing="ij")
     comp = jet_component_arrays(surface, U1.ravel(), U2.ravel())

@@ -31,7 +31,10 @@ class BlowUp(PGSurfError):
 
 
 class GridRejected(PGSurfError):
-    """A grid operation found lightlike or inadmissible points in the grid."""
+    """A grid operation has nothing left to report: `cross_check` met an
+    excluded point, or a grid command has no included point (`mesh`: no
+    cell with four included corners).  A point is excluded where it is
+    lightlike or inadmissible or has no finite K or H."""
 
 
 class ConfigError(PGSurfError):

@@ -36,7 +36,6 @@ __all__ = [
     "ScalarC2",
     "FactorableSurface",
     "GridSpec",
-    "CrossCheckReport",
     "closed_K",
     "closed_H",
     "jet_component_arrays",
@@ -366,20 +365,13 @@ def specialized_grid(s: FactorableSurface, grid: GridSpec, rows: slice = slice(N
 # Cross-check between specialized formulas and the general pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Points compared and the largest gap from the proven sign contract."""
-
-    n_points: int
-    max_discrepancy: float
-
-
-def cross_check(pipe: dict, closed: dict) -> CrossCheckReport:
-    """Compare a `pipeline_grid` sweep with the `specialized_grid` sweep of
-    the same grid under the proven contract K_pipeline = -eps*K_closed,
-    H_pipeline = H_closed: the largest of |K_pipe + eps*K_closed| and
-    |H_pipe - H_closed| over the grid, eps the closed sweep's (the two
-    sweeps' eps are equal, proven in tests/test_sign_contract.py).
+def cross_check(pipe: dict, closed: dict) -> float:
+    """The largest gap of a `pipeline_grid` sweep from the `specialized_grid`
+    sweep of the same grid under the proven contract K_pipeline =
+    -eps*K_closed, H_pipeline = H_closed: the largest of
+    |K_pipe + eps*K_closed| and |H_pipe - H_closed| over the grid, eps the
+    closed sweep's (the two sweeps' eps are equal, proven in
+    tests/test_sign_contract.py).
 
     Raises GridRejected when either sweep excludes a point.  The reason
     is that of the first such point in row-major order: the pipeline's
@@ -392,4 +384,4 @@ def cross_check(pipe: dict, closed: dict) -> CrossCheckReport:
         raise GridRejected("grid has a point where K or H is not finite")
     k_gap = np.max(np.abs(pipe["K"] + closed["eps"] * closed["K"]))
     h_gap = np.max(np.abs(pipe["H"] - closed["H"]))
-    return CrossCheckReport(n_points=int(pipe["K"].size), max_discrepancy=float(max(k_gap, h_gap)))
+    return float(max(k_gap, h_gap))

@@ -29,10 +29,11 @@ checks and its sampler; `family_surface`, `sample_params` and the CLI read it.
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Literal
 
 import numpy as np
 
@@ -43,8 +44,6 @@ __all__ = [
     "thm31_family",
     "thm32_family",
     "thm42_family",
-    "fixtures_flat_minimal",
-    "Fixture",
     "family_surface",
     "sample_params",
     "perturb_exponent",
@@ -179,33 +178,22 @@ def thm42_family(h0: float, lam1: float = 1.0, lam2: float = 1.0,
     return FactorableSurface(KIND_SECOND, ScalarC2(f), ScalarC2(g, phi.domain))
 
 
-@dataclass(frozen=True)
-class Fixture:
-    """Flat/minimal test surface with its expected constant curvatures."""
-
-    label: str
-    surface: FactorableSurface
-    expected_K: Optional[float]
-    expected_H: Optional[float]
-    note: str = ""
+def _linear() -> FactorableSurface:
+    """Fixture z = 2(y+3): a plane, flat and minimal."""
+    return FactorableSurface(KIND_FIRST, ScalarC2.constant(2.0), ScalarC2.linear(1.0, 3.0))
 
 
-def fixtures_flat_minimal() -> list[Fixture]:
-    """Zero-curvature fixtures: a plane, the saddle, and the equal-rate
-    exponential graph (the latter is lightlike for the general pipeline,
-    its K = 0 comes from the documented flat-limit convention)."""
-    linear = FactorableSurface(KIND_FIRST, ScalarC2.constant(2.0), ScalarC2.linear(1.0, 3.0))
-    saddle = FactorableSurface(KIND_FIRST, ScalarC2.linear(1.0, 0.0), ScalarC2.linear(1.0, 0.0))
+def _saddle() -> FactorableSurface:
+    """Fixture z = xy: minimal; K = -1 at the origin, non-constant."""
+    return FactorableSurface(KIND_FIRST, ScalarC2.linear(1.0, 0.0), ScalarC2.linear(1.0, 0.0))
+
+
+def _exp_exp() -> FactorableSurface:
+    """Fixture x = exp(y)exp(z), the equal-rate exponential graph: W == 0
+    for the pipeline, so it is lightlike there; its K = 0 comes from the
+    documented flat-limit convention of the closed formulas."""
     exp1 = ScalarC2(lambda t: (np.exp(t),) * 3)
-    exp_exp = FactorableSurface(KIND_SECOND, exp1, exp1)
-    return [
-        Fixture("linear", linear, expected_K=0.0, expected_H=0.0,
-                note="z = 2(y+3): a plane, flat and minimal"),
-        Fixture("saddle", saddle, expected_K=None, expected_H=0.0,
-                note="z = xy: minimal; K = -1 at the origin, non-constant"),
-        Fixture("exp_exp", exp_exp, expected_K=0.0, expected_H=0.0,
-                note="x = exp(y)exp(z): flat limit; W == 0 for the pipeline"),
-    ]
+    return FactorableSurface(KIND_SECOND, exp1, exp1)
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -222,11 +210,6 @@ def _bounded_away(rng: np.random.Generator, bound: float = 2.0, floor: float = 0
         v = float(rng.uniform(-bound, bound))
         if abs(v) >= floor:
             return v
-
-
-def _fixture(label: str) -> Callable[[], FactorableSurface]:
-    """The constructor of the fixture `label`, which takes no parameters."""
-    return lambda: next(fx.surface for fx in fixtures_flat_minimal() if fx.label == label)
 
 
 # a row of `FAMILIES`; a fixture has no field (`K` or `absH`) and no sampler
@@ -252,16 +235,35 @@ FAMILIES = {
         "lam3": float(rng.uniform(-2, 2)),
         "causal": causal,
     }),
-    **{fx.label: Family(_fixture(fx.label)) for fx in fixtures_flat_minimal()},
+    "linear": Family(_linear),
+    "saddle": Family(_saddle),
+    "exp_exp": Family(_exp_exp),
 }
 
 
+# each row's constructor parameters, read once: a signature read per
+# `family_surface` call costs more than building the surface
+_PARAMETERS = {name: inspect.signature(row.build, eval_str=True).parameters
+               for name, row in FAMILIES.items()}
+# what a constructor parameter annotated `float` or `int` takes
+_NUMBERS = {float: (numbers.Real, "a real number"), int: (numbers.Integral, "an integer")}
+
+
 def family_surface(name: str, params: dict | None = None) -> FactorableSurface:
-    """Build a family or fixture surface by name."""
+    """Build a family or fixture surface by name.  `params` holds keyword
+    arguments of its constructor, a real number for each `float` parameter
+    and an integer for each `int` one; any other key or value raises
+    `InvalidParams`, as the constructor's own checks do."""
     if name not in FAMILIES:
         raise InvalidParams(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
-    if params and FAMILIES[name].field is None:
-        raise InvalidParams(f"fixture {name!r} takes no parameters")
+    known = _PARAMETERS[name]
+    for key, value in (params or {}).items():
+        if key not in known:
+            raise InvalidParams(f"{name!r} takes no parameter {key!r}; "
+                                f"known: {', '.join(known) or 'none'}")
+        number = _NUMBERS.get(known[key].annotation)
+        if number and (isinstance(value, bool) or not isinstance(value, number[0])):
+            raise InvalidParams(f"{name!r} parameter {key!r} must be {number[1]}, got {value!r}")
     return FAMILIES[name].build(**(params or {}))
 
 

@@ -248,7 +248,9 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
     and b = -1; the ODE is u' = 2*h0*(b*(1 - u^2))^(3/2).  Either pass `lam` to position
     the corridor (initial conditions are then read off the closed form) or
     pass the initial slope `u0` directly, not both (InvalidParams); a slope
-    on the wrong side of u^2 = 1, or on it, raises BranchViolation.
+    on the wrong side of u^2 = 1, or on it, raises BranchViolation.  A
+    'timelike' corridor, its start included, must stay where
+    |2*h0*y + lam| > 1 (DomainError).
     """
     b = -_branch_sign(causal)
     if u0 is not None and lam is not None:
@@ -271,8 +273,7 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
     g = thm32_family(h0, lam, f0=f0, causal="timelike" if b > 0 else "spacelike").g
     if u0 is None:
         w0 = 2.0 * h0 * y0 + lam
-        if b < 0 and abs(w0) <= 1.0:
-            raise DomainError("timelike branch needs (2 h0 y0 + lam)^2 > 1")
+        # NaN on a timelike start with |w0| <= 1, which `_corridor` rejects
         u0 = b * float(_column(sqrt_profile(h0, lam, b).deriv, y0)[0])
     if b < 0:
         _corridor(w0, 2.0 * h0 * (y0 + length) + lam, "2 h0 y + lam")

@@ -14,7 +14,7 @@ it works on those arrays and returns masks for lightlike and inadmissible
 points.  `gaussian_curvature` and `mean_curvature` are one-point views of
 it that raise at those points instead (`require_unmasked`).
 `transform_jet` moves jet component arrays by an (m, 6) array of motions
-of the six-parameter group, one `Motion` per row, in one broadcast.  The
+of the six-parameter group, one motion per row, in one broadcast.  The
 transverse plane x = 0 carries the Minkowskian scalar product with
 signature (+, -) on (y, z) that `curvature_arrays` evaluates inline.
 """
@@ -22,14 +22,13 @@ signature (+, -) on (y, z) that `curvature_arrays` evaluates inline.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import InadmissiblePatch, InvalidParams, LightlikeSurface
 
 __all__ = [
-    "Motion",
     "gaussian_curvature",
     "mean_curvature",
     "transform_jet",
@@ -87,40 +86,26 @@ def mean_curvature(comp: dict) -> float:
     return float(out["H"][0])
 
 
-class Motion(NamedTuple):
-    """Motion of the pseudo-Galilean 3-space with parameters a1..a5 and
-    hyperbolic angle theta: translations, two shears along the absolute
-    direction x and a hyperbolic rotation of the (y, z) plane.
-
-    x' = a1 + x
-    y' = a2 + a3*x + cosh(theta)*y + sinh(theta)*z
-    z' = a4 + a5*x + sinh(theta)*y + cosh(theta)*z
-
-    The default is the identity.  A motion is one row of the (m, 6)
-    arrays `transform_jet` takes, so a list of motions is such an array.
-    """
-
-    a1: float = 0.0
-    a2: float = 0.0
-    a3: float = 0.0
-    a4: float = 0.0
-    a5: float = 0.0
-    theta: float = 0.0
-
-
-def transform_jet(motions: np.ndarray | Sequence[Motion], comp: dict) -> dict:
+def transform_jet(motions: np.ndarray, comp: dict) -> dict:
     """The jet components x1..z22 of `comp`, broadcast-compatible arrays
     whose broadcast shape is S, moved by each of m motions: read-only
     arrays of shape (m, *S).
 
-    `motions` is an (m, 6) array whose rows are motions in `Motion`'s
-    field order a1..a5, theta, or a sequence of m `Motion`s; any other
-    shape raises `InvalidParams`.  A motion acts on every derivative by
-    its linear part (`Motion`): x' = x, y' = a3*x + cosh(theta)*y +
-    sinh(theta)*z and z' = a5*x + sinh(theta)*y + cosh(theta)*z.  Its
-    translation moves only the value, which curvature does not read.  The
-    moved x components are broadcast views of the input; a moved y or z
-    component is broadcast only where it lacks the shape (m, *S).
+    `motions` is an (m, 6) array, or a sequence of m rows, each the
+    parameters a1..a5, theta of one motion of the pseudo-Galilean
+    3-space: translations, two shears along the absolute direction x and
+    a hyperbolic rotation of the (y, z) plane,
+
+        x' = a1 + x
+        y' = a2 + a3*x + cosh(theta)*y + sinh(theta)*z
+        z' = a4 + a5*x + sinh(theta)*y + cosh(theta)*z
+
+    with the zero row the identity; any other shape raises
+    `InvalidParams`.  A motion acts on every derivative by its linear
+    part, the above without a1, a2 and a4; its translation moves only the
+    value, which curvature does not read.  The moved x components are
+    broadcast views of the input; a moved y or z component is broadcast
+    only where it lacks the shape (m, *S).
     """
     motions = np.asarray(motions, dtype=float)
     if motions.shape == (0,):  # an empty sequence of motions

@@ -23,7 +23,7 @@ from pgsurf import reconstruct as rec
 from pgsurf.cli import MAX_GRID_POINTS, _grid, main
 from pgsurf.factorable import GridSpec, default_grid
 from pgsurf.families import family_surface
-from pgsurf.surface import Motion, gaussian_curvature, mean_curvature
+from pgsurf.surface import gaussian_curvature, mean_curvature
 
 from one_point import jet
 
@@ -189,17 +189,18 @@ def _moved_jet(m, value, comp):
     """Reference for the batched suite: one motion on the position `value`
     (x, y, z) and the one-point jet `comp`, slot by slot in per-point
     arithmetic, translation included: the moved value and components."""
-    ch, sh = math.cosh(m.theta), math.sinh(m.theta)
+    a1, a2, a3, a4, a5, theta = m
+    ch, sh = math.cosh(theta), math.sinh(theta)
 
     def lin(x, y, z):
-        return x, m.a3 * x + ch * y + sh * z, m.a5 * x + sh * y + ch * z
+        return x, a3 * x + ch * y + sh * z, a5 * x + sh * y + ch * z
 
     x, y, z = lin(*value)
     moved = {}
     for slot in ("1", "2", "11", "12", "22"):
         moved.update(zip((f"x{slot}", f"y{slot}", f"z{slot}"),
                          lin(*(comp[f"{a}{slot}"] for a in "xyz"))))
-    return (m.a1 + x, m.a2 + y, m.a4 + z), moved
+    return (a1 + x, a2 + y, a4 + z), moved
 
 
 class TestVerify:
@@ -303,8 +304,7 @@ class TestVerify:
             surface = family_surface(family["name"], {k: v for k, v in family.items() if k != "name"})
             a1, a2 = default_grid(surface, n, n).axes()
             rng = np.random.default_rng(seed)
-            motions = [Motion(*(float(v) for v in rng.uniform(-1.0, 1.0, size=6)))
-                       for _ in range(count)]
+            motions = [rng.uniform(-1.0, 1.0, size=6).tolist() for _ in range(count)]
             worst = 0.0
             for u1 in a1[:: max(1, n // 6)]:
                 for u2 in a2[:: max(1, n // 6)]:
@@ -321,12 +321,23 @@ class TestVerify:
     # 0 is the seed of every VERIFY_DIGESTS case
     @pytest.mark.parametrize("seed", [0, 4, 7, 123456789])
     @pytest.mark.parametrize("count", [1, 255, 256, 257, 10_000])
-    def test_motion_draw_equals_the_per_motion_draws(self, seed, count):
+    def test_motion_draw_equals_the_per_motion_draws(self, seed, count, monkeypatch, tmp_path):
+        # the motions `verify` moves its jets by, block by block, are the
+        # draws of one motion after another
+        drawn, original = [], cli.transform_jet
+
+        def recording(motions, comp):
+            drawn.append(motions)
+            return original(motions, comp)
+
+        monkeypatch.setattr(cli, "transform_jet", recording)
+        assert main(["verify", "--set", "family.name=thm42", "--set", "family.h0=0.5",
+                     "--set", "grid.n1=6", "--set", "grid.n2=6", "--set", f"motions={count}",
+                     "--set", f"seed={seed}", "--set", f"output.json={tmp_path / 'v.json'}"]) == 0
         rng = np.random.default_rng(seed)
         per_motion = np.array([rng.uniform(-1.0, 1.0, size=6) for _ in range(count)])
-        drawn = cli._random_motions(np.random.default_rng(seed), count)
-        assert drawn.shape == (count, 6)
-        assert drawn.tobytes() == per_motion.tobytes()
+        assert np.concatenate(drawn).shape == (count, 6)
+        assert np.concatenate(drawn).tobytes() == per_motion.tobytes()
 
     # the thm42 grid whose closed and pipeline sweeps overflow: every suite
     # fails, the constancy suite on the finite closed points, the cross-check

@@ -407,13 +407,14 @@ RECONSTRUCT_CASES = {
                            "causal": "timelike", "y0": 0.2},
     "thm32_spacelike_u0": {"theorem": "3.2", "causal": "spacelike", "u0": 0.5},
     "thm32_timelike_u0": {"theorem": "3.2", "causal": "timelike", "u0": -1.2},
-    # exit 4: the four ways the 3.2 branch bookkeeping rejects a run
+    # exit 4: the three ways the 3.2 branch bookkeeping rejects a run
     "slope_on_boundary": {"theorem": "3.2", "causal": "timelike", "u0": 1.0},
     "slope_on_wrong_side": {"theorem": "3.2", "causal": "timelike", "u0": 0.5},
-    "timelike_start_inside": {"theorem": "3.2", "causal": "timelike", "lam": 0.5},
     "crossing_mid_corridor": {"theorem": "3.2", "causal": "spacelike", "h0": 5.0,
                               "lam": -3.5, "h": 0.1},
-    # exit 4: the corridor leaves |w| > 1
+    # exit 4: the corridor leaves |w| > 1, at its start or at its end, with
+    # one message
+    "timelike_start_inside": {"theorem": "3.2", "causal": "timelike", "lam": 0.5},
     "thm32_corridor": {"theorem": "3.2", "causal": "timelike", "lam": -1.5},
     "thm42_corridor": {"theorem": "4.2", "z0": 0.2},
     # g exceeds the float range; compared in log space
@@ -446,7 +447,7 @@ RECONSTRUCT_DIGESTS = {
     'thm42_overflow': (0, '5efcc1f73b2875156e73409d44846cca7e12d861437da9b4e2fa100d91da4a89',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'timelike_start_inside': (4, None,
-        '40105b037cf6c349f8a7327d343a8c711043073e42be95b4d80d7497d48d1942'),
+        'a9881ebaa86c450e624851092bc98fd4ad3279aea21870195eeeaa7fec908529'),
 }
 
 

@@ -13,14 +13,16 @@ import pgsurf
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(pgsurf.__path__))
 
 # the scalar jet layer and the test-only geometry (once in a `core`
-# module, whose `Motion` now lives in `surface`), deleted in favour of the
-# array kernels, and the numerical stand-ins for the exact claims, deleted
-# in favour of the sympy proofs of tests/test_exact_claims.py, and the
-# hand-written family lists, now the one table `families.FAMILIES`; none
-# may come back as an export
+# module), deleted in favour of the array kernels, and the numerical
+# stand-ins for the exact claims, deleted in favour of the sympy proofs of
+# tests/test_exact_claims.py, and the hand-written family and fixture
+# lists, now the one table `families.FAMILIES`, and the wrappers that only
+# restated what their callers hold (`Motion`, a row of the (m, 6) motion
+# array; `CrossCheckReport`, the gap and the sweep's size); none may come
+# back as an export
 DELETED = {
-    "families": ["FAMILY_NAMES"],
-    "cli": ["_EXPECTED_FIELD", "_CAUSAL"],
+    "families": ["FAMILY_NAMES", "Fixture", "fixtures_flat_minimal", "_fixture"],
+    "cli": ["_EXPECTED_FIELD", "_CAUSAL", "_random_motions"],
     "reconstruct": ["log_derivative_profile_residual", "thm31_ode_residual", "thm32_ode_residual",
                     "thm42_ode_residual", "residual_field", "ResidualReport", "CaseCoefficients",
                     "quartic_slope_coefficients", "check_quartic_slope_identity",
@@ -29,9 +31,10 @@ DELETED = {
     "surface": ["Jet2", "FirstForm", "FundamentalData", "first_form", "fundamental_data",
                 "jet_components", "jet_from_components", "finite_difference_jet", "_at_point",
                 "PGPoint", "Character", "causal_character", "LIGHTLIKE_BAND", "pg_distance",
-                "apply_motion", "apply_motion_vector", "compose", "IsoVector", "minkowski_dot"],
+                "apply_motion", "apply_motion_vector", "compose", "IsoVector", "minkowski_dot",
+                "Motion"],
     "factorable": ["specialized_K", "specialized_H", "k_first", "h_first", "k_second",
-                   "h_second", "_at_point", "_require_kind", "LightlikeLocus"],
+                   "h_second", "_at_point", "_require_kind", "LightlikeLocus", "CrossCheckReport"],
     "errors": ["LightlikeLocus"],
 }
 

@@ -12,14 +12,13 @@ from pgsurf.families import (
     FAMILIES,
     Causal,
     family_surface,
-    fixtures_flat_minimal,
     perturb_exponent,
     sample_params,
     thm31_family,
     thm32_family,
     thm42_family,
 )
-from pgsurf.surface import Motion, gaussian_curvature, mean_curvature
+from pgsurf.surface import gaussian_curvature, mean_curvature
 
 from one_point import closed_value, jet, moved, point_data
 
@@ -161,28 +160,28 @@ class TestThm42:
 
 class TestFixtures:
     def test_labels_and_expectations(self):
-        fixtures = {fx.label: fx for fx in fixtures_flat_minimal()}
-        assert set(fixtures) == {"linear", "saddle", "exp_exp"}
+        assert [name for name, row in FAMILIES.items() if row.field is None] == [
+            "linear", "saddle", "exp_exp"]
 
-        lin = fixtures["linear"].surface
+        lin = family_surface("linear")
         for y in (-1.0, 0.0, 2.0):
             assert k_closed(lin, 0.0, y) == 0.0
             assert h_closed(lin, 0.0, y) == 0.0
 
-        saddle = fixtures["saddle"].surface
+        saddle = family_surface("saddle")
         assert k_closed(saddle, 0.0, 0.0) == -1.0
         for x, y in [(0.3, -0.2), (0.5, 0.5)]:
             assert h_closed(saddle, x, y) == 0.0
 
-        ee = fixtures["exp_exp"].surface
+        ee = family_surface("exp_exp")
         assert k_closed(ee, 0.2, -0.4) == 0.0
         with pytest.raises(LightlikeSurface):
             point_data(jet(ee, 0.2, -0.4))
 
     def test_fixture_expected_annotations(self):
-        for fx in fixtures_flat_minimal():
-            if fx.expected_K is not None and fx.label != "exp_exp":
-                assert k_closed(fx.surface, 0.1, 0.2) == pytest.approx(fx.expected_K, abs=1e-12)
+        # the plane's K is the constant 0; the saddle's K is not constant,
+        # and the exp_exp K = 0 is the flat-limit convention, checked above
+        assert k_closed(family_surface("linear"), 0.1, 0.2) == pytest.approx(0.0, abs=1e-12)
 
 
 # each sampled family with each causal variant its constructor takes
@@ -235,15 +234,28 @@ class TestParameterSweep:
     def test_family_surface_by_name(self):
         s = family_surface("thm31", {"k0": 2.0, "lam1": 0.1})
         assert k_closed(s, 0.0, 0.0) == pytest.approx(-2.0, abs=1e-12)
-        # each fixture name builds its own fixture, not the last one listed
-        for fx in fixtures_flat_minimal():
-            s = family_surface(fx.label)
-            assert (s.kind, s.f(0.5), s.g(0.5)) == (fx.surface.kind, fx.surface.f(0.5),
-                                                     fx.surface.g(0.5)), fx.label
+        # each fixture name builds its own fixture: z = 2(y+3), z = xy and
+        # x = exp(y)exp(z), at u = 0.5
+        built = {name: (s.kind, float(s.f(0.5)), float(s.g(0.5)))
+                 for name in ("linear", "saddle", "exp_exp") for s in [family_surface(name)]}
+        assert built == {"linear": ("first", 2.0, 3.5), "saddle": ("first", 0.5, 0.5),
+                         "exp_exp": ("second", float(np.exp(0.5)), float(np.exp(0.5)))}
         with pytest.raises(InvalidParams):
             family_surface("nope")
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="'saddle' takes no parameter 'k0'"):
             family_surface("saddle", {"k0": 1.0})
+
+    @pytest.mark.parametrize("name,params,message", [
+        ("thm31", {"k0": 1.0, "lamda1": 0.1}, "takes no parameter 'lamda1'"),
+        ("thm42", {"h0": 0.5, "causal": "timelike", "z0": 1.2}, "takes no parameter 'z0'"),
+        ("thm31", {"k0": "1"}, "'k0' must be a real number"),
+        ("thm31", {"k0": 1.0, "sign": True}, "'sign' must be an integer"),
+        ("thm32", {"h0": None}, "'h0' must be a real number"),
+        ("thm42", {"h0": 0.5, "lam2": "x"}, "'lam2' must be a real number"),
+    ])
+    def test_bad_parameter_is_invalid_params(self, name, params, message):
+        with pytest.raises(InvalidParams, match=message):
+            family_surface(name, params)
 
     def test_fixtures_have_no_sampler(self):
         for name in ("linear", "saddle", "exp_exp", "nope"):
@@ -257,7 +269,7 @@ class TestMotionInvariance:
         s = thm42_family(0.5, causal="timelike")
         grid = default_grid(s, 6, 6)
         U1, U2 = np.meshgrid(*grid.axes(), indexing="ij")
-        m = Motion(*rng.uniform(-1, 1, size=6))
+        m = rng.uniform(-1, 1, size=6)
         for u1, u2 in zip(U1.ravel()[::5], U2.ravel()[::5]):
             comp = jet(s, float(u1), float(u2))
             comp_m = moved(m, comp)

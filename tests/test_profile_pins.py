@@ -11,11 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from pgsurf.families import (fixtures_flat_minimal, perturb_exponent, thm31_family,
-                             thm32_family, thm42_family)
+from pgsurf.families import (family_surface, perturb_exponent, thm31_family, thm32_family,
+                             thm42_family)
 
 WIDE = [-2.0, -0.5, 0.0, 0.8, 2.5]
-FIXTURES = {fx.label: fx.surface for fx in fixtures_flat_minimal()}
 CASES = {
     "thm31+": (thm31_family(0.7, lam1=-0.3, lam2=0.4, sign=1), WIDE, WIDE),
     "thm31-": (thm31_family(-2.3, lam1=0.6, lam2=-1.1, sign=-1), WIDE, WIDE),
@@ -25,9 +24,9 @@ CASES = {
     "thm42 timelike": (thm42_family(0.5), WIDE, [-1.5, -0.4, 0.0, 0.6, 1.4]),
     "thm42 spacelike": (thm42_family(-0.8, lam1=1.3, lam2=-0.7, lam3=0.2, causal="spacelike"), WIDE,
                         [-3.0, -1.5, -0.9, -0.6, -0.51]),
-    "linear": (FIXTURES["linear"], WIDE, WIDE),
-    "saddle": (FIXTURES["saddle"], WIDE, WIDE),
-    "exp_exp": (FIXTURES["exp_exp"], WIDE, WIDE),
+    "linear": (family_surface("linear"), WIDE, WIDE),
+    "saddle": (family_surface("saddle"), WIDE, WIDE),
+    "exp_exp": (family_surface("exp_exp"), WIDE, WIDE),
     "thm42 perturbed": (perturb_exponent(thm42_family(0.5), 1.01), WIDE, [-1.5, -0.4, 0.0, 0.6, 1.4]),
 }
 

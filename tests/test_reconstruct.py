@@ -17,7 +17,7 @@ from pgsurf.errors import (
     InvalidParams,
 )
 from pgsurf.factorable import FactorableSurface, GridSpec, ScalarC2, default_grid, specialized_grid
-from pgsurf.families import fixtures_flat_minimal, thm31_family, thm32_family, thm42_family
+from pgsurf.families import family_surface, thm31_family, thm32_family, thm42_family
 from pgsurf import reconstruct
 from pgsurf.reconstruct import (
     MAX_RESTARTS,
@@ -266,6 +266,15 @@ class TestThm32Reconstruction:
         with pytest.raises(DomainError):
             reconstruct_thm32(0.5, causal="timelike", lam=0.5)
 
+    @pytest.mark.parametrize("lam,y0", [(0.5, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, -1.5)])
+    def test_timelike_start_inside_is_the_corridor_error(self, lam, y0):
+        # |2 h0 y0 + lam| <= 1: the start slope read off the closed form is
+        # NaN there, without a warning, and the corridor check rejects it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"leaves the region \|2 h0 y \+ lam\| > 1"):
+                reconstruct_thm32(0.5, causal="timelike", lam=lam, y0=y0)
+
     def test_explicit_slope_matches_closed_form(self):
         result = reconstruct_thm32(0.5, causal="timelike", u0=-1.5)
         assert result.max_error < 1e-6
@@ -436,13 +445,14 @@ class TestResidualField:
         assert abs(data["U1"].flat[np.argmax(resid)]) == pytest.approx(0.5)
 
     def test_fixtures_against_zero(self):
-        for fx in fixtures_flat_minimal():
-            data = specialized_grid(fx.surface, default_grid(fx.surface, 10, 10))
+        # the plane is flat and minimal, the saddle minimal (its K is not
+        # constant) and the equal-rate exponential graph flat and minimal
+        for name, fields in (("linear", "KH"), ("saddle", "H"), ("exp_exp", "KH")):
+            surface = family_surface(name)
+            data = specialized_grid(surface, default_grid(surface, 10, 10))
             assert not np.any(data["excluded"])
-            if fx.expected_H is not None:
-                assert np.max(np.abs(data["H"])) < 1e-9
-            if fx.expected_K is not None:
-                assert np.max(np.abs(data["K"])) < 1e-9
+            for field in fields:
+                assert np.max(np.abs(data[field])) < 1e-9, (name, field)
 
     def test_lightlike_grid_rejected(self):
         # the saddle is lightlike at x = 1, which this grid crosses

@@ -9,7 +9,6 @@ from pgsurf.errors import InadmissiblePatch, InvalidParams, LightlikeSurface
 from pgsurf.factorable import FactorableSurface, ScalarC2, jet_component_arrays
 from pgsurf.families import thm31_family, thm32_family, thm42_family
 from pgsurf.surface import (
-    Motion,
     curvature_arrays,
     fd_components,
     gaussian_curvature,
@@ -217,7 +216,7 @@ class TestMotionInvariance:
         rng = np.random.default_rng(7)
         s = omega1()
         for _ in range(8):
-            m = Motion(*rng.uniform(-1, 1, size=6))
+            m = rng.uniform(-1, 1, size=6)
             for u1, u2 in [(0.3, 0.4), (-0.6, 1.0), (1.1, -0.9)]:
                 comp = jet(s, u1, u2)
                 comp_m = moved(m, comp)
@@ -226,13 +225,12 @@ class TestMotionInvariance:
 
     def test_transform_jet_matches_fd_of_moved_surface(self):
         s = omega1()
-        m = Motion(0.3, -0.2, 0.5, 0.1, -0.7, 0.4)
-        ch, sh = math.cosh(m.theta), math.sinh(m.theta)
+        m = a1, a2, a3, a4, a5, theta = 0.3, -0.2, 0.5, 0.1, -0.7, 0.4
+        ch, sh = math.cosh(theta), math.sinh(theta)
 
         def moved_value(u1, u2):
             x, y, z = s.value_arrays(u1, u2)
-            return (m.a1 + x, m.a2 + m.a3 * x + ch * y + sh * z,
-                    m.a4 + m.a5 * x + sh * y + ch * z)
+            return (a1 + x, a2 + a3 * x + ch * y + sh * z, a4 + a5 * x + sh * y + ch * z)
 
         direct = moved(m, jet(s, 0.4, 0.7))
         _, fd = fd_components(moved_value, np.array([0.4]), np.array([0.7]))
@@ -242,7 +240,7 @@ class TestMotionInvariance:
 
     def test_w_and_epsilon_invariant(self):
         comp = jet(omega1(), 0.9, -0.3)
-        m = Motion(1.0, 2.0, -0.8, 0.5, 0.3, 1.1)
+        m = (1.0, 2.0, -0.8, 0.5, 0.3, 1.1)
         d, d_m = point_data(comp), point_data(moved(m, comp))
         assert d_m["W"] == pytest.approx(d["W"], rel=1e-12)
         assert d_m["eps"] == d["eps"]
@@ -253,16 +251,16 @@ class TestTransformJet:
     def test_equals_the_per_point_float_arithmetic(self, shape):
         rng = np.random.default_rng(len(shape))
         comp = {f"{a}{s}": rng.normal(size=shape) for s in SLOTS for a in "xyz"}
-        motions = [Motion(*(float(v) for v in rng.uniform(-1.0, 1.0, size=6))) for _ in range(4)]
+        motions = [tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=6)) for _ in range(4)]
         moved = transform_jet(motions, comp)
         assert sorted(moved) == sorted(comp)
         assert all(v.shape == (4, *shape) for v in moved.values())
-        for i, m in enumerate(motions):
-            ch, sh = math.cosh(m.theta), math.sinh(m.theta)
+        for i, (_, _, a3, _, a5, theta) in enumerate(motions):
+            ch, sh = math.cosh(theta), math.sinh(theta)
             for idx in np.ndindex(*shape):
                 for s in SLOTS:
                     x, y, z = (float(comp[f"{a}{s}"][idx]) for a in "xyz")
-                    expect = (x, m.a3 * x + ch * y + sh * z, m.a5 * x + sh * y + ch * z)
+                    expect = (x, a3 * x + ch * y + sh * z, a5 * x + sh * y + ch * z)
                     got = tuple(float(moved[f"{a}{s}"][(i, *idx)]) for a in "xyz")
                     assert [v.hex() for v in got] == [v.hex() for v in expect]
 
@@ -271,7 +269,7 @@ class TestTransformJet:
         comp = {f"{a}{s}": rng.normal(size=(2, 3)) for s in SLOTS for a in "xyz"}
         rows = rng.uniform(-1.0, 1.0, size=(5, 6))
         from_rows = transform_jet(rows, comp)
-        from_motions = transform_jet([Motion(*row) for row in rows], comp)
+        from_motions = transform_jet([tuple(row) for row in rows], comp)
         for key, value in from_rows.items():
             assert value.shape == (5, 2, 3), key
             assert value.tobytes() == from_motions[key].tobytes(), key
@@ -347,7 +345,7 @@ class TestBroadcastComponents:
 
     def test_transform_jet_takes_the_broadcast_shape(self):
         comp = _mixed(self.Z1, self.Z2)
-        motions = [Motion(0.1, -0.2, 0.3, 0.4, -0.5, 0.6), Motion(0.0, 0.0, -0.7, 0.0, 0.2, -0.3)]
+        motions = [(0.1, -0.2, 0.3, 0.4, -0.5, 0.6), (0.0, 0.0, -0.7, 0.0, 0.2, -0.3)]
         moved, ref = transform_jet(motions, comp), transform_jet(motions, _materialised(comp))
         for key, value in ref.items():
             assert moved[key].shape == (2, 4, 3), key
