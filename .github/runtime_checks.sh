@@ -76,11 +76,16 @@ pg-surf reconstruct --set theorem=3.1 --set lam1=0.7 --set output.json=rec31lam.
 python -c "from pgsurf.reconstruct import reconstruct_thm31 as r31; r = r31(1.0, lam1=0.7, h=0.1); assert r.numeric[0] == r.closed[0], (r.numeric[0].hex(), r.closed[0].hex())"
 pg-surf reconstruct --set theorem=3.2 --set causal=spacelike --set h=1e-4 --set output.json=rec32s.json
 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set lam=1.5 --set h=1e-4 --set output.json=rec32t.json
+pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set lam=1.5 --set h=1e-4 --set output.json=rec32t2.json
+cmp rec32t.json rec32t2.json
 pg-surf reconstruct --set theorem=4.2 --set h=1e-4 --set output.json=rec42.json
 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set u0=-1.2 --set h=1e-4 --set output.json=rec32u.json
 expect_exit 4 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set u0=0.5
 expect_exit 2 pg-surf reconstruct --set theorem=3.2 --set u0=0.5 --set lam=0.7
 expect_exit 2 pg-surf reconstruct --set theorem=3.2 --set causal=null
+# a malformed corridor exits 2 before the radicand check can exit 4
+expect_exit 2 pg-surf reconstruct --set theorem=4.2 --set length=-0.5
+expect_exit 2 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set length=-0.5
 test -s rec31.json; test -s rec31lam.json; test -s rec32s.json; test -s rec32t.json; test -s rec32u.json; test -s rec42.json
 
 echo "runtime checks passed"

@@ -3,7 +3,9 @@
 
 Contents:
 
-  * a fixed-step RK4 integrator (deterministic, no adaptivity);
+  * a fixed-step RK4 integrator (deterministic, no adaptivity) for a
+    scalar driver s' = F(s) (3.1: f, 3.2: u, 4.2: v) and, for 3.2 and
+    4.2, its quadrature q' = s/divisor (g' = u/f0, L' = v/1.0);
   * ODE re-derivations of the three families, each compared against the
     closed-form solution with matched initial conditions: the closed
     column is the profile `families` builds (3.1: `thm31_family`'s f;
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -61,26 +63,21 @@ PROBE_GRID = GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)
 
 @dataclass(frozen=True)
 class ODEProblem:
-    """First-order system y' = rhs(t, y) on [t0, t1] with fixed step h and
-    a finite state y0 of 1 or 2 components (any other size, or a component
-    that is not finite, raises InvalidParams); `integrate` states the
-    contract of `rhs`."""
+    """Driver s' = slope(s) on [t0, t1] with fixed step h and a finite
+    state y0 = (s0,), or (s0, q0) with the quadrature q' = s / divisor
+    (another size, a component that is not finite, or a corridor `_steps`
+    rejects raises InvalidParams); `integrate` states the contract of
+    `slope`."""
 
-    rhs: Callable[[float, Sequence[float]], Sequence[float]]
+    slope: Callable[[float], float]
     t0: float
     y0: np.ndarray
     t1: float
     h: float
+    divisor: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.t1)) or self.t1 <= self.t0:
-            raise InvalidParams("integration corridor must be finite with t1 > t0")
-        if not (self.h > 0.0):
-            raise InvalidParams("step h must be positive")
-        # round(span/h) > MAX_STEPS, without round() overflowing on span/h = inf
-        if (self.t1 - self.t0) / self.h > MAX_STEPS + 0.5:
-            raise InvalidParams(f"corridor {self.t1 - self.t0:g} at step {self.h:g} "
-                                f"needs more than {MAX_STEPS} steps")
+        _steps(self.t0, self.t1, self.h)
         y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
         if y0.shape not in ((1,), (2,)):
             raise InvalidParams(f"state must have 1 or 2 components, got shape {y0.shape}")
@@ -89,80 +86,81 @@ class ODEProblem:
         object.__setattr__(self, "y0", y0)
 
     def steps(self) -> tuple[int, float]:
-        """The step count n = round(span/h), at least 1, and the step
-        span/n that `integrate` takes; it differs from `h` where h does not
-        divide the corridor."""
-        span = self.t1 - self.t0
-        n = max(1, int(round(span / self.h)))
-        return n, span / n
+        """The step count n and the step span/n `integrate` takes (`_steps`)."""
+        return _steps(self.t0, self.t1, self.h)
+
+
+def _steps(t0: float, t1: float, h: float) -> tuple[int, float]:
+    """The step count n = round(span/h), at least 1, and the step span/n;
+    it differs from `h` where h does not divide the corridor.  Raises
+    InvalidParams unless the corridor is finite with t1 > t0, h > 0 and
+    n <= MAX_STEPS, before anything is allocated."""
+    if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
+        raise InvalidParams("integration corridor must be finite with t1 > t0")
+    if not (h > 0.0):
+        raise InvalidParams("step h must be positive")
+    span = t1 - t0
+    # round(span/h) > MAX_STEPS, without round() overflowing on span/h = inf
+    if span / h > MAX_STEPS + 0.5:
+        raise InvalidParams(f"corridor {span:g} at step {h:g} needs more than {MAX_STEPS} steps")
+    n = max(1, int(round(span / h)))
+    return n, span / n
 
 
 def integrate(problem: ODEProblem) -> tuple[np.ndarray, np.ndarray]:
     """Classic RK4 with the n equal steps of `problem.steps()`.
 
-    Steps on Python floats: `problem.rhs(t, y)` gets the time as a float
-    and the state as a tuple of 1 or 2 floats (`ODEProblem` admits no
-    other size), and returns the derivative as a sequence of floats of the
-    same length; a result of another length raises InvalidParams.  There
-    is one loop per state size, its stages written out component by
-    component in the operation order of the ndarray expressions
-    y + (0.5*h)*k, y + h*k and y + (h/6)*(k1 + 2*k2 + 2*k3 + k4), so the
-    trajectories pinned in tests/test_reconstruct.py hold bit for bit.
-    Returns (ts, ys) as float64 arrays of shapes (n+1,) and (n+1, dim),
-    with ys[i] the state at ts[i]; deterministic for fixed inputs.  Raises
-    BlowUp when the state leaves [-1e12, 1e12] or stops being finite
-    mid-corridor, which includes an rhs whose float arithmetic raises
-    ArithmeticError.
+    Steps on Python floats: `problem.slope(s)` takes a driver stage value
+    s1..s4 as a float and returns its derivative as a float, four calls a
+    step, and a quadrature q adds the same stages over `problem.divisor`.
+    There is one loop per state size, its stages written out in the
+    operation order of the ndarray expressions y + (0.5*h)*k, y + h*k and
+    y + (h/6)*(k1 + 2*k2 + 2*k3 + k4), so the trajectories pinned in
+    tests/test_reconstruct.py hold bit for bit.  Returns (ts, ys) as
+    float64 arrays of shapes (n+1,) and (n+1, dim), with ys[i] = (s, q),
+    or (s,), at ts[i]; deterministic for fixed inputs.  Raises BlowUp when
+    the state leaves [-1e12, 1e12] or stops being finite mid-corridor,
+    which includes a slope whose float arithmetic raises ArithmeticError.
     """
     n, h = problem.steps()
     ts = problem.t0 + h * np.arange(n + 1)
-    rhs, half, sixth = problem.rhs, 0.5 * h, h / 6.0
+    slope, half, sixth = problem.slope, 0.5 * h, h / 6.0
     trajectory = array("d", problem.y0.tolist())
-    dim = len(trajectory)
     # float arithmetic raises ArithmeticError (a power overflowing, a
     # division by an underflowed zero) where ndarray arithmetic yields inf
     # or nan; either ends the run as a BlowUp
-    try:
-        if dim == 1:
-            a, = trajectory
-            for t in map(float, ts[:n]):
-                try:
-                    p1, = rhs(t, (a,))
-                    p2, = rhs(t + half, (a + half * p1,))
-                    p3, = rhs(t + half, (a + half * p2,))
-                    p4, = rhs(t + h, (a + h * p3,))
-                    a = a + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-                except ArithmeticError:
-                    a = math.nan
-                if not abs(a) <= BLOWUP_LIMIT:
-                    raise BlowUp(f"state exceeded {BLOWUP_LIMIT:.0e} "
-                                 f"at t = {ts[len(trajectory)]:.6g}")
-                trajectory.append(a)
-        else:
-            a, b = trajectory
-            for t in map(float, ts[:n]):
-                try:
-                    p1, q1 = rhs(t, (a, b))
-                    p2, q2 = rhs(t + half, (a + half * p1, b + half * q1))
-                    p3, q3 = rhs(t + half, (a + half * p2, b + half * q2))
-                    p4, q4 = rhs(t + h, (a + h * p3, b + h * q3))
-                    a = a + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-                    b = b + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-                except ArithmeticError:
-                    a = b = math.nan
-                if not (abs(a) <= BLOWUP_LIMIT and abs(b) <= BLOWUP_LIMIT):
-                    raise BlowUp(f"state exceeded {BLOWUP_LIMIT:.0e} "
-                                 f"at t = {ts[len(trajectory) // 2]:.6g}")
-                trajectory.append(a)
-                trajectory.append(b)
-    except ValueError as exc:
-        # only an unpacking above raises in this frame; a ValueError from
-        # inside rhs carries rhs's frame and propagates as it is
-        if exc.__traceback__.tb_next is not None:
-            raise
-        raise InvalidParams(f"rhs returned a derivative of the wrong length; "
-                            f"the state has length {dim}") from exc
-    return ts, np.frombuffer(trajectory).reshape(n + 1, dim)
+    if len(trajectory) == 1:
+        s, = trajectory
+        for i in range(1, n + 1):
+            try:
+                k1 = slope(s)
+                k2 = slope(s + half * k1)
+                k3 = slope(s + half * k2)
+                k4 = slope(s + h * k3)
+                s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            except ArithmeticError:
+                s = math.nan
+            if not abs(s) <= BLOWUP_LIMIT:
+                raise BlowUp(f"state exceeded {BLOWUP_LIMIT:.0e} at t = {ts[i]:.6g}")
+            trajectory.append(s)
+    else:
+        s, q = trajectory
+        d = problem.divisor
+        for i in range(1, n + 1):
+            try:
+                k1 = slope(s)
+                k2 = slope(s2 := s + half * k1)
+                k3 = slope(s3 := s + half * k2)
+                k4 = slope(s4 := s + h * k3)
+                q = q + sixth * (s / d + 2.0 * (s2 / d) + 2.0 * (s3 / d) + s4 / d)
+                s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            except ArithmeticError:
+                s = q = math.nan
+            if not (abs(s) <= BLOWUP_LIMIT and abs(q) <= BLOWUP_LIMIT):
+                raise BlowUp(f"state exceeded {BLOWUP_LIMIT:.0e} at t = {ts[i]:.6g}")
+            trajectory.append(s)
+            trajectory.append(q)
+    return ts, np.frombuffer(trajectory).reshape(n + 1, len(problem.y0))
 
 
 @dataclass(frozen=True)
@@ -185,17 +183,17 @@ def reconstruct_thm31(k0: float, g0: float = 1.0, lam1: float = 0.0, sign: int =
     the closed form f/g0, f the profile of `thm31_family(k0, lam1,
     sign=sign)`."""
     f = thm31_family(k0, lam1, sign=sign).f
-    if g0 == 0.0:
-        raise InvalidParams("g0 must be nonzero")
+    if not (math.isfinite(g0) and g0 != 0.0):
+        raise InvalidParams("g0 must be a nonzero finite real")
     rho = math.sqrt(abs(k0))
 
-    def rhs(t, y):
-        return (sign * rho * (1.0 - (g0 * y[0]) ** 2) / g0,)
+    def slope(v):
+        return sign * rho * (1.0 - (g0 * v) ** 2) / g0
 
     def closed_f(x):
         return f(x) / g0
 
-    problem = ODEProblem(rhs, span[0], [_seed(closed_f, span[0])], span[1], h)
+    problem = ODEProblem(slope, span[0], [_seed(closed_f, span[0])], span[1], h)
     return _compare(problem, closed_f,
                     {"theorem": "3.1", "k0": k0, "g0": g0, "lam1": lam1, "sign": sign})
 
@@ -214,13 +212,13 @@ def _seed(closed_form, t0: float) -> float:
 
 
 def _compare(problem: ODEProblem, closed_form, meta: dict) -> Reconstruction:
-    """Integrate `problem` and compare the first state component with
+    """Integrate `problem` and compare its last state component with
     `closed_form(ts)`, absolutely and relative to the closed value."""
     ts, ys = integrate(problem)
     closed = _column(closed_form, ts)
-    err = np.abs(ys[:, 0] - closed)
+    err = np.abs(ys[:, -1] - closed)
     rel = err / np.maximum(1e-300, np.abs(closed))
-    return Reconstruction(ts, ys[:, 0], closed, float(err.max()), float(rel.max()),
+    return Reconstruction(ts, ys[:, -1], closed, float(err.max()), float(rel.max()),
                           problem.steps()[1], meta=meta)
 
 
@@ -239,7 +237,7 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
                       causal: Causal = "spacelike", y0: float = 0.0, length: float = 1.0,
                       h: float = 1e-3, u0: Optional[float] = None) -> Reconstruction:
     """Integrate the prescribed-mean-curvature profile ODE as a first-order
-    system in (g, u), u = f0*g', and compare g with the closed form
+    system in (u, g), u = f0*g', and compare g with the closed form
     b*g, g the profile of `thm32_family(h0, lam, f0=f0)` with the radicand
     w^2 + b, w = 2*h0*y + lam.
 
@@ -253,10 +251,13 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
     |2*h0*y + lam| > 1 (DomainError).
     """
     b = -_branch_sign(causal)
+    _steps(y0, y0 + length, h)
     if u0 is not None and lam is not None:
         raise InvalidParams("pass lam or u0, not both")
 
     if u0 is not None:
+        if not math.isfinite(u0):
+            raise InvalidParams("u0 must be a finite real")
         if abs(u0 * u0 - 1.0) <= _BOUNDARY_TOL:
             raise BranchViolation("initial slope sits on the lightlike boundary (f0 g')^2 = 1")
         gap0 = b * (1.0 - u0 * u0)
@@ -281,14 +282,13 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
     def closed_g(y):
         return b * g(y)
 
-    def rhs(t, y):
-        u = y[1]
+    def slope(u):
         gap = b * (1.0 - u * u)
         if gap <= 0.0:
             raise BranchViolation(f"integration crossed (f0 g')^2 = 1 ({causal} branch)")
-        return (u / f0, 2.0 * h0 * gap ** 1.5)
+        return 2.0 * h0 * gap ** 1.5
 
-    problem = ODEProblem(rhs, y0, [_seed(closed_g, y0), u0], y0 + length, h)
+    problem = ODEProblem(slope, y0, [u0, _seed(closed_g, y0)], y0 + length, h, f0)
     return _compare(problem, closed_g,
                     {"theorem": "3.2", "h0": h0, "f0": f0, "lam": lam, "causal": causal,
                      "u0": u0})
@@ -315,17 +315,17 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
     if lam1 == 0.0:
         raise InvalidParams("lam1 must be nonzero")
     s = -1.0 if lam1 > 0 else 1.0
+    _steps(z0, z0 + length, h)
     _corridor(2.0 * h0 * z0 + lam2, 2.0 * h0 * (z0 + length) + lam2, "2 h0 z + lam2")
     v0 = float(_column(phi.deriv, z0)[0])
 
-    def rhs(t, y):
-        v = y[0]
+    def slope(v):
         gap = v * v - lam1 * lam1
         if gap <= 0.0:
             raise BranchViolation("integration crossed (g'/g)^2 = lam1^2")
-        return (s * 2.0 * h0 * gap ** 1.5 / (lam1 * lam1), v)
+        return s * 2.0 * h0 * gap ** 1.5 / (lam1 * lam1)
 
-    problem = ODEProblem(rhs, z0, [v0, _seed(phi, z0)], z0 + length, h)
+    problem = ODEProblem(slope, z0, [v0, _seed(phi, z0)], z0 + length, h)
     ts, ys = integrate(problem)
     L, L_closed = ys[:, 1], _column(phi, ts)
     with np.errstate(over="ignore"):

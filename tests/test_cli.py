@@ -529,11 +529,16 @@ class TestReconstruct:
         ("3.1", "g0=true"), ("3.1", "span=[true,2]"), ("3.1", 'k0="1"'), ("3.1", "k0=true"),
         ("3.1", "h=true"), ("3.2", "lam=true"), ("3.2", 'f0="2"'), ("4.2", "lam1=true"),
         ("4.2", 'z0="1.2"'), ("3.1", "output.jsn=x"),
+        # a malformed corridor is rejected before the radicand check
+        ("4.2", "length=-0.5"), ("3.2", "causal=timelike length=-0.5"),
+        ("4.2", "z0=-1e308 length=1e308"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, theorem, override):
         out = tmp_path / "out.json"
+        # an override may set several keys, separated by spaces
+        sets = [arg for key in override.split() for arg in ("--set", key)]
         _one_line_config_error(capsys, ["reconstruct", "--set", f"theorem={theorem}",
-                                        "--set", f"output.json={out}", "--set", override])
+                                        "--set", f"output.json={out}", *sets])
         assert not out.exists()
 
 
