@@ -74,6 +74,11 @@ grep -q ',1$' straddle.csv
 pg-surf reconstruct --set theorem=3.1 --set h=1e-4 --set output.json=rec31.json
 pg-surf reconstruct --set theorem=3.1 --set lam1=0.7 --set output.json=rec31lam.json
 python -c "from pgsurf.reconstruct import reconstruct_thm31 as r31; r = r31(1.0, lam1=0.7, h=0.1); assert r.numeric[0] == r.closed[0], (r.numeric[0].hex(), r.closed[0].hex())"
+# the library: `integrate` takes the ODE's own arguments, and a non-finite shift is named
+python -c "import math, pgsurf; ts, ys = pgsurf.integrate(lambda s: -s, 0.0, [1.0, 0.0], 1.0, 1e-3, 2.0); assert ts.size == 1001 and abs(ys[-1, 0] - math.exp(-1)) < 1e-12
+try: pgsurf.reconstruct_thm31(1.0, lam1=float('inf'))
+except pgsurf.InvalidParams as e: assert str(e) == 'lam1 must be a finite real', e
+else: raise AssertionError('lam1=inf accepted')"
 pg-surf reconstruct --set theorem=3.2 --set causal=spacelike --set h=1e-4 --set output.json=rec32s.json
 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set lam=1.5 --set h=1e-4 --set output.json=rec32t.json
 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set lam=1.5 --set h=1e-4 --set output.json=rec32t2.json

@@ -37,7 +37,6 @@ from .families import (
 )
 from .reconstruct import (
     FamilySpace,
-    ODEProblem,
     ProbeReport,
     Reconstruction,
     integrate,

@@ -63,6 +63,14 @@ def _branch_sign(causal: Causal) -> int:
     raise InvalidParams(f"causal must be 'spacelike' or 'timelike', got {causal!r}")
 
 
+def _require_finite(**values: float) -> None:
+    """Raise InvalidParams naming, by its keyword, the first of `values`
+    that is not a finite real."""
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParams(f"{key} must be a finite real")
+
+
 def thm31_family(k0: float, lam1: float = 0.0, lam2: float = 0.0, sign: int = 1) -> FactorableSurface:
     """Tanh family with constant Gaussian curvature of magnitude |k0|.
 
@@ -73,6 +81,7 @@ def thm31_family(k0: float, lam1: float = 0.0, lam2: float = 0.0, sign: int = 1)
         raise InvalidParams("k0 must be a nonzero finite real")
     if sign not in (1, -1):
         raise InvalidParams(f"sign must be +1 or -1, got {sign!r}")
+    _require_finite(lam1=lam1, lam2=lam2)
     rho = math.sqrt(abs(k0))
 
     def f(x):
@@ -146,6 +155,7 @@ def thm32_family(h0: float, lam1: float = 0.0, lam2: float = 0.0,
     """
     if f0 == 0.0 or not math.isfinite(f0):
         raise InvalidParams("f0 must be a nonzero finite real")
+    _require_finite(lam1=lam1, lam2=lam2)
     p = sqrt_profile(h0, lam1, _branch_sign(causal))
 
     def g(y):
@@ -162,6 +172,7 @@ def thm42_family(h0: float, lam1: float = 1.0, lam2: float = 1.0,
     f(y) = lam1*exp(lam2 y) and g(z) = exp((lam2/(2 h0)) sqrt(w^2 + b)),
     w = 2 h0 z + lam3, b = +1 ('timelike') or -1 ('spacelike').
     """
+    _require_finite(lam1=lam1, lam2=lam2, lam3=lam3)
     if lam1 == 0.0 or lam2 == 0.0:
         raise InvalidParams("lam1 and lam2 must be nonzero")
     phi = log_profile(h0, lam2, lam3, _branch_sign(causal))

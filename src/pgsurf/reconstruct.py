@@ -12,7 +12,8 @@ Contents:
     3.2: `thm32_family`'s g; 4.2: `log_profile`, phi = log g), and the
     integration starts from its first entry bit for bit.  This module
     writes no family profile, and leaves the checks of the family
-    parameters to the family constructors;
+    parameters to the family constructors, save the shifts it passes
+    under other names (3.2's lam, 4.2's lam1 and lam2);
   * a bounded derivative-free probe of the second-kind nonexistence claim
     for K != 0 (a property check over a declared family space, not a
     proof).
@@ -37,10 +38,10 @@ import numpy as np
 
 from .errors import BlowUp, BranchViolation, DomainError, InvalidParams
 from .factorable import KIND_SECOND, GridSpec, closed_K
-from .families import Causal, _branch_sign, log_profile, sqrt_profile, thm31_family, thm32_family
+from .families import (Causal, _branch_sign, _require_finite, log_profile, sqrt_profile,
+                       thm31_family, thm32_family)
 
 __all__ = [
-    "ODEProblem",
     "integrate",
     "Reconstruction",
     "reconstruct_thm31",
@@ -61,35 +62,6 @@ MAX_RESTARTS = 10**4
 PROBE_GRID = GridSpec((-0.5, 0.5), (-0.5, 0.5), 9, 9)
 
 
-@dataclass(frozen=True)
-class ODEProblem:
-    """Driver s' = slope(s) on [t0, t1] with fixed step h and a finite
-    state y0 = (s0,), or (s0, q0) with the quadrature q' = s / divisor
-    (another size, a component that is not finite, or a corridor `_steps`
-    rejects raises InvalidParams); `integrate` states the contract of
-    `slope`."""
-
-    slope: Callable[[float], float]
-    t0: float
-    y0: np.ndarray
-    t1: float
-    h: float
-    divisor: float = 1.0
-
-    def __post_init__(self):
-        _steps(self.t0, self.t1, self.h)
-        y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
-        if y0.shape not in ((1,), (2,)):
-            raise InvalidParams(f"state must have 1 or 2 components, got shape {y0.shape}")
-        if not np.all(np.isfinite(y0)):
-            raise InvalidParams(f"initial state y0 must be finite, got {y0.tolist()}")
-        object.__setattr__(self, "y0", y0)
-
-    def steps(self) -> tuple[int, float]:
-        """The step count n and the step span/n `integrate` takes (`_steps`)."""
-        return _steps(self.t0, self.t1, self.h)
-
-
 def _steps(t0: float, t1: float, h: float) -> tuple[int, float]:
     """The step count n = round(span/h), at least 1, and the step span/n;
     it differs from `h` where h does not divide the corridor.  Raises
@@ -107,12 +79,17 @@ def _steps(t0: float, t1: float, h: float) -> tuple[int, float]:
     return n, span / n
 
 
-def integrate(problem: ODEProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Classic RK4 with the n equal steps of `problem.steps()`.
+def integrate(slope: Callable[[float], float], t0: float, y0, t1: float, h: float,
+              divisor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Classic RK4 for the driver s' = slope(s) on [t0, t1], with the n
+    equal steps of `_steps(t0, t1, h)`, from the finite state y0 = (s0,),
+    or (s0, q0) with the quadrature q' = s / divisor.  A corridor `_steps`
+    rejects, then a state of another size or with a component that is not
+    finite, raises InvalidParams before `slope` is called.
 
-    Steps on Python floats: `problem.slope(s)` takes a driver stage value
-    s1..s4 as a float and returns its derivative as a float, four calls a
-    step, and a quadrature q adds the same stages over `problem.divisor`.
+    Steps on Python floats: `slope(s)` takes a driver stage value s1..s4
+    as a float and returns its derivative as a float, four calls a step,
+    and a quadrature q adds the same stages over `divisor`.
     There is one loop per state size, its stages written out in the
     operation order of the ndarray expressions y + (0.5*h)*k, y + h*k and
     y + (h/6)*(k1 + 2*k2 + 2*k3 + k4), so the trajectories pinned in
@@ -122,10 +99,15 @@ def integrate(problem: ODEProblem) -> tuple[np.ndarray, np.ndarray]:
     the state leaves [-1e12, 1e12] or stops being finite mid-corridor,
     which includes a slope whose float arithmetic raises ArithmeticError.
     """
-    n, h = problem.steps()
-    ts = problem.t0 + h * np.arange(n + 1)
-    slope, half, sixth = problem.slope, 0.5 * h, h / 6.0
-    trajectory = array("d", problem.y0.tolist())
+    n, h = _steps(t0, t1, h)
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    if y0.shape not in ((1,), (2,)):
+        raise InvalidParams(f"state must have 1 or 2 components, got shape {y0.shape}")
+    if not np.all(np.isfinite(y0)):
+        raise InvalidParams(f"initial state y0 must be finite, got {y0.tolist()}")
+    ts = t0 + h * np.arange(n + 1)
+    half, sixth = 0.5 * h, h / 6.0
+    trajectory = array("d", y0.tolist())
     # float arithmetic raises ArithmeticError (a power overflowing, a
     # division by an underflowed zero) where ndarray arithmetic yields inf
     # or nan; either ends the run as a BlowUp
@@ -145,7 +127,7 @@ def integrate(problem: ODEProblem) -> tuple[np.ndarray, np.ndarray]:
             trajectory.append(s)
     else:
         s, q = trajectory
-        d = problem.divisor
+        d = divisor
         for i in range(1, n + 1):
             try:
                 k1 = slope(s)
@@ -160,7 +142,7 @@ def integrate(problem: ODEProblem) -> tuple[np.ndarray, np.ndarray]:
                 raise BlowUp(f"state exceeded {BLOWUP_LIMIT:.0e} at t = {ts[i]:.6g}")
             trajectory.append(s)
             trajectory.append(q)
-    return ts, np.frombuffer(trajectory).reshape(n + 1, len(problem.y0))
+    return ts, np.frombuffer(trajectory).reshape(n + 1, len(y0))
 
 
 @dataclass(frozen=True)
@@ -185,16 +167,17 @@ def reconstruct_thm31(k0: float, g0: float = 1.0, lam1: float = 0.0, sign: int =
     f = thm31_family(k0, lam1, sign=sign).f
     if not (math.isfinite(g0) and g0 != 0.0):
         raise InvalidParams("g0 must be a nonzero finite real")
-    rho = math.sqrt(abs(k0))
+    _, step = _steps(span[0], span[1], h)
+    rate = sign * math.sqrt(abs(k0))
 
     def slope(v):
-        return sign * rho * (1.0 - (g0 * v) ** 2) / g0
+        return rate * (1.0 - (g0 * v) ** 2) / g0
 
     def closed_f(x):
         return f(x) / g0
 
-    problem = ODEProblem(slope, span[0], [_seed(closed_f, span[0])], span[1], h)
-    return _compare(problem, closed_f,
+    return _compare(integrate(slope, span[0], [_seed(closed_f, span[0])], span[1], h),
+                    closed_f, step,
                     {"theorem": "3.1", "k0": k0, "g0": g0, "lam1": lam1, "sign": sign})
 
 
@@ -211,15 +194,16 @@ def _seed(closed_form, t0: float) -> float:
     return float(_column(closed_form, t0 + 0.0)[0])
 
 
-def _compare(problem: ODEProblem, closed_form, meta: dict) -> Reconstruction:
-    """Integrate `problem` and compare its last state component with
-    `closed_form(ts)`, absolutely and relative to the closed value."""
-    ts, ys = integrate(problem)
+def _compare(trajectory, closed_form, step: float, meta: dict) -> Reconstruction:
+    """Compare the last state component of the (ts, ys) `integrate`
+    returned, with `step` the step it took, against `closed_form(ts)`,
+    absolutely and relative to the closed value."""
+    ts, ys = trajectory
     closed = _column(closed_form, ts)
     err = np.abs(ys[:, -1] - closed)
     rel = err / np.maximum(1e-300, np.abs(closed))
-    return Reconstruction(ts, ys[:, -1], closed, float(err.max()), float(rel.max()),
-                          problem.steps()[1], meta=meta)
+    return Reconstruction(ts, ys[:, -1], closed, float(err.max()), float(rel.max()), step,
+                          meta=meta)
 
 
 def _corridor(w0: float, w1: float, w_text: str) -> None:
@@ -251,13 +235,12 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
     |2*h0*y + lam| > 1 (DomainError).
     """
     b = -_branch_sign(causal)
-    _steps(y0, y0 + length, h)
+    _, step = _steps(y0, y0 + length, h)
     if u0 is not None and lam is not None:
         raise InvalidParams("pass lam or u0, not both")
 
     if u0 is not None:
-        if not math.isfinite(u0):
-            raise InvalidParams("u0 must be a finite real")
+        _require_finite(u0=u0)
         if abs(u0 * u0 - 1.0) <= _BOUNDARY_TOL:
             raise BranchViolation("initial slope sits on the lightlike boundary (f0 g')^2 = 1")
         gap0 = b * (1.0 - u0 * u0)
@@ -269,6 +252,8 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
         lam = w0 - 2.0 * h0 * y0
     elif lam is None:
         lam = 0.0 if b > 0 else 1.3
+    else:
+        _require_finite(lam=lam)
     # the README erratum: the spacelike slope (b = +1) is the sqrt
     # family's plus radicand, which the family names 'timelike'
     g = thm32_family(h0, lam, f0=f0, causal="timelike" if b > 0 else "spacelike").g
@@ -282,14 +267,16 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
     def closed_g(y):
         return b * g(y)
 
+    rate = 2.0 * h0
+
     def slope(u):
         gap = b * (1.0 - u * u)
         if gap <= 0.0:
             raise BranchViolation(f"integration crossed (f0 g')^2 = 1 ({causal} branch)")
-        return 2.0 * h0 * gap ** 1.5
+        return rate * gap ** 1.5
 
-    problem = ODEProblem(slope, y0, [u0, _seed(closed_g, y0)], y0 + length, h, f0)
-    return _compare(problem, closed_g,
+    return _compare(integrate(slope, y0, [u0, _seed(closed_g, y0)], y0 + length, h, f0),
+                    closed_g, step,
                     {"theorem": "3.2", "h0": h0, "f0": f0, "lam": lam, "causal": causal,
                      "u0": u0})
 
@@ -312,28 +299,29 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
     `numeric` and `closed` hold g itself, inf where it exceeds the range.
     """
     phi = log_profile(h0, lam1, lam2, -1)
+    _require_finite(lam1=lam1, lam2=lam2)
     if lam1 == 0.0:
         raise InvalidParams("lam1 must be nonzero")
     s = -1.0 if lam1 > 0 else 1.0
-    _steps(z0, z0 + length, h)
+    _, step = _steps(z0, z0 + length, h)
     _corridor(2.0 * h0 * z0 + lam2, 2.0 * h0 * (z0 + length) + lam2, "2 h0 z + lam2")
     v0 = float(_column(phi.deriv, z0)[0])
 
+    rate, lam1_sq = s * 2.0 * h0, lam1 * lam1
+
     def slope(v):
-        gap = v * v - lam1 * lam1
+        gap = v * v - lam1_sq
         if gap <= 0.0:
             raise BranchViolation("integration crossed (g'/g)^2 = lam1^2")
-        return s * 2.0 * h0 * gap ** 1.5 / (lam1 * lam1)
+        return rate * gap ** 1.5 / lam1_sq
 
-    problem = ODEProblem(slope, z0, [v0, _seed(phi, z0)], z0 + length, h)
-    ts, ys = integrate(problem)
+    ts, ys = integrate(slope, z0, [v0, _seed(phi, z0)], z0 + length, h)
     L, L_closed = ys[:, 1], _column(phi, ts)
     with np.errstate(over="ignore"):
         numeric, closed = np.exp(L), np.exp(L_closed)
     err = np.abs(L - L_closed)
     rel = np.abs(np.expm1(L - L_closed))
-    return Reconstruction(ts, numeric, closed, float(err.max()), float(rel.max()),
-                          problem.steps()[1],
+    return Reconstruction(ts, numeric, closed, float(err.max()), float(rel.max()), step,
                           meta={"theorem": "4.2", "h0": h0, "lam1": lam1, "lam2": lam2,
                                 "branch_sign": s})
 

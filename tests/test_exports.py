@@ -18,8 +18,8 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(pgsurf.__path__))
 # tests/test_exact_claims.py, and the hand-written family and fixture
 # lists, now the one table `families.FAMILIES`, and the wrappers that only
 # restated what their callers hold (`Motion`, a row of the (m, 6) motion
-# array; `CrossCheckReport`, the gap and the sweep's size); none may come
-# back as an export
+# array; `CrossCheckReport`, the gap and the sweep's size; `ODEProblem`,
+# the arguments of `integrate`); none may come back as an export
 DELETED = {
     "families": ["FAMILY_NAMES", "Fixture", "fixtures_flat_minimal", "_fixture"],
     "cli": ["_EXPECTED_FIELD", "_CAUSAL", "_random_motions"],
@@ -27,7 +27,7 @@ DELETED = {
                     "thm42_ode_residual", "residual_field", "ResidualReport", "CaseCoefficients",
                     "quartic_slope_coefficients", "check_quartic_slope_identity",
                     "check_linear_factor_identity", "solve_quintic_coefficient_system",
-                    "_families", "specialized_grid"],
+                    "_families", "specialized_grid", "ODEProblem"],
     "surface": ["Jet2", "FirstForm", "FundamentalData", "first_form", "fundamental_data",
                 "jet_components", "jet_from_components", "finite_difference_jet", "_at_point",
                 "PGPoint", "Character", "causal_character", "LIGHTLIKE_BAND", "pg_distance",

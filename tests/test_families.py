@@ -1,4 +1,5 @@
 import inspect
+import math
 import warnings
 from typing import get_args
 
@@ -156,6 +157,21 @@ class TestThm42:
             thm42_family(0.5, lam1=0.0)
         with pytest.raises(InvalidParams):
             thm42_family(0.5, causal="null")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build, kwargs, key", [
+    (thm31_family, dict(k0=1.0), "lam1"),
+    (thm31_family, dict(k0=1.0), "lam2"),
+    (thm32_family, dict(h0=0.5), "lam1"),
+    (thm32_family, dict(h0=0.5), "lam2"),
+    (thm42_family, dict(h0=0.5), "lam1"),
+    (thm42_family, dict(h0=0.5), "lam2"),
+    (thm42_family, dict(h0=0.5), "lam3"),
+])
+def test_non_finite_shift_is_named(build, kwargs, key, bad):
+    with pytest.raises(InvalidParams, match=f"^{key} must be a finite real$"):
+        build(**kwargs, **{key: bad})
 
 
 class TestFixtures:

@@ -8,6 +8,9 @@ Under `### Config keys`, the `family.name` row names the rows of
 `families.FAMILIES` in their order, with the ones `verify` checks first,
 and the `family.*` key table gives each key of `cli.FAMILIES` once, with
 its kind, default and choices.
+
+Every fenced ```python block runs as it stands, so a sketch that names a
+deleted or renamed API fails.
 """
 
 import re
@@ -95,3 +98,13 @@ def test_family_keys_have_the_cli_kinds_and_defaults():
                 seen.append((name, key.removeprefix("family.")))
     assert sorted(seen) == sorted((name, key) for name, rows in cli.FAMILIES.items()
                                   for key in rows)
+
+
+def test_python_blocks_run():
+    text = README.read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"^```python\n(.*?)^```$", text, re.M | re.S))
+    assert blocks  # no block would check nothing
+    for block in blocks:
+        # padded to its README line, so a traceback points into the README
+        code = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
+        exec(compile(code, str(README), "exec"), {})

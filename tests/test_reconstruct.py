@@ -29,7 +29,7 @@ from pgsurf.reconstruct import (
     _flat_seed,
     _generic_start,
     _probe_objective,
-    ODEProblem,
+    _steps,
     integrate,
     nonexistence_probe,
     reconstruct_thm31,
@@ -50,19 +50,27 @@ from test_exact_claims import (
     z,
 )
 
+class _Accepted(Exception):
+    pass
+
+
+def _accepted(s):
+    raise _Accepted
+
+
 class TestIntegrate:
     def test_exponential_growth(self):
-        ts, ys = integrate(ODEProblem(lambda s: s, 0.0, [1.0], 1.0, 1e-3))
+        ts, ys = integrate(lambda s: s, 0.0, [1.0], 1.0, 1e-3)
         assert ys[-1, 0] == pytest.approx(math.e, abs=1e-10)
         assert ts.size == 1001
 
     def test_zero_slope_is_constant(self):
-        _, ys = integrate(ODEProblem(lambda s: 0.0 * s, 0.0, [2.5], 3.0, 0.1))
+        _, ys = integrate(lambda s: 0.0 * s, 0.0, [2.5], 3.0, 0.1)
         assert np.all(ys == 2.5)
 
     def test_blowup_guard(self):
         with pytest.raises(BlowUp):
-            integrate(ODEProblem(lambda s: 1.0 + s**2, 0.0, [1.0], 2.0, 1e-3))
+            integrate(lambda s: 1.0 + s**2, 0.0, [1.0], 2.0, 1e-3)
 
     @pytest.mark.parametrize("y0", [[0.0], [0.0, 0.0]])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -70,48 +78,54 @@ class TestIntegrate:
         # s = t goes bad at the first step whose stages reach s >= 0.5
         slope = lambda s: bad if s >= 0.5 else 1.0  # noqa: E731
         with pytest.raises(BlowUp, match=r"at t = 0\.5$"):
-            integrate(ODEProblem(slope, 0.0, y0, 1.0, 0.25))
+            integrate(slope, 0.0, y0, 1.0, 0.25)
 
     def test_raising_float_arithmetic_blows_up(self):
         # 10.0 ** 400 raises OverflowError where an ndarray power gives inf
         with pytest.raises(BlowUp, match=r"at t = 1$"):
-            integrate(ODEProblem(lambda s: s ** 400, 0.0, [10.0], 2.0, 1.0))
+            integrate(lambda s: s ** 400, 0.0, [10.0], 2.0, 1.0)
         # the ODE's own overflow: an unstable step of the 3.1 profile ODE
         with pytest.raises(BlowUp, match=r"at t = 10$"):
             reconstruct_thm31(1.7e308, span=(0.0, 10.0), h=10.0)
 
     def test_problem_validation(self):
+        calls = []
         with pytest.raises(InvalidParams):
-            ODEProblem(lambda s: s, 0.0, [1.0], 0.0, 1e-3)
+            integrate(lambda s: calls.append(s) or s, 0.0, [1.0], 0.0, 1e-3)
         with pytest.raises(InvalidParams):
-            ODEProblem(lambda s: s, 0.0, [1.0], 1.0, 0.0)
+            integrate(lambda s: calls.append(s) or s, 0.0, [1.0], 1.0, 0.0)
+        # the corridor is checked before the state
+        with pytest.raises(InvalidParams, match="corridor"):
+            integrate(lambda s: calls.append(s) or s, 0.0, [math.nan, 0.0, 0.0], math.nan, 0.1)
+        assert calls == []
 
     @pytest.mark.parametrize("y0", [[bad] for bad in (math.inf, -math.inf, math.nan)]
                              + [[bad, 0.0] for bad in (math.inf, math.nan)]
                              + [[0.0, bad] for bad in (-math.inf, math.nan)])
     def test_non_finite_initial_state_rejected(self, y0):
+        calls = []
         with pytest.raises(InvalidParams, match="y0 must be finite"):
-            ODEProblem(lambda s: 0.0, 0.0, y0, 1.0, 0.25)
+            integrate(lambda s: calls.append(s) or 0.0, 0.0, y0, 1.0, 0.25)
+        assert calls == []
 
     @pytest.mark.parametrize("y0", [[], [0.0, 0.0, 0.0], [[0.0, 0.0]]])
     def test_state_has_one_or_two_components(self, y0):
         calls = []
         with pytest.raises(InvalidParams, match="1 or 2 components"):
-            ODEProblem(lambda s: calls.append(s) or s, 0.0, y0, 1.0, 0.25)
+            integrate(lambda s: calls.append(s) or s, 0.0, y0, 1.0, 0.25)
         assert calls == []
 
     @pytest.mark.parametrize("y0", [[0.5], [0.5, -2.0]])
     def test_slope_is_called_four_times_a_step_with_a_float(self, y0):
         calls = []
-        problem = ODEProblem(lambda s: calls.append(s) or -s, 0.0, y0, 1.0, 0.1, divisor=-3.0)
-        integrate(problem)
-        assert len(calls) == 4 * problem.steps()[0] == 40
+        integrate(lambda s: calls.append(s) or -s, 0.0, y0, 1.0, 0.1, divisor=-3.0)
+        assert len(calls) == 4 * _steps(0.0, 1.0, 0.1)[0] == 40
         assert {type(s) for s in calls} == {float}
 
     @pytest.mark.parametrize("y0", [[0.0], [0.0, 0.0]])
     def test_value_error_inside_slope_propagates(self, y0):
         with pytest.raises(ValueError, match="^math domain error$") as info:
-            integrate(ODEProblem(lambda s: math.sqrt(s - 1.0), 0.0, y0, 1.0, 0.25))
+            integrate(lambda s: math.sqrt(s - 1.0), 0.0, y0, 1.0, 0.25)
         assert not isinstance(info.value, InvalidParams)
 
     @pytest.mark.parametrize("span, h, n, step", [
@@ -119,17 +133,19 @@ class TestIntegrate:
         ((0.0, 1.0), 1e-4, 10000, 1e-4), ((1.2, 2.0), 1e-4, 8000, 1e-4),
     ])
     def test_steps_are_the_ones_integrate_takes(self, span, h, n, step):
-        problem = ODEProblem(lambda s: s, span[0], [1.0], span[1], h)
-        ts, _ = integrate(problem)
-        assert problem.steps() == (n, step) and ts.size == n + 1
+        ts, _ = integrate(lambda s: s, span[0], [1.0], span[1], h)
+        assert _steps(span[0], span[1], h) == (n, step) and ts.size == n + 1
         assert reconstruct_thm31(1.0, span=span, h=h).h == step
 
     def test_step_count_capped_before_allocation(self):
-        slope = lambda s: s  # noqa: E731
-        ODEProblem(slope, 0.0, [1.0], 1.0, 1.0 / MAX_STEPS)
+        # at the cap the checks pass: the first slope call stops the run
+        with pytest.raises(_Accepted):
+            integrate(_accepted, 0.0, [1.0], 1.0, 1.0 / MAX_STEPS)
+        calls = []
         for t1, h in ((1.0, 1.0 / (MAX_STEPS + 1)), (1e12, 1e-3), (1.0, 5e-324)):
             with pytest.raises(InvalidParams, match="steps"):
-                ODEProblem(slope, 0.0, [1.0], t1, h)
+                integrate(lambda s: calls.append(s) or s, 0.0, [1.0], t1, h)
+        assert calls == []
         for call in (lambda: reconstruct_thm31(1.0, span=(0.0, 1e12)),
                      lambda: reconstruct_thm32(0.5, length=1e12),
                      lambda: reconstruct_thm42(0.5, length=1e12)):
@@ -201,7 +217,8 @@ def test_integrate_trajectory_pins(monkeypatch):
     original = rec.integrate
     for call, kwargs, ts_pin, ys_pin in _TRAJECTORY_PINS:
         results = []
-        monkeypatch.setattr(rec, "integrate", lambda p: results.append(original(p)) or results[-1])
+        monkeypatch.setattr(rec, "integrate",
+                            lambda *args: results.append(original(*args)) or results[-1])
         call(**kwargs)
         (ts, ys), = results
         assert ts.dtype == ys.dtype == np.float64
@@ -215,11 +232,27 @@ def test_integrate_trajectory_pins(monkeypatch):
 
     # y = tan(t + pi/4) leaves [-1e12, 1e12] just after pi/4
     with pytest.raises(BlowUp) as info:
-        integrate(ODEProblem(lambda s: 1.0 + s ** 2, 0.0, [1.0], 2.0, 1e-3))
+        integrate(lambda s: 1.0 + s ** 2, 0.0, [1.0], 2.0, 1e-3)
     assert str(info.value) == "state exceeded 1e+12 at t = 0.787"
     # the fifth of ten coarse steps overshoots u = 1
     with pytest.raises(BranchViolation, match="spacelike branch"):
         reconstruct_thm32(5.0, causal="spacelike", lam=-3.5, h=0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, kwargs, key", [
+    (reconstruct_thm31, dict(k0=1.0), "lam1"),
+    (reconstruct_thm32, dict(h0=0.5, causal="spacelike"), "lam"),
+    (reconstruct_thm32, dict(h0=0.5, causal="timelike"), "lam"),
+    (reconstruct_thm42, dict(h0=0.5), "lam1"),
+    (reconstruct_thm42, dict(h0=0.5), "lam2"),
+])
+def test_non_finite_shift_names_its_key(call, kwargs, key, bad):
+    # the caller's own key, though 3.2 and 4.2 pass their shifts on under
+    # other names; a tanh profile at lam1 = +-inf is a constant the
+    # integration would match exactly
+    with pytest.raises(InvalidParams, match=f"^{key} must be a finite real$"):
+        call(**kwargs, **{key: bad})
 
 
 class TestThm31Reconstruction:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from pgsurf import reconstruct as rec
 from pgsurf.errors import BlowUp, BranchViolation
-from pgsurf.reconstruct import BLOWUP_LIMIT, ODEProblem, integrate
+from pgsurf.reconstruct import BLOWUP_LIMIT, _steps, integrate
 
 
 def _rk4_step(rhs, t, y, h):
@@ -34,19 +34,20 @@ def _rk4_step(rhs, t, y, h):
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def _rhs(problem):
-    """`problem`'s driver s' = slope(s), and its quadrature q' = s/divisor
-    where the state has one, as a right-hand side rhs(t, y) of the state."""
-    slope, divisor = problem.slope, problem.divisor
-    if problem.y0.size == 1:
+def _rhs(slope, size, divisor):
+    """The driver s' = slope(s), and its quadrature q' = s/divisor where
+    the state has `size` 2, as a right-hand side rhs(t, y) of the state."""
+    if size == 1:
         return lambda t, y: (slope(y[0]),)
     return lambda t, y: (slope(y[0]), y[0] / divisor)
 
 
-def reference_integrate(problem):
-    n, h = problem.steps()
-    ts = problem.t0 + h * np.arange(n + 1)
-    rhs, y = _rhs(problem), problem.y0.tolist()
+def reference_integrate(slope, t0, y0, t1, h, divisor=1.0):
+    """The reference run on `integrate`'s arguments, taken as valid
+    (`integrate` checks them)."""
+    n, h = _steps(t0, t1, h)
+    ts = t0 + h * np.arange(n + 1)
+    rhs, y = _rhs(slope, len(y0), divisor), [float(v) for v in y0]
     trajectory = array("d", y)
     for i, t in enumerate(map(float, ts[:n])):
         try:
@@ -61,10 +62,10 @@ def reference_integrate(problem):
 
 
 def _outcome(run, problem):
-    """The shapes and bytes of what `run` returns, or the type and message
-    of the BlowUp or BranchViolation it raises."""
+    """The shapes and bytes of what `run(*problem)` returns, or the type
+    and message of the BlowUp or BranchViolation it raises."""
     try:
-        ts, ys = run(problem)
+        ts, ys = run(*problem)
     except (BlowUp, BranchViolation) as exc:
         return type(exc), str(exc)
     assert ts.dtype == ys.dtype == np.float64
@@ -72,8 +73,9 @@ def _outcome(run, problem):
 
 
 def assert_matches_reference(problem):
-    """Whether `problem` ends in BlowUp or BranchViolation, after checking
-    that `integrate` and the reference agree on it."""
+    """Whether the `integrate` arguments `problem` end in BlowUp or
+    BranchViolation, after checking that `integrate` and the reference
+    agree on them."""
     outcome = _outcome(integrate, problem)
     assert outcome == _outcome(reference_integrate, problem)
     return outcome[0] in (BlowUp, BranchViolation)
@@ -115,7 +117,7 @@ def _problems(draw):
                                                                           max_size=2)))
     y0 = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=2))
     t0, t1, h = draw(_corridors())
-    return ODEProblem(slope, t0, y0, t1, h, draw(_DIVISORS))
+    return slope, t0, y0, t1, h, draw(_DIVISORS)
 
 
 def test_matches_reference_on_drawn_systems():
@@ -131,10 +133,10 @@ class _Captured(Exception):
 
 
 def _captured_problem(call, kwargs):
-    """The ODEProblem `call(**kwargs)` hands to `integrate`, with the
-    slope closure the reconstruction builds."""
-    def capture(problem):
-        raise _Captured(problem)
+    """The arguments `call(**kwargs)` hands to `integrate`, with the slope
+    closure the reconstruction builds."""
+    def capture(*args):
+        raise _Captured(args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rec, "integrate", capture)
@@ -205,8 +207,8 @@ def test_matches_reference_on_thm42():
     (lambda s: s ** 400, [10.0, 0.0], 1.0, 1.0, "state exceeded 1e+12 at t = 1"),
 ])
 def test_two_component_blowup(slope, y0, divisor, h, message):
-    problem = ODEProblem(slope, 0.0, y0, 2.0, h, divisor)
+    problem = slope, 0.0, y0, 2.0, h, divisor
     with pytest.raises(BlowUp) as info:
-        integrate(problem)
+        integrate(*problem)
     assert str(info.value) == message
     assert _outcome(reference_integrate, problem) == (BlowUp, message)
