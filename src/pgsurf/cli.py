@@ -7,14 +7,19 @@ keys and wins over file values.  Outputs are deterministic: identical
 configurations produce byte-identical CSV/JSON/OBJ files (floats printed
 with 17 significant digits, fixed row order).  `curvature`, `mesh` and
 `verify` sweep each grid point once, in the row blocks of
-`factorable.row_spans`; tables and meshes are formatted and written one
-grid row at a time.  Every float column goes
-through one rule: a column whose bits are constant along a grid axis is
-formatted once per value of the other axis (the axes U1 and U2, the
-positions equal to them, epsilon) and printed by a `%s` field, any other
-column by a `%.17g` field.  A grid row with no excluded point is one `%`
-of its lines' format repeated across the row; a row that holds one is
-formatted line by line.  Equal bits print equal strings, and
+`factorable.row_spans`; tables and meshes are formatted in text chunks of
+at most `_BLOCK_POINTS` points (a block, or a span of one long grid row)
+and written one grid row, or span, at a time.  Every float column goes
+through one rule: a column whose bits are the same in every row of a
+chunk (U2, the position equal to it, epsilon, a constant K or H) is
+formatted once per position and its strings are written into the
+positions' line formats; one constant along a grid row (U1 and its
+position) is formatted once per row and printed by a `%s` field; any
+other column by a `%.17g` field.  A grid row with no excluded point is
+one `%` of its positions' line formats joined, which fills only the
+fields that change along the row; a row that holds one is formatted line
+by line with the same formats.  A mesh's vertex indices are formatted
+once each for its faces.  Equal bits print equal strings, and
 `"%.17g" % x == format(x, ".17g")`, so the bytes are those of
 formatting every cell with `format(x, ".17g")`.
 A file output is written to a temporary sibling and moved into place only
@@ -46,6 +51,7 @@ from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, 
 
 import numpy as np
 
+from . import factorable
 from . import families as fam
 from . import reconstruct as rec
 from .errors import (
@@ -383,58 +389,91 @@ def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
 _format = "%.17g".__mod__
 
 
-def _column(column: np.ndarray) -> tuple[str, Iterator[list]]:
-    """The format field of a float grid column and its cells, one list per
-    grid row.
+def _chunks(blocks: Iterable[dict], keys: tuple) -> Iterator[tuple[list, np.ndarray]]:
+    """The `keys` columns and the exclusion mask of each sweep block in
+    text chunks of at most `_BLOCK_POINTS` points: as many whole grid rows
+    as fit, or spans of one grid row where a row holds more.  A block of
+    `row_spans` is one chunk, or one grid row of chunks, so the text in
+    memory is bounded however long a row is."""
+    width = factorable._BLOCK_POINTS
+    for data in blocks:
+        n1, n2 = data["excluded"].shape
+        step = max(1, width // n2)
+        for i, j in itertools.product(range(0, n1, step), range(0, n2, width)):
+            rows, span = slice(i, i + step), slice(j, j + width)
+            yield [data[key][rows, span] for key in keys], data["excluded"][rows, span]
 
-    A column whose bits are constant along axis 0 is formatted once (its
-    first row) and that list of strings is reused on every row; one
-    constant along axis 1 is formatted once per row; both print through a
-    `%s` field.  Any other column gives each row's floats to a `%.17g`
-    field.  Equal bits print equal strings, so the text is that of
-    formatting every cell.  -0.0 and 0.0, or NaNs with different payloads,
-    are different bits."""
+
+def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list]]]:
+    """The format field of a column of a text chunk and its cells, one
+    list per grid row.
+
+    A float column of more than one row whose bits are the same in every
+    row gives, in place of a field, the strings of its first row, each
+    formatted once: they are written into the line formats, and it has no
+    cells.  (A chunk of one row, a span of a long grid row, would gain
+    nothing from its line formats.)  One whose bits are constant along
+    axis 1 is formatted once per row and printed by a `%s` field.  Any
+    other float column gives each row's floats to a `%.17g` field, an
+    integer column (vertex indices) its ints to a `%d` field.  Equal bits
+    print equal strings, so the text is that of formatting every cell.
+    -0.0 and 0.0, or NaNs with different payloads, are different bits."""
+    if column.dtype.kind == "i":
+        return "%d", (row.tolist() for row in column)
     bits = column.view(np.int64)
-    if (bits == bits[:1]).all():
-        return "%s", itertools.repeat(list(map(_format, column[0].tolist())), len(column))
+    if len(column) > 1 and (bits == bits[:1]).all():
+        return list(map(_format, column[0].tolist())), None
     if (bits == bits[:, :1]).all():
-        n2 = column.shape[1]
-        return "%s", ([s] * n2 for s in map(_format, column[:, 0].tolist()))
+        m = column.shape[1]
+        return "%s", ([s] * m for s in map(_format, column[:, 0].tolist()))
     return "%.17g", (row.tolist() for row in column)
 
 
-def _lines(columns: Iterable[Iterator], inc: str, exc: str, excluded: np.ndarray) -> Iterator[str]:
-    """One chunk of lines per grid row, each line `inc` over its cells.
+def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[str]:
+    """One string of lines per grid row of a text chunk.
 
-    A row with no excluded point is one `%` of `inc` repeated across the
-    row.  A row that holds one formats line by line, an excluded point
-    with `exc` over its leading cells.  (Building one mixed `inc`/`exc`
-    format for every row would serve both, but made a 150x150 thm42 CSV
-    with no excluded point about 5% slower.)"""
-    row = inc * excluded.shape[1]
-    head = exc.count("%")
-    ncols = inc.count("%")
-    args = [None] * (ncols * excluded.shape[1])
-    for masked, mask, *cells in zip(excluded.any(axis=1).tolist(), excluded, *columns):
+    `inc` and `exc` are `str.format` templates of an included and of an
+    excluded point's line, with a `{}` per column, `exc` per leading
+    column.  The strings of a column formatted once per position are
+    written into each position's line formats, the other columns' fields
+    are left as `%` fields.  A row with no excluded point is one `%` of
+    the positions' formats joined, which fills only those fields; a row
+    that holds one formats line by line with the same formats, an
+    excluded point with `exc`'s over its leading cells."""
+    fields, rows = zip(*map(_column, columns))
+    strings = [field for field in fields if isinstance(field, list)]
+    spots = ["{}" if isinstance(field, list) else field for field in fields]
+    m = excluded.shape[1]
+
+    def per_position(template: str) -> list[str]:
+        template = template.format(*spots)
+        # `str.format` skips the strings of columns past `exc`'s last
+        return list(map(template.format, *strings)) if strings else [template] * m
+
+    incs, excs = per_position(inc), per_position(exc)
+    cells = [column for column in rows if column is not None]
+    head, ncols = excs[0].count("%"), len(cells)
+    row = "".join(incs)
+    args = [None] * (ncols * m)
+    for masked, mask, *values in zip(excluded.any(axis=1).tolist(), excluded, *cells):
         if masked:
-            yield "".join([exc % c[:head] if e else inc % c
-                           for c, e in zip(zip(*cells), mask.tolist())])
+            points = zip(*values) if values else [()] * m
+            yield "".join([e % p[:head] if x else i % p
+                           for i, e, p, x in zip(incs, excs, points, mask.tolist())])
         else:
             # the row's cells, point by point, laid into one reused list
-            for k, cell in enumerate(cells):
-                args[k::ncols] = cell
+            for k, value in enumerate(values):
+                args[k::ncols] = value
             yield row % tuple(args)
 
 
 def _csv_rows(blocks: Iterable[dict]) -> Iterator[str]:
-    """`curvature` CSV: the header, then one chunk of lines per grid row
-    of each sweep block."""
+    """`curvature` CSV: the header, then one string of lines per grid row
+    of each text chunk."""
     yield CSV_HEADER + "\n"
-    for data in blocks:
-        fields, columns = zip(*(_column(data[k])
-                                for k in ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")))
-        yield from _lines(columns, ",".join(fields) + ",0\n", ",".join(fields[:5]) + ",,,,,1\n",
-                          data["excluded"])
+    for columns, excluded in _chunks(blocks, ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")):
+        yield from _lines(columns, "{},{},{},{},{},{},{},{},{},0\n", "{},{},{},{},{},,,,,1\n",
+                          excluded)
 
 
 def run_curvature(cfg: dict) -> int:
@@ -616,33 +655,49 @@ def run_probe(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _obj_lines(blocks: list, faces: np.ndarray) -> Iterator[str]:
-    """OBJ: a comment, the vertex lines of each sweep block, then the quad
-    of each kept cell of the grid; one chunk of lines per grid row."""
+    """OBJ: a comment, the vertex lines of each text chunk, then the quad of
+    each kept cell of the grid, one string per face row or per span of at
+    most `_BLOCK_POINTS` faces.
+
+    Each vertex index is formatted once, as a face row's lower row serves
+    as the next face row's upper row (twice when a grid row is longer
+    than a span).  A span with every face kept is one `%` of the quad
+    format repeated, its strings laid in by slice assignment."""
     n1, n2 = faces.shape[0] + 1, faces.shape[1] + 1
     yield f"# pg-surf mesh {n1}x{n2}\n"
-    for data in blocks:
-        fields, columns = zip(*(_column(data[k]) for k in ("x", "y", "z")))
-        vertex = "v %s %s %s\n" % fields
-        yield from _lines(columns, vertex, vertex, np.zeros(data["x"].shape, dtype=bool))
-    for i, keep in enumerate(faces):
-        first = np.flatnonzero(keep) + (i * n2 + 1)
-        if first.size:
-            quads = np.stack([first, first + n2, first + n2 + 1, first + 1], axis=1)
-            yield ("f %d %d %d %d\n" * first.size) % tuple(quads.ravel().tolist())
+    for columns, excluded in _chunks(blocks, ("x", "y", "z")):
+        yield from _lines(columns, "v {} {} {}\n", "v {} {} {}\n", np.zeros_like(excluded))
+    quad, width = "f %s %s %s %s\n", factorable._BLOCK_POINTS
+    full, kept = faces.all(axis=1).tolist(), faces.any(axis=1).tolist()
+    below = (0, [])  # the first vertex index and the strings of the last lower row
+    for i in itertools.compress(range(n1 - 1), kept):
+        for j in range(0, n2 - 1, width):
+            m = min(width, n2 - 1 - j)
+            first = i * n2 + j + 1
+            upper = below[1] if below[0] == first else list(map(str, range(first, first + m + 1)))
+            lower = list(map(str, range(first + n2, first + n2 + m + 1)))
+            below = (first + n2, lower)
+            if full[i]:
+                args = [None] * (4 * m)
+                args[0::4], args[1::4], args[2::4], args[3::4] = (upper[:-1], lower[:-1],
+                                                                  lower[1:], upper[1:])
+                yield quad * m % tuple(args)
+            else:
+                yield "".join([quad % (upper[k], lower[k], lower[k + 1], upper[k + 1])
+                               for k in np.flatnonzero(faces[i, j:j + m]).tolist()])
 
 
 def _sidecar_rows(blocks: list) -> Iterator[str]:
     """Mesh sidecar CSV keyed by 1-based vertex index: the header, then one
-    chunk of lines per grid row of each sweep block."""
+    string of lines per grid row of each text chunk."""
     yield "vertex,u1,u2,K,H,excluded\n"
-    n2 = blocks[0]["excluded"].shape[1]
-    # the vertex indices of each grid row, one iterator for all blocks:
-    # `_lines` takes the next one for each of its rows, and no more
-    ids = (range(first, first + n2) for first in itertools.count(1, n2))
+    first = 1
     for data in blocks:
-        fields, columns = zip(*(_column(data[k]) for k in ("U1", "U2", "K", "H")))
-        yield from _lines((ids, *columns), "%d," + ",".join(fields) + ",0\n",
-                          "%d," + ",".join(fields[:2]) + ",,,1\n", data["excluded"])
+        shape = data["excluded"].shape
+        ids = np.arange(first, first + shape[0] * shape[1]).reshape(shape)
+        first += ids.size
+        for columns, excluded in _chunks([{**data, "vertex": ids}], ("vertex", "U1", "U2", "K", "H")):
+            yield from _lines(columns, "{},{},{},{},{},0\n", "{},{},{},,,1\n", excluded)
 
 
 def run_mesh(cfg: dict) -> int:

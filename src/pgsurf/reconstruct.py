@@ -250,6 +250,8 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
         # Position the closed form so that it matches the given slope at y0.
         w0 = b * u0 / math.sqrt(gap0)
         lam = w0 - 2.0 * h0 * y0
+        if not math.isfinite(lam):
+            raise InvalidParams("h0, y0 and u0 give a shift lam = w0 - 2*h0*y0 that is not finite")
     elif lam is None:
         lam = 0.0 if b > 0 else 1.3
     else:
@@ -259,6 +261,8 @@ def reconstruct_thm32(h0: float, f0: float = 1.0, lam: Optional[float] = None,
     g = thm32_family(h0, lam, f0=f0, causal="timelike" if b > 0 else "spacelike").g
     if u0 is None:
         w0 = 2.0 * h0 * y0 + lam
+        if not math.isfinite(w0):
+            raise InvalidParams("h0 and y0 give a start w0 = 2*h0*y0 + lam that is not finite")
         # NaN on a timelike start with |w0| <= 1, which `_corridor` rejects
         u0 = b * float(_column(sqrt_profile(h0, lam, b).deriv, y0)[0])
     if b < 0:

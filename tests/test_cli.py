@@ -724,20 +724,33 @@ class TestPeakMemoryOfLargeSweeps:
     own ru_maxrss is read.  They sweep the grid in row blocks and keep only
     what their outputs still need: 62-77 MiB with numpy 2.4 on x86-64
     Linux, where sweeping the whole grid at once reached 229 MiB (analytic
-    and `specialized`) and 305 MiB (FD).  The outputs go to the null
-    device, so the run's time is not that of the disk."""
+    and `specialized`) and 305 MiB (FD).  A grid of two rows of 200 000
+    points stays under the same bound, 87-88 MiB, as the text is written
+    in chunks of at most `_BLOCK_POINTS` points; text built one grid row
+    at a time reached 362 MiB (`curvature`) and 216 MiB (`mesh`).  The
+    outputs go to the null device, so the run's time is not that of the
+    disk."""
 
-    @pytest.mark.parametrize("route", ["pipeline", "pipeline-fd", "specialized"])
-    @pytest.mark.parametrize("command", ["curvature", "mesh"])
-    def test_peak_memory(self, command, route):
+    @staticmethod
+    def _peak(command, n1, n2, route):
         keys = ("csv", "json") if command == "curvature" else ("obj", "sidecar")
         argv = [command, "--set", "family.name=thm42", "--set", "family.h0=0.5",
-                "--set", "grid.n1=1000", "--set", "grid.n2=1000", "--set", f"formulas={route}"]
+                "--set", f"grid.n1={n1}", "--set", f"grid.n2={n2}", "--set", f"formulas={route}"]
         argv += [arg for key in keys for arg in ("--set", f"output.{key}={os.devnull}")]
         child = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv], env=_child_env(),
                                capture_output=True, text=True)
         assert child.returncode == 0, child.stderr
-        peak = int(child.stdout)
+        return int(child.stdout)
+
+    @pytest.mark.parametrize("route", ["pipeline", "pipeline-fd", "specialized"])
+    @pytest.mark.parametrize("command", ["curvature", "mesh"])
+    def test_peak_memory(self, command, route):
+        peak = self._peak(command, 1000, 1000, route)
+        assert peak < 150 * 2**20, peak
+
+    @pytest.mark.parametrize("command", ["curvature", "mesh"])
+    def test_long_rows(self, command):
+        peak = self._peak(command, 2, 200_000, "pipeline")
         assert peak < 150 * 2**20, peak
 
 

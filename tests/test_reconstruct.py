@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -19,6 +20,7 @@ from pgsurf.errors import (
 from pgsurf.factorable import FactorableSurface, GridSpec, ScalarC2, default_grid, specialized_grid
 from pgsurf.families import family_surface, thm31_family, thm32_family, thm42_family
 from pgsurf import reconstruct
+from pgsurf.cli import main
 from pgsurf.reconstruct import (
     MAX_RESTARTS,
     MAX_STEPS,
@@ -303,6 +305,21 @@ class TestThm32Reconstruction:
     def test_non_finite_slope_names_u0(self, causal, u0):
         with pytest.raises(InvalidParams, match="^u0 must be a finite real$"):
             reconstruct_thm32(0.5, causal=causal, u0=u0)
+
+    @pytest.mark.parametrize("key, message", [
+        ("u0", "h0, y0 and u0 give a shift lam = w0 - 2*h0*y0 that is not finite"),
+        ("lam", "h0 and y0 give a start w0 = 2*h0*y0 + lam that is not finite"),
+    ])
+    def test_overflowing_derived_shift_names_the_callers_keys(self, capsys, key, message):
+        # 2*h0*y0 overflows: the shift or start derived from it is not
+        # finite, and the message names the keys the caller passed, in the
+        # library and on the command line (exit 2)
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            reconstruct_thm32(1e308, causal="spacelike", y0=1.0, **{key: 0.5})
+        sets = ["theorem=3.2", "h0=1e308", "causal=spacelike", "y0=1.0", f"{key}=0.5"]
+        capsys.readouterr()
+        assert main(["reconstruct", *(arg for pair in sets for arg in ("--set", pair))]) == 2
+        assert capsys.readouterr().err == f"pg-surf: config error: {message}\n"
 
     def test_corridor_validation(self):
         with pytest.raises(DomainError):
