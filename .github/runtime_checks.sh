@@ -57,9 +57,12 @@ test -s fd400.csv; test -s fd400.json
 pg-surf mesh --set family.name=thm42 --set family.h0=0.5 --set formulas=specialized --set grid.n1=400 --set grid.n2=400 --set output.obj=sp400.obj --set output.sidecar=sp400.csv
 test -s sp400.obj; test -s sp400.csv
 
-# rows longer than a text chunk of 2**15 points are written in spans: every line whole
+# rows longer than a block of 2**15 points are swept and written in spans: every line whole
 pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set grid.n1=2 --set grid.n2=50000 --set output.csv=long.csv --set output.json=long.json
 awk -F, 'NF != 10 { bad = 1 } END { exit bad || NR != 100001 }' long.csv
+pg-surf mesh --set family.name=thm42 --set family.h0=0.5 --set grid.n1=2 --set grid.n2=50000 --set output.obj=long.obj --set output.sidecar=long-mesh.csv
+test "$(grep -c '^v ' long.obj)" -eq 100000; test "$(grep -c '^f ' long.obj)" -eq 49999
+awk -F, 'NF != 6 { bad = 1 } END { exit bad || NR != 100001 }' long-mesh.csv
 
 # the pipeline and closed routes print the same K and H text
 pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set grid.n1=400 --set grid.n2=400 --set output.csv=pipe400.csv --set output.json=pipe400.json

@@ -6,20 +6,20 @@ Configuration is a JSON object; `--set` overrides individual (dotted)
 keys and wins over file values.  Outputs are deterministic: identical
 configurations produce byte-identical CSV/JSON/OBJ files (floats printed
 with 17 significant digits, fixed row order).  `curvature`, `mesh` and
-`verify` sweep each grid point once, in the row blocks of
-`factorable.row_spans`; tables and meshes are formatted in text chunks of
-at most `_BLOCK_POINTS` points (a block, or a span of one long grid row)
-and written one grid row, or span, at a time.  Every float column goes
-through one rule: a column whose bits are the same in every row of a
-chunk (U2, the position equal to it, epsilon, a constant K or H) is
-formatted once per position and its strings are written into the
-positions' line formats; one constant along a grid row (U1 and its
-position) is formatted once per row and printed by a `%s` field; any
-other column by a `%.17g` field.  A grid row with no excluded point is
-one `%` of its positions' line formats joined, which fills only the
-fields that change along the row; a row that holds one is formatted line
-by line with the same formats.  A mesh's vertex indices are formatted
-once each for its faces.  Equal bits print equal strings, and
+`verify` sweep each grid point once, in the blocks of
+`factorable.row_spans` (whole grid rows, or a span of one long row);
+tables and meshes are formatted block by block and written one grid
+row, or span, at a time.  Every float column goes through one rule: a
+column whose bits are the same in every row of a block (U2, the
+position equal to it, epsilon, a constant K or H) is formatted once per
+position and its strings are written into the positions' line formats;
+one constant along a grid row (U1 and its position) is formatted once
+per row and printed by a `%s` field; any other column by a `%.17g`
+field.  A grid row with no excluded point is one `%` of its positions'
+line formats joined, which fills only the fields that change along the
+row; a row that holds one is formatted line by line with the same
+formats.  A mesh's vertex indices are formatted once each for its
+faces, which `row_spans` cuts too.  Equal bits print equal strings, and
 `"%.17g" % x == format(x, ".17g")`, so the bytes are those of
 formatting every cell with `format(x, ".17g")`.
 A file output is written to a temporary sibling and moved into place only
@@ -42,7 +42,6 @@ import contextlib
 import dataclasses
 import functools
 import inspect
-import itertools
 import json
 import math
 import os
@@ -51,7 +50,6 @@ from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, 
 
 import numpy as np
 
-from . import factorable
 from . import families as fam
 from . import reconstruct as rec
 from .errors import (
@@ -363,7 +361,7 @@ CSV_HEADER = "u1,u2,x,y,z,K,H,epsilon,W,excluded"
 
 def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
     """The grid of the read `curvature`/`mesh` values and its sweep on the
-    `formulas` route, one sweep per row block of `row_spans`: the closed
+    `formulas` route, one sweep per block of `row_spans`: the closed
     formulas on `specialized`, the general pipeline on the others.  Each
     block also holds its positions x, y, z, from `value_arrays` on the
     block's axes, for the outputs that print them (NaN where a profile
@@ -372,46 +370,31 @@ def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
     grid = _grid(v["grid"], default_grid(surface))
     route = v["formulas"]
 
-    def sweep(rows: slice) -> dict:
+    def sweep(block: tuple[slice, slice]) -> dict:
         if route == "specialized":
-            data = specialized_grid(surface, grid, rows)
+            data = specialized_grid(surface, grid, block)
         else:
             data = pipeline_grid(surface, grid, mode="fd" if route == "pipeline-fd" else "analytic",
-                                 fd_step=v["fd_step"], rows=rows)
+                                 fd_step=v["fd_step"], block=block)
         with np.errstate(all="ignore"):
             x, y, z = surface.value_arrays(data["U1"][:, :1], data["U2"][:1])
         return {**data, "x": x, "y": y, "z": z}
 
-    return grid, map(sweep, row_spans(grid))
+    return grid, map(sweep, row_spans(grid.n1, grid.n2))
 
 
 # the one float formatter of the text outputs: equal to format(x, ".17g")
 _format = "%.17g".__mod__
 
 
-def _chunks(blocks: Iterable[dict], keys: tuple) -> Iterator[tuple[list, np.ndarray]]:
-    """The `keys` columns and the exclusion mask of each sweep block in
-    text chunks of at most `_BLOCK_POINTS` points: as many whole grid rows
-    as fit, or spans of one grid row where a row holds more.  A block of
-    `row_spans` is one chunk, or one grid row of chunks, so the text in
-    memory is bounded however long a row is."""
-    width = factorable._BLOCK_POINTS
-    for data in blocks:
-        n1, n2 = data["excluded"].shape
-        step = max(1, width // n2)
-        for i, j in itertools.product(range(0, n1, step), range(0, n2, width)):
-            rows, span = slice(i, i + step), slice(j, j + width)
-            yield [data[key][rows, span] for key in keys], data["excluded"][rows, span]
-
-
 def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list]]]:
-    """The format field of a column of a text chunk and its cells, one
+    """The format field of a column of a sweep block and its cells, one
     list per grid row.
 
     A float column of more than one row whose bits are the same in every
     row gives, in place of a field, the strings of its first row, each
     formatted once: they are written into the line formats, and it has no
-    cells.  (A chunk of one row, a span of a long grid row, would gain
+    cells.  (A block of one row, a span of a long grid row, would gain
     nothing from its line formats.)  One whose bits are constant along
     axis 1 is formatted once per row and printed by a `%s` field.  Any
     other float column gives each row's floats to a `%.17g` field, an
@@ -430,7 +413,7 @@ def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list
 
 
 def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[str]:
-    """One string of lines per grid row of a text chunk.
+    """One string of lines per grid row of a sweep block.
 
     `inc` and `exc` are `str.format` templates of an included and of an
     excluded point's line, with a `{}` per column, `exc` per leading
@@ -469,11 +452,12 @@ def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[
 
 def _csv_rows(blocks: Iterable[dict]) -> Iterator[str]:
     """`curvature` CSV: the header, then one string of lines per grid row
-    of each text chunk."""
+    of each sweep block."""
     yield CSV_HEADER + "\n"
-    for columns, excluded in _chunks(blocks, ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")):
-        yield from _lines(columns, "{},{},{},{},{},{},{},{},{},0\n", "{},{},{},{},{},,,,,1\n",
-                          excluded)
+    for data in blocks:
+        yield from _lines([data[key] for key in ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")],
+                          "{},{},{},{},{},{},{},{},{},0\n", "{},{},{},{},{},,,,,1\n",
+                          data["excluded"])
 
 
 def run_curvature(cfg: dict) -> int:
@@ -531,19 +515,19 @@ def run_verify(cfg: dict) -> int:
         surface = fam.perturb_exponent(surface, v["perturb"]["exponent_scale"])
     grid = _grid(v["grid"], default_grid(surface))
 
-    # one pass over the grid in row blocks: a block's closed sweep serves
+    # one pass over the grid in blocks: a block's closed sweep serves
     # the constancy suite and, until a point is excluded, the cross-check
     # with the block's pipeline sweep
     field = fam.FAMILIES[family["name"]].field
     values, gap, rejected = [], 0.0, None
-    for rows in row_spans(grid):
+    for span in row_spans(grid.n1, grid.n2):
         with np.errstate(all="ignore"):
-            closed = specialized_grid(surface, grid, rows)
+            closed = specialized_grid(surface, grid, span)
             block = np.abs(closed["H"]) if field == "absH" else closed["K"]
             values.append(block[~closed["excluded"]])
             if rejected is None:
                 try:
-                    gap = max(gap, cross_check(pipeline_grid(surface, grid, rows=rows), closed))
+                    gap = max(gap, cross_check(pipeline_grid(surface, grid, block=span), closed))
                 except GridRejected as exc:
                     rejected = exc
 
@@ -654,60 +638,65 @@ def run_probe(cfg: dict) -> int:
 # mesh
 # ---------------------------------------------------------------------------
 
-def _obj_lines(blocks: list, faces: np.ndarray) -> Iterator[str]:
-    """OBJ: a comment, the vertex lines of each text chunk, then the quad of
-    each kept cell of the grid, one string per face row or per span of at
-    most `_BLOCK_POINTS` faces.
+def _obj_lines(blocks: Iterable[dict], faces: np.ndarray) -> Iterator[str]:
+    """OBJ: a comment, the vertex lines of each sweep block, then the quad
+    of each kept cell of the grid, one string per face row of each block
+    of `row_spans` over the cells.
 
     Each vertex index is formatted once, as a face row's lower row serves
     as the next face row's upper row (twice when a grid row is longer
-    than a span).  A span with every face kept is one `%` of the quad
+    than a block).  A face row with every face kept is one `%` of the quad
     format repeated, its strings laid in by slice assignment."""
     n1, n2 = faces.shape[0] + 1, faces.shape[1] + 1
     yield f"# pg-surf mesh {n1}x{n2}\n"
-    for columns, excluded in _chunks(blocks, ("x", "y", "z")):
-        yield from _lines(columns, "v {} {} {}\n", "v {} {} {}\n", np.zeros_like(excluded))
-    quad, width = "f %s %s %s %s\n", factorable._BLOCK_POINTS
-    full, kept = faces.all(axis=1).tolist(), faces.any(axis=1).tolist()
+    for data in blocks:
+        yield from _lines([data["x"], data["y"], data["z"]], "v {} {} {}\n", "v {} {} {}\n",
+                          np.zeros_like(data["excluded"]))
+    quad = "f %s %s %s %s\n"
     below = (0, [])  # the first vertex index and the strings of the last lower row
-    for i in itertools.compress(range(n1 - 1), kept):
-        for j in range(0, n2 - 1, width):
-            m = min(width, n2 - 1 - j)
-            first = i * n2 + j + 1
+    for rows, cols in row_spans(n1 - 1, n2 - 1):
+        block = faces[rows, cols]
+        m = block.shape[1]
+        for i, kept, full, mask in zip(range(n1 - 1)[rows], block.any(axis=1).tolist(),
+                                       block.all(axis=1).tolist(), block):
+            if not kept:
+                continue
+            first = i * n2 + cols.start + 1
             upper = below[1] if below[0] == first else list(map(str, range(first, first + m + 1)))
             lower = list(map(str, range(first + n2, first + n2 + m + 1)))
             below = (first + n2, lower)
-            if full[i]:
+            if full:
                 args = [None] * (4 * m)
                 args[0::4], args[1::4], args[2::4], args[3::4] = (upper[:-1], lower[:-1],
                                                                   lower[1:], upper[1:])
                 yield quad * m % tuple(args)
             else:
                 yield "".join([quad % (upper[k], lower[k], lower[k + 1], upper[k + 1])
-                               for k in np.flatnonzero(faces[i, j:j + m]).tolist()])
+                               for k in np.flatnonzero(mask).tolist()])
 
 
 def _sidecar_rows(blocks: list) -> Iterator[str]:
     """Mesh sidecar CSV keyed by 1-based vertex index: the header, then one
-    string of lines per grid row of each text chunk."""
+    string of lines per grid row of each sweep block."""
     yield "vertex,u1,u2,K,H,excluded\n"
     first = 1
     for data in blocks:
         shape = data["excluded"].shape
         ids = np.arange(first, first + shape[0] * shape[1]).reshape(shape)
         first += ids.size
-        for columns, excluded in _chunks([{**data, "vertex": ids}], ("vertex", "U1", "U2", "K", "H")):
-            yield from _lines(columns, "{},{},{},{},{},0\n", "{},{},{},,,1\n", excluded)
+        yield from _lines([ids, data["U1"], data["U2"], data["K"], data["H"]],
+                          "{},{},{},{},{},0\n", "{},{},{},,,1\n", data["excluded"])
 
 
 def run_mesh(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["mesh"])
-    _, blocks = _sweep(v)
+    grid, blocks = _sweep(v)
     # faces need the whole exclusion mask before a line is written, so each
     # block keeps what the outputs print and drops the rest of its sweep
     blocks = [{key: data[key] for key in ("U1", "U2", "x", "y", "z", "K", "H", "excluded")}
               for data in blocks]
-    ex = np.concatenate([data["excluded"] for data in blocks])
+    # the blocks are in C order: their masks, flattened, are the grid's
+    ex = np.concatenate([data["excluded"].ravel() for data in blocks]).reshape(grid.n1, grid.n2)
     # a cell is kept when all four corners are admissible
     faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
     if not faces.any():

@@ -13,16 +13,17 @@ x(y, z) = f(y)*g(z).  The closed curvature formulas are
 arrays of profile values; `specialized_grid` sweeps them, and takes
 eps and W from the same denominator, so it shares no kernel with
 `pipeline_grid`, the sweep of the general pipeline of `surface`.  Both
-sweep a slice of grid rows, the whole grid by default; `row_spans` cuts
-a grid into such slices, so a command streams a large grid block by
-block.  Neither computes positions.  The general pipeline computes K
-with an extra factor -eps relative to these and H with factor +1
-(proven in tests/test_sign_contract.py, see README, "Sign
+sweep a block of the grid, the whole grid by default; `row_spans` cuts
+a grid into bounded blocks, so a command streams a large grid, and its
+text, block by block.  Neither computes positions.  The general pipeline
+computes K with an extra factor -eps relative to these and H with
+factor +1 (proven in tests/test_sign_contract.py, see README, "Sign
 conventions"); `cross_check` compares two sweeps under these factors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -300,41 +301,43 @@ def jet_component_arrays(s: FactorableSurface, U1, U2,
     return fd_components(s.value_arrays, U1, U2, fd_step)[1]
 
 
-# Grid points per block of `row_spans` (whole rows, at least one): a
-# block's kernel temporaries stay small enough to be reused from cache.
+# Grid points per block of `row_spans`: a block's kernel temporaries and
+# its text stay small enough to be reused from cache.
 _BLOCK_POINTS = 2 ** 15
 
 
-def row_spans(grid: GridSpec):
-    """The grid rows in blocks of about `_BLOCK_POINTS` points, first row
-    first: one `slice` of the u1 axis per block, for the `rows` of
-    `pipeline_grid` and `specialized_grid`."""
-    step = max(1, _BLOCK_POINTS // grid.n2)
-    for start in range(0, grid.n1, step):
-        yield slice(start, start + step)
+def row_spans(n1: int, n2: int):
+    """An n1 x n2 grid in blocks of at most `_BLOCK_POINTS` points, in C
+    order: a `(rows, cols)` pair of slices per block, as many whole rows as
+    fit, or a span of one row where the row is longer: the `block`s of
+    `pipeline_grid` and `specialized_grid`, and of a mesh's faces."""
+    step = max(1, _BLOCK_POINTS // n2)
+    for i, j in itertools.product(range(0, n1, step), range(0, n2, _BLOCK_POINTS)):
+        yield slice(i, i + step), slice(j, j + _BLOCK_POINTS)
 
 
-def _axes(grid: GridSpec, rows: slice):
-    """The `rows` of the u1 axis as a column and the u2 axis as a row, and
-    the U1, U2 entries of a sweep, read-only views of them broadcast over
-    those rows.  f depends only on u1 and g only on u2, so each profile is
+def _axes(grid: GridSpec, block: tuple[slice, slice]):
+    """The `block`'s u1 values as a column and u2 values as a row, and the
+    U1, U2 entries of a sweep, read-only views of them broadcast over the
+    block.  f depends only on u1 and g only on u2, so each profile is
     evaluated on its own axis; the kernels broadcast it point by point, so
-    a sweep of some rows is those rows of the whole sweep bit for bit."""
+    a sweep of a block is that block of the whole sweep bit for bit."""
+    rows, cols = block
     a1, a2 = grid.axes()
-    u1, u2 = a1[rows, None], a2[None, :]
-    shape = (u1.size, a2.size)
+    u1, u2 = a1[rows, None], a2[None, cols]
+    shape = (u1.size, u2.size)
     return u1, u2, {"U1": np.broadcast_to(u1, shape), "U2": np.broadcast_to(u2, shape)}
 
 
 @np.errstate(all="ignore")
 def pipeline_grid(s: FactorableSurface, grid: GridSpec, mode: str = "analytic",
-                  fd_step: float = FD_STEP, rows: slice = slice(None)) -> dict:
-    """General-pipeline sweep of the grid `rows`: U1, U2, K, H, eps, W,
+                  fd_step: float = FD_STEP, block: tuple[slice, slice] = np.s_[:, :]) -> dict:
+    """General-pipeline sweep of the grid `block`: U1, U2, K, H, eps, W,
     the mask of the lightlike and inadmissible points and the exclusion
     mask; a point is excluded where its K or H is not finite, as in
     `specialized_grid`, which covers the masked points (NaN there).  No
     positions: `FactorableSurface.value_arrays` gives them."""
-    u1, u2, params = _axes(grid, rows)
+    u1, u2, params = _axes(grid, block)
     out = curvature_arrays(jet_component_arrays(s, u1, u2, mode=mode, fd_step=fd_step))
     K, H = out["K"], out["H"]
     return {**params, "K": K, "H": H, "eps": out["eps"], "W": out["W"],
@@ -343,14 +346,15 @@ def pipeline_grid(s: FactorableSurface, grid: GridSpec, mode: str = "analytic",
 
 
 @np.errstate(all="ignore")
-def specialized_grid(s: FactorableSurface, grid: GridSpec, rows: slice = slice(None)) -> dict:
-    """Closed-formula sweep of the grid `rows`: U1, U2, K, H, eps, W and
+def specialized_grid(s: FactorableSurface, grid: GridSpec,
+                     block: tuple[slice, slice] = np.s_[:, :]) -> dict:
+    """Closed-formula sweep of the grid `block`: U1, U2, K, H, eps, W and
     the exclusion mask, no positions.  K and H share one closed
     denominator D, which is the pipeline's q = Y^2 - Z^2 (proven in
     tests/test_sign_contract.py), so eps = sign of D (-1 where D <= 0)
     and W = sqrt(|D|) are the pipeline's.  A point is excluded where K
     or H is not finite, which covers the undefined points (NaN there)."""
-    u1, u2, params = _axes(grid, rows)
+    u1, u2, params = _axes(grid, block)
     parts = _parts(s, u1, u2)
     fv, f1, _, gv, g1, _ = parts
     den = _denominator(s.kind, fv, f1, gv, g1)

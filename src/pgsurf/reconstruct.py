@@ -308,8 +308,14 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
         raise InvalidParams("lam1 must be nonzero")
     s = -1.0 if lam1 > 0 else 1.0
     _, step = _steps(z0, z0 + length, h)
-    _corridor(2.0 * h0 * z0 + lam2, 2.0 * h0 * (z0 + length) + lam2, "2 h0 z + lam2")
-    v0 = float(_column(phi.deriv, z0)[0])
+    w0 = 2.0 * h0 * z0 + lam2
+    if not math.isfinite(w0):
+        raise InvalidParams("h0, z0 and lam2 give a start w0 = 2*h0*z0 + lam2 that is not finite")
+    _corridor(w0, 2.0 * h0 * (z0 + length) + lam2, "2 h0 z + lam2")
+    v0, L0 = float(_column(phi.deriv, z0)[0]), _seed(phi, z0)
+    if not (math.isfinite(v0) and math.isfinite(L0)):
+        raise InvalidParams("h0, lam1, lam2 and z0 give seeds v0 = phi'(z0) and phi(z0) "
+                            "that are not finite")
 
     rate, lam1_sq = s * 2.0 * h0, lam1 * lam1
 
@@ -319,7 +325,7 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
             raise BranchViolation("integration crossed (g'/g)^2 = lam1^2")
         return rate * gap ** 1.5 / lam1_sq
 
-    ts, ys = integrate(slope, z0, [v0, _seed(phi, z0)], z0 + length, h)
+    ts, ys = integrate(slope, z0, [v0, L0], z0 + length, h)
     L, L_closed = ys[:, 1], _column(phi, ts)
     with np.errstate(over="ignore"):
         numeric, closed = np.exp(L), np.exp(L_closed)

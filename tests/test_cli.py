@@ -28,14 +28,14 @@ from pgsurf.surface import gaussian_curvature, mean_curvature
 from one_point import jet
 
 
-def _count_swept_rows(monkeypatch):
-    """Wrap `cli`'s two sweeps to record the grid rows of each call, by
-    sweep name."""
+def _count_swept_rows(monkeypatch, measure=len):
+    """Wrap `cli`'s two sweeps to record `measure` of the K of each call,
+    by sweep name: its grid rows by default."""
     rows = {"pipeline_grid": [], "specialized_grid": []}
     for name, swept in rows.items():
         def counted(*args, _sweep=getattr(cli, name), _swept=swept, **kwargs):
             out = _sweep(*args, **kwargs)
-            _swept.append(out["K"].shape[0])
+            _swept.append(measure(out["K"]))
             return out
         monkeypatch.setattr(cli, name, counted)
     return rows
@@ -662,6 +662,27 @@ def test_each_grid_point_is_swept_once(tmp_path, monkeypatch, command, route):
     assert len(kernel_calls) == (0 if closed else 3)
 
 
+@pytest.mark.parametrize("command,route", [
+    ("curvature", "pipeline"), ("curvature", "specialized"), ("mesh", "pipeline-fd"),
+    ("mesh", "specialized"), ("verify", None)])
+def test_no_sweep_call_exceeds_a_block(tmp_path, monkeypatch, command, route):
+    """On a 4x12 grid whose rows are 3 blocks wide, no sweep call of
+    `curvature`, `mesh` or `verify` holds more than `_BLOCK_POINTS`
+    points, and each sweep a command runs covers the grid once."""
+    points = _count_swept_rows(monkeypatch, np.size)
+    monkeypatch.setattr(factorable, "_BLOCK_POINTS", 4)
+    keys = {"curvature": ("csv", "json"), "mesh": ("obj", "sidecar"), "verify": ("json",)}[command]
+    argv = [command, "--set", "family.name=thm42", "--set", "family.h0=0.5",
+            "--set", "grid.n1=4", "--set", "grid.n2=12"]
+    argv += ["--set", f"formulas={route}"] if route else []
+    assert main(argv + [arg for key in keys
+                        for arg in ("--set", f"output.{key}={tmp_path / key}")]) == 0
+    swept = [sizes for sizes in points.values() if sizes]
+    assert len(swept) == (2 if command == "verify" else 1)
+    for sizes in swept:
+        assert max(sizes) <= 4 and sum(sizes) == 48, sizes
+
+
 @settings(max_examples=25, deadline=None)
 @given(family=st.sampled_from([("thm32", "lam1"), ("thm42", "lam3")]),
        h0=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1), shift=st.floats(-2.0, 2.0),
@@ -725,11 +746,12 @@ class TestPeakMemoryOfLargeSweeps:
     what their outputs still need: 62-77 MiB with numpy 2.4 on x86-64
     Linux, where sweeping the whole grid at once reached 229 MiB (analytic
     and `specialized`) and 305 MiB (FD).  A grid of two rows of 200 000
-    points stays under the same bound, 87-88 MiB, as the text is written
-    in chunks of at most `_BLOCK_POINTS` points; text built one grid row
-    at a time reached 362 MiB (`curvature`) and 216 MiB (`mesh`).  The
-    outputs go to the null device, so the run's time is not that of the
-    disk."""
+    points stays under the same bound, 66 MiB (`curvature`) and 81 MiB
+    (`mesh`), as the sweep and its text are cut into spans of at most
+    `_BLOCK_POINTS` points; a sweep block of one whole row peaked at
+    88 MiB, and text built one grid row at a time at 362 and 216 MiB.
+    The outputs go to the null device, so the run's time is not that of
+    the disk."""
 
     @staticmethod
     def _peak(command, n1, n2, route):

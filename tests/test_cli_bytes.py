@@ -19,7 +19,6 @@ one cell at a time.
 """
 
 import hashlib
-import itertools
 import json
 
 import numpy as np
@@ -29,6 +28,7 @@ from hypothesis import strategies as st
 
 from pgsurf import cli, factorable
 from pgsurf.cli import main
+from pgsurf.factorable import row_spans
 
 CASES = {
     "thm31": {"family": {"name": "thm31", "k0": 1.0}, "grid": {"n1": 13, "n2": 9}},
@@ -291,10 +291,12 @@ def _digests(tmp_path, case, route, command):
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("rows", (1, 3))
+@pytest.mark.parametrize("rows", (1, 3, None))
 def test_output_digests_in_row_blocks(tmp_path, monkeypatch, rows, case, route, command):
-    """The bytes do not depend on how many grid rows a sweep block holds."""
-    monkeypatch.setattr(factorable, "_BLOCK_POINTS", rows * CASES[case]["grid"]["n2"])
+    """The bytes do not depend on how many grid rows a sweep block holds,
+    nor on spans of 3 points cutting each row (`rows` None)."""
+    width = 3 if rows is None else rows * CASES[case]["grid"]["n2"]
+    monkeypatch.setattr(factorable, "_BLOCK_POINTS", width)
     assert _digests(tmp_path, case, route, command) == DIGESTS[case, route, command]
 
 
@@ -627,13 +629,13 @@ def sweeps(draw):
 def test_column_rule_matches_per_cell_format(data):
     ex = data["excluded"]
     faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
-    # the sweep as one block, and as blocks of one and of two grid rows, in
-    # text chunks of the default width and of 3 points, which splits a row
-    # of the text and of the faces into spans
-    for width, rows in itertools.product((factorable._BLOCK_POINTS, 3), (len(ex), 1, 2)):
-        blocks = [{k: v[i:i + rows] for k, v in data.items()} for i in range(0, len(ex), rows)]
+    # the sweep cut by `row_spans` as one block, as blocks of two grid rows
+    # and as blocks of 3 points, which splits a row of the text and of the
+    # faces into spans where it is longer
+    for width in (factorable._BLOCK_POINTS, 2 * ex.shape[1], 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(factorable, "_BLOCK_POINTS", width)
+            blocks = [{k: v[span] for k, v in data.items()} for span in row_spans(*ex.shape)]
             assert "".join(cli._csv_rows(blocks)) == _reference_csv(data)
             assert "".join(cli._obj_lines(blocks, faces)) == _reference_obj(data, faces)
             assert "".join(cli._sidecar_rows(blocks)) == _reference_sidecar(data)

@@ -450,23 +450,48 @@ class TestSeparableSweepsEqualTheMesh:
     # f overflows from row 12 on: the first excluded point is not finite
     OVERFLOW = ("thm42", {"h0": 400.0, "lam2": 800.0}, GridSpec((0.0, 1.0), (-1e-3, 1e-3), 40, 40))
 
-    @pytest.mark.parametrize("rows", [1, 7, 11])
+    @settings(max_examples=200, deadline=None)
+    @given(n1=st.integers(1, 40), n2=st.integers(1, 40), width=st.integers(1, 100))
+    def test_row_spans_cut_each_point_once(self, n1, n2, width):
+        """The blocks of `row_spans` cover each point of an n1 x n2 grid
+        exactly once, in C order, each with at most `width` points, and
+        are whole rows wherever a row fits in `width`."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factorable, "_BLOCK_POINTS", width)
+            spans = list(row_spans(n1, n2))
+        index = np.arange(n1 * n2).reshape(n1, n2)
+        blocks = [index[span] for span in spans]
+        assert all(0 < block.size <= width for block in blocks)
+        assert np.concatenate([block.ravel() for block in blocks]).tolist() == list(range(n1 * n2))
+        if n2 <= width:
+            assert all(block.shape[1] == n2 for block in blocks)
+
+    @staticmethod
+    def _stacked(blocks, whole):
+        """The sweeps of C-order blocks put back together in the shape of the
+        `whole` sweep's entries."""
+        return {key: np.concatenate([block[key].ravel() for block in blocks]).reshape(value.shape)
+                for key, value in whole.items()}
+
+    # blocks of `rows` grid rows, or spans of that share of a row
+    @pytest.mark.parametrize("rows", [1, 7, 11, 0.5, 0.1])
     @pytest.mark.parametrize("name,params,grid", CASES + [OVERFLOW])
     def test_row_spans_give_the_whole_sweeps(self, monkeypatch, name, params, grid, rows):
-        """Sweeps of the `row_spans` of a grid, stacked, are the whole
-        sweeps bit for bit, every entry on both jet modes, and fold to the
-        same cross-check."""
+        """Sweeps of the `row_spans` blocks of a grid, stacked, are the
+        whole sweeps bit for bit, every entry on both jet modes, and fold
+        to the same cross-check."""
         s = family_surface(name, params)
         grid = grid or default_grid(s, 40, 40)
-        monkeypatch.setattr(factorable, "_BLOCK_POINTS", rows * grid.n2)
-        spans = list(row_spans(grid))
-        assert len(spans) == -(-grid.n1 // rows)
+        monkeypatch.setattr(factorable, "_BLOCK_POINTS", max(1, int(rows * grid.n2)))
+        spans = list(row_spans(grid.n1, grid.n2))
+        if rows >= 1:
+            assert len(spans) == -(-grid.n1 // rows)
         closed = specialized_grid(s, grid)
-        closed_blocks = [specialized_grid(s, grid, r) for r in spans]
-        _bitwise({k: np.concatenate([b[k] for b in closed_blocks]) for k in closed}, closed)
+        closed_blocks = [specialized_grid(s, grid, span) for span in spans]
+        _bitwise(self._stacked(closed_blocks, closed), closed)
         for mode in ("analytic", "fd"):
             pipe = pipeline_grid(s, grid, mode=mode)
-            pipe_blocks = [pipeline_grid(s, grid, mode=mode, rows=r) for r in spans]
-            _bitwise({k: np.concatenate([b[k] for b in pipe_blocks]) for k in pipe}, pipe)
+            pipe_blocks = [pipeline_grid(s, grid, mode=mode, block=span) for span in spans]
+            _bitwise(self._stacked(pipe_blocks, pipe), pipe)
             assert (self._cross_check(zip(pipe_blocks, closed_blocks))
                     == self._cross_check([(pipe, closed)]))

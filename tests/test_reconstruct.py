@@ -375,6 +375,25 @@ class TestThm42Reconstruction:
         with pytest.raises(DomainError):
             reconstruct_thm42(0.5, lam1=1.0, lam2=0.0, z0=0.2)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"h0": 1e308}, "h0, z0 and lam2 give a start w0 = 2*h0*z0 + lam2 that is not finite"),
+        ({"h0": 0.5, "lam2": 1e200},
+         "h0, lam1, lam2 and z0 give seeds v0 = phi'(z0) and phi(z0) that are not finite"),
+        ({"h0": 1e200, "lam1": 1e200},
+         "h0, lam1, lam2 and z0 give seeds v0 = phi'(z0) and phi(z0) that are not finite"),
+    ])
+    def test_overflowing_start_names_the_callers_keys(self, capsys, params, message):
+        # 2*h0*z0 + lam2 overflows, or the radicand at it does: the start or
+        # the seeds read off phi are not finite, and the message names the
+        # keys 4.2 takes, not its internal state, in the library and on the
+        # command line (exit 2)
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            reconstruct_thm42(**params)
+        sets = ["theorem=4.2", *(f"{key}={value!r}" for key, value in params.items())]
+        capsys.readouterr()
+        assert main(["reconstruct", *(arg for pair in sets for arg in ("--set", pair))]) == 2
+        assert capsys.readouterr().err == f"pg-surf: config error: {message}\n"
+
     def test_profile_beyond_the_float_range_compares_in_log_space(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
