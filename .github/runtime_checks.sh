@@ -50,6 +50,8 @@ expect_exit 2 pg-surf verify --set family.name=thm31 --set family.k0=1 --set per
 # exports on every route, in one block and in several
 pg-surf mesh --set family.name=saddle --set 'grid.u1=[0.5,1.5]' --set grid.n1=21 --set grid.n2=7 --set output.obj=saddle.obj --set output.sidecar=saddle.csv
 test -s saddle.obj; test -s saddle.csv
+# the saddle is lightlike on the grid row u1 = 1: every vertex, and only the faces off that row
+test "$(grep -c '^v ' saddle.obj)" -eq 147; test "$(grep -c '^f ' saddle.obj)" -eq 108
 pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set formulas=pipeline-fd --set output.csv=fd.csv --set output.json=fd.json
 test -s fd.csv; test -s fd.json
 pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set formulas=pipeline-fd --set grid.n1=400 --set grid.n2=400 --set output.csv=fd400.csv --set output.json=fd400.json
@@ -95,6 +97,8 @@ pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set u0=-1.2 --set 
 expect_exit 4 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set u0=0.5
 expect_exit 2 pg-surf reconstruct --set theorem=3.2 --set u0=0.5 --set lam=0.7
 expect_exit 2 pg-surf reconstruct --set theorem=3.2 --set causal=null
+# a saturated tanh profile is one value over the corridor: nothing to compare
+expect_exit 2 pg-surf reconstruct --set theorem=3.1 --set lam1=40
 # a malformed corridor exits 2 before the radicand check can exit 4
 expect_exit 2 pg-surf reconstruct --set theorem=4.2 --set length=-0.5
 expect_exit 2 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set length=-0.5

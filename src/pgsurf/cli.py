@@ -9,19 +9,21 @@ with 17 significant digits, fixed row order).  `curvature`, `mesh` and
 `verify` sweep each grid point once, in the blocks of
 `factorable.row_spans` (whole grid rows, or a span of one long row);
 tables and meshes are formatted block by block and written one grid
-row, or span, at a time.  Every float column goes through one rule: a
-column whose bits are the same in every row of a block (U2, the
-position equal to it, epsilon, a constant K or H) is formatted once per
-position and its strings are written into the positions' line formats;
-one constant along a grid row (U1 and its position) is formatted once
-per row and printed by a `%s` field; any other column by a `%.17g`
-field.  A grid row with no excluded point is one `%` of its positions'
-line formats joined, which fills only the fields that change along the
-row; a row that holds one is formatted line by line with the same
-formats.  A mesh's vertex indices are formatted once each for its
-faces, which `row_spans` cuts too.  Equal bits print equal strings, and
-`"%.17g" % x == format(x, ".17g")`, so the bytes are those of
-formatting every cell with `format(x, ".17g")`.
+row, or span, at a time.  Every line of every output goes through one
+column rule: a float column whose bits are the same in every row of a
+block (U2, the position equal to it, epsilon, a constant K or H) is
+formatted once per position and its strings are written into the
+positions' line formats; one constant along a grid row (U1 and its
+position) is formatted once per row and printed by a `%s` field; any
+other float column by a `%.17g` field, an integer column (the sidecar's
+vertex numbers, a mesh face's four corner indices) by a `%d` field.  A
+grid row with no excluded point is one `%` of its positions' line
+formats joined, which fills only the fields that change along the row;
+a row that holds one is formatted line by line with the same formats.
+A mesh's faces are cut by `row_spans` from its cells, one face row per
+grid row of a block, and a dropped cell's line is empty.  Equal bits
+print equal strings, and `"%.17g" % x == format(x, ".17g")`, so the
+bytes are those of formatting every cell with `format(x, ".17g")`.
 A file output is written to a temporary sibling and moved into place only
 when complete, so a failed run never leaves a truncated file.
 
@@ -413,11 +415,12 @@ def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list
 
 
 def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[str]:
-    """One string of lines per grid row of a sweep block.
+    """One string of lines per row of a block of a sweep, or of a mesh's
+    faces.
 
     `inc` and `exc` are `str.format` templates of an included and of an
     excluded point's line, with a `{}` per column, `exc` per leading
-    column.  The strings of a column formatted once per position are
+    column (none: an empty `exc` drops the line).  The strings of a column formatted once per position are
     written into each position's line formats, the other columns' fields
     are left as `%` fields.  A row with no excluded point is one `%` of
     the positions' formats joined, which fills only those fields; a row
@@ -460,6 +463,16 @@ def _csv_rows(blocks: Iterable[dict]) -> Iterator[str]:
                           data["excluded"])
 
 
+def _spread(blocks: list) -> tuple[np.ndarray, float, float]:
+    """The values of `blocks` concatenated, their mean and their largest
+    deviation from it, taken block by block: no temporaries the size of
+    the values, and the same max."""
+    values = np.concatenate(blocks)
+    mean = float(np.mean(values))
+    return values, mean, float(np.max([np.max(np.abs(block - mean))
+                                       for block in blocks if block.size]))
+
+
 def run_curvature(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["curvature"])
     grid, blocks = _sweep(v)
@@ -489,11 +502,8 @@ def run_curvature(cfg: dict) -> int:
         "excluded": n_points - n_inc,
     }
     for name, included in kept.items():
-        values = np.concatenate(included)
-        mean = float(np.mean(values))
-        summary[name] = {"mean": mean,
-                         "max_deviation": float(np.max(np.abs(values - mean))),
-                         "std": float(np.std(values))}
+        values, mean, maxdev = _spread(included)
+        summary[name] = {"mean": mean, "max_deviation": maxdev, "std": float(np.std(values))}
     _json_report(v["output"]["json"], summary)
     return EXIT_OK
 
@@ -501,11 +511,6 @@ def run_curvature(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-# motions moved per kernel call of the motion-invariance suite; at
-# MAX_MOTIONS a call holds at most 256 x 121 sample points, not 10^4 x 121
-_MOTIONS_PER_CALL = 256
-
 
 def run_verify(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["verify"])
@@ -533,12 +538,9 @@ def run_verify(cfg: dict) -> int:
 
     suites: dict = {}
     expected = -abs(family["k0"]) if field == "K" else abs(family["h0"])
-    values = [block for block in values if block.size]
-    if not values:
+    if not any(block.size for block in values):
         raise GridRejected("no admissible points for the constancy suite")
-    mean = float(np.mean(np.concatenate(values)))
-    # the deviation block by block: no grid-sized temporaries, the same max
-    maxdev = float(np.max([np.max(np.abs(block - mean)) for block in values]))
+    _, mean, maxdev = _spread(values)
     suites["constancy"] = {
         "passed": maxdev < tol["constancy"] and abs(mean - expected) < tol["constancy"],
         "field": field,
@@ -568,9 +570,10 @@ def run_verify(cfg: dict) -> int:
 
     # a sample point with no finite K or H, at rest or moved, gives NaN
     # here, which fails the suite; the samples are grid points, so the
-    # cross-check has failed too and names a cause
-    worst = float(np.max([block_difference(motions[i:i + _MOTIONS_PER_CALL])
-                          for i in range(0, len(motions), _MOTIONS_PER_CALL)]))
+    # cross-check has failed too and names a cause; `row_spans` cuts the
+    # motions as rows of one point per sample
+    worst = float(np.max([block_difference(motions[rows])
+                          for rows, _ in row_spans(len(motions), U1.size)]))
     suites["motion_invariance"] = {
         "passed": worst < tol["motion"],
         "max_difference": worst,
@@ -639,40 +642,20 @@ def run_probe(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _obj_lines(blocks: Iterable[dict], faces: np.ndarray) -> Iterator[str]:
-    """OBJ: a comment, the vertex lines of each sweep block, then the quad
-    of each kept cell of the grid, one string per face row of each block
-    of `row_spans` over the cells.
+    """OBJ: a comment, the vertex lines of each sweep block, then the face
+    lines of each block of `row_spans` over the cells.
 
-    Each vertex index is formatted once, as a face row's lower row serves
-    as the next face row's upper row (twice when a grid row is longer
-    than a block).  A face row with every face kept is one `%` of the quad
-    format repeated, its strings laid in by slice assignment."""
+    A block's faces are four integer columns of 1-based vertex indices,
+    the corners of each cell, printed by the one column rule; a dropped
+    cell's line is empty."""
     n1, n2 = faces.shape[0] + 1, faces.shape[1] + 1
     yield f"# pg-surf mesh {n1}x{n2}\n"
     for data in blocks:
         yield from _lines([data["x"], data["y"], data["z"]], "v {} {} {}\n", "v {} {} {}\n",
                           np.zeros_like(data["excluded"]))
-    quad = "f %s %s %s %s\n"
-    below = (0, [])  # the first vertex index and the strings of the last lower row
     for rows, cols in row_spans(n1 - 1, n2 - 1):
-        block = faces[rows, cols]
-        m = block.shape[1]
-        for i, kept, full, mask in zip(range(n1 - 1)[rows], block.any(axis=1).tolist(),
-                                       block.all(axis=1).tolist(), block):
-            if not kept:
-                continue
-            first = i * n2 + cols.start + 1
-            upper = below[1] if below[0] == first else list(map(str, range(first, first + m + 1)))
-            lower = list(map(str, range(first + n2, first + n2 + m + 1)))
-            below = (first + n2, lower)
-            if full:
-                args = [None] * (4 * m)
-                args[0::4], args[1::4], args[2::4], args[3::4] = (upper[:-1], lower[:-1],
-                                                                  lower[1:], upper[1:])
-                yield quad * m % tuple(args)
-            else:
-                yield "".join([quad % (upper[k], lower[k], lower[k + 1], upper[k + 1])
-                               for k in np.flatnonzero(mask).tolist()])
+        a = np.arange(n1 - 1)[rows, None] * n2 + np.arange(n2 - 1)[None, cols] + 1
+        yield from _lines([a, a + n2, a + n2 + 1, a + 1], "f {} {} {} {}\n", "", ~faces[rows, cols])
 
 
 def _sidecar_rows(blocks: list) -> Iterator[str]:

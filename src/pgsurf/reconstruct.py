@@ -197,9 +197,14 @@ def _seed(closed_form, t0: float) -> float:
 def _compare(trajectory, closed_form, step: float, meta: dict) -> Reconstruction:
     """Compare the last state component of the (ts, ys) `integrate`
     returned, with `step` the step it took, against `closed_form(ts)`,
-    absolutely and relative to the closed value."""
+    absolutely and relative to the closed value.  A closed column of one
+    value (a saturated profile) raises InvalidParams: a trajectory that
+    stays at its seed would match it, so the comparison checks nothing."""
     ts, ys = trajectory
     closed = _column(closed_form, ts)
+    if (closed == closed[0]).all():
+        raise InvalidParams(f"the closed form is {closed[0]:.17g} over the whole corridor, "
+                            "so the comparison checks nothing there")
     err = np.abs(ys[:, -1] - closed)
     rel = err / np.maximum(1e-300, np.abs(closed))
     return Reconstruction(ts, ys[:, -1], closed, float(err.max()), float(rel.max()), step,

@@ -345,22 +345,43 @@ class TestVerify:
     OVERFLOW = ["family.name=thm42", "family.h0=0.5", "family.lam1=1e-13", "family.lam2=8",
                 "grid.u2=[-40,40]"]
 
+    # (config, n for its n x n grid, exit code)
     @pytest.mark.parametrize("per_call", [1, 7])
-    @pytest.mark.parametrize("family,code", [
+    @pytest.mark.parametrize("family,n,code", [
         (["family.name=thm31", "family.k0=0.7", "family.lam1=-0.8", "grid.n1=30", "grid.n2=30",
-          "motions=20", "seed=4"], 0),
-        (OVERFLOW, 1),
+          "motions=20", "seed=4"], 30, 0),
+        (OVERFLOW, 20, 1),
     ])
-    def test_motion_blocks_give_the_same_report(self, tmp_path, monkeypatch, per_call, family, code):
-        import pgsurf.cli as cli
-
+    def test_motion_blocks_give_the_same_report(self, tmp_path, monkeypatch, per_call, family, n,
+                                                code):
         argv = ["verify", *(a for kv in family for a in ("--set", kv)),
                 "--set", f"output.json={tmp_path / 'v.json'}"]
         assert main(argv) == code
         expect = (tmp_path / "v.json").read_bytes()
-        monkeypatch.setattr(cli, "_MOTIONS_PER_CALL", per_call)
+        # blocks of `per_call` motions, each of the samples of every (n // 6)-th node
+        samples = len(range(0, n, max(1, n // 6))) ** 2
+        monkeypatch.setattr(factorable, "_BLOCK_POINTS", per_call * samples)
         assert main(argv) == code
         assert (tmp_path / "v.json").read_bytes() == expect
+
+    def test_no_motion_call_exceeds_a_block(self, tmp_path, monkeypatch):
+        # at MAX_MOTIONS each kernel call of the motion suite moves at
+        # most a block of points, and every motion once
+        moved, original = [], cli.transform_jet
+
+        def recording(motions, comp):
+            out = original(motions, comp)
+            moved.append(out["x1"].shape)
+            return out
+
+        monkeypatch.setattr(cli, "transform_jet", recording)
+        assert main(["verify", "--set", "family.name=thm42", "--set", "family.h0=0.5",
+                     "--set", "grid.n1=11", "--set", "grid.n2=11",
+                     "--set", f"motions={cli.MAX_MOTIONS}",
+                     "--set", f"output.json={tmp_path / 'v.json'}"]) == 0
+        assert max(math.prod(shape) for shape in moved) <= factorable._BLOCK_POINTS
+        assert {shape[1:] for shape in moved} == {(121,)}
+        assert sum(shape[0] for shape in moved) == cli.MAX_MOTIONS
 
     def test_overflow_fails_without_floating_point_warnings(self, tmp_path, capsys):
         out = tmp_path / "v.json"

@@ -280,6 +280,23 @@ class TestThm31Reconstruction:
         fine = reconstruct_thm31(1.0, h=0.01).max_error
         assert 8.0 < coarse / fine < 32.0
 
+    @pytest.mark.parametrize("params,value", [
+        ({"k0": 1.0, "lam1": 19.0}, "1"), ({"k0": 1.0, "lam1": 40.0}, "1"),
+        ({"k0": 1e308, "lam1": 1e300}, "1"), ({"k0": 1.0, "lam1": 40.0, "sign": -1}, "-1"),
+    ])
+    def test_saturated_closed_form_is_rejected(self, capsys, params, value):
+        # tanh has saturated: the closed column is one value over the whole
+        # corridor, which a trajectory resting at its seed matches exactly,
+        # so the comparison would pass while checking nothing (exit 2)
+        message = (f"the closed form is {value} over the whole corridor, "
+                   "so the comparison checks nothing there")
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            reconstruct_thm31(**params)
+        sets = ["theorem=3.1", *(f"{key}={val!r}" for key, val in params.items())]
+        capsys.readouterr()
+        assert main(["reconstruct", *(arg for pair in sets for arg in ("--set", pair))]) == 2
+        assert capsys.readouterr().err == f"pg-surf: config error: {message}\n"
+
 
 class TestThm32Reconstruction:
     def test_spacelike_branch(self):
