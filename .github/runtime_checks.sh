@@ -40,6 +40,12 @@ expect_exit 2 pg-surf probe --set budget=0
 pg-surf probe --set k0=1 --set budget=3000 --set output.json=probe1.json
 pg-surf probe --set k0=1 --set budget=3000 --set output.json=probe2.json
 test -s probe1.json; cmp probe1.json probe2.json
+# a space of unequal degrees without rates: 3 + 1 and 0 + 1 coefficients
+space=(--set exponential=false --set degree_f=3 --set degree_g=0 --set budget=600 --set restarts=3)
+pg-surf probe "${space[@]}" --set output.json=space1.json
+pg-surf probe "${space[@]}" --set output.json=space2.json
+cmp space1.json space2.json
+python -c "import json; theta = json.load(open('space1.json'))['best_theta']; assert len(theta) == 5, theta"
 
 # verify on small and large grids, with many motions, and a bad perturbation
 pg-surf verify --set family.name=thm42 --set family.h0=0.5 --set grid.n1=9 --set grid.n2=9

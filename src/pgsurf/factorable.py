@@ -23,6 +23,7 @@ conventions"); `cross_check` compares two sweeps under these factors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -114,16 +115,19 @@ class FactorableSurface:
         return self.f.domain, self.g.domain
 
     def value_arrays(self, u1, u2):
-        """Position components (x, y, z) for array parameters; the two
-        parameter components are read-only views of u1 and u2 broadcast
-        to the shape of the product."""
+        """Position components (x, y, z) for array parameters, placed by
+        `_place`; the two parameter components are read-only views of u1
+        and u2 broadcast to the shape of the product."""
         u1 = np.asarray(u1, dtype=float)
         u2 = np.asarray(u2, dtype=float)
         prod = self.f(u1) * self.g(u2)
-        u1, u2 = np.broadcast_to(u1, prod.shape), np.broadcast_to(u2, prod.shape)
-        if self.kind == KIND_FIRST:
-            return u1, u2, prod
-        return prod, u1, u2
+        return _place(self.kind, *(np.broadcast_to(u, prod.shape) for u in (u1, u2)), prod)
+
+
+def _place(kind: str, a, b, prod) -> tuple:
+    """(x, y, z) of the u1 coordinate `a`, the u2 coordinate `b` and the
+    product f*g: the product is z on the first kind, x on the second."""
+    return (a, b, prod) if kind == KIND_FIRST else (prod, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +239,16 @@ class GridSpec:
             raise InvalidParams("grid resolution must be >= 2 per axis")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.linspace(self.u1[0], self.u1[1], self.n1),
-                np.linspace(self.u2[0], self.u2[1], self.n2))
+        """The u1 and u2 nodes, read-only arrays built once, on first use:
+        a spec is made before its size is checked."""
+        return self._nodes
+
+    @functools.cached_property
+    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        nodes = np.linspace(*self.u1, self.n1), np.linspace(*self.u2, self.n2)
+        for axis in nodes:
+            axis.flags.writeable = False
+        return nodes
 
 
 def _clip_axis(dom: tuple[float, float], span: float, margin: float) -> tuple[float, float]:
@@ -264,24 +276,17 @@ def default_grid(s: FactorableSurface, n1: int = 20, n2: int = 20,
 
 def _analytic_components(kind: str, parts) -> dict:
     """The analytic jet components x1..z22 from the profile values `parts`
-    (f, f', f'', g, g', g''); see `jet_component_arrays`."""
+    (f, f', f'', g, g', g''): per slot, the partials of the u1 coordinate,
+    the u2 coordinate and the product, placed by `_place`; see
+    `jet_component_arrays`."""
     fv, f1, f2, gv, g1, g2 = parts
     zero, one = np.zeros(()), np.ones(())
-    if kind == KIND_FIRST:
-        return {
-            "x1": one, "y1": zero, "z1": f1 * gv + zero,
-            "x2": zero, "y2": one, "z2": fv * g1 + zero,
-            "x11": zero, "y11": zero, "z11": f2 * gv + zero,
-            "x12": zero, "y12": zero, "z12": f1 * g1 + zero,
-            "x22": zero, "y22": zero, "z22": fv * g2 + zero,
-        }
-    return {
-        "x1": f1 * gv + zero, "y1": one, "z1": zero,
-        "x2": fv * g1 + zero, "y2": zero, "z2": one,
-        "x11": f2 * gv + zero, "y11": zero, "z11": zero,
-        "x12": f1 * g1 + zero, "y12": zero, "z12": zero,
-        "x22": fv * g2 + zero, "y22": zero, "z22": zero,
-    }
+    # `+ zero` as each product is formed frees its temporary at once
+    slots = {"1": (one, zero, f1 * gv + zero), "2": (zero, one, fv * g1 + zero),
+             "11": (zero, zero, f2 * gv + zero), "12": (zero, zero, f1 * g1 + zero),
+             "22": (zero, zero, fv * g2 + zero)}
+    return {f"{axis}{slot}": v for slot, (a, b, prod) in slots.items()
+            for axis, v in zip("xyz", _place(kind, a, b, prod))}
 
 
 @np.errstate(all="ignore")

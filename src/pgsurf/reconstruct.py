@@ -348,7 +348,10 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
 @dataclass(frozen=True)
 class FamilySpace:
     """Search space: f(y) = exp(a*y)*P(y), g(z) = exp(b*z)*Q(z) with P, Q
-    polynomials of bounded degree; rates omitted when exponential=False."""
+    polynomials of bounded degree.  A candidate is one row of n_params
+    reals, laid out [P coefficients, Q coefficients, a, b], coefficients
+    lowest degree first; the rates are left out when exponential=False.
+    `theta` writes this layout and `split` reads it."""
 
     degree_f: int = 2
     degree_g: int = 2
@@ -367,16 +370,25 @@ class FamilySpace:
         tail = "exp(a*y)*P, exp(b*z)*Q" if self.exponential else "P, Q (no exponential)"
         return f"f deg {self.degree_f}, g deg {self.degree_g}, {tail}"
 
-    def split(self, thetas: np.ndarray):
-        """P coefficients (m, degree_f+1), Q coefficients (m, degree_g+1)
-        and the rates a, b (m,) of candidate rows `thetas` (m, n_params);
-        the rates are zero when exponential=False."""
+    def theta(self, p, q, rates) -> np.ndarray:
+        """The candidate (n_params,) of the coefficients `p` and `q`, each
+        cut or zero-padded to its degree, and the `rates` (a, b), dropped
+        when exponential=False."""
         nf, ng = self.degree_f + 1, self.degree_g + 1
+        return np.array(([*p] + [0.0] * nf)[:nf] + ([*q] + [0.0] * ng)[:ng]
+                        + ([*rates] if self.exponential else []), dtype=float)
+
+    def split(self, thetas: np.ndarray):
+        """Candidate rows `thetas` (m, n_params) as `_exp_poly_rows` reads
+        them: the P and Q coefficients, zero-padded to the larger degree,
+        (max degree + 1, 2, 1, m), and the rates a, b (2, 1, m), zero when
+        exponential=False."""
+        nf, ng = self.degree_f + 1, self.degree_g + 1
+        c, rates = np.zeros((max(nf, ng), 2, 1, len(thetas))), np.zeros((2, 1, len(thetas)))
+        c[:nf, 0, 0], c[:ng, 1, 0] = thetas[:, :nf].T, thetas[:, nf:nf + ng].T
         if self.exponential:
-            a, b = thetas[:, nf + ng], thetas[:, nf + ng + 1]
-        else:
-            a = b = np.zeros(len(thetas))
-        return thetas[:, :nf], thetas[:, nf:nf + ng], a, b
+            rates[:, 0] = thetas[:, nf + ng:].T
+        return c, rates
 
 
 def _exp_poly_rows(c: np.ndarray, rate: np.ndarray, t: np.ndarray):
@@ -422,18 +434,17 @@ def _probe_objective(space: FamilySpace, k0: float, grid: GridSpec):
 
     f depends only on y and g only on z, so each profile is evaluated on
     its own axis, both in one `_exp_poly_rows` call per chunk of candidate
-    rows: the f and g coefficients are zero-padded to the larger degree
-    and the shorter axis to the longer one.  The profiles are broadcast
-    over the grid one block of rows at a time, candidates last, so K is
-    (n1, n2, rows).  Chunks and blocks are balanced, and
-    `_PROBE_POINTS_PER_CALL` bounds the elements of each profile array
-    (rows x 2 x the longer axis) and of each grid block (rows x grid
-    points).  Rows are evaluated independently, so a row's value does not
-    depend on the rows beside it."""
+    rows: `FamilySpace.split` zero-pads the f and g coefficients to the
+    larger degree, and the shorter axis is padded to the longer one.  The
+    profiles are broadcast over the grid one block of rows at a time,
+    candidates last, so K is (n1, n2, rows).  Chunks and blocks are
+    balanced, and `_PROBE_POINTS_PER_CALL` bounds the elements of each
+    profile array (rows x 2 x the longer axis) and of each grid block
+    (rows x grid points).  Rows are evaluated independently, so a row's
+    value does not depend on the rows beside it."""
     y, z = grid.axes()
     nodes = np.zeros((2, max(y.size, z.size), 1))
     nodes[0, :y.size, 0], nodes[1, :z.size, 0] = y, z
-    nf, ng = space.degree_f + 1, space.degree_g + 1
     chunk = max(1, _PROBE_POINTS_PER_CALL // nodes.size)
     block = max(1, _PROBE_POINTS_PER_CALL // (y.size * z.size))
 
@@ -441,10 +452,7 @@ def _probe_objective(space: FamilySpace, k0: float, grid: GridSpec):
         out = np.empty(len(thetas))
         with np.errstate(all="ignore"):
             for lo, hi in _spans(len(thetas), chunk):
-                pc, qc, a, b = space.split(thetas[lo:hi])
-                c = np.zeros((max(nf, ng), 2, 1, hi - lo))
-                c[:nf, 0, 0], c[:ng, 1, 0] = pc.T, qc.T
-                jet = _exp_poly_rows(c, np.stack([a, b])[:, None], nodes)
+                jet = _exp_poly_rows(*space.split(thetas[lo:hi]), nodes)
                 f = [v[0, :y.size, None] for v in jet]
                 g = [v[1, None, :z.size] for v in jet]
                 for r0, r1 in _spans(hi - lo, block):
@@ -587,24 +595,10 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
 
 
 def _generic_start(space: FamilySpace) -> np.ndarray:
-    theta = np.zeros(space.n_params)
-    theta[0] = 1.0                      # f constant term
-    if space.degree_f >= 1:
-        theta[1] = 0.3
-    theta[space.degree_f + 1] = 1.0     # g constant term
-    if space.degree_g >= 1:
-        theta[space.degree_f + 2] = -0.4
-    if space.exponential:
-        theta[-2] = 0.5
-        theta[-1] = -0.5
-    return theta
+    """Constant terms 1, linear terms 0.3 (f) and -0.4 (g), rates (0.5, -0.5)."""
+    return space.theta([1.0, 0.3], [1.0, -0.4], [0.5, -0.5])
 
 
 def _flat_seed(space: FamilySpace) -> np.ndarray:
     """Equal-to-one polynomials with rates (1, 2): an exactly flat surface."""
-    theta = np.zeros(space.n_params)
-    theta[0] = 1.0
-    theta[space.degree_f + 1] = 1.0
-    theta[-2] = 1.0
-    theta[-1] = 2.0
-    return theta
+    return space.theta([1.0], [1.0], [1.0, 2.0])

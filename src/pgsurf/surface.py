@@ -204,13 +204,13 @@ def curvature_arrays(comp: dict) -> dict:
     ny = Z / Wsafe
     nz = Y / Wsafe
 
-    # the second form from the branch with the larger |x-partial|
+    # the second form from the branch with the larger |x-partial| gs, so
+    # `inadmissible` guards its divisor (where an x-partial is NaN, so are K, H)
     use1 = a1 >= a2
     gs = np.where(use1, x1, x2)
     ys = np.where(use1, y1, y2)
     zs = np.where(use1, z1, z2)
-    small = np.abs(gs) <= ADMISSIBLE_TOL
-    gsafe = np.where(small, 1.0, gs) if small.any() else gs
+    gsafe = np.where(inadmissible, 1.0, gs) if masked else gs
 
     def coeff(xij, yij, zij):
         t = xij / gsafe

@@ -704,6 +704,19 @@ def test_no_sweep_call_exceeds_a_block(tmp_path, monkeypatch, command, route):
         assert max(sizes) <= 4 and sum(sizes) == 48, sizes
 
 
+def test_each_axis_is_built_once_per_sweep(monkeypatch):
+    """A `curvature` call on a 2 x (3 * `_BLOCK_POINTS`) grid sweeps six
+    row spans, and builds each axis once: the spans slice it."""
+    sizes, linspace = [], np.linspace
+    monkeypatch.setattr(np, "linspace",
+                        lambda *args, **kwargs: sizes.append(args[2]) or linspace(*args, **kwargs))
+    monkeypatch.setattr(factorable, "_BLOCK_POINTS", 4)
+    assert main(["curvature", "--set", "family.name=thm42", "--set", "family.h0=0.5",
+                 "--set", "grid.n1=2", "--set", "grid.n2=12",
+                 "--set", f"output.csv={os.devnull}", "--set", f"output.json={os.devnull}"]) == 0
+    assert sizes == [2, 12]
+
+
 @settings(max_examples=25, deadline=None)
 @given(family=st.sampled_from([("thm32", "lam1"), ("thm42", "lam3")]),
        h0=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1), shift=st.floats(-2.0, 2.0),

@@ -5,9 +5,11 @@ give the values of the `cli.EXIT_*` constants, as many as there are, and
 the same codes as the exit-code sentence of the `cli` module docstring.
 
 Under `### Config keys`, the `family.name` row names the rows of
-`families.FAMILIES` in their order, with the ones `verify` checks first,
-and the `family.*` key table gives each key of `cli.FAMILIES` once, with
-its kind, default and choices.
+`families.FAMILIES` in their order, with the ones `verify` checks first.
+The `family.*` key table gives each key of `cli.FAMILIES` once, and the
+key tables of `curvature`/`mesh`, `verify`, `reconstruct` and `probe`
+each key of their `cli.SCHEMA` and `cli.THEOREMS` tables outside the
+shared sections once, with its kind, default and choices in order.
 
 Every fenced ```python block runs as it stands, so a sketch that names a
 deleted or renamed API fails.
@@ -15,6 +17,8 @@ deleted or renamed API fails.
 
 import re
 from pathlib import Path
+
+import pytest
 
 from pgsurf import cli
 from pgsurf import families as fam
@@ -56,10 +60,15 @@ def test_docstring_names_every_exit_code_once():
     assert _docstring_exit_codes() == sorted(_constants().values())
 
 
+def _cells(table: str) -> list[list[str]]:
+    """The cells of each line of a README `table`, header and rule too."""
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines() if line.startswith("|")]
+
+
 def _table_rows(heading: str) -> list[list[str]]:
     """The cells of each table line under `heading`, header and rule too."""
-    return [[cell.strip() for cell in line.strip("|").split("|")]
-            for line in _section(heading).splitlines() if line.startswith("|")]
+    return _cells(_section(heading))
 
 
 def _names(cell: str) -> list[str]:
@@ -79,9 +88,44 @@ def test_family_names_are_the_table_in_order():
 
 def _default(row: cli.Row) -> str:
     """`row`'s default as the README's tables print it."""
-    if row.default is ...:
+    default = row.default
+    if default is ...:
         return "required"
-    return f"`{row.default}`" if isinstance(row.default, str) else format(row.default, "g")
+    if default is None:
+        return "none"
+    if isinstance(default, bool):
+        return f"`{str(default).lower()}`"
+    if isinstance(default, str):
+        return f"`{default}`"
+    if isinstance(default, tuple):
+        return f"`[{', '.join(map(_number, default))}]`"
+    return _number(default)
+
+
+def _number(value) -> str:
+    """`value` in `g` notation, or a float as `1e-4` where that is exact
+    and shorter."""
+    text, short = format(value, "g"), re.sub(r"e-0*", "e-", format(value, ".0e"))
+    exact = isinstance(value, float) and float(short) == value
+    return short if exact and len(short) < len(text) else text
+
+
+def _kind(row: cli.Row) -> str:
+    # `_flag` and `_path` are closures that `cli._exactly` names `kind`
+    return {cli._flag: "flag", cli._path: "path"}.get(row.kind, row.kind.__name__.strip("_"))
+
+
+def _check(cells: list[str], rows: list[cli.Row], keys: list[str]) -> None:
+    """The kind, default and bounds `cells` of a table line give those of
+    the `rows` of its `keys`: one kind, one default per key (equal
+    neighbours printed once), and each choice's choices in order."""
+    kind, default, bounds = cells
+    assert [kind] * len(rows) == [_kind(row) for row in rows], keys
+    # a remark after the default, such as "(no perturbation)", is not read
+    assert default.split(" (")[0] == ", ".join(dict.fromkeys(map(_default, rows))), keys
+    for row in rows:
+        if row.kind is cli._choice:
+            assert _names(bounds) == list(row.bound), keys
 
 
 def test_family_keys_have_the_cli_kinds_and_defaults():
@@ -90,14 +134,78 @@ def test_family_keys_have_the_cli_kinds_and_defaults():
         if not cells[1].startswith("`family."):
             continue
         for name in _names(cells[0]):
-            for key in _names(cells[1]):
-                row = cli.FAMILIES[name][key.removeprefix("family.")]
-                assert (cells[2], cells[3]) == (row.kind.__name__.strip("_"), _default(row)), key
-                if row.kind is cli._choice:
-                    assert _names(cells[4]) == list(row.bound), key
-                seen.append((name, key.removeprefix("family.")))
+            keys = [key.removeprefix("family.") for key in _names(cells[1])]
+            _check(cells[2:], [cli.FAMILIES[name][key] for key in keys], keys)
+            seen += [(name, key) for key in keys]
     assert sorted(seen) == sorted((name, key) for name, rows in cli.FAMILIES.items()
                                   for key in rows)
+
+
+# the sections with a table of their own, under "Shared sections"
+_SHARED = ("family", "grid", "output", "tolerances")
+
+
+def _command_tables() -> dict[str, list[list[str]]]:
+    """The body lines of each key table under `### Config keys` whose
+    paragraph begins with the commands that read it, by command."""
+    tables = {}
+    blocks = re.findall(r"((?:^[^|\n].*\n)+)\n((?:^\|.*\n)+)", _section("### Config keys"), re.M)
+    for intro, table in blocks:
+        readers = re.match(r"((?:`\w+`(?: and )?)+) reads? ", intro)
+        for command in _names(readers.group(1)) if readers else []:
+            tables[command] = _cells(table)[2:]
+    return tables
+
+
+def _leaves(table: dict, where: str = "") -> list[str]:
+    """The dotted keys of a `cli.SCHEMA` table outside the shared sections."""
+    keys = []
+    for key, value in table.items():
+        if isinstance(value, dict):
+            keys += [] if not where and key in _SHARED else _leaves(value, f"{where}{key}.")
+        else:
+            keys.append(where + key)
+    return keys
+
+
+def _row(table: dict, key: str) -> cli.Row:
+    for part in key.split("."):
+        table = table[part]
+    return table
+
+
+def test_command_tables_are_read_for_every_command():
+    assert sorted(_command_tables()) == sorted(cli.SCHEMA)
+
+
+@pytest.mark.parametrize("command", ["curvature", "mesh", "verify", "probe"])
+def test_command_keys_have_the_cli_kinds_and_defaults(command):
+    seen = []
+    for cells in _command_tables()[command]:
+        keys = _names(cells[0])
+        _check(cells[1:], [_row(cli.SCHEMA[command], key) for key in keys], keys)
+        seen += keys
+    assert sorted(seen) == sorted(_leaves(cli.SCHEMA[command]))
+
+
+def test_reconstruct_keys_have_the_cli_kinds_and_defaults():
+    """The theorem column names the `cli.THEOREMS` tables of a line: none
+    for `theorem` itself, every one for `all`."""
+    seen = []
+    for cells in _command_tables()["reconstruct"]:
+        keys = _names(cells[1])
+        if not cells[0]:
+            tables = [cli.SCHEMA["reconstruct"]]
+            seen += [("", key) for key in keys]
+        else:
+            theorems = list(cli.THEOREMS) if cells[0] == "all" else _names(cells[0])
+            tables = [cli.THEOREMS[theorem] for theorem in theorems]
+            seen += [(theorem, key) for theorem in theorems for key in keys]
+        for table in tables:
+            _check(cells[2:], [table[key] for key in keys], keys)
+    assert sorted(seen) == sorted([("", key) for key in _leaves(cli.SCHEMA["reconstruct"])]
+                                  + [(theorem, key) for theorem, rows in cli.THEOREMS.items()
+                                     for key in rows])
 
 
 def test_python_blocks_run():

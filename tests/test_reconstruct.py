@@ -732,6 +732,30 @@ class TestNonexistenceProbe:
             FamilySpace(degree_f=5)
 
 
+_SPACES = [FamilySpace(df, dg, exponential=exponential)
+           for df in range(5) for dg in range(5) for exponential in (True, False)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.lists(st.floats(), max_size=7), q=st.lists(st.floats(), max_size=7),
+       rates=st.lists(st.floats(), min_size=2, max_size=2))
+def test_split_reads_the_layout_theta_writes(p, q, rates):
+    """On each of the 50 spaces, `theta` writes n_params entries, and
+    `split` gives back p and q, each cut or zero-padded to its degree and
+    padded to the larger one, and the rates, zeros without exponential."""
+    for space in _SPACES:
+        theta = space.theta(p, q, rates)
+        assert theta.shape == (space.n_params,)
+        c, got = space.split(theta[None])
+        d = max(space.degree_f, space.degree_g) + 1
+        assert c.shape == (d, 2, 1, 1) and got.shape == (2, 1, 1)
+        for coeffs, degree, read in ((p, space.degree_f, c[:, 0]), (q, space.degree_g, c[:, 1])):
+            want = (coeffs[:degree + 1] + [0.0] * d)[:d]
+            assert [v.hex() for v in read.ravel().tolist()] == [v.hex() for v in want]
+        want = rates if space.exponential else [0.0, 0.0]
+        assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want]
+
+
 def _coordinate_search(theta0, budget):
     """The reference for `reconstruct._pattern_search`: one restart as a
     generator.  It yields candidate rows (m, n_params), is sent their
