@@ -65,6 +65,11 @@ test -s fd400.csv; test -s fd400.json
 pg-surf mesh --set family.name=thm42 --set family.h0=0.5 --set formulas=specialized --set grid.n1=400 --set grid.n2=400 --set output.obj=sp400.obj --set output.sidecar=sp400.csv
 test -s sp400.obj; test -s sp400.csv
 
+# the analytic jets add +0.0 to each product: the saddle's H on its row x = -1.5,
+# where f * g'' is -1.5 * 0, prints 0, never -0 (other rows print -0 either way)
+pg-surf curvature --set family.name=saddle --set 'grid.u1=[-1.5,1.5]' --set 'grid.u2=[-1.5,1.5]' --set grid.n1=7 --set grid.n2=7 --set output.csv=zero.csv --set output.json=zero.json
+awk -F, '$1 == "-1.5" { n++; if ($7 != "0") bad = 1 } END { exit bad || n != 7 }' zero.csv
+
 # rows longer than a block of 2**15 points are swept and written in spans: every line whole
 pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set grid.n1=2 --set grid.n2=50000 --set output.csv=long.csv --set output.json=long.json
 awk -F, 'NF != 10 { bad = 1 } END { exit bad || NR != 100001 }' long.csv

@@ -528,8 +528,10 @@ def run_verify(cfg: dict) -> int:
     for span in row_spans(grid.n1, grid.n2):
         with np.errstate(all="ignore"):
             closed = specialized_grid(surface, grid, span)
+            # a new array: kept whole, in C order, where nothing is excluded
             block = np.abs(closed["H"]) if field == "absH" else closed["K"]
-            values.append(block[~closed["excluded"]])
+            excluded = closed["excluded"]
+            values.append(block[~excluded] if excluded.any() else block.ravel())
             if rejected is None:
                 try:
                     gap = max(gap, cross_check(pipeline_grid(surface, grid, block=span), closed))

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridRejected, InvalidParams
-from .surface import FD_STEP, curvature_arrays, fd_components
+from .surface import FD_STEP, curvature_arrays, fd_components, spare
 
 __all__ = [
     "ScalarC2",
@@ -140,35 +140,45 @@ def _parts(s: FactorableSurface, u1, u2):
     return s.f.jet(u1) + s.g.jet(u2)
 
 
-def _denominator(kind: str, fv, f1, gv, g1):
+def _square(t, shape: tuple):
+    """t ** 2 of a temporary `t`, written over `t` where `spare` allows;
+    numpy's ** squares an array with np.square."""
+    out = spare(t, shape)
+    return t ** 2 if out is None else np.square(t, out=out)
+
+
+def _denominator(kind: str, fv, f1, gv, g1, shape: tuple):
     """The base D of both closed denominators, its vanishing mask and the
-    squares qa = (f g')^2, qb = (f' g)^2 (qb only for the second kind).
+    squares qa = (f g')^2, qb = (f' g)^2 (qb only for the second kind),
+    over profile values of the broadcast `shape`.
 
     D = 1 - qa (first kind) or qa - qb (second kind); it counts as zero
     below a deadband scaled by the larger of 1 and its terms.
     """
-    qa = (fv * g1) ** 2
+    qa = _square(fv * g1, shape)
     if kind == KIND_FIRST:
         qb = None
         den, scale = 1.0 - qa, np.maximum(1.0, qa)
     else:
-        qb = (f1 * gv) ** 2
-        den, scale = qa - qb, np.maximum(1.0, np.maximum(qa, qb))
-    return den, np.abs(den) <= _DENOM_TOL * scale, qa, qb
+        qb = _square(f1 * gv, shape)
+        den, scale = qa - qb, np.maximum(qa, qb)
+        scale = np.maximum(1.0, scale, out=spare(scale, shape))
+    return den, np.abs(den) <= np.multiply(_DENOM_TOL, scale, out=spare(scale, shape)), qa, qb
 
 
-def _quotient(num, terms, den, den_zero, power):
+def _quotient(num, terms, den, den_zero, power, shape: tuple):
     """num / power(D) and its undefined mask.
 
     Where D vanishes the value is undefined (NaN), except where the
     numerator vanishes too, relative to the sum of the magnitudes of its
     `terms`: there it takes the flat limit 0.  With `terms` None (the
     first kind) there is no flat limit.  A block where D vanishes nowhere
-    returns num / power(D) directly: each substitution is the identity
-    there, so the bits are those of the masked path.
+    returns num / power(D) directly, written over `num`, a temporary of
+    the caller's that is none of its `terms`: each substitution is the
+    identity there, so the bits are those of the masked path.
     """
     if not den_zero.any():
-        return num / power(den), den_zero
+        return np.divide(num, power(den), out=spare(num, shape)), den_zero
     value = num / power(np.where(den_zero, 1.0, den))
     if terms is None:
         return np.where(den_zero, np.nan, value), den_zero
@@ -178,25 +188,59 @@ def _quotient(num, terms, den, den_zero, power):
     return np.where(undefined, np.nan, np.where(flat, 0.0, value)), undefined
 
 
-def _closed_K(kind: str, parts, den):
-    """`closed_K` over the profile values `parts` and their `_denominator`."""
+def _product(a, b, c, shape: tuple):
+    """a * b * c, the second product written over the first where `spare`
+    allows."""
+    t = a * b
+    return np.multiply(t, c, out=spare(t, shape))
+
+
+def _closed_K(kind: str, parts, den, shape: tuple):
+    """`closed_K` over the profile values `parts`, of the broadcast
+    `shape`, and their `_denominator`."""
     fv, f1, f2, gv, g1, g2 = parts
-    lead, cross = fv * gv * f2 * g2, (f1 * g1) ** 2
+    lead = _product(fv, gv, f2, shape)
+    lead = np.multiply(lead, g2, out=spare(lead, shape))
+    cross = _square(f1 * g1, shape)
     den, den_zero, _, _ = den
+    # the second kind's terms are kept for its flat limit
     terms = (lead, cross) if kind == KIND_SECOND else None
-    return _quotient(lead - cross, terms, den, den_zero, np.square)
+    num = np.subtract(lead, cross, out=None if terms else spare(lead, shape))
+    return _quotient(num, terms, den, den_zero, np.square, shape)
 
 
-def _closed_H(kind: str, parts, den):
-    """`closed_H` over the profile values `parts` and their `_denominator`."""
+def _closed_H(kind: str, parts, den, shape: tuple):
+    """`closed_H` over the profile values `parts`, of the broadcast
+    `shape`, and their `_denominator`."""
     fv, f1, f2, gv, g1, g2 = parts
     den, den_zero, qa, qb = den
     if kind == KIND_FIRST:
         num, terms = fv * g2, None
     else:
-        terms = t1, t2, t3 = qa * f2 * gv, 2.0 * fv * gv * (f1 * g1) ** 2, qb * fv * g2
-        num = t1 - t2 + t3
-    return _quotient(num, terms, den, den_zero, lambda d: 2.0 * np.abs(d) ** 1.5)
+        t1 = _product(qa, f2, gv, shape)
+        t2 = _product(2.0, fv, gv, shape)
+        t2 = np.multiply(t2, _square(f1 * g1, shape), out=spare(t2, shape))
+        t3 = _product(qb, fv, g2, shape)
+        terms = t1, t2, t3
+        num = t1 - t2
+        num = np.add(num, t3, out=spare(num, shape))
+
+    def power(d):
+        # 2.0 * np.abs(d) ** 1.5, over a new array
+        t = np.abs(d)
+        out = spare(t, shape)
+        t = t ** 1.5 if out is None else np.power(t, 1.5, out=out)
+        return np.multiply(2.0, t, out=spare(t, shape))
+
+    return _quotient(num, terms, den, den_zero, power, shape)
+
+
+def _closed(kernel, kind: str, parts):
+    """`kernel`, `_closed_K` or `_closed_H`, over the profile values
+    `parts`, scalars or arrays, at their broadcast shape."""
+    shape = np.broadcast(*parts).shape
+    fv, f1, _, gv, g1, _ = parts
+    return kernel(kind, parts, _denominator(kind, fv, f1, gv, g1, shape), shape)
 
 
 @np.errstate(all="ignore")
@@ -205,7 +249,7 @@ def closed_K(kind: str, fv, f1, f2, gv, g1, g2):
     f, f', f'', g, g', g'': (K, undefined), K NaN where undefined.  Only
     a block where D vanishes somewhere pays for the masking (`_quotient`).
     Overflow ends as a non-finite K, silently."""
-    return _closed_K(kind, (fv, f1, f2, gv, g1, g2), _denominator(kind, fv, f1, gv, g1))
+    return _closed(_closed_K, kind, (fv, f1, f2, gv, g1, g2))
 
 
 @np.errstate(all="ignore")
@@ -214,7 +258,7 @@ def closed_H(kind: str, fv, f1, f2, gv, g1, g2):
     (H, undefined), H NaN where undefined; |D|^(3/2) covers timelike
     patches.  Only a block where D vanishes somewhere pays for the
     masking, as in `closed_K`.  Overflow ends as a non-finite H, silently."""
-    return _closed_H(kind, (fv, f1, f2, gv, g1, g2), _denominator(kind, fv, f1, gv, g1))
+    return _closed(_closed_H, kind, (fv, f1, f2, gv, g1, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +318,23 @@ def default_grid(s: FactorableSurface, n1: int = 20, n2: int = 20,
     return GridSpec(_clip_axis(d1, span, margin), _clip_axis(d2, span, margin), n1, n2)
 
 
-def _analytic_components(kind: str, parts) -> dict:
+def _analytic_components(kind: str, parts, shape: tuple) -> dict:
     """The analytic jet components x1..z22 from the profile values `parts`
-    (f, f', f'', g, g', g''): per slot, the partials of the u1 coordinate,
-    the u2 coordinate and the product, placed by `_place`; see
-    `jet_component_arrays`."""
+    (f, f', f'', g, g', g''), of the broadcast `shape`: per slot, the
+    partials of the u1 coordinate, the u2 coordinate and the product,
+    placed by `_place`; see `jet_component_arrays`."""
     fv, f1, f2, gv, g1, g2 = parts
     zero, one = np.zeros(()), np.ones(())
-    # `+ zero` as each product is formed frees its temporary at once
-    slots = {"1": (one, zero, f1 * gv + zero), "2": (zero, one, fv * g1 + zero),
-             "11": (zero, zero, f2 * gv + zero), "12": (zero, zero, f1 * g1 + zero),
-             "22": (zero, zero, fv * g2 + zero)}
+
+    def product(a, b):
+        # `+ zero` turns a product of -0.0 into +0.0, so a curvature that
+        # is zero prints as 0, not -0
+        t = a * b
+        return np.add(t, zero, out=spare(t, shape))
+
+    slots = {"1": (one, zero, product(f1, gv)), "2": (zero, one, product(fv, g1)),
+             "11": (zero, zero, product(f2, gv)), "12": (zero, zero, product(f1, g1)),
+             "22": (zero, zero, product(fv, g2))}
     return {f"{axis}{slot}": v for slot, (a, b, prod) in slots.items()
             for axis, v in zip("xyz", _place(kind, a, b, prod))}
 
@@ -299,7 +349,7 @@ def jet_component_arrays(s: FactorableSurface, U1, U2,
     U1 = np.asarray(U1, dtype=float)
     U2 = np.asarray(U2, dtype=float)
     if mode == "analytic":
-        return _analytic_components(s.kind, _parts(s, U1, U2))
+        return _analytic_components(s.kind, _parts(s, U1, U2), np.broadcast(U1, U2).shape)
     if mode != "fd":
         raise InvalidParams(f"mode must be 'analytic' or 'fd', got {mode!r}")
 
@@ -334,6 +384,14 @@ def _axes(grid: GridSpec, block: tuple[slice, slice]):
     return u1, u2, {"U1": np.broadcast_to(u1, shape), "U2": np.broadcast_to(u2, shape)}
 
 
+def _excluded(K, H, shape: tuple):
+    """The exclusion mask of both sweeps of a block of `shape`: where K or
+    H is not finite."""
+    ok = np.isfinite(K)
+    ok = np.bitwise_and(ok, np.isfinite(H), out=spare(ok, shape))
+    return np.invert(ok, out=spare(ok, shape))
+
+
 @np.errstate(all="ignore")
 def pipeline_grid(s: FactorableSurface, grid: GridSpec, mode: str = "analytic",
                   fd_step: float = FD_STEP, block: tuple[slice, slice] = np.s_[:, :]) -> dict:
@@ -347,7 +405,7 @@ def pipeline_grid(s: FactorableSurface, grid: GridSpec, mode: str = "analytic",
     K, H = out["K"], out["H"]
     return {**params, "K": K, "H": H, "eps": out["eps"], "W": out["W"],
             "masked": out["lightlike"] | out["inadmissible"],
-            "excluded": ~(np.isfinite(K) & np.isfinite(H))}
+            "excluded": _excluded(K, H, params["U1"].shape)}
 
 
 @np.errstate(all="ignore")
@@ -360,14 +418,16 @@ def specialized_grid(s: FactorableSurface, grid: GridSpec,
     and W = sqrt(|D|) are the pipeline's.  A point is excluded where K
     or H is not finite, which covers the undefined points (NaN there)."""
     u1, u2, params = _axes(grid, block)
+    shape = params["U1"].shape
     parts = _parts(s, u1, u2)
     fv, f1, _, gv, g1, _ = parts
-    den = _denominator(s.kind, fv, f1, gv, g1)
-    K, _ = _closed_K(s.kind, parts, den)
-    H, _ = _closed_H(s.kind, parts, den)
+    den = _denominator(s.kind, fv, f1, gv, g1, shape)
+    K, _ = _closed_K(s.kind, parts, den, shape)
+    H, _ = _closed_H(s.kind, parts, den, shape)
     D = den[0]
-    return {**params, "K": K, "H": H, "eps": np.where(D > 0.0, 1.0, -1.0), "W": np.sqrt(np.abs(D)),
-            "excluded": ~(np.isfinite(K) & np.isfinite(H))}
+    W = np.abs(D)
+    return {**params, "K": K, "H": H, "eps": np.where(D > 0.0, 1.0, -1.0),
+            "W": np.sqrt(W, out=spare(W, shape)), "excluded": _excluded(K, H, shape)}
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +451,10 @@ def cross_check(pipe: dict, closed: dict) -> float:
         if pipe["masked"].flat[first]:
             raise GridRejected("grid crosses a lightlike or inadmissible locus")
         raise GridRejected("grid has a point where K or H is not finite")
-    k_gap = np.max(np.abs(pipe["K"] + closed["eps"] * closed["K"]))
-    h_gap = np.max(np.abs(pipe["H"] - closed["H"]))
+    shape = pipe["U1"].shape
+    k_gap = closed["eps"] * closed["K"]
+    k_gap = np.add(pipe["K"], k_gap, out=spare(k_gap, shape))
+    k_gap = np.max(np.abs(k_gap, out=spare(k_gap, shape)))
+    h_gap = pipe["H"] - closed["H"]
+    h_gap = np.max(np.abs(h_gap, out=spare(h_gap, shape)))
     return float(max(k_gap, h_gap))

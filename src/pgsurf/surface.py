@@ -60,6 +60,15 @@ def _read_only(v, shape: tuple) -> np.ndarray:
     return v
 
 
+def spare(t, shape: tuple):
+    """The `out=` of an operation that may overwrite its operand `t`, a
+    temporary the calling kernel made itself, never an input: `t` where
+    it is an array of the kernel's broadcast `shape` (the result's shape
+    then), else None, a new array; a numpy scalar cannot take `out=`.
+    The operation and its operands stay the same, so do the bits."""
+    return t if isinstance(t, np.ndarray) and t.shape == shape else None
+
+
 def require_unmasked(out: dict, i) -> None:
     """Raise the error of the one-point views if the `curvature_arrays`
     output `out` masks point `i`: `InadmissiblePatch` first, then
@@ -189,10 +198,16 @@ def curvature_arrays(comp: dict) -> dict:
     x1, y1, z1 = c["x1"], c["y1"], c["z1"]
     x2, y2, z2 = c["x2"], c["y2"], c["z2"]
 
-    Y = x1 * y2 - x2 * y1
-    Z = x1 * z2 - x2 * z1
-    q = Y * Y - Z * Z
-    W = np.sqrt(np.abs(q))
+    # the formulas' operations in their order, each result written over
+    # a temporary made here where `spare` allows it
+    Y = x1 * y2
+    Y = np.subtract(Y, x2 * y1, out=spare(Y, shape))
+    Z = x1 * z2
+    Z = np.subtract(Z, x2 * z1, out=spare(Z, shape))
+    q = Y * Y
+    q = np.subtract(q, Z * Z, out=spare(q, shape))
+    W = np.abs(q)
+    W = np.sqrt(W, out=spare(W, shape))
     lightlike = W < W_TOL
     a1, a2 = np.abs(x1), np.abs(x2)
     inadmissible = np.maximum(a1, a2) <= ADMISSIBLE_TOL
@@ -201,8 +216,8 @@ def curvature_arrays(comp: dict) -> dict:
 
     eps = np.where(q > 0.0, 1.0, -1.0)
     Wsafe = np.where(bad, 1.0, W) if masked else W
-    ny = Z / Wsafe
-    nz = Y / Wsafe
+    ny = np.divide(Z, Wsafe, out=spare(Z, shape))
+    nz = np.divide(Y, Wsafe, out=spare(Y, shape))
 
     # the second form from the branch with the larger |x-partial| gs, so
     # `inadmissible` guards its divisor (where an x-partial is NaN, so are K, H)
@@ -213,16 +228,41 @@ def curvature_arrays(comp: dict) -> dict:
     gsafe = np.where(inadmissible, 1.0, gs) if masked else gs
 
     def coeff(xij, yij, zij):
+        # eps * ((yij - t * ys) * ny - (zij - t * zs) * nz), t = xij / gsafe
         t = xij / gsafe
-        return eps * ((yij - t * ys) * ny - (zij - t * zs) * nz)
+        a = t * ys
+        a = np.subtract(yij, a, out=spare(a, shape))
+        a = np.multiply(a, ny, out=spare(a, shape))
+        b = np.multiply(t, zs, out=spare(t, shape))
+        b = np.subtract(zij, b, out=spare(b, shape))
+        b = np.multiply(b, nz, out=spare(b, shape))
+        a = np.subtract(a, b, out=spare(a, shape))
+        return np.multiply(eps, a, out=spare(a, shape))
 
     L11 = coeff(c["x11"], c["y11"], c["z11"])
     L12 = coeff(c["x12"], c["y12"], c["z12"])
     L22 = coeff(c["x22"], c["y22"], c["z22"])
 
     W2 = Wsafe * Wsafe
-    K = -eps * (L11 * L22 - L12 * L12) / W2
-    H = -eps * (x2 * x2 * L11 - 2.0 * x1 * x2 * L12 + x1 * x1 * L22) / (2.0 * W2)
+    neg = -eps
+    # K = -eps * (L11 * L22 - L12 * L12) / W2
+    K = L11 * L22
+    K = np.subtract(K, L12 * L12, out=spare(K, shape))
+    K = np.multiply(neg, K, out=spare(K, shape))
+    K = np.divide(K, W2, out=spare(K, shape))
+    # H = -eps * (x2 * x2 * L11 - 2.0 * x1 * x2 * L12 + x1 * x1 * L22) / (2.0 * W2)
+    H = x2 * x2
+    H = np.multiply(H, L11, out=spare(H, shape))
+    t = 2.0 * x1
+    t = np.multiply(t, x2, out=spare(t, shape))
+    t = np.multiply(t, L12, out=spare(t, shape))
+    H = np.subtract(H, t, out=spare(H, shape))
+    t = x1 * x1
+    t = np.multiply(t, L22, out=spare(t, shape))
+    H = np.add(H, t, out=spare(H, shape))
+    H = np.multiply(neg, H, out=spare(H, shape))
+    W2 = np.multiply(2.0, W2, out=spare(W2, shape))
+    H = np.divide(H, W2, out=spare(H, shape))
     if masked:
         K = np.where(bad, np.nan, K)
         H = np.where(bad, np.nan, H)

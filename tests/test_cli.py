@@ -97,6 +97,19 @@ class TestCurvature:
         marked = [r for r in rows if r["excluded"] == "1"]
         assert len(marked) == 5 and all(r["K"] == "" for r in marked)
 
+    def test_zero_mean_curvature_keeps_its_sign(self, tmp_path):
+        # on the saddle's row x = -1.5 the analytic jet's z22 = f * g'' is
+        # -1.5 * 0 = -0.0 until `+ zero` makes it +0.0; without it H prints
+        # -0 at y >= 0 on that row (other rows print -0 either way)
+        cfg = write_config(tmp_path, "saddle.json", {
+            "family": {"name": "saddle"},
+            "grid": {"u1": [-1.5, 1.5], "u2": [-1.5, 1.5], "n1": 7, "n2": 7},
+            "output": {"csv": str(tmp_path / "s.csv"), "json": str(tmp_path / "s.json")},
+        })
+        assert main(["curvature", "--config", cfg]) == 0
+        _, rows = read_csv_rows(tmp_path / "s.csv")
+        assert [r["H"] for r in rows if r["u1"] == "-1.5"] == ["0"] * 7
+
     def test_all_lightlike_grid_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, "ee.json", {
             "family": {"name": "exp_exp"},
