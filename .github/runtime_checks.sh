@@ -29,6 +29,10 @@ pg-surf --help
 expect_exit 2 pg-surf
 # the family keys are read off the constructors' signatures: a fixture takes none
 expect_exit 2 pg-surf curvature --set family.name=linear --set family.k0=1
+# each command takes only its own output keys: another command's is unknown
+expect_exit 2 pg-surf curvature --set family.name=thm31 --set family.k0=1 --set output.obj=x.obj
+expect_exit 2 pg-surf verify --set family.name=thm31 --set family.k0=1 --set output.csv=x.csv
+test ! -e x.obj; test ! -e x.csv
 
 # repeated `main` calls in one process write what a fresh process writes
 python -c "from pgsurf.cli import main; a = ['verify', '--set', 'family.name=thm42', '--set', 'family.h0=0.5', '--set', 'grid.n1=9', '--set', 'grid.n2=9']; assert main(a + ['--set', 'motions=3', '--set', 'output.json=main1.json']) == 0; assert main(a + ['--set', 'output.json=main2.json']) == 0"
@@ -56,6 +60,10 @@ expect_exit 2 pg-surf verify --set family.name=thm31 --set family.k0=1 --set per
 # exports on every route, in one block and in several
 pg-surf mesh --set family.name=saddle --set 'grid.u1=[0.5,1.5]' --set grid.n1=21 --set grid.n2=7 --set output.obj=saddle.obj --set output.sidecar=saddle.csv
 test -s saddle.obj; test -s saddle.csv
+# with no path, stdout carries the OBJ alone, the bytes of its file; the sidecar needs a path
+pg-surf mesh --set family.name=saddle --set 'grid.u1=[0.5,1.5]' --set grid.n1=21 --set grid.n2=7 > stdout.obj
+test "$(head -n 1 stdout.obj)" = "# pg-surf mesh 21x7"; test "$(grep -c '^vertex,' stdout.obj)" -eq 0
+cmp stdout.obj saddle.obj
 # the saddle is lightlike on the grid row u1 = 1: every vertex, and only the faces off that row
 test "$(grep -c '^v ' saddle.obj)" -eq 147; test "$(grep -c '^f ' saddle.obj)" -eq 108
 pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set formulas=pipeline-fd --set output.csv=fd.csv --set output.json=fd.json

@@ -5,27 +5,20 @@
 Configuration is a JSON object; `--set` overrides individual (dotted)
 keys and wins over file values.  Outputs are deterministic: identical
 configurations produce byte-identical CSV/JSON/OBJ files (floats printed
-with 17 significant digits, fixed row order).  `curvature`, `mesh` and
+with 17 significant digits, fixed row order).  Each command takes only
+its own outputs (`OUTPUT`).  Its first goes to stdout when its path is
+empty; a later one (`curvature`'s JSON, `mesh`'s sidecar) is written only
+to a path, so stdout carries one format.  `curvature`, `mesh` and
 `verify` sweep each grid point once, in the blocks of
-`factorable.row_spans` (whole grid rows, or a span of one long row);
-tables and meshes are formatted block by block and written one grid
-row, or span, at a time.  Every line of every output goes through one
-column rule: a float column whose bits are the same in every row of a
-block (U2, the position equal to it, epsilon, a constant K or H) is
-formatted once per position and its strings are written into the
-positions' line formats; one constant along a grid row (U1 and its
-position) is formatted once per row and printed by a `%s` field; any
-other float column by a `%.17g` field, an integer column (the sidecar's
-vertex numbers, a mesh face's four corner indices) by a `%d` field.  A
-grid row with no excluded point is one `%` of its positions' line
-formats joined, which fills only the fields that change along the row;
-a row that holds one is formatted line by line with the same formats.
-A mesh's faces are cut by `row_spans` from its cells, one face row per
-grid row of a block, and a dropped cell's line is empty.  Equal bits
-print equal strings, and `"%.17g" % x == format(x, ".17g")`, so the
-bytes are those of formatting every cell with `format(x, ".17g")`.
-A file output is written to a temporary sibling and moved into place only
-when complete, so a failed run never leaves a truncated file.
+`factorable.row_spans` (whole grid rows, or a span of one long row).
+`curvature` and `mesh` write each block's lines as it is swept; `mesh`
+keeps only the exclusion mask across blocks and writes its faces last.
+Every line goes through one column rule (`_column`, `_lines`): a float
+column is formatted once per position or per row where its bits allow,
+by `%.17g` fields otherwise, so the bytes are those of formatting every
+cell with `format(x, ".17g")`.  A file output is written to a temporary
+sibling and moved into place only when complete, so a failed run never
+leaves a truncated file, and a `mesh` run that fails keeps both.
 
 A grid point with no finite K or H (lightlike, inadmissible, overflowing,
 or where a family's radicand is not positive) is excluded, never raised;
@@ -110,34 +103,42 @@ def _sanitize(obj):
     return obj
 
 
-def _write(path: Optional[str], chunks: Iterable[str]) -> None:
-    """Write text chunks to `path`, or to stdout when `path` is unset.
+@contextlib.contextmanager
+def _opened(path: str) -> Iterator[Callable[[Iterable[str]], None]]:
+    """The writer of one output for a `with` body: it writes and flushes
+    text chunks to `path`, or to stdout when `path` is empty.
 
-    A file is written to a temporary sibling and moved over `path` with
-    `os.replace` once every chunk is written; on any error the temporary
-    is removed and `path` is left as it was.  An existing target that is
-    not a regular file (a device such as /dev/null, a FIFO) cannot be
-    replaced and is written in place.  A failure to write, to a file or
-    to stdout (such as a closed pipe), becomes `ConfigError`.
+    A file goes to a temporary sibling, moved over `path` by `os.replace`
+    when the body ends; on any error the temporary is removed and `path`
+    is left as it was.  A target that exists but is not a regular file (a
+    device such as /dev/null, a FIFO) is written in place.  A failure to
+    write (a closed stdout pipe too) becomes `ConfigError`, raised by the
+    writer itself: an output open around another never names its error.
     """
-    if not path:
+    def write(chunks: Iterable[str]) -> None:
         try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
+            stream.writelines(chunks)
+            stream.flush()
         except OSError as exc:
-            # a closed pipe: the interpreter's last flush of stdout then
-            # goes to the null device and raises no second error
-            with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
-                os.dup2(null.fileno(), sys.stdout.fileno())
-            raise ConfigError(f"cannot write output to stdout: {exc.strerror or exc}") from exc
+            if not path:
+                # a closed pipe: the interpreter's last flush of stdout then
+                # goes to the null device and raises no second error
+                with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+                    os.dup2(null.fileno(), sys.stdout.fileno())
+            raise ConfigError(f"cannot write output {path or 'to stdout'}: "
+                              f"{exc.strerror or exc}") from exc
+
+    stream = sys.stdout
+    if not path:
+        yield write
         return
     in_place = os.path.exists(path) and not os.path.isfile(path)
     target = path if in_place else f"{path}.{os.urandom(4).hex()}.tmp"
     created = False
     try:
-        with open(target, "w" if in_place else "x", encoding="utf-8") as fh:
+        with open(target, "w" if in_place else "x", encoding="utf-8") as stream:
             created = not in_place
-            fh.writelines(chunks)
+            yield write
         if created:
             os.replace(target, path)
     except BaseException as exc:
@@ -149,8 +150,9 @@ def _write(path: Optional[str], chunks: Iterable[str]) -> None:
         raise
 
 
-def _json_report(path: Optional[str], report: dict) -> None:
-    _write(path, [json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"])
+def _json_report(path: str, report: dict) -> None:
+    with _opened(path) as write:
+        write([json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"])
 
 
 def _parse_set(pairs: list[str]) -> dict:
@@ -280,27 +282,29 @@ _RECONSTRUCT = {"3.1": rec.reconstruct_thm31, "3.2": rec.reconstruct_thm32,
 THEOREMS = {key: _rows(function, {"k0": 1.0, "h0": 0.5}) for key, function in _RECONSTRUCT.items()}
 # a grid key left out comes from the command's default grid
 GRID = {"u1": Row(_pair), "u2": Row(_pair), "n1": Row(_integer), "n2": Row(_integer)}
-OUTPUT = {key: Row(_path, "") for key in ("csv", "json", "obj", "sidecar")}
+# each command's outputs: the first to stdout when its path is empty, a later one only to a path
+OUTPUT = {command: {key: Row(_path, "") for key in keys.split()} for command, keys in {
+    "curvature": "csv json", "mesh": "obj sidecar", "verify": "json", "reconstruct": "json",
+    "probe": "json"}.items()}
 TOLERANCES = {"constancy": Row(_real, 1e-7, True), "cross_check": Row(_real, 1e-8, True),
               "motion": Row(_real, 1e-8, True), "ode": Row(_real, 1e-6, True)}
 ROUTES = ("pipeline", "pipeline-fd", "specialized")
-_SWEEP = {"family": {"name": Row(_choice, ..., FAMILIES)}, "grid": GRID, "output": OUTPUT,
-          "formulas": Row(_choice, "pipeline", ROUTES), "fd_step": Row(_real, FD_STEP, True)}
 SCHEMA = {
-    "curvature": _SWEEP,
-    "mesh": _SWEEP,
+    **{command: {"family": {"name": Row(_choice, ..., FAMILIES)}, "grid": GRID,
+                 "output": OUTPUT[command], "formulas": Row(_choice, "pipeline", ROUTES),
+                 "fd_step": Row(_real, FD_STEP, True)} for command in ("curvature", "mesh")},
     "verify": {"family": {"name": Row(_choice, ..., {name: FAMILIES[name] for name, row
                                                       in fam.FAMILIES.items() if row.field})},
                "grid": GRID, "perturb": {"exponent_scale": Row(_real)}, "tolerances": TOLERANCES,
                "motions": Row(_integer, 10, (1, MAX_MOTIONS)),
-               "seed": Row(_integer, 0, (0, None)), "output": OUTPUT},
+               "seed": Row(_integer, 0, (0, None)), "output": OUTPUT["verify"]},
     "reconstruct": {"theorem": Row(_choice, ..., THEOREMS), "tolerances": TOLERANCES,
-                    "output": OUTPUT},
+                    "output": OUTPUT["reconstruct"]},
     "probe": {"k0": Row(_real, 1.0), "budget": Row(_integer, 10_000, (1, None)),
               "restarts": Row(_integer, 6, (1, None)), "seed": Row(_integer, 0, (0, None)),
               "degree_f": Row(_integer, 2, (0, None)), "degree_g": Row(_integer, 2, (0, None)),
               "exponential": Row(_flag, True), "floor": Row(_real), "grid": GRID,
-              "output": OUTPUT},
+              "output": OUTPUT["probe"]},
 }
 
 
@@ -453,14 +457,10 @@ def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[
             yield row % tuple(args)
 
 
-def _csv_rows(blocks: Iterable[dict]) -> Iterator[str]:
-    """`curvature` CSV: the header, then one string of lines per grid row
-    of each sweep block."""
-    yield CSV_HEADER + "\n"
-    for data in blocks:
-        yield from _lines([data[key] for key in ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")],
-                          "{},{},{},{},{},{},{},{},{},0\n", "{},{},{},{},{},,,,,1\n",
-                          data["excluded"])
+def _csv_lines(data: dict) -> Iterator[str]:
+    """`curvature` CSV: one string of lines per grid row of a sweep block."""
+    yield from _lines([data[key] for key in ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")],
+                      "{},{},{},{},{},{},{},{},{},0\n", "{},{},{},{},{},,,,,1\n", data["excluded"])
 
 
 def _spread(blocks: list) -> tuple[np.ndarray, float, float]:
@@ -479,20 +479,20 @@ def run_curvature(cfg: dict) -> int:
     # the included K and H of each block, kept while the CSV is written:
     # concatenated, they are the included points of the grid in C order
     kept: dict = {"K": [], "H": []}
-
-    def keeping(blocks):
+    with _opened(v["output"]["csv"]) as write:
+        write([CSV_HEADER + "\n"])
         for data in blocks:
+            write(_csv_lines(data))
             for name, values in kept.items():
                 values.append(data[name][~data["excluded"]])
-            yield data
-        # before the CSV is complete, so `_write` discards its file
-        if not any(block.size for block in kept["K"]):
+        n_inc = sum(block.size for block in kept["K"])
+        # before the CSV is complete, so its file is not written
+        if not n_inc:
             raise GridRejected("every grid point is excluded")
-
-    _write(v["output"]["csv"], _csv_rows(keeping(blocks)))
+    if not v["output"]["json"]:
+        return EXIT_OK
 
     n_points = grid.n1 * grid.n2
-    n_inc = sum(block.size for block in kept["K"])
     summary = {
         "family": cfg["family"],
         "grid": {"u1": list(grid.u1), "u2": list(grid.u2), "n1": grid.n1, "n2": grid.n2},
@@ -643,51 +643,54 @@ def run_probe(cfg: dict) -> int:
 # mesh
 # ---------------------------------------------------------------------------
 
-def _obj_lines(blocks: Iterable[dict], faces: np.ndarray) -> Iterator[str]:
-    """OBJ: a comment, the vertex lines of each sweep block, then the face
-    lines of each block of `row_spans` over the cells.
+def _vertex_lines(data: dict) -> Iterator[str]:
+    """OBJ: one string of vertex lines per grid row of a sweep block."""
+    yield from _lines([data["x"], data["y"], data["z"]], "v {} {} {}\n", "v {} {} {}\n",
+                      np.zeros_like(data["excluded"]))
+
+
+def _sidecar_lines(data: dict, first: int) -> Iterator[str]:
+    """Mesh sidecar CSV keyed by 1-based vertex index: one string of lines
+    per grid row of a sweep block whose first vertex is `first`."""
+    ids = np.arange(first, first + data["excluded"].size).reshape(data["excluded"].shape)
+    yield from _lines([ids, data["U1"], data["U2"], data["K"], data["H"]],
+                      "{},{},{},{},{},0\n", "{},{},{},,,1\n", data["excluded"])
+
+
+def _face_lines(faces: np.ndarray) -> Iterator[str]:
+    """OBJ: the face lines of each block of `row_spans` over the cells,
+    `faces` the cells kept.
 
     A block's faces are four integer columns of 1-based vertex indices,
     the corners of each cell, printed by the one column rule; a dropped
     cell's line is empty."""
-    n1, n2 = faces.shape[0] + 1, faces.shape[1] + 1
-    yield f"# pg-surf mesh {n1}x{n2}\n"
-    for data in blocks:
-        yield from _lines([data["x"], data["y"], data["z"]], "v {} {} {}\n", "v {} {} {}\n",
-                          np.zeros_like(data["excluded"]))
-    for rows, cols in row_spans(n1 - 1, n2 - 1):
-        a = np.arange(n1 - 1)[rows, None] * n2 + np.arange(n2 - 1)[None, cols] + 1
+    n2 = faces.shape[1] + 1
+    for rows, cols in row_spans(*faces.shape):
+        a = np.arange(faces.shape[0])[rows, None] * n2 + np.arange(n2 - 1)[None, cols] + 1
         yield from _lines([a, a + n2, a + n2 + 1, a + 1], "f {} {} {} {}\n", "", ~faces[rows, cols])
-
-
-def _sidecar_rows(blocks: list) -> Iterator[str]:
-    """Mesh sidecar CSV keyed by 1-based vertex index: the header, then one
-    string of lines per grid row of each sweep block."""
-    yield "vertex,u1,u2,K,H,excluded\n"
-    first = 1
-    for data in blocks:
-        shape = data["excluded"].shape
-        ids = np.arange(first, first + shape[0] * shape[1]).reshape(shape)
-        first += ids.size
-        yield from _lines([ids, data["U1"], data["U2"], data["K"], data["H"]],
-                          "{},{},{},{},{},0\n", "{},{},{},,,1\n", data["excluded"])
 
 
 def run_mesh(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["mesh"])
     grid, blocks = _sweep(v)
-    # faces need the whole exclusion mask before a line is written, so each
-    # block keeps what the outputs print and drops the rest of its sweep
-    blocks = [{key: data[key] for key in ("U1", "U2", "x", "y", "z", "K", "H", "excluded")}
-              for data in blocks]
-    # the blocks are in C order: their masks, flattened, are the grid's
-    ex = np.concatenate([data["excluded"].ravel() for data in blocks]).reshape(grid.n1, grid.n2)
-    # a cell is kept when all four corners are admissible
-    faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
-    if not faces.any():
-        raise GridRejected("no mesh cell has four included corners")
-    _write(v["output"]["obj"], _obj_lines(blocks, faces))
-    _write(v["output"]["sidecar"], _sidecar_rows(blocks))
+    path, start = v["output"]["sidecar"], 0
+    # the sweep's exclusion mask, filled block by block: the blocks are in C order
+    ex = np.empty((grid.n1, grid.n2), dtype=bool)
+    with _opened(v["output"]["obj"]) as obj, \
+            (_opened(path) if path else contextlib.nullcontext(lambda _: None)) as sidecar:
+        obj([f"# pg-surf mesh {grid.n1}x{grid.n2}\n"])
+        sidecar(["vertex,u1,u2,K,H,excluded\n"])
+        for data in blocks:
+            obj(_vertex_lines(data))
+            sidecar(_sidecar_lines(data, start + 1))
+            ex.flat[start:start + data["excluded"].size] = data["excluded"]
+            start += data["excluded"].size
+        # a cell is kept when all four corners are admissible
+        faces = ~(ex[:-1, :-1] | ex[1:, :-1] | ex[1:, 1:] | ex[:-1, 1:])
+        # before either output is complete, so neither file is written
+        if not faces.any():
+            raise GridRejected("no mesh cell has four included corners")
+        obj(_face_lines(faces))
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -651,8 +652,10 @@ class TestMesh:
         assert main(["mesh", "--config", write_config(tmp_path, "me.json",
                                                       {**cfg, "output": files})]) == 3
         assert not (tmp_path / "me.obj").exists() and not (tmp_path / "me.csv").exists()
+        # an OBJ on stdout has streamed its vertex lines by then, never a face
         assert main(["mesh", "--config", write_config(tmp_path, "mo.json", cfg)]) == 3
-        assert capsys.readouterr().out == ""
+        assert "\nf " not in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["me.json", "mo.json"]
 
     def test_mesh_determinism(self, tmp_path):
         cfg = write_config(tmp_path, "md.json", {
@@ -744,27 +747,32 @@ def test_grids_straddling_the_radicand(family, h0, shift, inside, outside, side,
     name, key = family
     u2 = sorted((w - shift) / (2.0 * h0) for w in (inside, side * outside))
     base = [f"family.name={name}", f"family.h0={h0!r}", f"family.{key}={shift!r}",
-            "family.causal=spacelike", f"grid.u2={json.dumps(u2)}", f"grid.n1={n1}", f"grid.n2={n2}",
-            f"output.json={os.devnull}", f"output.obj={os.devnull}"]
+            "family.causal=spacelike", f"grid.u2={json.dumps(u2)}", f"grid.n1={n1}", f"grid.n2={n2}"]
     argv = [a for kv in base for a in ("--set", kv)]
 
     def in_band(row):
         w = 2.0 * h0 * float(row["u2"]) + shift
         return w * w - 1.0 <= 0.0
 
-    # the CSV of `curvature` and the sidecar of `mesh` go to stdout
-    for route in ("pipeline", "pipeline-fd", "specialized"):
-        for command in ("curvature", "mesh"):
-            with contextlib.redirect_stdout(io.StringIO()) as out, \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = main([command, *argv, "--set", f"formulas={route}"])
-            assert code in (0, 3), (command, route, code)
-            if code == 0:
-                header, *lines = out.getvalue().splitlines()
-                rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
-                assert all(r["excluded"] == "1" for r in rows if in_band(r)), (command, route)
+    # the CSV of `curvature` goes to stdout, the sidecar of `mesh` to a file
+    with tempfile.TemporaryDirectory() as tmp:
+        sidecar = Path(tmp) / "sidecar.csv"
+        outputs = {"curvature": [f"output.json={os.devnull}"],
+                   "mesh": [f"output.obj={os.devnull}", f"output.sidecar={sidecar}"]}
+        for route in ("pipeline", "pipeline-fd", "specialized"):
+            for command, keys in outputs.items():
+                with contextlib.redirect_stdout(io.StringIO()) as out, \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main([command, *argv, "--set", f"formulas={route}",
+                                 *[a for kv in keys for a in ("--set", kv)]])
+                assert code in (0, 3), (command, route, code)
+                if code == 0:
+                    text = sidecar.read_text() if command == "mesh" else out.getvalue()
+                    header, *lines = text.splitlines()
+                    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+                    assert all(r["excluded"] == "1" for r in rows if in_band(r)), (command, route)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["verify", *argv]) in (1, 3)
+        assert main(["verify", *argv, "--set", f"output.json={os.devnull}"]) in (1, 3)
 
 
 def _child_env() -> dict:
@@ -775,30 +783,42 @@ def _child_env() -> dict:
 
 
 # A child process that runs `main` on its arguments and prints its own
-# peak resident set size in bytes (Linux reports ru_maxrss in KiB, macOS
-# in bytes).
+# peak resident set size in bytes.  On Linux that is VmHWM, the high-water
+# mark of its own address space: its ru_maxrss also holds the resident set
+# of the process that spawned it, which exec keeps (a test process of
+# 130 MiB made every child read 130 MiB).  macOS has no /proc and reports
+# ru_maxrss in bytes.
 _PEAK_RSS_CHILD = (
     "import resource, sys\n"
     "from pgsurf.cli import main\n"
     "assert main(sys.argv[1:]) == 0\n"
-    "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-    "print(peak if sys.platform == 'darwin' else peak * 1024)\n"
+    "if sys.platform == 'darwin':\n"
+    "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    "else:\n"
+    "    status = open('/proc/self/status').read()\n"
+    "    print(int(status.split('VmHWM:')[1].split()[0]) * 1024)\n"
 )
 
 
 class TestPeakMemoryOfLargeSweeps:
     """`curvature` and `mesh` on a thm42 1000x1000 grid peak below 150 MiB
     resident, on every route, each run alone in a fresh interpreter whose
-    own ru_maxrss is read.  They sweep the grid in row blocks and keep only
-    what their outputs still need: 62-77 MiB with numpy 2.4 on x86-64
-    Linux, where sweeping the whole grid at once reached 229 MiB (analytic
-    and `specialized`) and 305 MiB (FD).  A grid of two rows of 200 000
-    points stays under the same bound, 66 MiB (`curvature`) and 81 MiB
-    (`mesh`), as the sweep and its text are cut into spans of at most
-    `_BLOCK_POINTS` points; a sweep block of one whole row peaked at
-    88 MiB, and text built one grid row at a time at 362 and 216 MiB.
-    The outputs go to the null device, so the run's time is not that of
-    the disk."""
+    own peak is read.  They sweep the grid in row blocks and keep only
+    what their outputs still need: 62-70 MiB for `curvature` with numpy
+    2.4 on x86-64 Linux, where sweeping the whole grid at once reached
+    229 MiB (analytic and `specialized`) and 305 MiB (FD).  `mesh` writes
+    each block's lines as it is swept and keeps only the grid's exclusion
+    mask, so it has a bound of its own: its peak on each route, 40.6
+    (analytic), 43.1 (FD) and 37.2 MiB (`specialized`), rounded up, plus
+    8 MiB; keeping every block's printed columns until the faces were
+    chosen peaked at 59.8-62.4 MiB.  A grid of two rows of 200 000 points
+    stays under 150 MiB, 66 MiB (`curvature`) and 49 MiB (`mesh`), as the
+    sweep and its text are cut into spans of at most `_BLOCK_POINTS`
+    points; a sweep block of one whole row peaked at 88 MiB, and text
+    built one grid row at a time at 362 and 216 MiB.  The outputs go to
+    the null device, so the run's time is not that of the disk."""
+
+    MESH_MIB = {"pipeline": 41 + 8, "pipeline-fd": 44 + 8, "specialized": 38 + 8}
 
     @staticmethod
     def _peak(command, n1, n2, route):
@@ -815,7 +835,7 @@ class TestPeakMemoryOfLargeSweeps:
     @pytest.mark.parametrize("command", ["curvature", "mesh"])
     def test_peak_memory(self, command, route):
         peak = self._peak(command, 1000, 1000, route)
-        assert peak < 150 * 2**20, peak
+        assert peak < (self.MESH_MIB[route] if command == "mesh" else 150) * 2**20, peak
 
     @pytest.mark.parametrize("command", ["curvature", "mesh"])
     def test_long_rows(self, command):
@@ -832,7 +852,7 @@ class TestConfigValidation:
     def test_route_and_fd_step(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path, "r.json", {
             "family": {"name": "thm31", "k0": 1.0}, "grid": {"n1": 4, "n2": 4},
-            "output": {key: str(tmp_path / f"out.{key}") for key in ("csv", "json", "obj", "sidecar")},
+            "output": {key: str(tmp_path / f"out.{key}") for key in OUTPUTS[command]},
         })
         _one_line_config_error(capsys, [command, "--config", cfg, "--set", override])
         assert list(tmp_path.iterdir()) == [tmp_path / "r.json"]
@@ -866,7 +886,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command", ["curvature", "mesh", "verify", "probe"])
     def test_overflowing_grid_width_exits_2(self, tmp_path, capsys, command):
         # both ends are finite but hi - lo is not: linspace would overflow
-        out = {key: str(tmp_path / key) for key in ("csv", "json", "obj", "sidecar")}
+        out = {key: str(tmp_path / key) for key in OUTPUTS[command]}
         cfg = write_config(tmp_path, "w.json", {"family": {"name": "thm31", "k0": 1.0},
                                                 "grid": {"u1": [-1e308, 1e308], "n1": 4, "n2": 4},
                                                 "budget": 10, "output": out})
@@ -918,23 +938,26 @@ _FROZEN_FAMILIES = {
 }
 _FROZEN_GRID = {"u1": ("_pair", None, None), "u2": ("_pair", None, None),
                 "n1": ("_integer", None, None), "n2": ("_integer", None, None)}
-_FROZEN_OUTPUT = {key: ("_path", "", None) for key in ("csv", "json", "obj", "sidecar")}
+# each command's own outputs, in the order they are written
+OUTPUTS = {"curvature": ("csv", "json"), "mesh": ("obj", "sidecar"), "verify": ("json",),
+           "reconstruct": ("json",), "probe": ("json",)}
+_FROZEN_OUTPUT = {command: {key: ("_path", "", None) for key in keys}
+                  for command, keys in OUTPUTS.items()}
 _FROZEN_TOLERANCES = {"constancy": ("_real", 1e-7, True), "cross_check": ("_real", 1e-8, True),
                       "motion": ("_real", 1e-8, True), "ode": ("_real", 1e-6, True)}
-_FROZEN_SWEEP = {
-    "family": {"name": ("_choice", ..., {**_FROZEN_FAMILIES,
-                                         "linear": {}, "saddle": {}, "exp_exp": {}})},
-    "grid": _FROZEN_GRID, "output": _FROZEN_OUTPUT,
-    "formulas": ("_choice", "pipeline", ("pipeline", "pipeline-fd", "specialized")),
-    "fd_step": ("_real", 1e-4, True),
-}
 FROZEN_SCHEMA = {
-    "curvature": _FROZEN_SWEEP,
-    "mesh": _FROZEN_SWEEP,
+    command: {
+        "family": {"name": ("_choice", ..., {**_FROZEN_FAMILIES,
+                                             "linear": {}, "saddle": {}, "exp_exp": {}})},
+        "grid": _FROZEN_GRID, "output": _FROZEN_OUTPUT[command],
+        "formulas": ("_choice", "pipeline", ("pipeline", "pipeline-fd", "specialized")),
+        "fd_step": ("_real", 1e-4, True),
+    } for command in ("curvature", "mesh")
+} | {
     "verify": {"family": {"name": ("_choice", ..., _FROZEN_FAMILIES)}, "grid": _FROZEN_GRID,
                "perturb": {"exponent_scale": ("_real", None, None)},
                "tolerances": _FROZEN_TOLERANCES, "motions": ("_integer", 10, (1, 10_000)),
-               "seed": ("_integer", 0, (0, None)), "output": _FROZEN_OUTPUT},
+               "seed": ("_integer", 0, (0, None)), "output": _FROZEN_OUTPUT["verify"]},
     "reconstruct": {
         "theorem": ("_choice", ..., {
             "3.1": {"k0": ("_real", 1.0, None), "g0": ("_real", 1.0, None),
@@ -948,13 +971,13 @@ FROZEN_SCHEMA = {
                     "lam2": ("_real", 0.0, None), "z0": ("_real", 1.2, None),
                     "length": ("_real", 0.8, None), "h": ("_real", 1e-3, None)},
         }),
-        "tolerances": _FROZEN_TOLERANCES, "output": _FROZEN_OUTPUT,
+        "tolerances": _FROZEN_TOLERANCES, "output": _FROZEN_OUTPUT["reconstruct"],
     },
     "probe": {"k0": ("_real", 1.0, None), "budget": ("_integer", 10_000, (1, None)),
               "restarts": ("_integer", 6, (1, None)), "seed": ("_integer", 0, (0, None)),
               "degree_f": ("_integer", 2, (0, None)), "degree_g": ("_integer", 2, (0, None)),
               "exponential": ("_flag", True, None), "floor": ("_real", None, None),
-              "grid": _FROZEN_GRID, "output": _FROZEN_OUTPUT},
+              "grid": _FROZEN_GRID, "output": _FROZEN_OUTPUT["probe"]},
 }
 
 
@@ -1030,17 +1053,17 @@ class TestAtomicWrites:
         })
 
     def test_no_temporary_files_left(self, tmp_path):
-        out = {key: str(tmp_path / f"out.{key}") for key in ("csv", "json", "obj", "sidecar")}
-        cfg = self._cfg(tmp_path, out)
-        assert main(["curvature", "--config", cfg]) == 0
-        assert main(["mesh", "--config", cfg]) == 0
+        for command in ("curvature", "mesh"):
+            out = {key: str(tmp_path / f"out.{key}") for key in OUTPUTS[command]}
+            assert main([command, "--config", self._cfg(tmp_path, out)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["w.json", "out.csv", "out.json", "out.obj", "out.sidecar"])
 
     @pytest.mark.parametrize("command,key,writer", [
-        ("curvature", "csv", "_csv_rows"),
-        ("mesh", "obj", "_obj_lines"),
-        ("mesh", "sidecar", "_sidecar_rows"),
+        ("curvature", "csv", "_csv_lines"),
+        ("mesh", "obj", "_vertex_lines"),
+        ("mesh", "obj", "_face_lines"),
+        ("mesh", "sidecar", "_sidecar_lines"),
     ])
     def test_failure_mid_write_keeps_old_file(self, tmp_path, monkeypatch, command, key, writer):
         import pgsurf.cli as cli
@@ -1061,6 +1084,48 @@ class TestAtomicWrites:
         assert target.read_text() == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out." + key, "w.json"]
 
+    def test_mesh_replaces_both_files_or_neither(self, tmp_path, monkeypatch):
+        """A failure after the first block's vertex lines and sidecar rows
+        are written keeps both previous files, and leaves no temporary."""
+        out = {key: tmp_path / f"out.{key}" for key in OUTPUTS["mesh"]}
+        for key, path in out.items():
+            path.write_text(f"previous {key}\n")
+        cfg = self._cfg(tmp_path, {key: str(path) for key, path in out.items()})
+        blocks = []
+        original = cli._sidecar_lines
+
+        def failing(data, first):
+            if blocks:
+                raise RuntimeError("disk gone")
+            blocks.append(first)
+            return original(data, first)
+
+        monkeypatch.setattr(factorable, "_BLOCK_POINTS", 5 * 4)
+        monkeypatch.setattr(cli, "_sidecar_lines", failing)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            main(["mesh", "--config", cfg])
+        assert blocks == [1]
+        assert {key: path.read_text() for key, path in out.items()} == {
+            key: f"previous {key}\n" for key in out}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.obj", "out.sidecar", "w.json"]
+
+    @pytest.mark.parametrize("command,foreign", [
+        (command, key) for command, own in OUTPUTS.items()
+        for key in ("csv", "json", "obj", "sidecar") if key not in own])
+    def test_foreign_output_key_exits_2(self, tmp_path, capsys, command, foreign):
+        """An output key that the command does not write is unknown: exit 2,
+        one line naming it and the command's own keys, and no file."""
+        own = OUTPUTS[command]
+        out = {key: str(tmp_path / f"out.{key}") for key in (*own, foreign)}
+        cfg = write_config(tmp_path, "f.json", {"family": {"name": "thm31", "k0": 1.0},
+                                                "grid": {"n1": 4, "n2": 4}, "theorem": "3.1",
+                                                "budget": 10, "output": out})
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (f"pg-surf: config error: unknown key output.{foreign}; "
+                                           f"known: {', '.join(own)}\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "f.json"]
+
     @pytest.mark.parametrize("command,key", [
         ("curvature", "csv"), ("curvature", "json"), ("mesh", "obj"), ("mesh", "sidecar"),
     ])
@@ -1078,19 +1143,26 @@ class TestAtomicWrites:
         cfg = self._cfg(tmp_path, {"csv": os.devnull, "json": os.devnull})
         assert main(["curvature", "--config", cfg]) == 0
 
-    def test_closed_stdout_pipe_exits_2(self):
-        # the reader of stdout leaves after the CSV header: one config-error
-        # line, exit 2, and no traceback from the interpreter's last flush
-        child = subprocess.Popen([sys.executable, "-m", "pgsurf.cli", "curvature",
+    @pytest.mark.parametrize("command,first", [
+        ("curvature", cli.CSV_HEADER + "\n"), ("mesh", "# pg-surf mesh 400x400\n")],
+        ids=["curvature", "mesh"])
+    def test_closed_stdout_pipe_exits_2(self, tmp_path, command, first):
+        # the reader of stdout leaves after the first line: one config-error
+        # line, exit 2, and no traceback from the interpreter's last flush;
+        # the sidecar of `mesh`, open while its OBJ goes to stdout, is not written
+        sidecar = tmp_path / "sidecar.csv"
+        child = subprocess.Popen([sys.executable, "-m", "pgsurf.cli", command,
                                   "--set", "family.name=thm31", "--set", "family.k0=1",
-                                  "--set", "grid.n1=400", "--set", "grid.n2=400"],
+                                  "--set", "grid.n1=400", "--set", "grid.n2=400"]
+                                 + (["--set", f"output.sidecar={sidecar}"] if command == "mesh" else []),
                                  env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        assert child.stdout.readline() == cli.CSV_HEADER + "\n"
+        assert child.stdout.readline() == first
         child.stdout.close()
         err = child.stderr.read()
         child.stderr.close()
         assert child.wait() == 2
         assert err.startswith("pg-surf: config error: cannot write output to stdout") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCommandLine:

@@ -3,8 +3,9 @@
 Each case runs `curvature` and `mesh` over every `formulas` route and
 compares the sha256 of every output file (CSV, JSON, OBJ, sidecar) with a
 frozen digest, so any change to how floats, rows or faces are printed
-shows up here.  Output with no `output.*` key goes to stdout and must be
-the concatenation of the same bytes.  The commands sweep the grid in row
+shows up here.  With no `output.*` key a command's first output (the CSV,
+the OBJ) goes to stdout with the same bytes, and its second is not
+written.  The commands sweep the grid in row
 blocks: the same digests hold with blocks of 1 and 3 rows, and two grids
 above 2**15 points pin the default blocks.  The digests depend on numpy's
 floating-point results for the family evaluators; they were recorded with
@@ -312,10 +313,12 @@ def test_output_digests_of_grids_of_several_blocks(tmp_path, case, route, comman
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_matches_files(tmp_path, capsys, case, route, command):
     _run(tmp_path, case, route, command)
-    files = b"".join((tmp_path / f"out.{key}").read_bytes() for key in COMMANDS[command])
+    first = (tmp_path / f"out.{COMMANDS[command][0]}").read_bytes()
+    files = sorted(tmp_path.iterdir())
     capsys.readouterr()
     _run(tmp_path, case, route, command, to_files=False)
-    assert capsys.readouterr().out.encode("utf-8") == files
+    assert capsys.readouterr().out.encode("utf-8") == first
+    assert sorted(tmp_path.iterdir()) == files
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -636,9 +639,16 @@ def test_column_rule_matches_per_cell_format(data):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(factorable, "_BLOCK_POINTS", width)
             blocks = [{k: v[span] for k, v in data.items()} for span in row_spans(*ex.shape)]
-            assert "".join(cli._csv_rows(blocks)) == _reference_csv(data)
-            assert "".join(cli._obj_lines(blocks, faces)) == _reference_obj(data, faces)
-            assert "".join(cli._sidecar_rows(blocks)) == _reference_sidecar(data)
+            firsts = np.cumsum([1] + [block["excluded"].size for block in blocks])
+            csv = "".join(line for block in blocks for line in cli._csv_lines(block))
+            obj = "".join(line for block in blocks for line in cli._vertex_lines(block))
+            sidecar = "".join(line for block, first in zip(blocks, firsts.tolist())
+                              for line in cli._sidecar_lines(block, first))
+            n1, n2 = ex.shape
+            assert cli.CSV_HEADER + "\n" + csv == _reference_csv(data)
+            assert (f"# pg-surf mesh {n1}x{n2}\n" + obj + "".join(cli._face_lines(faces))
+                    == _reference_obj(data, faces))
+            assert "vertex,u1,u2,K,H,excluded\n" + sidecar == _reference_sidecar(data)
 
 
 class TestColumnRuleFormatsOncePerAxisValue:

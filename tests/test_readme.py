@@ -9,7 +9,10 @@ Under `### Config keys`, the `family.name` row names the rows of
 The `family.*` key table gives each key of `cli.FAMILIES` once, and the
 key tables of `curvature`/`mesh`, `verify`, `reconstruct` and `probe`
 each key of their `cli.SCHEMA` and `cli.THEOREMS` tables outside the
-shared sections once, with its kind, default and choices in order.
+shared sections once, with its kind, default and choices in order.  The
+`output.*` rows name each command's `output` table once, in its order:
+the first key is the one an empty path sends to stdout, and any later
+key is the one it leaves unwritten.
 
 Every fenced ```python block runs as it stands, so a sketch that names a
 deleted or renamed API fails.
@@ -96,7 +99,7 @@ def _default(row: cli.Row) -> str:
     if isinstance(default, bool):
         return f"`{str(default).lower()}`"
     if isinstance(default, str):
-        return f"`{default}`"
+        return f"`{default}`" if default else '`""`'
     if isinstance(default, tuple):
         return f"`[{', '.join(map(_number, default))}]`"
     return _number(default)
@@ -139,6 +142,27 @@ def test_family_keys_have_the_cli_kinds_and_defaults():
             seen += [(name, key) for key in keys]
     assert sorted(seen) == sorted((name, key) for name, rows in cli.FAMILIES.items()
                                   for key in rows)
+
+
+def test_output_rows_are_the_command_tables():
+    """Each `output.*` row: its keys, the commands that take exactly those
+    (`... only`), the key an empty path sends to stdout (the table's
+    first) and the one it leaves unwritten (any later key)."""
+    seen = []
+    for cells in _table_rows("### Config keys"):
+        if not cells[0].startswith("`output."):
+            continue
+        keys = [key.removeprefix("output.") for key in _names(cells[0])]
+        readers, stdout, dropped = re.fullmatch(
+            r"(.*) only; empty: `output\.(\w+)` to stdout(?:, `output\.(\w+)` not written)?",
+            cells[3]).groups()
+        assert [stdout] + ([dropped] if dropped else []) == keys, cells
+        for command in _names(readers):
+            table = cli.SCHEMA[command]["output"]
+            assert list(table) == keys, command
+            _check(cells[1:], list(table.values()), keys)
+            seen.append(command)
+    assert sorted(seen) == sorted(cli.SCHEMA)
 
 
 # the sections with a table of their own, under "Shared sections"
