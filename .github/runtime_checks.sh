@@ -33,6 +33,10 @@ expect_exit 2 pg-surf curvature --set family.name=linear --set family.k0=1
 expect_exit 2 pg-surf curvature --set family.name=thm31 --set family.k0=1 --set output.obj=x.obj
 expect_exit 2 pg-surf verify --set family.name=thm31 --set family.k0=1 --set output.csv=x.csv
 test ! -e x.obj; test ! -e x.csv
+# and only its own tolerances: `verify` checks no ODE, `reconstruct` no motion
+expect_exit 2 pg-surf verify --set family.name=thm31 --set family.k0=1 --set tolerances.ode=1e-6
+expect_exit 2 pg-surf reconstruct --set theorem=3.1 --set tolerances.motion=1e-8 --set output.json=r.json
+test ! -e r.json
 
 # repeated `main` calls in one process write what a fresh process writes
 python -c "from pgsurf.cli import main; a = ['verify', '--set', 'family.name=thm42', '--set', 'family.h0=0.5', '--set', 'grid.n1=9', '--set', 'grid.n2=9']; assert main(a + ['--set', 'motions=3', '--set', 'output.json=main1.json']) == 0; assert main(a + ['--set', 'output.json=main2.json']) == 0"

@@ -6,13 +6,15 @@ Configuration is a JSON object; `--set` overrides individual (dotted)
 keys and wins over file values.  Outputs are deterministic: identical
 configurations produce byte-identical CSV/JSON/OBJ files (floats printed
 with 17 significant digits, fixed row order).  Each command takes only
-its own outputs (`OUTPUT`).  Its first goes to stdout when its path is
-empty; a later one (`curvature`'s JSON, `mesh`'s sidecar) is written only
-to a path, so stdout carries one format.  `curvature`, `mesh` and
+its own outputs (`OUTPUT`) and tolerances (`verify` those of its suites,
+`reconstruct` the ODE's).  Its first output goes to stdout when its path
+is empty; a later one (`curvature`'s JSON, `mesh`'s sidecar) is written
+only to a path, so stdout carries one format.  `curvature`, `mesh` and
 `verify` sweep each grid point once, in the blocks of
 `factorable.row_spans` (whole grid rows, or a span of one long row).
-`curvature` and `mesh` write each block's lines as it is swept; `mesh`
-keeps only the exclusion mask across blocks and writes its faces last.
+`curvature` and `mesh` write each block's lines as it is swept; across
+blocks `curvature` keeps the included K and H only for its JSON, and
+`mesh` only the exclusion mask, writing its faces last.
 Every line goes through one column rule (`_column`, `_lines`): a float
 column is formatted once per position or per row where its bits allow,
 by `%.17g` fields otherwise, so the bytes are those of formatting every
@@ -286,8 +288,6 @@ GRID = {"u1": Row(_pair), "u2": Row(_pair), "n1": Row(_integer), "n2": Row(_inte
 OUTPUT = {command: {key: Row(_path, "") for key in keys.split()} for command, keys in {
     "curvature": "csv json", "mesh": "obj sidecar", "verify": "json", "reconstruct": "json",
     "probe": "json"}.items()}
-TOLERANCES = {"constancy": Row(_real, 1e-7, True), "cross_check": Row(_real, 1e-8, True),
-              "motion": Row(_real, 1e-8, True), "ode": Row(_real, 1e-6, True)}
 ROUTES = ("pipeline", "pipeline-fd", "specialized")
 SCHEMA = {
     **{command: {"family": {"name": Row(_choice, ..., FAMILIES)}, "grid": GRID,
@@ -295,10 +295,14 @@ SCHEMA = {
                  "fd_step": Row(_real, FD_STEP, True)} for command in ("curvature", "mesh")},
     "verify": {"family": {"name": Row(_choice, ..., {name: FAMILIES[name] for name, row
                                                       in fam.FAMILIES.items() if row.field})},
-               "grid": GRID, "perturb": {"exponent_scale": Row(_real)}, "tolerances": TOLERANCES,
+               "grid": GRID, "perturb": {"exponent_scale": Row(_real)},
+               "tolerances": {"constancy": Row(_real, 1e-7, True),
+                              "cross_check": Row(_real, 1e-8, True),
+                              "motion": Row(_real, 1e-8, True)},
                "motions": Row(_integer, 10, (1, MAX_MOTIONS)),
                "seed": Row(_integer, 0, (0, None)), "output": OUTPUT["verify"]},
-    "reconstruct": {"theorem": Row(_choice, ..., THEOREMS), "tolerances": TOLERANCES,
+    "reconstruct": {"theorem": Row(_choice, ..., THEOREMS),
+                    "tolerances": {"ode": Row(_real, 1e-6, True)},
                     "output": OUTPUT["reconstruct"]},
     "probe": {"k0": Row(_real, 1.0), "budget": Row(_integer, 10_000, (1, None)),
               "restarts": Row(_integer, 6, (1, None)), "seed": Row(_integer, 0, (0, None)),
@@ -465,27 +469,31 @@ def _csv_lines(data: dict) -> Iterator[str]:
 
 def _spread(blocks: list) -> tuple[np.ndarray, float, float]:
     """The values of `blocks` concatenated, their mean and their largest
-    deviation from it, taken block by block: no temporaries the size of
-    the values, and the same max."""
+    deviation from it.  The values are finite and `v - mean` rounds
+    monotonically in `v`, so the largest deviation is that of the largest
+    or of the smallest value, with the bits of the largest `|v - mean|`:
+    `abs` makes a zero deviation +0.0, as `|v - mean|` is, where the
+    values are -0.0."""
     values = np.concatenate(blocks)
     mean = float(np.mean(values))
-    return values, mean, float(np.max([np.max(np.abs(block - mean))
-                                       for block in blocks if block.size]))
+    return values, mean, abs(max(float(values.max()) - mean, mean - float(values.min())))
 
 
 def run_curvature(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["curvature"])
     grid, blocks = _sweep(v)
-    # the included K and H of each block, kept while the CSV is written:
-    # concatenated, they are the included points of the grid in C order
-    kept: dict = {"K": [], "H": []}
+    # the included K and H of each block, kept only for the JSON (concatenated,
+    # the included points of the grid in C order); exit 3 needs only their count
+    kept: dict = {"K": [], "H": []} if v["output"]["json"] else {}
+    n_inc = 0
     with _opened(v["output"]["csv"]) as write:
         write([CSV_HEADER + "\n"])
         for data in blocks:
             write(_csv_lines(data))
+            included = ~data["excluded"]
+            n_inc += int(np.count_nonzero(included))
             for name, values in kept.items():
-                values.append(data[name][~data["excluded"]])
-        n_inc = sum(block.size for block in kept["K"])
+                values.append(data[name][included])
         # before the CSV is complete, so its file is not written
         if not n_inc:
             raise GridRejected("every grid point is excluded")

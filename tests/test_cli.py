@@ -801,28 +801,34 @@ _PEAK_RSS_CHILD = (
 
 
 class TestPeakMemoryOfLargeSweeps:
-    """`curvature` and `mesh` on a thm42 1000x1000 grid peak below 150 MiB
-    resident, on every route, each run alone in a fresh interpreter whose
-    own peak is read.  They sweep the grid in row blocks and keep only
-    what their outputs still need: 62-70 MiB for `curvature` with numpy
-    2.4 on x86-64 Linux, where sweeping the whole grid at once reached
-    229 MiB (analytic and `specialized`) and 305 MiB (FD).  `mesh` writes
-    each block's lines as it is swept and keeps only the grid's exclusion
-    mask, so it has a bound of its own: its peak on each route, 40.6
-    (analytic), 43.1 (FD) and 37.2 MiB (`specialized`), rounded up, plus
-    8 MiB; keeping every block's printed columns until the faces were
-    chosen peaked at 59.8-62.4 MiB.  A grid of two rows of 200 000 points
-    stays under 150 MiB, 66 MiB (`curvature`) and 49 MiB (`mesh`), as the
-    sweep and its text are cut into spans of at most `_BLOCK_POINTS`
-    points; a sweep block of one whole row peaked at 88 MiB, and text
-    built one grid row at a time at 362 and 216 MiB.  The outputs go to
-    the null device, so the run's time is not that of the disk."""
+    """`curvature` and `mesh` on a thm42 1000x1000 grid, and on a grid of
+    two rows of 200 000 points, each run alone in a fresh interpreter
+    whose own peak resident set is read.  Each case is bounded by its
+    peak with numpy 2.4 on x86-64 Linux, rounded up, plus 8 MiB.  The
+    commands sweep the grid in row blocks and write each block's lines
+    as it is swept.  Across blocks `curvature` keeps the included K and H
+    only for its JSON: 65.0 / 69.3 / 62.4 MiB on 1000x1000 (analytic /
+    FD / `specialized`) with the JSON, 38.4 MiB with the CSV alone, where
+    keeping them for no reader peaked at 52.9 MiB.  `mesh` keeps only the
+    grid's exclusion mask: 40.6 / 43.1 / 37.2 MiB, where keeping every
+    block's printed columns until the faces were chosen peaked at
+    59.8-62.4 MiB.  Sweeping the whole grid at once reached 229 MiB
+    (analytic and `specialized`) and 305 MiB (FD).  The long rows peak
+    at 62.9 MiB (`curvature`) and 48.9 MiB (`mesh`), as the sweep and its
+    text are cut into spans of at most `_BLOCK_POINTS` points; a sweep
+    block of one whole row peaked at 88 MiB, and text built one grid row
+    at a time at 362 and 216 MiB.  The outputs go to the null device, so
+    the run's time is not that of the disk."""
 
-    MESH_MIB = {"pipeline": 41 + 8, "pipeline-fd": 44 + 8, "specialized": 38 + 8}
+    BOUND_MIB = {
+        ("curvature", "pipeline"): 66 + 8, ("curvature", "pipeline-fd"): 70 + 8,
+        ("curvature", "specialized"): 63 + 8, ("mesh", "pipeline"): 41 + 8,
+        ("mesh", "pipeline-fd"): 44 + 8, ("mesh", "specialized"): 38 + 8,
+    }
+    LONG_ROWS_MIB = {"curvature": 64 + 8, "mesh": 50 + 8}
 
     @staticmethod
-    def _peak(command, n1, n2, route):
-        keys = ("csv", "json") if command == "curvature" else ("obj", "sidecar")
+    def _peak(command, n1, n2, route, keys):
         argv = [command, "--set", "family.name=thm42", "--set", "family.h0=0.5",
                 "--set", f"grid.n1={n1}", "--set", f"grid.n2={n2}", "--set", f"formulas={route}"]
         argv += [arg for key in keys for arg in ("--set", f"output.{key}={os.devnull}")]
@@ -834,13 +840,17 @@ class TestPeakMemoryOfLargeSweeps:
     @pytest.mark.parametrize("route", ["pipeline", "pipeline-fd", "specialized"])
     @pytest.mark.parametrize("command", ["curvature", "mesh"])
     def test_peak_memory(self, command, route):
-        peak = self._peak(command, 1000, 1000, route)
-        assert peak < (self.MESH_MIB[route] if command == "mesh" else 150) * 2**20, peak
+        peak = self._peak(command, 1000, 1000, route, OUTPUTS[command])
+        assert peak < self.BOUND_MIB[command, route] * 2**20, peak
+
+    def test_csv_alone(self):
+        peak = self._peak("curvature", 1000, 1000, "pipeline", ["csv"])
+        assert peak < (39 + 8) * 2**20, peak
 
     @pytest.mark.parametrize("command", ["curvature", "mesh"])
     def test_long_rows(self, command):
-        peak = self._peak(command, 2, 200_000, "pipeline")
-        assert peak < 150 * 2**20, peak
+        peak = self._peak(command, 2, 200_000, "pipeline", OUTPUTS[command])
+        assert peak < self.LONG_ROWS_MIB[command] * 2**20, peak
 
 
 class TestConfigValidation:
@@ -943,8 +953,6 @@ OUTPUTS = {"curvature": ("csv", "json"), "mesh": ("obj", "sidecar"), "verify": (
            "reconstruct": ("json",), "probe": ("json",)}
 _FROZEN_OUTPUT = {command: {key: ("_path", "", None) for key in keys}
                   for command, keys in OUTPUTS.items()}
-_FROZEN_TOLERANCES = {"constancy": ("_real", 1e-7, True), "cross_check": ("_real", 1e-8, True),
-                      "motion": ("_real", 1e-8, True), "ode": ("_real", 1e-6, True)}
 FROZEN_SCHEMA = {
     command: {
         "family": {"name": ("_choice", ..., {**_FROZEN_FAMILIES,
@@ -956,7 +964,10 @@ FROZEN_SCHEMA = {
 } | {
     "verify": {"family": {"name": ("_choice", ..., _FROZEN_FAMILIES)}, "grid": _FROZEN_GRID,
                "perturb": {"exponent_scale": ("_real", None, None)},
-               "tolerances": _FROZEN_TOLERANCES, "motions": ("_integer", 10, (1, 10_000)),
+               "tolerances": {"constancy": ("_real", 1e-7, True),
+                              "cross_check": ("_real", 1e-8, True),
+                              "motion": ("_real", 1e-8, True)},
+               "motions": ("_integer", 10, (1, 10_000)),
                "seed": ("_integer", 0, (0, None)), "output": _FROZEN_OUTPUT["verify"]},
     "reconstruct": {
         "theorem": ("_choice", ..., {
@@ -971,7 +982,7 @@ FROZEN_SCHEMA = {
                     "lam2": ("_real", 0.0, None), "z0": ("_real", 1.2, None),
                     "length": ("_real", 0.8, None), "h": ("_real", 1e-3, None)},
         }),
-        "tolerances": _FROZEN_TOLERANCES, "output": _FROZEN_OUTPUT["reconstruct"],
+        "tolerances": {"ode": ("_real", 1e-6, True)}, "output": _FROZEN_OUTPUT["reconstruct"],
     },
     "probe": {"k0": ("_real", 1.0, None), "budget": ("_integer", 10_000, (1, None)),
               "restarts": ("_integer", 6, (1, None)), "seed": ("_integer", 0, (0, None)),
@@ -999,6 +1010,24 @@ class TestSchema:
         assert schema == FROZEN_SCHEMA
         # the repr also tells the key order, 1 from 1.0 and a tuple from a list
         assert repr(schema) == repr(FROZEN_SCHEMA)
+
+    @pytest.mark.parametrize("command,foreign", [
+        ("verify", "ode"), ("reconstruct", "constancy"), ("reconstruct", "cross_check"),
+        ("reconstruct", "motion"),
+    ])
+    def test_foreign_tolerance_key_exits_2(self, tmp_path, capsys, command, foreign):
+        """A tolerance that the command does not check is unknown: exit 2,
+        one line naming it and the command's own tolerances, and no file.
+        A value of 1e-300 would fail any run that read it."""
+        own = FROZEN_SCHEMA[command]["tolerances"]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main([command, "--set", "family.name=thm31", "--set", "family.k0=1",
+                     "--set", "theorem=3.1", "--set", f"tolerances.{foreign}=1e-300",
+                     "--set", f"output.json={out}"]) == 2
+        assert capsys.readouterr().err == (f"pg-surf: config error: unknown key "
+                                           f"tolerances.{foreign}; known: {', '.join(own)}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_every_key_is_in_the_readme(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

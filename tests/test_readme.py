@@ -10,9 +10,11 @@ The `family.*` key table gives each key of `cli.FAMILIES` once, and the
 key tables of `curvature`/`mesh`, `verify`, `reconstruct` and `probe`
 each key of their `cli.SCHEMA` and `cli.THEOREMS` tables outside the
 shared sections once, with its kind, default and choices in order.  The
-`output.*` rows name each command's `output` table once, in its order:
-the first key is the one an empty path sends to stdout, and any later
-key is the one it leaves unwritten.
+shared-section table gives the keys of the shared sections of every
+command (`family.name`, `grid.*`, `output.*`), and no other, with their
+kinds.  The `output.*` rows name each command's `output` table once, in
+its order: the first key is the one an empty path sends to stdout, and
+any later key is the one it leaves unwritten.
 
 Every fenced ```python block runs as it stands, so a sketch that names a
 deleted or renamed API fails.
@@ -166,18 +168,24 @@ def test_output_rows_are_the_command_tables():
 
 
 # the sections with a table of their own, under "Shared sections"
-_SHARED = ("family", "grid", "output", "tolerances")
+_SHARED = ("family", "grid", "output")
+
+
+def _key_tables() -> list[tuple[str, list[list[str]]]]:
+    """The paragraph before each key table under `### Config keys` and
+    the table's body lines."""
+    blocks = re.findall(r"((?:^[^|\n].*\n)+)\n((?:^\|.*\n)+)", _section("### Config keys"), re.M)
+    return [(intro, _cells(table)[2:]) for intro, table in blocks]
 
 
 def _command_tables() -> dict[str, list[list[str]]]:
-    """The body lines of each key table under `### Config keys` whose
-    paragraph begins with the commands that read it, by command."""
+    """The body lines of each key table whose paragraph begins with the
+    commands that read it, by command."""
     tables = {}
-    blocks = re.findall(r"((?:^[^|\n].*\n)+)\n((?:^\|.*\n)+)", _section("### Config keys"), re.M)
-    for intro, table in blocks:
+    for intro, table in _key_tables():
         readers = re.match(r"((?:`\w+`(?: and )?)+) reads? ", intro)
         for command in _names(readers.group(1)) if readers else []:
-            tables[command] = _cells(table)[2:]
+            tables[command] = table
     return tables
 
 
@@ -196,6 +204,24 @@ def _row(table: dict, key: str) -> cli.Row:
     for part in key.split("."):
         table = table[part]
     return table
+
+
+def test_shared_keys_are_the_shared_sections():
+    """Each key of the shared table has the kind of its row in every
+    command that reads it, and the table names every key of the shared
+    sections."""
+    shared: dict = {}
+    for schema in cli.SCHEMA.values():
+        for section in _SHARED:
+            for key, row in schema.get(section, {}).items():
+                shared.setdefault(f"{section}.{key}", []).append(row)
+    table = next(table for intro, table in _key_tables() if intro == "Shared sections:\n")
+    seen = set()
+    for cells in table:
+        for key in _names(cells[0]):
+            assert {_kind(row) for row in shared.get(key, [])} == {cells[1]}, key
+            seen.add(key)
+    assert seen == set(shared)
 
 
 def test_command_tables_are_read_for_every_command():
@@ -226,7 +252,7 @@ def test_reconstruct_keys_have_the_cli_kinds_and_defaults():
             tables = [cli.THEOREMS[theorem] for theorem in theorems]
             seen += [(theorem, key) for theorem in theorems for key in keys]
         for table in tables:
-            _check(cells[2:], [table[key] for key in keys], keys)
+            _check(cells[2:], [_row(table, key) for key in keys], keys)
     assert sorted(seen) == sorted([("", key) for key in _leaves(cli.SCHEMA["reconstruct"])]
                                   + [(theorem, key) for theorem, rows in cli.THEOREMS.items()
                                      for key in rows])
