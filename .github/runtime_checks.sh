@@ -37,6 +37,16 @@ test ! -e x.obj; test ! -e x.csv
 expect_exit 2 pg-surf verify --set family.name=thm31 --set family.k0=1 --set tolerances.ode=1e-6
 expect_exit 2 pg-surf reconstruct --set theorem=3.1 --set tolerances.motion=1e-8 --set output.json=r.json
 test ! -e r.json
+# and no top-level key it does not read: a misspelt one, another command's,
+# another theorem's, or a step off the FD route
+expect_exit 2 pg-surf verify --set family.name=thm31 --set family.k0=1 --set motion=20 --set output.json=motion.json
+test ! -e motion.json
+expect_exit 2 pg-surf curvature --set family.name=thm31 --set family.k0=1 --set motions=3 --set output.csv=motions.csv
+test ! -e motions.csv
+expect_exit 2 pg-surf reconstruct --set theorem=3.1 --set lam=0.7 --set output.json=lam.json
+test ! -e lam.json
+expect_exit 2 pg-surf curvature --set family.name=thm31 --set family.k0=1 --set fd_step=1e-3 --set output.csv=step.csv
+test ! -e step.csv
 
 # repeated `main` calls in one process write what a fresh process writes
 python -c "from pgsurf.cli import main; a = ['verify', '--set', 'family.name=thm42', '--set', 'family.h0=0.5', '--set', 'grid.n1=9', '--set', 'grid.n2=9']; assert main(a + ['--set', 'motions=3', '--set', 'output.json=main1.json']) == 0; assert main(a + ['--set', 'output.json=main2.json']) == 0"
@@ -45,6 +55,9 @@ cmp main2.json fresh.json
 
 # the probe rejects a zero budget and is deterministic
 expect_exit 2 pg-surf probe --set budget=0
+# a floor is checked at every k0: at k0 = 0 the flat seed reaches a residual of about 0
+expect_exit 1 pg-surf probe --set k0=0 --set floor=0.05 --set budget=200 --set restarts=2 --set output.json=flat.json
+python -c "import json; report = json.load(open('flat.json')); assert report['floor_passed'] is False, report"
 pg-surf probe --set k0=1 --set budget=3000 --set output.json=probe1.json
 pg-surf probe --set k0=1 --set budget=3000 --set output.json=probe2.json
 test -s probe1.json; cmp probe1.json probe2.json

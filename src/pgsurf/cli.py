@@ -5,12 +5,14 @@
 Configuration is a JSON object; `--set` overrides individual (dotted)
 keys and wins over file values.  Outputs are deterministic: identical
 configurations produce byte-identical CSV/JSON/OBJ files (floats printed
-with 17 significant digits, fixed row order).  Each command takes only
-its own outputs (`OUTPUT`) and tolerances (`verify` those of its suites,
-`reconstruct` the ODE's).  Its first output goes to stdout when its path
-is empty; a later one (`curvature`'s JSON, `mesh`'s sidecar) is written
-only to a path, so stdout carries one format.  `curvature`, `mesh` and
-`verify` sweep each grid point once, in the blocks of
+with 17 significant digits, fixed row order).  Each command reads every
+key it is given and takes only its own: its outputs (`OUTPUT`), its
+tolerances (`verify` those of its suites, `reconstruct` the ODE's) and,
+for `curvature` and `mesh`, `fd_step` on the `pipeline-fd` route only;
+any other key is a configuration error.  Its first output goes to
+stdout when its path is empty; a later one (`curvature`'s JSON, `mesh`'s
+sidecar) is written only to a path, so stdout carries one format.
+`curvature`, `mesh` and `verify` sweep each grid point once, in the blocks of
 `factorable.row_spans` (whole grid rows, or a span of one long row).
 `curvature` and `mesh` write each block's lines as it is swept; across
 blocks `curvature` keeps the included K and H only for its JSON, and
@@ -288,11 +290,12 @@ GRID = {"u1": Row(_pair), "u2": Row(_pair), "n1": Row(_integer), "n2": Row(_inte
 OUTPUT = {command: {key: Row(_path, "") for key in keys.split()} for command, keys in {
     "curvature": "csv json", "mesh": "obj sidecar", "verify": "json", "reconstruct": "json",
     "probe": "json"}.items()}
-ROUTES = ("pipeline", "pipeline-fd", "specialized")
+# one table per `formulas` route: only the FD route takes a step
+ROUTES = {"pipeline": {}, "pipeline-fd": {"fd_step": Row(_real, FD_STEP, True)}, "specialized": {}}
 SCHEMA = {
     **{command: {"family": {"name": Row(_choice, ..., FAMILIES)}, "grid": GRID,
-                 "output": OUTPUT[command], "formulas": Row(_choice, "pipeline", ROUTES),
-                 "fd_step": Row(_real, FD_STEP, True)} for command in ("curvature", "mesh")},
+                 "output": OUTPUT[command], "formulas": Row(_choice, "pipeline", ROUTES)}
+       for command in ("curvature", "mesh")},
     "verify": {"family": {"name": Row(_choice, ..., {name: FAMILIES[name] for name, row
                                                       in fam.FAMILIES.items() if row.field})},
                "grid": GRID, "perturb": {"exponent_scale": Row(_real)},
@@ -318,9 +321,9 @@ def _read(obj, table: dict, where: str = "") -> dict:
     A table maps a key to a `Row` or, for a section, to the section's
     table.  A left-out key takes its row's default (None stands for "not
     given"); a required one is an error.  A choice whose choices are a
-    dict of tables also reads the chosen table.  Inside a section an
-    unknown key is an error; at the top level it is ignored, since one
-    config file serves every command.  Every failure is one `ConfigError`.
+    dict of tables also reads the chosen table.  A key that neither the
+    table nor a chosen table lists is an error, at the top level as in a
+    section.  Every failure is one `ConfigError`.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where[:-1]} must be an object, got {obj!r}")
@@ -341,7 +344,7 @@ def _read(obj, table: dict, where: str = "") -> dict:
                 raise ConfigError(f"{name} must be {exc}, got {obj[key]!r}") from None
             if isinstance(row.bound, dict):
                 rows += row.bound[values[key]].items()
-    unknown = sorted(obj.keys() - dict(rows).keys()) if where else []
+    unknown = sorted(obj.keys() - dict(rows).keys())
     if unknown:
         raise ConfigError(f"unknown key {where}{unknown[0]}; known: {', '.join(dict(rows))}")
     return values
@@ -383,9 +386,10 @@ def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
     def sweep(block: tuple[slice, slice]) -> dict:
         if route == "specialized":
             data = specialized_grid(surface, grid, block)
+        elif route == "pipeline-fd":
+            data = pipeline_grid(surface, grid, mode="fd", fd_step=v["fd_step"], block=block)
         else:
-            data = pipeline_grid(surface, grid, mode="fd" if route == "pipeline-fd" else "analytic",
-                                 fd_step=v["fd_step"], block=block)
+            data = pipeline_grid(surface, grid, block=block)
         with np.errstate(all="ignore"):
             x, y, z = surface.value_arrays(data["U1"][:, :1], data["U2"][:1])
         return {**data, "x": x, "y": y, "z": z}
@@ -639,7 +643,7 @@ def run_probe(cfg: dict) -> int:
     )
     payload = dataclasses.asdict(report)
     passed, floor = True, v["floor"]
-    if floor is not None and report.k0 != 0.0:
+    if floor is not None:
         passed = report.best_residual > floor
         payload["floor"] = floor
         payload["floor_passed"] = passed

@@ -587,6 +587,15 @@ class TestProbe:
         report = json.loads((tmp_path / "p.json.out").read_text())
         assert report["floor_passed"] and "not a proof" in report["header"]
 
+    def test_floor_is_checked_at_k0_zero(self, tmp_path):
+        # the flat seed reaches a residual of about 0: the floor fails
+        out = tmp_path / "p.json"
+        assert main(["probe", "--set", "k0=0", "--set", "floor=0.05", "--set", "budget=200",
+                     "--set", "restarts=2", "--set", f"output.json={out}"]) == 1
+        report = json.loads(out.read_text())
+        assert report["floor"] == 0.05 and report["floor_passed"] is False
+        assert report["best_residual"] < 0.05
+
     @pytest.mark.parametrize("override", [
         "grid.n1=abc", "grid.n2=[3]", "grid.u1=[0]", "grid.u2=abc", "grid.u1=[null,1]", "grid=7",
         "k0=abc", "restarts=abc", "floor=abc", "budget=abc", "seed=[1]", "degree_f=abc",
@@ -675,6 +684,7 @@ def _one_line_config_error(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("pg-surf: config error:") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.mark.parametrize("route", ["pipeline", "pipeline-fd", "specialized"])
@@ -860,11 +870,14 @@ class TestConfigValidation:
         "fd_step=-1", "fd_step=0", "fd_step=NaN", "fd_step=Infinity", "fd_step=abc", "fd_step=[]",
     ])
     def test_route_and_fd_step(self, tmp_path, capsys, command, override):
+        # `fd_step` is a key of the FD route: given on it, its value is read
+        route = ["--set", "formulas=pipeline-fd"] if override.startswith("fd_step=") else []
         cfg = write_config(tmp_path, "r.json", {
             "family": {"name": "thm31", "k0": 1.0}, "grid": {"n1": 4, "n2": 4},
             "output": {key: str(tmp_path / f"out.{key}") for key in OUTPUTS[command]},
         })
-        _one_line_config_error(capsys, [command, "--config", cfg, "--set", override])
+        err = _one_line_config_error(capsys, [command, "--config", cfg, *route, "--set", override])
+        assert err.startswith(f"pg-surf: config error: {override.split('=')[0]} must be "), err
         assert list(tmp_path.iterdir()) == [tmp_path / "r.json"]
 
     @pytest.mark.parametrize("command", ["curvature", "mesh", "verify"])
@@ -888,19 +901,28 @@ class TestConfigValidation:
         "grid.n3=5", "output.jsn=x",
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, override):
+        route = ["--set", "formulas=pipeline-fd"] if override.startswith("fd_step=") else []
         cfg = write_config(tmp_path, "c.json", {"family": {"name": "thm31", "k0": 1.0},
                                                 "grid": {"n1": 4, "n2": 4}})
-        _one_line_config_error(capsys, [command, "--config", cfg, "--set", override])
+        err = _one_line_config_error(capsys, [command, "--config", cfg, *route, "--set", override])
+        # the line names the key: a value of a key the command lists (a
+        # section too) is rejected, any other key is unknown
+        key = override.split("=")[0]
+        known = any(k == key or k.startswith(key + ".") for k in _schema_keys(cli.SCHEMA[command]))
+        cause = f"{key} must be " if known else f"unknown key {key}; known: "
+        assert err.startswith(f"pg-surf: config error: {cause}"), err
         assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
     @pytest.mark.parametrize("command", ["curvature", "mesh", "verify", "probe"])
     def test_overflowing_grid_width_exits_2(self, tmp_path, capsys, command):
         # both ends are finite but hi - lo is not: linspace would overflow
         out = {key: str(tmp_path / key) for key in OUTPUTS[command]}
-        cfg = write_config(tmp_path, "w.json", {"family": {"name": "thm31", "k0": 1.0},
-                                                "grid": {"u1": [-1e308, 1e308], "n1": 4, "n2": 4},
-                                                "budget": 10, "output": out})
-        _one_line_config_error(capsys, [command, "--config", cfg])
+        own = {"budget": 10} if command == "probe" else {"family": {"name": "thm31", "k0": 1.0}}
+        cfg = write_config(tmp_path, "w.json", {**own, "output": out,
+                                                "grid": {"u1": [-1e308, 1e308], "n1": 4, "n2": 4}})
+        err = _one_line_config_error(capsys, [command, "--config", cfg])
+        assert err == ("pg-surf: config error: grid range must be finite and increasing, "
+                       "got (-1e+308, 1e+308)\n")
         assert list(tmp_path.iterdir()) == [tmp_path / "w.json"]
 
     def test_grid_cap_is_inclusive(self):
@@ -953,13 +975,25 @@ OUTPUTS = {"curvature": ("csv", "json"), "mesh": ("obj", "sidecar"), "verify": (
            "reconstruct": ("json",), "probe": ("json",)}
 _FROZEN_OUTPUT = {command: {key: ("_path", "", None) for key in keys}
                   for command, keys in OUTPUTS.items()}
+# a small run of each command that gives only the command's own keys
+_SMALL_GRID = {"family": {"name": "thm31", "k0": 1.0}, "grid": {"n1": 4, "n2": 4}}
+OWN_CONFIG = {"curvature": _SMALL_GRID, "mesh": _SMALL_GRID, "verify": _SMALL_GRID,
+              "reconstruct": {"theorem": "3.1"}, "probe": {"budget": 10}}
+# the top-level keys each command reads (`reconstruct` by theorem), as its
+# "known: ..." error lists them
+KNOWN = {"curvature": "family, grid, output, formulas", "mesh": "family, grid, output, formulas",
+         "verify": "family, grid, perturb, tolerances, motions, seed, output",
+         "3.1": "theorem, tolerances, output, k0, g0, lam1, sign, span, h",
+         "4.2": "theorem, tolerances, output, h0, lam1, lam2, z0, length, h",
+         "probe": "k0, budget, restarts, seed, degree_f, degree_g, exponential, floor, grid, output"}
 FROZEN_SCHEMA = {
     command: {
         "family": {"name": ("_choice", ..., {**_FROZEN_FAMILIES,
                                              "linear": {}, "saddle": {}, "exp_exp": {}})},
         "grid": _FROZEN_GRID, "output": _FROZEN_OUTPUT[command],
-        "formulas": ("_choice", "pipeline", ("pipeline", "pipeline-fd", "specialized")),
-        "fd_step": ("_real", 1e-4, True),
+        "formulas": ("_choice", "pipeline", {"pipeline": {},
+                                             "pipeline-fd": {"fd_step": ("_real", 1e-4, True)},
+                                             "specialized": {}}),
     } for command in ("curvature", "mesh")
 } | {
     "verify": {"family": {"name": ("_choice", ..., _FROZEN_FAMILIES)}, "grid": _FROZEN_GRID,
@@ -1020,14 +1054,44 @@ class TestSchema:
         one line naming it and the command's own tolerances, and no file.
         A value of 1e-300 would fail any run that read it."""
         own = FROZEN_SCHEMA[command]["tolerances"]
-        out = tmp_path / "out.json"
+        cfg = write_config(tmp_path, "t.json", OWN_CONFIG[command])
         capsys.readouterr()
-        assert main([command, "--set", "family.name=thm31", "--set", "family.k0=1",
-                     "--set", "theorem=3.1", "--set", f"tolerances.{foreign}=1e-300",
-                     "--set", f"output.json={out}"]) == 2
+        assert main([command, "--config", cfg, "--set", f"tolerances.{foreign}=1e-300",
+                     "--set", f"output.json={tmp_path / 'out.json'}"]) == 2
         assert capsys.readouterr().err == (f"pg-surf: config error: unknown key "
                                            f"tolerances.{foreign}; known: {', '.join(own)}\n")
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "t.json"]
+
+    @pytest.mark.parametrize("command,override", [
+        # a misspelt key
+        ("curvature", "formula=specialized"), ("mesh", "formula=pipeline-fd"),
+        ("verify", "motion=20"), ("reconstruct", "theorem=3.1 tolerance.ode=1e-300"),
+        ("probe", "restart=1"),
+        # a key of another command
+        ("curvature", "motions=3"), ("mesh", "floor=0.05"), ("verify", "formulas=specialized"),
+        ("reconstruct", "theorem=3.1 budget=10"), ("probe", "family.name=thm31"),
+        # a key of another theorem
+        ("reconstruct", "theorem=3.1 lam=0.7"), ("reconstruct", "theorem=4.2 u0=0.5"),
+        # a step off the FD route
+        ("curvature", "fd_step=1e-3"), ("curvature", "formulas=pipeline fd_step=1e-3"),
+        ("curvature", "formulas=specialized fd_step=1e-3"), ("mesh", "fd_step=1e-3"),
+        ("mesh", "formulas=pipeline fd_step=1e-3"), ("mesh", "formulas=specialized fd_step=1e-3"),
+    ])
+    def test_unknown_top_level_key_exits_2(self, tmp_path, capsys, command, override):
+        """A top-level key that neither the command's table nor its chosen
+        theorem or route lists is unknown, as in a section: exit 2, one
+        line naming it and the keys the command reads, and no file."""
+        sets = override.split()
+        unknown = sets[-1].split("=")[0].split(".")[0]
+        theorem = dict(key.split("=") for key in sets).get("theorem")
+        cfg = write_config(tmp_path, "u.json", {**OWN_CONFIG[command], "output": {
+            key: str(tmp_path / f"out.{key}") for key in OUTPUTS[command]}})
+        capsys.readouterr()
+        assert main([command, "--config", cfg, *(arg for key in sets for arg in ("--set", key))]) == 2
+        known = KNOWN[theorem if command == "reconstruct" else command]
+        assert capsys.readouterr().err == (f"pg-surf: config error: unknown key {unknown}; "
+                                           f"known: {known}\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "u.json"]
 
     def test_every_key_is_in_the_readme(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1146,9 +1210,7 @@ class TestAtomicWrites:
         one line naming it and the command's own keys, and no file."""
         own = OUTPUTS[command]
         out = {key: str(tmp_path / f"out.{key}") for key in (*own, foreign)}
-        cfg = write_config(tmp_path, "f.json", {"family": {"name": "thm31", "k0": 1.0},
-                                                "grid": {"n1": 4, "n2": 4}, "theorem": "3.1",
-                                                "budget": 10, "output": out})
+        cfg = write_config(tmp_path, "f.json", {**OWN_CONFIG[command], "output": out})
         capsys.readouterr()
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err == (f"pg-surf: config error: unknown key output.{foreign}; "

@@ -98,12 +98,17 @@ def test_any_config_exits_cleanly(command, data):
             assert os.listdir(tmp) == ["cfg.json"]
 
 
-@pytest.mark.parametrize("command", ["curvature", "mesh", "verify"])
-@pytest.mark.parametrize("override", ["family.lam2=1e30", "family.lam3=1e30", "fd_step=1e30"])
+@pytest.mark.parametrize("override,command", [
+    (override, command) for override in ("family.lam2=1e30", "family.lam3=1e30", "fd_step=1e30")
+    for command in ("curvature", "mesh", "verify")
+    if command != "verify" or not override.startswith("fd_step")])
 def test_overflowing_profiles_run_without_warnings(capsys, command, override):
     # junk the fuzz can draw: a valid 1e30 makes thm42's exp(lam2 y) and
-    # its FD jets overflow; the sweeps mask the non-finite points
+    # its FD jets overflow; the sweeps mask the non-finite points.  Only
+    # `curvature` and `mesh` take a route, and `fd_step` on the FD one.
     argv = [command, "--set", "family.name=thm42", "--set", "family.h0=0.5", "--set", "grid.n1=5",
-            "--set", "grid.n2=5", "--set", "formulas=pipeline-fd", "--set", override]
+            "--set", "grid.n2=5", "--set", override]
+    if command != "verify":
+        argv += ["--set", "formulas=pipeline-fd"]
     assert cli.main(argv) in (0, 1, 3)
     assert "Warning" not in capsys.readouterr().err

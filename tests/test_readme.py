@@ -8,8 +8,9 @@ Under `### Config keys`, the `family.name` row names the rows of
 `families.FAMILIES` in their order, with the ones `verify` checks first.
 The `family.*` key table gives each key of `cli.FAMILIES` once, and the
 key tables of `curvature`/`mesh`, `verify`, `reconstruct` and `probe`
-each key of their `cli.SCHEMA` and `cli.THEOREMS` tables outside the
-shared sections once, with its kind, default and choices in order.  The
+each key of their `cli.SCHEMA` tables outside the shared sections once,
+and each key of the tables a choice picks (`cli.ROUTES`, `cli.THEOREMS`)
+once per table, with its kind, default and choices in order.  The
 shared-section table gives the keys of the shared sections of every
 command (`family.name`, `grid.*`, `output.*`), and no other, with their
 kinds.  The `output.*` rows name each command's `output` table once, in
@@ -17,8 +18,13 @@ its order: the first key is the one an empty path sends to stdout, and
 any later key is the one it leaves unwritten.
 
 Every fenced ```python block runs as it stands, so a sketch that names a
-deleted or renamed API fails.
+deleted or renamed API fails.  The example configs are configs: the
+```jsonc block, its comments stripped, is read as a `curvature` config,
+and the `cfg.json` of the example commands as a `verify` and a `mesh`
+one.
 """
+
+import json
 
 import re
 from pathlib import Path
@@ -228,8 +234,34 @@ def test_command_tables_are_read_for_every_command():
     assert sorted(_command_tables()) == sorted(cli.SCHEMA)
 
 
+def _check_chosen_tables(command: str, choice: str) -> None:
+    """The first column of `command`'s key table names the tables of a
+    line that its `choice` key picks: none for a key of the command's own
+    table, every one for `all`."""
+    chosen = cli.SCHEMA[command][choice].bound
+    seen = []
+    for cells in _command_tables()[command]:
+        keys = _names(cells[1])
+        if not cells[0]:
+            tables = [cli.SCHEMA[command]]
+            seen += [("", key) for key in keys]
+        else:
+            names = list(chosen) if cells[0] == "all" else _names(cells[0])
+            tables = [chosen[name] for name in names]
+            seen += [(name, key) for name in names for key in keys]
+        for table in tables:
+            _check(cells[2:], [_row(table, key) for key in keys], keys)
+    assert sorted(seen) == sorted([("", key) for key in _leaves(cli.SCHEMA[command])]
+                                  + [(name, key) for name, rows in chosen.items()
+                                     for key in rows])
+
+
 @pytest.mark.parametrize("command", ["curvature", "mesh", "verify", "probe"])
 def test_command_keys_have_the_cli_kinds_and_defaults(command):
+    if command in ("curvature", "mesh"):
+        # `fd_step` is a key of the `pipeline-fd` route
+        _check_chosen_tables(command, "formulas")
+        return
     seen = []
     for cells in _command_tables()[command]:
         keys = _names(cells[0])
@@ -239,23 +271,25 @@ def test_command_keys_have_the_cli_kinds_and_defaults(command):
 
 
 def test_reconstruct_keys_have_the_cli_kinds_and_defaults():
-    """The theorem column names the `cli.THEOREMS` tables of a line: none
-    for `theorem` itself, every one for `all`."""
-    seen = []
-    for cells in _command_tables()["reconstruct"]:
-        keys = _names(cells[1])
-        if not cells[0]:
-            tables = [cli.SCHEMA["reconstruct"]]
-            seen += [("", key) for key in keys]
-        else:
-            theorems = list(cli.THEOREMS) if cells[0] == "all" else _names(cells[0])
-            tables = [cli.THEOREMS[theorem] for theorem in theorems]
-            seen += [(theorem, key) for theorem in theorems for key in keys]
-        for table in tables:
-            _check(cells[2:], [_row(table, key) for key in keys], keys)
-    assert sorted(seen) == sorted([("", key) for key in _leaves(cli.SCHEMA["reconstruct"])]
-                                  + [(theorem, key) for theorem, rows in cli.THEOREMS.items()
-                                     for key in rows])
+    _check_chosen_tables("reconstruct", "theorem")
+
+
+def test_jsonc_block_is_a_curvature_config():
+    """The ```jsonc block, its `//` comments stripped, is a config that
+    `curvature` reads whole: no key of another command."""
+    block = re.search(r"^```jsonc\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                      re.M | re.S).group(1)
+    config = json.loads(re.sub(r"\s*//.*$", "", block, flags=re.M))
+    values = cli._read(config, cli.SCHEMA["curvature"])
+    assert values["formulas"] == "pipeline-fd" and values["fd_step"] == config["fd_step"]
+
+
+@pytest.mark.parametrize("command", ["verify", "mesh"])
+def test_example_config_serves_verify_and_mesh(command):
+    commands = _section("Example session:").split("\n```\n")[1]
+    config = json.loads(re.search(r"^echo '(.*)' > cfg\.json$", commands, re.M).group(1))
+    assert re.search(rf"^pg-surf {command} --config cfg\.json", commands, re.M)
+    assert cli._read(config, cli.SCHEMA[command])["family"]["name"] == "thm42"
 
 
 def test_python_blocks_run():
