@@ -106,6 +106,14 @@ awk -F, 'NF != 6 { bad = 1 } END { exit bad || NR != 100001 }' long-mesh.csv
 pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set grid.n1=400 --set grid.n2=400 --set output.csv=pipe400.csv --set output.json=pipe400.json
 pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set formulas=specialized --set grid.n1=400 --set grid.n2=400 --set output.csv=closed400.csv --set output.json=closed400.json
 cmp <(cut -d, -f1-5,8-10 pipe400.csv) <(cut -d, -f1-5,8-10 closed400.csv)
+# both routes take eps and W by one rule from D = q: the same epsilon,W columns
+same_eps_w() {
+  pg-surf curvature "$@" --set grid.n1=9 --set grid.n2=9 --set output.csv=ew-pipe.csv
+  pg-surf curvature "$@" --set grid.n1=9 --set grid.n2=9 --set formulas=specialized --set output.csv=ew-closed.csv
+  cmp <(cut -d, -f8,9 ew-pipe.csv) <(cut -d, -f8,9 ew-closed.csv)
+}
+same_eps_w --set family.name=thm42 --set family.h0=0.5
+same_eps_w --set family.name=thm31 --set family.k0=2
 
 # an all-excluded grid exits 3 and writes nothing; a straddling one keeps its excluded rows
 expect_exit 3 pg-surf mesh --set family.name=exp_exp --set grid.n1=4 --set grid.n2=4 --set output.obj=empty.obj

@@ -10,14 +10,14 @@ x(y, z) = f(y)*g(z).  The closed curvature formulas are
                  / (2*|(f*g')^2 - (f'*g)^2|^(3/2))
 
 `closed_K` and `closed_H` are the one implementation of these, over
-arrays of profile values; `specialized_grid` sweeps them, and takes
-eps and W from the same denominator, so it shares no kernel with
-`pipeline_grid`, the sweep of the general pipeline of `surface`.  Both
-sweep a block of the grid, the whole grid by default; `row_spans` cuts
-a grid into bounded blocks, so a command streams a large grid, and its
-text, block by block.  Neither computes positions.  The general pipeline
-computes K with an extra factor -eps relative to these and H with
-factor +1 (proven in tests/test_sign_contract.py, see README, "Sign
+arrays of profile values; `specialized_grid` sweeps them, with eps and W
+of their one denominator by the pipeline's rule, and shares no curvature
+kernel with `pipeline_grid`, the general pipeline's sweep.  Both sweep a
+block of the grid, the whole grid by default; `row_spans` cuts a grid
+into bounded blocks, so a command streams a large grid, and its text,
+block by block.  Neither computes positions.  The general pipeline
+computes K with an extra factor -eps relative to these and H with factor
++1 (proven in tests/test_sign_contract.py, see README, "Sign
 conventions"); `cross_check` compares two sweeps under these factors.
 """
 
@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridRejected, InvalidParams
-from .surface import FD_STEP, curvature_arrays, fd_components, spare
+from .surface import FD_STEP, curvature_arrays, fd_components, sign_and_norm, spare
 
 __all__ = [
     "ScalarC2",
@@ -56,6 +56,8 @@ KIND_SECOND = "second"
 _DENOM_TOL = 1e-12
 # Numerator deadband for the documented flat-limit convention (second kind).
 _FLAT_TOL = 1e-12
+# `default_grid`'s clearance from a domain end, a share of the axis's width.
+_MARGIN = 0.05
 
 _INF = float("inf")
 
@@ -134,12 +136,6 @@ def _place(kind: str, a, b, prod) -> tuple:
 # Closed formulas
 # ---------------------------------------------------------------------------
 
-def _parts(s: FactorableSurface, u1, u2):
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    return s.f.jet(u1) + s.g.jet(u2)
-
-
 def _square(t, shape: tuple):
     """t ** 2 of a temporary `t`, written over `t` where `spare` allows;
     numpy's ** squares an array with np.square."""
@@ -147,14 +143,16 @@ def _square(t, shape: tuple):
     return t ** 2 if out is None else np.square(t, out=out)
 
 
-def _denominator(kind: str, fv, f1, gv, g1, shape: tuple):
-    """The base D of both closed denominators, its vanishing mask and the
-    squares qa = (f g')^2, qb = (f' g)^2 (qb only for the second kind),
-    over profile values of the broadcast `shape`.
+def _denominator(kind: str, parts, shape: tuple):
+    """The base D of both closed denominators, a safe D (D itself, or 1
+    where D vanishes), its vanishing mask, whether it vanishes anywhere
+    and the squares qa = (f g')^2, qb = (f' g)^2 (qb only for the second
+    kind), over the profile values `parts` of the broadcast `shape`.
 
     D = 1 - qa (first kind) or qa - qb (second kind); it counts as zero
     below a deadband scaled by the larger of 1 and its terms.
     """
+    fv, f1, _, gv, g1, _ = parts
     qa = _square(fv * g1, shape)
     if kind == KIND_FIRST:
         qb = None
@@ -163,23 +161,26 @@ def _denominator(kind: str, fv, f1, gv, g1, shape: tuple):
         qb = _square(f1 * gv, shape)
         den, scale = qa - qb, np.maximum(qa, qb)
         scale = np.maximum(1.0, scale, out=spare(scale, shape))
-    return den, np.abs(den) <= np.multiply(_DENOM_TOL, scale, out=spare(scale, shape)), qa, qb
+    den_zero = np.abs(den) <= np.multiply(_DENOM_TOL, scale, out=spare(scale, shape))
+    vanishes = den_zero.any()
+    safe = np.where(den_zero, 1.0, den) if vanishes else den
+    return den, safe, den_zero, vanishes, qa, qb
 
 
-def _quotient(num, terms, den, den_zero, power, shape: tuple):
-    """num / power(D) and its undefined mask.
+def _quotient(num, terms, divisor, den_zero, vanishes, shape: tuple):
+    """num / divisor, a power of the safe D, and its undefined mask.
 
     Where D vanishes the value is undefined (NaN), except where the
     numerator vanishes too, relative to the sum of the magnitudes of its
     `terms`: there it takes the flat limit 0.  With `terms` None (the
-    first kind) there is no flat limit.  A block where D vanishes nowhere
-    returns num / power(D) directly, written over `num`, a temporary of
-    the caller's that is none of its `terms`: each substitution is the
-    identity there, so the bits are those of the masked path.
+    first kind) there is no flat limit.  The quotient is written over
+    `divisor`, or over `num` where D vanishes nowhere, both temporaries of
+    the caller's (`num` none of its `terms`); the safe D is D there, so
+    the bits are those of the masked path.
     """
-    if not den_zero.any():
-        return np.divide(num, power(den), out=spare(num, shape)), den_zero
-    value = num / power(np.where(den_zero, 1.0, den))
+    if not vanishes:
+        return np.divide(num, divisor, out=spare(num, shape)), den_zero
+    value = np.divide(num, divisor, out=spare(divisor, shape))
     if terms is None:
         return np.where(den_zero, np.nan, value), den_zero
     num_scale = sum(np.abs(t) for t in terms)
@@ -199,21 +200,24 @@ def _closed_K(kind: str, parts, den, shape: tuple):
     """`closed_K` over the profile values `parts`, of the broadcast
     `shape`, and their `_denominator`."""
     fv, f1, f2, gv, g1, g2 = parts
+    # K reads neither qa nor qb: dropping the tuple frees them before K's
+    # temporaries where no caller holds it (a call from `_closed`)
+    safe, den_zero, vanishes = den[1:4]
+    del den
     lead = _product(fv, gv, f2, shape)
     lead = np.multiply(lead, g2, out=spare(lead, shape))
     cross = _square(f1 * g1, shape)
-    den, den_zero, _, _ = den
     # the second kind's terms are kept for its flat limit
     terms = (lead, cross) if kind == KIND_SECOND else None
     num = np.subtract(lead, cross, out=None if terms else spare(lead, shape))
-    return _quotient(num, terms, den, den_zero, np.square, shape)
+    return _quotient(num, terms, np.square(safe), den_zero, vanishes, shape)
 
 
 def _closed_H(kind: str, parts, den, shape: tuple):
     """`closed_H` over the profile values `parts`, of the broadcast
     `shape`, and their `_denominator`."""
     fv, f1, f2, gv, g1, g2 = parts
-    den, den_zero, qa, qb = den
+    _, safe, den_zero, vanishes, qa, qb = den
     if kind == KIND_FIRST:
         num, terms = fv * g2, None
     else:
@@ -224,23 +228,18 @@ def _closed_H(kind: str, parts, den, shape: tuple):
         terms = t1, t2, t3
         num = t1 - t2
         num = np.add(num, t3, out=spare(num, shape))
-
-    def power(d):
-        # 2.0 * np.abs(d) ** 1.5, over a new array
-        t = np.abs(d)
-        out = spare(t, shape)
-        t = t ** 1.5 if out is None else np.power(t, 1.5, out=out)
-        return np.multiply(2.0, t, out=spare(t, shape))
-
-    return _quotient(num, terms, den, den_zero, power, shape)
+    # 2.0 * np.abs(safe) ** 1.5, over a new array
+    t = np.abs(safe)
+    out = spare(t, shape)
+    t = t ** 1.5 if out is None else np.power(t, 1.5, out=out)
+    return _quotient(num, terms, np.multiply(2.0, t, out=spare(t, shape)), den_zero, vanishes, shape)
 
 
 def _closed(kernel, kind: str, parts):
     """`kernel`, `_closed_K` or `_closed_H`, over the profile values
     `parts`, scalars or arrays, at their broadcast shape."""
     shape = np.broadcast(*parts).shape
-    fv, f1, _, gv, g1, _ = parts
-    return kernel(kind, parts, _denominator(kind, fv, f1, gv, g1, shape), shape)
+    return kernel(kind, parts, _denominator(kind, parts, shape), shape)
 
 
 @np.errstate(all="ignore")
@@ -295,27 +294,27 @@ class GridSpec:
         return nodes
 
 
-def _clip_axis(dom: tuple[float, float], span: float, margin: float) -> tuple[float, float]:
+def _clip_axis(dom: tuple[float, float], span: float) -> tuple[float, float]:
     lo, hi = dom
     if math.isinf(lo) and math.isinf(hi):
         return (-span / 2.0, span / 2.0)
     if math.isinf(hi):
-        lo = lo + margin * span
+        lo = lo + _MARGIN * span
         return (lo, lo + span)
     if math.isinf(lo):
-        hi = hi - margin * span
+        hi = hi - _MARGIN * span
         return (hi - span, hi)
-    pad = margin * (hi - lo)
+    pad = _MARGIN * (hi - lo)
     return (lo + pad, hi - pad)
 
 
 def default_grid(s: FactorableSurface, n1: int = 20, n2: int = 20,
-                 span: float = 3.0, margin: float = 0.05) -> GridSpec:
-    """Finite grid inside the surface domain, keeping a margin from the
+                 span: float = 3.0) -> GridSpec:
+    """Finite grid inside the surface domain, keeping `_MARGIN` from the
     domain ends (radicand zeros sit exactly on those ends for the built-in
     families)."""
     (d1, d2) = s.domain
-    return GridSpec(_clip_axis(d1, span, margin), _clip_axis(d2, span, margin), n1, n2)
+    return GridSpec(_clip_axis(d1, span), _clip_axis(d2, span), n1, n2)
 
 
 def _analytic_components(kind: str, parts, shape: tuple) -> dict:
@@ -349,11 +348,11 @@ def jet_component_arrays(s: FactorableSurface, U1, U2,
     U1 = np.asarray(U1, dtype=float)
     U2 = np.asarray(U2, dtype=float)
     if mode == "analytic":
-        return _analytic_components(s.kind, _parts(s, U1, U2), np.broadcast(U1, U2).shape)
+        return _analytic_components(s.kind, s.f.jet(U1) + s.g.jet(U2), np.broadcast(U1, U2).shape)
     if mode != "fd":
         raise InvalidParams(f"mode must be 'analytic' or 'fd', got {mode!r}")
 
-    return fd_components(s.value_arrays, U1, U2, fd_step)[1]
+    return fd_components(s.value_arrays, U1, U2, fd_step)
 
 
 # Grid points per block of `row_spans`: a block's kernel temporaries and
@@ -392,7 +391,6 @@ def _excluded(K, H, shape: tuple):
     return np.invert(ok, out=spare(ok, shape))
 
 
-@np.errstate(all="ignore")
 def pipeline_grid(s: FactorableSurface, grid: GridSpec, mode: str = "analytic",
                   fd_step: float = FD_STEP, block: tuple[slice, slice] = np.s_[:, :]) -> dict:
     """General-pipeline sweep of the grid `block`: U1, U2, K, H, eps, W,
@@ -414,20 +412,17 @@ def specialized_grid(s: FactorableSurface, grid: GridSpec,
     """Closed-formula sweep of the grid `block`: U1, U2, K, H, eps, W and
     the exclusion mask, no positions.  K and H share one closed
     denominator D, which is the pipeline's q = Y^2 - Z^2 (proven in
-    tests/test_sign_contract.py), so eps = sign of D (-1 where D <= 0)
-    and W = sqrt(|D|) are the pipeline's.  A point is excluded where K
-    or H is not finite, which covers the undefined points (NaN there)."""
+    tests/test_sign_contract.py), so `sign_and_norm` of D gives the
+    pipeline's eps and W.  A point is excluded where K or H is not
+    finite, which covers the undefined points (NaN there)."""
     u1, u2, params = _axes(grid, block)
     shape = params["U1"].shape
-    parts = _parts(s, u1, u2)
-    fv, f1, _, gv, g1, _ = parts
-    den = _denominator(s.kind, fv, f1, gv, g1, shape)
+    parts = s.f.jet(u1) + s.g.jet(u2)
+    den = _denominator(s.kind, parts, shape)
     K, _ = _closed_K(s.kind, parts, den, shape)
     H, _ = _closed_H(s.kind, parts, den, shape)
-    D = den[0]
-    W = np.abs(D)
-    return {**params, "K": K, "H": H, "eps": np.where(D > 0.0, 1.0, -1.0),
-            "W": np.sqrt(W, out=spare(W, shape)), "excluded": _excluded(K, H, shape)}
+    eps, W = sign_and_norm(den[0], shape)
+    return {**params, "K": K, "H": H, "eps": eps, "W": W, "excluded": _excluded(K, H, shape)}
 
 
 # ---------------------------------------------------------------------------

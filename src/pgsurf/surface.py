@@ -11,8 +11,8 @@ A jet is a dict of component arrays: the keys x1..z22 hold the first and
 second partials of (x, y, z), as `factorable.jet_component_arrays` and
 `fd_components` return them.  `curvature_arrays` is the one implementation:
 it works on those arrays and returns masks for lightlike and inadmissible
-points.  `gaussian_curvature` and `mean_curvature` are one-point views of
-it that raise at those points instead (`require_unmasked`).
+points, eps and W by `sign_and_norm` as in the closed sweep.  Its one-point
+views `gaussian_curvature` and `mean_curvature` raise there instead.
 `transform_jet` moves jet component arrays by an (m, 6) array of motions
 of the six-parameter group, one motion per row, in one broadcast.  The
 transverse plane x = 0 carries the Minkowskian scalar product with
@@ -67,6 +67,12 @@ def spare(t, shape: tuple):
     then), else None, a new array; a numpy scalar cannot take `out=`.
     The operation and its operands stay the same, so do the bits."""
     return t if isinstance(t, np.ndarray) and t.shape == shape else None
+
+
+def sign_and_norm(q, shape: tuple):
+    """eps (+1 where q > 0, else -1) and W = sqrt(|q|), new arrays, of q or of the closed D."""
+    W = np.abs(q)
+    return np.where(q > 0.0, 1.0, -1.0), np.sqrt(W, out=spare(W, shape))
 
 
 def require_unmasked(out: dict, i) -> None:
@@ -141,9 +147,9 @@ def transform_jet(motions: np.ndarray, comp: dict) -> dict:
     return out
 
 
-def fd_components(value: Callable, u1, u2, step: float = FD_STEP) -> tuple:
+def fd_components(value: Callable, u1, u2, step: float = FD_STEP) -> dict:
     """Central differences of `value(u1, u2) -> (x, y, z)` at scalar or
-    array parameters: the value triple and the components x1..z22.
+    array parameters: the components x1..z22.
 
     Steps scale with the coordinate: h_i = step * max(1, |u_i|).  Second
     partials use the compact three-point / four-point cross stencils.
@@ -167,7 +173,7 @@ def fd_components(value: Callable, u1, u2, step: float = FD_STEP) -> tuple:
         out[f"{axis}11"] = (p0[i] - 2.0 * c[i] + m0[i]) / h1 ** 2
         out[f"{axis}22"] = (zp[i] - 2.0 * c[i] + zm[i]) / h2 ** 2
         out[f"{axis}12"] = (pp[i] - pm[i] - mp[i] + mm[i]) / (4.0 * h1 * h2)
-    return c, out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +212,13 @@ def curvature_arrays(comp: dict) -> dict:
     Z = np.subtract(Z, x2 * z1, out=spare(Z, shape))
     q = Y * Y
     q = np.subtract(q, Z * Z, out=spare(q, shape))
-    W = np.abs(q)
-    W = np.sqrt(W, out=spare(W, shape))
+    eps, W = sign_and_norm(q, shape)
     lightlike = W < W_TOL
     a1, a2 = np.abs(x1), np.abs(x2)
     inadmissible = np.maximum(a1, a2) <= ADMISSIBLE_TOL
     bad = lightlike | inadmissible
     masked = bad.any()
 
-    eps = np.where(q > 0.0, 1.0, -1.0)
     Wsafe = np.where(bad, 1.0, W) if masked else W
     ny = np.divide(Z, Wsafe, out=spare(Z, shape))
     nz = np.divide(Y, Wsafe, out=spare(Y, shape))
