@@ -101,6 +101,19 @@ awk -F, 'NF != 10 { bad = 1 } END { exit bad || NR != 100001 }' long.csv
 pg-surf mesh --set family.name=thm42 --set family.h0=0.5 --set grid.n1=2 --set grid.n2=50000 --set output.obj=long.obj --set output.sidecar=long-mesh.csv
 test "$(grep -c '^v ' long.obj)" -eq 100000; test "$(grep -c '^f ' long.obj)" -eq 49999
 awk -F, 'NF != 6 { bad = 1 } END { exit bad || NR != 100001 }' long-mesh.csv
+# the same in spans whose columns repeat their bit patterns, formatted once
+# per pattern: the FD route's K, H and W of thm31, the closed H of thm42
+long_rows() {
+  local route=$1
+  shift
+  pg-surf curvature "$@" --set formulas="$route" --set grid.n1=2 --set grid.n2=50000 --set output.csv="long-$route.csv" --set output.json="long-$route.json"
+  awk -F, 'NF != 10 { bad = 1 } END { exit bad || NR != 100001 }' "long-$route.csv"
+  pg-surf mesh "$@" --set formulas="$route" --set grid.n1=2 --set grid.n2=50000 --set output.obj="long-$route.obj" --set output.sidecar="long-$route-mesh.csv"
+  test "$(grep -c '^v ' "long-$route.obj")" -eq 100000
+  awk -F, 'NF != 6 { bad = 1 } END { exit bad || NR != 100001 }' "long-$route-mesh.csv"
+}
+long_rows pipeline-fd --set family.name=thm31 --set family.k0=1
+long_rows specialized --set family.name=thm42 --set family.h0=0.5
 
 # the pipeline and closed routes print the same K and H text
 pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set grid.n1=400 --set grid.n2=400 --set output.csv=pipe400.csv --set output.json=pipe400.json

@@ -19,10 +19,12 @@ blocks `curvature` keeps the included K and H only for its JSON, and
 `mesh` only the exclusion mask, writing its faces last.
 Every line goes through one column rule (`_column`, `_lines`): a float
 column is formatted once per position or per row where its bits allow,
-by `%.17g` fields otherwise, so the bytes are those of formatting every
-cell with `format(x, ".17g")`.  A file output is written to a temporary
-sibling and moved into place only when complete, so a failed run never
-leaves a truncated file, and a `mesh` run that fails keeps both.
+once per distinct bit pattern where its cells repeat fewer patterns than
+half their number, by `%.17g` fields otherwise, so the bytes are those
+of formatting every cell with `format(x, ".17g")`.  A file output is
+written to a temporary sibling and moved into place only when complete,
+so a failed run never leaves a truncated file, and a `mesh` run that
+fails keeps both.
 
 A grid point with no finite K or H (lightlike, inadmissible, overflowing,
 or where a family's radicand is not positive) is excluded, never raised;
@@ -410,11 +412,14 @@ def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list
     formatted once: they are written into the line formats, and it has no
     cells.  (A block of one row, a span of a long grid row, would gain
     nothing from its line formats.)  One whose bits are constant along
-    axis 1 is formatted once per row and printed by a `%s` field.  Any
-    other float column gives each row's floats to a `%.17g` field, an
-    integer column (vertex indices) its ints to a `%d` field.  Equal bits
-    print equal strings, so the text is that of formatting every cell.
-    -0.0 and 0.0, or NaNs with different payloads, are different bits."""
+    axis 1 is formatted once per row and printed by a `%s` field.  One
+    whose cells repeat their bits, fewer distinct patterns than half its
+    cells, is formatted once per pattern and printed by a `%s` field (an
+    FD route's K, H and W, a closed H).  Any other float column gives each
+    row's floats to a `%.17g` field, an integer column (vertex indices)
+    its ints to a `%d` field.  Equal bits print equal strings, so the text
+    is that of formatting every cell.  -0.0 and 0.0, or NaNs with
+    different payloads, are different bits."""
     if column.dtype.kind == "i":
         return "%d", (row.tolist() for row in column)
     bits = column.view(np.int64)
@@ -423,6 +428,19 @@ def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list
     if (bits == bits[:, :1]).all():
         m = column.shape[1]
         return "%s", ([s] * m for s in map(_format, column[:, 0].tolist()))
+    # the exact count of distinct patterns, from the bits in order: past
+    # half the cells the strings cost more than the per-cell fields save
+    order = np.argsort(bits, axis=None)
+    ordered = bits.ravel()[order]
+    new = ordered[1:] != ordered[:-1]
+    if 2 * (1 + np.count_nonzero(new)) < column.size:
+        # each cell's pattern number, in the column's shape
+        index = np.empty(column.size, np.intp)
+        index[order] = np.concatenate(([0], np.cumsum(new)))
+        patterns = ordered[np.concatenate(([True], new))].view(np.float64)
+        # one str array, not a str object per pattern: less peak memory
+        strings = np.array(list(map(_format, patterns.tolist())))
+        return "%s", (strings[row].tolist() for row in index.reshape(column.shape))
     return "%.17g", (row.tolist() for row in column)
 
 

@@ -12,11 +12,13 @@ floating-point results for the family evaluators; they were recorded with
 numpy 2.4 on x86-64.
 
 The serializers format a float column once per axis value where its bits
-allow and write every other column through `%.17g` fields, one `%` per
-grid row with no excluded point; a property test compares them with a
-per-cell reference on synthetic sweeps, and call counts pin that the axis
-columns are formatted once per axis value and the per-cell columns never
-one cell at a time.
+allow, once per distinct bit pattern where its cells repeat fewer
+patterns than half their number, and write every other column through
+`%.17g` fields, one `%` per grid row with no excluded point; a property
+test compares them with a per-cell reference on synthetic sweeps, and
+call counts pin that the axis columns are formatted once per axis value,
+the repeated columns once per pattern and the per-cell columns never one
+cell at a time.
 """
 
 import hashlib
@@ -488,6 +490,11 @@ def test_percent_format_matches_format(value):
 # ---------------------------------------------------------------------------
 
 FLOAT_COLUMNS = ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# NaNs with several payloads and signs, by their bits
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                 0x7FF8DEADBEEF0001], dtype=np.uint64).view(np.float64).tolist()
+SPECIALS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, *NANS])
 
 
 def _cell(data, key, i, j):
@@ -568,10 +575,15 @@ def _excluded_row():
 def _included_specials():
     """No point excluded; the free K column holds NaNs with several payloads
     and signs, -0.0 and both infinities."""
-    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
-                     0x7FF8DEADBEEF0001], dtype=np.uint64).view(np.float64)
-    k = np.concatenate([nans, [-0.0, np.inf, -np.inf, 0.0, 1.5, -2.5, 1e-310, 3.0]]).reshape(3, 4)
+    k = np.concatenate([NANS, [-0.0, np.inf, -np.inf, 0.0, 1.5, -2.5, 1e-310, 3.0]]).reshape(3, 4)
     return _sweep_dict(3, 4, {"K": k})
+
+
+def _repeated_specials():
+    """No point excluded; the free K column repeats -0.0, 0.0 and two NaN
+    payloads, fewer bit patterns than half its cells."""
+    pool = np.array([-0.0, 0.0, NANS[0], NANS[3]])
+    return _sweep_dict(3, 4, {"K": pool[[0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1]].reshape(3, 4)})
 
 
 def _row_ends_excluded():
@@ -594,21 +606,24 @@ def _face_row_without_faces():
     return _sweep_dict(5, 4, excluded=excluded)
 
 
-FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-
-
 @st.composite
 def sweeps(draw):
     """Sweep dicts on 2x2 to 6x7 grids; each float column is constant,
     constant along axis 0, constant along axis 1 or free, and a column
     constant along an axis is a broadcast view or a materialised grid.
-    Each grid row excludes no point, every point or a drawn subset, so
-    both the one-`%` row and the line-by-line row are drawn."""
+    A free column draws its cells from independent floats or from a pool
+    of 1 to 4 floats that may hold both zeros, NaN payloads, both
+    infinities and a subnormal, so its bit patterns repeat.  Each grid
+    row excludes no point, every point or a drawn subset, so both the
+    one-`%` row and the line-by-line row are drawn."""
     n1, n2 = draw(st.integers(2, 6)), draw(st.integers(2, 7))
     columns = {}
     for key in FLOAT_COLUMNS:
         shape = draw(st.sampled_from([(1, 1), (1, n2), (n1, 1), (n1, n2)]))
-        values = np.array(draw(st.lists(FLOATS, min_size=shape[0] * shape[1],
+        cells = FLOATS
+        if shape == (n1, n2) and draw(st.booleans()):
+            cells = st.sampled_from(draw(st.lists(FLOATS | SPECIALS, min_size=1, max_size=4)))
+        values = np.array(draw(st.lists(cells, min_size=shape[0] * shape[1],
                                         max_size=shape[0] * shape[1])), dtype=float)
         grid = np.broadcast_to(values.reshape(shape), (n1, n2))
         columns[key] = grid if draw(st.booleans()) else grid.copy()
@@ -626,6 +641,7 @@ def sweeps(draw):
 @example(_signed_zeros())
 @example(_excluded_row())
 @example(_included_specials())
+@example(_repeated_specials())
 @example(_row_ends_excluded())
 @example(_two_columns())
 @example(_face_row_without_faces())
@@ -696,39 +712,58 @@ class TestColumnRuleFormatsOncePerAxisValue:
 
 
 class TestPerCellColumnsAreNotFormattedOneByOne:
-    """A thm42 run at 40x30 on the `pipeline` route, where x, K, H and W
-    vary in both axes: `_format` sees each axis value of an axis-constant
-    column exactly once and no cell of a per-cell column, whose floats go
-    to a `%.17g` field of the row's one format."""
+    """Runs at 40x30 where some columns vary in both axes: `_format` sees
+    each axis value of an axis-constant column exactly once, each distinct
+    bit pattern of a repeated column (fewer patterns than half its cells)
+    once, and no cell of a per-cell column, whose floats go to a `%.17g`
+    field of the row's one format.  Each case names the rule of every
+    column that is not axis-constant: thm42's x, K and W are per-cell on
+    both analytic routes and its H repeats a few dozen patterns; thm32's
+    FD H and W repeat a few hundred."""
 
-    CFG = {"family": {"name": "thm42", "h0": 0.5}, "grid": {"n1": 40, "n2": 30},
-           "formulas": "pipeline"}
+    GRID = {"n1": 40, "n2": 30}
+    THM42 = {"name": "thm42", "h0": 0.5}
+    THM42_RULES = {"x": "per-cell", "K": "per-cell", "H": "repeated", "W": "per-cell"}
+    CASES = {
+        "pipeline-thm42": ({"family": THM42, "formulas": "pipeline"}, THM42_RULES),
+        "specialized-thm42": ({"family": THM42, "formulas": "specialized"}, THM42_RULES),
+        "pipeline-fd-thm32": ({"family": {"name": "thm32", "h0": 0.7, "lam1": 0.2, "f0": 1.5,
+                                          "causal": "timelike"}, "formulas": "pipeline-fd"},
+                              {"H": "repeated", "W": "repeated"}),
+    }
     KEYS = {"curvature": ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W"),
             "mesh": ("x", "y", "z", "U1", "U2", "K", "H")}
 
     @staticmethod
-    def _axis_values(column):
-        """The values the column rule formats, read from the column's bits:
-        the first row of a column constant along axis 0, the first column of
-        one constant along axis 1, none of any other."""
+    def _rule(column):
+        """The rule of a column and the values it formats, read from the
+        column's bits: the first row of a column constant along axis 0, the
+        first column of one constant along axis 1, each distinct pattern of
+        a repeated one, none of a per-cell one."""
         bits = column.view(np.int64)
         if (bits == bits[:1]).all():
-            return column[0].tolist()
+            return "axis", column[0].tolist()
         if (bits == bits[:, :1]).all():
-            return column[:, 0].tolist()
-        return []
+            return "axis", column[:, 0].tolist()
+        patterns = np.unique(bits)
+        if 2 * patterns.size < bits.size:
+            return "repeated", patterns.view(np.float64).tolist()
+        return "per-cell", []
 
+    @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("command", sorted(KEYS))
-    def test_format_calls(self, tmp_path, monkeypatch, command):
-        _, (data,) = cli._sweep(cli._read(self.CFG, cli.SCHEMA[command]))
-        values = {key: self._axis_values(data[key]) for key in self.KEYS[command]}
-        assert [key for key, v in values.items() if not v] == [
-            key for key in self.KEYS[command] if key in ("x", "K", "H", "W")]
+    def test_format_calls(self, tmp_path, monkeypatch, command, case):
+        cfg, rules = self.CASES[case]
+        cfg = {**cfg, "grid": self.GRID}
+        _, (data,) = cli._sweep(cli._read(cfg, cli.SCHEMA[command]))
+        taken = {key: self._rule(data[key]) for key in self.KEYS[command]}
+        assert {key: rule for key, (rule, _) in taken.items() if rule != "axis"} == {
+            key: rule for key, rule in rules.items() if key in self.KEYS[command]}
         calls = TestColumnRuleFormatsOncePerAxisValue._counting(monkeypatch)
         out = {key: str(tmp_path / f"out.{key}") for key in COMMANDS[command]}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**self.CFG, "output": out}))
+        path.write_text(json.dumps({**cfg, "output": out}))
         assert main([command, "--config", str(path)]) == 0
-        expected = [x for v in values.values() for x in v]
+        expected = [x for _, values in taken.values() for x in values]
         assert len(calls) == len(expected)
         assert sorted(map(float.hex, calls)) == sorted(map(float.hex, expected))
