@@ -95,9 +95,17 @@ test -s sp400.obj; test -s sp400.csv
 pg-surf curvature --set family.name=saddle --set 'grid.u1=[-1.5,1.5]' --set 'grid.u2=[-1.5,1.5]' --set grid.n1=7 --set grid.n2=7 --set output.csv=zero.csv --set output.json=zero.json
 awk -F, '$1 == "-1.5" { n++; if ($7 != "0") bad = 1 } END { exit bad || n != 7 }' zero.csv
 
-# rows longer than a block of 2**15 points are swept and written in spans: every line whole
-pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set grid.n1=2 --set grid.n2=50000 --set output.csv=long.csv --set output.json=long.json
+# as_formatted FILE: every cell of the CSV prints as format(float(cell), ".17g") prints it
+as_formatted() {
+  python -c "import sys; lines = open(sys.argv[1]).read().split('\n'); sys.stdout.write('\n'.join(lines[:1] + [','.join(c and format(float(c), '.17g') for c in line.split(',')) for line in lines[1:]]))" "$1" > "$1.formatted"
+  cmp "$1" "$1.formatted"
+}
+
+# rows longer than a block of 2**15 points are swept and written in spans: every line whole;
+# their per-cell columns (x, K, W) are rendered in chunks shorter than the spans
+pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set formulas=pipeline --set grid.n1=2 --set grid.n2=50000 --set output.csv=long.csv --set output.json=long.json
 awk -F, 'NF != 10 { bad = 1 } END { exit bad || NR != 100001 }' long.csv
+as_formatted long.csv
 pg-surf mesh --set family.name=thm42 --set family.h0=0.5 --set grid.n1=2 --set grid.n2=50000 --set output.obj=long.obj --set output.sidecar=long-mesh.csv
 test "$(grep -c '^v ' long.obj)" -eq 100000; test "$(grep -c '^f ' long.obj)" -eq 49999
 awk -F, 'NF != 6 { bad = 1 } END { exit bad || NR != 100001 }' long-mesh.csv
@@ -108,6 +116,7 @@ long_rows() {
   shift
   pg-surf curvature "$@" --set formulas="$route" --set grid.n1=2 --set grid.n2=50000 --set output.csv="long-$route.csv" --set output.json="long-$route.json"
   awk -F, 'NF != 10 { bad = 1 } END { exit bad || NR != 100001 }' "long-$route.csv"
+  as_formatted "long-$route.csv"
   pg-surf mesh "$@" --set formulas="$route" --set grid.n1=2 --set grid.n2=50000 --set output.obj="long-$route.obj" --set output.sidecar="long-$route-mesh.csv"
   test "$(grep -c '^v ' "long-$route.obj")" -eq 100000
   awk -F, 'NF != 6 { bad = 1 } END { exit bad || NR != 100001 }' "long-$route-mesh.csv"

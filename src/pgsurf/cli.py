@@ -18,10 +18,13 @@ sidecar) is written only to a path, so stdout carries one format.
 blocks `curvature` keeps the included K and H only for its JSON, and
 `mesh` only the exclusion mask, writing its faces last.
 Every line goes through one column rule (`_column`, `_lines`): a float
-column is formatted once per position or per row where its bits allow,
-once per distinct bit pattern where its cells repeat fewer patterns than
-half their number, by `%.17g` fields otherwise, so the bytes are those
-of formatting every cell with `format(x, ".17g")`.  A file output is
+column is formatted once per position or per row where its bits allow;
+any other is printed through `%s` fields by one numpy renderer
+(`render.rendered`), once per distinct bit pattern where its cells repeat
+fewer patterns than half their number, once per cell otherwise.  The
+renderer computes the exact 17 digits of each float that prints in fixed
+notation and hands the others to `_format`, so the bytes are those of
+formatting every cell with `format(x, ".17g")`.  A file output is
 written to a temporary sibling and moved into place only when complete,
 so a failed run never leaves a truncated file, and a `mesh` run that
 fails keeps both.
@@ -399,8 +402,28 @@ def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
     return grid, map(sweep, row_spans(grid.n1, grid.n2))
 
 
-# the one float formatter of the text outputs: equal to format(x, ".17g")
+# the formatter of single floats (axis values, and the floats outside the
+# renderer's fixed notation): equal to format(x, ".17g")
 _format = "%.17g".__mod__
+
+# the cells of a float column rendered at once, and the points of a row
+# printed at once: a bound on the temporaries and the strings held
+_CHUNK = 4096
+
+
+def _printed(column: np.ndarray) -> Iterator[list[str]]:
+    """The strings of a float column's cells, one list per row, rendered
+    `_CHUNK` cells at a time: whole rows, or spans of a longer row."""
+    # imported on first use: a command that prints no float column, and
+    # `import pgsurf.cli`, do not compile it where no bytecode is written
+    from .render import rendered
+    m = column.shape[1]
+    step = max(1, _CHUNK // m)
+    for i in range(0, len(column), step):
+        cells = column[i:i + step].ravel()
+        text = ",".join([rendered(cells[j:j + _CHUNK], m, _format)
+                         for j in range(0, cells.size, _CHUNK)])
+        yield from (line.split(",") for line in text.split("\n"))
 
 
 def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list]]]:
@@ -414,12 +437,13 @@ def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list
     nothing from its line formats.)  One whose bits are constant along
     axis 1 is formatted once per row and printed by a `%s` field.  One
     whose cells repeat their bits, fewer distinct patterns than half its
-    cells, is formatted once per pattern and printed by a `%s` field (an
-    FD route's K, H and W, a closed H).  Any other float column gives each
-    row's floats to a `%.17g` field, an integer column (vertex indices)
-    its ints to a `%d` field.  Equal bits print equal strings, so the text
-    is that of formatting every cell.  -0.0 and 0.0, or NaNs with
-    different payloads, are different bits."""
+    cells, renders each pattern once (`_printed`) and is printed by a `%s`
+    field (an FD route's K, H and W, a closed H).  Any other float column
+    renders every cell, an integer column (vertex indices) gives its ints
+    to a `%d` field.  The renderer's strings are those of `_format`, and
+    equal bits print equal strings, so the text is that of formatting
+    every cell.  -0.0 and 0.0, or NaNs with different payloads, are
+    different bits."""
     if column.dtype.kind == "i":
         return "%d", (row.tolist() for row in column)
     bits = column.view(np.int64)
@@ -429,7 +453,8 @@ def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list
         m = column.shape[1]
         return "%s", ([s] * m for s in map(_format, column[:, 0].tolist()))
     # the exact count of distinct patterns, from the bits in order: past
-    # half the cells the strings cost more than the per-cell fields save
+    # half the cells, indexing the patterns' strings costs more than
+    # rendering every cell
     order = np.argsort(bits, axis=None)
     ordered = bits.ravel()[order]
     new = ordered[1:] != ordered[:-1]
@@ -439,9 +464,9 @@ def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list
         index[order] = np.concatenate(([0], np.cumsum(new)))
         patterns = ordered[np.concatenate(([True], new))].view(np.float64)
         # one str array, not a str object per pattern: less peak memory
-        strings = np.array(list(map(_format, patterns.tolist())))
+        strings = np.array(next(_printed(patterns[None])))
         return "%s", (strings[row].tolist() for row in index.reshape(column.shape))
-    return "%.17g", (row.tolist() for row in column)
+    return "%s", _printed(column)
 
 
 def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[str]:
@@ -455,11 +480,19 @@ def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[
     are left as `%` fields.  A row with no excluded point is one `%` of
     the positions' formats joined, which fills only those fields; a row
     that holds one formats line by line with the same formats, an
-    excluded point with `exc`'s over its leading cells."""
+    excluded point with `exc`'s over its leading cells.  Rows longer than
+    `_CHUNK` points (spans of a long grid row) are printed one row at a
+    time, in spans of `_CHUNK` points, so no row's strings are held whole."""
+    m = excluded.shape[1]
+    if m > _CHUNK:
+        for r in range(len(excluded)):
+            for j in range(0, m, _CHUNK):
+                yield from _lines([column[r:r + 1, j:j + _CHUNK] for column in columns], inc, exc,
+                                  excluded[r:r + 1, j:j + _CHUNK])
+        return
     fields, rows = zip(*map(_column, columns))
     strings = [field for field in fields if isinstance(field, list)]
     spots = ["{}" if isinstance(field, list) else field for field in fields]
-    m = excluded.shape[1]
 
     def per_position(template: str) -> list[str]:
         template = template.format(*spots)

@@ -816,23 +816,26 @@ class TestPeakMemoryOfLargeSweeps:
     two rows of 200 000 points, each run alone in a fresh interpreter
     whose own peak resident set is read.  Each case is bounded by its
     peak with numpy 2.4 on x86-64 Linux, rounded up, plus 8 MiB.  The
-    commands sweep the grid in row blocks and write each block's lines
-    as it is swept.  Across blocks `curvature` keeps the included K and H
-    only for its JSON: 65.0 / 69.3 / 62.4 MiB on 1000x1000 (analytic /
-    FD / `specialized`) with the JSON, 38.4 MiB with the CSV alone, where
-    keeping them for no reader peaked at 52.9 MiB.  `mesh` keeps only the
-    grid's exclusion mask: 40.6 / 43.1 / 37.2 MiB, where keeping every
-    block's printed columns until the faces were chosen peaked at
-    59.8-62.4 MiB.  Sweeping the whole grid at once reached 229 MiB
-    (analytic and `specialized`) and 305 MiB (FD).  The long rows peak
-    at 62.9 MiB (`curvature`) and 48.9 MiB (`mesh`), as the sweep and its
-    text are cut into spans of at most `_BLOCK_POINTS` points; a sweep
-    block of one whole row peaked at 88 MiB, and text built one grid row
-    at a time at 362 and 216 MiB.  The outputs go to the null device, so
-    the run's time is not that of the disk.  The nine children run two at
-    a time, started together by a class fixture: on a 2-core VM they took
-    28-32 s one at a time and 16.5 s two at a time, and each peak was the
-    same within 0.2 MiB."""
+    commands sweep the grid in row blocks and write each block's lines as
+    it is swept.  Across blocks `curvature` keeps the included K and H
+    only for its JSON: 65.9 / 72.2 / 63.9 MiB on 1000x1000 (analytic / FD
+    / `specialized`) with the JSON (63.2 / 70.0 / 63.0 MiB printing
+    through per-cell `%.17g` fields, as when the bounds were set),
+    38.4 MiB with the CSV alone, where keeping them for no reader peaked
+    at 52.9 MiB.  `mesh` keeps only the grid's exclusion mask: 40.6 /
+    43.1 / 37.2 MiB, where keeping every block's printed columns until
+    the faces were chosen peaked at 59.8-62.4 MiB.  Sweeping the whole
+    grid at once reached 229 MiB (analytic and `specialized`) and 305 MiB
+    (FD).  The long rows peak at 49.0 MiB (`curvature`) and 41.5 MiB
+    (`mesh`), as the sweep is cut into spans of at most `_BLOCK_POINTS`
+    points and its text into spans of `cli._CHUNK`; text in spans of
+    `_BLOCK_POINTS` peaked at 65.3 and 50.4 MiB, a sweep block of one
+    whole row at 88 MiB, and text built one grid row at a time at 362 and
+    216 MiB.  The outputs go to the null device, so the run's time is not
+    that of the disk.  The nine children run two at a time, started
+    together by a class fixture: on a 2-core VM they took 28-32 s one at
+    a time and 16.5 s two at a time, and each peak was the same within
+    0.2 MiB."""
 
     BOUND_MIB = {
         ("curvature", "pipeline"): 66 + 8, ("curvature", "pipeline-fd"): 70 + 8,

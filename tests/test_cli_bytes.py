@@ -6,30 +6,45 @@ frozen digest, so any change to how floats, rows or faces are printed
 shows up here.  With no `output.*` key a command's first output (the CSV,
 the OBJ) goes to stdout with the same bytes, and its second is not
 written.  The commands sweep the grid in row
-blocks: the same digests hold with blocks of 1 and 3 rows, and two grids
-above 2**15 points pin the default blocks.  The digests depend on numpy's
+blocks: the same digests hold with blocks of 1 and 3 rows, with the
+renderer's chunks cut to 4 points or to two rows, and two grids above
+2**15 points pin the default blocks.  The digests depend on numpy's
 floating-point results for the family evaluators; they were recorded with
 numpy 2.4 on x86-64.
 
 The serializers format a float column once per axis value where its bits
-allow, once per distinct bit pattern where its cells repeat fewer
-patterns than half their number, and write every other column through
-`%.17g` fields, one `%` per grid row with no excluded point; a property
-test compares them with a per-cell reference on synthetic sweeps, and
-call counts pin that the axis columns are formatted once per axis value,
-the repeated columns once per pattern and the per-cell columns never one
-cell at a time.
+allow, and print every other float column through `%s` fields from one
+numpy renderer, once per distinct bit pattern where its cells repeat
+fewer patterns than half their number and once per cell otherwise, one
+`%` per grid row with no excluded point.  The renderer computes the exact
+17 digits of each float that `format(x, ".17g")` prints in fixed notation
+(its decade from exact bounds, the scaled value as an exact two-double
+product, ties rounded half to even on an even integer) and hands the
+others to `format`.  A property test compares the renderer with `format`
+byte for byte on raw bit patterns, powers of ten and their neighbours,
+exact ties and chunk and row ends, and checks that it hands `format`
+exactly the floats outside fixed notation; it runs again in a child with
+numpy's AVX-512 loops disabled.  A second property test compares the
+serializers with a per-cell reference on synthetic sweeps, and call
+counts pin that the axis columns are formatted once per axis value and
+that the other columns hand `format` only their floats outside fixed
+notation.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgsurf import cli, factorable
+from pgsurf import cli, factorable, render
 from pgsurf.cli import main
 from pgsurf.factorable import row_spans
 
@@ -294,12 +309,19 @@ def _digests(tmp_path, case, route, command):
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("rows", (1, 3, None))
-def test_output_digests_in_row_blocks(tmp_path, monkeypatch, rows, case, route, command):
+@pytest.mark.parametrize("rows, chunk", [
+    pytest.param(1, None, id="1"), pytest.param(3, None, id="3"), pytest.param(None, None, id="None"),
+    pytest.param(3, 4, id="3-chunk4"), pytest.param(3, "two rows", id="3-chunk2rows")])
+def test_output_digests_in_row_blocks(tmp_path, monkeypatch, rows, chunk, case, route, command):
     """The bytes do not depend on how many grid rows a sweep block holds,
-    nor on spans of 3 points cutting each row (`rows` None)."""
-    width = 3 if rows is None else rows * CASES[case]["grid"]["n2"]
+    nor on spans of 3 points cutting each row (`rows` None), nor on the
+    renderer's chunks cutting a block of three rows: chunks of 4 points,
+    shorter than every row, or of two whole rows."""
+    n2 = CASES[case]["grid"]["n2"]
+    width = 3 if rows is None else rows * n2
     monkeypatch.setattr(factorable, "_BLOCK_POINTS", width)
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CHUNK", 2 * n2 + 1 if chunk == "two rows" else chunk)
     assert _digests(tmp_path, case, route, command) == DIGESTS[case, route, command]
 
 
@@ -667,6 +689,95 @@ def test_column_rule_matches_per_cell_format(data):
             assert "vertex,u1,u2,K,H,excluded\n" + sidecar == _reference_sidecar(data)
 
 
+# ---------------------------------------------------------------------------
+# the per-cell renderer: the strings of format(x, ".17g") from numpy basic
+# operations, with `_format` only for the floats outside fixed notation
+# ---------------------------------------------------------------------------
+
+def _signed(floats):
+    return st.tuples(floats, st.booleans()).map(lambda pair: -pair[0] if pair[1] else pair[0])
+
+
+# powers of ten, the ends of the fixed range and their neighbours
+EDGES = sorted({float(y) for x in [float(f"1e{k}") for k in range(-6, 19)] + [1e-4, 1e17]
+                for y in (np.nextafter(x, 0), x, np.nextafter(x, np.inf))})
+RENDERED = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(np.float64))),
+    _signed(st.sampled_from(EDGES)),
+    # odd * 2**-j: exact, and a tie of 17 digits where it has 18
+    _signed(st.builds(lambda odd, j: odd * 2.0 ** -j,
+                      st.integers(0, 2 ** 52 - 1).map(lambda i: 2 * i + 1), st.integers(0, 80))),
+    SPECIALS,
+    FLOATS,
+)
+# block shapes across row ends, `_CHUNK` ends and the renderer's padding:
+# many rows to a chunk, a row to a chunk, rows cut into spans
+SHAPES = [(1, 1), (3, 7), (30, 150), (cli._CHUNK + 1, 1), (2, cli._CHUNK - 1), (2, cli._CHUNK),
+          (2, cli._CHUNK + 1), (1, 2 * cli._CHUNK + 1), (1, render._GRAIN), (1, render._GRAIN + 1)]
+
+
+def _fixed(x):
+    """Whether `format(x, ".17g")` prints x in fixed notation, by digits."""
+    return 1e-4 <= abs(x) < 1e17
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(RENDERED, min_size=1, max_size=40), st.sampled_from(SHAPES))
+@example([1 + 2 ** -17], (1, 1))
+@example([1 + 2 ** -17, -(1 + 2 ** -17), 0.5 + 2 ** -18], (2, cli._CHUNK + 1))
+@example(EDGES, (3, 7))
+@example([0.0, -0.0, *NANS, np.inf, -np.inf, 5e-324], (30, 150))
+def test_renderer_matches_format(values, shape):
+    """The values tiled over a block of `shape`: every cell prints as
+    `format` prints it, and `_format` sees exactly the cells outside fixed
+    notation, in order."""
+    column = np.resize(np.array(values, dtype=float), shape)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_format", lambda x, original=cli._format: calls.append(x) or original(x))
+        rows = list(cli._printed(column))
+    assert rows == [[format(x, ".17g") for x in row] for row in column.tolist()]
+    assert _bits(calls) == _bits([x for x in column.ravel().tolist() if not _fixed(x)])
+
+
+def test_renderer_decades_are_exact():
+    """Each decade bound is the smallest double at or above its power of
+    ten, so the renderer's E is the decade of |x| exactly."""
+    for e, bound in zip(range(-4, 17), render._DECADES.tolist()):
+        assert Fraction(bound) >= Fraction(10) ** e > Fraction(float(np.nextafter(bound, 0))), e
+
+
+# A child that checks that numpy dispatches no AVX-512 loop, then runs the
+# renderer's equality test.
+_WITHOUT_AVX512 = """
+import sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+assert not __cpu_features__.get("X86_V4") and not __cpu_features__.get("AVX512_ICL"), __cpu_features__
+import pytest
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
+"""
+
+
+def test_renderer_without_avx512():
+    """The renderer's equality test again in a child interpreter whose
+    numpy dispatches no AVX-512 loop (a no-op where the CPU has none)."""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cli.__file__).resolve().parents[1]),
+                                                       os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _WITHOUT_AVX512,
+                            f"{__file__}::test_renderer_matches_format"],
+                           env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert "1 passed" in child.stdout, child.stdout
+
+
 class TestColumnRuleFormatsOncePerAxisValue:
     """A thm32 `curvature` run at 40x30 on the default route: the axis
     columns, the axis position columns and eps are formatted once per axis
@@ -713,13 +824,16 @@ class TestColumnRuleFormatsOncePerAxisValue:
 
 class TestPerCellColumnsAreNotFormattedOneByOne:
     """Runs at 40x30 where some columns vary in both axes: `_format` sees
-    each axis value of an axis-constant column exactly once, each distinct
-    bit pattern of a repeated column (fewer patterns than half its cells)
-    once, and no cell of a per-cell column, whose floats go to a `%.17g`
-    field of the row's one format.  Each case names the rule of every
-    column that is not axis-constant: thm42's x, K and W are per-cell on
-    both analytic routes and its H repeats a few dozen patterns; thm32's
-    FD H and W repeat a few hundred."""
+    each axis value of an axis-constant column exactly once, and of the
+    other columns only the floats outside fixed notation: each such
+    distinct bit pattern of a repeated column (fewer patterns than half its
+    cells) once, each such cell of a per-cell column once; the renderer
+    prints the rest.  Each case names the rule of every column that is not
+    axis-constant: thm42's x, K and W are per-cell on both analytic routes
+    and its H repeats a few dozen patterns; thm32's FD H and W repeat a few
+    hundred; thm31's closed H repeats 0 and -0, both outside fixed
+    notation; the saddle's z on a grid through its centre is per-cell with
+    71 zeros."""
 
     GRID = {"n1": 40, "n2": 30}
     THM42 = {"name": "thm42", "h0": 0.5}
@@ -730,6 +844,11 @@ class TestPerCellColumnsAreNotFormattedOneByOne:
         "pipeline-fd-thm32": ({"family": {"name": "thm32", "h0": 0.7, "lam1": 0.2, "f0": 1.5,
                                           "causal": "timelike"}, "formulas": "pipeline-fd"},
                               {"H": "repeated", "W": "repeated"}),
+        "specialized-thm31": ({"family": {"name": "thm31", "k0": 1.0}, "formulas": "specialized"},
+                              {"z": "per-cell", "H": "repeated"}),
+        "pipeline-saddle": ({"family": {"name": "saddle"}, "formulas": "pipeline",
+                             "grid": {"u1": [-1.5, 1.5], "u2": [-1.5, 1.5], "n1": 41, "n2": 31}},
+                            {"z": "per-cell"}),
     }
     KEYS = {"curvature": ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W"),
             "mesh": ("x", "y", "z", "U1", "U2", "K", "H")}
@@ -739,7 +858,8 @@ class TestPerCellColumnsAreNotFormattedOneByOne:
         """The rule of a column and the values it formats, read from the
         column's bits: the first row of a column constant along axis 0, the
         first column of one constant along axis 1, each distinct pattern of
-        a repeated one, none of a per-cell one."""
+        a repeated one outside fixed notation, each cell of a per-cell one
+        outside fixed notation."""
         bits = column.view(np.int64)
         if (bits == bits[:1]).all():
             return "axis", column[0].tolist()
@@ -747,14 +867,14 @@ class TestPerCellColumnsAreNotFormattedOneByOne:
             return "axis", column[:, 0].tolist()
         patterns = np.unique(bits)
         if 2 * patterns.size < bits.size:
-            return "repeated", patterns.view(np.float64).tolist()
-        return "per-cell", []
+            return "repeated", [x for x in patterns.view(np.float64).tolist() if not _fixed(x)]
+        return "per-cell", [x for x in column.ravel().tolist() if not _fixed(x)]
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("command", sorted(KEYS))
     def test_format_calls(self, tmp_path, monkeypatch, command, case):
         cfg, rules = self.CASES[case]
-        cfg = {**cfg, "grid": self.GRID}
+        cfg = {"grid": self.GRID, **cfg}
         _, (data,) = cli._sweep(cli._read(cfg, cli.SCHEMA[command]))
         taken = {key: self._rule(data[key]) for key in self.KEYS[command]}
         assert {key: rule for key, (rule, _) in taken.items() if rule != "axis"} == {
@@ -766,4 +886,17 @@ class TestPerCellColumnsAreNotFormattedOneByOne:
         assert main([command, "--config", str(path)]) == 0
         expected = [x for _, values in taken.values() for x in values]
         assert len(calls) == len(expected)
-        assert sorted(map(float.hex, calls)) == sorted(map(float.hex, expected))
+        assert sorted(_bits(calls)) == sorted(_bits(expected))
+
+    @pytest.mark.parametrize("key", ["x", "K", "W"])
+    def test_fast_path_share(self, monkeypatch, key):
+        """On thm42's 150x150 `pipeline` block the renderer prints at least
+        99% of the cells of each per-cell column itself, so a renderer that
+        handed every cell to `_format` fails here."""
+        cfg = {"family": self.THM42, "grid": {"n1": 150, "n2": 150}}
+        _, (data,) = cli._sweep(cli._read(cfg, cli.SCHEMA["curvature"]))
+        calls = TestColumnRuleFormatsOncePerAxisValue._counting(monkeypatch)
+        field, rows = cli._column(data[key])
+        assert field == "%s"
+        assert list(rows) == [[format(x, ".17g") for x in row] for row in data[key].tolist()]
+        assert len(calls) <= 0.01 * data[key].size
