@@ -89,6 +89,16 @@ pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set formulas=pip
 test -s fd400.csv; test -s fd400.json
 pg-surf mesh --set family.name=thm42 --set family.h0=0.5 --set formulas=specialized --set grid.n1=400 --set grid.n2=400 --set output.obj=sp400.obj --set output.sidecar=sp400.csv
 test -s sp400.obj; test -s sp400.csv
+# faces_in_order FILE N1 N2: every cell's face line, in order, with its corners
+# a a+n2 a+n2+1 a+1 for a = i*n2 + j + 1, by awk's arithmetic, not Python's
+faces_in_order() {
+  awk -v n1="$2" -v n2="$3" '$1 == "f" {
+    k++; i = int((k - 1) / (n2 - 1)); j = (k - 1) % (n2 - 1); a = i * n2 + j + 1
+    if (NF != 5 || $0 != "f " a " " (a + n2) " " (a + n2 + 1) " " (a + 1)) bad = 1
+  } END { exit bad || k != (n1 - 1) * (n2 - 1) }' "$1"
+}
+# vertex numbers up to 160 000
+faces_in_order sp400.obj 400 400
 
 # the analytic jets add +0.0 to each product: the saddle's H on its row x = -1.5,
 # where f * g'' is -1.5 * 0, prints 0, never -0 (other rows print -0 either way)
@@ -108,6 +118,7 @@ awk -F, 'NF != 10 { bad = 1 } END { exit bad || NR != 100001 }' long.csv
 as_formatted long.csv
 pg-surf mesh --set family.name=thm42 --set family.h0=0.5 --set grid.n1=2 --set grid.n2=50000 --set output.obj=long.obj --set output.sidecar=long-mesh.csv
 test "$(grep -c '^v ' long.obj)" -eq 100000; test "$(grep -c '^f ' long.obj)" -eq 49999
+faces_in_order long.obj 2 50000
 awk -F, 'NF != 6 { bad = 1 } END { exit bad || NR != 100001 }' long-mesh.csv
 # the same in spans whose columns repeat their bit patterns, formatted once
 # per pattern: the FD route's K, H and W of thm31, the closed H of thm42

@@ -17,14 +17,16 @@ sidecar) is written only to a path, so stdout carries one format.
 `curvature` and `mesh` write each block's lines as it is swept; across
 blocks `curvature` keeps the included K and H only for its JSON, and
 `mesh` only the exclusion mask, writing its faces last.
-Every line goes through one column rule (`_column`, `_lines`): a float
-column is formatted once per position or per row where its bits allow;
-any other is printed through `%s` fields by one numpy renderer
-(`render.rendered`), once per distinct bit pattern where its cells repeat
-fewer patterns than half their number, once per cell otherwise.  The
-renderer computes the exact 17 digits of each float that prints in fixed
-notation and hands the others to `_format`, so the bytes are those of
-formatting every cell with `format(x, ".17g")`.  A file output is
+Every line but a face line goes through one column rule (`_column`,
+`_lines`): a float column is formatted once per position or per row
+where its bits allow; any other is printed through `%s` fields by one
+numpy renderer (`render.rendered`), once per distinct bit pattern where
+its cells repeat fewer patterns than half their number, once per cell
+otherwise.  The renderer computes the exact 17 digits of each float that
+prints in fixed notation and hands the others to `_format`, so the bytes
+are those of formatting every cell with `format(x, ".17g")`.  `mesh`'s
+face lines are bytes built by numpy (`render.face_text`), `_CHUNK` cells
+at a time, each vertex number of a chunk rendered once.  A file output is
 written to a temporary sibling and moved into place only when complete,
 so a failed run never leaves a truncated file, and a `mesh` run that
 fails keeps both.
@@ -406,8 +408,9 @@ def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
 # renderer's fixed notation): equal to format(x, ".17g")
 _format = "%.17g".__mod__
 
-# the cells of a float column rendered at once, and the points of a row
-# printed at once: a bound on the temporaries and the strings held
+# the cells of a float column rendered at once, the points of a row
+# printed at once and a mesh's faces written at once: a bound on the
+# temporaries and the strings held
 _CHUNK = 4096
 
 
@@ -439,10 +442,10 @@ def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list
     whose cells repeat their bits, fewer distinct patterns than half its
     cells, renders each pattern once (`_printed`) and is printed by a `%s`
     field (an FD route's K, H and W, a closed H).  Any other float column
-    renders every cell, an integer column (vertex indices) gives its ints
-    to a `%d` field.  The renderer's strings are those of `_format`, and
-    equal bits print equal strings, so the text is that of formatting
-    every cell.  -0.0 and 0.0, or NaNs with different payloads, are
+    renders every cell, an integer column (the sidecar's vertex numbers)
+    gives its ints to a `%d` field.  The renderer's strings are those of
+    `_format`, and equal bits print equal strings, so the text is that of
+    formatting every cell.  -0.0 and 0.0, or NaNs with different payloads, are
     different bits."""
     if column.dtype.kind == "i":
         return "%d", (row.tolist() for row in column)
@@ -470,12 +473,11 @@ def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list
 
 
 def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[str]:
-    """One string of lines per row of a block of a sweep, or of a mesh's
-    faces.
+    """One string of lines per row of a block of a sweep.
 
     `inc` and `exc` are `str.format` templates of an included and of an
     excluded point's line, with a `{}` per column, `exc` per leading
-    column (none: an empty `exc` drops the line).  The strings of a column formatted once per position are
+    column.  The strings of a column formatted once per position are
     written into each position's line formats, the other columns' fields
     are left as `%` fields.  A row with no excluded point is one `%` of
     the positions' formats joined, which fills only those fields; a row
@@ -721,16 +723,15 @@ def _sidecar_lines(data: dict, first: int) -> Iterator[str]:
 
 
 def _face_lines(faces: np.ndarray) -> Iterator[str]:
-    """OBJ: the face lines of each block of `row_spans` over the cells,
-    `faces` the cells kept.
-
-    A block's faces are four integer columns of 1-based vertex indices,
-    the corners of each cell, printed by the one column rule; a dropped
-    cell's line is empty."""
-    n2 = faces.shape[1] + 1
-    for rows, cols in row_spans(*faces.shape):
-        a = np.arange(faces.shape[0])[rows, None] * n2 + np.arange(n2 - 1)[None, cols] + 1
-        yield from _lines([a, a + n2, a + n2 + 1, a + 1], "f {} {} {} {}\n", "", ~faces[rows, cols])
+    """OBJ: the face lines of `faces`, the cells kept, written by
+    `render.face_text` `_CHUNK` cells at a time: whole rows of cells, or
+    spans of a longer row."""
+    from .render import face_text  # on first use, as in `_printed`
+    m = faces.shape[1]
+    step = max(1, _CHUNK // m)
+    for i in range(0, len(faces), step):
+        for j in range(0, m, _CHUNK):
+            yield face_text(faces[i:i + step, j:j + _CHUNK], i * (m + 1) + j + 1, m + 1)
 
 
 def run_mesh(cfg: dict) -> int:

@@ -364,7 +364,7 @@ def row_spans(n1: int, n2: int):
     """An n1 x n2 grid in blocks of at most `_BLOCK_POINTS` points, in C
     order: a `(rows, cols)` pair of slices per block, as many whole rows as
     fit, or a span of one row where the row is longer: the `block`s of
-    `pipeline_grid` and `specialized_grid`, and of a mesh's faces."""
+    `pipeline_grid` and `specialized_grid`."""
     step = max(1, _BLOCK_POINTS // n2)
     for i, j in itertools.product(range(0, n1, step), range(0, n2, _BLOCK_POINTS)):
         yield slice(i, i + step), slice(j, j + _BLOCK_POINTS)

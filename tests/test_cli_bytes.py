@@ -28,7 +28,11 @@ numpy's AVX-512 loops disabled.  A second property test compares the
 serializers with a per-cell reference on synthetic sweeps, and call
 counts pin that the axis columns are formatted once per axis value and
 that the other columns hand `format` only their floats outside fixed
-notation.
+notation.  The face lines, bytes built by numpy from one word per vertex
+number, are compared with a per-face reference on a grid whose vertex
+numbers cross 10**4, with dropped cells and rows, in chunks of two rows
+and of 3 cells and on a row longer than a block; each vertex word prints
+its number at every power-of-ten boundary and at `MAX_GRID_POINTS`.
 """
 
 import hashlib
@@ -687,6 +691,80 @@ def test_column_rule_matches_per_cell_format(data):
             assert (f"# pg-surf mesh {n1}x{n2}\n" + obj + "".join(cli._face_lines(faces))
                     == _reference_obj(data, faces))
             assert "vertex,u1,u2,K,H,excluded\n" + sidecar == _reference_sidecar(data)
+
+
+# ---------------------------------------------------------------------------
+# the face writer: each chunk of face lines as bytes built by numpy, each
+# vertex number one 8-byte word
+# ---------------------------------------------------------------------------
+
+def _faces_kept(excluded):
+    return ~(excluded[:-1, :-1] | excluded[1:, :-1] | excluded[1:, 1:] | excluded[:-1, 1:])
+
+
+def _written_faces(faces):
+    """The face lines as `mesh` writes them, each with its newline."""
+    return "".join(cli._face_lines(faces)).splitlines(keepends=True)
+
+
+def _reference_faces(faces):
+    """The face lines of `_reference_obj`, each with its newline."""
+    data = _sweep_dict(faces.shape[0] + 1, faces.shape[1] + 1)
+    return [line + "\n" for line in _reference_obj(data, faces).splitlines() if line.startswith("f ")]
+
+
+def _face_cases():
+    """Face masks of a 101x100 grid, whose vertex numbers cross 10**4: every
+    cell kept, a lightlike row and column, a lone dropped cell, a face row
+    with no face."""
+    excluded = np.zeros((101, 100), dtype=bool)
+    yield pytest.param(_faces_kept(excluded), id="all")
+    excluded[37] = excluded[:, 50] = True
+    yield pytest.param(_faces_kept(excluded), id="lightlike")
+    lone = _faces_kept(np.zeros_like(excluded))
+    lone[60, 70] = False
+    yield pytest.param(lone, id="lone")
+    empty_row = lone.copy()
+    empty_row[80] = False
+    yield pytest.param(empty_row, id="empty_row")
+
+
+@pytest.mark.parametrize("faces", list(_face_cases()))
+@pytest.mark.parametrize("width", ["default", "two_rows", 3])
+def test_face_lines_match_reference(monkeypatch, faces, width):
+    """The face lines, written `cli._CHUNK` cells at a time, in chunks of
+    the default size, of two rows of cells and of 3 cells (spans of a
+    row), are those of the per-face reference."""
+    if width != "default":
+        monkeypatch.setattr(cli, "_CHUNK", 2 * faces.shape[1] if width == "two_rows" else width)
+    assert _written_faces(faces) == _reference_faces(faces)
+
+
+def test_face_lines_of_a_row_longer_than_a_block():
+    """A grid of two rows one cell longer than a sweep block: its one row
+    of cells is written in spans of `cli._CHUNK` cells, and the cells
+    dropped at a span's end and at the block's end are left out."""
+    n2 = factorable._BLOCK_POINTS + 2
+    faces = np.ones((1, n2 - 1), dtype=bool)
+    faces[0, [cli._CHUNK - 1, factorable._BLOCK_POINTS - 1]] = False
+    assert _written_faces(faces) == _reference_faces(faces)
+
+
+def test_vertex_words_print_their_numbers():
+    """The word of a vertex number is its digits, right-aligned after NULs,
+    and a space in 8 bytes: at each power-of-ten boundary below 10**7 and
+    at the largest grid a configuration may ask for."""
+    numbers = sorted({m for k in range(8) for m in (10 ** k - 1, 10 ** k, 10 ** k + 1)
+                      if 1 <= m < 10 ** 7} | {cli.MAX_GRID_POINTS})
+    words = render._vertex_words(np.array(numbers))
+    assert [words[i:i + 1].tobytes() for i in range(len(numbers))] == [
+        f"{n} ".encode().rjust(8, b"\0") for n in numbers]
+
+
+def test_grid_limit_fits_the_vertex_words():
+    """The word tables hold the numbers below 10**7, seven digits and a
+    space: `MAX_GRID_POINTS`, the largest vertex number, must stay below."""
+    assert cli.MAX_GRID_POINTS < 10 ** 4 * render._HIGH.size == 10 ** 7
 
 
 # ---------------------------------------------------------------------------
