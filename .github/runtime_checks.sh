@@ -83,6 +83,22 @@ test "$(head -n 1 stdout.obj)" = "# pg-surf mesh 21x7"; test "$(grep -c '^vertex
 cmp stdout.obj saddle.obj
 # the saddle is lightlike on the grid row u1 = 1: every vertex, and only the faces off that row
 test "$(grep -c '^v ' saddle.obj)" -eq 147; test "$(grep -c '^f ' saddle.obj)" -eq 108
+# csv_lines FILE N2: every line of a `curvature` CSV has 10 fields; an
+# excluded one is its five leading fields and `,,,,,1`, an included one has
+# its K, H, epsilon and W and ends in `,0`; one grid row of N2 points is
+# excluded, and the line after it is included again
+csv_lines() {
+  awk -F, -v n2="$2" 'NR > 1 {
+    if (NF != 10) bad = 1
+    else if ($10 == "1") { if ($0 != $1 "," $2 "," $3 "," $4 "," $5 ",,,,,1") bad = 1; ex++ }
+    else if ($10 != "0" || $6 == "" || $7 == "" || $8 == "" || $9 == "") bad = 1
+    else if (last == "1") back++
+    last = $10
+  } END { exit bad || ex != n2 || back != 1 }' "$1"
+}
+# the saddle's grid row u1 = 1, the middle one of an odd n1, is lightlike
+pg-surf curvature --set family.name=saddle --set 'grid.u1=[0.5,1.5]' --set grid.n1=21 --set grid.n2=7 --set output.csv=saddle-lines.csv
+csv_lines saddle-lines.csv 7; test "$(wc -l < saddle-lines.csv)" -eq 148
 pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set formulas=pipeline-fd --set output.csv=fd.csv --set output.json=fd.json
 test -s fd.csv; test -s fd.json
 pg-surf curvature --set family.name=thm42 --set family.h0=0.5 --set formulas=pipeline-fd --set grid.n1=400 --set grid.n2=400 --set output.csv=fd400.csv --set output.json=fd400.json

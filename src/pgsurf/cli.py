@@ -19,12 +19,15 @@ blocks `curvature` keeps the included K and H only for its JSON, and
 `mesh` only the exclusion mask, writing its faces last.
 Every line but a face line goes through one column rule (`_column`,
 `_lines`): a float column is formatted once per position or per row
-where its bits allow; any other is printed through `%s` fields by one
-numpy renderer (`render.rendered`), once per distinct bit pattern where
-its cells repeat fewer patterns than half their number, once per cell
-otherwise.  The renderer computes the exact 17 digits of each float that
-prints in fixed notation and hands the others to `_format`, so the bytes
-are those of formatting every cell with `format(x, ".17g")`.  `mesh`'s
+where its bits allow; any other gets its cells' strings from one numpy
+renderer (`render.rendered`), once per distinct bit pattern where its
+cells repeat fewer patterns than half their number, once per cell
+otherwise, and the sidecar's vertex numbers come from numpy too
+(`render.numbered`).  A row's lines are its positions' line pieces,
+cut once per block, joined with its cells' strings.  The renderer
+computes the exact 17 digits of each float that prints in fixed notation
+and hands the others to `_format`, so the bytes are those of formatting
+every cell with `format(x, ".17g")`.  `mesh`'s
 face lines are bytes built by numpy (`render.face_text`), `_CHUNK` cells
 at a time, each vertex number of a chunk rendered once.  A file output is
 written to a temporary sibling and moved into place only when complete,
@@ -415,46 +418,46 @@ _CHUNK = 4096
 
 
 def _printed(column: np.ndarray) -> Iterator[list[str]]:
-    """The strings of a float column's cells, one list per row, rendered
-    `_CHUNK` cells at a time: whole rows, or spans of a longer row."""
-    # imported on first use: a command that prints no float column, and
+    """The strings of a float or vertex-number column's cells, one list per
+    row, rendered `_CHUNK` cells at a time: whole rows, or spans of a
+    longer row."""
+    # imported on first use: a command that prints no such column, and
     # `import pgsurf.cli`, do not compile it where no bytecode is written
-    from .render import rendered
+    from .render import numbered, rendered
+    text = numbered if column.dtype.kind == "i" else functools.partial(rendered, fallback=_format)
     m = column.shape[1]
     step = max(1, _CHUNK // m)
     for i in range(0, len(column), step):
         cells = column[i:i + step].ravel()
-        text = ",".join([rendered(cells[j:j + _CHUNK], m, _format)
-                         for j in range(0, cells.size, _CHUNK)])
-        yield from (line.split(",") for line in text.split("\n"))
+        lines = ",".join([text(cells[j:j + _CHUNK], m) for j in range(0, cells.size, _CHUNK)])
+        yield from (line.split(",") for line in lines.split("\n"))
 
 
-def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list]]]:
-    """The format field of a column of a sweep block and its cells, one
-    list per grid row.
+def _column(column: np.ndarray) -> tuple[Optional[list[str]], Optional[Iterator[list[str]]]]:
+    """The strings of a column of a sweep block: once per position, or
+    once per cell, one list per grid row; the other is None.
 
     A float column of more than one row whose bits are the same in every
-    row gives, in place of a field, the strings of its first row, each
-    formatted once: they are written into the line formats, and it has no
-    cells.  (A block of one row, a span of a long grid row, would gain
-    nothing from its line formats.)  One whose bits are constant along
-    axis 1 is formatted once per row and printed by a `%s` field.  One
-    whose cells repeat their bits, fewer distinct patterns than half its
-    cells, renders each pattern once (`_printed`) and is printed by a `%s`
-    field (an FD route's K, H and W, a closed H).  Any other float column
-    renders every cell, an integer column (the sidecar's vertex numbers)
-    gives its ints to a `%d` field.  The renderer's strings are those of
-    `_format`, and equal bits print equal strings, so the text is that of
-    formatting every cell.  -0.0 and 0.0, or NaNs with different payloads, are
-    different bits."""
+    row gives the strings of its first row, each formatted once: they are
+    written into the line pieces of their positions.  (A block of one row,
+    a span of a long grid row, would gain nothing from its line pieces.)
+    Any other column gives its cells' strings.  One whose bits are
+    constant along axis 1 is formatted once per row.  One whose cells
+    repeat their bits, fewer distinct patterns than half its cells,
+    renders each pattern once (`_printed`; an FD route's K, H and W, a
+    closed H).  Any other float column renders every cell, and an integer
+    column (the sidecar's vertex numbers) prints every number from numpy.
+    The renderer's strings are those of `_format`, and equal bits print
+    equal strings, so the text is that of formatting every cell.  -0.0 and
+    0.0, or NaNs with different payloads, are different bits."""
     if column.dtype.kind == "i":
-        return "%d", (row.tolist() for row in column)
+        return None, _printed(column)
     bits = column.view(np.int64)
     if len(column) > 1 and (bits == bits[:1]).all():
         return list(map(_format, column[0].tolist())), None
     if (bits == bits[:, :1]).all():
         m = column.shape[1]
-        return "%s", ([s] * m for s in map(_format, column[:, 0].tolist()))
+        return None, ([s] * m for s in map(_format, column[:, 0].tolist()))
     # the exact count of distinct patterns, from the bits in order: past
     # half the cells, indexing the patterns' strings costs more than
     # rendering every cell
@@ -468,8 +471,8 @@ def _column(column: np.ndarray) -> tuple[str | list[str], Optional[Iterator[list
         patterns = ordered[np.concatenate(([True], new))].view(np.float64)
         # one str array, not a str object per pattern: less peak memory
         strings = np.array(next(_printed(patterns[None])))
-        return "%s", (strings[row].tolist() for row in index.reshape(column.shape))
-    return "%s", _printed(column)
+        return None, (strings[row].tolist() for row in index.reshape(column.shape))
+    return None, _printed(column)
 
 
 def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[str]:
@@ -477,12 +480,14 @@ def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[
 
     `inc` and `exc` are `str.format` templates of an included and of an
     excluded point's line, with a `{}` per column, `exc` per leading
-    column.  The strings of a column formatted once per position are
-    written into each position's line formats, the other columns' fields
-    are left as `%` fields.  A row with no excluded point is one `%` of
-    the positions' formats joined, which fills only those fields; a row
-    that holds one formats line by line with the same formats, an
-    excluded point with `exc`'s over its leading cells.  Rows longer than
+    column.  Once per block, each position's lines are formatted with the
+    strings of the columns formatted once per position and cut at the
+    other columns' fields into pieces.  One list holds every position's
+    included pieces with a slot between them for each cell; each row
+    fills the slots with its cells' strings, a cell column at a time, and
+    is the list joined.  At the excluded points of a row, the excluded
+    line's pieces stand in for the included ones, and the pieces and cells
+    after them are empty until the row is joined.  Rows longer than
     `_CHUNK` points (spans of a long grid row) are printed one row at a
     time, in spans of `_CHUNK` points, so no row's strings are held whole."""
     m = excluded.shape[1]
@@ -492,30 +497,39 @@ def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[
                 yield from _lines([column[r:r + 1, j:j + _CHUNK] for column in columns], inc, exc,
                                   excluded[r:r + 1, j:j + _CHUNK])
         return
-    fields, rows = zip(*map(_column, columns))
-    strings = [field for field in fields if isinstance(field, list)]
-    spots = ["{}" if isinstance(field, list) else field for field in fields]
+    positions, rows = zip(*map(_column, columns))
+    strings = [column for column in positions if column is not None]
+    # a cell's field becomes a NUL, which no line holds, to cut the lines at
+    spots = ["\0" if column is None else "{}" for column in positions]
 
-    def per_position(template: str) -> list[str]:
+    def pieces(template: str) -> list[list[str]]:
         template = template.format(*spots)
+        if not strings:
+            # one list for every position: no pieces held per position
+            return [template.split("\0")] * m
         # `str.format` skips the strings of columns past `exc`'s last
-        return list(map(template.format, *strings)) if strings else [template] * m
+        return [line.split("\0") for line in map(template.format, *strings)]
 
-    incs, excs = per_position(inc), per_position(exc)
     cells = [column for column in rows if column is not None]
-    head, ncols = excs[0].count("%"), len(cells)
-    row = "".join(incs)
-    args = [None] * (ncols * m)
+    width = 2 * len(cells) + 1
+    incs, excs = pieces(inc), pieces(exc)
+    # where an excluded line ends in its point's span of `parts`
+    end = 2 * len(excs[0]) - 1
+    blank = [""] * (width - end)
+    parts = [""] * (width * m)
+    for k, piece in enumerate(zip(*incs)):
+        parts[2 * k::width] = piece
+    slots = [slice(1 + 2 * k, None, width) for k in range(len(cells))]
     for masked, mask, *values in zip(excluded.any(axis=1).tolist(), excluded, *cells):
-        if masked:
-            points = zip(*values) if values else [()] * m
-            yield "".join([e % p[:head] if x else i % p
-                           for i, e, p, x in zip(incs, excs, points, mask.tolist())])
-        else:
-            # the row's cells, point by point, laid into one reused list
-            for k, value in enumerate(values):
-                args[k::ncols] = value
-            yield row % tuple(args)
+        for slot, value in zip(slots, values):
+            parts[slot] = value
+        points = np.flatnonzero(mask).tolist() if masked else ()
+        for j in points:
+            parts[j * width:j * width + end:2] = excs[j]
+            parts[j * width + end:(j + 1) * width] = blank
+        yield "".join(parts)
+        for j in points:
+            parts[j * width:(j + 1) * width:2] = incs[j]
 
 
 def _csv_lines(data: dict) -> Iterator[str]:
@@ -524,40 +538,40 @@ def _csv_lines(data: dict) -> Iterator[str]:
                       "{},{},{},{},{},{},{},{},{},0\n", "{},{},{},{},{},,,,,1\n", data["excluded"])
 
 
-def _spread(blocks: list) -> tuple[np.ndarray, float, float]:
-    """The values of `blocks` concatenated, their mean and their largest
-    deviation from it.  The values are finite and `v - mean` rounds
-    monotonically in `v`, so the largest deviation is that of the largest
-    or of the smallest value, with the bits of the largest `|v - mean|`:
-    `abs` makes a zero deviation +0.0, as `|v - mean|` is, where the
-    values are -0.0."""
-    values = np.concatenate(blocks)
+def _spread(values: np.ndarray) -> tuple[float, float]:
+    """The mean of `values` and their largest deviation from it.  The
+    values are finite and `v - mean` rounds monotonically in `v`, so the
+    largest deviation is that of the largest or of the smallest value,
+    with the bits of the largest `|v - mean|`: `abs` makes a zero
+    deviation +0.0, as `|v - mean|` is, where the values are -0.0."""
     mean = float(np.mean(values))
-    return values, mean, abs(max(float(values.max()) - mean, mean - float(values.min())))
+    return mean, abs(max(float(values.max()) - mean, mean - float(values.min())))
 
 
 def run_curvature(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["curvature"])
     grid, blocks = _sweep(v)
-    # the included K and H of each block, kept only for the JSON (concatenated,
-    # the included points of the grid in C order); exit 3 needs only their count
-    kept: dict = {"K": [], "H": []} if v["output"]["json"] else {}
+    n_points = grid.n1 * grid.n2
+    # the included K and H, kept only for the JSON, each in one buffer filled
+    # block by block (the included points of the grid in C order; pages past
+    # the filled ones are never touched); exit 3 needs only their count
+    kept = {"K": np.empty(n_points), "H": np.empty(n_points)} if v["output"]["json"] else {}
     n_inc = 0
     with _opened(v["output"]["csv"]) as write:
         write([CSV_HEADER + "\n"])
         for data in blocks:
             write(_csv_lines(data))
             included = ~data["excluded"]
-            n_inc += int(np.count_nonzero(included))
+            count = int(np.count_nonzero(included))
             for name, values in kept.items():
-                values.append(data[name][included])
+                values[n_inc:n_inc + count] = data[name][included]
+            n_inc += count
         # before the CSV is complete, so its file is not written
         if not n_inc:
             raise GridRejected("every grid point is excluded")
     if not v["output"]["json"]:
         return EXIT_OK
 
-    n_points = grid.n1 * grid.n2
     summary = {
         "family": cfg["family"],
         "grid": {"u1": list(grid.u1), "u2": list(grid.u2), "n1": grid.n1, "n2": grid.n2},
@@ -566,9 +580,9 @@ def run_curvature(cfg: dict) -> int:
         "included": n_inc,
         "excluded": n_points - n_inc,
     }
-    for name, included in kept.items():
-        values, mean, maxdev = _spread(included)
-        summary[name] = {"mean": mean, "max_deviation": maxdev, "std": float(np.std(values))}
+    for name, values in kept.items():
+        mean, maxdev = _spread(values[:n_inc])
+        summary[name] = {"mean": mean, "max_deviation": maxdev, "std": float(np.std(values[:n_inc]))}
     _json_report(v["output"]["json"], summary)
     return EXIT_OK
 
@@ -589,14 +603,16 @@ def run_verify(cfg: dict) -> int:
     # the constancy suite and, until a point is excluded, the cross-check
     # with the block's pipeline sweep
     field = fam.FAMILIES[family["name"]].field
-    values, gap, rejected = [], 0.0, None
+    # the kept values of every block, in one buffer filled in C order
+    values, n_kept, gap, rejected = np.empty(grid.n1 * grid.n2), 0, 0.0, None
     for span in row_spans(grid.n1, grid.n2):
         with np.errstate(all="ignore"):
             closed = specialized_grid(surface, grid, span)
-            # a new array: kept whole, in C order, where nothing is excluded
             block = np.abs(closed["H"]) if field == "absH" else closed["K"]
             excluded = closed["excluded"]
-            values.append(block[~excluded] if excluded.any() else block.ravel())
+            block = block[~excluded] if excluded.any() else block.ravel()
+            values[n_kept:n_kept + block.size] = block
+            n_kept += block.size
             if rejected is None:
                 try:
                     gap = max(gap, cross_check(pipeline_grid(surface, grid, block=span), closed))
@@ -605,9 +621,9 @@ def run_verify(cfg: dict) -> int:
 
     suites: dict = {}
     expected = -abs(family["k0"]) if field == "K" else abs(family["h0"])
-    if not any(block.size for block in values):
+    if not n_kept:
         raise GridRejected("no admissible points for the constancy suite")
-    _, mean, maxdev = _spread(values)
+    mean, maxdev = _spread(values[:n_kept])
     suites["constancy"] = {
         "passed": maxdev < tol["constancy"] and abs(mean - expected) < tol["constancy"],
         "field": field,

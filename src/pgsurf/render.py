@@ -38,7 +38,8 @@ Python formatting per face.  A vertex number below 10**7 (`cli` allows
 at most 4 * 10**6) is one 64-bit word, its digits and a space, from
 tables of 4-digit groups taken from `_GROUP_TEXT`; each vertex number
 of a block is rendered once, each line gathers its corners' words, and
-one `bytes.translate` drops the NULs.  The tables are built at import,
+one `bytes.translate` drops the NULs.  `numbered` prints the mesh
+sidecar's vertex numbers from the same words.  The tables are built at import,
 with the renderer's tables: built on the first face instead, they were
 long-lived blocks carved from the middle of a long-lived process's heap,
 and `bench/run.py --workload export` read a `peak_rss_mb` of 64.6 MB
@@ -53,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["face_text", "rendered"]
+__all__ = ["face_text", "numbered", "rendered"]
 
 _DECADES = np.array([float(f"1e{e}") for e in range(-4, 17)])
 _TENS = np.array([float(10 ** k) for k in range(21)])
@@ -195,10 +196,23 @@ def _vertex_words(numbers: np.ndarray) -> np.ndarray:
     return _HIGH[high] + _LOW[np.where(numbers < 1000, numbers, low + 1000)]
 
 
-# the word "f" + NULs + " " that opens a face line, and what turns the
-# space of a vertex word into a newline
+def _after(char: str) -> int:
+    """What, added to a vertex word, turns its space into `char`."""
+    return (ord(char) - ord(" ")) << 56
+
+
+def numbered(numbers: np.ndarray, m: int) -> str:
+    """The decimal text of each vertex number of the 1-d `numbers`, 1 <= n
+    < 10**7, joined as `rendered` joins its strings: by "," and, after
+    every m-th, by a newline."""
+    ends = np.full(numbers.size, _after(","))
+    ends[m - 1::m] = _after("\n")
+    ends[-1] = _after("\0")
+    return (_vertex_words(numbers) + ends).tobytes().translate(None, b"\0").decode()
+
+
+# the word "f" + NULs + " " that opens a face line
 _F = np.frombuffer(b"f" + b"\0" * 6 + b" ", np.int64)[0]
-_NEWLINE = (ord("\n") - ord(" ")) << 56
 
 
 def face_text(kept: np.ndarray, first: int, n2: int) -> str:
@@ -219,7 +233,7 @@ def face_text(kept: np.ndarray, first: int, n2: int) -> str:
     text[..., 1] = words[:-1, :-1]
     text[..., 2] = words[1:, :-1]
     text[..., 3] = words[1:, 1:]
-    np.add(words[:-1, 1:], _NEWLINE, out=text[..., 4])
+    np.add(words[:-1, 1:], _after("\n"), out=text[..., 4])
     if not kept.all():
         text = text[kept]
     return text.tobytes().translate(None, b"\0").decode()

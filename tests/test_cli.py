@@ -818,15 +818,16 @@ class TestPeakMemoryOfLargeSweeps:
     peak with numpy 2.4 on x86-64 Linux, rounded up, plus 8 MiB.  The
     commands sweep the grid in row blocks and write each block's lines as
     it is swept.  Across blocks `curvature` keeps the included K and H
-    only for its JSON: 65.9 / 72.2 / 63.9 MiB on 1000x1000 (analytic / FD
-    / `specialized`) with the JSON (63.2 / 70.0 / 63.0 MiB printing
-    through per-cell `%.17g` fields, as when the bounds were set),
-    38.4 MiB with the CSV alone, where keeping them for no reader peaked
-    at 52.9 MiB.  `mesh` keeps only the grid's exclusion mask: 40.6 /
-    43.1 / 37.2 MiB, where keeping every block's printed columns until
+    only for its JSON, in one buffer of the grid's size each: 61.7 /
+    61.6 / 57.6 MiB on 1000x1000 (analytic / FD / `specialized`) with the
+    JSON (63.2 / 70.0 / 63.0 MiB printing through per-cell `%.17g` fields
+    and concatenating the kept blocks, as when the bounds were set),
+    40.2 MiB with the CSV alone, where keeping them for no reader peaked
+    at 52.9 MiB.  `mesh` keeps only the grid's exclusion mask: 40.4 /
+    43.4 / 36.5 MiB, where keeping every block's printed columns until
     the faces were chosen peaked at 59.8-62.4 MiB.  Sweeping the whole
     grid at once reached 229 MiB (analytic and `specialized`) and 305 MiB
-    (FD).  The long rows peak at 49.0 MiB (`curvature`) and 41.5 MiB
+    (FD).  The long rows peak at 48.7 MiB (`curvature`) and 42.0 MiB
     (`mesh`), as the sweep is cut into spans of at most `_BLOCK_POINTS`
     points and its text into spans of `cli._CHUNK`; text in spans of
     `_BLOCK_POINTS` peaked at 65.3 and 50.4 MiB, a sweep block of one

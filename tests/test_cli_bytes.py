@@ -694,6 +694,69 @@ def test_column_rule_matches_per_cell_format(data):
 
 
 # ---------------------------------------------------------------------------
+# the row assembly: `_lines` against every cell formatted by itself
+# ---------------------------------------------------------------------------
+
+def _line_columns(n1, n2):
+    """One column of each rule, in an order that puts cell columns before,
+    among and after the leading fields of an excluded line: vertex numbers,
+    constant per row, constant per position, per cell (with floats outside
+    fixed notation), repeated patterns (both zeros and a NaN), per cell,
+    constant per position."""
+    rng = np.random.default_rng(44)
+    per_cell = rng.standard_normal((n1, n2)) * 10.0 ** rng.integers(-6, 20, (n1, n2))
+    per_cell[0, :2] = 1e-300, -0.0
+    pool = np.array([-0.0, 0.0, NANS[2]])
+    return [np.arange(7, 7 + n1 * n2).reshape(n1, n2),
+            np.broadcast_to(np.linspace(-1.0, 1.0, n1)[:, None], (n1, n2)),
+            np.broadcast_to(np.linspace(0.5, 2.0, n2), (n1, n2)),
+            per_cell,
+            pool[rng.integers(0, 3, (n1, n2))],
+            rng.uniform(-2.0, 2.0, (n1, n2)),
+            np.broadcast_to(np.arange(n2) / 3.0, (n1, n2))]
+
+
+LINE_INC, LINE_EXC = "{},{},{},{},{},{},{},0\n", "{},{},{},{},,,,1\n"
+
+
+def _reference_lines(columns, excluded):
+    head = LINE_EXC.count("{}")
+    lines = []
+    for i, j in np.ndindex(excluded.shape):
+        cells = [str(column[i, j]) if column.dtype.kind == "i"
+                 else format(float(column[i, j]), ".17g") for column in columns]
+        lines.append(LINE_EXC.format(*cells[:head]) if excluded[i, j] else LINE_INC.format(*cells))
+    return "".join(lines)
+
+
+def _line_masks(n1=5, n2=7):
+    """Exclusion masks: none, one point, the first and the last point of a
+    row, a whole row, and a masked row followed by a clean one."""
+    masks = {name: np.zeros((n1, n2), dtype=bool) for name in
+             ("none", "one", "row_ends", "row", "then_clean")}
+    masks["one"][2, 3] = True
+    masks["row_ends"][1, [0, -1]] = True
+    masks["row"][3] = True
+    masks["then_clean"][1, 1:n2:2] = True
+    return [pytest.param(mask, id=name) for name, mask in masks.items()]
+
+
+@pytest.mark.parametrize("excluded", _line_masks())
+@pytest.mark.parametrize("blocks", ["whole", "rows", "spans"])
+def test_lines_match_per_cell_format(monkeypatch, excluded, blocks):
+    """`_lines` prints what formatting every cell by itself prints, for each
+    column rule and exclusion mask: in one block, in blocks of one row, and
+    in spans of 3 points (`cli._CHUNK` cut to 3)."""
+    columns = _line_columns(*excluded.shape)
+    if blocks == "spans":
+        monkeypatch.setattr(cli, "_CHUNK", 3)
+    cuts = [slice(None)] if blocks == "whole" else [slice(i, i + 1) for i in range(len(excluded))]
+    text = "".join(line for cut in cuts for line in cli._lines(
+        [column[cut] for column in columns], LINE_INC, LINE_EXC, excluded[cut]))
+    assert text == _reference_lines(columns, excluded)
+
+
+# ---------------------------------------------------------------------------
 # the face writer: each chunk of face lines as bytes built by numpy, each
 # vertex number one 8-byte word
 # ---------------------------------------------------------------------------
@@ -892,11 +955,11 @@ class TestColumnRuleFormatsOncePerAxisValue:
         for key in ("U1", "U2", "x", "y", "eps"):
             calls.clear()
             # a column the same in every row is formatted into its strings
-            # and has no cells; one the same along each row is a `%s` field
-            field, rows = cli._column(data[key])
+            # and has no cells; one the same along each row has cells
+            positions, rows = cli._column(data[key])
             for _ in rows or ():
                 pass
-            assert field == "%s" or isinstance(field, list), key
+            assert (positions is None) != (rows is None), key
             assert len(calls) in (self.N1, self.N2), key
 
 
@@ -974,7 +1037,7 @@ class TestPerCellColumnsAreNotFormattedOneByOne:
         cfg = {"family": self.THM42, "grid": {"n1": 150, "n2": 150}}
         _, (data,) = cli._sweep(cli._read(cfg, cli.SCHEMA["curvature"]))
         calls = TestColumnRuleFormatsOncePerAxisValue._counting(monkeypatch)
-        field, rows = cli._column(data[key])
-        assert field == "%s"
+        positions, rows = cli._column(data[key])
+        assert positions is None
         assert list(rows) == [[format(x, ".17g") for x in row] for row in data[key].tolist()]
         assert len(calls) <= 0.01 * data[key].size
