@@ -24,6 +24,8 @@ expect_exit() {
 
 # the CLI imports no test dependency
 python -c "import sys, pgsurf.cli; assert 'sympy' not in sys.modules"
+# nor the table writer, which only `curvature` and `mesh` import
+python -c "import sys, pgsurf.cli; assert 'pgsurf.render' not in sys.modules"
 pg-surf curvature --set family.name=thm31 --set family.k0=1 --set grid.n1=3 --set grid.n2=3
 pg-surf --help
 expect_exit 2 pg-surf
@@ -33,6 +35,9 @@ expect_exit 2 pg-surf curvature --set family.name=linear --set family.k0=1
 expect_exit 2 pg-surf curvature --set family.name=thm31 --set family.k0=1 --set output.obj=x.obj
 expect_exit 2 pg-surf verify --set family.name=thm31 --set family.k0=1 --set output.csv=x.csv
 test ! -e x.obj; test ! -e x.csv
+# two outputs of one command on one file: a config error, and nothing written
+expect_exit 2 pg-surf curvature --set family.name=thm31 --set family.k0=1 --set output.csv=both.txt --set output.json=both.txt
+test ! -e both.txt
 # and only its own tolerances: `verify` checks no ODE, `reconstruct` no motion
 expect_exit 2 pg-surf verify --set family.name=thm31 --set family.k0=1 --set tolerances.ode=1e-6
 expect_exit 2 pg-surf reconstruct --set theorem=3.1 --set tolerances.motion=1e-8 --set output.json=r.json

@@ -5,7 +5,7 @@ components to curvature), `factorable` (product-graph surfaces, their jet
 component arrays, the closed curvature formulas and grid sweeps),
 `families` (classified constant-curvature families), `reconstruct` (RK4
 re-derivations of the families and the nonexistence probe), `render` (the
-`%.17g` text of float arrays) and `cli` (the pg-surf command).  A jet is
+text of the tables) and `cli` (the pg-surf command).  A jet is
 a dict of component arrays x1..z22; there is no scalar jet type.
 """
 

@@ -17,31 +17,20 @@ sidecar) is written only to a path, so stdout carries one format.
 `curvature` and `mesh` write each block's lines as it is swept; across
 blocks `curvature` keeps the included K and H only for its JSON, and
 `mesh` only the exclusion mask, writing its faces last.
-Every line but a face line goes through one column rule (`_column`,
-`_lines`): a float column is formatted once per position or per row
-where its bits allow; any other gets its cells' strings from one numpy
-renderer (`render.rendered`), once per distinct bit pattern where its
-cells repeat fewer patterns than half their number, once per cell
-otherwise, and the sidecar's vertex numbers come from numpy too
-(`render.numbered`).  A row's lines are its positions' line pieces,
-cut once per block, joined with its cells' strings.  The renderer
-computes the exact 17 digits of each float that prints in fixed notation
-and hands the others to `_format`, so the bytes are those of formatting
-every cell with `format(x, ".17g")`.  `mesh`'s
-face lines are bytes built by numpy (`render.face_text`), `_CHUNK` cells
-at a time, each vertex number of a chunk rendered once.  A file output is
-written to a temporary sibling and moved into place only when complete,
-so a failed run never leaves a truncated file, and a `mesh` run that
-fails keeps both.
+`render`, imported on first use, writes the tables whose columns and
+line templates are chosen here.  A file output is written to a temporary
+sibling and moved into place only when complete, so a failed run never
+leaves a truncated file, and a `mesh` run that fails keeps both; two
+outputs of one command may not name one file.
 
 A grid point with no finite K or H (lightlike, inadmissible, overflowing,
 or where a family's radicand is not positive) is excluded, never raised;
 a grid command with nothing to report ends as `GridRejected`.
 
 Exit codes: 0 success, 1 verification/tolerance failure, 2 configuration
-error (including an output that cannot be written), 3 a grid command
-with nothing to report, 4 ODE branch violation or a `reconstruct`
-corridor outside its radicand.
+error (including an output that cannot be written, or two outputs that
+name one file), 3 a grid command with nothing to report, 4 ODE branch
+violation or a `reconstruct` corridor outside its radicand.
 """
 
 from __future__ import annotations
@@ -407,135 +396,29 @@ def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
     return grid, map(sweep, row_spans(grid.n1, grid.n2))
 
 
-# the formatter of single floats (axis values, and the floats outside the
-# renderer's fixed notation): equal to format(x, ".17g")
-_format = "%.17g".__mod__
-
-# the cells of a float column rendered at once, the points of a row
-# printed at once and a mesh's faces written at once: a bound on the
-# temporaries and the strings held
-_CHUNK = 4096
+def _render():
+    """The table writer `render`, imported on first use (see there)."""
+    from . import render
+    return render
 
 
-def _printed(column: np.ndarray) -> Iterator[list[str]]:
-    """The strings of a float or vertex-number column's cells, one list per
-    row, rendered `_CHUNK` cells at a time: whole rows, or spans of a
-    longer row."""
-    # imported on first use: a command that prints no such column, and
-    # `import pgsurf.cli`, do not compile it where no bytecode is written
-    from .render import numbered, rendered
-    text = numbered if column.dtype.kind == "i" else functools.partial(rendered, fallback=_format)
-    m = column.shape[1]
-    step = max(1, _CHUNK // m)
-    for i in range(0, len(column), step):
-        cells = column[i:i + step].ravel()
-        lines = ",".join([text(cells[j:j + _CHUNK], m) for j in range(0, cells.size, _CHUNK)])
-        yield from (line.split(",") for line in lines.split("\n"))
-
-
-def _column(column: np.ndarray) -> tuple[Optional[list[str]], Optional[Iterator[list[str]]]]:
-    """The strings of a column of a sweep block: once per position, or
-    once per cell, one list per grid row; the other is None.
-
-    A float column of more than one row whose bits are the same in every
-    row gives the strings of its first row, each formatted once: they are
-    written into the line pieces of their positions.  (A block of one row,
-    a span of a long grid row, would gain nothing from its line pieces.)
-    Any other column gives its cells' strings.  One whose bits are
-    constant along axis 1 is formatted once per row.  One whose cells
-    repeat their bits, fewer distinct patterns than half its cells,
-    renders each pattern once (`_printed`; an FD route's K, H and W, a
-    closed H).  Any other float column renders every cell, and an integer
-    column (the sidecar's vertex numbers) prints every number from numpy.
-    The renderer's strings are those of `_format`, and equal bits print
-    equal strings, so the text is that of formatting every cell.  -0.0 and
-    0.0, or NaNs with different payloads, are different bits."""
-    if column.dtype.kind == "i":
-        return None, _printed(column)
-    bits = column.view(np.int64)
-    if len(column) > 1 and (bits == bits[:1]).all():
-        return list(map(_format, column[0].tolist())), None
-    if (bits == bits[:, :1]).all():
-        m = column.shape[1]
-        return None, ([s] * m for s in map(_format, column[:, 0].tolist()))
-    # the exact count of distinct patterns, from the bits in order: past
-    # half the cells, indexing the patterns' strings costs more than
-    # rendering every cell
-    order = np.argsort(bits, axis=None)
-    ordered = bits.ravel()[order]
-    new = ordered[1:] != ordered[:-1]
-    if 2 * (1 + np.count_nonzero(new)) < column.size:
-        # each cell's pattern number, in the column's shape
-        index = np.empty(column.size, np.intp)
-        index[order] = np.concatenate(([0], np.cumsum(new)))
-        patterns = ordered[np.concatenate(([True], new))].view(np.float64)
-        # one str array, not a str object per pattern: less peak memory
-        strings = np.array(next(_printed(patterns[None])))
-        return None, (strings[row].tolist() for row in index.reshape(column.shape))
-    return None, _printed(column)
-
-
-def _lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[str]:
-    """One string of lines per row of a block of a sweep.
-
-    `inc` and `exc` are `str.format` templates of an included and of an
-    excluded point's line, with a `{}` per column, `exc` per leading
-    column.  Once per block, each position's lines are formatted with the
-    strings of the columns formatted once per position and cut at the
-    other columns' fields into pieces.  One list holds every position's
-    included pieces with a slot between them for each cell; each row
-    fills the slots with its cells' strings, a cell column at a time, and
-    is the list joined.  At the excluded points of a row, the excluded
-    line's pieces stand in for the included ones, and the pieces and cells
-    after them are empty until the row is joined.  Rows longer than
-    `_CHUNK` points (spans of a long grid row) are printed one row at a
-    time, in spans of `_CHUNK` points, so no row's strings are held whole."""
-    m = excluded.shape[1]
-    if m > _CHUNK:
-        for r in range(len(excluded)):
-            for j in range(0, m, _CHUNK):
-                yield from _lines([column[r:r + 1, j:j + _CHUNK] for column in columns], inc, exc,
-                                  excluded[r:r + 1, j:j + _CHUNK])
-        return
-    positions, rows = zip(*map(_column, columns))
-    strings = [column for column in positions if column is not None]
-    # a cell's field becomes a NUL, which no line holds, to cut the lines at
-    spots = ["\0" if column is None else "{}" for column in positions]
-
-    def pieces(template: str) -> list[list[str]]:
-        template = template.format(*spots)
-        if not strings:
-            # one list for every position: no pieces held per position
-            return [template.split("\0")] * m
-        # `str.format` skips the strings of columns past `exc`'s last
-        return [line.split("\0") for line in map(template.format, *strings)]
-
-    cells = [column for column in rows if column is not None]
-    width = 2 * len(cells) + 1
-    incs, excs = pieces(inc), pieces(exc)
-    # where an excluded line ends in its point's span of `parts`
-    end = 2 * len(excs[0]) - 1
-    blank = [""] * (width - end)
-    parts = [""] * (width * m)
-    for k, piece in enumerate(zip(*incs)):
-        parts[2 * k::width] = piece
-    slots = [slice(1 + 2 * k, None, width) for k in range(len(cells))]
-    for masked, mask, *values in zip(excluded.any(axis=1).tolist(), excluded, *cells):
-        for slot, value in zip(slots, values):
-            parts[slot] = value
-        points = np.flatnonzero(mask).tolist() if masked else ()
-        for j in points:
-            parts[j * width:j * width + end:2] = excs[j]
-            parts[j * width + end:(j + 1) * width] = blank
-        yield "".join(parts)
-        for j in points:
-            parts[j * width:(j + 1) * width:2] = incs[j]
+def _separate(outputs: dict) -> None:
+    """Raise `ConfigError` where two read `output` paths name one file,
+    of which only the last moved into place would be left; a path that
+    exists and is not a regular file (/dev/null) may serve several."""
+    files: dict = {}
+    for key, path in outputs.items():
+        if path and (os.path.isfile(path) or not os.path.exists(path)):
+            first = files.setdefault(os.path.realpath(path), key)
+            if first != key:
+                raise ConfigError(f"output.{first} and output.{key} name one file: {path}")
 
 
 def _csv_lines(data: dict) -> Iterator[str]:
     """`curvature` CSV: one string of lines per grid row of a sweep block."""
-    yield from _lines([data[key] for key in ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")],
-                      "{},{},{},{},{},{},{},{},{},0\n", "{},{},{},{},{},,,,,1\n", data["excluded"])
+    yield from _render().lines(
+        [data[key] for key in ("U1", "U2", "x", "y", "z", "K", "H", "eps", "W")],
+        "{},{},{},{},{},{},{},{},{},0\n", "{},{},{},{},{},,,,,1\n", data["excluded"])
 
 
 def _spread(values: np.ndarray) -> tuple[float, float]:
@@ -550,6 +433,7 @@ def _spread(values: np.ndarray) -> tuple[float, float]:
 
 def run_curvature(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["curvature"])
+    _separate(v["output"])
     grid, blocks = _sweep(v)
     n_points = grid.n1 * grid.n2
     # the included K and H, kept only for the JSON, each in one buffer filled
@@ -726,32 +610,21 @@ def run_probe(cfg: dict) -> int:
 
 def _vertex_lines(data: dict) -> Iterator[str]:
     """OBJ: one string of vertex lines per grid row of a sweep block."""
-    yield from _lines([data["x"], data["y"], data["z"]], "v {} {} {}\n", "v {} {} {}\n",
-                      np.zeros_like(data["excluded"]))
+    yield from _render().lines([data["x"], data["y"], data["z"]], "v {} {} {}\n", "v {} {} {}\n",
+                               np.zeros_like(data["excluded"]))
 
 
 def _sidecar_lines(data: dict, first: int) -> Iterator[str]:
     """Mesh sidecar CSV keyed by 1-based vertex index: one string of lines
     per grid row of a sweep block whose first vertex is `first`."""
     ids = np.arange(first, first + data["excluded"].size).reshape(data["excluded"].shape)
-    yield from _lines([ids, data["U1"], data["U2"], data["K"], data["H"]],
-                      "{},{},{},{},{},0\n", "{},{},{},,,1\n", data["excluded"])
-
-
-def _face_lines(faces: np.ndarray) -> Iterator[str]:
-    """OBJ: the face lines of `faces`, the cells kept, written by
-    `render.face_text` `_CHUNK` cells at a time: whole rows of cells, or
-    spans of a longer row."""
-    from .render import face_text  # on first use, as in `_printed`
-    m = faces.shape[1]
-    step = max(1, _CHUNK // m)
-    for i in range(0, len(faces), step):
-        for j in range(0, m, _CHUNK):
-            yield face_text(faces[i:i + step, j:j + _CHUNK], i * (m + 1) + j + 1, m + 1)
+    yield from _render().lines([ids, data["U1"], data["U2"], data["K"], data["H"]],
+                               "{},{},{},{},{},0\n", "{},{},{},,,1\n", data["excluded"])
 
 
 def run_mesh(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["mesh"])
+    _separate(v["output"])
     grid, blocks = _sweep(v)
     path, start = v["output"]["sidecar"], 0
     # the sweep's exclusion mask, filled block by block: the blocks are in C order
@@ -770,7 +643,7 @@ def run_mesh(cfg: dict) -> int:
         # before either output is complete, so neither file is written
         if not faces.any():
             raise GridRejected("no mesh cell has four included corners")
-        obj(_face_lines(faces))
+        obj(_render().face_lines(faces))
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -360,14 +360,15 @@ def jet_component_arrays(s: FactorableSurface, U1, U2,
 _BLOCK_POINTS = 2 ** 15
 
 
-def row_spans(n1: int, n2: int):
-    """An n1 x n2 grid in blocks of at most `_BLOCK_POINTS` points, in C
-    order: a `(rows, cols)` pair of slices per block, as many whole rows as
-    fit, or a span of one row where the row is longer: the `block`s of
-    `pipeline_grid` and `specialized_grid`."""
-    step = max(1, _BLOCK_POINTS // n2)
-    for i, j in itertools.product(range(0, n1, step), range(0, n2, _BLOCK_POINTS)):
-        yield slice(i, i + step), slice(j, j + _BLOCK_POINTS)
+def row_spans(n1: int, n2: int, points: Optional[int] = None):
+    """An n1 x n2 grid in blocks of at most `points` (`_BLOCK_POINTS`)
+    points, in C order: a `(rows, cols)` pair of slices per block, as many
+    whole rows as fit, or a span of one row where the row is longer: the
+    `block`s of the sweeps, and `render`'s chunks of text."""
+    points = points or _BLOCK_POINTS
+    step = max(1, points // n2)
+    for i, j in itertools.product(range(0, n1, step), range(0, n2, points)):
+        yield slice(i, i + step), slice(j, j + points)
 
 
 def _axes(grid: GridSpec, block: tuple[slice, slice]):

@@ -1,5 +1,7 @@
-"""Text built by numpy: float64 arrays as `format(x, ".17g")` prints
-them, and a mesh's OBJ face lines.
+"""The text of pg-surf's tables, every float as `format(x, ".17g")`
+prints it: `lines` prints a sweep block's lines through one column rule
+(`_column`) and `face_lines` a mesh's OBJ faces, `_CHUNK` cells at a
+time; `cli` chooses each table's columns and line templates.
 
 A float x with 1e-4 <= |x| < 1e17 prints in fixed notation, from the 17
 digits N = round(|x| * 10**(16 - E)), E the decade of |x|.  `_DECADES`
@@ -11,17 +13,18 @@ product of Veltkamp halves gives |x| * 10**k exactly as p + error
 power of ten is more than 8 units of the 17th digit below it, so N never
 carries into an 18th digit.  Only IEEE basic operations and comparisons
 decide the digits, so they do not depend on the SIMD loops numpy
-dispatches.  Every other float goes to the caller's formatter.
+dispatches.  Every other float goes to `_format`.
 
-The renderer is a module of its own, not part of `cli`: a process that
-finds no compiled bytecode compiles each module from its source and keeps
-the compiler's memory, which grows with the module.  With these lines
-inside `cli`, a fresh `import pgsurf.cli` kept 0.45 MB more resident
-memory (3.40 against 2.95 MB over numpy's, CPython 3.11 on x86-64 Linux).
+The writer is a module of its own, which `cli` imports on first use: a
+process that finds no compiled bytecode compiles each module from its
+source and keeps the compiler's memory, which grows with the module.  A
+fresh `import pgsurf.cli` kept 0.45 MB more resident memory with the
+renderer inside `cli` (CPython 3.11 on x86-64 Linux), and 29.8-30.0
+against 29.7-29.8 MB with the rest of the writer there too (`ru_maxrss`).
 
 The renderer pads its cells with 1.0 to a multiple of `_GRAIN`.  Its
-temporaries then come in a few sizes (`cli` renders at most 4096 cells
-at once), none under 1 KB, so none is one of the small blocks that numpy
+temporaries then come in a few sizes (at most `_CHUNK` cells at once),
+none under 1 KB, so none is one of the small blocks that numpy
 and glibc keep cached wherever they were carved: carved from the space a
 sweep block had just freed, such a block kept that space apart from the
 top of the heap, and a process that wrote many tables (`bench/run.py
@@ -33,28 +36,38 @@ than bitwise masks, the decade by counting bounds rather than by
 64 KB more of numpy's code resident where the first layout held 256 KB
 more.
 
-`face_text` prints a block of a mesh's face lines "f a b c d" with no
-Python formatting per face.  A vertex number below 10**7 (`cli` allows
-at most 4 * 10**6) is one 64-bit word, its digits and a space, from
-tables of 4-digit groups taken from `_GROUP_TEXT`; each vertex number
-of a block is rendered once, each line gathers its corners' words, and
-one `bytes.translate` drops the NULs.  `numbered` prints the mesh
-sidecar's vertex numbers from the same words.  The tables are built at import,
+`face_lines` prints a mesh's face lines "f a b c d" with no Python
+formatting per face.  A vertex number below 10**7 (`cli` allows at most
+4 * 10**6) is one 64-bit word, its digits and a space, from tables of
+4-digit groups taken from `_GROUP_TEXT`; each vertex number of a chunk
+is rendered once, each line gathers its corners' words, and one
+`bytes.translate` drops the NULs.  `numbered` prints the mesh sidecar's
+vertex numbers from the same words.  The tables are built at import,
 with the renderer's tables: built on the first face instead, they were
 long-lived blocks carved from the middle of a long-lived process's heap,
 and `bench/run.py --workload export` read a `peak_rss_mb` of 64.6 MB
-against 61.3 MB with `%d` fields (medians of six seeds).  `cli` hands it
-4096 cells at a time: blocks of 2**15 cells read 61.7 MB there, and a
-fresh 2 x 200 000 `mesh` run peaked at 42.1 MB against 41.6 MB.
+against 61.3 MB with `%d` fields (medians of six seeds).  It prints
+`_CHUNK` cells at a time: blocks of 2**15 cells read 61.7 MB there, and
+a fresh 2 x 200 000 `mesh` run peaked at 42.1 MB against 41.6 MB.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Iterator, Optional
 
 import numpy as np
 
-__all__ = ["face_text", "numbered", "rendered"]
+from .factorable import row_spans
+
+__all__ = ["face_lines", "lines", "numbered", "rendered"]
+
+# the formatter of single floats (axis values, and the floats outside the
+# renderer's fixed notation): equal to format(x, ".17g")
+_format = "%.17g".__mod__
+
+# the cells rendered, the points of a row printed and the faces written
+# at once: a bound on the temporaries and the strings held
+_CHUNK = 4096
 
 _DECADES = np.array([float(f"1e{e}") for e in range(-4, 17)])
 _TENS = np.array([float(10 ** k) for k in range(21)])
@@ -124,13 +137,12 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, p.astype(np.int64) + np.rint(error).astype(np.int64)
 
 
-def rendered(values: np.ndarray, m: int, fallback: Callable[[float], str]) -> str:
+def rendered(values: np.ndarray, m: int) -> str:
     """`format(x, ".17g")` of each float of the 1-d `values`, the strings
     joined by "," and, after every m-th, by a newline.
 
     A float that does not print in fixed notation (zero, subnormal, NaN,
-    infinite, or with an exponent) is printed by `fallback`, which must
-    give `format(x, ".17g")` too."""
+    infinite, or with an exponent) is printed by `_format`."""
     count = values.size
     padded = np.ones(count + -count % _GRAIN)
     padded[:count] = values
@@ -154,7 +166,7 @@ def rendered(values: np.ndarray, m: int, fallback: Callable[[float], str]) -> st
     cells = text.view(np.uint8)
     slow = np.flatnonzero(~fixed)
     if slow.size:
-        strings = "".join([fallback(x).ljust(40, "\0") for x in values[slow].tolist()])
+        strings = "".join([_format(x).ljust(40, "\0") for x in values[slow].tolist()])
         cells[slow] = np.frombuffer(strings.encode(), np.uint8).reshape(-1, 40)
     cells[:, 39] = ord(",")
     cells[m - 1::m, 39] = ord("\n")
@@ -215,25 +227,136 @@ def numbered(numbers: np.ndarray, m: int) -> str:
 _F = np.frombuffer(b"f" + b"\0" * 6 + b" ", np.int64)[0]
 
 
-def face_text(kept: np.ndarray, first: int, n2: int) -> str:
-    """The OBJ face lines of a block of mesh cells on a grid of rows of n2
-    vertices: "f a a+n2 a+n2+1 a+1", a the 1-based number of the cell's
-    first corner, for each cell that `kept` keeps, in C order.  `first`
-    is a of the block's first cell; a vertex number is below 10**7.
+def face_lines(faces: np.ndarray) -> Iterator[str]:
+    """The OBJ face lines "f a a+n2 a+n2+1 a+1" of the mesh cells that
+    `faces` keeps, in C order, a < 10**7 being the 1-based number of the
+    cell's first corner on a grid of rows of n2 vertices: one string per
+    `_CHUNK` cells, whole rows of cells or spans of a longer row.  A line
+    is five words, the "f" word and its corners', the last one's space a
+    newline; the arithmetic is int64, as in `rendered`."""
+    n2 = faces.shape[1] + 1
+    for rows, cols in row_spans(*faces.shape, _CHUNK):
+        kept = faces[rows, cols]
+        first = rows.start * n2 + cols.start + 1
+        words = _vertex_words(first + np.arange(kept.shape[0] + 1)[:, None] * n2
+                              + np.arange(kept.shape[1] + 1))
+        text = np.empty((*kept.shape, 5), np.int64)
+        text[..., 0] = _F
+        text[..., 1] = words[:-1, :-1]
+        text[..., 2] = words[1:, :-1]
+        text[..., 3] = words[1:, 1:]
+        np.add(words[:-1, 1:], _after("\n"), out=text[..., 4])
+        if not kept.all():
+            text = text[kept]
+        yield text.tobytes().translate(None, b"\0").decode()
 
-    Each vertex number of the block's corners becomes one word, once.  A
-    line is five words, the "f" word and its four corners', the last
-    one's space a newline; the kept lines are chosen by a boolean index
-    and one `bytes.translate` drops the NULs.  The arithmetic is int64,
-    as in `rendered`."""
-    rows, cols = kept.shape
-    words = _vertex_words(first + np.arange(rows + 1)[:, None] * n2 + np.arange(cols + 1))
-    text = np.empty((rows, cols, 5), np.int64)
-    text[..., 0] = _F
-    text[..., 1] = words[:-1, :-1]
-    text[..., 2] = words[1:, :-1]
-    text[..., 3] = words[1:, 1:]
-    np.add(words[:-1, 1:], _after("\n"), out=text[..., 4])
-    if not kept.all():
-        text = text[kept]
-    return text.tobytes().translate(None, b"\0").decode()
+
+def _printed(column: np.ndarray) -> Iterator[list[str]]:
+    """The strings of a float or vertex-number column's cells, one list per
+    row, rendered `_CHUNK` cells at a time: whole rows, or spans of a
+    longer row, joined into their row."""
+    text = numbered if column.dtype.kind == "i" else rendered
+    m = column.shape[1]
+    spans = []
+    for rows, cols in row_spans(len(column), m, _CHUNK):
+        spans.append(text(column[rows, cols].ravel(), m))
+        if cols.stop >= m:  # the chunk ends its rows
+            yield from (line.split(",") for line in ",".join(spans).split("\n"))
+            spans = []
+
+
+def _column(column: np.ndarray) -> tuple[Optional[list[str]], Optional[Iterator[list[str]]]]:
+    """The strings of a column of a sweep block: once per position, or
+    once per cell, one list per grid row; the other is None.
+
+    A float column of more than one row whose bits are the same in every
+    row gives the strings of its first row, each formatted once: they are
+    written into the line pieces of their positions.  (A block of one row,
+    a span of a long grid row, would gain nothing from its line pieces.)
+    Any other column gives its cells' strings.  One whose bits are
+    constant along axis 1 is formatted once per row.  One whose cells
+    repeat their bits, fewer distinct patterns than half its cells,
+    renders each pattern once (`_printed`; an FD route's K, H and W, a
+    closed H).  Any other float column renders every cell, and an integer
+    column (the sidecar's vertex numbers) prints every number from numpy.
+    The renderer's strings are those of `_format`, and equal bits print
+    equal strings, so the text is that of formatting every cell.  -0.0 and
+    0.0, or NaNs with different payloads, are different bits."""
+    if column.dtype.kind == "i":
+        return None, _printed(column)
+    bits = column.view(np.int64)
+    if len(column) > 1 and (bits == bits[:1]).all():
+        return list(map(_format, column[0].tolist())), None
+    if (bits == bits[:, :1]).all():
+        m = column.shape[1]
+        return None, ([s] * m for s in map(_format, column[:, 0].tolist()))
+    # the exact count of distinct patterns, from the bits in order: past
+    # half the cells, indexing the patterns' strings costs more than
+    # rendering every cell
+    order = np.argsort(bits, axis=None)
+    ordered = bits.ravel()[order]
+    new = ordered[1:] != ordered[:-1]
+    if 2 * (1 + np.count_nonzero(new)) < column.size:
+        # each cell's pattern number, in the column's shape
+        index = np.empty(column.size, np.intp)
+        index[order] = np.concatenate(([0], np.cumsum(new)))
+        patterns = ordered[np.concatenate(([True], new))].view(np.float64)
+        # one str array, not a str object per pattern: less peak memory
+        strings = np.array(next(_printed(patterns[None])))
+        return None, (strings[row].tolist() for row in index.reshape(column.shape))
+    return None, _printed(column)
+
+
+def lines(columns: list, inc: str, exc: str, excluded: np.ndarray) -> Iterator[str]:
+    """One string of lines per row of a block of a sweep.
+
+    `inc` and `exc` are `str.format` templates of an included and of an
+    excluded point's line, with a `{}` per column, `exc` per leading
+    column.  Once per block, each position's lines are formatted with the
+    strings of the columns formatted once per position and cut at the
+    other columns' fields into pieces.  One list holds every position's
+    included pieces with a slot between them for each cell; each row
+    fills the slots with its cells' strings, a cell column at a time, and
+    is the list joined.  At the excluded points of a row, the excluded
+    line's pieces stand in for the included ones, and the pieces and cells
+    after them are empty until the row is joined.  A row longer than
+    `_CHUNK` points is printed in spans of `_CHUNK`, so no row's strings
+    are held whole."""
+    m = excluded.shape[1]
+    if m > _CHUNK:
+        for span in row_spans(len(excluded), m, _CHUNK):
+            yield from lines([column[span] for column in columns], inc, exc, excluded[span])
+        return
+    positions, rows = zip(*map(_column, columns))
+    strings = [column for column in positions if column is not None]
+    # a cell's field becomes a NUL, which no line holds, to cut the lines at
+    spots = ["\0" if column is None else "{}" for column in positions]
+
+    def pieces(template: str) -> list[list[str]]:
+        template = template.format(*spots)
+        if not strings:
+            # one list for every position: no pieces held per position
+            return [template.split("\0")] * m
+        # `str.format` skips the strings of columns past `exc`'s last
+        return [line.split("\0") for line in map(template.format, *strings)]
+
+    cells = [column for column in rows if column is not None]
+    width = 2 * len(cells) + 1
+    incs, excs = pieces(inc), pieces(exc)
+    # where an excluded line ends in its point's span of `parts`
+    end = 2 * len(excs[0]) - 1
+    blank = [""] * (width - end)
+    parts = [""] * (width * m)
+    for k, piece in enumerate(zip(*incs)):
+        parts[2 * k::width] = piece
+    slots = [slice(1 + 2 * k, None, width) for k in range(len(cells))]
+    for masked, mask, *values in zip(excluded.any(axis=1).tolist(), excluded, *cells):
+        for slot, value in zip(slots, values):
+            parts[slot] = value
+        points = np.flatnonzero(mask).tolist() if masked else ()
+        for j in points:
+            parts[j * width:j * width + end:2] = excs[j]
+            parts[j * width + end:(j + 1) * width] = blank
+        yield "".join(parts)
+        for j in points:
+            parts[j * width:(j + 1) * width:2] = incs[j]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgsurf import cli, factorable
+from pgsurf import cli, factorable, render
 from pgsurf import families as fam
 from pgsurf import reconstruct as rec
 from pgsurf.cli import MAX_GRID_POINTS, _grid, main
@@ -793,6 +793,37 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+# A child process that imports the CLI and runs `main` on a command of
+# each kind, checking after each whether `pgsurf.render` is imported.
+_LAZY_RENDER_CHILD = """
+import os, sys
+import pgsurf.cli
+from pgsurf.cli import main
+
+assert "pgsurf.render" not in sys.modules, "import pgsurf.cli"
+null = ["--set", "output.json=" + os.devnull]
+for argv in (["verify", "--set", "family.name=thm42", "--set", "family.h0=0.5",
+              "--set", "grid.n1=9", "--set", "grid.n2=9", "--set", "motions=3"],
+             ["reconstruct", "--set", "theorem=3.1"],
+             ["probe", "--set", "budget=200", "--set", "restarts=2"]):
+    assert main(argv + null) == 0, argv
+    assert "pgsurf.render" not in sys.modules, argv
+assert main(["curvature", "--set", "family.name=thm31", "--set", "family.k0=1",
+             "--set", "grid.n1=3", "--set", "grid.n2=3", "--set", "output.csv=" + os.devnull]) == 0
+assert "pgsurf.render" in sys.modules, "curvature"
+"""
+
+
+def test_render_is_imported_by_the_table_commands_alone():
+    """In a fresh interpreter, `import pgsurf.cli` and `verify`,
+    `reconstruct` and `probe` runs leave the table writer `render`
+    unimported, so a process that finds no bytecode does not compile it;
+    a `curvature` run imports it."""
+    child = subprocess.run([sys.executable, "-c", _LAZY_RENDER_CHILD], env=_child_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+
+
 # A child process that runs `main` on its arguments and prints its own
 # peak resident set size in bytes.  On Linux that is VmHWM, the high-water
 # mark of its own address space: its ru_maxrss also holds the resident set
@@ -829,7 +860,7 @@ class TestPeakMemoryOfLargeSweeps:
     grid at once reached 229 MiB (analytic and `specialized`) and 305 MiB
     (FD).  The long rows peak at 48.7 MiB (`curvature`) and 42.0 MiB
     (`mesh`), as the sweep is cut into spans of at most `_BLOCK_POINTS`
-    points and its text into spans of `cli._CHUNK`; text in spans of
+    points and its text into spans of `render._CHUNK`; text in spans of
     `_BLOCK_POINTS` peaked at 65.3 and 50.4 MiB, a sweep block of one
     whole row at 88 MiB, and text built one grid row at a time at 362 and
     216 MiB.  The outputs go to the null device, so the run's time is not
@@ -1177,26 +1208,24 @@ class TestAtomicWrites:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["w.json", "out.csv", "out.json", "out.obj", "out.sidecar"])
 
-    @pytest.mark.parametrize("command,key,writer", [
-        ("curvature", "csv", "_csv_lines"),
-        ("mesh", "obj", "_vertex_lines"),
-        ("mesh", "obj", "_face_lines"),
-        ("mesh", "sidecar", "_sidecar_lines"),
-    ])
-    def test_failure_mid_write_keeps_old_file(self, tmp_path, monkeypatch, command, key, writer):
-        import pgsurf.cli as cli
-
+    @pytest.mark.parametrize("command,key,module,writer", [
+        pytest.param(command, key, module, writer, id=f"{command}-{key}-{writer}")
+        for command, key, module, writer in [
+            ("curvature", "csv", cli, "_csv_lines"), ("mesh", "obj", cli, "_vertex_lines"),
+            ("mesh", "obj", render, "face_lines"), ("mesh", "sidecar", cli, "_sidecar_lines")]])
+    def test_failure_mid_write_keeps_old_file(self, tmp_path, monkeypatch, command, key, module,
+                                              writer):
         target = tmp_path / f"out.{key}"
         target.write_text("previous\n")
         cfg = self._cfg(tmp_path, {key: str(target)})
-        original = getattr(cli, writer)
+        original = getattr(module, writer)
 
         def failing(*args):
             rows = original(*args)
             yield next(rows)
             raise RuntimeError("disk gone")
 
-        monkeypatch.setattr(cli, writer, failing)
+        monkeypatch.setattr(module, writer, failing)
         with pytest.raises(RuntimeError, match="disk gone"):
             main([command, "--config", cfg])
         assert target.read_text() == "previous\n"
@@ -1251,13 +1280,38 @@ class TestAtomicWrites:
         _one_line_config_error(capsys, [command, "--config", cfg])
         assert not (tmp_path / "no").exists()
 
-    def test_output_to_a_device_is_written_in_place(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["curvature", "mesh"])
+    def test_output_to_a_device_is_written_in_place(self, tmp_path, monkeypatch, command):
+        """Every output of a command may be the null device: it is written
+        in place, not replaced, and serves them all."""
         def refuse(src, dst):
             raise AssertionError(f"would replace {dst}")
 
         monkeypatch.setattr(os, "replace", refuse)
-        cfg = self._cfg(tmp_path, {"csv": os.devnull, "json": os.devnull})
-        assert main(["curvature", "--config", cfg]) == 0
+        cfg = self._cfg(tmp_path, {key: os.devnull for key in OUTPUTS[command]})
+        assert main([command, "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("command", ["curvature", "mesh"])
+    @pytest.mark.parametrize("second", ["same", "symlink"])
+    def test_two_outputs_on_one_file_exit_2(self, tmp_path, capsys, command, second):
+        """Two outputs naming one file, by one path not yet there or through
+        a symlink to an existing file, where one would silently replace the
+        other, are a config error before either is opened: nothing is
+        written and the existing file keeps its bytes."""
+        target = tmp_path / "o.txt"
+        paths = [target, target]
+        if second == "symlink":
+            target.write_text("previous\n")
+            paths[1] = tmp_path / "link.txt"
+            paths[1].symlink_to(target)
+        names = set(tmp_path.iterdir())
+        cfg = self._cfg(tmp_path, {key: str(path) for key, path in zip(OUTPUTS[command], paths)})
+        first, other = OUTPUTS[command]
+        err = _one_line_config_error(capsys, [command, "--config", cfg])
+        assert f"output.{first} and output.{other} name one file" in err
+        assert set(tmp_path.iterdir()) == names | {tmp_path / "w.json"}
+        if second == "symlink":
+            assert target.read_text() == "previous\n"
 
     @pytest.mark.parametrize("command,first", [
         ("curvature", cli.CSV_HEADER + "\n"), ("mesh", "# pg-surf mesh 400x400\n")],

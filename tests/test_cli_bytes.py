@@ -12,11 +12,13 @@ renderer's chunks cut to 4 points or to two rows, and two grids above
 floating-point results for the family evaluators; they were recorded with
 numpy 2.4 on x86-64.
 
-The serializers format a float column once per axis value where its bits
-allow, and print every other float column through `%s` fields from one
-numpy renderer, once per distinct bit pattern where its cells repeat
-fewer patterns than half their number and once per cell otherwise, one
-`%` per grid row with no excluded point.  The renderer computes the exact
+The table writer, `render`, formats a float column once per position or
+per row where its bits allow, and takes every other float column's
+strings from one numpy renderer, once per distinct bit pattern where its
+cells repeat fewer patterns than half their number and once per cell
+otherwise.  Each row is its positions' line pieces, cut once per sweep
+block, joined with its cells' strings; at an excluded point the excluded
+line's pieces stand in for the included ones.  The renderer computes the exact
 17 digits of each float that `format(x, ".17g")` prints in fixed notation
 (its decade from exact bounds, the scaled value as an exact two-double
 product, ties rounded half to even on an even integer) and hands the
@@ -325,7 +327,7 @@ def test_output_digests_in_row_blocks(tmp_path, monkeypatch, rows, chunk, case, 
     width = 3 if rows is None else rows * n2
     monkeypatch.setattr(factorable, "_BLOCK_POINTS", width)
     if chunk is not None:
-        monkeypatch.setattr(cli, "_CHUNK", 2 * n2 + 1 if chunk == "two rows" else chunk)
+        monkeypatch.setattr(render, "_CHUNK", 2 * n2 + 1 if chunk == "two rows" else chunk)
     assert _digests(tmp_path, case, route, command) == DIGESTS[case, route, command]
 
 
@@ -640,8 +642,9 @@ def sweeps(draw):
     A free column draws its cells from independent floats or from a pool
     of 1 to 4 floats that may hold both zeros, NaN payloads, both
     infinities and a subnormal, so its bit patterns repeat.  Each grid
-    row excludes no point, every point or a drawn subset, so both the
-    one-`%` row and the line-by-line row are drawn."""
+    row excludes no point, every point or a drawn subset, so rows of
+    included line pieces alone, of excluded ones alone and of both are
+    drawn."""
     n1, n2 = draw(st.integers(2, 6)), draw(st.integers(2, 7))
     columns = {}
     for key in FLOAT_COLUMNS:
@@ -688,13 +691,13 @@ def test_column_rule_matches_per_cell_format(data):
                               for line in cli._sidecar_lines(block, first))
             n1, n2 = ex.shape
             assert cli.CSV_HEADER + "\n" + csv == _reference_csv(data)
-            assert (f"# pg-surf mesh {n1}x{n2}\n" + obj + "".join(cli._face_lines(faces))
+            assert (f"# pg-surf mesh {n1}x{n2}\n" + obj + "".join(render.face_lines(faces))
                     == _reference_obj(data, faces))
             assert "vertex,u1,u2,K,H,excluded\n" + sidecar == _reference_sidecar(data)
 
 
 # ---------------------------------------------------------------------------
-# the row assembly: `_lines` against every cell formatted by itself
+# the row assembly: `render.lines` against every cell formatted by itself
 # ---------------------------------------------------------------------------
 
 def _line_columns(n1, n2):
@@ -744,14 +747,14 @@ def _line_masks(n1=5, n2=7):
 @pytest.mark.parametrize("excluded", _line_masks())
 @pytest.mark.parametrize("blocks", ["whole", "rows", "spans"])
 def test_lines_match_per_cell_format(monkeypatch, excluded, blocks):
-    """`_lines` prints what formatting every cell by itself prints, for each
+    """`render.lines` prints what formatting every cell by itself prints, for each
     column rule and exclusion mask: in one block, in blocks of one row, and
-    in spans of 3 points (`cli._CHUNK` cut to 3)."""
+    in spans of 3 points (`render._CHUNK` cut to 3)."""
     columns = _line_columns(*excluded.shape)
     if blocks == "spans":
-        monkeypatch.setattr(cli, "_CHUNK", 3)
+        monkeypatch.setattr(render, "_CHUNK", 3)
     cuts = [slice(None)] if blocks == "whole" else [slice(i, i + 1) for i in range(len(excluded))]
-    text = "".join(line for cut in cuts for line in cli._lines(
+    text = "".join(line for cut in cuts for line in render.lines(
         [column[cut] for column in columns], LINE_INC, LINE_EXC, excluded[cut]))
     assert text == _reference_lines(columns, excluded)
 
@@ -767,7 +770,7 @@ def _faces_kept(excluded):
 
 def _written_faces(faces):
     """The face lines as `mesh` writes them, each with its newline."""
-    return "".join(cli._face_lines(faces)).splitlines(keepends=True)
+    return "".join(render.face_lines(faces)).splitlines(keepends=True)
 
 
 def _reference_faces(faces):
@@ -795,21 +798,21 @@ def _face_cases():
 @pytest.mark.parametrize("faces", list(_face_cases()))
 @pytest.mark.parametrize("width", ["default", "two_rows", 3])
 def test_face_lines_match_reference(monkeypatch, faces, width):
-    """The face lines, written `cli._CHUNK` cells at a time, in chunks of
+    """The face lines, written `render._CHUNK` cells at a time, in chunks of
     the default size, of two rows of cells and of 3 cells (spans of a
     row), are those of the per-face reference."""
     if width != "default":
-        monkeypatch.setattr(cli, "_CHUNK", 2 * faces.shape[1] if width == "two_rows" else width)
+        monkeypatch.setattr(render, "_CHUNK", 2 * faces.shape[1] if width == "two_rows" else width)
     assert _written_faces(faces) == _reference_faces(faces)
 
 
 def test_face_lines_of_a_row_longer_than_a_block():
     """A grid of two rows one cell longer than a sweep block: its one row
-    of cells is written in spans of `cli._CHUNK` cells, and the cells
+    of cells is written in spans of `render._CHUNK` cells, and the cells
     dropped at a span's end and at the block's end are left out."""
     n2 = factorable._BLOCK_POINTS + 2
     faces = np.ones((1, n2 - 1), dtype=bool)
-    faces[0, [cli._CHUNK - 1, factorable._BLOCK_POINTS - 1]] = False
+    faces[0, [render._CHUNK - 1, factorable._BLOCK_POINTS - 1]] = False
     assert _written_faces(faces) == _reference_faces(faces)
 
 
@@ -853,8 +856,9 @@ RENDERED = st.one_of(
 )
 # block shapes across row ends, `_CHUNK` ends and the renderer's padding:
 # many rows to a chunk, a row to a chunk, rows cut into spans
-SHAPES = [(1, 1), (3, 7), (30, 150), (cli._CHUNK + 1, 1), (2, cli._CHUNK - 1), (2, cli._CHUNK),
-          (2, cli._CHUNK + 1), (1, 2 * cli._CHUNK + 1), (1, render._GRAIN), (1, render._GRAIN + 1)]
+SHAPES = [(1, 1), (3, 7), (30, 150), (render._CHUNK + 1, 1), (2, render._CHUNK - 1),
+          (2, render._CHUNK), (2, render._CHUNK + 1), (1, 2 * render._CHUNK + 1),
+          (1, render._GRAIN), (1, render._GRAIN + 1)]
 
 
 def _fixed(x):
@@ -869,7 +873,7 @@ def _bits(values):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(RENDERED, min_size=1, max_size=40), st.sampled_from(SHAPES))
 @example([1 + 2 ** -17], (1, 1))
-@example([1 + 2 ** -17, -(1 + 2 ** -17), 0.5 + 2 ** -18], (2, cli._CHUNK + 1))
+@example([1 + 2 ** -17, -(1 + 2 ** -17), 0.5 + 2 ** -18], (2, render._CHUNK + 1))
 @example(EDGES, (3, 7))
 @example([0.0, -0.0, *NANS, np.inf, -np.inf, 5e-324], (30, 150))
 def test_renderer_matches_format(values, shape):
@@ -879,8 +883,9 @@ def test_renderer_matches_format(values, shape):
     column = np.resize(np.array(values, dtype=float), shape)
     calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_format", lambda x, original=cli._format: calls.append(x) or original(x))
-        rows = list(cli._printed(column))
+        patch.setattr(render, "_format",
+                      lambda x, original=render._format: calls.append(x) or original(x))
+        rows = list(render._printed(column))
     assert rows == [[format(x, ".17g") for x in row] for row in column.tolist()]
     assert _bits(calls) == _bits([x for x in column.ravel().tolist() if not _fixed(x)])
 
@@ -931,13 +936,13 @@ class TestColumnRuleFormatsOncePerAxisValue:
     @staticmethod
     def _counting(monkeypatch):
         calls = []
-        original = cli._format
+        original = render._format
 
         def counted(value):
             calls.append(value)
             return original(value)
 
-        monkeypatch.setattr(cli, "_format", counted)
+        monkeypatch.setattr(render, "_format", counted)
         return calls
 
     def test_run_count(self, tmp_path, monkeypatch):
@@ -956,7 +961,7 @@ class TestColumnRuleFormatsOncePerAxisValue:
             calls.clear()
             # a column the same in every row is formatted into its strings
             # and has no cells; one the same along each row has cells
-            positions, rows = cli._column(data[key])
+            positions, rows = render._column(data[key])
             for _ in rows or ():
                 pass
             assert (positions is None) != (rows is None), key
@@ -1037,7 +1042,7 @@ class TestPerCellColumnsAreNotFormattedOneByOne:
         cfg = {"family": self.THM42, "grid": {"n1": 150, "n2": 150}}
         _, (data,) = cli._sweep(cli._read(cfg, cli.SCHEMA["curvature"]))
         calls = TestColumnRuleFormatsOncePerAxisValue._counting(monkeypatch)
-        positions, rows = cli._column(data[key])
+        positions, rows = render._column(data[key])
         assert positions is None
         assert list(rows) == [[format(x, ".17g") for x in row] for row in data[key].tolist()]
         assert len(calls) <= 0.01 * data[key].size
