@@ -22,6 +22,10 @@ line templates are chosen here.  A file output is written to a temporary
 sibling and moved into place only when complete, so a failed run never
 leaves a truncated file, and a `mesh` run that fails keeps both; two
 outputs of one command may not name one file.
+`verify`'s motions and `probe`'s random starts are seeded SplitMix64
+draws (`surface.uniform_draws`): a `seed` in 0..2**64 - 1 gives the
+same motions and starts on every numpy and Python version, and no
+command loads `numpy.random`.
 
 A grid point with no finite K or H (lightlike, inadmissible, overflowing,
 or where a family's radicand is not positive) is excluded, never raised;
@@ -70,10 +74,12 @@ from .factorable import (
 )
 from .surface import (
     FD_STEP,
+    SEED_MAX,
     curvature_arrays,
     gaussian_curvature,  # noqa: F401  (bench/tracing.py wraps it here)
     mean_curvature,  # noqa: F401  (bench/tracing.py wraps it here)
     transform_jet,
+    uniform_draws,
 )
 
 __all__ = ["main", "entry"]
@@ -302,12 +308,12 @@ SCHEMA = {
                               "cross_check": Row(_real, 1e-8, True),
                               "motion": Row(_real, 1e-8, True)},
                "motions": Row(_integer, 10, (1, MAX_MOTIONS)),
-               "seed": Row(_integer, 0, (0, None)), "output": OUTPUT["verify"]},
+               "seed": Row(_integer, 0, (0, SEED_MAX)), "output": OUTPUT["verify"]},
     "reconstruct": {"theorem": Row(_choice, ..., THEOREMS),
                     "tolerances": {"ode": Row(_real, 1e-6, True)},
                     "output": OUTPUT["reconstruct"]},
     "probe": {"k0": Row(_real, 1.0), "budget": Row(_integer, 10_000, (1, None)),
-              "restarts": Row(_integer, 6, (1, None)), "seed": Row(_integer, 0, (0, None)),
+              "restarts": Row(_integer, 6, (1, None)), "seed": Row(_integer, 0, (0, SEED_MAX)),
               "degree_f": Row(_integer, 2, (0, None)), "degree_g": Row(_integer, 2, (0, None)),
               "exponential": Row(_flag, True), "floor": Row(_real), "grid": GRID,
               "output": OUTPUT["probe"]},
@@ -525,7 +531,7 @@ def run_verify(cfg: dict) -> int:
     else:
         suites["cross_check"] = {"passed": False, "error": str(rejected)}
 
-    motions = np.random.default_rng(v["seed"]).uniform(-1.0, 1.0, size=(v["motions"], 6))
+    motions = uniform_draws(v["seed"], 6 * v["motions"], -1.0, 1.0).reshape(-1, 6)
     a1, a2 = grid.axes()
     u1, u2 = a1[:: max(1, grid.n1 // 6), None], a2[None, :: max(1, grid.n2 // 6)]
     comp = jet_component_arrays(surface, u1, u2)

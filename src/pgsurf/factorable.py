@@ -52,8 +52,14 @@ __all__ = [
 KIND_FIRST = "first"
 KIND_SECOND = "second"
 
-# Denominator deadband for the specialized formulas (scale-aware).
+# Denominator deadband of the first kind's closed formulas (scale-aware).
 _DENOM_TOL = 1e-12
+# The second kind's D = qa - qb is zero within gamma_3 * (qa + qb), the
+# rounding bound of its three operations, u = 2**-53 the unit roundoff.
+_GAMMA3 = 3 * 2.0**-53 / (1 - 3 * 2.0**-53)
+# ... and below 2**-511, where D**2 underflows: K and H would divide by a
+# subnormal or zero D**2 or |D|**1.5, a NaN or infinite value not undefined.
+_TINY_D = 2.0**-511
 # Numerator deadband for the documented flat-limit convention (second kind).
 _FLAT_TOL = 1e-12
 # `default_grid`'s clearance from a domain end, a share of the axis's width.
@@ -149,19 +155,26 @@ def _denominator(kind: str, parts, shape: tuple):
     and the squares qa = (f g')^2, qb = (f' g)^2 (qb only for the second
     kind), over the profile values `parts` of the broadcast `shape`.
 
-    D = 1 - qa (first kind) or qa - qb (second kind); it counts as zero
-    below a deadband scaled by the larger of 1 and its terms.
+    D = 1 - qa (first kind) or qa - qb (second kind).  The first kind's D
+    counts as zero below a deadband scaled by the larger of 1 and qa.  The
+    second kind's counts as zero only within the rounding bound of its
+    terms, |D| <= gamma_3 * (qa + qb), or where D**2 underflows, |D| <=
+    2**-511: its K and H obey a scaling law (D -> a^2 b^2 D under (f, g)
+    -> (a f, b g)), and scaling by powers of two leaves this test as it
+    is while D stays above that floor.
     """
     fv, f1, _, gv, g1, _ = parts
     qa = _square(fv * g1, shape)
     if kind == KIND_FIRST:
         qb = None
         den, scale = 1.0 - qa, np.maximum(1.0, qa)
+        bound = np.multiply(_DENOM_TOL, scale, out=spare(scale, shape))
     else:
         qb = _square(f1 * gv, shape)
-        den, scale = qa - qb, np.maximum(qa, qb)
-        scale = np.maximum(1.0, scale, out=spare(scale, shape))
-    den_zero = np.abs(den) <= np.multiply(_DENOM_TOL, scale, out=spare(scale, shape))
+        den, bound = qa - qb, qa + qb
+        bound = np.multiply(_GAMMA3, bound, out=spare(bound, shape))
+        bound = np.maximum(bound, _TINY_D, out=spare(bound, shape))
+    den_zero = np.abs(den) <= bound
     vanishes = den_zero.any()
     safe = np.where(den_zero, 1.0, den) if vanishes else den
     return den, safe, den_zero, vanishes, qa, qb

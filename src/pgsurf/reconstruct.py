@@ -40,6 +40,7 @@ from .errors import BlowUp, BranchViolation, DomainError, InvalidParams
 from .factorable import KIND_SECOND, GridSpec, closed_K
 from .families import (Causal, _branch_sign, _require_finite, log_profile, sqrt_profile,
                        thm31_family, thm32_family)
+from .surface import uniform_draws
 
 __all__ = [
     "integrate",
@@ -552,7 +553,8 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
     The result is a bounded-search property, not a proof: a large best
     residual for k0 != 0 only says the search found no near-counterexample
     within its scope.  The restarts (a generic start, the flat seed when
-    the space has rates, then seeded uniform draws) share the budget
+    the space has rates, then `n_params` draws each of
+    `surface.uniform_draws` on [-1.5, 1.5], row-major) share the budget
     equally and are searched together by `_pattern_search`, which keeps
     their points, steps and sweep positions as arrays and evaluates one
     cycle of 2 * n_params candidates of every running restart in one
@@ -560,10 +562,10 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
     restarts one after another.  The best residual wins, the earlier
     restart on a tie.  The outcome depends only on the arguments.
 
-    `k0` must be finite, `restarts` may not exceed MAX_RESTARTS, and
-    1 <= restarts <= budget must hold (InvalidParams), so every restart
-    gets at least one evaluation and the evaluations never exceed the
-    budget.
+    `k0` must be finite, `seed` an integer in 0..2**64 - 1, `restarts`
+    may not exceed MAX_RESTARTS, and 1 <= restarts <= budget must hold
+    (InvalidParams), so every restart gets at least one evaluation and the
+    evaluations never exceed the budget.
     """
     if not math.isfinite(k0):
         raise InvalidParams(f"k0 must be finite, got {k0!r}")
@@ -572,12 +574,13 @@ def nonexistence_probe(k0: float, space: FamilySpace = FamilySpace(),
     if not 1 <= restarts <= budget:
         raise InvalidParams(f"restarts ({restarts}) must lie between 1 and budget ({budget})")
 
-    rng = np.random.default_rng(seed)
     starts = [_generic_start(space)]
     if space.exponential:
         starts.append(_flat_seed(space))
-    while len(starts) < restarts:
-        starts.append(rng.uniform(-1.5, 1.5, size=space.n_params))
+    # the draws validate `seed` even where no restart is drawn
+    drawn = max(0, restarts - len(starts))
+    draws = uniform_draws(seed, drawn * space.n_params, -1.5, 1.5)
+    starts.extend(draws.reshape(drawn, space.n_params))
     best, theta, evals = _pattern_search(_probe_objective(space, k0, grid), starts[:restarts],
                                          budget // restarts)
     # argmin takes the first of equal residuals: the earlier restart

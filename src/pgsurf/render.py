@@ -17,10 +17,9 @@ dispatches.  Every other float goes to `_format`.
 
 The writer is a module of its own, which `cli` imports on first use: a
 process that finds no compiled bytecode compiles each module from its
-source and keeps the compiler's memory, which grows with the module.  A
-fresh `import pgsurf.cli` kept 0.45 MB more resident memory with the
-renderer inside `cli` (CPython 3.11 on x86-64 Linux), and 29.8-30.0
-against 29.7-29.8 MB with the rest of the writer there too (`ru_maxrss`).
+source and keeps the compiler's memory, which grows with the module, so
+the commands that print no table do not pay for it (`3548a32`,
+`5ecbc4a`; CHANGES.md has the figures).
 
 The renderer pads its cells with 1.0 to a multiple of `_GRAIN`.  Its
 temporaries then come in a few sizes (at most `_CHUNK` cells at once),
@@ -32,9 +31,8 @@ top of the heap, and a process that wrote many tables (`bench/run.py
 can, numpy loops that a sweep runs anyway (float64 and int64 arithmetic
 and comparisons, `where`, `take`): int64 subtraction and addition rather
 than bitwise masks, the decade by counting bounds rather than by
-`searchsorted`, int64 counts of trailing zeros.  That process then held
-64 KB more of numpy's code resident where the first layout held 256 KB
-more.
+`searchsorted`, int64 counts of trailing zeros, so such a process keeps
+less of numpy's code resident (`3548a32`).
 
 `face_lines` prints a mesh's face lines "f a b c d" with no Python
 formatting per face.  A vertex number below 10**7 (`cli` allows at most
@@ -45,10 +43,9 @@ is rendered once, each line gathers its corners' words, and one
 vertex numbers from the same words.  The tables are built at import,
 with the renderer's tables: built on the first face instead, they were
 long-lived blocks carved from the middle of a long-lived process's heap,
-and `bench/run.py --workload export` read a `peak_rss_mb` of 64.6 MB
-against 61.3 MB with `%d` fields (medians of six seeds).  It prints
-`_CHUNK` cells at a time: blocks of 2**15 cells read 61.7 MB there, and
-a fresh 2 x 200 000 `mesh` run peaked at 42.1 MB against 41.6 MB.
+and a process that wrote many meshes peaked higher.  It prints `_CHUNK`
+cells at a time, which peaked lower than blocks of 2**15 cells
+(`14dbf54`).
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ it works on those arrays and returns masks for lightlike and inadmissible
 points, eps and W by `sign_and_norm` as in the closed sweep.  Its one-point
 views `gaussian_curvature` and `mean_curvature` raise there instead.
 `transform_jet` moves jet component arrays by an (m, 6) array of motions
-of the six-parameter group, one motion per row, in one broadcast.  The
+of the six-parameter group, one motion per row, in one broadcast;
+`uniform_draws` gives seeded motions (and the probe's random starts)
+from SplitMix64, in exact uint64 arithmetic.  The
 transverse plane x = 0 carries the Minkowskian scalar product with
 signature (+, -) on (y, z) that `curvature_arrays` evaluates inline.
 """
@@ -32,17 +34,20 @@ __all__ = [
     "gaussian_curvature",
     "mean_curvature",
     "transform_jet",
+    "uniform_draws",
     "require_unmasked",
     "fd_components",
     "curvature_arrays",
     "W_TOL",
     "ADMISSIBLE_TOL",
     "FD_STEP",
+    "SEED_MAX",
 ]
 
 W_TOL = 1e-10          # W below this counts as lightlike; curvature calls fail loudly
 ADMISSIBLE_TOL = 1e-12  # |x_,i| threshold for admissibility
 FD_STEP = 1e-4          # default finite-difference step scale
+SEED_MAX = 2**64 - 1    # largest seed of `uniform_draws`: its state is 64 bits
 
 _SLOTS = ("1", "2", "11", "12", "22")
 _COMPONENT_KEYS = tuple(f"{axis}{slot}" for slot in _SLOTS for axis in "xyz")
@@ -145,6 +150,33 @@ def transform_jet(motions: np.ndarray, comp: dict) -> dict:
         out[f"y{s}"] = _read_only(a3 * x + ch * y + sh * z, shape)
         out[f"z{s}"] = _read_only(a5 * x + sh * y + ch * z, shape)
     return out
+
+
+def uniform_draws(seed: int, count: int, low: float, high: float) -> np.ndarray:
+    """`count` uniform draws on [low, high] from the SplitMix64 generator
+    (G. L. Steele, D. Lea and C. H. Flood, "Fast splittable pseudorandom
+    number generators", OOPSLA 2014) seeded with `seed`: a float array of
+    shape (count,), each draw from the top 53 bits of one output.
+
+    The k-th output (k = 1..count) mixes the state seed + k * 0x9E3779B97F4A7C15
+    mod 2**64.  Integer operations on uint64 arrays wrap silently and do
+    not depend on the CPU, nor on the numpy or Python version, so neither
+    do the draws; the first n of `count` draws are the draws of n.
+    `seed` must be an integer in 0..SEED_MAX (InvalidParams): a larger
+    one would alias a smaller.
+    """
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (integer and 0 <= seed <= SEED_MAX):
+        raise InvalidParams(f"seed must be an integer in 0..{SEED_MAX}, got {seed!r}")
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return low + (high - low) * ((z >> np.uint64(11)) * 2.0**-53)
 
 
 def fd_components(value: Callable, u1, u2, step: float = FD_STEP) -> dict:

@@ -405,17 +405,17 @@ VERIFY_CASES = {
 VERIFY_DIGESTS = {
     'branch': (3, None,
         '92c23c51101af0af607213d87d5a7bae0cc44c5ffdcc403149a3671b75c3bdcd'),
-    'motion_conditioning': (1, 'bb9828f7448b91960988a30be730baefaa4b4f2911ca062b7973d2ee82ea2779',
+    'motion_conditioning': (1, '3bb7074b296503901771bc618296833b36813a23c0945129506be2e0f79e5f6a',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'overflow': (1, 'c7af08295a50e59aec1fe05b5f5b141db2d7027da67e44e90d46b1c017eb1da6',
+    'overflow': (1, '61a3c1150d83f0a3f6983fdf460c6fed75ba8ba8036845951ba70c0b8f910650',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'thm31': (0, 'd5b04d3ce954ad580c27dec34368a282e110fdbf1dd0937237e7abe10d69333b',
+    'thm31': (0, '61b69efa7bfc28f649a9709e8bf65940f2eab914adb024177889fc9c9ad0d88f',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'thm32': (0, 'f89d64c772963340920086970ff691e4723a83f20e9dee9e4b55f868f06cbdf6',
+    'thm32': (0, 'b47536146cf99a98da3cca68e4874796629fc178f71f377629a2ad32c60b6f57',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'thm42': (0, '7e87efcb125b6057ecf629520c71c868d0f04d4a757bd1e126c6554cb6392501',
+    'thm42': (0, '37b514ea4f6a042d2b102165a58f4bedef21d98aec5fd07cc47551fea4ce7c08',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'thm42_blocks': (0, '14127a3b734f6d5150d0834354a3c0c3bc1298a538a773d63293d75616d9e50f',
+    'thm42_blocks': (0, '1a2c3bc880f379b752125ee96eed29c757d19d9a32fae205c58f92c7fab3492a',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
 

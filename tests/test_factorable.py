@@ -1,15 +1,18 @@
+import json
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgsurf import factorable
 from pgsurf.errors import GridRejected, InvalidParams, PGSurfError
+from pgsurf.cli import main
 from pgsurf.factorable import (
+    KIND_SECOND,
     FactorableSurface,
     GridSpec,
     ScalarC2,
@@ -137,6 +140,7 @@ class TestKSecond:
 
     @settings(max_examples=30, deadline=None)
     @given(small, small)
+    @example(3.9e-114, 0.0)  # D = -1.4e-226, whose square underflows
     def test_role_symmetry(self, y, z):
         a = FactorableSurface("second", QUAD, CUBIC_LOCAL)
         b = FactorableSurface("second", CUBIC_LOCAL, QUAD)
@@ -146,6 +150,14 @@ class TestKSecond:
         if abs(ka) > 1e6:
             return  # near-singular denominators are numerically meaningless
         assert kb == pytest.approx(ka, rel=1e-8, abs=1e-9)
+
+    def test_underflowing_denominator_takes_the_flat_limit(self):
+        # f = y^2, g = z^3 + 1.5 at y = 3.9e-114, z = 0: D = -(2 y g)^2 is
+        # nonzero but D**2 and |D|**1.5 underflow; the numerators vanish,
+        # so K = H = 0, not 0/0
+        s = FactorableSurface("second", QUAD, CUBIC_LOCAL)
+        assert closed(closed_K, s, 3.9e-114, 0.0) == (0.0, False)
+        assert closed(closed_H, s, 3.9e-114, 0.0) == (0.0, False)
 
 
 CUBIC_LOCAL = ScalarC2(lambda t: (t**3 + 1.5, 3.0 * t**2, 6.0 * t))
@@ -326,6 +338,97 @@ class TestFlatLimitPerQuantity:
         assert data["K"][1, 1] == 0.0
         assert np.isnan(data["H"][1, 1])
         assert pipeline_grid(s, self.ORIGIN)["excluded"][1, 1]  # lightlike there
+
+
+# thm42 timelike, whose second-kind D has terms (f g')^2, (f' g)^2 far
+# below 1 on part of its default grid: a deadband of 1 called D zero there
+# and printed K = H = 0 on `specialized` at 78 of the 40^2 points
+SMALL_TERMS = {"h0": -0.152, "lam1": 0.285, "lam2": 1.313, "lam3": -1.917, "causal": "timelike"}
+# two thm42 timelike `sample_params` draws whose default `verify` failed
+# its constancy suite on the same deadband
+SMALL_TERM_DRAWS = [
+    {"h0": 0.13801627419481918, "lam1": -0.4629300875340512, "lam2": -1.992976912978024,
+     "lam3": 0.8663780370448197},
+    {"h0": -0.16353864207454946, "lam1": 0.8042965473728501, "lam2": 1.7142553051251683,
+     "lam3": 1.620446669846468},
+]
+# a thm42 spacelike draw (`sample_params` on default_rng(43)), on the
+# radicand's other component w in [-4, -1.05], where g = exp(phi) is tiny
+OTHER_COMPONENT = {"h0": -0.12233497773754257, "lam1": -1.9198816525031326,
+                   "lam2": 1.3568503300441201, "lam3": 0.34857219035223386, "causal": "spacelike"}
+
+# the unit roundoff, and nonzero profile values and scales far from over- and underflow
+_U = 2.0**-53
+_VALUE = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3) | st.just(0.0)
+_POWER_OF_TWO = st.builds(lambda sign, k: sign * 2.0**k, st.sampled_from([1.0, -1.0]),
+                          st.integers(-40, 40))
+
+
+class TestScaleFreeSecondKindDenominator:
+    """The second kind's D = (f g')^2 - (f' g)^2 counts as zero only within
+    its rounding bound gamma_3 * (qa + qb), so small terms are not a zero D."""
+
+    def test_small_terms_print_their_curvature(self, tmp_path):
+        out = tmp_path / "k.csv"
+        assert main(["curvature", *(a for k, v in SMALL_TERMS.items()
+                                    for a in ("--set", f"family.{k}={v}")),
+                     "--set", "family.name=thm42", "--set", "formulas=specialized",
+                     "--set", "grid.n1=40", "--set", "grid.n2=40",
+                     "--set", f"output.csv={out}"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 1600 and all(row[9] == "0" for row in rows)
+        K, H = (np.array([float(row[i]) for row in rows]) for i in (5, 6))
+        assert np.all(K != 0.0)
+        assert np.max(np.abs(np.abs(H) - 0.152)) < 1e-13
+
+    @pytest.mark.parametrize("params", [SMALL_TERMS] + SMALL_TERM_DRAWS)
+    def test_default_verify_passes_its_constancy_suite(self, tmp_path, params):
+        out = tmp_path / "v.json"
+        main(["verify", "--set", "family.name=thm42",
+              *(a for k, v in params.items() for a in ("--set", f"family.{k}={v}")),
+              "--set", f"output.json={out}"])
+        constancy = json.loads(out.read_text())["suites"]["constancy"]
+        assert constancy["passed"] is True
+        assert constancy["max_deviation"] < 1e-13
+
+    def test_other_radicand_component(self):
+        h0, lam = OTHER_COMPONENT["h0"], OTHER_COMPONENT["lam3"]
+        u2 = sorted((w - lam) / (2.0 * h0) for w in (-4.0, -1.05))
+        data = specialized_grid(family_surface("thm42", OTHER_COMPONENT),
+                                GridSpec((-1.0, 1.0), tuple(u2), 40, 40))
+        assert not np.any(data["excluded"])
+        assert np.max(np.abs(np.abs(data["H"]) - abs(h0))) / abs(h0) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts=st.lists(st.tuples(*[_VALUE] * 6), min_size=1, max_size=8),
+           a=_POWER_OF_TWO, b=_POWER_OF_TWO)
+    def test_scaling_law(self, parts, a, b):
+        """Under (f, g) -> (a f, b g), a and b powers of two: D -> a^2 b^2 D,
+        every operation of the zero test and of K scales exactly (a nonzero
+        D here stays far above the test's 2**-511 floor), so the zero-D
+        masks are equal and K -> K / (ab)^2 bit for bit.  H -> sign(ab) H
+        within 4 ulp: |D|**1.5 goes through `pow`, whose result may be off
+        by an ulp at D and at a^2 b^2 D, and the quotient rounds once."""
+        parts = [np.array(column) for column in zip(*parts)]
+        scaled = [a * v for v in parts[:3]] + [b * v for v in parts[3:]]
+        shape = parts[0].shape
+        zero = factorable._denominator(KIND_SECOND, parts, shape)[2]
+        assert np.array_equal(factorable._denominator(KIND_SECOND, scaled, shape)[2], zero)
+        # where D vanishes the flat-limit floor decides, which is not scale-free
+        kept = ~zero
+        K, K_scaled = closed_K(KIND_SECOND, *parts)[0], closed_K(KIND_SECOND, *scaled)[0]
+        assert K_scaled[kept].tobytes() == (K[kept] / (a * b) ** 2).tobytes()
+        H, H_scaled = closed_H(KIND_SECOND, *parts)[0], closed_H(KIND_SECOND, *scaled)[0]
+        want = math.copysign(1.0, a * b) * H[kept]
+        assert np.all(np.abs(H_scaled[kept] - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_zero_test_is_the_rounding_bound(self):
+        # f = c, g' = 1 and f' = c r, g = 1: qa = c^2 and qb = c^2 fl(r^2),
+        # with gamma_3 * (qa + qb) about 6u c^2 whatever the power of two c
+        for c in (1.0, 2.0**-40, 2.0**40):
+            for r, zero in ((1.0 - _U, True), (1.0 - 4 * _U, False)):  # |D| = 2u c^2, 8u c^2
+                parts = [np.array([v]) for v in (c, c * r, 0.0, 1.0, 1.0, 0.0)]
+                assert bool(factorable._denominator(KIND_SECOND, parts, (1,))[2][0]) is zero
 
 
 # profile coefficients that put the lightlike loci, the flat points and

@@ -15,9 +15,11 @@ from pgsurf.surface import (
     mean_curvature,
     require_unmasked,
     transform_jet,
+    uniform_draws,
 )
 
 from one_point import jet, moved, point_data
+from splitmix import splitmix64, uniforms
 
 SLOTS = ("1", "2", "11", "12", "22")
 
@@ -281,6 +283,43 @@ class TestTransformJet:
         comp = {f"{a}{s}": np.ones(3) for s in SLOTS for a in "xyz"}
         with pytest.raises(InvalidParams, match=r"\(m, 6\)"):
             transform_jet(np.zeros(shape), comp)
+
+
+class TestUniformDraws:
+    def test_reference_loop_gives_the_published_outputs(self):
+        # the outputs of SplitMix64 seeded with 1234567, as published with
+        # the generator's reference implementation
+        assert splitmix64(1234567, 3) == [6457827717110365317, 3203168211198807973,
+                                          9817491932198370423]
+        assert uniform_draws(1234567, 3, 0.0, 1.0).tolist() == [
+            (z >> 11) * 2.0**-53 for z in (6457827717110365317, 3203168211198807973,
+                                           9817491932198370423)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 1234567, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("low,high", [(-1.0, 1.0), (-1.5, 1.5), (0.0, 1.0)])
+    def test_equals_the_reference_loop(self, seed, low, high):
+        got = uniform_draws(seed, 600, low, high)
+        assert got.dtype == np.float64 and got.shape == (600,)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in uniforms(seed, 600, low, high)]
+        assert np.all((low <= got) & (got <= high))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_the_first_draws_of_more_are_the_draws_of_fewer(self, seed):
+        many = uniform_draws(seed, 1000, -1.0, 1.0)
+        for n in (0, 1, 6, 257, 999):
+            assert uniform_draws(seed, n, -1.0, 1.0).shape == (n,)
+            assert uniform_draws(seed, n, -1.0, 1.0).tobytes() == many[:n].tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.0, "0", True, None])
+    def test_seed_outside_64_bits_is_invalid(self, seed):
+        with pytest.raises(InvalidParams, match=r"seed must be an integer in 0\.\.18446744073709551615"):
+            uniform_draws(seed, 3, -1.0, 1.0)
+
+    def test_numpy_integer_seeds(self):
+        assert (uniform_draws(np.uint64(2**64 - 1), 5, -1.0, 1.0).tobytes()
+                == uniform_draws(2**64 - 1, 5, -1.0, 1.0).tobytes())
+        with pytest.raises(InvalidParams):
+            uniform_draws(np.int64(-1), 5, -1.0, 1.0)
 
 
 def _mixed(z1, z2, x1=1.0, x2=0.0):
