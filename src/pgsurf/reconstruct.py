@@ -195,21 +195,26 @@ def _seed(closed_form, t0: float) -> float:
     return float(_column(closed_form, t0 + 0.0)[0])
 
 
-def _compare(trajectory, closed_form, step: float, meta: dict) -> Reconstruction:
-    """Compare the last state component of the (ts, ys) `integrate`
-    returned, with `step` the step it took, against `closed_form(ts)`,
-    absolutely and relative to the closed value.  A closed column of one
-    value (a saturated profile) raises InvalidParams: a trajectory that
-    stays at its seed would match it, so the comparison checks nothing."""
+def _compare(trajectory, closed_form, step: float, meta: dict, log=False) -> Reconstruction:
+    """The one comparison of every reconstruction: the last state
+    component of the (ts, ys) `integrate` returned, with `step` the step
+    it took, against `closed_form(ts)`, absolutely and relative to the
+    closed value.  A closed column of one value (a saturated profile)
+    raises InvalidParams: a trajectory resting at its seed would match
+    it, so the comparison checks nothing.  With `log` both are logs of
+    the profile (4.2's L = log g), so no error overflows: the relative
+    error is |expm1(L - L_closed)|, and `numeric` and `closed` hold the
+    profile, inf past the float range."""
     ts, ys = trajectory
-    closed = _column(closed_form, ts)
+    numeric, closed = ys[:, -1], _column(closed_form, ts)
     if (closed == closed[0]).all():
         raise InvalidParams(f"the closed form is {closed[0]:.17g} over the whole corridor, "
                             "so the comparison checks nothing there")
-    err = np.abs(ys[:, -1] - closed)
-    rel = err / np.maximum(1e-300, np.abs(closed))
-    return Reconstruction(ts, ys[:, -1], closed, float(err.max()), float(rel.max()), step,
-                          meta=meta)
+    with np.errstate(over="ignore"):
+        profile = (np.exp(numeric), np.exp(closed)) if log else (numeric, closed)
+    err = np.abs(numeric - closed)
+    rel = np.abs(np.expm1(numeric - closed)) if log else err / np.maximum(1e-300, np.abs(closed))
+    return Reconstruction(ts, *profile, float(err.max()), float(rel.max()), step, meta=meta)
 
 
 def _corridor(w0: float, w1: float, w_text: str) -> None:
@@ -301,12 +306,7 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
     phi = (lam1/(2 h0)) sqrt((2 h0 z + lam2)^2 - 1), the exponent of the
     exponential family's g = exp(phi) (`families.log_profile`); the
     integration starts from phi and v = phi' at z0.  The corridor must
-    keep |2 h0 z + lam2| > 1.
-
-    The comparison is made in log space, so no error overflows where g
-    exceeds the float range: `max_error` is the largest |L - L_closed| and
-    `max_rel_error` the largest relative error of g, |expm1(L - L_closed)|.
-    `numeric` and `closed` hold g itself, inf where it exceeds the range.
+    keep |2 h0 z + lam2| > 1.  `_compare` compares L with phi, log=True.
     """
     phi = log_profile(h0, lam1, lam2, -1)
     _require_finite(lam1=lam1, lam2=lam2)
@@ -331,15 +331,9 @@ def reconstruct_thm42(h0: float, lam1: float = 1.0, lam2: float = 0.0,
             raise BranchViolation("integration crossed (g'/g)^2 = lam1^2")
         return rate * gap ** 1.5 / lam1_sq
 
-    ts, ys = integrate(slope, z0, [v0, L0], z0 + length, h)
-    L, L_closed = ys[:, 1], _column(phi, ts)
-    with np.errstate(over="ignore"):
-        numeric, closed = np.exp(L), np.exp(L_closed)
-    err = np.abs(L - L_closed)
-    rel = np.abs(np.expm1(L - L_closed))
-    return Reconstruction(ts, numeric, closed, float(err.max()), float(rel.max()), step,
-                          meta={"theorem": "4.2", "h0": h0, "lam1": lam1, "lam2": lam2,
-                                "branch_sign": s})
+    return _compare(integrate(slope, z0, [v0, L0], z0 + length, h), phi, step,
+                    {"theorem": "4.2", "h0": h0, "lam1": lam1, "lam2": lam2, "branch_sign": s},
+                    log=True)
 
 
 # ---------------------------------------------------------------------------

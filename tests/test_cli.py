@@ -285,6 +285,19 @@ class TestVerify:
         report = json.loads((tmp_path / "vp.json.out").read_text())
         assert "constancy" in report["failed"]
 
+    @pytest.mark.parametrize("scale,passed,mean", [(-1.0, True, 0.5), (1.01, False, 0.518),
+                                                   (-1.01, False, 0.518)])
+    def test_which_exponent_scales_break_constancy(self, tmp_path, scale, passed, mean):
+        # g^-1 is the g of another thm42 surface (h0 -> -h0, lam3 -> -lam3),
+        # so scale -1 keeps |H| = 0.5; 1.01 and -1.01 break it
+        out = tmp_path / "v.json"
+        assert main(["verify", "--set", "family.name=thm42", "--set", "family.h0=0.5",
+                     "--set", f"perturb.exponent_scale={scale!r}",
+                     "--set", f"output.json={out}"]) == (0 if passed else 1)
+        constancy = json.loads(out.read_text())["suites"]["constancy"]
+        assert constancy["passed"] is passed
+        assert constancy["mean"] == pytest.approx(mean, abs=5e-4)
+
     def test_perturbation_of_a_non_positive_g_is_a_config_error(self, capsys):
         # thm31's g = y + lam2 is negative on half the default grid
         _one_line_config_error(capsys, ["verify", "--set", "family.name=thm31", "--set", "family.k0=1",

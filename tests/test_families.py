@@ -304,6 +304,23 @@ class TestPerturbation:
         values = [abs(h_closed(s, y, z)) for y in (0.0, 0.4) for z in (-0.8, 0.0, 0.9)]
         assert np.max(np.abs(np.array(values) - 0.5)) > 1e-3
 
+    @pytest.mark.parametrize("causal", ["timelike", "spacelike"])
+    @pytest.mark.parametrize("h0,lam1,lam2,lam3", [
+        (0.5, 1.0, 1.0, 0.0), (-1.3, 1.0, -2.0, 0.6), (-1.3, -0.7, -2.0, 0.0),
+        (1.0, -0.7, 0.4, -1.1),
+    ])
+    def test_inverse_exponent_is_another_thm42_surface(self, h0, lam1, lam2, lam3, causal):
+        # g^-1 = exp(-(lam2/(2 h0)) sqrt(w^2 + b)) is the g of h0 -> -h0 and
+        # lam3 -> -lam3 (w -> -w): scale -1 keeps |H| = |h0| constant, so
+        # it does not break constancy
+        s = perturb_exponent(thm42_family(h0, lam1, lam2, lam3, causal), -1.0)
+        twin = thm42_family(-h0, lam1, lam2, -lam3, causal)
+        grid = default_grid(s, 20, 20)
+        ours, theirs = specialized_grid(s, grid), specialized_grid(twin, grid)
+        assert not ours["excluded"].any() and not theirs["excluded"].any()
+        np.testing.assert_allclose(ours["H"], theirs["H"], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(ours["H"]), abs(h0), rtol=0.0, atol=1e-12)
+
     def test_requires_positive_g(self):
         s = perturb_exponent(thm31_family(1.0, lam2=-5.0), 1.01)
         with pytest.raises(InvalidParams, match="requires g > 0"):

@@ -412,6 +412,20 @@ class TestThm42Reconstruction:
         assert main(["reconstruct", *(arg for pair in sets for arg in ("--set", pair))]) == 2
         assert capsys.readouterr().err == f"pg-surf: config error: {message}\n"
 
+    def test_flat_closed_column_is_rejected(self, capsys):
+        # phi = (lam1/(2 h0)) sqrt(w^2 - 1) is about 8.66e10 with a slope
+        # of about 1e-5 at h0 = 1e-16: its 801 nodes round to one value, so
+        # the comparison, in log space as 3.1's in value space, would pass
+        # while checking nothing (exit 2)
+        message = ("the closed form is 86602540378.443909 over the whole corridor, "
+                   "so the comparison checks nothing there")
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            reconstruct_thm42(1e-16, lam1=1e-5, lam2=2.0)
+        sets = ["theorem=4.2", "h0=1e-16", "lam1=1e-5", "lam2=2"]
+        capsys.readouterr()
+        assert main(["reconstruct", *(arg for pair in sets for arg in ("--set", pair))]) == 2
+        assert capsys.readouterr().err == f"pg-surf: config error: {message}\n"
+
     def test_profile_beyond_the_float_range_compares_in_log_space(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
