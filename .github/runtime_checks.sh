@@ -202,6 +202,10 @@ expect_exit 2 pg-surf reconstruct --set theorem=3.1 --set lam1=40
 # and so is 4.2's log g at h0 = 1e-16: one value over its 801 nodes, and nothing written
 expect_exit 2 pg-surf reconstruct --set theorem=4.2 --set h0=1e-16 --set lam1=1e-5 --set lam2=2 --set output.json=flat42.json
 test ! -e flat42.json
+# at k0 = 1e-30 3.1's closed form moves by 2e-15, less than the ode tolerance:
+# a trajectory resting at its seed would pass, so it exits 2 and writes nothing
+expect_exit 2 pg-surf reconstruct --set theorem=3.1 --set k0=1e-30 --set output.json=flat31.json
+test ! -e flat31.json
 # a malformed corridor exits 2 before the radicand check can exit 4
 expect_exit 2 pg-surf reconstruct --set theorem=4.2 --set length=-0.5
 expect_exit 2 pg-surf reconstruct --set theorem=3.2 --set causal=timelike --set length=-0.5

@@ -32,9 +32,10 @@ or where a family's radicand is not positive) is excluded, never raised;
 a grid command with nothing to report ends as `GridRejected`.
 
 Exit codes: 0 success, 1 verification/tolerance failure, 2 configuration
-error (including an output that cannot be written, or two outputs that
-name one file), 3 a grid command with nothing to report, 4 ODE branch
-violation or a `reconstruct` corridor outside its radicand.
+error (including an output that cannot be written, two outputs that
+name one file, or a `reconstruct` corridor whose closed form moves by
+less than its tolerance), 3 a grid command with nothing to report, 4
+ODE branch violation or a `reconstruct` corridor outside its radicand.
 """
 
 from __future__ import annotations
@@ -382,8 +383,8 @@ def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
     `formulas` route, one sweep per block of `row_spans`: the closed
     formulas on `specialized`, the general pipeline on the others.  Each
     block also holds its positions x, y, z, from `value_arrays` on the
-    block's axes, for the outputs that print them (NaN where a profile
-    is)."""
+    block's axes broadcast over the block, for the outputs that print
+    them (NaN where a profile is)."""
     surface = _surface(v["family"])
     grid = _grid(v["grid"], default_grid(surface))
     route = v["formulas"]
@@ -396,7 +397,8 @@ def _sweep(v: dict) -> tuple[GridSpec, Iterator[dict]]:
         else:
             data = pipeline_grid(surface, grid, block=block)
         with np.errstate(all="ignore"):
-            x, y, z = surface.value_arrays(data["U1"][:, :1], data["U2"][:1])
+            xyz = surface.value_arrays(data["U1"][:, :1], data["U2"][:1])
+        x, y, z = (np.broadcast_to(v, data["U1"].shape) for v in xyz)
         return {**data, "x": x, "y": y, "z": z}
 
     return grid, map(sweep, row_spans(grid.n1, grid.n2))
@@ -568,9 +570,13 @@ def run_reconstruct(cfg: dict) -> int:
     v = _read(cfg, SCHEMA["reconstruct"])
     theorem, tol = v["theorem"], v["tolerances"]["ode"]
     result = _RECONSTRUCT[theorem](**{key: v[key] for key in THEOREMS[theorem]})
-    # the 4.2 profile g = exp(...) is compared relative, the others absolute
-    error = result.max_rel_error if theorem == "4.2" else result.max_error
-    passed = error < tol
+    # a closed form that moves by less than the tolerance would pass a
+    # trajectory resting at its seed: the comparison checks nothing there
+    if result.resting_error < tol:
+        raise ConfigError(f"a trajectory resting at its seed would be within "
+                          f"{result.resting_error:.3g} of the closed form, below "
+                          f"tolerances.ode = {tol:g}, so the comparison checks nothing")
+    passed = result.error < tol
     report = {
         "theorem": theorem,
         "h": result.h,

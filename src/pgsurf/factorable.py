@@ -124,12 +124,13 @@ class FactorableSurface:
 
     def value_arrays(self, u1, u2):
         """Position components (x, y, z) for array parameters, placed by
-        `_place`; the two parameter components are read-only views of u1
-        and u2 broadcast to the shape of the product."""
-        u1 = np.asarray(u1, dtype=float)
-        u2 = np.asarray(u2, dtype=float)
-        prod = self.f(u1) * self.g(u2)
-        return _place(self.kind, *(np.broadcast_to(u, prod.shape) for u in (u1, u2)), prod)
+        `_place`: the two parameter components are read-only views of u1
+        and u2 in their own shapes, the product f(u1)*g(u2) takes their
+        broadcast shape.  A u1 column and a u2 row keep their axes, so
+        `fd_components` differences each coordinate on its own axis."""
+        u1, u2 = (np.asarray(u, dtype=float).view() for u in (u1, u2))
+        u1.flags.writeable = u2.flags.writeable = False
+        return _place(self.kind, u1, u2, self.f(u1) * self.g(u2))
 
 
 def _place(kind: str, a, b, prod) -> tuple:
@@ -356,8 +357,10 @@ def jet_component_arrays(s: FactorableSurface, U1, U2,
                          mode: str = "analytic", fd_step: float = FD_STEP) -> dict:
     """Component arrays x1..z22 over broadcast-compatible parameter arrays,
     analytic or FD.  The analytic components that are 0 or 1 everywhere
-    are 0-d arrays; the others take the broadcast shape of U1 and U2.  A
-    profile value that overflows ends as a non-finite component, silently."""
+    are 0-d arrays; the FD partials of a parameter coordinate along its
+    own axis keep its shape (U1's or U2's); the others take the broadcast
+    shape of U1 and U2.  A profile value that overflows ends as a
+    non-finite component, silently."""
     U1 = np.asarray(U1, dtype=float)
     U2 = np.asarray(U2, dtype=float)
     if mode == "analytic":

@@ -149,13 +149,17 @@ def integrate(slope: Callable[[float], float], t0: float, y0, t1: float, h: floa
 @dataclass(frozen=True)
 class Reconstruction:
     """RK4 samples next to the closed form, with the max gap; `h` is the
-    step the integration took."""
+    step the integration took.  `error` is the max gap in the measure a
+    tolerance judges (`max_rel_error` in log space, else `max_error`), and
+    `resting_error` is that of a trajectory resting at its seed."""
 
     ts: np.ndarray
     numeric: np.ndarray
     closed: np.ndarray
     max_error: float
     max_rel_error: float
+    error: float
+    resting_error: float
     h: float
     meta: dict = field(default_factory=dict)
 
@@ -203,8 +207,9 @@ def _compare(trajectory, closed_form, step: float, meta: dict, log=False) -> Rec
     raises InvalidParams: a trajectory resting at its seed would match
     it, so the comparison checks nothing.  With `log` both are logs of
     the profile (4.2's L = log g), so no error overflows: the relative
-    error is |expm1(L - L_closed)|, and `numeric` and `closed` hold the
-    profile, inf past the float range."""
+    error is |expm1(L - L_closed)|, the measure a tolerance judges, and
+    `numeric` and `closed` hold the profile, inf past the float range.
+    Without `log` a tolerance judges the absolute error."""
     ts, ys = trajectory
     numeric, closed = ys[:, -1], _column(closed_form, ts)
     if (closed == closed[0]).all():
@@ -213,8 +218,14 @@ def _compare(trajectory, closed_form, step: float, meta: dict, log=False) -> Rec
     with np.errstate(over="ignore"):
         profile = (np.exp(numeric), np.exp(closed)) if log else (numeric, closed)
     err = np.abs(numeric - closed)
-    rel = np.abs(np.expm1(numeric - closed)) if log else err / np.maximum(1e-300, np.abs(closed))
-    return Reconstruction(ts, *profile, float(err.max()), float(rel.max()), step, meta=meta)
+    if log:
+        rel = np.abs(np.expm1(numeric - closed))
+        judged, resting = rel, np.abs(np.expm1(closed[0] - closed))
+    else:
+        rel = err / np.maximum(1e-300, np.abs(closed))
+        judged, resting = err, np.abs(closed[0] - closed)
+    return Reconstruction(ts, *profile, float(err.max()), float(rel.max()),
+                          float(judged.max()), float(resting.max()), step, meta=meta)
 
 
 def _corridor(w0: float, w1: float, w_text: str) -> None:

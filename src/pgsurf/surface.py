@@ -185,6 +185,8 @@ def fd_components(value: Callable, u1, u2, step: float = FD_STEP) -> dict:
 
     Steps scale with the coordinate: h_i = step * max(1, |u_i|).  Second
     partials use the compact three-point / four-point cross stencils.
+    The stencils broadcast, so a component `value` returns in a smaller
+    shape (a parameter coordinate on its own axis) is differenced there.
     """
     h1 = step * np.maximum(1.0, np.abs(u1))
     h2 = step * np.maximum(1.0, np.abs(u2))
@@ -198,13 +200,15 @@ def fd_components(value: Callable, u1, u2, step: float = FD_STEP) -> dict:
     mp = value(u1 - h1, u2 + h2)
     mm = value(u1 - h1, u2 - h2)
 
+    # each stencil's divisor, formed once for the three axes
+    d1, d2, d11, d22, d12 = 2.0 * h1, 2.0 * h2, h1 ** 2, h2 ** 2, 4.0 * h1 * h2
     out = {}
     for i, axis in enumerate("xyz"):
-        out[f"{axis}1"] = (p0[i] - m0[i]) / (2.0 * h1)
-        out[f"{axis}2"] = (zp[i] - zm[i]) / (2.0 * h2)
-        out[f"{axis}11"] = (p0[i] - 2.0 * c[i] + m0[i]) / h1 ** 2
-        out[f"{axis}22"] = (zp[i] - 2.0 * c[i] + zm[i]) / h2 ** 2
-        out[f"{axis}12"] = (pp[i] - pm[i] - mp[i] + mm[i]) / (4.0 * h1 * h2)
+        out[f"{axis}1"] = (p0[i] - m0[i]) / d1
+        out[f"{axis}2"] = (zp[i] - zm[i]) / d2
+        out[f"{axis}11"] = (p0[i] - 2.0 * c[i] + m0[i]) / d11
+        out[f"{axis}22"] = (zp[i] - 2.0 * c[i] + zm[i]) / d22
+        out[f"{axis}12"] = (pp[i] - pm[i] - mp[i] + mm[i]) / d12
     return out
 
 

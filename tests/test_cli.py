@@ -893,15 +893,18 @@ class TestPeakMemoryOfLargeSweeps:
     commands sweep the grid in row blocks and write each block's lines as
     it is swept.  Across blocks `curvature` keeps the included K and H
     only for its JSON, in one buffer of the grid's size each: 61.7 /
-    61.6 / 57.6 MiB on 1000x1000 (analytic / FD / `specialized`) with the
+    63.2 / 57.6 MiB on 1000x1000 (analytic / FD / `specialized`) with the
     JSON (63.2 / 70.0 / 63.0 MiB printing through per-cell `%.17g` fields
     and concatenating the kept blocks, as when the bounds were set),
     40.2 MiB with the CSV alone, where keeping them for no reader peaked
     at 52.9 MiB.  `mesh` keeps only the grid's exclusion mask: 40.4 /
-    43.4 / 36.5 MiB, where keeping every block's printed columns until
+    41.4 / 36.5 MiB, where keeping every block's printed columns until
     the faces were chosen peaked at 59.8-62.4 MiB.  Sweeping the whole
     grid at once reached 229 MiB (analytic and `specialized`) and 305 MiB
-    (FD).  The long rows peak at 48.7 MiB (`curvature`) and 42.0 MiB
+    (FD).  The FD figures are those of its stencils differencing each
+    parameter coordinate on its own axis: with the coordinates broadcast
+    to the block first, a copy at a path of equal length read 64.9 and
+    42.3 MiB.  The long rows peak at 48.7 MiB (`curvature`) and 42.0 MiB
     (`mesh`), as the sweep is cut into spans of at most `_BLOCK_POINTS`
     points and its text into spans of `render._CHUNK`; text in spans of
     `_BLOCK_POINTS` peaked at 65.3 and 50.4 MiB, a sweep block of one

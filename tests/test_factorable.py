@@ -26,7 +26,8 @@ from pgsurf.factorable import (
     specialized_grid,
 )
 from pgsurf.families import family_surface, thm31_family, thm32_family
-from pgsurf.surface import curvature_arrays, gaussian_curvature, mean_curvature
+from pgsurf.surface import (FD_STEP, curvature_arrays, fd_components, gaussian_curvature,
+                            mean_curvature)
 
 from one_point import closed, closed_value, jet
 
@@ -537,6 +538,32 @@ class TestSeparableSweepsEqualTheMesh:
         for mode in ("analytic", "fd"):
             _bitwise(pipeline_grid(s, grid, mode=mode), _mesh_pipeline(s, grid, mode))
         _bitwise(specialized_grid(s, grid), _mesh_closed(s, grid))
+
+    # the first partials of the u1 and u2 coordinates: x, y on the first
+    # kind, y, z on the second
+    @pytest.mark.parametrize("name,params,partials", [
+        ("thm31", {"k0": 1.3, "lam1": 0.4, "lam2": -0.3, "sign": -1}, ("x1", "y2")),
+        ("thm42", {"h0": 0.9, "lam1": -0.7, "lam2": 0.8, "causal": "spacelike"}, ("y1", "z2")),
+    ])
+    def test_fd_differences_each_coordinate_on_its_axis(self, name, params, partials):
+        """The FD route differences the u1 coordinate along a 7x5 block's
+        column and the u2 coordinate along its row, and its sweep is, bit
+        for bit, that of the coordinates broadcast to the block."""
+        s = family_surface(name, params)
+        grid = default_grid(s, 7, 5)
+        a1, a2 = grid.axes()
+        u1, u2 = a1[:, None], a2[None, :]
+        comp = jet_component_arrays(s, u1, u2, mode="fd")
+        assert [comp[key].shape for key in partials] == [(7, 1), (1, 5)]
+
+        def broadcast_value(v1, v2):
+            xyz = s.value_arrays(v1, v2)
+            return tuple(np.broadcast_to(v, np.broadcast_shapes(*map(np.shape, xyz))) for v in xyz)
+
+        out = curvature_arrays(fd_components(broadcast_value, u1, u2, FD_STEP))
+        pipe = pipeline_grid(s, grid, mode="fd")
+        for key in ("K", "H", "eps", "W"):
+            assert pipe[key].tobytes() == out[key].tobytes(), key
 
     @staticmethod
     def _cross_check(pairs):

@@ -298,6 +298,23 @@ class TestThm31Reconstruction:
         assert main(["reconstruct", *(arg for pair in sets for arg in ("--set", pair))]) == 2
         assert capsys.readouterr().err == f"pg-surf: config error: {message}\n"
 
+    def test_closed_form_within_the_tolerance_is_rejected(self, tmp_path, capsys):
+        # at k0 = 1e-30 f moves by about 2e-15 over the corridor, far below
+        # the ode tolerance: a trajectory resting at its seed would pass, so
+        # the run checks nothing (exit 2, no report)
+        result = reconstruct_thm31(1e-30)
+        assert result.error == result.max_error < 1e-6
+        assert result.resting_error == float(np.max(np.abs(result.closed[0] - result.closed)))
+        assert 0.0 < result.resting_error < 1e-6
+        out = tmp_path / "flat31.json"
+        capsys.readouterr()
+        assert main(["reconstruct", "--set", "theorem=3.1", "--set", "k0=1e-30",
+                     "--set", f"output.json={out}"]) == 2
+        assert capsys.readouterr().err == (
+            "pg-surf: config error: a trajectory resting at its seed would be within 2e-15 "
+            "of the closed form, below tolerances.ode = 1e-06, so the comparison checks nothing\n")
+        assert not out.exists()
+
 
 class TestThm32Reconstruction:
     def test_spacelike_branch(self):
@@ -425,6 +442,23 @@ class TestThm42Reconstruction:
         capsys.readouterr()
         assert main(["reconstruct", *(arg for pair in sets for arg in ("--set", pair))]) == 2
         assert capsys.readouterr().err == f"pg-surf: config error: {message}\n"
+
+    def test_tolerance_above_the_log_column_spread_is_rejected(self, tmp_path, capsys):
+        # log g rises by about 1.07 over the corridor, and g by a share of
+        # |expm1(L0 - L)| < 1.07 of itself: a tolerance of 1.1 would pass a
+        # trajectory resting at its seed (exit 2, no report)
+        result = reconstruct_thm42(0.5)
+        assert result.error == result.max_rel_error
+        log_g = np.log(result.closed)
+        assert result.resting_error == pytest.approx(np.max(-np.expm1(log_g[0] - log_g)), rel=1e-12)
+        assert result.resting_error < float(np.ptp(log_g)) < 1.1
+        out = tmp_path / "flat42.json"
+        capsys.readouterr()
+        assert main(["reconstruct", "--set", "theorem=4.2", "--set", "h0=0.5",
+                     "--set", "tolerances.ode=1.1", "--set", f"output.json={out}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pg-surf: config error: a trajectory resting at its seed")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_profile_beyond_the_float_range_compares_in_log_space(self):
         with warnings.catch_warnings():
