@@ -28,6 +28,8 @@ python -c "import sys, pgsurf.cli; assert 'sympy' not in sys.modules"
 python -c "import sys, pgsurf.cli; assert 'pgsurf.render' not in sys.modules"
 # and no `verify` or `probe` run loads numpy.random: their draws are the package's SplitMix64
 python -W error -c "import os, sys; from pgsurf.cli import main; null = ['--set', 'output.json=' + os.devnull]; assert main(['verify', '--set', 'family.name=thm42', '--set', 'family.h0=0.5', '--set', 'grid.n1=9', '--set', 'grid.n2=9'] + null) == 0; assert main(['probe', '--set', 'budget=300'] + null) == 0; assert 'numpy.random' not in sys.modules"
+# nor does `sample_params`: a seed gives one set of kwargs, and thm42's rates keep |lam| >= 0.25
+python -W error -c "import sys, pgsurf; a = pgsurf.sample_params('thm42', 7, 'spacelike'); assert a == pgsurf.sample_params('thm42', 7, 'spacelike') and abs(a['lam1']) >= 0.25; assert 'numpy.random' not in sys.modules"
 pg-surf curvature --set family.name=thm31 --set family.k0=1 --set grid.n1=3 --set grid.n2=3
 pg-surf --help
 expect_exit 2 pg-surf

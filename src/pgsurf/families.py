@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .factorable import FactorableSurface, ScalarC2, KIND_FIRST, KIND_SECOND
+from .surface import uniform_draws
 
 __all__ = [
     "thm31_family",
@@ -207,43 +208,35 @@ def _exp_exp() -> FactorableSurface:
     return FactorableSurface(KIND_SECOND, exp1, exp1)
 
 
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+def _sign(u: float) -> int:
+    return 1 if u < 0.5 else -1
 
 
-def _signed_magnitude(rng: np.random.Generator, lo: float = 0.1, hi: float = 10.0) -> float:
-    return (1.0 if rng.random() < 0.5 else -1.0) * _log_uniform(rng, lo, hi)
-
-
-def _bounded_away(rng: np.random.Generator, bound: float = 2.0, floor: float = 0.25) -> float:
-    """Uniform on [-bound, bound] resampled until |value| >= floor."""
-    while True:
-        v = float(rng.uniform(-bound, bound))
-        if abs(v) >= floor:
-            return v
+def _log_scale(u: float, lo: float, hi: float) -> float:
+    return lo * math.exp(u * math.log(hi / lo))
 
 
 # a row of `FAMILIES`; a fixture has no field (`K` or `absH`) and no sampler
 Family = namedtuple("Family", "build field sample", defaults=(None, None))
 FAMILIES = {
-    "thm31": Family(thm31_family, "K", lambda rng, causal: {
-        "k0": _signed_magnitude(rng),
-        "lam1": float(rng.uniform(-2, 2)),
-        "lam2": float(rng.uniform(-2, 2)),
-        "sign": 1 if rng.random() < 0.5 else -1,
+    "thm31": Family(thm31_family, "K", lambda u, causal: {
+        "k0": _sign(u[0]) * _log_scale(u[1], 0.1, 10.0),
+        "lam1": 4.0 * u[2] - 2.0,
+        "lam2": 4.0 * u[3] - 2.0,
+        "sign": _sign(u[4]),
     }),
-    "thm32": Family(thm32_family, "absH", lambda rng, causal: {
-        "h0": _signed_magnitude(rng),
-        "lam1": float(rng.uniform(-2, 2)),
-        "lam2": float(rng.uniform(-2, 2)),
-        "f0": _signed_magnitude(rng, 0.5, 2.0),
+    "thm32": Family(thm32_family, "absH", lambda u, causal: {
+        "h0": _sign(u[0]) * _log_scale(u[1], 0.1, 10.0),
+        "lam1": 4.0 * u[2] - 2.0,
+        "lam2": 4.0 * u[3] - 2.0,
+        "f0": _sign(u[4]) * _log_scale(u[5], 0.5, 2.0),
         "causal": causal,
     }),
-    "thm42": Family(thm42_family, "absH", lambda rng, causal: {
-        "h0": _signed_magnitude(rng),
-        "lam1": _bounded_away(rng),
-        "lam2": _bounded_away(rng),
-        "lam3": float(rng.uniform(-2, 2)),
+    "thm42": Family(thm42_family, "absH", lambda u, causal: {
+        "h0": _sign(u[0]) * _log_scale(u[1], 0.1, 10.0),
+        "lam1": _sign(u[2]) * (0.25 + 1.75 * u[3]),
+        "lam2": _sign(u[4]) * (0.25 + 1.75 * u[5]),
+        "lam3": 4.0 * u[6] - 2.0,
         "causal": causal,
     }),
     "linear": Family(_linear),
@@ -278,12 +271,18 @@ def family_surface(name: str, params: dict | None = None) -> FactorableSurface:
     return FAMILIES[name].build(**(params or {}))
 
 
-def sample_params(family: str, rng: np.random.Generator, causal: Causal = "timelike") -> dict:
-    """Random constructor kwargs: log-uniform magnitudes in [0.1, 10] for
-    k0/h0, shifts in [-2, 2]; rate-like parameters stay away from zero."""
+def sample_params(family: str, seed: int, causal: Causal = "timelike") -> dict:
+    """Constructor kwargs of a sampled family, read in order from the draws
+    `uniform_draws(seed, 7, 0.0, 1.0)`; `seed` is an integer in
+    0..2**64 - 1 (InvalidParams).  |k0| and |h0| are log-uniform in
+    [0.1, 10] and |f0| in [0.5, 2], as lo * exp(u * log(hi / lo)) with
+    libm's exp and log; the shifts (lam1 and lam2 of thm31 and thm32,
+    thm42's lam3) are 4u - 2, in [-2, 2); thm42's |lam1| and |lam2| are
+    0.25 + 1.75u, in [0.25, 2].  A sign (+ where u < 1/2) takes the draw
+    before its magnitude, and thm31's `sign` the fifth draw."""
     if family not in FAMILIES or FAMILIES[family].sample is None:
         raise InvalidParams(f"no parameter sampler for {family!r}")
-    return FAMILIES[family].sample(rng, causal)
+    return FAMILIES[family].sample(uniform_draws(seed, 7, 0.0, 1.0).tolist(), causal)
 
 
 def perturb_exponent(s: FactorableSurface, scale: float) -> FactorableSurface:

@@ -5,6 +5,7 @@ lines.  Tolerances are pinned here and nowhere else; the random draws use
 a fixed seed so every run exercises the identical corpus.
 """
 
+import itertools
 import json
 import time
 
@@ -55,6 +56,8 @@ from test_exact_claims import (
 )
 
 SEED = 20260809
+# a test drawing parameters takes the seed 1000 * S + j for its j-th
+# `sample_params` draw, where S is SEED plus the offset the test names
 
 # finite-difference policy for criterion 2: shrink the grid window and the
 # step as the prescribed curvature steepens (calibrated once, frozen)
@@ -77,10 +80,9 @@ def _report(line):
 
 def test_criterion_01_thm31_constancy():
     """Measured K on 50x50 grids: max deviation < 1e-7, mean == -|K0|."""
-    rng = np.random.default_rng(SEED)
     start = time.monotonic()
-    for _ in range(20):
-        params = sample_params("thm31", rng)
+    for j in range(20):
+        params = sample_params("thm31", 1000 * SEED + j)
         surface = thm31_family(**params)
         data = specialized_grid(surface, default_grid(surface, 50, 50))
         assert not np.any(data["excluded"])
@@ -95,11 +97,11 @@ def test_criterion_01_thm31_constancy():
 
 def test_criterion_02_mean_curvature_constancy():
     """|H| constant and equal to |H0|: 1e-7 analytic, 1e-4 finite-difference."""
-    rng = np.random.default_rng(SEED + 1)
+    seeds = itertools.count(1000 * (SEED + 1))
     for family, build in (("thm32", thm32_family), ("thm42", thm42_family)):
         for causal in ("spacelike", "timelike"):
             for _ in range(20):
-                params = sample_params(family, rng, causal=causal)
+                params = sample_params(family, next(seeds), causal=causal)
                 surface = build(**params)
                 h0 = abs(params["h0"])
 
@@ -122,7 +124,8 @@ def test_criterion_02_mean_curvature_constancy():
 
 def _sigma_corpus():
     """Surfaces plus grids covering every (formula, causal character) bucket."""
-    rng = np.random.default_rng(SEED + 2)
+    seeds = itertools.count(1000 * (SEED + 2))
+    rng = np.random.default_rng(SEED + 2)  # the h0 and lam2 overrides
     corpus = []
     saddle = FactorableSurface("first", ScalarC2.linear(1.0), ScalarC2.linear(1.0))
     corpus.append((saddle, GridSpec((-0.5, 0.5), (-0.5, 0.5), 12, 12)))
@@ -138,14 +141,14 @@ def _sigma_corpus():
     corpus.append((sk2, GridSpec((0.1, 0.2), (0.8, 1.2), 12, 12)))
 
     for _ in range(3):
-        surface = thm31_family(**sample_params("thm31", rng))
+        surface = thm31_family(**sample_params("thm31", next(seeds)))
         corpus.append((surface, default_grid(surface, 12, 12)))
     for causal in ("spacelike", "timelike"):
         for _ in range(2):
-            surface = thm32_family(**{**sample_params("thm32", rng, causal=causal),
+            surface = thm32_family(**{**sample_params("thm32", next(seeds), causal=causal),
                                       "h0": float(rng.uniform(0.3, 1.5))})
             corpus.append((surface, default_grid(surface, 12, 12)))
-            surface = thm42_family(**{**sample_params("thm42", rng, causal=causal),
+            surface = thm42_family(**{**sample_params("thm42", next(seeds), causal=causal),
                                       "h0": float(rng.uniform(0.3, 1.5)),
                                       "lam2": float(rng.uniform(0.5, 1.2))})
             corpus.append((surface, default_grid(surface, 12, 12)))
@@ -247,14 +250,15 @@ def test_criterion_05_closed_form_substitution():
             residuals += [thm42_residual(b, rate_sign, side) for rate_sign in (1, -1)]
     assert all(r == 0 for r in residuals)
 
-    rng = np.random.default_rng(SEED + 3)
+    seeds = itertools.count(1000 * (SEED + 3))
     worst = 0.0
     for _ in range(5):
-        worst = max(worst, profile_gap("thm31", sample_params("thm31", rng)))
+        worst = max(worst, profile_gap("thm31", sample_params("thm31", next(seeds))))
     for causal in ("spacelike", "timelike"):
         for _ in range(5):
-            worst = max(worst, profile_gap("thm32", sample_params("thm32", rng, causal=causal)))
-            worst = max(worst, profile_gap("thm42", sample_params("thm42", rng, causal=causal)))
+            for family in ("thm32", "thm42"):
+                params = sample_params(family, next(seeds), causal=causal)
+                worst = max(worst, profile_gap(family, params))
     assert worst < 1e-8
     _report(f"criterion 5: closed forms solve their ODEs exactly; evaluators match them "
             f"(worst gap {worst:.2e})")

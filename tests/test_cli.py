@@ -298,6 +298,37 @@ class TestVerify:
         assert constancy["passed"] is passed
         assert constancy["mean"] == pytest.approx(mean, abs=5e-4)
 
+    def test_seeded_survey_of_sampled_families(self, tmp_path):
+        """A default `verify` (the 20x20 default grid, 10 motions, seed 0)
+        on `sample_params(family, k, causal)` for k = 0..99, per family and
+        branch: the count of each exit code with its failed suites.  The
+        thm42 failures are K gaps on grids where |K| reaches far above 1,
+        judged against absolute tolerances.  Over 60 of the survey's suite
+        values lie within a factor 10 of their tolerance, so a change of
+        rounding (numpy's SIMD dispatch) may move a count."""
+        out = tmp_path / "v.json"
+        survey = {}
+        for family, causal in (("thm31", "timelike"), ("thm32", "timelike"),
+                               ("thm32", "spacelike"), ("thm42", "timelike"),
+                               ("thm42", "spacelike")):
+            counts = survey.setdefault(f"{family} {causal}", {})
+            for k in range(100):
+                params = fam.sample_params(family, k, causal)
+                code = main(["verify", "--set", f"family.name={family}",
+                             *(a for key, value in params.items()
+                               for a in ("--set", f"family.{key}={json.dumps(value)}")),
+                             "--set", f"output.json={out}"])
+                outcome = (code, *json.loads(out.read_text())["failed"])
+                counts[outcome] = counts.get(outcome, 0) + 1
+        both = (1, "cross_check", "motion_invariance")
+        assert survey == {
+            "thm31 timelike": {(0,): 100},
+            "thm32 timelike": {(0,): 100},
+            "thm32 spacelike": {(0,): 100},
+            "thm42 timelike": {(0,): 79, both: 19, (1, "motion_invariance"): 2},
+            "thm42 spacelike": {(0,): 59, both: 31, (1, "motion_invariance"): 10},
+        }
+
     def test_perturbation_of_a_non_positive_g_is_a_config_error(self, capsys):
         # thm31's g = y + lam2 is negative on half the default grid
         _one_line_config_error(capsys, ["verify", "--set", "family.name=thm31", "--set", "family.k0=1",

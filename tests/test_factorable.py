@@ -290,6 +290,21 @@ class TestGridsAndReports:
         lo = s.g.domain[0]
         assert grid.u2[0] > lo
 
+    @pytest.mark.parametrize("domain,ends", [
+        ((-math.inf, math.inf), (-1.5, 1.5)),
+        ((-0.7, math.inf), (-0.7 + 0.15, -0.7 + 3.15)),
+        ((-math.inf, 1.3), (1.3 - 3.15, 1.3 - 0.15)),
+        ((-0.4, 2.2), (-0.4 + 0.05 * 2.6, 2.2 - 0.05 * 2.6)),
+    ])
+    def test_default_grid_on_each_domain_shape(self, domain, ends):
+        # a span of 3 centred on the origin, or placed 5% of the span
+        # inside the one finite end; 5% of a finite domain's length inside
+        # each of its ends
+        profile = ScalarC2(QUAD.jet, domain)
+        grid = default_grid(FactorableSurface("first", profile, profile))
+        for axis in (grid.u1, grid.u2):
+            assert axis == pytest.approx(ends, rel=0.0, abs=1e-15)
+
     def test_curvature_report_constancy(self):
         s = thm31_family(1.5)
         closed = specialized_grid(s, default_grid(s, 15, 15))
@@ -345,16 +360,18 @@ class TestFlatLimitPerQuantity:
 # below 1 on part of its default grid: a deadband of 1 called D zero there
 # and printed K = H = 0 on `specialized` at 78 of the 40^2 points
 SMALL_TERMS = {"h0": -0.152, "lam1": 0.285, "lam2": 1.313, "lam3": -1.917, "causal": "timelike"}
-# two thm42 timelike `sample_params` draws whose default `verify` failed
-# its constancy suite on the same deadband
+# two thm42 timelike draws whose default `verify` failed its constancy
+# suite on the same deadband; these literals came from the former numpy
+# `Generator` sampler (`sample_params` on default_rng(43)), not from a seed
+# of today's `sample_params`
 SMALL_TERM_DRAWS = [
     {"h0": 0.13801627419481918, "lam1": -0.4629300875340512, "lam2": -1.992976912978024,
      "lam3": 0.8663780370448197},
     {"h0": -0.16353864207454946, "lam1": 0.8042965473728501, "lam2": 1.7142553051251683,
      "lam3": 1.620446669846468},
 ]
-# a thm42 spacelike draw (`sample_params` on default_rng(43)), on the
-# radicand's other component w in [-4, -1.05], where g = exp(phi) is tiny
+# a thm42 spacelike draw of the same former sampler at default_rng(43), on
+# the radicand's other component w in [-4, -1.05], where g = exp(phi) is tiny
 OTHER_COMPONENT = {"h0": -0.12233497773754257, "lam1": -1.9198816525031326,
                    "lam2": 1.3568503300441201, "lam3": 0.34857219035223386, "causal": "spacelike"}
 
