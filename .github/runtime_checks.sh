@@ -82,6 +82,13 @@ pg-surf verify --set family.name=thm42 --set family.h0=0.5 --set grid.n1=9 --set
 pg-surf verify --set family.name=thm42 --set family.h0=0.5 --set grid.n1=400 --set grid.n2=400
 pg-surf verify --set family.name=thm42 --set family.h0=0.5 --set grid.n1=11 --set grid.n2=11 --set motions=10000
 expect_exit 2 pg-surf verify --set family.name=thm31 --set family.k0=1 --set perturb.exponent_scale=1.01
+# a grid whose closed denominator vanishes before the pipeline masks a point:
+# the closed sweep's own mask names the locus
+expect_exit 1 pg-surf verify --set family.name=thm31 --set family.k0=1 --set 'grid.u1=[-1,21]' --set output.json=locus.json
+python -c "import json; error = json.load(open('locus.json'))['suites']['cross_check']['error']; assert error == 'grid crosses a lightlike or inadmissible locus', error"
+# a point with no curvature is NaN on every path, the one-point views too;
+# the package has no Lightlike* error class to report it
+python -c "import math, pgsurf; from pgsurf.factorable import jet_component_arrays; from pgsurf.surface import gaussian_curvature; comp = jet_component_arrays(pgsurf.family_surface('saddle'), [1.0], [0.0]); assert math.isnan(gaussian_curvature(comp)); assert not [n for n in dir(pgsurf) if n.startswith('Lightlike')]"
 
 # exports on every route, in one block and in several
 pg-surf mesh --set family.name=saddle --set 'grid.u1=[0.5,1.5]' --set grid.n1=21 --set grid.n2=7 --set output.obj=saddle.obj --set output.sidecar=saddle.csv

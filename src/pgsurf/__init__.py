@@ -15,9 +15,7 @@ from .errors import (
     ConfigError,
     DomainError,
     GridRejected,
-    InadmissiblePatch,
     InvalidParams,
-    LightlikeSurface,
     PGSurfError,
 )
 from .factorable import (
@@ -45,6 +43,6 @@ from .reconstruct import (
     reconstruct_thm32,
     reconstruct_thm42,
 )
-from .surface import gaussian_curvature, mean_curvature, transform_jet
+from .surface import transform_jet
 
 __version__ = "0.1.0"

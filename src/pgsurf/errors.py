@@ -5,14 +5,6 @@ class PGSurfError(Exception):
     """Base class for all pg-surf errors."""
 
 
-class LightlikeSurface(PGSurfError):
-    """Side tangent norm W is (numerically) zero; curvature is undefined."""
-
-
-class InadmissiblePatch(PGSurfError):
-    """Both x-partials vanish; the tangent plane is pseudo-Euclidean."""
-
-
 class InvalidParams(PGSurfError, ValueError):
     """A constructor received parameters outside its stated preconditions."""
 

@@ -426,12 +426,13 @@ def pipeline_grid(s: FactorableSurface, grid: GridSpec, mode: str = "analytic",
 @np.errstate(all="ignore")
 def specialized_grid(s: FactorableSurface, grid: GridSpec,
                      block: tuple[slice, slice] = np.s_[:, :]) -> dict:
-    """Closed-formula sweep of the grid `block`: U1, U2, K, H, eps, W and
-    the exclusion mask, no positions.  K and H share one closed
-    denominator D, which is the pipeline's q = Y^2 - Z^2 (proven in
-    tests/test_sign_contract.py), so `sign_and_norm` of D gives the
-    pipeline's eps and W.  A point is excluded where K or H is not
-    finite, which covers the undefined points (NaN there)."""
+    """Closed-formula sweep of the grid `block`: U1, U2, K, H, eps, W,
+    the mask of the points where D vanishes and the exclusion mask, no
+    positions.  K and H share one closed denominator D, which is the
+    pipeline's q = Y^2 - Z^2 (proven in tests/test_sign_contract.py), so
+    `sign_and_norm` of D gives the pipeline's eps and W, and D vanishes at
+    the lightlike and inadmissible points.  A point is excluded where K
+    or H is not finite, which covers the undefined points (NaN there)."""
     u1, u2, params = _axes(grid, block)
     shape = params["U1"].shape
     parts = s.f.jet(u1) + s.g.jet(u2)
@@ -439,7 +440,8 @@ def specialized_grid(s: FactorableSurface, grid: GridSpec,
     K, _ = _closed_K(s.kind, parts, den, shape)
     H, _ = _closed_H(s.kind, parts, den, shape)
     eps, W = sign_and_norm(den[0], shape)
-    return {**params, "K": K, "H": H, "eps": eps, "W": W, "excluded": _excluded(K, H, shape)}
+    return {**params, "K": K, "H": H, "eps": eps, "W": W, "masked": den[2],
+            "excluded": _excluded(K, H, shape)}
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +457,13 @@ def cross_check(pipe: dict, closed: dict) -> float:
     tests/test_sign_contract.py).
 
     Raises GridRejected when either sweep excludes a point.  The reason
-    is that of the first such point in row-major order: the pipeline's
-    lightlike or inadmissible mask, else a K or H that is not finite.
+    is that of the first such point in row-major order: either sweep's
+    `masked`, a lightlike or inadmissible point, else a K or H that is
+    not finite.
     """
     if np.any(pipe["excluded"]) or np.any(closed["excluded"]):
         first = np.argmax(pipe["excluded"] | closed["excluded"])
-        if pipe["masked"].flat[first]:
+        if pipe["masked"].flat[first] or closed["masked"].flat[first]:
             raise GridRejected("grid crosses a lightlike or inadmissible locus")
         raise GridRejected("grid has a point where K or H is not finite")
     shape = pipe["U1"].shape

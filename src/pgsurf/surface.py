@@ -11,8 +11,9 @@ A jet is a dict of component arrays: the keys x1..z22 hold the first and
 second partials of (x, y, z), as `factorable.jet_component_arrays` and
 `fd_components` return them.  `curvature_arrays` is the one implementation:
 it works on those arrays and returns masks for lightlike and inadmissible
-points, eps and W by `sign_and_norm` as in the closed sweep.  Its one-point
-views `gaussian_curvature` and `mean_curvature` raise there instead.
+points, with K and H NaN there, and eps and W by `sign_and_norm` as in the
+closed sweep.  Its one-point views `gaussian_curvature` and
+`mean_curvature` read its K and H, NaN at a masked point as on a grid.
 `transform_jet` moves jet component arrays by an (m, 6) array of motions
 of the six-parameter group, one motion per row, in one broadcast;
 `uniform_draws` gives seeded motions (and the probe's random starts)
@@ -28,14 +29,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InadmissiblePatch, InvalidParams, LightlikeSurface
+from .errors import InvalidParams
 
 __all__ = [
     "gaussian_curvature",
     "mean_curvature",
     "transform_jet",
     "uniform_draws",
-    "require_unmasked",
     "fd_components",
     "curvature_arrays",
     "W_TOL",
@@ -44,7 +44,7 @@ __all__ = [
     "SEED_MAX",
 ]
 
-W_TOL = 1e-10          # W below this counts as lightlike; curvature calls fail loudly
+W_TOL = 1e-10          # W below this counts as lightlike: K and H are NaN there
 ADMISSIBLE_TOL = 1e-12  # |x_,i| threshold for admissibility
 FD_STEP = 1e-4          # default finite-difference step scale
 SEED_MAX = 2**64 - 1    # largest seed of `uniform_draws`: its state is 64 bits
@@ -80,30 +80,16 @@ def sign_and_norm(q, shape: tuple):
     return np.where(q > 0.0, 1.0, -1.0), np.sqrt(W, out=spare(W, shape))
 
 
-def require_unmasked(out: dict, i) -> None:
-    """Raise the error of the one-point views if the `curvature_arrays`
-    output `out` masks point `i`: `InadmissiblePatch` first, then
-    `LightlikeSurface`."""
-    if out["inadmissible"][i]:
-        raise InadmissiblePatch("both x-partials vanish; patch is pseudo-Euclidean")
-    if out["lightlike"][i]:
-        raise LightlikeSurface(f"W = {out['W'][i]:.3e} below tolerance {W_TOL:.1e}; "
-                               "curvature undefined")
-
-
 def gaussian_curvature(comp: dict) -> float:
     """K of the one-point jet `comp`, components whose broadcast shape is
-    (1,); raises where `curvature_arrays` masks the point."""
-    out = curvature_arrays(comp)
-    require_unmasked(out, 0)
-    return float(out["K"][0])
+    (1,): NaN where `curvature_arrays` masks the point."""
+    return float(curvature_arrays(comp)["K"][0])
 
 
 def mean_curvature(comp: dict) -> float:
-    """H of the one-point jet `comp`; raises like `gaussian_curvature`."""
-    out = curvature_arrays(comp)
-    require_unmasked(out, 0)
-    return float(out["H"][0])
+    """H of the one-point jet `comp`: NaN where `curvature_arrays` masks
+    the point."""
+    return float(curvature_arrays(comp)["H"][0])
 
 
 def transform_jet(motions: np.ndarray, comp: dict) -> dict:

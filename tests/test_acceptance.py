@@ -7,6 +7,7 @@ a fixed seed so every run exercises the identical corpus.
 
 import itertools
 import json
+import math
 import time
 
 import numpy as np
@@ -288,8 +289,10 @@ def test_criterion_06_motion_invariance():
             k_ref, h_ref = gaussian_curvature(comp), mean_curvature(comp)
             for m in motions:
                 comp_m = moved(m, comp)
-                worst = max(worst, abs(gaussian_curvature(comp_m) - k_ref),
-                            abs(mean_curvature(comp_m) - h_ref))
+                gaps = abs(gaussian_curvature(comp_m) - k_ref), abs(mean_curvature(comp_m) - h_ref)
+                # a view is NaN at a masked point, and max(x, nan) is x
+                assert all(map(math.isfinite, gaps)), (surface, u1, u2)
+                worst = max(worst, *gaps)
     assert worst < 1e-8
     _report(f"criterion 6: curvature fields motion-invariant (worst gap {worst:.2e})")
 

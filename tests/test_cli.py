@@ -23,6 +23,7 @@ from pgsurf import cli, factorable, render
 from pgsurf import families as fam
 from pgsurf import reconstruct as rec
 from pgsurf.cli import MAX_GRID_POINTS, _grid, main
+from pgsurf.errors import BlowUp
 from pgsurf.factorable import GridSpec, default_grid
 from pgsurf.families import family_surface
 from pgsurf.surface import gaussian_curvature, mean_curvature
@@ -373,8 +374,10 @@ class TestVerify:
                     k_ref, h_ref = gaussian_curvature(comp), mean_curvature(comp)
                     for m in motions:
                         _, moved = _moved_jet(m, value, comp)
-                        worst = max(worst, abs(gaussian_curvature(moved) - k_ref),
-                                    abs(mean_curvature(moved) - h_ref))
+                        gaps = abs(gaussian_curvature(moved) - k_ref), abs(mean_curvature(moved) - h_ref)
+                        # a view is NaN at a masked point, and max(x, nan) is x
+                        assert all(map(math.isfinite, gaps)), (family, u1, u2, m)
+                        worst = max(worst, *gaps)
             assert suite["motions"] == count
             assert float(suite["max_difference"]).hex() == worst.hex(), (family, n, count, seed)
 
@@ -484,7 +487,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("family,cause", [
         (["family.name=thm31", "family.k0=1", "grid.u1=[-1,21]"],
-         "grid has a point where K or H is not finite"),
+         "grid crosses a lightlike or inadmissible locus"),
         (["family.name=thm42", "family.h0=0.5", "family.lam1=3e-4", "family.lam2=-0.3",
           "grid.u2=[-40,40]"], "grid crosses a lightlike or inadmissible locus"),
         (["family.name=thm42", "family.h0=0.5", "family.lam2=-20"],
@@ -494,8 +497,8 @@ class TestVerify:
         # a lightlike or inadmissible sample node fails the motion suite as
         # a non-finite one does; the report is written and its cross-check
         # names what excludes the first excluded grid point in row-major
-        # order (on the first grid the closed formulas exclude points before
-        # the pipeline masks one)
+        # order (on the first grid the closed formulas' D vanishes at points
+        # the pipeline does not mask, and their own mask names the locus)
         out = tmp_path / "v.json"
         capsys.readouterr()
         assert main(["verify", *(a for kv in family for a in ("--set", kv)),
@@ -555,6 +558,18 @@ class TestReconstruct:
                      "--set", f"output.json={out}"]) == 1
         report = json.loads(out.read_text())
         assert report["steps"] == 3 and report["h"] == 2.0 / 3.0
+
+    def test_blow_up_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # any other package error ends the run with exit 1 and its message
+        def blow_up(*args, **kwargs):
+            raise BlowUp("state exceeded 1e+150 at t = 0.5")
+
+        monkeypatch.setattr(rec, "integrate", blow_up)
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["reconstruct", "--set", "theorem=3.1", "--set", f"output.json={out}"]) == 1
+        assert capsys.readouterr().err == "pg-surf: state exceeded 1e+150 at t = 0.5\n"
+        assert not out.exists()
 
     def test_branch_violation_exits_4(self, tmp_path):
         cfg = write_config(tmp_path, "rb.json", {
@@ -1057,6 +1072,24 @@ class TestConfigValidation:
         assert err == ("pg-surf: config error: grid range must be finite and increasing, "
                        "got (-1e+308, 1e+308)\n")
         assert list(tmp_path.iterdir()) == [tmp_path / "w.json"]
+
+    @pytest.mark.parametrize("argv,cause", [
+        (["curvature", "--set", "oops"], "--set expects key=value, got 'oops'"),
+        (["curvature", "--set", "family=3", "--set", "family.name=thm31"],
+         "--set key 'family.name' collides with a scalar"),
+        (["curvature", "--config", "root.json"], "config root must be a JSON object"),
+        (["curvature", "--set", "family.name=thm32", "--set", "family.h0=0.5", "--set", "family.f0=0"],
+         "f0 must be a nonzero finite real"),
+        (["reconstruct", "--set", "theorem=4.2", "--set", "lam1=0"], "lam1 must be nonzero"),
+    ])
+    def test_malformed_input_names_its_cause(self, tmp_path, capsys, monkeypatch, argv, cause):
+        # run in an empty directory (but for a config whose root is an
+        # array): the line names the cause, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, "root.json", [1, 2])
+        err = _one_line_config_error(capsys, argv)
+        assert err == f"pg-surf: config error: {cause}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "root.json"]
 
     def test_grid_cap_is_inclusive(self):
         grid = _grid({"n1": 2000, "n2": 2000}, GridSpec((0, 1), (0, 1)))

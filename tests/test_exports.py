@@ -19,7 +19,9 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(pgsurf.__path__))
 # lists, now the one table `families.FAMILIES`, and the wrappers that only
 # restated what their callers hold (`Motion`, a row of the (m, 6) motion
 # array; `CrossCheckReport`, the gap and the sweep's size; `ODEProblem`,
-# the arguments of `integrate`); none may come back as an export
+# the arguments of `integrate`), and the one-point views' errors (a point
+# with no curvature is NaN and masked on every path); none may come back
+# as an export
 DELETED = {
     "families": ["FAMILY_NAMES", "Fixture", "fixtures_flat_minimal", "_fixture"],
     "cli": ["_EXPECTED_FIELD", "_CAUSAL", "_random_motions"],
@@ -32,10 +34,10 @@ DELETED = {
                 "jet_components", "jet_from_components", "finite_difference_jet", "_at_point",
                 "PGPoint", "Character", "causal_character", "LIGHTLIKE_BAND", "pg_distance",
                 "apply_motion", "apply_motion_vector", "compose", "IsoVector", "minkowski_dot",
-                "Motion"],
+                "Motion", "require_unmasked"],
     "factorable": ["specialized_K", "specialized_H", "k_first", "h_first", "k_second",
                    "h_second", "_at_point", "_require_kind", "LightlikeLocus", "CrossCheckReport"],
-    "errors": ["LightlikeLocus"],
+    "errors": ["LightlikeLocus", "LightlikeSurface", "InadmissiblePatch"],
 }
 
 
@@ -79,6 +81,12 @@ def test_deleted_names_are_gone(module):
         assert not hasattr(mod, name), (module, name)
         assert not hasattr(pgsurf, name), name
         assert name not in getattr(mod, "__all__", ()), (module, name)
+
+
+def test_one_point_views_are_not_package_exports():
+    # `surface` keeps them, as one-point reads of `curvature_arrays`
+    for name in ("gaussian_curvature", "mean_curvature"):
+        assert hasattr(pgsurf.surface, name) and not hasattr(pgsurf, name), name
 
 
 def test_deleted_methods_are_gone():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgsurf import factorable
-from pgsurf.errors import GridRejected, InvalidParams, PGSurfError
+from pgsurf.errors import GridRejected, InvalidParams
 from pgsurf.cli import main
 from pgsurf.factorable import (
     KIND_SECOND,
@@ -274,6 +274,23 @@ class TestCrossCheck:
         with pytest.raises(GridRejected):
             cross_check(*sweeps)
 
+    @pytest.mark.parametrize("sweep", [0, 1])
+    @pytest.mark.parametrize("masked,reason", [
+        (True, "grid crosses a lightlike or inadmissible locus"),
+        (False, "grid has a point where K or H is not finite"),  # an overflow
+    ])
+    def test_the_excluding_sweeps_mask_names_the_reason(self, sweep, masked, reason):
+        # only one sweep excludes the first point: its own mask there names
+        # the locus, whichever sweep it is; an unmasked exclusion does not
+        sweeps = list(_sweeps(SADDLE, GridSpec((-0.5, 0.5), (-0.5, 0.5), 4, 4)))
+        assert not any(s[key].any() for s in sweeps for key in ("masked", "excluded"))
+        first = np.zeros((4, 4), dtype=bool)
+        first[0, 0] = True
+        sweeps[sweep] = {**sweeps[sweep], "excluded": first, "masked": first & masked}
+        with pytest.raises(GridRejected) as rejected:
+            cross_check(*sweeps)
+        assert str(rejected.value) == reason
+
 
 class TestGridsAndReports:
     def test_grid_validation(self):
@@ -283,6 +300,10 @@ class TestGridsAndReports:
             GridSpec((1.0, 0.0), (0.0, 1.0), 5, 5)
         with pytest.raises(InvalidParams):
             GridSpec((0.0, float("inf")), (0.0, 1.0), 5, 5)
+
+    def test_jet_mode_is_analytic_or_fd(self):
+        with pytest.raises(InvalidParams, match="^mode must be 'analytic' or 'fd', got 'exact'$"):
+            jet_component_arrays(SADDLE, [0.5], [0.5], mode="exact")
 
     def test_default_grid_respects_semi_infinite_domain(self):
         s = thm32_family(0.5, causal="spacelike")
@@ -459,14 +480,10 @@ def quadratic(c0, c1, c2):
     return ScalarC2(lambda t: (c0 + c1 * t + c2 * t * t, c1 + 2.0 * c2 * t, 2.0 * c2 + 0.0 * t))
 
 
-def same(one_point, grid_value):
-    """The one-point value equals the grid's bit for bit; where the
-    one-point call raises, or flags the point undefined, the grid holds
+def same(value, undefined, grid_value):
+    """The one-point value equals the grid's bit for bit, NaN included;
+    where the one-point call flags the point undefined, the grid holds
     NaN."""
-    try:
-        value, undefined = one_point()
-    except PGSurfError:
-        undefined = True
     if undefined:
         return bool(np.isnan(grid_value))
     return value.hex() == float(grid_value).hex()
@@ -486,10 +503,10 @@ class TestScalarViewsEqualGrids:
         for (i, j), a in np.ndenumerate(sweep["U1"]):
             a, b = float(a), float(sweep["U2"][i, j])
             comp = jet(s, a, b)
-            assert same(lambda: closed(closed_K, s, a, b), sweep["K"][i, j])
-            assert same(lambda: closed(closed_H, s, a, b), sweep["H"][i, j])
-            assert same(lambda: (gaussian_curvature(comp), False), pipe["K"][i, j])
-            assert same(lambda: (mean_curvature(comp), False), pipe["H"][i, j])
+            assert same(*closed(closed_K, s, a, b), sweep["K"][i, j])
+            assert same(*closed(closed_H, s, a, b), sweep["H"][i, j])
+            assert same(gaussian_curvature(comp), False, pipe["K"][i, j])
+            assert same(mean_curvature(comp), False, pipe["H"][i, j])
         for key in ("eps", "W"):
             assert sweep[key].tobytes() == pipe[key].tobytes(), key
 
@@ -510,13 +527,14 @@ def _mesh_closed(s, grid):
     """`specialized_grid` rebuilt on the full mesh through the public
     `closed_K` and `closed_H`, with the eps and W of the analytic pipeline:
     the closed denominator is the pipeline's q, so the two routes agree on
-    them bit for bit."""
+    them bit for bit.  `masked` is where that denominator vanishes."""
     U1, U2 = np.meshgrid(*grid.axes(), indexing="ij")
     parts = s.f.jet(U1) + s.g.jet(U2)
     K, k_undefined = closed_K(s.kind, *parts)
     H, h_undefined = closed_H(s.kind, *parts)
     pipe = _mesh_pipeline(s, grid, "analytic")
     return {"U1": U1, "U2": U2, "K": K, "H": H, "eps": pipe["eps"], "W": pipe["W"],
+            "masked": factorable._denominator(s.kind, parts, U1.shape)[2],
             "excluded": k_undefined | h_undefined}
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgsurf.errors import InadmissiblePatch, InvalidParams, LightlikeSurface
+from pgsurf.errors import InvalidParams
 from pgsurf.factorable import FactorableSurface, ScalarC2, jet_component_arrays
 from pgsurf.families import thm31_family, thm32_family, thm42_family
 from pgsurf.surface import (
@@ -13,7 +13,6 @@ from pgsurf.surface import (
     fd_components,
     gaussian_curvature,
     mean_curvature,
-    require_unmasked,
     transform_jet,
     uniform_draws,
 )
@@ -47,14 +46,19 @@ def admissible(comp):
     return not curvature_arrays(comp)["inadmissible"][0]
 
 
+def assert_masked(comp, mask):
+    """The kernel masks the one point of `comp` by `mask` ("lightlike" or
+    "inadmissible"), and both one-point views read NaN there."""
+    assert curvature_arrays(comp)[mask][0]
+    assert math.isnan(gaussian_curvature(comp)) and math.isnan(mean_curvature(comp))
+
+
 class TestAdmissible:
     def test_first_kind_graph_always_admissible(self):
         assert admissible(jet(omega1(), 0.4, -1.1))
 
     def test_pseudo_euclidean_patch(self):
         assert not admissible(PSEUDO_EUCLIDEAN_JET)
-        with pytest.raises(InadmissiblePatch):
-            point_data(PSEUDO_EUCLIDEAN_JET)
 
     def test_second_kind_condition(self):
         # x = f(y) g(z) is admissible exactly where f'g or fg' is nonzero
@@ -94,11 +98,11 @@ class TestSideNorm:
     def test_saddle_origin(self):
         assert point_data(jet(SADDLE, 0.0, 0.0))["W"] == 1.0
 
-    def test_lightlike_raises(self):
+    def test_lightlike_is_masked(self):
         # z = y has f g' = 1 everywhere
         s = FactorableSurface("first", ScalarC2.constant(1.0), ScalarC2.linear(1.0))
-        with pytest.raises(LightlikeSurface):
-            point_data(jet(s, 0.0, 0.0))
+        out = curvature_arrays(jet(s, 0.0, 0.0))
+        assert out["W"][0] == 0.0 and out["lightlike"][0] and not out["inadmissible"][0]
 
 
 def epsilon_and_normal(comp):
@@ -149,11 +153,8 @@ class TestSecondForm:
         d = point_data(PLANE_JET)
         assert (d["L11"], d["L12"], d["L22"]) == (0.0, 0.0, 0.0)
 
-    def test_inadmissible_raises(self):
-        with pytest.raises(InadmissiblePatch):
-            gaussian_curvature(PSEUDO_EUCLIDEAN_JET)
-        with pytest.raises(InadmissiblePatch):
-            mean_curvature(PSEUDO_EUCLIDEAN_JET)
+    def test_inadmissible_is_nan(self):
+        assert_masked(PSEUDO_EUCLIDEAN_JET, "inadmissible")
 
 
 class TestCurvatures:
@@ -176,12 +177,9 @@ class TestCurvatures:
                   for x in (-1.0, 0.0, 0.7) for y in (-0.5, 1.2)]
         assert np.allclose(values, 1.0, atol=1e-10)
 
-    def test_lightlike_raises(self):
+    def test_lightlike_is_nan(self):
         s = FactorableSurface("first", ScalarC2.constant(1.0), ScalarC2.linear(1.0))
-        with pytest.raises(LightlikeSurface):
-            gaussian_curvature(jet(s, 0.0, 0.0))
-        with pytest.raises(LightlikeSurface):
-            mean_curvature(jet(s, 0.0, 0.0))
+        assert_masked(jet(s, 0.0, 0.0), "lightlike")
 
     def test_fundamental_data_bundle(self):
         d = point_data(jet(omega1(), 0.2, 0.3))
@@ -350,17 +348,16 @@ class TestBroadcastComponents:
             assert out[key].shape == (4, 3) and out[key].dtype == value.dtype, key
             assert out[key].tobytes() == value.tobytes(), key
 
-    def test_require_unmasked_raises_the_scalar_errors(self):
-        # Y = 1 and Z = z2 here, so the column with z2 = -1 is lightlike
+    def test_masks_index_like_the_grid(self):
+        # Y = 1 and Z = z2 here, so the column with z2 = -1 is lightlike:
+        # K and H are NaN there and only there
         out = curvature_arrays(_mixed(self.Z1, self.Z2))
         assert out["lightlike"][:, 1].all() and not out["lightlike"][:, [0, 2]].any()
-        require_unmasked(out, (2, 0))
-        with pytest.raises(LightlikeSurface):
-            require_unmasked(out, (2, 1))
+        for key in ("K", "H"):
+            assert np.array_equal(np.isnan(out[key]), out["lightlike"]), key
         out = curvature_arrays(_mixed(self.Z1, self.Z2, x1=0.0))
         assert out["inadmissible"].shape == (4, 3) and out["inadmissible"].all()
-        with pytest.raises(InadmissiblePatch):
-            require_unmasked(out, (3, 2))
+        assert np.isnan(out["K"]).all() and np.isnan(out["H"]).all()
 
     @pytest.mark.parametrize("inputs", ["mixed", "analytic", "materialised", "one point"])
     def test_outputs_are_read_only_and_inputs_untouched(self, inputs):
